@@ -10,15 +10,10 @@ Commands:
 - ``experiment`` — regenerate one of the paper's tables/figures.
 - ``stats`` — run one instrumented controller cycle plus a trace
   replay and report the collected metrics (optionally as JSONL).
-- ``budget-sweep`` — sweep the per-class TCAM rule budget and report
-  coverage-error and realized-load curves (optionally as JSON).
-- ``shard-gap`` — compare the sharded control plane (regional LPs +
-  coordinator) against the global LP: optimality gap, coordination
-  rounds, and wall-time speedup per region count (optionally as
-  JSON).
-- ``sketch-gap`` — sweep count-min sketch widths against the
-  LoadCost gap of the streaming estimator vs the exact-matrix
-  oracle (optionally as JSON).
+- ``budget-sweep``, ``shard-gap``, ``sketch-gap`` — the gap
+  experiments (:mod:`repro.experiments.gap`): sweep the TCAM rule
+  budget, the controller's region count or the count-min sketch width
+  and report the distance to the LP oracle (optionally as JSON).
 - ``scenario`` — play a canned closed-loop scenario through the
   discrete-event runtime and print the epoch timeline (optionally
   writing the full report and a per-epoch timeline as JSON/JSONL).
@@ -27,6 +22,9 @@ Commands:
   signature emulation in bounded-memory chunks (``--follow``
   streams it through the ingest daemon's sketch estimator
   instead, as a live-feed fixture).
+- ``lint`` — run the domain-aware static-analysis rules.
+- ``racecheck`` — replay the canned scenarios under perturbed
+  same-instant orderings and assert fingerprint invariance.
 """
 
 from __future__ import annotations
@@ -41,12 +39,13 @@ from repro.core import (
     ArchitectureEvaluator,
     ArchitectureKind,
     CombinedProblem,
-    MirrorPolicy,
     NIPSProblem,
     ReplicationProblem,
     SplitTrafficProblem,
 )
+from repro.core.mirrors import MIRROR_POLICIES
 from repro.experiments import (
+    GAP_SPECS,
     format_dc_capacity,
     format_fig10,
     format_fig11,
@@ -58,9 +57,11 @@ from repro.experiments import (
     format_fig17,
     format_fig18,
     format_fig19,
+    format_gap,
     format_placement,
     format_table,
     format_table1,
+    gap_to_json,
     run_dc_capacity_ablation,
     run_fig10,
     run_fig11,
@@ -74,16 +75,9 @@ from repro.experiments import (
     run_placement_ablation,
     run_table1,
     setup_topology,
+    show_knob,
 )
 from repro.topology import builtin_topology, builtin_topology_names
-
-_MIRROR_CHOICES = {
-    "none": MirrorPolicy.none,
-    "dc": MirrorPolicy.datacenter,
-    "one-hop": lambda: MirrorPolicy.neighbors(1),
-    "two-hop": lambda: MirrorPolicy.neighbors(2),
-    "dc+one-hop": lambda: MirrorPolicy.datacenter_plus_neighbors(1),
-}
 
 # Every runner takes the --jobs value; only the sweep-style
 # experiments (fig10's architectures, fig15's topologies) fan out —
@@ -167,7 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=["replication", "aggregation", "split",
                                 "nips", "combined"])
     solve.add_argument("--mirror", default="dc",
-                       choices=sorted(_MIRROR_CHOICES))
+                       choices=sorted(MIRROR_POLICIES))
     solve.add_argument("--max-link-load", type=float, default=0.4)
     solve.add_argument("--dc-capacity", type=float, default=10.0)
     solve.add_argument("--beta", type=float, default=None,
@@ -198,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stats.add_argument("topology", nargs="?", default="internet2",
                        choices=builtin_topology_names())
     stats.add_argument("--mirror", default="dc",
-                       choices=sorted(_MIRROR_CHOICES))
+                       choices=sorted(MIRROR_POLICIES))
     stats.add_argument("--max-link-load", type=float, default=0.4)
     stats.add_argument("--dc-capacity", type=float, default=8.0)
     stats.add_argument("--sessions", type=int, default=1000,
@@ -208,82 +202,32 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="also write the metrics snapshot as "
                             "JSON lines to PATH")
 
-    budget = sub.add_parser(
-        "budget-sweep",
-        help="sweep the per-class TCAM rule budget and report "
-             "coverage error and realized load curves")
-    budget.add_argument("--topology", action="append", default=None,
-                        choices=builtin_topology_names(),
-                        metavar="NAME", dest="topologies",
-                        help="topology to sweep (repeatable; "
-                             "default: tinet and sprint)")
-    budget.add_argument("--budgets", default=None, metavar="LIST",
-                        help="comma-separated rule budgets; 'inf' "
-                             "means unbounded (default: "
-                             "1,2,3,4,8,16,inf)")
-    budget.add_argument("--mirror", default="dc+one-hop",
-                        choices=sorted(_MIRROR_CHOICES))
-    budget.add_argument("--max-link-load", type=float, default=0.4)
-    budget.add_argument("--dc-capacity", type=float, default=10.0)
-    budget.add_argument("--json", default=None, metavar="PATH",
-                        help="write the sweep curves as JSON "
-                             "('-' for stdout)")
-
-    shard = sub.add_parser(
-        "shard-gap",
-        help="compare the sharded control plane against the global "
-             "LP: optimality gap, rounds, and speedup")
-    shard.add_argument("--topology", action="append", default=None,
-                       choices=builtin_topology_names(),
-                       metavar="NAME", dest="topologies",
-                       help="topology to compare (repeatable; "
-                            "default: sprint, level3 and ntt)")
-    shard.add_argument("--regions", default=None, metavar="LIST",
-                       help="comma-separated region counts "
-                            "(default: 2,3,4)")
-    shard.add_argument("--mirror", default="dc",
-                       choices=sorted(_MIRROR_CHOICES))
-    shard.add_argument("--max-link-load", type=float, default=0.4)
-    shard.add_argument("--dc-capacity", type=float, default=1.0)
-    shard.add_argument("--seed", type=int, default=0,
-                       help="region partitioner seed")
-    shard.add_argument("--jobs", type=int, default=None,
-                       help="concurrent per-region solves (default: "
-                            "one per region up to the CPU count)")
-    shard.add_argument("--json", default=None, metavar="PATH",
-                       help="write the comparison as JSON "
-                            "('-' for stdout)")
-
-    sketch = sub.add_parser(
-        "sketch-gap",
-        help="sweep count-min sketch widths against the streaming "
-             "estimator's LoadCost gap vs the exact-matrix oracle")
-    sketch.add_argument("--topology", action="append", default=None,
-                        choices=builtin_topology_names(),
-                        metavar="NAME", dest="topologies",
-                        help="topology to sweep (repeatable; "
-                             "default: tinet — many classes, so "
-                             "collisions actually bite)")
-    sketch.add_argument("--widths", default=None, metavar="LIST",
-                        help="comma-separated count-min widths "
-                             "(default: 512,1024,2048,4096)")
-    sketch.add_argument("--depth", type=int, default=4,
-                        help="count-min depth (rows)")
-    sketch.add_argument("--mirror", default="dc",
-                        choices=sorted(_MIRROR_CHOICES))
-    sketch.add_argument("--max-link-load", type=float, default=0.4)
-    sketch.add_argument("--dc-capacity", type=float, default=1.0)
-    sketch.add_argument("--sessions", type=int, default=6000,
-                        help="sampled sessions in the shared epoch "
-                             "trace")
-    sketch.add_argument("--chunk", type=int, default=512,
-                        help="packets per streaming ingest slab")
-    sketch.add_argument("--workers", type=int, default=2,
-                        help="per-worker sketches merged on snapshot")
-    sketch.add_argument("--seed", type=int, default=0)
-    sketch.add_argument("--json", default=None, metavar="PATH",
-                        help="write the sweep as JSON "
-                             "('-' for stdout)")
+    for spec in GAP_SPECS.values():
+        gap = sub.add_parser(spec.verb, help=spec.help)
+        gap.add_argument("--topology", action="append", default=None,
+                         choices=builtin_topology_names(),
+                         metavar="NAME", dest="topologies",
+                         help="topology to run on (repeatable; "
+                              f"default: {', '.join(spec.topologies)})")
+        shown = ",".join(show_knob(value) for value in spec.defaults)
+        gap.add_argument(f"--{spec.values}", default=None,
+                         metavar="LIST", dest="values",
+                         help=f"comma-separated {spec.values}"
+                              + ("; 'inf' means unbounded"
+                                 if spec.unbounded else "")
+                              + f" (default: {shown})")
+        gap.add_argument("--mirror", default=spec.mirror,
+                         choices=sorted(MIRROR_POLICIES))
+        gap.add_argument("--max-link-load", type=float, default=0.4)
+        gap.add_argument("--dc-capacity", type=float,
+                         default=spec.dc_capacity_factor)
+        for param in spec.params:
+            gap.add_argument(param.flag, dest=param.name, type=int,
+                             metavar=param.flag[2:].upper(),
+                             default=param.default, help=param.help)
+        gap.add_argument("--json", default=None, metavar="PATH",
+                         help="write the series as JSON "
+                              "('-' for stdout)")
 
     from repro.runtime.scenario import CANNED_SCENARIOS
 
@@ -306,7 +250,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                "strategy (e.g. 'delta' for "
                                "incremental diff rollouts)")
     scenario.add_argument("--json", default=None, metavar="PATH",
-                          help="write the full ScenarioReport as JSON")
+                          help="write the full ScenarioReport as JSON "
+                               "('-' for stdout)")
     scenario.add_argument("--timeline", default=None, metavar="PATH",
                           help="write the per-epoch metric timeline "
                                "as JSON lines")
@@ -349,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--chunk", type=int, default=65536,
                         help="target packets per replay slab")
     replay.add_argument("--mirror", default="dc",
-                        choices=sorted(_MIRROR_CHOICES))
+                        choices=sorted(MIRROR_POLICIES))
     replay.add_argument("--max-link-load", type=float, default=0.4)
     replay.add_argument("--topology", default=None,
                         choices=builtin_topology_names(),
@@ -453,7 +398,7 @@ def _cmd_topologies() -> int:
 
 def _needs_dc(args) -> bool:
     return (args.formulation in ("split", "combined") or
-            args.mirror in ("dc", "dc+one-hop"))
+            MIRROR_POLICIES[args.mirror].needs_datacenter)
 
 
 def _cmd_solve(args) -> int:
@@ -461,7 +406,7 @@ def _cmd_solve(args) -> int:
     setup = setup_topology(args.topology,
                            dc_capacity_factor=dc_factor)
     state = setup.state
-    mirror = _MIRROR_CHOICES[args.mirror]()
+    mirror = MIRROR_POLICIES[args.mirror]
 
     if args.formulation == "replication":
         result = ReplicationProblem(
@@ -542,13 +487,14 @@ def _cmd_stats(args) -> int:
     from repro.simulation.tracegen import TraceGenerator, TraceSpec
 
     dc_factor = (args.dc_capacity
-                 if args.mirror in ("dc", "dc+one-hop") else None)
+                 if MIRROR_POLICIES[args.mirror].needs_datacenter
+                 else None)
     setup = setup_topology(args.topology,
                            dc_capacity_factor=dc_factor)
     state = setup.state
     with use_registry(MetricsRegistry()) as metrics:
         controller = NIDSController(
-            state, mirror_policy=_MIRROR_CHOICES[args.mirror](),
+            state, mirror_policy=MIRROR_POLICIES[args.mirror],
             max_link_load=args.max_link_load)
         rollout = controller.refresh()
         generator = TraceGenerator(
@@ -593,169 +539,42 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _parse_budgets(text: Optional[str]):
-    if text is None:
-        return None
-    budgets = []
-    for token in text.split(","):
-        token = token.strip().lower()
-        if not token:
-            continue
-        if token in ("inf", "none", "unbounded"):
-            budgets.append(None)
-            continue
-        value = int(token)
-        if value < 1:
-            raise ValueError(f"budget {value} must be >= 1")
-        budgets.append(value)
-    if not budgets:
-        raise ValueError("no budgets given")
-    return budgets
+def _write_json(payload: str, target: str, what: str) -> int:
+    """Write a JSON document to ``target`` (``-`` is stdout).
 
-
-def _parse_regions(text: Optional[str]):
-    if text is None:
-        return None
-    regions = []
-    for chunk in text.split(","):
-        value = chunk.strip()
-        if not value:
-            continue
-        count = int(value)
-        if count < 1:
-            raise ValueError(f"region count {count} must be >= 1")
-        regions.append(count)
-    if not regions:
-        raise ValueError("no region counts given")
-    return regions
-
-
-def _cmd_shard_gap(args) -> int:
-    from repro.experiments import (format_shard_gap, run_shard_gap,
-                                   shard_gap_to_json)
-
+    Returns 0, or 1 after an ``error:`` line when the path cannot be
+    written.
+    """
+    if target == "-":
+        print(payload)
+        return 0
     try:
-        regions = _parse_regions(args.regions)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    kwargs = {
-        "topologies": args.topologies,
-        "mirror": args.mirror,
-        "max_link_load": args.max_link_load,
-        "dc_capacity_factor": args.dc_capacity,
-        "seed": args.seed,
-        "jobs": args.jobs,
-    }
-    if regions is not None:
-        kwargs["regions"] = regions
-    series = run_shard_gap(**kwargs)
-    print(format_shard_gap(series))
-    if args.json:
-        payload = shard_gap_to_json(series)
-        if args.json == "-":
-            print(payload)
-        else:
-            try:
-                with open(args.json, "w", encoding="utf-8") as handle:
-                    handle.write(payload + "\n")
-            except OSError as exc:
-                print(f"error: cannot write {args.json}: {exc}",
-                      file=sys.stderr)
-                return 1
-            print(f"wrote shard-gap comparison to {args.json}")
+        with open(target, "w", encoding="utf-8") as handle:
+            handle.write(payload + "\n")
+    except OSError as exc:
+        print(f"error: cannot write {target}: {exc}", file=sys.stderr)
+        return 1
+    print(f"wrote {what} to {target}")
     return 0
 
 
-def _parse_widths(text: Optional[str]):
-    if text is None:
-        return None
-    widths = []
-    for chunk in text.split(","):
-        value = chunk.strip()
-        if not value:
-            continue
-        width = int(value)
-        if width < 1:
-            raise ValueError(f"sketch width {width} must be >= 1")
-        widths.append(width)
-    if not widths:
-        raise ValueError("no sketch widths given")
-    return widths
-
-
-def _cmd_sketch_gap(args) -> int:
-    from repro.experiments import (format_sketch_gap, run_sketch_gap,
-                                   sketch_gap_to_json)
-
+def _cmd_gap(spec, args) -> int:
+    options = {param.name: getattr(args, param.name)
+               for param in spec.params}
     try:
-        widths = _parse_widths(args.widths)
+        if args.values is not None:
+            options[spec.values] = spec.parse_values(args.values)
+        series = spec.run(args.topologies, mirror=args.mirror,
+                          max_link_load=args.max_link_load,
+                          dc_capacity_factor=args.dc_capacity,
+                          **options)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    kwargs = {
-        "topologies": args.topologies,
-        "depth": args.depth,
-        "mirror": args.mirror,
-        "max_link_load": args.max_link_load,
-        "dc_capacity_factor": args.dc_capacity,
-        "sessions": args.sessions,
-        "chunk_packets": args.chunk,
-        "seed": args.seed,
-        "workers": args.workers,
-    }
-    if widths is not None:
-        kwargs["widths"] = widths
-    series = run_sketch_gap(**kwargs)
-    print(format_sketch_gap(series))
+    print(format_gap(series))
     if args.json:
-        payload = sketch_gap_to_json(series)
-        if args.json == "-":
-            print(payload)
-        else:
-            try:
-                with open(args.json, "w", encoding="utf-8") as handle:
-                    handle.write(payload + "\n")
-            except OSError as exc:
-                print(f"error: cannot write {args.json}: {exc}",
-                      file=sys.stderr)
-                return 1
-            print(f"wrote sketch-gap sweep to {args.json}")
-    return 0
-
-
-def _cmd_budget_sweep(args) -> int:
-    from repro.experiments import (format_budget_sweep,
-                                   run_budget_sweep, sweep_to_json)
-
-    try:
-        budgets = _parse_budgets(args.budgets)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    kwargs = {
-        "topologies": args.topologies,
-        "mirror": args.mirror,
-        "max_link_load": args.max_link_load,
-        "dc_capacity_factor": args.dc_capacity,
-    }
-    if budgets is not None:
-        kwargs["budgets"] = budgets
-    series = run_budget_sweep(**kwargs)
-    print(format_budget_sweep(series))
-    if args.json:
-        payload = sweep_to_json(series)
-        if args.json == "-":
-            print(payload)
-        else:
-            try:
-                with open(args.json, "w", encoding="utf-8") as handle:
-                    handle.write(payload + "\n")
-            except OSError as exc:
-                print(f"error: cannot write {args.json}: {exc}",
-                      file=sys.stderr)
-                return 1
-            print(f"wrote sweep curves to {args.json}")
+        return _write_json(gap_to_json(series), args.json,
+                           f"{spec.verb} series")
     return 0
 
 
@@ -803,15 +622,9 @@ def _cmd_scenario(args) -> int:
           f"max duplication: {summary['max_duplication']:.3f}")
     print(f"  fingerprint: {report.fingerprint()[:16]}")
 
-    if args.json:
-        try:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(report.to_json())
-        except OSError as exc:
-            print(f"error: cannot write {args.json}: {exc}",
-                  file=sys.stderr)
-            return 1
-        print(f"wrote report to {args.json}")
+    if args.json and _write_json(report.to_json(), args.json,
+                                 "report"):
+        return 1
     if args.timeline:
         try:
             count = write_timeline_jsonl(
@@ -979,7 +792,7 @@ def _cmd_trace(args) -> int:
     if args.follow:
         return _follow_store(store, args)
     result = ReplicationProblem(
-        state, mirror_policy=_MIRROR_CHOICES[args.mirror](),
+        state, mirror_policy=MIRROR_POLICIES[args.mirror],
         max_link_load=args.max_link_load).solve()
     configs = build_replication_configs(state, result)
     classifier = PrefixClassifier(state.topology.nodes, state.classes)
@@ -1064,14 +877,10 @@ def _cmd_lint(args) -> int:
         findings, stale = filter_baseline(
             findings, load_baseline(baseline_path))
 
-    if args.json is not None:
-        payload = render_json(findings)
-        if args.json == "-":
-            print(payload)
-        else:
-            Path(args.json).write_text(payload + "\n",
-                                       encoding="utf-8")
-            print(f"wrote {len(findings)} finding(s) to {args.json}")
+    if args.json is not None and _write_json(
+            render_json(findings), args.json,
+            f"{len(findings)} finding(s)"):
+        return 1
     if args.json != "-":
         hint = ", ".join(str(p) for p in paths)
         print(render_text(findings, files_hint=hint))
@@ -1115,12 +924,9 @@ def _cmd_racecheck(args) -> int:
         project_root = Path(__file__).resolve().parents[2]
         report.static_findings = concurrency_findings(project_root)
 
-    payload = report.to_json()
-    if args.json == "-":
-        print(payload)
-    elif args.json is not None:
-        Path(args.json).write_text(payload + "\n", encoding="utf-8")
-        print(f"wrote racecheck report to {args.json}")
+    if args.json is not None and _write_json(
+            report.to_json(), args.json, "racecheck report"):
+        return 1
     if args.json != "-":
         rows = []
         for result in report.scenarios:
@@ -1171,12 +977,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_compare(args)
     if args.command == "stats":
         return _cmd_stats(args)
-    if args.command == "budget-sweep":
-        return _cmd_budget_sweep(args)
-    if args.command == "shard-gap":
-        return _cmd_shard_gap(args)
-    if args.command == "sketch-gap":
-        return _cmd_sketch_gap(args)
+    if args.command in GAP_SPECS:
+        return _cmd_gap(GAP_SPECS[args.command], args)
     if args.command == "scenario":
         return _cmd_scenario(args)
     if args.command == "trace":

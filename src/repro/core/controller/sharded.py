@@ -34,7 +34,6 @@ the coordinator rounds only improve the load-balance objective.
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import (Callable, Dict, FrozenSet, List, Mapping, Optional,
@@ -772,15 +771,6 @@ class ShardedPlanner:
                   if f.severity is Severity.ERROR]
         if errors:
             raise ModelCheckError(errors)
-
-    # -- timing helper used by the shard-gap experiment --------------------
-
-    def timed_plan(self, classes: Sequence[TrafficClass]
-                   ) -> Tuple[PlanOutcome, float]:
-        """Plan and report the wall-clock seconds the plan took."""
-        start = time.perf_counter()
-        outcome = self.plan(classes)
-        return outcome, time.perf_counter() - start
 
 
 __all__ = [

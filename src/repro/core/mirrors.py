@@ -66,6 +66,12 @@ class MirrorPolicy:
     def all_nodes(cls) -> "MirrorPolicy":
         return cls(MirrorKind.ALL)
 
+    @property
+    def needs_datacenter(self) -> bool:
+        """True when the mirror sets include the datacenter node."""
+        return self.kind in (MirrorKind.DATACENTER,
+                             MirrorKind.DATACENTER_PLUS_NEIGHBORS)
+
     def mirror_sets(self, state: NetworkState) -> Dict[str, List[str]]:
         """Materialize ``M_j`` for every NIDS node of ``state``.
 
@@ -73,8 +79,7 @@ class MirrorPolicy:
         empty), and no node mirrors to itself.
         """
         dc = state.dc_node
-        if self.kind in (MirrorKind.DATACENTER,
-                         MirrorKind.DATACENTER_PLUS_NEIGHBORS) and dc is None:
+        if self.needs_datacenter and dc is None:
             raise ValueError(
                 f"mirror policy {self.kind.value!r} needs a datacenter; "
                 "build the state with dc_capacity_factor set")
@@ -109,3 +114,14 @@ class MirrorPolicy:
                          MirrorKind.DATACENTER_PLUS_NEIGHBORS):
             return f"{self.kind.value}({self.hops}-hop)"
         return self.kind.value
+
+
+# The named policies the CLI, the scenarios and the gap experiments
+# offer (``--mirror NAME``).
+MIRROR_POLICIES: Dict[str, MirrorPolicy] = {
+    "none": MirrorPolicy.none(),
+    "dc": MirrorPolicy.datacenter(),
+    "one-hop": MirrorPolicy.neighbors(1),
+    "two-hop": MirrorPolicy.neighbors(2),
+    "dc+one-hop": MirrorPolicy.datacenter_plus_neighbors(1),
+}

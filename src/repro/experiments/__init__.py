@@ -66,30 +66,23 @@ from repro.experiments.ablations import (
     run_dc_capacity_ablation,
     run_placement_ablation,
 )
-from repro.experiments.budget_sweep import (
+from repro.experiments.gap import (
+    GAP_SPECS,
     BudgetPoint,
     BudgetSweepSeries,
-    format_budget_sweep,
-    realized_link_loads,
-    realized_node_loads,
-    run_budget_sweep,
-    sweep_to_json,
-)
-from repro.experiments.shard_gap import (
     ShardGapPoint,
     ShardGapSeries,
-    format_shard_gap,
-    run_shard_gap,
-    shard_gap_to_json,
-)
-from repro.experiments.sketch_gap import (
-    DEFAULT_WIDTHS,
     SketchGapPoint,
     SketchGapSeries,
-    format_sketch_gap,
+    format_gap,
+    gap_to_json,
+    realized_link_loads,
     realized_load_cost,
+    realized_node_loads,
+    run_budget_sweep,
+    run_shard_gap,
     run_sketch_gap,
-    sketch_gap_to_json,
+    show_knob,
 )
 from repro.experiments.strategy_ablation import (
     StrategyRow,
@@ -118,12 +111,14 @@ __all__ = [
     "AsymmetryPoint",
     "BudgetPoint",
     "BudgetSweepSeries",
+    "GAP_SPECS",
+    "format_gap",
+    "gap_to_json",
+    "show_knob",
     "CombinedRow",
-    "format_budget_sweep",
     "realized_link_loads",
     "realized_node_loads",
     "run_budget_sweep",
-    "sweep_to_json",
     "DCCapacitySeries",
     "LinkCostRow",
     "FailureRow",
@@ -133,16 +128,11 @@ __all__ = [
     "run_failure_ablation",
     "ShardGapPoint",
     "ShardGapSeries",
-    "format_shard_gap",
     "run_shard_gap",
-    "shard_gap_to_json",
-    "DEFAULT_WIDTHS",
     "SketchGapPoint",
     "SketchGapSeries",
-    "format_sketch_gap",
     "realized_load_cost",
     "run_sketch_gap",
-    "sketch_gap_to_json",
     "StrategyRow",
     "format_strategies",
     "run_strategy_ablation",

@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.mirrors import MirrorPolicy
+from repro.core.mirrors import MIRROR_POLICIES
 from repro.lpsolve.errors import LPError
 from repro.obs import get_registry
 from repro.runtime.agents import NodeAgent, build_agents
@@ -55,15 +55,6 @@ from repro.runtime.rollout import (
 )
 from repro.shim.config import ShimConfig
 from repro.traffic.variability import TrafficVariabilityModel
-
-MIRROR_CHOICES: Dict[str, Callable[[], MirrorPolicy]] = {
-    "none": MirrorPolicy.none,
-    "dc": MirrorPolicy.datacenter,
-    "one-hop": lambda: MirrorPolicy.neighbors(1),
-    "two-hop": lambda: MirrorPolicy.neighbors(2),
-    "dc+one-hop": lambda: MirrorPolicy.datacenter_plus_neighbors(1),
-}
-
 
 @dataclass
 class Scenario:
@@ -98,7 +89,7 @@ class Scenario:
             raise ValueError("epochs must be positive")
         if self.epoch_seconds <= 0:
             raise ValueError("epoch_seconds must be positive")
-        if self.mirror not in MIRROR_CHOICES:
+        if self.mirror not in MIRROR_POLICIES:
             raise ValueError(f"unknown mirror {self.mirror!r}")
         if self.drift_sigma < 0:
             raise ValueError("drift_sigma must be non-negative")
@@ -382,10 +373,10 @@ def _run_scenario(scenario: Scenario,
     from repro.simulation.tracestore import ChunkedReplay, TraceStore
 
     metrics = get_registry()
+    mirror_policy = MIRROR_POLICIES[scenario.mirror]
     setup = setup_topology(scenario.topology,
                            dc_capacity_factor=scenario.dc_capacity_factor
-                           if scenario.mirror in ("dc", "dc+one-hop")
-                           else None)
+                           if mirror_policy.needs_datacenter else None)
     baseline_state = setup.state
     baseline_classes = list(baseline_state.classes)
 
@@ -400,7 +391,7 @@ def _run_scenario(scenario: Scenario,
         def planner_factory(state):
             return ShardedPlanner(
                 state,
-                mirror_policy=MIRROR_CHOICES[scenario.mirror](),
+                mirror_policy=mirror_policy,
                 max_link_load=scenario.max_link_load,
                 num_regions=scenario.regions,
                 seed=scenario.seed,
@@ -427,7 +418,7 @@ def _run_scenario(scenario: Scenario,
             workers=scenario.ingest_workers)
     daemon = ControllerDaemon(
         baseline_state, driver,
-        mirror_policy=MIRROR_CHOICES[scenario.mirror](),
+        mirror_policy=mirror_policy,
         max_link_load=scenario.max_link_load,
         drift_threshold=scenario.drift_threshold,
         refresh_period=scenario.refresh_period,

@@ -32,6 +32,7 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -306,7 +307,8 @@ class Emulation:
             else:
                 batch = self._packet_batch(sessions)
                 try:
-                    return self._fast_signature(batch)
+                    return self._signature_chunks([batch],
+                                                  batch.sessions)
                 except UnsupportedShimConfig as exc:
                     self._note_fallback(str(exc))
         sessions = self._require_sessions(sessions, "run_signature")
@@ -349,70 +351,29 @@ class Emulation:
                                   packets, time.perf_counter() - start)
         return report
 
-    def _fast_signature(self, batch: PacketBatch) -> EmulationReport:
-        """Vectorized :meth:`run_signature` over a packet batch.
+    def run_signature_chunked(self, replay: "ChunkedReplay"
+                              ) -> EmulationReport:
+        """Signature replay over a chunk stream — bit-identical to
+        :meth:`run_signature` with ``fast=True`` on the whole batch
+        (the same kernel over one chunk), at O(chunk) instead of
+        O(trace) memory.
+        """
+        # _packet_batch checks the node order against this network.
+        return self._signature_chunks(
+            replay, self._packet_batch(replay.batch).sessions)
+
+    def _signature_chunks(self, chunks: Iterable[PacketBatch],
+                          universe: SessionBatch) -> EmulationReport:
+        """The vectorized signature kernel: accumulate chunk by chunk.
+        ``universe`` names the classes, nodes and ``session_key`` space
+        every chunk shares.
 
         Work units decompose exactly as the scalar engine charges them:
-        1.0 x payload bytes per delivered packet (integer byte counts,
-        so the float sums are exact in any order) plus 100.0 per
+        1.0 x payload bytes per delivered packet plus 100.0 per
         distinct (node, five-tuple) delivery pair. Alerts multiply each
         packet's precomputed pattern-occurrence count by its delivery
         count — the same total the scalar engine accumulates one
         ``inspect`` at a time.
-        """
-        sess = batch.sessions
-        kernel = self._kernel(sess.class_names)
-        start = time.perf_counter()
-        obs_pkt, obs_node = batch.packet_observers()
-        obs_sess = batch.session_of_packet[obs_pkt]
-        actions, targets = self._decide_batch(
-            kernel, sess, obs_sess, obs_node,
-            batch.direction[obs_pkt].astype(np.int64))
-        deliver = delivery_nodes(actions, targets, obs_node)
-        mask = deliver >= 0
-        num_nodes = len(sess.node_order)
-
-        payload_len = batch.payload_lengths
-        byte_work = accumulate_per_node(
-            deliver, payload_len[obs_pkt].astype(np.float64), num_nodes)
-        keys = max(sess.num_keys, 1)
-        pair = deliver[mask] * keys + sess.session_key[obs_sess[mask]]
-        distinct_pairs = np.unique(pair)
-        session_counts = np.bincount(distinct_pairs // keys,
-                                     minlength=num_nodes)
-        work = byte_work + 100.0 * session_counts
-
-        match_counts = batch.payload_match_counts(DEFAULT_SIGNATURES)
-        alerts = int(match_counts[obs_pkt[mask]].sum())
-
-        repl = actions == ACTION_REPLICATE
-        repl_sizes = batch.size_bytes[obs_pkt[repl]]
-        replicated = float(repl_sizes.sum()) if repl.any() else 0.0
-        link_bytes = self._links().link_bytes(
-            obs_node[repl], targets[repl].astype(np.int64), repl_sizes)
-
-        report = EmulationReport(
-            work_units={n: float(work[i])
-                        for i, n in enumerate(sess.node_order)},
-            sessions_processed={n: int(session_counts[i])
-                                for i, n in enumerate(sess.node_order)},
-            alerts=alerts,
-            replicated_bytes=replicated,
-            link_replicated_bytes=link_bytes,
-            packets_total=batch.num_packets)
-        self._note_fast_run()
-        self._publish_run_metrics("signature", report.work_units,
-                                  batch.num_packets,
-                                  time.perf_counter() - start,
-                                  bytes_total=float(
-                                      batch.size_bytes.sum()))
-        return report
-
-    def run_signature_chunked(self, replay: "ChunkedReplay"
-                              ) -> EmulationReport:
-        """Signature replay over a chunk stream — bit-identical to
-        :meth:`run_signature` with ``fast=True`` on the whole batch,
-        at O(chunk) instead of O(trace) memory.
 
         Per-node byte work, alerts, replicated bytes, and per-link
         bytes are integer-valued float sums, exact in any grouping, so
@@ -420,23 +381,23 @@ class Emulation:
         five-tuple) delivery pairs are **not** additive — the same
         session's packets may recur in later chunks on another node's
         range, and duplicate five-tuples can span chunks — so each
-        chunk contributes its distinct global-key pairs and the union
-        is deduplicated once at the end.
+        chunk contributes its distinct pairs over the shared
+        ``num_keys`` universe and the union is deduplicated once at
+        the end.
         """
-        kernel = self._kernel(replay.class_names)
-        if tuple(replay.node_order) != tuple(self.state.nids_nodes):
-            raise ValueError("batch node order does not match "
-                             "this network's NIDS nodes")
+        kernel = self._kernel(universe.class_names)
         start = time.perf_counter()
-        num_nodes = len(replay.node_order)
-        keys = max(replay.num_keys, 1)
+        node_order = universe.node_order
+        num_nodes = len(node_order)
+        keys = max(universe.num_keys, 1)
         byte_work = np.zeros(num_nodes, dtype=np.float64)
         pair_chunks: List[np.ndarray] = []
         alerts = 0
         replicated = 0.0
         bytes_total = 0.0
+        packets = 0
         link_bytes: Dict[Link, float] = {}
-        for chunk in replay:
+        for chunk in chunks:
             sess = chunk.sessions
             obs_pkt, obs_node = chunk.packet_observers()
             obs_sess = chunk.session_of_packet[obs_pkt]
@@ -467,8 +428,11 @@ class Emulation:
                     repl_sizes).items():
                 link_bytes[link] = link_bytes.get(link, 0.0) + value
             bytes_total += float(chunk.size_bytes.sum())
+            packets += chunk.num_packets
 
-        if pair_chunks:
+        if len(pair_chunks) == 1:
+            distinct_pairs = pair_chunks[0]
+        elif pair_chunks:
             distinct_pairs = np.unique(np.concatenate(pair_chunks))
         else:
             distinct_pairs = np.zeros(0, dtype=np.int64)
@@ -478,18 +442,16 @@ class Emulation:
 
         report = EmulationReport(
             work_units={n: float(work[i])
-                        for i, n in enumerate(replay.node_order)},
+                        for i, n in enumerate(node_order)},
             sessions_processed={n: int(session_counts[i])
-                                for i, n in
-                                enumerate(replay.node_order)},
+                                for i, n in enumerate(node_order)},
             alerts=alerts,
             replicated_bytes=replicated,
             link_replicated_bytes=link_bytes,
-            packets_total=replay.num_packets)
+            packets_total=packets)
         self._note_fast_run()
         self._publish_run_metrics("signature", report.work_units,
-                                  replay.num_packets,
-                                  time.perf_counter() - start,
+                                  packets, time.perf_counter() - start,
                                   bytes_total=bytes_total)
         return report
 

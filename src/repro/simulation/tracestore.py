@@ -15,10 +15,12 @@ of pickling traces across the fork boundary.
 
 :class:`ChunkedReplay` streams a batch (memmapped or in-memory) as
 session-aligned sub-batches of bounded packet count. Sub-batches carry
-the *global* ``session_key`` universe, so
-``Emulation.run_signature_chunked`` can merge per-chunk distinct
-(node, five-tuple) sets exactly — the chunked report is bit-identical
-to the whole-batch fast path, at O(chunk) instead of O(trace) memory.
+the *global* ``session_key`` universe, so the emulation's one
+vectorized signature kernel (``Emulation._signature_chunks``, behind
+both ``run_signature_chunked`` and ``run_signature(fast=True)``) can
+merge per-chunk distinct (node, five-tuple) sets exactly — the chunked
+report is bit-identical to the whole-batch one, at O(chunk) instead of
+O(trace) memory.
 """
 
 from __future__ import annotations
@@ -290,22 +292,6 @@ class ChunkedReplay:
     @property
     def num_chunks(self) -> int:
         return len(self.bounds)
-
-    @property
-    def class_names(self) -> Tuple[str, ...]:
-        return self.batch.sessions.class_names
-
-    @property
-    def node_order(self) -> Tuple[str, ...]:
-        return self.batch.sessions.node_order
-
-    @property
-    def num_keys(self) -> int:
-        return self.batch.sessions.num_keys
-
-    @property
-    def num_packets(self) -> int:
-        return self.batch.num_packets
 
     def _sub_batch(self, start: int, end: int) -> PacketBatch:
         batch = self.batch

@@ -17,7 +17,7 @@ from repro.analysis.modelcheck import (
     check_shim_configs,
 )
 from repro.core import MirrorPolicy, ReplicationProblem
-from repro.experiments import run_budget_sweep, sweep_to_json
+from repro.experiments import gap_to_json, run_budget_sweep
 from repro.experiments.common import setup_topology
 from repro.obs import MetricsRegistry, use_registry
 from repro.runtime.agents import ConfigMessage, MessageKind, NodeAgent
@@ -228,7 +228,7 @@ class TestBudgetCurveGolden:
         lowering, or the realized-load accounting shows up here."""
         golden = json.loads(
             (GOLDEN / "budget_curve_tinet.json").read_text())
-        current = json.loads(sweep_to_json(sweep))
+        current = json.loads(gap_to_json(sweep))
         assert current["schema"] == golden["schema"]
         gold_series = golden["series"][0]
         cur_series = current["series"][0]
@@ -264,4 +264,4 @@ class TestBudgetCurveGolden:
         assert series.point(8).error_linf <= 0.05
         RESULTS.mkdir(exist_ok=True)
         (RESULTS / "budget_acceptance.json").write_text(
-            sweep_to_json(sweep) + "\n")
+            gap_to_json(sweep) + "\n")

@@ -1,8 +1,21 @@
 """Tests for the command-line interface."""
 
+import json
+import pathlib
+import re
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
+from repro.experiments import GAP_SPECS
+
+ROOT = pathlib.Path(__file__).parent.parent
+
+
+def _subcommands():
+    (subparsers,) = [action for action in _build_parser()._actions
+                     if action.dest == "command"]
+    return subparsers.choices
 
 
 class TestTopologies:
@@ -285,6 +298,99 @@ class TestSketchGapCli:
     def test_unknown_topology_rejected(self):
         with pytest.raises(SystemExit):
             main(["sketch-gap", "--topology", "atlantis"])
+
+
+class TestGapCli:
+    """What every gap verb shares, whichever spec it runs."""
+
+    @pytest.mark.parametrize("verb,flag", [
+        ("budget-sweep", "--budgets"),
+        ("shard-gap", "--regions"),
+        ("shard-gap", "--jobs"),
+        ("sketch-gap", "--widths"),
+        ("sketch-gap", "--depth"),
+        ("sketch-gap", "--chunk"),
+        ("sketch-gap", "--workers"),
+        ("sketch-gap", "--sessions"),
+    ])
+    def test_bad_input_fails_closed_before_any_solve(
+            self, verb, flag, capsys, monkeypatch):
+        import repro.experiments.gap as gap
+
+        def no_setup(*args, **kwargs):
+            raise AssertionError("input must be validated first")
+
+        monkeypatch.setattr(gap, "setup_topology", no_setup)
+        assert main([verb, "--topology", "tinet", flag, "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert ">= 1" in err
+
+    @pytest.mark.parametrize("verb", sorted(GAP_SPECS))
+    def test_non_integer_list_rejected(self, verb, capsys):
+        spec = GAP_SPECS[verb]
+        assert main([verb, f"--{spec.values}", "1,x"]) == 2
+        assert "invalid literal for int()" in capsys.readouterr().err
+
+    def test_only_budgets_accept_inf(self, capsys):
+        assert GAP_SPECS["budget-sweep"].parse_values(
+            "1, INF,none") == [1, None, None]
+        assert main(["shard-gap", "--regions", "inf"]) == 2
+        assert "invalid literal for int()" in capsys.readouterr().err
+
+    def test_flags_and_defaults_are_pinned(self):
+        """The three verbs expose exactly these 25 flags."""
+        commands = _subcommands()
+        shared = {"topologies": None, "values": None,
+                  "max_link_load": 0.4, "json": None}
+        expected = {
+            "budget-sweep": {**shared, "mirror": "dc+one-hop",
+                             "dc_capacity": 10.0},
+            "shard-gap": {**shared, "mirror": "dc",
+                          "dc_capacity": 1.0, "seed": 0, "jobs": None},
+            "sketch-gap": {**shared, "mirror": "dc",
+                           "dc_capacity": 1.0, "depth": 4,
+                           "sessions": 6000, "chunk_packets": 512,
+                           "workers": 2, "seed": 0},
+        }
+        for verb, defaults in expected.items():
+            actions = [action for action in commands[verb]._actions
+                       if action.dest != "help"]
+            assert {action.dest: action.default
+                    for action in actions} == defaults, verb
+
+
+class TestWriteJson:
+    """Every ``--json PATH`` goes through one emitter."""
+
+    @pytest.mark.parametrize("argv", [
+        ["lint", str(ROOT / "src" / "repro" / "core" / "mirrors.py")],
+        ["racecheck", "steady-drift", "--seeds", "1", "--epochs", "2",
+         "--quiet"],
+        ["budget-sweep", "--topology", "internet2", "--budgets", "1"],
+    ], ids=["lint", "racecheck", "budget-sweep"])
+    def test_unwritable_path_is_clean_error(self, argv, capsys):
+        assert main(argv + ["--json", "/nonexistent-dir/x.json"]) == 1
+        err = capsys.readouterr().err
+        assert "error: cannot write /nonexistent-dir/x.json" in err
+
+    def test_scenario_json_to_stdout(self, capsys):
+        assert main(["scenario", "steady-drift", "--epochs", "2",
+                     "--json", "-"]) == 0
+        out = capsys.readouterr().out
+        report = json.loads(out[out.index("\n{"):])
+        assert len(report["epochs"]) == 2
+
+
+class TestReadme:
+    def test_every_verb_is_listed(self):
+        readme = (ROOT / "README.md").read_text()
+        match = re.search(r"There is also a CLI:\n\n```bash\n(.*?)```",
+                          readme, re.DOTALL)
+        assert match, "README has no CLI block"
+        listed = set(re.findall(r"^python -m repro ([a-z0-9-]+)",
+                                match.group(1), re.MULTILINE))
+        assert listed == set(_subcommands())
 
 
 class TestTraceFollowCli:

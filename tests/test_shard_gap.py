@@ -13,9 +13,9 @@ import json
 import pytest
 
 from repro.experiments import (
-    format_shard_gap,
+    format_gap,
+    gap_to_json,
     run_shard_gap,
-    shard_gap_to_json,
 )
 
 
@@ -52,8 +52,13 @@ class TestAcceptanceBar:
 
 
 class TestArtifacts:
+    def test_matches_golden_document(self, tinet_series,
+                                     assert_matches_golden):
+        assert_matches_golden(gap_to_json([tinet_series]),
+                              "shard_gap_tinet.json")
+
     def test_json_schema(self, tinet_series):
-        payload = json.loads(shard_gap_to_json([tinet_series]))
+        payload = json.loads(gap_to_json([tinet_series]))
         assert payload["schema"] == 1
         assert payload["experiment"] == "shard-gap"
         (entry,) = payload["series"]
@@ -64,7 +69,7 @@ class TestArtifacts:
                               "solve_wall_seconds", "speedup"}
 
     def test_table_render(self, tinet_series):
-        table = format_shard_gap([tinet_series])
+        table = format_gap([tinet_series])
         assert "sharded control plane on tinet" in table
         assert "Rounds" in table
         assert "Speedup" in table

@@ -13,10 +13,10 @@ import json
 import pytest
 
 from repro.experiments import (
-    format_sketch_gap,
+    format_gap,
+    gap_to_json,
     realized_load_cost,
     run_sketch_gap,
-    sketch_gap_to_json,
 )
 
 
@@ -68,8 +68,13 @@ class TestAcceptanceBar:
 
 
 class TestArtifacts:
+    def test_matches_golden_document(self, tinet_series,
+                                     assert_matches_golden):
+        assert_matches_golden(gap_to_json([tinet_series]),
+                              "sketch_gap_tinet.json")
+
     def test_json_schema(self, tinet_series):
-        payload = json.loads(sketch_gap_to_json([tinet_series]))
+        payload = json.loads(gap_to_json([tinet_series]))
         assert payload["schema"] == 1
         assert payload["experiment"] == "sketch-gap"
         (entry,) = payload["series"]
@@ -81,7 +86,7 @@ class TestArtifacts:
                                   "realized_load_cost"}
 
     def test_text_table(self, tinet_series):
-        text = format_sketch_gap([tinet_series])
+        text = format_gap([tinet_series])
         assert "sampling floor" in text
         assert "4096" in text
 
