@@ -112,9 +112,9 @@ class AggregationProblem(Formulation):
                 comm_terms.append(var * (cls.num_sessions *
                                          cls.record_bytes * distance))
                 for resource in state.resources:
-                    work = cls.footprint(resource) * cls.num_sessions
-                    if work == 0.0:
+                    if cls.footprint(resource) == 0.0:
                         continue
+                    work = cls.footprint(resource) * cls.num_sessions
                     cap = state.capacity(resource, node)
                     load_terms[(resource, node)].append(
                         var * (work / cap))

@@ -136,9 +136,9 @@ class CombinedProblem(Formulation):
                     link_terms[link].append(o_var * coeff)
 
                 for resource in state.resources:
-                    work = cls.footprint(resource) * cls.num_sessions
-                    if work == 0.0:
+                    if cls.footprint(resource) == 0.0:
                         continue
+                    work = cls.footprint(resource) * cls.num_sessions
                     cap_local = state.capacity(resource, node)
                     load_terms[(resource, node)].append(
                         p_var * (work / cap_local))

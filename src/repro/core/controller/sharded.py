@@ -189,14 +189,12 @@ class RegionalReplicationProblem(ReplicationProblem):
                     if share is None:
                         continue
                     var = self._p[(cls.name, node)]
-                    expr = self._load_exprs[(resource, node)]
-                    if var not in expr.coeffs:
-                        continue
                     cap = state.capacity(resource, node) * share
                     model.set_coefficient(
                         self._loadcost_cons[(resource, node)], var,
                         -(work / cap))
-                    expr.coeffs[var] = work / cap
+                    self._load_exprs[(resource, node)].coeffs[var] = (
+                        work / cap)
         for (cls_name, _node, mirror), var in self._o.items():
             share = shares.get(mirror)
             if share is None:
@@ -206,14 +204,12 @@ class RegionalReplicationProblem(ReplicationProblem):
                 if cls.footprint(resource) == 0.0:
                     continue
                 work = cls.footprint(resource) * cls.num_sessions
-                expr = self._load_exprs[(resource, mirror)]
-                if var not in expr.coeffs:
-                    continue
                 cap = state.capacity(resource, mirror) * share
                 model.set_coefficient(
                     self._loadcost_cons[(resource, mirror)], var,
                     -(work / cap))
-                expr.coeffs[var] = work / cap
+                self._load_exprs[(resource, mirror)].coeffs[var] = (
+                    work / cap)
 
     def _patch_link_shares(self) -> None:
         """Bound each shared link at its share of the headroom."""

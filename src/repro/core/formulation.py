@@ -18,10 +18,11 @@ model in place (see :meth:`~repro.lpsolve.Model.set_rhs` and friends).
 (Figures 11, 15, 18) and the controller's refresh loop change one
 parameter per step, and a resolve re-uses the compiled sparse matrices
 instead of rebuilding the LP from scratch. When a patch would change
-the compiled structure (a coefficient that compiled to an absent entry,
-or a formulation extension outside the incremental path), the
-formulation transparently falls back to a cold rebuild, so ``resolve``
-is always *correct* and merely usually *fast*.
+the compiled structure (a variable that was never a term of the row it
+is patched into, or a formulation extension outside the incremental
+path), the formulation falls back to a cold rebuild and counts it
+(``lp.resolve.fallbacks``), so ``resolve`` is always *correct* and
+merely usually *fast*.
 """
 
 from __future__ import annotations
@@ -241,10 +242,14 @@ class Formulation:
                 if depends & names:
                     apply_fn()
         except StructureError:
-            # The patch needed an entry the compiled matrices never
-            # stored (e.g. a coefficient that was zero at build time).
-            # A partially-patched model is discarded wholesale; the
-            # rebuild below re-derives everything from state + params.
+            # The patch named a slot the compiled model lacks: a
+            # variable that is not a term of its row, or a row that
+            # was dropped as constant at build time. (Every term is
+            # stored, zeros included, so a value alone cannot cause
+            # this.) A partially-patched model is discarded wholesale;
+            # the rebuild below re-derives everything from state +
+            # params.
+            get_registry().inc("lp.resolve.fallbacks")
             self.invalidate()
         return self.solve()
 

@@ -131,11 +131,14 @@ class ReplicationProblem(Formulation):
             (resource, node): []
             for resource in state.resources for node in state.nids_nodes
         }
+        # A term exists wherever the footprint is non-zero, whatever
+        # the volume: |T_c| is a parameter, and a class estimated at
+        # zero sessions now must stay patchable when it reappears.
         for cls in state.classes:
             for resource in state.resources:
-                work = cls.footprint(resource) * cls.num_sessions
-                if work == 0.0:
+                if cls.footprint(resource) == 0.0:
                     continue
+                work = cls.footprint(resource) * cls.num_sessions
                 for node in cls.path:
                     cap = state.capacity(resource, node)
                     load_terms[(resource, node)].append(
@@ -143,9 +146,9 @@ class ReplicationProblem(Formulation):
         for (cls_name, _, mirror), var in self._o.items():
             cls = by_name[cls_name]
             for resource in state.resources:
-                work = cls.footprint(resource) * cls.num_sessions
-                if work == 0.0:
+                if cls.footprint(resource) == 0.0:
                     continue
+                work = cls.footprint(resource) * cls.num_sessions
                 cap = state.capacity(resource, mirror)
                 load_terms[(resource, mirror)].append(var * (work / cap))
 

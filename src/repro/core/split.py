@@ -156,9 +156,9 @@ class SplitTrafficProblem(Formulation):
         }
         for cls in state.classes:
             for resource in state.resources:
-                work = cls.footprint(resource) * cls.num_sessions
-                if work == 0.0:
+                if cls.footprint(resource) == 0.0:
                     continue
+                work = cls.footprint(resource) * cls.num_sessions
                 for node in cls.common_nodes:
                     cap = state.capacity(resource, node)
                     load_terms[(resource, node)].append(

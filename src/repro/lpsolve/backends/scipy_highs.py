@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from repro.lpsolve.backends import BackendResult, SolverBackend
@@ -19,6 +22,23 @@ _LINPROG_STATUS = {
 }
 
 
+def _without_zeros(matrix: Optional[sparse.csr_matrix]
+                   ) -> Optional[sparse.csr_matrix]:
+    """A copy holding only the nonzero entries.
+
+    The compiled matrices keep a slot for every term, zero or not, so
+    patches always land. HiGHS counts stored entries when it presolves
+    and pivots, so it gets the values only: the solution then depends
+    on the LP, not on which zero terms a formulation happened to write
+    down.
+    """
+    if matrix is None:
+        return None
+    pruned = matrix.copy()
+    pruned.eliminate_zeros()
+    return pruned
+
+
 class ScipyHighsBackend(SolverBackend):
     """HiGHS via scipy — the reproduction's stand-in for CPLEX."""
 
@@ -27,9 +47,9 @@ class ScipyHighsBackend(SolverBackend):
     def solve(self, compiled: CompiledLP) -> BackendResult:
         result = linprog(
             compiled.c,
-            A_ub=compiled.a_ub,
+            A_ub=_without_zeros(compiled.a_ub),
             b_ub=compiled.b_ub if compiled.a_ub is not None else None,
-            A_eq=compiled.a_eq,
+            A_eq=_without_zeros(compiled.a_eq),
             b_eq=compiled.b_eq if compiled.a_eq is not None else None,
             bounds=compiled.bounds, method="highs")
 

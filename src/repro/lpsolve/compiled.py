@@ -6,6 +6,9 @@ consumes, plus the bookkeeping that makes incremental re-solves
 possible: a map from each constraint to its compiled row and a
 ``(row, column) -> data position`` index into the CSR arrays so
 individual coefficients can be patched in place without recompiling.
+The matrices store every term of every row, explicit zeros included,
+so the index covers each position a patch can name; backends prune
+the zeros from what they hand the solver.
 """
 
 from __future__ import annotations
@@ -79,12 +82,13 @@ class CompiledLP:
 
     def patch_coefficient(self, constraint: Constraint, column: int,
                           coeff: float) -> None:
-        """Overwrite one stored nonzero of the constraint matrix.
+        """Overwrite one stored entry of the constraint matrix.
 
         ``coeff`` is the coefficient as it appears in the constraint's
         normalized ``expr (<=|>=|==) 0`` form. Raises
-        :class:`StructureError` when the entry was never stored (zero
-        at compile time) — the caller must recompile.
+        :class:`StructureError` when the entry was never stored (the
+        variable is not a term of the row) — the caller must
+        recompile.
         """
         if constraint in self.ub_rows:
             row, sign = self.ub_rows[constraint]

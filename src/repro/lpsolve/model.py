@@ -191,7 +191,13 @@ class Model:
         return self._compiled
 
     def _compile(self) -> CompiledLP:
-        """Build the solver-ready sparse structure."""
+        """Build the solver-ready sparse structure.
+
+        Every term of a constraint gets a stored entry, zero
+        coefficients included: the pattern follows the expressions'
+        structure, not their current values, so any term can later be
+        patched in place.
+        """
         n = len(self._variables)
         c = np.zeros(n)
         for var, coeff in self._objective.coeffs.items():
@@ -206,10 +212,9 @@ class Model:
             if con.sense is ConstraintSense.EQ:
                 row = len(b_eq)
                 for var, coeff in con.expr.coeffs.items():
-                    if coeff != 0.0:
-                        eq_rows.append(row)
-                        eq_cols.append(var.index)
-                        eq_data.append(coeff)
+                    eq_rows.append(row)
+                    eq_cols.append(var.index)
+                    eq_data.append(coeff)
                 b_eq.append(con.rhs)
                 eq_row_constraints.append(con)
             else:
@@ -217,10 +222,9 @@ class Model:
                 sign = 1.0 if con.sense is ConstraintSense.LE else -1.0
                 row = len(b_ub)
                 for var, coeff in con.expr.coeffs.items():
-                    if coeff != 0.0:
-                        ub_rows.append(row)
-                        ub_cols.append(var.index)
-                        ub_data.append(sign * coeff)
+                    ub_rows.append(row)
+                    ub_cols.append(var.index)
+                    ub_data.append(sign * coeff)
                 b_ub.append(sign * con.rhs)
                 ub_row_constraints.append((con, sign))
 
@@ -255,9 +259,9 @@ class Model:
 
         ``coeff`` is the coefficient as it appears in the constraint's
         normalized ``expr (<=|>=|==) 0`` form. Raises
-        :class:`StructureError` when the compiled structure has no
-        stored entry for this position (the coefficient was zero at
-        compile time); callers should :meth:`invalidate` and rebuild.
+        :class:`StructureError` when ``var`` was never a term of the
+        constraint (a term whose coefficient is currently zero is
+        fine); callers should :meth:`invalidate` and rebuild.
         """
         if var not in constraint.expr.coeffs:
             raise StructureError(

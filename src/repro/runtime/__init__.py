@@ -29,6 +29,7 @@ from repro.runtime.rollout import (
     ChannelSpec,
     ConfigChannel,
     CoverageReport,
+    CoverageTracker,
     RolloutDriver,
     RolloutOutcome,
     RolloutSession,
@@ -53,6 +54,7 @@ __all__ = [
     "ConfigMessage",
     "ControllerDaemon",
     "CoverageReport",
+    "CoverageTracker",
     "EpochRecord",
     "Event",
     "EventLoop",

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.transitions import union_config
 from repro.shim.config import ShimConfig
@@ -117,6 +117,9 @@ class NodeAgent:
         self._active: Optional[ShimConfig] = config
         self._overlap_new: Optional[ShimConfig] = None
         self._staged: Optional[ShimConfig] = None
+        #: ``(active, overlap_new, their union)`` of the last transient
+        self._union: Optional[Tuple[ShimConfig, ShimConfig,
+                                    ShimConfig]] = None
         self._applied_versions: Dict[MessageKind, int] = {}
         self.mailbox: List[MailboxEntry] = []
         self.installs = 0
@@ -142,15 +145,21 @@ class NodeAgent:
         """The configuration the node's shim currently enforces.
 
         During an overlap transient this is the old/new union; a dead
-        node enforces nothing.
+        node enforces nothing. An agent whose tables did not change
+        returns the same object, so callers may compare by identity.
         """
         if not self.alive:
             return None
-        if self._overlap_new is not None:
-            if self._active is None:
-                return self._overlap_new
-            return union_config(self._active, self._overlap_new)
-        return self._active
+        active, new = self._active, self._overlap_new
+        if new is None:
+            return active
+        if active is None:
+            return new
+        memo = self._union
+        if memo is None or memo[0] is not active or memo[1] is not new:
+            memo = self._union = (active, new,
+                                  union_config(active, new))
+        return memo[2]
 
     @property
     def running_rules(self) -> int:

@@ -27,11 +27,13 @@ controller refresh through one of three strategies:
   Strictly fewer rules cross the channel on steady drift, shrinking
   both rollout traffic and the vulnerable transient window.
 
-:func:`coverage_report` is the accounting half: given the *actually
+:class:`CoverageTracker` is the accounting half: given the *actually
 installed* per-node configs at any instant, it computes each class's
 covered fraction of hash space and the duplicated-work fraction, both
 traffic-weighted — the quantities the scenario timeline records during
-transient windows.
+transient windows — re-deriving only the classes whose observers'
+configs changed since the last instant. :func:`coverage_report` is its
+one-shot form.
 """
 
 from __future__ import annotations
@@ -513,29 +515,6 @@ class CoverageReport:
         return 1.0 - self.coverage
 
 
-def _class_intervals(cls: TrafficClass,
-                     node_configs: Dict[str, Optional[ShimConfig]]
-                     ) -> List[Tuple[float, float]]:
-    """Hash intervals owned for one class by its on-path nodes.
-
-    Only nodes that actually observe the class's packets count
-    (forward or reverse path); a mirror's PROCESS rule over a
-    replicated range is backed by the on-path REPLICATE rule that
-    feeds it, which is already included.
-    """
-    observers = set(cls.path) | set(cls.rev_nodes)
-    intervals: List[Tuple[float, float]] = []
-    for node in observers:
-        config = node_configs.get(node)
-        if config is None:
-            continue
-        for rule in config.rules_for(cls.name):
-            if rule.hash_range.width > 0:
-                intervals.append((rule.hash_range.start,
-                                  rule.hash_range.end))
-    return intervals
-
-
 def _union_length(intervals: Sequence[Tuple[float, float]]) -> float:
     if not intervals:
         return 0.0
@@ -552,38 +531,103 @@ def _union_length(intervals: Sequence[Tuple[float, float]]) -> float:
     return min(total, 1.0)
 
 
-def coverage_report(classes: Sequence[TrafficClass],
-                    node_configs: Dict[str, Optional[ShimConfig]]
-                    ) -> CoverageReport:
-    """Measure ownership of the hash space under installed configs.
+class CoverageTracker:
+    """Hash-space ownership of a fixed class list, kept incrementally.
+
+    Per class the tracker caches the covered and the duplicated
+    fraction of hash space; :meth:`update` re-derives them only for
+    classes observed by a node whose config *object* differs from the
+    one it ran at the previous update. Configs are values — agents
+    replace them, never edit them — so identity is an exact change
+    test. The aggregate is re-summed from the cached per-class values
+    in class order on every update, which makes the report
+    bit-identical to one computed from scratch.
 
     Args:
         classes: current traffic classes (weights = session counts).
-        node_configs: what each node is *actually* running right now
-            (``NodeAgent.effective_config()``; ``None`` = dead node).
     """
-    class_cov: Dict[str, float] = {}
-    class_dup: Dict[str, float] = {}
-    weighted_cov = 0.0
-    weighted_dup = 0.0
-    total_weight = 0.0
-    for cls in classes:
-        intervals = _class_intervals(cls, node_configs)
+
+    def __init__(self, classes: Sequence[TrafficClass]) -> None:
+        self._names = [cls.name for cls in classes]
+        self._weights = [cls.num_sessions for cls in classes]
+        # Only nodes that actually see the class's packets count
+        # (forward or reverse path); a mirror's PROCESS rule over a
+        # replicated range is backed by the on-path REPLICATE rule
+        # that feeds it. Path order, not set order: the duplication
+        # sum below is a float sum over these nodes' rules.
+        self._observers = [
+            tuple(dict.fromkeys((*cls.path, *cls.rev_nodes)))
+            for cls in classes]
+        self._observed_by: Dict[str, List[int]] = {}
+        for index, observers in enumerate(self._observers):
+            for node in observers:
+                self._observed_by.setdefault(node, []).append(index)
+        # No config anywhere: nothing covered, nothing duplicated.
+        self._running: Dict[str, Optional[ShimConfig]] = {}
+        self._covered = [0.0] * len(self._names)
+        self._duplicated = [0.0] * len(self._names)
+
+    def _measure(self, index: int,
+                 node_configs: Dict[str, Optional[ShimConfig]]) -> None:
+        """Re-derive one class from its observers' installed rules."""
+        name = self._names[index]
+        intervals: List[Tuple[float, float]] = []
+        for node in self._observers[index]:
+            config = node_configs.get(node)
+            if config is None:
+                continue
+            for rule in config.rules_for(name):
+                if rule.hash_range.width > 0:
+                    intervals.append((rule.hash_range.start,
+                                      rule.hash_range.end))
         union = _union_length(intervals)
         total = sum(end - start for start, end in intervals)
-        duplication = max(0.0, total - union)
-        class_cov[cls.name] = union
-        class_dup[cls.name] = duplication
-        weight = cls.num_sessions
-        weighted_cov += weight * union
-        weighted_dup += weight * duplication
-        total_weight += weight
-    if total_weight > 0:
-        coverage = weighted_cov / total_weight
-        duplication = weighted_dup / total_weight
-    else:
-        coverage, duplication = 1.0, 0.0
-    return CoverageReport(class_coverage=class_cov,
-                          class_duplication=class_dup,
-                          coverage=coverage,
-                          duplication=duplication)
+        self._covered[index] = union
+        self._duplicated[index] = max(0.0, total - union)
+
+    def update(self, node_configs: Dict[str, Optional[ShimConfig]]
+               ) -> CoverageReport:
+        """The report under what each node is *actually* running now.
+
+        Args:
+            node_configs: ``NodeAgent.effective_config()`` per node;
+                ``None`` or absent = the node enforces nothing.
+        """
+        stale: Set[int] = set()
+        for node, observed in self._observed_by.items():
+            config = node_configs.get(node)
+            if config is not self._running.get(node):
+                self._running[node] = config
+                stale.update(observed)
+        for index in stale:
+            self._measure(index, node_configs)
+        metrics = get_registry()
+        metrics.inc("runtime.coverage.checks")
+        metrics.inc("runtime.coverage.classes_recomputed", len(stale))
+
+        weighted_cov = 0.0
+        weighted_dup = 0.0
+        total_weight = 0.0
+        for weight, union, duplication in zip(
+                self._weights, self._covered, self._duplicated):
+            weighted_cov += weight * union
+            weighted_dup += weight * duplication
+            total_weight += weight
+        if total_weight > 0:
+            coverage = weighted_cov / total_weight
+            duplication = weighted_dup / total_weight
+        else:
+            coverage, duplication = 1.0, 0.0
+        return CoverageReport(
+            class_coverage=dict(zip(self._names, self._covered)),
+            class_duplication=dict(zip(self._names, self._duplicated)),
+            coverage=coverage,
+            duplication=duplication)
+
+
+def coverage_report(classes: Sequence[TrafficClass],
+                    node_configs: Dict[str, Optional[ShimConfig]]
+                    ) -> CoverageReport:
+    """Measure ownership of the hash space under installed configs:
+    the one-shot use of :class:`CoverageTracker`."""
+    return CoverageTracker(classes).update(node_configs)

@@ -50,8 +50,8 @@ from repro.runtime.faults import (
 from repro.runtime.rollout import (
     ChannelSpec,
     ConfigChannel,
+    CoverageTracker,
     RolloutDriver,
-    coverage_report,
 )
 from repro.shim.config import ShimConfig
 from repro.traffic.variability import TrafficVariabilityModel
@@ -523,9 +523,10 @@ def _run_scenario(scenario: Scenario,
             pending_refresh.append((epoch, refresh))
 
         # 4. Drain the epoch's events, tracking coverage after each
-        #    delivery/ack instant (the transient-window accounting).
-        cov = coverage_report(
-            current_state.classes,
+        #    delivery/ack instant (the transient-window accounting);
+        #    the tracker re-derives only what an event changed.
+        tracker = CoverageTracker(current_state.classes)
+        cov = tracker.update(
             _effective_configs(current_state.nids_nodes, agents))
         coverage_min, duplication_max = cov.coverage, cov.duplication
         fired_events = 0
@@ -534,8 +535,7 @@ def _run_scenario(scenario: Scenario,
             if next_time is None or next_time > epoch_end + 1e-12:
                 break
             fired_events += loop.run_until(next_time)
-            cov = coverage_report(
-                current_state.classes,
+            cov = tracker.update(
                 _effective_configs(current_state.nids_nodes, agents))
             coverage_min = min(coverage_min, cov.coverage)
             duplication_max = max(duplication_max, cov.duplication)

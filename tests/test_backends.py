@@ -80,6 +80,63 @@ class TestBackendEquivalence:
                                                abs=1e-6)
 
 
+def _capped_lp(backend, y_coeff, le_row):
+    """max 3x + 2y on [0, 4]^2 under one row joining x and y, stated
+    as <= (a_ub row), >= (negated a_ub row) or == (a_eq row)."""
+    m = Model(backend=backend)
+    x = m.add_variable("x", ub=4.0)
+    y = m.add_variable("y", ub=4.0)
+    lhs = x + y_coeff * y
+    row = m.add_constraint({"le": lhs <= 4, "ge": -1 * lhs >= -4,
+                            "eq": lhs == 4}[le_row], name="cap")
+    m.maximize(3 * x + 2 * y)
+    return m, row, y
+
+
+class TestStructuralSparsity:
+    """The compiled pattern follows a row's terms, not their values."""
+
+    @pytest.mark.parametrize("sense", ("le", "ge", "eq"))
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_zero_compiled_term_patches_like_a_cold_rebuild(
+            self, name, sense):
+        model, row, y = _capped_lp(name, 0.0, sense)
+        model.solve()
+        compiled = model.compiled
+        model.set_coefficient(
+            row, y, -1.0 if sense == "ge" else 1.0)
+        warm = model.solve()
+        assert model.compiled is compiled  # patched, not recompiled
+        cold = _capped_lp(name, 1.0, sense)[0].solve()
+        assert warm.objective_value == cold.objective_value
+        assert list(warm.values().values()) == \
+            list(cold.values().values())
+
+    def test_linprog_never_sees_an_explicit_zero(self, monkeypatch):
+        from repro.lpsolve.backends import scipy_highs
+
+        handed = []
+
+        def spy(c, A_ub=None, A_eq=None, **kwargs):
+            handed.extend(m for m in (A_ub, A_eq) if m is not None)
+            return linprog(c, A_ub=A_ub, A_eq=A_eq, **kwargs)
+
+        linprog = scipy_highs.linprog
+        monkeypatch.setattr(scipy_highs, "linprog", spy)
+        for sense in ("le", "eq"):
+            model, row, y = _capped_lp("scipy", 0.0, sense)
+            model.solve()
+            model.set_coefficient(row, y, 1.0)
+            model.set_coefficient(row, y, 0.0)
+            model.solve()
+            stored = model.compiled.a_ub if sense == "le" else \
+                model.compiled.a_eq
+            assert stored.nnz == 2  # the slot for y stays
+        assert len(handed) == 4
+        for matrix in handed:
+            assert matrix.nnz == matrix.count_nonzero() == 1
+
+
 class TestResolveMatchesColdRebuild:
     """`resolve(**params)` must equal a from-scratch build + solve."""
 

@@ -12,6 +12,7 @@ import dataclasses
 
 import pytest
 
+from repro.core.formulation import Formulation
 from repro.obs import MetricsRegistry, use_registry
 from repro.runtime.scenario import (
     CANNED_SCENARIOS,
@@ -58,6 +59,30 @@ class TestEstimatorLoop:
         assert reasons.count("drift") >= 1
         assert metrics.counter_value(
             "runtime.estimator.drift_refreshes") >= 1
+
+    def test_every_refresh_after_bootstrap_is_a_warm_patch(
+            self, outcome, scenario, monkeypatch):
+        # A class the sketch saw no session of one epoch and some the
+        # next changes a coefficient's value, never the LP's
+        # structure: one compile, then patches only. The sparse feed
+        # leaves most classes unseen in any one epoch.
+        sparse = dataclasses.replace(scenario, sessions_per_epoch=100)
+        with use_registry(MetricsRegistry()) as sparse_metrics:
+            sparse_report = run_scenario(sparse)
+        for report, metrics in (outcome,
+                                (sparse_report, sparse_metrics)):
+            assert all(rec.refresh_reason for rec in report.records)
+            assert metrics.counter_value("lp.compile_cache.hits") == \
+                scenario.epochs - 1
+            assert metrics.counter_value("lp.resolve.fallbacks") == 0
+
+        # ... and the patched loop is the cold-rebuilt one, bit for bit.
+        monkeypatch.setattr(Formulation, "_traffic_compatible",
+                            lambda self, classes: False)
+        with use_registry(MetricsRegistry()) as cold_metrics:
+            cold_report = run_scenario(sparse)
+        assert cold_metrics.counter_value("lp.compile_cache.hits") == 0
+        assert cold_report.fingerprint() == sparse_report.fingerprint()
 
     def test_estimates_track_the_feed(self, outcome):
         report, _ = outcome

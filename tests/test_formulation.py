@@ -116,21 +116,43 @@ class TestCompileCacheMetrics:
 
 class TestStructureFallback:
     def test_volume_zero_to_nonzero_matches_cold(self, line_state_dc):
-        # A zero-volume class contributes no compiled coefficients;
-        # raising it back up is a *structure* change and must fall
-        # back to a rebuild transparently (same answer as cold).
+        # A zero-volume class still owns its (zero) compiled
+        # coefficients — volume is a parameter, not structure — so
+        # raising it back up is a warm patch with a cold solve's bits.
         zeroed = [replace(cls, num_sessions=0.0)
                   if cls.name == "B->C" else cls
                   for cls in line_state_dc.classes]
-        problem = _replication(line_state_dc.with_traffic(zeroed))
-        problem.solve()
-
         restored = {cls.name: cls.num_sessions
                     for cls in line_state_dc.classes}
-        warm = problem.resolve(volumes=restored)
+        with use_registry(MetricsRegistry()) as reg:
+            problem = _replication(line_state_dc.with_traffic(zeroed))
+            problem.solve()
+            warm = problem.resolve(volumes=restored)
+        assert reg.counter_value("lp.compile_cache.hits") == 1
+        assert reg.counter_value("lp.resolve.fallbacks") == 0
         cold = _replication(line_state_dc).solve()
-        assert warm.load_cost == pytest.approx(cold.load_cost,
-                                               abs=1e-9)
+        assert warm.load_cost == cold.load_cost
+        assert warm.process_fractions == cold.process_fractions
+        assert warm.offload_fractions == cold.offload_fractions
+
+    def test_unregistered_row_falls_back_and_is_counted(
+            self, line_state_dc):
+        # With every volume zero the link rows have no non-zero term,
+        # so add_constraint drops them; patching volumes back in names
+        # rows the compiled model never had. The fallback rebuilds —
+        # visibly.
+        silent = [replace(cls, num_sessions=0.0)
+                  for cls in line_state_dc.classes]
+        restored = {cls.name: cls.num_sessions
+                    for cls in line_state_dc.classes}
+        with use_registry(MetricsRegistry()) as reg:
+            problem = _replication(line_state_dc.with_traffic(silent))
+            problem.solve()
+            warm = problem.resolve(volumes=restored)
+        assert reg.counter_value("lp.resolve.fallbacks") == 1
+        assert reg.counter_value("lp.compile_cache.misses") == 2
+        cold = _replication(line_state_dc).solve()
+        assert warm.load_cost == cold.load_cost
 
     def test_incompatible_traffic_rebuilds(self, line_state_dc,
                                            line_topology):

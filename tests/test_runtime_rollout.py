@@ -2,8 +2,11 @@
 strategies (overlap / two-phase / direct) with coverage accounting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import MirrorPolicy, ReplicationProblem
+from repro.obs import MetricsRegistry, use_registry
 from repro.runtime.agents import (
     ConfigMessage,
     MessageKind,
@@ -14,12 +17,16 @@ from repro.runtime.events import EventLoop
 from repro.runtime.rollout import (
     ChannelSpec,
     ConfigChannel,
+    CoverageTracker,
     RolloutDriver,
     RolloutOutcome,
     coverage_report,
 )
 from repro.shim import build_replication_configs
-from repro.shim.config import ShimConfig
+from repro.shim.config import ShimAction, ShimConfig, ShimRule
+from repro.shim.diff import ConfigDelta, diff_config
+from repro.shim.ranges import HashRange
+from repro.traffic.classes import TrafficClass
 
 
 @pytest.fixture
@@ -305,3 +312,123 @@ class TestCoverageReport:
             assert report.coverage == pytest.approx(1.0), loop.now
         assert session.outcome is RolloutOutcome.COMPLETED
         assert session.retired_at is not None
+
+
+# -- incremental coverage accounting ----------------------------------------
+
+TRACKED_NODES = ("N0", "N1", "N2", "N3")
+TRACKED_CLASSES = [
+    TrafficClass("N0->N2", "N0", "N2", ("N0", "N1", "N2"), 70.0),
+    TrafficClass("N1->N3", "N1", "N3", ("N1", "N2", "N3"), 0.0),
+    # asymmetric: N3 sees only the reverse direction
+    TrafficClass("N0->N1", "N0", "N1", ("N0", "N1"), 12.5,
+                 rev_path=("N1", "N3", "N0")),
+    TrafficClass("N2->N2", "N2", "N2", ("N2",), 3.0),
+]
+
+_bounds = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+_tables = st.fixed_dictionaries({
+    cls.name: st.lists(st.tuples(_bounds, _bounds), max_size=2)
+    for cls in TRACKED_CLASSES})
+_steps = st.lists(
+    st.tuples(
+        st.sampled_from(("install", "overlap", "retire", "delta-install",
+                         "delta-retire", "fail", "recover", "hide",
+                         "show")),
+        st.sampled_from(TRACKED_NODES), _tables),
+    max_size=25)
+
+
+def _table(node, intervals_by_class):
+    """A shim config owning the drawn intervals (overlaps, empty
+    ranges and repeats included: the accounting must not care)."""
+    rules = {}
+    for name, intervals in intervals_by_class.items():
+        for low, high in intervals:
+            low, high = min(low, high), max(low, high)
+            rules.setdefault(name, []).append(ShimRule(
+                name, HashRange(("process", node), low, high),
+                ShimAction.PROCESS))
+    return ShimConfig(node=node, rules=rules)
+
+
+class TestCoverageTracker:
+    @settings(max_examples=150, deadline=None)
+    @given(steps=_steps)
+    def test_update_equals_a_fresh_report_after_every_step(self, steps):
+        """Whatever sequence of installs, overlap transients, deltas,
+        failures and recoveries the agents go through — and whichever
+        nodes come and go from the reported map — the tracker's
+        incremental report is the from-scratch one, bit for bit."""
+        agents = {node: NodeAgent(node, {"cpu": 1.0})
+                  for node in TRACKED_NODES}
+        hidden = set()
+        tracker = CoverageTracker(TRACKED_CLASSES)
+        for version, (op, node, drawn) in enumerate(steps, start=1):
+            agent = agents[node]
+            table = _table(node, drawn)
+            active = agent._active or ShimConfig(node=node, rules={})
+            delta = diff_config(active, table)
+            if op == "install":
+                agent.deliver(ConfigMessage(
+                    MessageKind.INSTALL, version, node, table), 0.0)
+            elif op == "overlap":
+                agent.deliver(ConfigMessage(
+                    MessageKind.OVERLAP_INSTALL, version, node, table),
+                    0.0)
+            elif op == "retire":
+                agent.deliver(ConfigMessage(
+                    MessageKind.RETIRE, version, node), 0.0)
+            elif op == "delta-install":
+                agent.deliver(ConfigMessage(
+                    MessageKind.DELTA_INSTALL, version, node,
+                    delta=ConfigDelta(node=node,
+                                      installs=delta.installs)), 0.0)
+            elif op == "delta-retire":
+                agent.deliver(ConfigMessage(
+                    MessageKind.DELTA_RETIRE, version, node,
+                    delta=ConfigDelta(node=node,
+                                      retires=delta.retires)), 0.0)
+            elif op == "fail":
+                agent.fail()
+            elif op == "recover":
+                agent.recover(table if drawn["N0->N2"] else None)
+            elif op == "hide":
+                hidden.add(node)
+            else:
+                hidden.discard(node)
+            running = {name: agents[name].effective_config()
+                       for name in TRACKED_NODES if name not in hidden}
+            assert tracker.update(running) == \
+                coverage_report(TRACKED_CLASSES, running)
+
+    def test_only_classes_behind_a_changed_node_are_recomputed(self):
+        everywhere = {cls.name: [(0.0, 1.0)] for cls in TRACKED_CLASSES}
+        running = {node: _table(node, everywhere)
+                   for node in TRACKED_NODES}
+        with use_registry(MetricsRegistry()) as registry:
+            tracker = CoverageTracker(TRACKED_CLASSES)
+            tracker.update(running)
+            first = registry.counters[
+                "runtime.coverage.classes_recomputed"]
+            tracker.update(dict(running))  # same objects, new dict
+            # N3 observes N1->N3 and the reverse of N0->N1 only
+            running["N3"] = _table("N3", everywhere)
+            report = tracker.update(running)
+        assert first == len(TRACKED_CLASSES)
+        assert registry.counters["runtime.coverage.checks"] == 3
+        assert registry.counters[
+            "runtime.coverage.classes_recomputed"] == first + 2
+        assert report == coverage_report(TRACKED_CLASSES, running)
+
+    def test_unchanged_agent_returns_the_same_union_object(
+            self, two_configs):
+        old, new = two_configs
+        agent = NodeAgent("B", {"cpu": 1.0}, config=old["B"])
+        agent.deliver(ConfigMessage(
+            MessageKind.OVERLAP_INSTALL, 1, "B", new["B"]), now=0.0)
+        union = agent.effective_config()
+        assert agent.effective_config() is union
+        agent.deliver(ConfigMessage(
+            MessageKind.OVERLAP_INSTALL, 2, "B", old["B"]), now=1.0)
+        assert agent.effective_config() is not union
