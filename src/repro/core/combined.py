@@ -31,20 +31,23 @@ so DC counting remains correct and no effort is duplicated.
 
 ``beta``, ``max_link_load`` and ``volumes`` are named
 :class:`~repro.core.formulation.Formulation` parameters, resolvable in
-place on the compiled LP.
+place on the compiled LP; the coefficients are stated once
+(``_load_terms`` / ``_link_terms`` / ``_cost_expression``) and the base
+class builds and patches from them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Tuple, Union
 
 from repro.core.aggregation import ingress_aggregation_point
-from repro.core.formulation import (Formulation, _check_max_link_load,
+from repro.core.formulation import (Formulation, LoadKey,
+                                    _check_max_link_load,
                                     _check_non_negative)
 from repro.core.inputs import NetworkState
-from repro.core.results import AggregationResult, LPStats
-from repro.lpsolve import (Constraint, LinExpr, Model, Solution,
-                           SolverBackend, Variable, lin_sum)
+from repro.core.results import AggregationResult
+from repro.lpsolve import (LinExpr, Model, Solution, SolverBackend,
+                           Variable, lin_sum)
 from repro.topology.topology import Link
 
 
@@ -61,6 +64,7 @@ class CombinedProblem(Formulation):
     """
 
     kind = "combined"
+    _cost_weight = "beta"
 
     def __init__(self, state: NetworkState, beta: float = 1.0,
                  max_link_load: float = 0.4,
@@ -75,7 +79,6 @@ class CombinedProblem(Formulation):
         self._declare_param("max_link_load", max_link_load,
                             _check_max_link_load)
         self.aggregation_point = aggregation_point
-        self._reset()
 
     @property
     def beta(self) -> float:
@@ -88,190 +91,92 @@ class CombinedProblem(Formulation):
         return self._params["max_link_load"]
 
     def _reset(self) -> None:
-        self._p: Dict[Tuple[str, str], Variable] = {}
+        super()._reset()
         self._o: Dict[Tuple[str, str], Variable] = {}
-        self._load_exprs: Dict[Tuple[str, str], LinExpr] = {}
-        self._link_exprs: Dict[Link, LinExpr] = {}
-        self._loadcost_cons: Dict[Tuple[str, str], Constraint] = {}
-        self._link_cons: Dict[Link, Constraint] = {}
-        self._comm_expr: Optional[LinExpr] = None
-        self._load_cost_var: Optional[Variable] = None
 
-    def _build(self, model: Model) -> None:
+    # -- the coefficient table ----------------------------------------------
+
+    def _load_terms(self) -> Iterator[Tuple[LoadKey, Variable, float]]:
         state = self.state
         dc = state.dc_node
-
-        comm_terms: List[LinExpr] = []
-        load_terms: Dict[Tuple[str, str], List[LinExpr]] = {
-            (resource, node): []
-            for resource in state.resources for node in state.nids_nodes
-        }
-        link_terms: Dict[Link, List[LinExpr]] = {
-            link: [] for link in state.topology.links}
-
         for cls in state.classes:
-            point = self.aggregation_point(cls)
-            dc_distance = state.routing.hop_count(dc, point)
-            class_vars: List[Variable] = []
-            for node in cls.path:
-                p_var = model.add_variable(
-                    f"p[{cls.name},{node}]", lb=0.0, ub=1.0)
-                self._p[(cls.name, node)] = p_var
-                class_vars.append(p_var)
-                distance = state.routing.hop_count(node, point)
-                comm_terms.append(p_var * (cls.num_sessions *
-                                           cls.record_bytes * distance))
-
-                o_var = model.add_variable(
-                    f"o[{cls.name},{node}]", lb=0.0, ub=1.0)
-                self._o[(cls.name, node)] = o_var
-                class_vars.append(o_var)
-                comm_terms.append(o_var * (cls.num_sessions *
-                                           cls.record_bytes *
-                                           dc_distance))
-                # Mirrored traffic slice for the sub-task.
-                replicated_bytes = cls.num_sessions * cls.session_bytes
-                for link in state.routing.path_links(node, dc):
-                    coeff = replicated_bytes / state.link_capacity[link]
-                    link_terms[link].append(o_var * coeff)
-
-                for resource in state.resources:
-                    if cls.footprint(resource) == 0.0:
-                        continue
-                    work = cls.footprint(resource) * cls.num_sessions
-                    cap_local = state.capacity(resource, node)
-                    load_terms[(resource, node)].append(
-                        p_var * (work / cap_local))
-                    cap_dc = state.capacity(resource, dc)
-                    load_terms[(resource, dc)].append(
-                        o_var * (work / cap_dc))
-            model.add_constraint(lin_sum(class_vars) == 1.0,
-                                 name=f"cover[{cls.name}]")
-
-        load_cost = model.add_variable("LoadCost", lb=0.0)
-        for (resource, node), terms in load_terms.items():
-            expr = lin_sum(terms)
-            self._load_exprs[(resource, node)] = expr
-            self._loadcost_cons[(resource, node)] = model.add_constraint(
-                load_cost >= expr, name=f"loadcost[{resource},{node}]")
-
-        for link, terms in link_terms.items():
-            bg = state.bg_load(link)
-            expr = lin_sum(terms) + bg
-            self._link_exprs[link] = expr
-            if terms:
-                bound = max(self.max_link_load, bg)
-                self._link_cons[link] = model.add_constraint(
-                    expr <= bound, name=f"linkload[{link[0]},{link[1]}]")
-
-        self._comm_expr = lin_sum(comm_terms)
-        model.minimize(load_cost + self.beta * self._comm_expr)
-        self._load_cost_var = load_cost
-
-        self._bind(("volumes",), self._patch_volume_terms)
-        self._bind(("max_link_load", "volumes"),
-                   self._patch_link_bounds)
-        self._bind(("beta", "volumes"), self._patch_objective)
-
-    # -- incremental patching ------------------------------------------------
-
-    def _patch_volume_terms(self) -> None:
-        """Rescale load, link, and CommCost coefficients in place."""
-        state = self.state
-        model = self._model
-        dc = state.dc_node
-        for cls in state.classes:
-            point = self.aggregation_point(cls)
-            dc_distance = state.routing.hop_count(dc, point)
-            replicated_bytes = cls.num_sessions * cls.session_bytes
             for node in cls.path:
                 p_var = self._p[(cls.name, node)]
                 o_var = self._o[(cls.name, node)]
-                distance = state.routing.hop_count(node, point)
-                self._comm_expr.coeffs[p_var] = (cls.num_sessions *
-                                                 cls.record_bytes *
-                                                 distance)
-                self._comm_expr.coeffs[o_var] = (cls.num_sessions *
-                                                 cls.record_bytes *
-                                                 dc_distance)
-                for link in state.routing.path_links(node, dc):
-                    coeff = replicated_bytes / state.link_capacity[link]
-                    con = self._link_cons.get(link)
-                    if con is not None:
-                        model.set_coefficient(con, o_var, coeff)
-                    self._link_exprs[link].coeffs[o_var] = coeff
                 for resource in state.resources:
                     if cls.footprint(resource) == 0.0:
                         continue
                     work = cls.footprint(resource) * cls.num_sessions
-                    cap_local = state.capacity(resource, node)
-                    model.set_coefficient(
-                        self._loadcost_cons[(resource, node)], p_var,
-                        -(work / cap_local))
-                    self._load_exprs[(resource, node)].coeffs[p_var] = (
-                        work / cap_local)
-                    cap_dc = state.capacity(resource, dc)
-                    model.set_coefficient(
-                        self._loadcost_cons[(resource, dc)], o_var,
-                        -(work / cap_dc))
-                    self._load_exprs[(resource, dc)].coeffs[o_var] = (
-                        work / cap_dc)
+                    yield ((resource, node), p_var,
+                           work / self._capacity(resource, node))
+                    yield ((resource, dc), o_var,
+                           work / self._capacity(resource, dc))
 
-    def _patch_link_bounds(self) -> None:
-        """Re-target ``max(MaxLinkLoad, BG_l)`` bounds and background
-        constants (BG changes whenever volumes do)."""
+    def _link_terms(self) -> Iterator[Tuple[Link, Variable, float]]:
+        # Mirrored traffic slice for the sub-task.
         state = self.state
-        model = self._model
-        for link, expr in self._link_exprs.items():
-            bg = state.bg_load(link)
-            expr.constant = bg
-            con = self._link_cons.get(link)
-            if con is not None:
-                model.set_rhs(con, max(self.max_link_load, bg) - bg)
+        dc = state.dc_node
+        for cls in state.classes:
+            replicated_bytes = cls.num_sessions * cls.session_bytes
+            for node in cls.path:
+                o_var = self._o[(cls.name, node)]
+                for link in state.routing.path_links(node, dc):
+                    yield (link, o_var,
+                           replicated_bytes / state.link_capacity[link])
 
-    def _patch_objective(self) -> None:
-        """Rewrite ``beta * CommCost`` objective coefficients (runs
-        after the volume patch, so the comm expression is current)."""
-        for var, comm_coeff in self._comm_expr.coeffs.items():
-            self._model.set_objective_coefficient(
-                var, self.beta * comm_coeff)
+    def _cost_expression(self) -> LinExpr:
+        # CommCost: a local count reports from its node, a replicated
+        # one from the datacenter.
+        state = self.state
+        coeffs = {}
+        for cls in state.classes:
+            point = self.aggregation_point(cls)
+            dc_distance = state.routing.hop_count(state.dc_node, point)
+            report_bytes = cls.num_sessions * cls.record_bytes
+            for node in cls.path:
+                distance = state.routing.hop_count(node, point)
+                coeffs[self._p[(cls.name, node)]] = (
+                    report_bytes * distance)
+                coeffs[self._o[(cls.name, node)]] = (
+                    report_bytes * dc_distance)
+        return LinExpr(coeffs)
+
+    # -- model construction -------------------------------------------------
+
+    def _build(self, model: Model) -> None:
+        for cls in self.state.classes:
+            class_vars: List[Variable] = []
+            for node in cls.path:
+                for fractions, label in ((self._p, "p"), (self._o, "o")):
+                    var = model.add_variable(
+                        f"{label}[{cls.name},{node}]", lb=0.0, ub=1.0)
+                    fractions[(cls.name, node)] = var
+                    class_vars.append(var)
+            model.add_constraint(lin_sum(class_vars) == 1.0,
+                                 name=f"cover[{cls.name}]")
+        load_cost = self._emit_load_rows(model)
+        self._emit_link_rows(model)
+        self._cost_expr = self._cost_expression()
+        model.minimize(load_cost + self.beta * self._cost_expr)
 
     # -- solving --------------------------------------------------------------
 
     def _unpack(self, model: Model,
                 solution: Solution) -> AggregationResult:
-        node_loads = {
-            resource: {
-                node: solution.value(self._load_exprs[(resource, node)])
-                for node in self.state.nids_nodes
-            }
-            for resource in self.state.resources
-        }
-        process: Dict[str, Dict[str, float]] = {}
-        for (cls_name, node), var in self._p.items():
-            process.setdefault(cls_name, {})[node] = solution.value(var)
+        fields = self._assignment_fields(model, solution)
+        process = fields["process_fractions"]
         dc = self.state.dc_node
         for (cls_name, node), var in self._o.items():
             value = solution.value(var)
             if value > 1e-9:
                 fractions = process.setdefault(cls_name, {})
                 fractions[dc] = fractions.get(dc, 0.0) + value
-
-        load_cost = solution.value(self._load_cost_var)
-        comm_cost = solution.value(self._comm_expr)
+        comm_cost = solution.value(self._cost_expr)
         return AggregationResult(
-            load_cost=load_cost,
             comm_cost=comm_cost,
             beta=self.beta,
-            objective=load_cost + self.beta * comm_cost,
-            node_loads=node_loads,
-            process_fractions=process,
-            dc_node=dc,
-            stats=LPStats(
-                num_variables=model.num_variables,
-                num_constraints=model.num_constraints,
-                solve_seconds=solution.solve_seconds,
-                iterations=solution.iterations))
+            objective=fields["load_cost"] + self.beta * comm_cost,
+            **fields)
 
     def solve(self) -> AggregationResult:
         """Solve; offloaded fractions appear under the DC's node key

@@ -114,10 +114,11 @@ class NIDSController:
         old = {cls.name: cls.num_sessions
                for cls in self._current_classes}
         new = {cls.name: cls.num_sessions for cls in classes}
-        names = set(old) | set(new)
         numerator = 0.0
         denominator = 0.0
-        for name in names:
+        # Feed order, not set order: float sums depend on it and set
+        # order follows the hash seed.
+        for name in dict.fromkeys((*old, *new)):
             before = old.get(name, 0.0)
             after = new.get(name, 0.0)
             numerator += abs(after - before)

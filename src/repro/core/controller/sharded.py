@@ -9,7 +9,8 @@ decomposes it:
   named parameters make the decomposition sound: ``capacity_share``
   scales shared nodes' capacities (a region only "sees" its slice of
   the datacenter/mirror capacity) and ``link_share`` scales shared
-  links' replication headroom. Both are incremental patches over the
+  links' replication headroom. The first is read by the load-term
+  generator, the second is one rhs patch; both apply in place to the
   warm :class:`~repro.lpsolve.compiled.CompiledLP`, so coordination
   rounds re-solve without rebuilding.
 - :class:`ShardCoordinator` — computes which nodes/links are shared
@@ -70,9 +71,10 @@ class RegionalReplicationProblem(ReplicationProblem):
     ``max_link_load``:
 
     - ``capacity_share``: node -> fraction of that node's capacity
-      this region may plan against. Scales the load-accounting
-      coefficients in place, so the region's LP prices the shared
-      node (e.g. the datacenter) as if it were that much smaller.
+      this region may plan against. The load terms read
+      ``capacity * share``, so the region's LP — freshly built or
+      patched — prices the shared node (e.g. the datacenter) as if it
+      were that much smaller.
     - ``link_share``: link -> fraction of the replication headroom
       ``max(MaxLinkLoad, BG_l) - BG_l`` this region may consume.
 
@@ -86,6 +88,7 @@ class RegionalReplicationProblem(ReplicationProblem):
     """
 
     kind = "replication-shard"
+    _load_params = ("volumes", "capacity_share")
 
     def __init__(self, state: NetworkState,
                  global_background: Mapping[Link, float],
@@ -144,72 +147,21 @@ class RegionalReplicationProblem(ReplicationProblem):
 
     # -- building ----------------------------------------------------------
 
-    def _build(self, model) -> None:  # type: ignore[no-untyped-def]
-        super()._build(model)
-        if self._incremental_ok:
-            # Registered after the base bindings so a volumes change
-            # first restores true-capacity coefficients and full link
-            # headroom, then re-applies the shares on top.
-            self._bind(("capacity_share", "volumes"),
-                       self._patch_capacity_shares)
-            self._bind(("link_share", "max_link_load", "volumes"),
-                       self._patch_link_shares)
+    def _capacity(self, resource: str, node: str) -> float:
+        share = self._params["capacity_share"].get(node)
+        capacity = self.state.capacity(resource, node)
+        return capacity if share is None else capacity * share
 
     def build_model(self):  # type: ignore[no-untyped-def]
         fresh = self._model is None
         model = super().build_model()
-        if fresh and self._incremental_ok:
-            # A fresh build lays the LP out against true capacities;
-            # fold the current shares in before the first solve.
-            self._patch_capacity_shares()
+        if fresh:
+            # A build (and every later re-bound) leaves each link at
+            # its full headroom; fold the current shares in on top.
+            self._bind(("link_share", "max_link_load", "volumes"),
+                       self._patch_link_shares)
             self._patch_link_shares()
         return model
-
-    # -- incremental patching ----------------------------------------------
-
-    def _patch_capacity_shares(self) -> None:
-        """Re-price shared nodes at ``capacity * share``.
-
-        Recomputes the affected coefficients from first principles
-        (work over scaled capacity) rather than rescaling in place, so
-        repeated share changes cannot compound rounding."""
-        shares = self._params["capacity_share"]
-        if not shares:
-            return
-        state = self.state
-        model = self._model
-        by_name = {cls.name: cls for cls in state.classes}
-        for cls in state.classes:
-            for resource in state.resources:
-                if cls.footprint(resource) == 0.0:
-                    continue
-                work = cls.footprint(resource) * cls.num_sessions
-                for node in cls.path:
-                    share = shares.get(node)
-                    if share is None:
-                        continue
-                    var = self._p[(cls.name, node)]
-                    cap = state.capacity(resource, node) * share
-                    model.set_coefficient(
-                        self._loadcost_cons[(resource, node)], var,
-                        -(work / cap))
-                    self._load_exprs[(resource, node)].coeffs[var] = (
-                        work / cap)
-        for (cls_name, _node, mirror), var in self._o.items():
-            share = shares.get(mirror)
-            if share is None:
-                continue
-            cls = by_name[cls_name]
-            for resource in state.resources:
-                if cls.footprint(resource) == 0.0:
-                    continue
-                work = cls.footprint(resource) * cls.num_sessions
-                cap = state.capacity(resource, mirror) * share
-                model.set_coefficient(
-                    self._loadcost_cons[(resource, mirror)], var,
-                    -(work / cap))
-                self._load_exprs[(resource, mirror)].coeffs[var] = (
-                    work / cap)
 
     def _patch_link_shares(self) -> None:
         """Bound each shared link at its share of the headroom."""

@@ -1,18 +1,37 @@
-"""Shared scaffolding for the four LP formulations.
+"""Shared scaffolding for the LP formulations: one coefficient table.
 
-:class:`Formulation` factors out what :class:`ReplicationProblem`,
-:class:`SplitTrafficProblem`, :class:`AggregationProblem` and
-:class:`CombinedProblem` used to each re-implement: model caching,
-solve-then-unpack, and — new with this layer — *named parameters* kept
-separate from LP *structure*.
+Every formulation here — :class:`ReplicationProblem` (and its regional
+and NIPS variants), :class:`SplitTrafficProblem`,
+:class:`AggregationProblem`, :class:`CombinedProblem` — is the paper's
+``LoadCost`` LP with the same two row families: load rows (Eq (3), one
+per ``(resource, node)``) and link rows (Eqs (4)/(5), one per link that
+can carry replicated traffic), plus at most one weighted cost in the
+objective (``beta * CommCost`` or ``gamma * MissRate``).
+
+A subclass says *what the coefficients are* exactly once, as term
+generators over the current ``state`` and parameters:
+
+- ``_load_terms()`` yields ``((resource, node), var, coeff)``;
+- ``_link_terms()`` yields ``(link, var, coeff)``;
+- ``_cost_expression()`` returns the CommCost / MissRate expression.
+
+:class:`Formulation` owns both consumers of that table. The *cold
+build* groups the terms into one expression per row and emits the
+``loadcost[...]`` / ``linkload[...]`` constraints; the *warm patch*
+(:meth:`_patch_rows`, :meth:`_patch_link_bounds`, :meth:`_patch_cost`)
+re-runs the very same generators and writes each coefficient into the
+compiled model in place. A coefficient formula therefore cannot differ
+between a rebuilt and a patched LP: warm ≡ cold holds by construction,
+and changing how rows are materialised (e.g. straight to COO arrays) is
+a change to :meth:`_rows` and the two emitters, not to any formulation.
 
 A parameter (``max_link_load``, ``beta``, ``gamma``, the per-class
-``volumes``) only scales coefficients or right-hand sides of an
-already-built LP; the set of variables and constraints never depends on
-it. Each subclass declares its parameters in ``__init__`` and, while
-building, registers *bindings*: closures that re-derive the affected
-coefficients from the current parameter values and patch them into the
-model in place (see :meth:`~repro.lpsolve.Model.set_rhs` and friends).
+``volumes``, a region's ``capacity_share``) only scales coefficients or
+right-hand sides of an already-built LP; the set of variables and
+constraints never depends on it. ``build_model`` registers one
+*binding* per consumer — the parameters it reads and the patch method
+to run when :meth:`Formulation.resolve` changes one of them — and
+subclasses may :meth:`_bind` more (the regional ``link_share`` rhs).
 
 :meth:`Formulation.resolve` is the payoff — the sweep experiments
 (Figures 11, 15, 18) and the controller's refresh loop change one
@@ -29,15 +48,19 @@ from __future__ import annotations
 
 import os
 from dataclasses import replace
-from typing import (Any, Callable, Dict, FrozenSet, List, Mapping,
-                    Optional, Sequence, Tuple, Union)
+from typing import (Any, Callable, Dict, FrozenSet, Hashable, Iterable,
+                    List, Mapping, Optional, Sequence, Tuple, Union)
 
 from repro.core.inputs import NetworkState
-from repro.lpsolve import Model, SolverBackend, StructureError
+from repro.core.results import LPStats
+from repro.lpsolve import (Constraint, LinExpr, Model, Solution,
+                           SolverBackend, StructureError, Variable)
 from repro.obs import get_registry
+from repro.topology.topology import Link
 from repro.traffic.classes import TrafficClass
 
 Validator = Callable[[Any], None]
+LoadKey = Tuple[str, str]  # (resource, node)
 
 
 def _check_max_link_load(value: float) -> None:
@@ -57,13 +80,18 @@ class Formulation:
 
     Subclasses implement:
 
-    - ``_build(model)`` — add variables, constraints and the objective
-      to a fresh model, and register parameter bindings via
-      :meth:`_bind`;
-    - ``_reset()`` — clear the variable/expression bookkeeping filled
-      in by ``_build`` (called before every (re)build);
+    - the coefficient table — :meth:`_load_terms`, and where the
+      formulation has them :meth:`_link_terms` and
+      :meth:`_cost_expression` (with :attr:`_cost_weight` naming the
+      parameter that weights it);
+    - ``_build(model)`` — add the decision variables and coverage
+      rows, call :meth:`_emit_load_rows` / :meth:`_emit_link_rows`,
+      and set the objective;
+    - ``_reset()`` — extended to clear their own variable maps
+      (called before every (re)build);
     - ``_unpack(model, solution)`` — turn a solved model into the
-      formulation's result dataclass.
+      formulation's result dataclass, on top of
+      :meth:`_assignment_fields`.
 
     Args:
         state: calibrated network-wide inputs.
@@ -74,6 +102,12 @@ class Formulation:
 
     #: label used in the model name, e.g. ``replication[internet2]``.
     kind = "lp"
+    #: parameters :meth:`_load_terms` reads (link and cost terms read
+    #: ``volumes`` alone); a change to one re-emits the load rows.
+    _load_params: Tuple[str, ...] = ("volumes",)
+    #: parameter weighting :meth:`_cost_expression` in the objective
+    #: (``beta`` / ``gamma``); None when the objective is LoadCost alone.
+    _cost_weight: Optional[str] = None
 
     def __init__(self, state: NetworkState,
                  backend: Union[None, str, SolverBackend] = None) -> None:
@@ -92,6 +126,7 @@ class Formulation:
             "volumes",
             {cls.name: cls.num_sessions for cls in state.classes},
             self._check_volumes)
+        self._reset()
 
     # -- parameters --------------------------------------------------------
 
@@ -155,6 +190,15 @@ class Formulation:
                       backend=self.backend)
         self._build(model)
         self._model = model
+        # One binding per consumer of the coefficient table, in the
+        # order a refresh must apply them.
+        self._bind(self._load_params, self._patch_load_rows)
+        self._bind(("volumes",), self._patch_link_rows)
+        if "max_link_load" in self._params:
+            self._bind(("max_link_load", "volumes"),
+                       self._patch_link_bounds)
+        if self._cost_weight is not None:
+            self._bind((self._cost_weight, "volumes"), self._patch_cost)
         return model
 
     def invalidate(self) -> None:
@@ -298,16 +342,182 @@ class Formulation:
                 return False
         return True
 
-    # -- subclass hooks ----------------------------------------------------
+    # -- the coefficient table (subclass hooks) -----------------------------
+
+    def _load_terms(self) -> Iterable[Tuple[LoadKey, Variable, float]]:
+        """Eq (3): ``((resource, node), var, coeff)`` — the normalized
+        load ``var`` puts on the node, for the current state and
+        parameters. One term wherever the footprint is non-zero,
+        whatever the volume: ``|T_c|`` is a parameter, and a class
+        estimated at zero sessions now must stay patchable when it
+        reappears."""
+        raise NotImplementedError
+
+    def _link_terms(self) -> Iterable[Tuple[Link, Variable, float]]:
+        """Eq (4): ``(link, var, coeff)`` — the normalized load
+        ``var`` puts on the link (none by default)."""
+        return ()
+
+    def _cost_expression(self) -> Optional[LinExpr]:
+        """The CommCost / MissRate expression :attr:`_cost_weight`
+        multiplies in the objective (none by default)."""
+        return None
+
+    def _capacity(self, resource: str, node: str) -> float:
+        """``Cap_j^r`` as the load terms price it."""
+        return self.state.capacity(resource, node)
+
+    def _bg_load(self, link: Link) -> float:
+        """``BG_l`` as the link rows account it."""
+        return self.state.bg_load(link)
+
+    # -- cold consumer: rows from terms -------------------------------------
+
+    @staticmethod
+    def _rows(keys: Iterable[Hashable],
+              terms: Iterable[Tuple[Any, Variable, float]]
+              ) -> Dict[Any, Dict[Variable, float]]:
+        """Group terms into one ``{var: coeff}`` dict per row key, in
+        term order (a variable named twice in a row accumulates)."""
+        rows: Dict[Any, Dict[Variable, float]] = {
+            key: {} for key in keys}
+        for key, var, coeff in terms:
+            row = rows[key]
+            row[var] = row.get(var, 0.0) + coeff
+        return rows
+
+    def _emit_load_rows(self, model: Model,
+                        constrain: bool = True) -> Variable:
+        """Add ``LoadCost`` and one load expression per (resource,
+        node); ``constrain`` bounds each by ``LoadCost`` (Eq (1))."""
+        load_cost = model.add_variable("LoadCost", lb=0.0)
+        self._load_cost_var = load_cost
+        state = self.state
+        rows = self._rows(((resource, node)
+                           for resource in state.resources
+                           for node in state.nids_nodes),
+                          self._load_terms())
+        for (resource, node), coeffs in rows.items():
+            expr = LinExpr(coeffs)
+            self._load_exprs[(resource, node)] = expr
+            if constrain:
+                self._loadcost_cons[(resource, node)] = (
+                    model.add_constraint(
+                        load_cost >= expr,
+                        name=f"loadcost[{resource},{node}]"))
+        return load_cost
+
+    def _emit_link_rows(self, model: Model) -> None:
+        """Background plus replicated load per link; a link no
+        variable can load keeps its expression (for reporting) but
+        gets no row."""
+        rows = self._rows(self.state.topology.links, self._link_terms())
+        for link, coeffs in rows.items():
+            expr = LinExpr(coeffs, self._bg_load(link))
+            self._link_exprs[link] = expr
+            if coeffs:
+                self._add_link_row(model, link, expr)
+
+    def _add_link_row(self, model: Model, link: Link,
+                      expr: LinExpr) -> None:
+        """Eq (5): ``LinkLoad_l <= max(MaxLinkLoad, BG_l)``."""
+        bound = max(self._params["max_link_load"], expr.constant)
+        self._link_cons[link] = model.add_constraint(
+            expr <= bound, name=f"linkload[{link[0]},{link[1]}]")
+
+    # -- warm consumer: the same terms, patched in place --------------------
+
+    def _patch_rows(self, terms: Iterable[Tuple[Any, Variable, float]],
+                    exprs: Dict[Any, LinExpr],
+                    cons: Dict[Any, Constraint], sign: float) -> None:
+        """Overwrite one row family's coefficients with what a cold
+        build would emit now; ``sign`` is the side of the constraint
+        the expression was normalized to."""
+        for key, coeffs in self._rows(exprs, terms).items():
+            expr = exprs[key]
+            con = cons.get(key)
+            for var, coeff in coeffs.items():
+                if expr.coeffs.get(var) == coeff:
+                    continue  # e.g. an unshared node on a share round
+                expr.coeffs[var] = coeff
+                if con is not None:
+                    self._model.set_coefficient(con, var, sign * coeff)
+
+    def _patch_load_rows(self) -> None:
+        # Load rows are stated ``LoadCost >= expr``, hence the sign.
+        self._patch_rows(self._load_terms(), self._load_exprs,
+                         self._loadcost_cons, -1.0)
+
+    def _patch_link_rows(self) -> None:
+        self._patch_rows(self._link_terms(), self._link_exprs,
+                         self._link_cons, 1.0)
+
+    def _patch_link_bounds(self) -> None:
+        """Re-target ``max(MaxLinkLoad, BG_l)`` bounds and background
+        constants (BG changes whenever volumes do)."""
+        max_link_load = self._params["max_link_load"]
+        for link, expr in self._link_exprs.items():
+            bg = expr.constant = self._bg_load(link)
+            con = self._link_cons.get(link)
+            if con is not None:
+                # Negated the way ``expr <= bound`` normalizes it, so a
+                # zero headroom carries the sign a cold build gives it.
+                self._model.set_rhs(con, -(bg - max(max_link_load, bg)))
+
+    def _patch_cost(self) -> None:
+        """Re-emit the cost expression and its ``weight * cost``
+        objective coefficients."""
+        weight = self._params[self._cost_weight]
+        self._cost_expr = self._cost_expression()
+        for var, coeff in self._cost_expr.coeffs.items():
+            self._model.set_objective_coefficient(var, weight * coeff)
+
+    # -- build / unpack hooks -----------------------------------------------
 
     def _reset(self) -> None:
-        raise NotImplementedError
+        """Clear the bookkeeping a build fills in; subclasses extend
+        it with their own variable maps."""
+        self._p: Dict[Tuple[str, str], Variable] = {}
+        self._load_exprs: Dict[LoadKey, LinExpr] = {}
+        self._link_exprs: Dict[Link, LinExpr] = {}
+        self._loadcost_cons: Dict[LoadKey, Constraint] = {}
+        self._link_cons: Dict[Link, Constraint] = {}
+        self._cost_expr: Optional[LinExpr] = None
+        self._load_cost_var: Optional[Variable] = None
 
     def _build(self, model: Model) -> None:
         raise NotImplementedError
 
-    def _unpack(self, model: Model, solution):
+    def _unpack(self, model: Model, solution: Solution) -> Any:
         raise NotImplementedError
+
+    def _assignment_fields(self, model: Model,
+                           solution: Solution) -> Dict[str, Any]:
+        """The :class:`~repro.core.results.AssignmentResult` fields,
+        which every formulation reports the same way."""
+        process: Dict[str, Dict[str, float]] = {}
+        for (cls_name, node), var in self._p.items():
+            process.setdefault(cls_name, {})[node] = solution.value(var)
+        return dict(
+            load_cost=solution.value(self._load_cost_var),
+            node_loads={
+                resource: {
+                    node: solution.value(
+                        self._load_exprs[(resource, node)])
+                    for node in self.state.nids_nodes}
+                for resource in self.state.resources},
+            process_fractions=process,
+            dc_node=self.state.dc_node,
+            stats=LPStats(
+                num_variables=model.num_variables,
+                num_constraints=model.num_constraints,
+                solve_seconds=solution.solve_seconds,
+                iterations=solution.iterations))
+
+    def _link_loads(self, solution: Solution) -> Dict[Link, float]:
+        """Resulting ``LinkLoad_l`` per link."""
+        return {link: solution.value(expr)
+                for link, expr in self._link_exprs.items()}
 
 
 __all__ = ["Formulation"]

@@ -16,19 +16,22 @@ handles:
    ``j`` via ``j'`` is ``hops(j,j') + hops(j',egress) - hops(j,egress)``
    extra hops; the formulation bounds each class's expected detour.
 
-Everything else (coverage, node loads, min-max objective) matches the
-Section 4 replication LP.
+Everything else (variables, coverage, node loads, min-max objective)
+*is* the Section 4 replication LP: :class:`NIPSProblem` inherits it
+from :class:`~repro.core.replication.ReplicationProblem` and restates
+only the link coefficients, the background and the extra rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.core.inputs import NetworkState
 from repro.core.mirrors import MirrorPolicy
-from repro.core.results import LPStats, ReplicationResult
-from repro.lpsolve import LinExpr, Model, Variable, lin_sum
+from repro.core.replication import ReplicationProblem
+from repro.core.results import ReplicationResult
+from repro.lpsolve import LinExpr, Model, Solution, Variable, lin_sum
 from repro.topology.topology import Link, Topology
 
 
@@ -46,7 +49,7 @@ class NIPSResult(ReplicationResult):
         return sum(self.extra_hops.values()) / len(self.extra_hops)
 
 
-class NIPSProblem:
+class NIPSProblem(ReplicationProblem):
     """Reroute-based offloading for inline NIPS devices.
 
     Args:
@@ -59,23 +62,24 @@ class NIPSProblem:
             rerouted session, amortized over the class).
     """
 
+    kind = "nips"
+
     def __init__(self, state: NetworkState,
                  mirror_policy: Optional[MirrorPolicy] = None,
                  max_link_load: float = 0.4,
                  max_latency_penalty: float = 2.0) -> None:
-        if not 0.0 <= max_link_load <= 1.0:
-            raise ValueError("max_link_load must be in [0, 1]")
+        super().__init__(state, mirror_policy=mirror_policy,
+                         max_link_load=max_link_load)
         if max_latency_penalty < 0:
             raise ValueError("max_latency_penalty must be non-negative")
-        self.state = state
-        self.mirror_policy = mirror_policy or MirrorPolicy.none()
-        self.max_link_load = max_link_load
         self.max_latency_penalty = max_latency_penalty
-        self._model: Optional[Model] = None
-        self._p: Dict[Tuple[str, str], Variable] = {}
-        self._o: Dict[Tuple[str, str, str], Variable] = {}
-        self._load_exprs: Dict[Tuple[str, str], LinExpr] = {}
-        self._link_exprs: Dict[Link, LinExpr] = {}
+        # The floor and latency rows sit outside the parameter
+        # calculus; a resolve rebuilds.
+        self._incremental_ok = False
+
+    def _reset(self) -> None:
+        super()._reset()
+        self._forward_bytes: Dict[Link, float] = {}
         self._detour_exprs: Dict[str, LinExpr] = {}
 
     def _detour_hops(self, node: str, mirror: str, egress: str) -> int:
@@ -85,113 +89,45 @@ class NIPSProblem:
                 routing.hop_count(mirror, egress) -
                 routing.hop_count(node, egress))
 
-    def build_model(self) -> Model:
-        """Construct (and cache) the NIPS LP."""
+    # -- the coefficient table ----------------------------------------------
+
+    def _link_terms(self) -> Iterator[Tuple[Link, Variable, float]]:
+        # Rerouting at j removes the class's bytes from links
+        # downstream of j and adds them on P(j, mirror) +
+        # P(mirror, egress).
         state = self.state
-        model = Model(f"nips[{state.topology.name}]")
-        mirror_sets = self.mirror_policy.mirror_sets(state)
-
-        o_by_class: Dict[str, List[Variable]] = {}
-        for cls in state.classes:
-            for node in cls.path:
-                self._p[(cls.name, node)] = model.add_variable(
-                    f"p[{cls.name},{node}]", lb=0.0, ub=1.0)
-            path_set = set(cls.path)
-            offloads = o_by_class.setdefault(cls.name, [])
-            for node in cls.path:
-                for mirror in mirror_sets[node]:
-                    if mirror in path_set:
-                        continue
-                    var = model.add_variable(
-                        f"o[{cls.name},{node},{mirror}]", lb=0.0, ub=1.0)
-                    self._o[(cls.name, node, mirror)] = var
-                    offloads.append(var)
-
-        for cls in state.classes:
-            terms = [self._p[(cls.name, node)] for node in cls.path]
-            terms.extend(o_by_class[cls.name])
-            model.add_constraint(lin_sum(terms) == 1.0,
-                                 name=f"cover[{cls.name}]")
-
-        # Node loads — identical to Section 4 (the mirror inspects the
-        # rerouted traffic inline).
-        load_terms: Dict[Tuple[str, str], List[LinExpr]] = {
-            (resource, node): []
-            for resource in state.resources for node in state.nids_nodes
-        }
         by_name = {cls.name: cls for cls in state.classes}
-        for cls in state.classes:
-            for resource in state.resources:
-                work = cls.footprint(resource) * cls.num_sessions
-                if work == 0.0:
-                    continue
-                for node in cls.path:
-                    cap = state.capacity(resource, node)
-                    load_terms[(resource, node)].append(
-                        self._p[(cls.name, node)] * (work / cap))
-        for (cls_name, _, mirror), var in self._o.items():
-            cls = by_name[cls_name]
-            for resource in state.resources:
-                work = cls.footprint(resource) * cls.num_sessions
-                if work == 0.0:
-                    continue
-                cap = state.capacity(resource, mirror)
-                load_terms[(resource, mirror)].append(var * (work / cap))
-
-        load_cost = model.add_variable("LoadCost", lb=0.0)
-        for (resource, node), terms in load_terms.items():
-            expr = lin_sum(terms)
-            self._load_exprs[(resource, node)] = expr
-            model.add_constraint(load_cost >= expr,
-                                 name=f"loadcost[{resource},{node}]")
-
-        # Link loads: BG decomposed per class; rerouting at j removes
-        # the class's bytes from links downstream of j and adds them on
-        # P(j, mirror) + P(mirror, egress).
-        link_terms: Dict[Link, List[LinExpr]] = {
-            link: [] for link in state.topology.links}
-        link_constants: Dict[Link, float] = {
-            link: 0.0 for link in state.topology.links}
-
-        for cls in state.classes:
-            class_bytes = cls.num_sessions * cls.session_bytes
-            links_on_path = Topology.path_links(cls.path)
-            for link in links_on_path:
-                link_constants[link] += class_bytes
-            if cls.rev_path is not None:
-                # NIPS rerouting of asymmetric classes is out of scope
-                # (the paper's NIPS discussion assumes the forwarding
-                # path); treat their background as fixed.
-                continue
         for (cls_name, node, mirror), var in self._o.items():
             cls = by_name[cls_name]
             class_bytes = cls.num_sessions * cls.session_bytes
-            node_index = cls.path.index(node)
-            # Removed from the original downstream links...
-            downstream = Topology.path_links(cls.path[node_index:])
+            downstream = Topology.path_links(
+                cls.path[cls.path.index(node):])
             for link in downstream:
-                coeff = -class_bytes / state.link_capacity[link]
-                link_terms[link].append(var * coeff)
-            # ...and added on the detour.
+                yield (link, var,
+                       -class_bytes / state.link_capacity[link])
             detour_links = (state.routing.path_links(node, mirror) +
                             state.routing.path_links(mirror,
                                                      cls.target))
             for link in detour_links:
-                coeff = class_bytes / state.link_capacity[link]
-                link_terms[link].append(var * coeff)
+                yield link, var, class_bytes / state.link_capacity[link]
 
-        for link in state.topology.links:
-            bg = link_constants[link] / state.link_capacity[link]
-            expr = lin_sum(link_terms[link]) + bg
-            self._link_exprs[link] = expr
-            if not link_terms[link]:
-                continue
-            bound = max(self.max_link_load, bg)
-            model.add_constraint(expr <= bound,
-                                 name=f"linkload[{link[0]},{link[1]}]")
-            # Rerouting cannot drive a link's load negative.
-            model.add_constraint(expr >= 0.0,
-                                 name=f"linkfloor[{link[0]},{link[1]}]")
+    def _bg_load(self, link: Link) -> float:
+        return self._forward_bytes[link] / self.state.link_capacity[link]
+
+    # -- model construction -------------------------------------------------
+
+    def _build(self, model: Model) -> None:
+        state = self.state
+        # BG decomposed per class, so a reroute can subtract it. NIPS
+        # rerouting of asymmetric classes is out of scope (the paper's
+        # NIPS discussion assumes the forwarding path), so only the
+        # forward path is accounted.
+        self._forward_bytes = {link: 0.0 for link in state.topology.links}
+        for cls in state.classes:
+            for link in Topology.path_links(cls.path):
+                self._forward_bytes[link] += (cls.num_sessions *
+                                              cls.session_bytes)
+        super()._build(model)
 
         # Latency: bound each class's expected detour hops.
         for cls in state.classes:
@@ -209,42 +145,19 @@ class NIPSProblem:
                     expr <= self.max_latency_penalty,
                     name=f"latency[{cls.name}]")
 
-        model.minimize(load_cost)
-        self._model = model
-        self._load_cost_var = load_cost
-        return model
+    def _add_link_row(self, model: Model, link: Link,
+                      expr: LinExpr) -> None:
+        super()._add_link_row(model, link, expr)
+        # Rerouting cannot drive a link's load negative.
+        model.add_constraint(expr >= 0.0,
+                             name=f"linkfloor[{link[0]},{link[1]}]")
+
+    def _unpack(self, model: Model, solution: Solution) -> NIPSResult:
+        return NIPSResult(
+            extra_hops={name: solution.value(expr)
+                        for name, expr in self._detour_exprs.items()},
+            **vars(super()._unpack(model, solution)))
 
     def solve(self) -> NIPSResult:
         """Solve and unpack, including per-class expected detours."""
-        model = self._model or self.build_model()
-        solution = model.solve()
-        node_loads = {
-            resource: {
-                node: solution.value(self._load_exprs[(resource, node)])
-                for node in self.state.nids_nodes
-            }
-            for resource in self.state.resources
-        }
-        process: Dict[str, Dict[str, float]] = {}
-        for (cls_name, node), var in self._p.items():
-            process.setdefault(cls_name, {})[node] = solution.value(var)
-        offload: Dict[str, Dict[Tuple[str, str], float]] = {}
-        for (cls_name, node, mirror), var in self._o.items():
-            offload.setdefault(cls_name, {})[(node, mirror)] = \
-                solution.value(var)
-        return NIPSResult(
-            load_cost=solution.value(self._load_cost_var),
-            node_loads=node_loads,
-            process_fractions=process,
-            offload_fractions=offload,
-            link_loads={link: solution.value(expr)
-                        for link, expr in self._link_exprs.items()},
-            max_link_load=self.max_link_load,
-            extra_hops={name: solution.value(expr)
-                        for name, expr in self._detour_exprs.items()},
-            dc_node=self.state.dc_node,
-            stats=LPStats(
-                num_variables=model.num_variables,
-                num_constraints=model.num_constraints,
-                solve_seconds=solution.solve_seconds,
-                iterations=solution.iterations))
+        return super().solve()

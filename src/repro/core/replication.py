@@ -15,7 +15,9 @@ the replication tunnels plus background bounded by
 maximum node-resource load (Eq (1)), optionally with the piecewise
 link-cost extension from the end of Section 4.
 
-The class is a :class:`~repro.core.formulation.Formulation`:
+The class is a :class:`~repro.core.formulation.Formulation`: it
+states the load and link coefficients once (``_load_terms`` /
+``_link_terms``) and the base class builds and patches from them.
 ``max_link_load`` and the per-class ``volumes`` are named parameters,
 so ``resolve(max_link_load=...)`` (Figure 11) and
 ``resolve_traffic(classes)`` (Figure 15, controller refresh) patch the
@@ -24,14 +26,15 @@ compiled LP in place instead of rebuilding it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.core.formulation import Formulation, _check_max_link_load
+from repro.core.formulation import (Formulation, LoadKey,
+                                    _check_max_link_load)
 from repro.core.inputs import NetworkState
 from repro.core.mirrors import MirrorPolicy
-from repro.core.results import LPStats, ReplicationResult
-from repro.lpsolve import (Constraint, LinExpr, Model, Solution,
-                           SolverBackend, Variable, lin_sum)
+from repro.core.results import ReplicationResult
+from repro.lpsolve import (LinExpr, Model, Solution, SolverBackend,
+                           Variable, lin_sum)
 from repro.topology.topology import Link
 
 OffloadKey = Tuple[str, str, str]  # (class name, from node, to node)
@@ -78,7 +81,6 @@ class ReplicationProblem(Formulation):
                              else dict(load_weights))
         if link_cost_weight is not None or load_weights is not None:
             self._incremental_ok = False
-        self._reset()
 
     @property
     def max_link_load(self) -> float:
@@ -86,22 +88,51 @@ class ReplicationProblem(Formulation):
         return self._params["max_link_load"]
 
     def _reset(self) -> None:
-        self._p: Dict[Tuple[str, str], Variable] = {}
+        super()._reset()
         self._o: Dict[OffloadKey, Variable] = {}
-        self._load_exprs: Dict[Tuple[str, str], LinExpr] = {}
-        self._link_exprs: Dict[Link, LinExpr] = {}
-        self._loadcost_cons: Dict[Tuple[str, str], Constraint] = {}
-        self._link_cons: Dict[Link, Constraint] = {}
-        self._load_cost_var: Optional[Variable] = None
+        self._link_penalties: List[LinExpr] = []
+
+    # -- the coefficient table ----------------------------------------------
+
+    def _load_terms(self) -> Iterator[Tuple[LoadKey, Variable, float]]:
+        # Eq (3): on-path processing plus offloaded-in work.
+        state = self.state
+        capacity = self._capacity
+        by_name = {cls.name: cls for cls in state.classes}
+        for cls in state.classes:
+            for resource in state.resources:
+                if cls.footprint(resource) == 0.0:
+                    continue
+                work = cls.footprint(resource) * cls.num_sessions
+                for node in cls.path:
+                    yield ((resource, node), self._p[(cls.name, node)],
+                           work / capacity(resource, node))
+        for (cls_name, _, mirror), var in self._o.items():
+            cls = by_name[cls_name]
+            for resource in state.resources:
+                if cls.footprint(resource) == 0.0:
+                    continue
+                work = cls.footprint(resource) * cls.num_sessions
+                yield ((resource, mirror), var,
+                       work / capacity(resource, mirror))
+
+    def _link_terms(self) -> Iterator[Tuple[Link, Variable, float]]:
+        # Eq (4): the replication tunnel from node to mirror.
+        state = self.state
+        by_name = {cls.name: cls for cls in state.classes}
+        for (cls_name, node, mirror), var in self._o.items():
+            cls = by_name[cls_name]
+            replicated_bytes = cls.num_sessions * cls.session_bytes
+            for link in state.routing.path_links(node, mirror):
+                yield (link, var,
+                       replicated_bytes / state.link_capacity[link])
 
     # -- model construction -------------------------------------------------
 
-    def _build(self, model: Model) -> None:
+    def _add_fraction_variables(self, model: Model) -> None:
+        """Decision variables (Eqs (6), (7)) and coverage (Eq (2))."""
         state = self.state
         mirror_sets = self.mirror_policy.mirror_sets(state)
-        by_name = {cls.name: cls for cls in state.classes}
-
-        # Decision variables (Eqs (6), (7)).
         o_by_class: Dict[str, List[Variable]] = {}
         for cls in state.classes:
             for node in cls.path:
@@ -117,8 +148,6 @@ class ReplicationProblem(Formulation):
                         f"o[{cls.name},{node},{mirror}]", lb=0.0, ub=1.0)
                     self._o[(cls.name, node, mirror)] = var
                     class_offloads.append(var)
-
-        # Coverage (Eq (2)).
         for cls in state.classes:
             terms: List[Variable] = [self._p[(cls.name, node)]
                                      for node in cls.path]
@@ -126,41 +155,10 @@ class ReplicationProblem(Formulation):
             model.add_constraint(lin_sum(terms) == 1.0,
                                  name=f"cover[{cls.name}]")
 
-        # Node loads (Eq (3)): on-path processing plus offloaded-in work.
-        load_terms: Dict[Tuple[str, str], List[LinExpr]] = {
-            (resource, node): []
-            for resource in state.resources for node in state.nids_nodes
-        }
-        # A term exists wherever the footprint is non-zero, whatever
-        # the volume: |T_c| is a parameter, and a class estimated at
-        # zero sessions now must stay patchable when it reappears.
-        for cls in state.classes:
-            for resource in state.resources:
-                if cls.footprint(resource) == 0.0:
-                    continue
-                work = cls.footprint(resource) * cls.num_sessions
-                for node in cls.path:
-                    cap = state.capacity(resource, node)
-                    load_terms[(resource, node)].append(
-                        self._p[(cls.name, node)] * (work / cap))
-        for (cls_name, _, mirror), var in self._o.items():
-            cls = by_name[cls_name]
-            for resource in state.resources:
-                if cls.footprint(resource) == 0.0:
-                    continue
-                work = cls.footprint(resource) * cls.num_sessions
-                cap = state.capacity(resource, mirror)
-                load_terms[(resource, mirror)].append(var * (work / cap))
-
-        load_cost = model.add_variable("LoadCost", lb=0.0)
-        for (resource, node), terms in load_terms.items():
-            expr = lin_sum(terms)
-            self._load_exprs[(resource, node)] = expr
-            if self.load_weights is None:
-                self._loadcost_cons[(resource, node)] = (
-                    model.add_constraint(
-                        load_cost >= expr,
-                        name=f"loadcost[{resource},{node}]"))
+    def _build(self, model: Model) -> None:
+        self._add_fraction_variables(model)
+        load_cost = self._emit_load_rows(
+            model, constrain=self.load_weights is None)
         if self.load_weights is not None:
             from repro.core.extensions import weighted_load_objective
 
@@ -168,134 +166,42 @@ class ReplicationProblem(Formulation):
                                                self.load_weights)
             model.add_constraint(load_cost >= weighted,
                                  name="loadcost[weighted]")
-
-        # Link loads (Eqs (4), (5)).
-        link_terms: Dict[Link, List[LinExpr]] = {
-            link: [] for link in state.topology.links}
-        for (cls_name, node, mirror), var in self._o.items():
-            cls = by_name[cls_name]
-            replicated_bytes = cls.num_sessions * cls.session_bytes
-            for link in state.routing.path_links(node, mirror):
-                coeff = replicated_bytes / state.link_capacity[link]
-                link_terms[link].append(var * coeff)
-
-        penalty_terms: List[LinExpr] = []
-        for link, terms in link_terms.items():
-            bg = state.bg_load(link)
-            expr = lin_sum(terms) + bg
-            self._link_exprs[link] = expr
-            if not terms:
-                continue
-            if self.link_cost_weight is None:
-                bound = max(self.max_link_load, bg)
-                self._link_cons[link] = model.add_constraint(
-                    expr <= bound, name=f"linkload[{link[0]},{link[1]}]")
-            else:
-                from repro.core.extensions import piecewise_link_cost
-
-                penalty_terms.append(piecewise_link_cost(
-                    model, expr, name=f"{link[0]}-{link[1]}"))
-
+        self._emit_link_rows(model)
         # Objective (Eq (1)), optionally with the link-cost extension.
         if self.link_cost_weight is None:
             model.minimize(load_cost)
         else:
-            model.minimize(load_cost +
-                           self.link_cost_weight * lin_sum(penalty_terms))
-        self._load_cost_var = load_cost
+            model.minimize(
+                load_cost +
+                self.link_cost_weight * lin_sum(self._link_penalties))
 
-        if self._incremental_ok:
-            self._bind(("volumes",), self._patch_volume_terms)
-            self._bind(("max_link_load", "volumes"),
-                       self._patch_link_bounds)
+    def _add_link_row(self, model: Model, link: Link,
+                      expr: LinExpr) -> None:
+        if self.link_cost_weight is None:
+            super()._add_link_row(model, link, expr)
+        else:
+            from repro.core.extensions import piecewise_link_cost
 
-    # -- incremental patching ------------------------------------------------
-
-    def _patch_volume_terms(self) -> None:
-        """Rescale every ``|T_c|``-proportional coefficient in place."""
-        state = self.state
-        model = self._model
-        by_name = {cls.name: cls for cls in state.classes}
-        for cls in state.classes:
-            for resource in state.resources:
-                if cls.footprint(resource) == 0.0:
-                    continue
-                work = cls.footprint(resource) * cls.num_sessions
-                for node in cls.path:
-                    cap = state.capacity(resource, node)
-                    var = self._p[(cls.name, node)]
-                    model.set_coefficient(
-                        self._loadcost_cons[(resource, node)], var,
-                        -(work / cap))
-                    self._load_exprs[(resource, node)].coeffs[var] = (
-                        work / cap)
-        for (cls_name, node, mirror), var in self._o.items():
-            cls = by_name[cls_name]
-            for resource in state.resources:
-                if cls.footprint(resource) == 0.0:
-                    continue
-                work = cls.footprint(resource) * cls.num_sessions
-                cap = state.capacity(resource, mirror)
-                model.set_coefficient(
-                    self._loadcost_cons[(resource, mirror)], var,
-                    -(work / cap))
-                self._load_exprs[(resource, mirror)].coeffs[var] = (
-                    work / cap)
-            replicated_bytes = cls.num_sessions * cls.session_bytes
-            for link in state.routing.path_links(node, mirror):
-                coeff = replicated_bytes / state.link_capacity[link]
-                con = self._link_cons.get(link)
-                if con is not None:
-                    model.set_coefficient(con, var, coeff)
-                self._link_exprs[link].coeffs[var] = coeff
-
-    def _patch_link_bounds(self) -> None:
-        """Re-target ``max(MaxLinkLoad, BG_l)`` bounds and background
-        constants (BG changes whenever volumes do)."""
-        state = self.state
-        model = self._model
-        for link, expr in self._link_exprs.items():
-            bg = state.bg_load(link)
-            expr.constant = bg
-            con = self._link_cons.get(link)
-            if con is not None:
-                model.set_rhs(con, max(self.max_link_load, bg) - bg)
+            self._link_penalties.append(piecewise_link_cost(
+                model, expr, name=f"{link[0]}-{link[1]}"))
 
     # -- solving --------------------------------------------------------------
 
-    def _unpack(self, model: Model,
-                solution: Solution) -> ReplicationResult:
-        node_loads = {
-            resource: {
-                node: solution.value(
-                    self._load_exprs[(resource, node)])
-                for node in self.state.nids_nodes
-            }
-            for resource in self.state.resources
-        }
-        process: Dict[str, Dict[str, float]] = {}
-        for (cls_name, node), var in self._p.items():
-            process.setdefault(cls_name, {})[node] = solution.value(var)
+    def _offload_fractions(self, solution: Solution
+                           ) -> Dict[str, Dict[Tuple[str, str], float]]:
         offload: Dict[str, Dict[Tuple[str, str], float]] = {}
         for (cls_name, node, mirror), var in self._o.items():
             offload.setdefault(cls_name, {})[(node, mirror)] = (
                 solution.value(var))
-        link_loads = {link: solution.value(expr)
-                      for link, expr in self._link_exprs.items()}
+        return offload
 
+    def _unpack(self, model: Model,
+                solution: Solution) -> ReplicationResult:
         return ReplicationResult(
-            load_cost=solution.value(self._load_cost_var),
-            node_loads=node_loads,
-            process_fractions=process,
-            offload_fractions=offload,
-            link_loads=link_loads,
+            offload_fractions=self._offload_fractions(solution),
+            link_loads=self._link_loads(solution),
             max_link_load=self.max_link_load,
-            dc_node=self.state.dc_node,
-            stats=LPStats(
-                num_variables=model.num_variables,
-                num_constraints=model.num_constraints,
-                solve_seconds=solution.solve_seconds,
-                iterations=solution.iterations))
+            **self._assignment_fields(model, solution))
 
     def solve(self) -> ReplicationResult:
         """Solve the LP and unpack the solution.

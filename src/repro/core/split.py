@@ -17,19 +17,22 @@ Section 4.
 ``max_link_load``, ``gamma`` and the per-class ``volumes`` are named
 :class:`~repro.core.formulation.Formulation` parameters and can be
 changed with ``resolve`` (the miss-mode extensions opt out of the
-incremental path and rebuild on every resolve).
+incremental path and rebuild on every resolve). The coefficients are
+stated once (``_load_terms`` / ``_link_terms`` / ``_cost_expression``);
+the base class builds and patches from them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
-from repro.core.formulation import (Formulation, _check_max_link_load,
+from repro.core.formulation import (Formulation, LoadKey,
+                                    _check_max_link_load,
                                     _check_non_negative)
 from repro.core.inputs import NetworkState
 from repro.core.results import LPStats, SplitTrafficResult
-from repro.lpsolve import (Constraint, LinExpr, Model, Solution,
-                           SolverBackend, Variable, lin_sum)
+from repro.lpsolve import (LinExpr, Model, Solution, SolverBackend,
+                           Variable, lin_sum)
 from repro.topology.topology import Link
 
 # Weight that makes the solver prioritize coverage over load balance;
@@ -56,6 +59,7 @@ class SplitTrafficProblem(Formulation):
     """
 
     kind = "split"
+    _cost_weight = "gamma"
 
     def __init__(self, state: NetworkState, max_link_load: float = 0.4,
                  gamma: float = DEFAULT_GAMMA,
@@ -84,7 +88,6 @@ class SplitTrafficProblem(Formulation):
         self.miss_weights = dict(miss_weights or {})
         if miss_mode != "total":
             self._incremental_ok = False
-        self._reset()
 
     @property
     def max_link_load(self) -> float:
@@ -97,20 +100,68 @@ class SplitTrafficProblem(Formulation):
         return self._params["gamma"]
 
     def _reset(self) -> None:
-        self._p: Dict[Tuple[str, str], Variable] = {}
+        super()._reset()
         self._ofwd: Dict[Tuple[str, str], Variable] = {}
         self._orev: Dict[Tuple[str, str], Variable] = {}
         self._cov: Dict[str, Variable] = {}
-        self._load_exprs: Dict[Tuple[str, str], LinExpr] = {}
-        self._link_exprs: Dict[Link, LinExpr] = {}
-        self._loadcost_cons: Dict[Tuple[str, str], Constraint] = {}
-        self._link_cons: Dict[Link, Constraint] = {}
-        self._miss_expr: Optional[LinExpr] = None
-        self._load_cost_var: Optional[Variable] = None
+
+    # -- the coefficient table ----------------------------------------------
+
+    def _load_terms(self) -> Iterator[Tuple[LoadKey, Variable, float]]:
+        # A common node processing fraction p sees both directions
+        # (full footprint); the DC pays half a footprint per offloaded
+        # direction-fraction.
+        state = self.state
+        dc = state.dc_node
+        for cls in state.classes:
+            for resource in state.resources:
+                if cls.footprint(resource) == 0.0:
+                    continue
+                work = cls.footprint(resource) * cls.num_sessions
+                for node in cls.common_nodes:
+                    yield ((resource, node), self._p[(cls.name, node)],
+                           work / self._capacity(resource, node))
+                if self.allow_offload:
+                    half = work / 2.0 / self._capacity(resource, dc)
+                    for node in cls.fwd_nodes:
+                        yield ((resource, dc),
+                               self._ofwd[(cls.name, node)], half)
+                    for node in cls.rev_nodes:
+                        yield ((resource, dc),
+                               self._orev[(cls.name, node)], half)
+
+    def _link_terms(self) -> Iterator[Tuple[Link, Variable, float]]:
+        # The per-direction replication tunnels to the datacenter.
+        state = self.state
+        dc = state.dc_node
+        by_name = {cls.name: cls for cls in state.classes}
+        for offloads in (self._ofwd, self._orev):
+            for (cls_name, node), var in offloads.items():
+                cls = by_name[cls_name]
+                direction_bytes = (cls.num_sessions *
+                                   cls.session_bytes / 2.0)
+                for link in state.routing.path_links(node, dc):
+                    yield (link, var,
+                           direction_bytes / state.link_capacity[link])
+
+    def _cost_expression(self) -> LinExpr:
+        # MissRate (Eq (11)): the traffic-weighted fraction missed; an
+        # all-zero matrix misses nothing.
+        classes = self.state.classes
+        total_sessions = sum(cls.num_sessions for cls in classes)
+        coeffs = {}
+        constant = 0.0
+        for cls in classes:
+            weight = (cls.num_sessions / total_sessions
+                      if total_sessions else 0.0)
+            coeffs[self._cov[cls.name]] = -weight
+            constant += weight
+        return LinExpr(coeffs, constant)
+
+    # -- model construction -------------------------------------------------
 
     def _build(self, model: Model) -> None:
         state = self.state
-        dc = state.dc_node
 
         # Decision variables: local processing on common nodes, and
         # per-direction offloads to the datacenter from observer nodes.
@@ -147,74 +198,17 @@ class SplitTrafficProblem(Formulation):
                                  name=f"cov_rev[{cls.name}]")
             self._cov[cls.name] = cov
 
-        # Node loads: a common node processing fraction p sees both
-        # directions (full footprint); the DC pays half a footprint per
-        # offloaded direction-fraction.
-        load_terms: Dict[Tuple[str, str], List[LinExpr]] = {
-            (resource, node): []
-            for resource in state.resources for node in state.nids_nodes
-        }
-        for cls in state.classes:
-            for resource in state.resources:
-                if cls.footprint(resource) == 0.0:
-                    continue
-                work = cls.footprint(resource) * cls.num_sessions
-                for node in cls.common_nodes:
-                    cap = state.capacity(resource, node)
-                    load_terms[(resource, node)].append(
-                        self._p[(cls.name, node)] * (work / cap))
-                if self.allow_offload:
-                    cap = state.capacity(resource, dc)
-                    half = work / 2.0 / cap
-                    for node in cls.fwd_nodes:
-                        load_terms[(resource, dc)].append(
-                            self._ofwd[(cls.name, node)] * half)
-                    for node in cls.rev_nodes:
-                        load_terms[(resource, dc)].append(
-                            self._orev[(cls.name, node)] * half)
+        load_cost = self._emit_load_rows(model)
+        self._emit_link_rows(model)
 
-        load_cost = model.add_variable("LoadCost", lb=0.0)
-        for (resource, node), terms in load_terms.items():
-            expr = lin_sum(terms)
-            self._load_exprs[(resource, node)] = expr
-            self._loadcost_cons[(resource, node)] = model.add_constraint(
-                load_cost >= expr, name=f"loadcost[{resource},{node}]")
-
-        # Link loads from the per-direction replication tunnels.
-        link_terms: Dict[Link, List[LinExpr]] = {
-            link: [] for link in state.topology.links}
-        if self.allow_offload:
-            for offloads in (self._ofwd, self._orev):
-                for (cls_name, node), var in offloads.items():
-                    cls = _class_lookup(state)[cls_name]
-                    direction_bytes = (cls.num_sessions *
-                                       cls.session_bytes / 2.0)
-                    for link in state.routing.path_links(node, dc):
-                        coeff = direction_bytes / state.link_capacity[link]
-                        link_terms[link].append(var * coeff)
-        for link, terms in link_terms.items():
-            bg = state.bg_load(link)
-            expr = lin_sum(terms) + bg
-            self._link_exprs[link] = expr
-            if terms:
-                bound = max(self.max_link_load, bg)
-                self._link_cons[link] = model.add_constraint(
-                    expr <= bound, name=f"linkload[{link[0]},{link[1]}]")
-
-        # The reported MissRate always follows Eq (11) (traffic-
-        # weighted fraction missed) regardless of the objective mode.
-        total_sessions = sum(cls.num_sessions for cls in state.classes)
-        miss_terms = [
-            (1.0 - self._cov[cls.name]) * (cls.num_sessions /
-                                           total_sessions)
-            for cls in state.classes
-        ]
-        self._miss_expr = lin_sum(miss_terms)
+        # The reported MissRate always follows Eq (11) regardless of
+        # the objective mode.
+        self._cost_expr = self._cost_expression()
 
         # Objective: LoadCost + gamma * <miss term> — Eq (11) by
         # default, or one of the Section 5 extensions.
         if self.miss_mode == "total":
-            objective_miss = self._miss_expr
+            objective_miss = self._cost_expr
         elif self.miss_mode == "max":
             from repro.core.extensions import max_miss_objective
 
@@ -222,131 +216,33 @@ class SplitTrafficProblem(Formulation):
             # ignoring coverable classes once one class's miss pins
             # the max (the usual min-max degeneracy).
             objective_miss = (max_miss_objective(model, self._cov) +
-                              0.01 * self._miss_expr)
+                              0.01 * self._cost_expr)
         else:  # weighted
             from repro.core.extensions import weighted_miss_objective
 
             objective_miss = weighted_miss_objective(
                 self._cov, self.miss_weights)
         model.minimize(load_cost + self.gamma * objective_miss)
-        self._load_cost_var = load_cost
-
-        if self._incremental_ok:
-            self._bind(("volumes",), self._patch_volume_terms)
-            self._bind(("max_link_load", "volumes"),
-                       self._patch_link_bounds)
-            self._bind(("gamma", "volumes"), self._patch_objective)
-
-    # -- incremental patching ------------------------------------------------
-
-    def _patch_volume_terms(self) -> None:
-        """Rescale load, link, and miss-rate coefficients in place."""
-        state = self.state
-        model = self._model
-        dc = state.dc_node
-        for cls in state.classes:
-            for resource in state.resources:
-                if cls.footprint(resource) == 0.0:
-                    continue
-                work = cls.footprint(resource) * cls.num_sessions
-                for node in cls.common_nodes:
-                    cap = state.capacity(resource, node)
-                    var = self._p[(cls.name, node)]
-                    model.set_coefficient(
-                        self._loadcost_cons[(resource, node)], var,
-                        -(work / cap))
-                    self._load_exprs[(resource, node)].coeffs[var] = (
-                        work / cap)
-                if self.allow_offload:
-                    cap = state.capacity(resource, dc)
-                    half = work / 2.0 / cap
-                    con = self._loadcost_cons[(resource, dc)]
-                    for node in cls.fwd_nodes:
-                        var = self._ofwd[(cls.name, node)]
-                        model.set_coefficient(con, var, -half)
-                        self._load_exprs[(resource, dc)].coeffs[var] = half
-                    for node in cls.rev_nodes:
-                        var = self._orev[(cls.name, node)]
-                        model.set_coefficient(con, var, -half)
-                        self._load_exprs[(resource, dc)].coeffs[var] = half
-        if self.allow_offload:
-            lookup = _class_lookup(state)
-            for offloads in (self._ofwd, self._orev):
-                for (cls_name, node), var in offloads.items():
-                    cls = lookup[cls_name]
-                    direction_bytes = (cls.num_sessions *
-                                       cls.session_bytes / 2.0)
-                    for link in state.routing.path_links(node, dc):
-                        coeff = direction_bytes / state.link_capacity[link]
-                        con = self._link_cons.get(link)
-                        if con is not None:
-                            model.set_coefficient(con, var, coeff)
-                        self._link_exprs[link].coeffs[var] = coeff
-        total_sessions = sum(cls.num_sessions for cls in state.classes)
-        self._miss_expr.constant = 1.0
-        for cls in state.classes:
-            self._miss_expr.coeffs[self._cov[cls.name]] = (
-                -(cls.num_sessions / total_sessions))
-
-    def _patch_link_bounds(self) -> None:
-        """Re-target ``max(MaxLinkLoad, BG_l)`` bounds and background
-        constants (BG changes whenever volumes do)."""
-        state = self.state
-        model = self._model
-        for link, expr in self._link_exprs.items():
-            bg = state.bg_load(link)
-            expr.constant = bg
-            con = self._link_cons.get(link)
-            if con is not None:
-                model.set_rhs(con, max(self.max_link_load, bg) - bg)
-
-    def _patch_objective(self) -> None:
-        """Rewrite the ``gamma * MissRate`` objective coefficients
-        (runs after the volume patch, so the miss weights are
-        current)."""
-        for cov in self._cov.values():
-            self._model.set_objective_coefficient(
-                cov, self.gamma * self._miss_expr.coeffs[cov])
 
     # -- solving --------------------------------------------------------------
 
     def _unpack(self, model: Model,
                 solution: Solution) -> SplitTrafficResult:
-        node_loads = {
-            resource: {
-                node: solution.value(self._load_exprs[(resource, node)])
-                for node in self.state.nids_nodes
-            }
-            for resource in self.state.resources
-        }
-        process: Dict[str, Dict[str, float]] = {}
-        for (cls_name, node), var in self._p.items():
-            process.setdefault(cls_name, {})[node] = solution.value(var)
         fwd: Dict[str, Dict[str, float]] = {}
         for (cls_name, node), var in self._ofwd.items():
             fwd.setdefault(cls_name, {})[node] = solution.value(var)
         rev: Dict[str, Dict[str, float]] = {}
         for (cls_name, node), var in self._orev.items():
             rev.setdefault(cls_name, {})[node] = solution.value(var)
-
         return SplitTrafficResult(
-            load_cost=solution.value(self._load_cost_var),
-            node_loads=node_loads,
-            process_fractions=process,
             fwd_offloads=fwd,
             rev_offloads=rev,
             coverage={name: solution.value(var)
                       for name, var in self._cov.items()},
-            miss_rate=solution.value(self._miss_expr),
-            link_loads={link: solution.value(expr)
-                        for link, expr in self._link_exprs.items()},
+            miss_rate=solution.value(self._cost_expr),
+            link_loads=self._link_loads(solution),
             gamma=self.gamma,
-            dc_node=self.state.dc_node,
-            stats=LPStats(
-                num_variables=model.num_variables,
-                num_constraints=model.num_constraints,
-                solve_seconds=solution.solve_seconds,
-                iterations=solution.iterations))
+            **self._assignment_fields(model, solution))
 
     def solve(self) -> SplitTrafficResult:
         """Solve and unpack coverage, miss rate, loads, and fractions."""
@@ -399,12 +295,3 @@ def ingress_split_result(state: NetworkState) -> SplitTrafficResult:
         dc_node=state.dc_node,
         stats=LPStats(num_variables=0, num_constraints=0,
                       solve_seconds=0.0, iterations=0))
-
-
-def _class_lookup(state: NetworkState):
-    """Cached name -> class mapping for a state instance."""
-    cache = getattr(state, "_class_lookup_cache", None)
-    if cache is None:
-        cache = {cls.name: cls for cls in state.classes}
-        state._class_lookup_cache = cache
-    return cache

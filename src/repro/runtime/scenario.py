@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -197,30 +197,11 @@ class EpochRecord:
     ingest_max_resident_bytes: Optional[int] = None
 
     def deterministic_dict(self) -> Dict:
-        out = {
-            "epoch": self.epoch,
-            "sim_time": self.sim_time,
-            "faults": list(self.faults),
-            "refresh_reason": self.refresh_reason,
-            "solve_ok": self.solve_ok,
-            "solve_error": self.solve_error,
-            "lp_load_cost": self.lp_load_cost,
-            "coverage_min": self.coverage_min,
-            "coverage_end": self.coverage_end,
-            "duplication_max": self.duplication_max,
-            "miss_rate": self.miss_rate,
-            "rollout_latency": self.rollout_latency,
-            "emulated_max_work": self.emulated_max_work,
-            "emulated_alerts": self.emulated_alerts,
-            "events_fired": self.events_fired,
-            "rules_shipped": self.rules_shipped,
-            "rules_installed": self.rules_installed,
-            "estimate_l1_rel": self.estimate_l1_rel,
-            "estimator_state_bytes": self.estimator_state_bytes,
-            "ingest_chunks": self.ingest_chunks,
-            "ingest_max_resident_bytes":
-                self.ingest_max_resident_bytes,
-        }
+        """Every field but the wall clock — what the fingerprint
+        hashes, so a new field is fingerprinted by default."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "solve_wall_seconds"}
+        out["faults"] = list(self.faults)
         return out
 
     def to_dict(self) -> Dict:

@@ -9,10 +9,12 @@ entire observation batch with ``np.searchsorted``.
 
 The lowering is only valid when rule semantics reduce to range
 membership: within one (node, class, direction) bucket every rule must
-use the same hash field and the ranges must be non-overlapping, so
-"first match wins" equals "the unique owning range wins". Every config
-the builders in :mod:`repro.shim.config` emit satisfies this; anything
-else (e.g. the union rule-sets a rollout transition installs) raises
+use the same hash field, so that "first match wins" can be resolved
+ahead of time into "the unique owning range wins". The builders in
+:mod:`repro.shim.config` emit disjoint ranges, which lower as they
+are; overlapping ranges (the union rule-sets a rollout transition
+installs) are first split at their boundaries and each piece given to
+the earliest rule that contains it. A bucket mixing hash fields raises
 :class:`UnsupportedShimConfig` and the caller falls back to the scalar
 shim, which stays the correctness oracle.
 """
@@ -36,6 +38,28 @@ _DIRECTIONS = ((0, "fwd"), (1, "rev"))
 
 class UnsupportedShimConfig(ValueError):
     """The config cannot be lowered to disjoint range tables."""
+
+
+_Entry = Tuple[float, float, int, int]  # start, end, action, target
+
+
+def _first_match_wins(entries: Sequence[_Entry]) -> List[_Entry]:
+    """Disjoint equivalent of an ordered, overlapping rule list.
+
+    Splits [0, 1) at every original float boundary; each elementary
+    interval lies wholly inside or outside every rule, and the earliest
+    rule in list order containing it owns it — exactly what
+    :meth:`~repro.shim.shim.Shim.handle` decides for a hash value
+    there."""
+    cuts = sorted({bound for start, end, _, _ in entries
+                   for bound in (start, end)})
+    disjoint: List[_Entry] = []
+    for low, high in zip(cuts, cuts[1:]):
+        for start, end, action, target in entries:
+            if start <= low and high <= end:
+                disjoint.append((low, high, action, target))
+                break
+    return disjoint
 
 
 @dataclass
@@ -62,8 +86,7 @@ class BatchShimKernel:
         hash_seed: the network-wide hash seed the ranges refer to.
 
     Raises:
-        UnsupportedShimConfig: when any rule bucket mixes hash fields
-            or contains overlapping ranges (order-dependent matching).
+        UnsupportedShimConfig: when any rule bucket mixes hash fields.
     """
 
     def __init__(self, configs: Dict[str, ShimConfig],
@@ -92,7 +115,7 @@ class BatchShimKernel:
             if class_id is None:
                 continue  # no packet in the batch can carry this class
             for dir_id, dir_name in _DIRECTIONS:
-                entries: List[Tuple[float, float, int, int]] = []
+                entries: List[_Entry] = []
                 modes = set()
                 for rule in rules:
                     if rule.direction not in ("both", dir_name):
@@ -113,23 +136,21 @@ class BatchShimKernel:
                     raise UnsupportedShimConfig(
                         f"node {config.node!r} class {class_name!r} "
                         f"mixes hash modes {sorted(m.value for m in modes)}")
-                entries.sort(key=lambda e: (e[0], e[1]))
-                starts = np.array([e[0] for e in entries],
-                                  dtype=np.float64)
-                ends = np.array([e[1] for e in entries],
-                                dtype=np.float64)
-                if (starts[1:] < ends[:-1]).any():
-                    raise UnsupportedShimConfig(
-                        f"node {config.node!r} class {class_name!r} "
-                        f"has overlapping hash ranges (order-dependent "
-                        f"matching)")
+                rows = sorted(entries, key=lambda e: (e[0], e[1]))
+                if any(after[0] < before[1]
+                       for before, after in zip(rows, rows[1:])):
+                    rows = _first_match_wins(entries)
                 mode = modes.pop()
                 self.modes_used.add(mode)
                 self._tables[self._group_key(node_id, class_id, dir_id)] = \
-                    _RuleTable(mode=mode, starts=starts, ends=ends,
-                               actions=np.array([e[2] for e in entries],
+                    _RuleTable(mode=mode,
+                               starts=np.array([e[0] for e in rows],
+                                               dtype=np.float64),
+                               ends=np.array([e[1] for e in rows],
+                                             dtype=np.float64),
+                               actions=np.array([e[2] for e in rows],
                                                 dtype=np.int8),
-                               targets=np.array([e[3] for e in entries],
+                               targets=np.array([e[3] for e in rows],
                                                 dtype=np.int32))
 
     @property

@@ -1,5 +1,10 @@
 """Tests for the network-wide controller (Figure 6)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.core import (
@@ -140,3 +145,31 @@ class TestNodeUniverseChange:
         assert controller.current_configs is rollout.configs
         # The union-rule gauge counted one-sided nodes once each.
         assert gauges["controller.transition.union_rules"] > 0
+
+
+_DRIFT_SCRIPT = """
+import dataclasses, random
+from repro.core import NIDSController
+from repro.experiments.common import setup_topology
+
+state = setup_topology("tinet").state
+rng = random.Random(3)
+drifted = [dataclasses.replace(
+    cls, num_sessions=cls.num_sessions * rng.lognormvariate(0.0, 0.5))
+    for cls in state.classes]
+print(NIDSController(state).traffic_drift(drifted).hex())
+"""
+
+
+def test_traffic_drift_is_independent_of_the_hash_seed():
+    """The drift trigger is a float sum over class names; it must add
+    them in feed order, not in a set's (hash-seed-dependent) order."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    outputs = set()
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=str(src))
+        outputs.add(subprocess.run(
+            [sys.executable, "-c", _DRIFT_SCRIPT], env=env, check=True,
+            capture_output=True, text=True, timeout=120).stdout)
+    assert len(outputs) == 1, outputs

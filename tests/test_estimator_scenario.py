@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.formulation import Formulation
 from repro.obs import MetricsRegistry, use_registry
+from repro.runtime import ChannelSpec
 from repro.runtime.scenario import (
     CANNED_SCENARIOS,
     run_scenario,
@@ -118,6 +119,28 @@ class TestEstimatorLoop:
         report, _ = outcome
         again = run_scenario(scenario)
         assert again.fingerprint() == report.fingerprint()
+
+    def test_overlap_union_at_an_epoch_boundary_replays(self):
+        # A channel lossy enough that some node still runs the
+        # old/new overlap union when the next epoch's feed replays:
+        # the chunked replay (which has no scalar fallback) lowers the
+        # union's overlapping ranges instead of raising, and the
+        # exact-mode replay no longer needs the scalar oracle either.
+        lossy = dataclasses.replace(
+            sketch_estimator_scenario("internet2", epochs=4),
+            sessions_per_epoch=300,
+            channel=ChannelSpec(base_delay=2, jitter=2, loss=0.6,
+                                retransmit_timeout=8, max_retries=1))
+        estimated = run_scenario(lossy)
+        assert len(estimated.records) == 4
+        assert all(rec.solve_ok and rec.emulated_max_work > 0
+                   for rec in estimated.records)
+        # No rollout completed, so every later epoch replayed unions.
+        assert all(rec.rollout_latency is None
+                   for rec in estimated.records)
+        with use_registry(MetricsRegistry()) as metrics:
+            run_scenario(dataclasses.replace(lossy, estimator=None))
+        assert metrics.counter_value("emulation.fast.fallbacks") == 0
 
     def test_estimator_validation(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,8 @@ custom engine factories, uncompilable configs, prebuilt batches that
 cannot fall back — is exercised on the small line fixtures.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core import (
@@ -15,6 +17,7 @@ from repro.core import (
     ReplicationProblem,
     SplitTrafficProblem,
 )
+from repro.core.transitions import union_config
 from repro.experiments.common import setup_topology
 from repro.nids.signature import SignatureEngine
 from repro.obs import MetricsRegistry, use_registry
@@ -151,24 +154,52 @@ class TestFastFallbacks:
         assert fast == scalar
 
     def test_overlapping_rules_fall_back(self, line_pieces):
+        """Overlapping single-mode ranges no longer fall back (the
+        test id is pinned): the kernel resolves first-match-wins ahead
+        of time, here with the later rule shadowed on [0.4, 0.6) and
+        a different action so ownership is observable."""
         state, generator, sessions, configs = line_pieces
-        # Two overlapping PROCESS ranges: scalar first-match-wins has
-        # well-defined semantics but the kernel cannot express them.
         cls = state.classes[0].name
         node = state.nids_nodes[0]
         configs[node].rules[cls] = [
             ShimRule(cls, HashRange(("process", node), 0.0, 0.6),
                      ShimAction.PROCESS),
-            ShimRule(cls, HashRange(("process", node), 0.4, 0.9),
+            ShimRule(cls, HashRange(("offload", node), 0.4, 0.9),
+                     ShimAction.REPLICATE, target=state.dc_node),
+            ShimRule(cls, HashRange(("process", node), 0.2, 1.0),
                      ShimAction.PROCESS),
         ]
         emulation = Emulation(state, configs, generator.classifier)
         with use_registry(MetricsRegistry()) as registry:
             fast = emulation.run_signature(sessions, fast=True)
             assert registry.counter_value(
-                "emulation.fast.fallbacks") == 1
+                "emulation.fast.fallbacks") == 0
         assert fast == emulation.run_signature(sessions)
-        assert "overlap" in emulation._last_fallback_reason
+        assert fast.replicated_bytes > 0
+
+    def test_union_config_lowers_like_the_scalar_shim(self, line_pieces):
+        """The rule-set a node runs mid-rollout — ``union_config(old,
+        new)``, old rules first — replays in the kernel exactly as the
+        scalar shims decide it."""
+        state, generator, sessions, old = line_pieces
+        shifted = [dataclasses.replace(
+            cls, num_sessions=cls.num_sessions * (1.0 + 0.7 * index))
+            for index, cls in enumerate(state.classes)]
+        new_state = state.with_traffic(shifted)
+        new = build_replication_configs(new_state, ReplicationProblem(
+            new_state, mirror_policy=MirrorPolicy.datacenter(),
+            max_link_load=0.4).solve())
+        union = {node: union_config(old[node], new[node])
+                 for node in old}
+        assert any(len(rules) > len(old[node].rules[name])
+                   for node, config in union.items()
+                   for name, rules in config.rules.items())
+        emulation = Emulation(state, union, generator.classifier)
+        with use_registry(MetricsRegistry()) as registry:
+            fast = emulation.run_signature(sessions, fast=True)
+            assert registry.counter_value(
+                "emulation.fast.fallbacks") == 0
+        assert fast == emulation.run_signature(sessions)
 
     def test_mixed_hash_modes_fall_back(self, line_pieces):
         state, generator, sessions, configs = line_pieces

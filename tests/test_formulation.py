@@ -1,15 +1,21 @@
 """Formulation-layer behavior: idempotent builds, named parameters,
 compile-cache metrics, and the structure-change fallback."""
 
+import re
 from dataclasses import replace
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.core.aggregation import AggregationProblem
 from repro.core.formulation import Formulation
 from repro.core.mirrors import MirrorPolicy
 from repro.core.replication import ReplicationProblem
+from repro.lpsolve import lp_string
 from repro.obs import MetricsRegistry, use_registry
+from tests.test_lp_writer_golden import FORMULATIONS, _small_instance
 
 
 def _replication(state, **kwargs):
@@ -172,3 +178,75 @@ class TestStructureFallback:
         assert isinstance(_replication(line_state_dc), Formulation)
         assert isinstance(AggregationProblem(line_state_dc),
                           Formulation)
+
+
+# NIPS rebuilds on every resolve; the other five patch in place.
+RESOLVABLE = sorted(set(FORMULATIONS) - {"nips_small"})
+
+volume = st.one_of(st.just(0.0), st.floats(min_value=1.0,
+                                           max_value=5000.0))
+fraction = st.floats(min_value=0.0, max_value=1.0)
+share = st.floats(min_value=0.05, max_value=1.0)
+
+
+def _drawn_params(problem, volumes, max_link_load, weight, shares):
+    """The drawn values under whichever names ``problem`` declares."""
+    drawn = {
+        "volumes": dict(zip(problem.volumes, volumes)),
+        "max_link_load": max_link_load,
+        "beta": weight * 1e-4, "gamma": weight * 100.0,
+        "capacity_share": {"A": shares[0], "DC": shares[1]},
+        "link_share": {("A", "DC"): shares[2]},
+    }
+    return {name: drawn[name] for name in problem.param_names}
+
+
+def _comparable(model):
+    """``.lp`` text and compiled ``(c, A_ub, b_ub, A_eq, b_eq)`` minus
+    vacuous rows. A row whose every coefficient is zero right now
+    (all its classes drawn at zero volume) constrains nothing: a cold
+    build drops it in ``Model.add_constraint``, a warm model keeps it
+    as ``0 <= headroom`` so it stays patchable."""
+    text = [line for line in lp_string(model).splitlines()
+            if not re.match(r" \S+: 0 (<=|>=|=) ", line)]
+    compiled = model.compiled
+    arrays = [compiled.c]
+    for matrix, rhs in ((compiled.a_ub, compiled.b_ub),
+                        (compiled.a_eq, compiled.b_eq)):
+        if matrix is not None:
+            dense = matrix.toarray()
+            keep = dense.any(axis=1)
+            arrays += [dense[keep], rhs[keep]]
+    return text, arrays
+
+
+class TestWarmEqualsCold:
+    """Build and patch read one coefficient table, so a model patched
+    to some parameters *is* the model built from them."""
+
+    @pytest.mark.parametrize("stem", RESOLVABLE)
+    @settings(max_examples=20, deadline=None)
+    @given(volumes=st.tuples(volume, volume), max_link_load=fraction,
+           weight=fraction, shares=st.tuples(share, share, share))
+    def test_patched_model_is_the_rebuilt_model(
+            self, stem, volumes, max_link_load, weight, shares):
+        factory = FORMULATIONS[stem]
+        warm = factory(_small_instance())
+        warm.solve()
+        params = _drawn_params(warm, volumes, max_link_load, weight,
+                               shares)
+        with use_registry(MetricsRegistry()) as reg:
+            patched = warm.resolve(**params)
+        assert reg.counter_value("lp.resolve.fallbacks") == 0
+        assert reg.counter_value("lp.compile_cache.misses") == 0
+
+        cold = factory(_small_instance())
+        rebuilt = cold.resolve(**params)  # never built: a cold build
+
+        warm_text, warm_arrays = _comparable(warm.build_model())
+        cold_text, cold_arrays = _comparable(cold.build_model())
+        assert warm_text == cold_text
+        for ours, theirs in zip(warm_arrays, cold_arrays):
+            assert np.array_equal(ours, theirs)
+        assert patched.load_cost == pytest.approx(rebuilt.load_cost,
+                                                  abs=1e-9)

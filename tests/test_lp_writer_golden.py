@@ -1,25 +1,30 @@
-"""Golden-file test: the LP text for a small fixed replication
-instance is byte-stable.
+"""Golden-file tests: the LP text of every formulation on one small
+fixed instance is byte-stable.
 
 Any change to variable ordering, constraint naming, coefficient
 formatting, or — most importantly — the formulation itself (an extra
-or missing constraint) shows up as a diff against the checked-in
-golden file. Regenerate deliberately with::
+or missing constraint, a reordered term) shows up as a diff against
+the checked-in golden files. Regenerate deliberately with::
 
     PYTHONPATH=src python tests/test_lp_writer_golden.py
 """
 
 import pathlib
 
-from repro.core import MirrorPolicy, ReplicationProblem
+import pytest
+
+from repro.core import (AggregationProblem, CombinedProblem,
+                        MirrorPolicy, NIPSProblem, ReplicationProblem,
+                        SplitTrafficProblem)
+from repro.core.controller.sharded import RegionalReplicationProblem
 from repro.core.inputs import NetworkState
 from repro.lpsolve import lp_string
 from repro.topology.routing import shortest_path_routing
 from repro.topology.topology import Topology
 from repro.traffic.classes import TrafficClass
 
-GOLDEN = pathlib.Path(__file__).parent / "golden" / \
-    "replication_small.lp"
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+GOLDEN = GOLDEN_DIR / "replication_small.lp"
 
 
 def _small_instance() -> NetworkState:
@@ -50,6 +55,35 @@ def _golden_text() -> str:
     return lp_string(model)
 
 
+# The other formulations on the same instance: golden file stem ->
+# problem factory. The regional shares are deliberately non-trivial
+# (a shared on-path node, the shared datacenter, one shared tunnel
+# link) so the share-aware coefficients and rhs are pinned too.
+FORMULATIONS = {
+    "replication_nomirror_small": lambda state: ReplicationProblem(
+        state, max_link_load=0.5),
+    "regional_small": lambda state: RegionalReplicationProblem(
+        state, state.bg_bytes,
+        mirror_policy=MirrorPolicy.datacenter(), max_link_load=0.5,
+        capacity_share={"A": 0.5, "DC": 0.6},
+        link_share={("A", "DC"): 0.7}),
+    "split_small": lambda state: SplitTrafficProblem(
+        state, max_link_load=0.5, gamma=50.0),
+    "combined_small": lambda state: CombinedProblem(
+        state, beta=2e-5, max_link_load=0.5),
+    "aggregation_small": lambda state: AggregationProblem(
+        state, beta=2e-5),
+    "nips_small": lambda state: NIPSProblem(
+        state, mirror_policy=MirrorPolicy.datacenter(),
+        max_link_load=0.5, max_latency_penalty=1.5),
+}
+
+
+def _formulation_text(stem: str) -> str:
+    problem = FORMULATIONS[stem](_small_instance())
+    return lp_string(problem.build_model())
+
+
 def test_replication_lp_text_is_byte_stable():
     assert GOLDEN.exists(), (
         f"golden file missing: {GOLDEN}; regenerate with "
@@ -57,6 +91,18 @@ def test_replication_lp_text_is_byte_stable():
     assert _golden_text() == GOLDEN.read_text(), (
         "LP text drifted from the golden file — if the formulation "
         "change is intentional, regenerate the golden file")
+
+
+@pytest.mark.parametrize("stem", sorted(FORMULATIONS))
+def test_formulation_lp_text_is_byte_stable(stem):
+    golden = GOLDEN_DIR / f"{stem}.lp"
+    assert golden.exists(), (
+        f"golden file missing: {golden}; regenerate with "
+        f"`PYTHONPATH=src python {__file__}`")
+    assert _formulation_text(stem) == golden.read_text(), (
+        f"{stem}: LP text drifted from the golden file — if the "
+        "formulation change is intentional, regenerate the golden "
+        "file")
 
 
 def test_golden_instance_still_solves():
@@ -69,7 +115,11 @@ def test_golden_instance_still_solves():
     assert result.load_cost > 0.0
 
 
-if __name__ == "__main__":  # regenerate the golden file
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(_golden_text())
-    print(f"wrote {GOLDEN}")
+if __name__ == "__main__":  # regenerate the golden files
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    texts = {GOLDEN: _golden_text()}
+    texts.update({GOLDEN_DIR / f"{stem}.lp": _formulation_text(stem)
+                  for stem in FORMULATIONS})
+    for path, text in texts.items():
+        path.write_text(text)
+        print(f"wrote {path}")

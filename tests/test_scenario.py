@@ -5,6 +5,7 @@ These run on internet2 (11 PoPs) with short horizons so the whole
 module stays in tier-1 time.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -21,6 +22,7 @@ from repro.runtime import (
 )
 from repro.runtime.rollout import ConfigChannel
 from repro.runtime.scenario import (
+    EpochRecord,
     cascading_failure_scenario,
     flash_crowd_scenario,
     steady_drift_scenario,
@@ -78,6 +80,22 @@ class TestScenarioRun:
         assert report.fingerprint() == again.fingerprint()
         for a, b in zip(report.records, again.records):
             assert a.deterministic_dict() == b.deterministic_dict()
+
+    def test_every_field_but_the_wall_clock_is_fingerprinted(
+            self, drift_report):
+        """A field added to the record joins the fingerprint without
+        anyone remembering to list it."""
+        @dataclasses.dataclass
+        class Extended(EpochRecord):
+            added_later: int = 7
+
+        _, report = drift_report
+        record = Extended(**dataclasses.asdict(report.records[0]))
+        names = {f.name for f in dataclasses.fields(Extended)}
+        assert set(record.deterministic_dict()) == \
+            names - {"solve_wall_seconds"}
+        assert record.deterministic_dict()["added_later"] == 7
+        assert record.to_dict().keys() == names
 
     def test_coverage_never_drops_after_bootstrap(self, drift_report):
         """Overlap rollouts over a lossy channel keep coverage at

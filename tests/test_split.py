@@ -203,3 +203,18 @@ class TestValidation:
     def test_negative_gamma_rejected(self, line_state_dc):
         with pytest.raises(ValueError):
             SplitTrafficProblem(line_state_dc, gamma=-1.0)
+
+
+class TestSilentTraffic:
+    def test_all_zero_volumes_miss_nothing(self, line_state_dc):
+        """An all-zero matrix passes ``_check_volumes``; MissRate is
+        then 0 (as ``ingress_split_result`` reads a zero total), warm
+        and cold, not a division by the zero session total."""
+        silent = {cls.name: 0.0 for cls in line_state_dc.classes}
+        warm = SplitTrafficProblem(line_state_dc)
+        warm.solve()
+        cold = SplitTrafficProblem(line_state_dc)
+        for result in (warm.resolve(volumes=silent),
+                       cold.resolve(volumes=silent)):
+            assert result.miss_rate == 0.0
+            assert result.load_cost == pytest.approx(0.0, abs=1e-12)
