@@ -16,14 +16,20 @@ generators over the current ``state`` and parameters:
 - ``_cost_expression()`` returns the CommCost / MissRate expression.
 
 :class:`Formulation` owns both consumers of that table. The *cold
-build* groups the terms into one expression per row and emits the
-``loadcost[...]`` / ``linkload[...]`` constraints; the *warm patch*
+build* runs each generator once into ``(row ordinal, var.index,
+coeff)`` arrays and registers them with the model as a
+:class:`~repro.lpsolve.RowBlock` — the one owner of that row family's
+coefficients, a float64 vector in term order; the ``loadcost[...]`` /
+``linkload[...]`` constraints are rows of the two blocks (views, with
+no per-term object behind them). The *warm patch*
 (:meth:`_patch_rows`, :meth:`_patch_link_bounds`, :meth:`_patch_cost`)
-re-runs the very same generators and writes each coefficient into the
-compiled model in place. A coefficient formula therefore cannot differ
-between a rebuilt and a patched LP: warm ≡ cold holds by construction,
-and changing how rows are materialised (e.g. straight to COO arrays) is
-a change to :meth:`_rows` and the two emitters, not to any formulation.
+re-runs the very same generators, keeps the coefficients and
+overwrites the block's vector — and with it the compiled matrix — in
+one write per family. The unpacked ``node_loads`` / ``link_loads`` are
+evaluated from the same vector. A coefficient formula therefore cannot
+differ between a rebuilt and a patched LP: warm ≡ cold holds by
+construction, and how rows are stored is this module's and
+``lpsolve``'s business, not any formulation's.
 
 A parameter (``max_link_load``, ``beta``, ``gamma``, the per-class
 ``volumes``, a region's ``capacity_share``) only scales coefficients or
@@ -37,30 +43,37 @@ subclasses may :meth:`_bind` more (the regional ``link_share`` rhs).
 (Figures 11, 15, 18) and the controller's refresh loop change one
 parameter per step, and a resolve re-uses the compiled sparse matrices
 instead of rebuilding the LP from scratch. When a patch would change
-the compiled structure (a variable that was never a term of the row it
-is patched into, or a formulation extension outside the incremental
-path), the formulation falls back to a cold rebuild and counts it
-(``lp.resolve.fallbacks``), so ``resolve`` is always *correct* and
-merely usually *fast*.
+the compiled structure (a generator that yields a different number of
+terms than the block was built from, a row that was dropped as vacuous
+at build time coming alive, or a formulation extension outside the
+incremental path), the formulation falls back to a cold rebuild and
+counts it (``lp.resolve.fallbacks``), so ``resolve`` is always
+*correct* and merely usually *fast*.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import (Any, Callable, Dict, FrozenSet, Hashable, Iterable,
                     List, Mapping, Optional, Sequence, Tuple, Union)
 
+import numpy as np
+
 from repro.core.inputs import NetworkState
 from repro.core.results import LPStats
-from repro.lpsolve import (Constraint, LinExpr, Model, Solution,
-                           SolverBackend, StructureError, Variable)
+from repro.lpsolve import (Constraint, LinExpr, Model, RowBlock,
+                           Solution, SolverBackend, StructureError,
+                           Variable)
 from repro.obs import get_registry
 from repro.topology.topology import Link
 from repro.traffic.classes import TrafficClass
 
 Validator = Callable[[Any], None]
 LoadKey = Tuple[str, str]  # (resource, node)
+#: what a warm patch cannot change: every class field but the volume
+_STRUCTURAL_FIELDS = tuple(f.name for f in fields(TrafficClass)
+                           if f.name != "num_sessions")
 
 
 def _check_max_link_load(value: float) -> None:
@@ -193,8 +206,8 @@ class Formulation:
         # One binding per consumer of the coefficient table, in the
         # order a refresh must apply them.
         self._bind(self._load_params, self._patch_load_rows)
-        self._bind(("volumes",), self._patch_link_rows)
-        if "max_link_load" in self._params:
+        if self._link_block is not None:
+            self._bind(("volumes",), self._patch_link_rows)
             self._bind(("max_link_load", "volumes"),
                        self._patch_link_bounds)
         if self._cost_weight is not None:
@@ -287,12 +300,11 @@ class Formulation:
                     apply_fn()
         except StructureError:
             # The patch named a slot the compiled model lacks: a
-            # variable that is not a term of its row, or a row that
-            # was dropped as constant at build time. (Every term is
-            # stored, zeros included, so a value alone cannot cause
-            # this.) A partially-patched model is discarded wholesale;
-            # the rebuild below re-derives everything from state +
-            # params.
+            # term its block never had, or a row that was dropped as
+            # constant at build time. (Every term is stored, zeros
+            # included, so a value alone cannot cause this.) A
+            # partially-patched model is discarded wholesale; the
+            # rebuild below re-derives everything from state + params.
             get_registry().inc("lp.resolve.fallbacks")
             self.invalidate()
         return self.solve()
@@ -338,8 +350,14 @@ class Formulation:
         if len(classes) != len(current):
             return False
         for new, old in zip(classes, current):
-            if replace(new, num_sessions=old.num_sessions) != old:
+            if new is old:
+                continue
+            if type(new) is not type(old):
                 return False
+            for name in _STRUCTURAL_FIELDS:
+                ours, theirs = getattr(new, name), getattr(old, name)
+                if ours is not theirs and ours != theirs:
+                    return False
         return True
 
     # -- the coefficient table (subclass hooks) -----------------------------
@@ -371,20 +389,20 @@ class Formulation:
         """``BG_l`` as the link rows account it."""
         return self.state.bg_load(link)
 
-    # -- cold consumer: rows from terms -------------------------------------
+    # -- cold consumer: terms into row blocks -------------------------------
 
     @staticmethod
-    def _rows(keys: Iterable[Hashable],
-              terms: Iterable[Tuple[Any, Variable, float]]
-              ) -> Dict[Any, Dict[Variable, float]]:
-        """Group terms into one ``{var: coeff}`` dict per row key, in
-        term order (a variable named twice in a row accumulates)."""
-        rows: Dict[Any, Dict[Variable, float]] = {
-            key: {} for key in keys}
-        for key, var, coeff in terms:
-            row = rows[key]
-            row[var] = row.get(var, 0.0) + coeff
-        return rows
+    def _term_arrays(keys: Sequence[Hashable],
+                     terms: Iterable[Tuple[Any, Variable, float]]
+                     ) -> np.ndarray:
+        """``(key, var, coeff)`` terms, in term order, as the ``(row
+        ordinal, variable index, coefficient)`` arrays of a row block
+        with one row per key."""
+        ordinal = {key: index for index, key in enumerate(keys)}
+        flat = np.fromiter(
+            (x for key, var, coeff in terms
+             for x in (ordinal[key], var.index, coeff)), dtype=float)
+        return flat.reshape(-1, 3).T
 
     def _emit_load_rows(self, model: Model,
                         constrain: bool = True) -> Variable:
@@ -393,71 +411,64 @@ class Formulation:
         load_cost = model.add_variable("LoadCost", lb=0.0)
         self._load_cost_var = load_cost
         state = self.state
-        rows = self._rows(((resource, node)
+        self._load_keys = [(resource, node)
                            for resource in state.resources
-                           for node in state.nids_nodes),
-                          self._load_terms())
-        for (resource, node), coeffs in rows.items():
-            expr = LinExpr(coeffs)
-            self._load_exprs[(resource, node)] = expr
-            if constrain:
-                self._loadcost_cons[(resource, node)] = (
-                    model.add_constraint(
-                        load_cost >= expr,
-                        name=f"loadcost[{resource},{node}]"))
+                           for node in state.nids_nodes]
+        block = self._load_block = RowBlock(
+            model, *self._term_arrays(self._load_keys, self._load_terms()),
+            np.zeros(len(self._load_keys)), lead=load_cost)
+        if constrain:
+            for ordinal, (resource, node) in enumerate(self._load_keys):
+                # ``LoadCost - expr >= -(0 - constant)``: a negative
+                # zero, which is what the ``.lp`` goldens print.
+                model.add_block_row(
+                    block, ordinal, -(0.0 - block.constants[ordinal]),
+                    name=f"loadcost[{resource},{node}]")
         return load_cost
 
     def _emit_link_rows(self, model: Model) -> None:
         """Background plus replicated load per link; a link no
         variable can load keeps its expression (for reporting) but
         gets no row."""
-        rows = self._rows(self.state.topology.links, self._link_terms())
-        for link, coeffs in rows.items():
-            expr = LinExpr(coeffs, self._bg_load(link))
-            self._link_exprs[link] = expr
-            if coeffs:
-                self._add_link_row(model, link, expr)
+        links = self.state.topology.links
+        block = self._link_block = RowBlock(
+            model, *self._term_arrays(links, self._link_terms()),
+            [self._bg_load(link) for link in links])
+        for ordinal, link in enumerate(links):
+            if block.indptr[ordinal] < block.indptr[ordinal + 1]:
+                self._add_link_row(model, link, ordinal)
 
     def _add_link_row(self, model: Model, link: Link,
-                      expr: LinExpr) -> None:
+                      ordinal: int) -> None:
         """Eq (5): ``LinkLoad_l <= max(MaxLinkLoad, BG_l)``."""
-        bound = max(self._params["max_link_load"], expr.constant)
-        self._link_cons[link] = model.add_constraint(
-            expr <= bound, name=f"linkload[{link[0]},{link[1]}]")
+        bg = self._link_block.constants[ordinal]
+        bound = max(self._params["max_link_load"], bg)
+        self._link_cons[link] = model.add_block_row(
+            self._link_block, ordinal, -(bg - bound),
+            name=f"linkload[{link[0]},{link[1]}]")
 
     # -- warm consumer: the same terms, patched in place --------------------
 
-    def _patch_rows(self, terms: Iterable[Tuple[Any, Variable, float]],
-                    exprs: Dict[Any, LinExpr],
-                    cons: Dict[Any, Constraint], sign: float) -> None:
+    def _patch_rows(self, block: RowBlock,
+                    terms: Iterable[Tuple[Any, Variable, float]]) -> None:
         """Overwrite one row family's coefficients with what a cold
-        build would emit now; ``sign`` is the side of the constraint
-        the expression was normalized to."""
-        for key, coeffs in self._rows(exprs, terms).items():
-            expr = exprs[key]
-            con = cons.get(key)
-            for var, coeff in coeffs.items():
-                if expr.coeffs.get(var) == coeff:
-                    continue  # e.g. an unshared node on a share round
-                expr.coeffs[var] = coeff
-                if con is not None:
-                    self._model.set_coefficient(con, var, sign * coeff)
+        build would emit now."""
+        self._model.set_block_coefficients(block, np.fromiter(
+            (coeff for _, _, coeff in terms), dtype=float))
 
     def _patch_load_rows(self) -> None:
-        # Load rows are stated ``LoadCost >= expr``, hence the sign.
-        self._patch_rows(self._load_terms(), self._load_exprs,
-                         self._loadcost_cons, -1.0)
+        self._patch_rows(self._load_block, self._load_terms())
 
     def _patch_link_rows(self) -> None:
-        self._patch_rows(self._link_terms(), self._link_exprs,
-                         self._link_cons, 1.0)
+        self._patch_rows(self._link_block, self._link_terms())
 
     def _patch_link_bounds(self) -> None:
         """Re-target ``max(MaxLinkLoad, BG_l)`` bounds and background
         constants (BG changes whenever volumes do)."""
         max_link_load = self._params["max_link_load"]
-        for link, expr in self._link_exprs.items():
-            bg = expr.constant = self._bg_load(link)
+        constants = self._link_block.constants
+        for ordinal, link in enumerate(self.state.topology.links):
+            bg = constants[ordinal] = self._bg_load(link)
             con = self._link_cons.get(link)
             if con is not None:
                 # Negated the way ``expr <= bound`` normalizes it, so a
@@ -478,9 +489,9 @@ class Formulation:
         """Clear the bookkeeping a build fills in; subclasses extend
         it with their own variable maps."""
         self._p: Dict[Tuple[str, str], Variable] = {}
-        self._load_exprs: Dict[LoadKey, LinExpr] = {}
-        self._link_exprs: Dict[Link, LinExpr] = {}
-        self._loadcost_cons: Dict[LoadKey, Constraint] = {}
+        self._load_keys: List[LoadKey] = []
+        self._load_block: Optional[RowBlock] = None
+        self._link_block: Optional[RowBlock] = None
         self._link_cons: Dict[Link, Constraint] = {}
         self._cost_expr: Optional[LinExpr] = None
         self._load_cost_var: Optional[Variable] = None
@@ -495,17 +506,18 @@ class Formulation:
                            solution: Solution) -> Dict[str, Any]:
         """The :class:`~repro.core.results.AssignmentResult` fields,
         which every formulation reports the same way."""
+        x = solution.x.tolist()
         process: Dict[str, Dict[str, float]] = {}
         for (cls_name, node), var in self._p.items():
-            process.setdefault(cls_name, {})[node] = solution.value(var)
+            process.setdefault(cls_name, {})[node] = x[var.index]
+        node_loads: Dict[str, Dict[str, float]] = {}
+        for (resource, node), load in zip(
+                self._load_keys,
+                self._load_block.values(solution.x).tolist()):
+            node_loads.setdefault(resource, {})[node] = load
         return dict(
             load_cost=solution.value(self._load_cost_var),
-            node_loads={
-                resource: {
-                    node: solution.value(
-                        self._load_exprs[(resource, node)])
-                    for node in self.state.nids_nodes}
-                for resource in self.state.resources},
+            node_loads=node_loads,
             process_fractions=process,
             dc_node=self.state.dc_node,
             stats=LPStats(
@@ -516,8 +528,8 @@ class Formulation:
 
     def _link_loads(self, solution: Solution) -> Dict[Link, float]:
         """Resulting ``LinkLoad_l`` per link."""
-        return {link: solution.value(expr)
-                for link, expr in self._link_exprs.items()}
+        return dict(zip(self.state.topology.links,
+                        self._link_block.values(solution.x).tolist()))
 
 
 __all__ = ["Formulation"]

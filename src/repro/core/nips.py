@@ -146,10 +146,10 @@ class NIPSProblem(ReplicationProblem):
                     name=f"latency[{cls.name}]")
 
     def _add_link_row(self, model: Model, link: Link,
-                      expr: LinExpr) -> None:
-        super()._add_link_row(model, link, expr)
+                      ordinal: int) -> None:
+        super()._add_link_row(model, link, ordinal)
         # Rerouting cannot drive a link's load negative.
-        model.add_constraint(expr >= 0.0,
+        model.add_constraint(self._link_block.expr(ordinal) >= 0.0,
                              name=f"linkfloor[{link[0]},{link[1]}]")
 
     def _unpack(self, model: Model, solution: Solution) -> NIPSResult:

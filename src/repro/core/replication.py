@@ -133,26 +133,29 @@ class ReplicationProblem(Formulation):
         """Decision variables (Eqs (6), (7)) and coverage (Eq (2))."""
         state = self.state
         mirror_sets = self.mirror_policy.mirror_sets(state)
-        o_by_class: Dict[str, List[Variable]] = {}
+        # One key and name per column, then one bulk add: a p key is
+        # (class, node), an o key (class, node, mirror).
+        keys: List[Tuple[str, ...]] = []
+        names: List[str] = []
         for cls in state.classes:
             for node in cls.path:
-                self._p[(cls.name, node)] = model.add_variable(
-                    f"p[{cls.name},{node}]", lb=0.0, ub=1.0)
+                keys.append((cls.name, node))
+                names.append(f"p[{cls.name},{node}]")
             path_set = set(cls.path)
-            class_offloads = o_by_class.setdefault(cls.name, [])
             for node in cls.path:
                 for mirror in mirror_sets[node]:
                     if mirror in path_set:
                         continue  # on-path mirrors need no replication
-                    var = model.add_variable(
-                        f"o[{cls.name},{node},{mirror}]", lb=0.0, ub=1.0)
-                    self._o[(cls.name, node, mirror)] = var
-                    class_offloads.append(var)
+                    keys.append((cls.name, node, mirror))
+                    names.append(f"o[{cls.name},{node},{mirror}]")
+        by_class: Dict[str, List[Variable]] = {
+            cls.name: [] for cls in state.classes}
+        for key, var in zip(keys, model.add_variables(names, lb=0.0,
+                                                      ub=1.0)):
+            (self._p if len(key) == 2 else self._o)[key] = var
+            by_class[key[0]].append(var)
         for cls in state.classes:
-            terms: List[Variable] = [self._p[(cls.name, node)]
-                                     for node in cls.path]
-            terms.extend(o_by_class[cls.name])
-            model.add_constraint(lin_sum(terms) == 1.0,
+            model.add_constraint(lin_sum(by_class[cls.name]) == 1.0,
                                  name=f"cover[{cls.name}]")
 
     def _build(self, model: Model) -> None:
@@ -162,8 +165,11 @@ class ReplicationProblem(Formulation):
         if self.load_weights is not None:
             from repro.core.extensions import weighted_load_objective
 
-            weighted = weighted_load_objective(model, self._load_exprs,
-                                               self.load_weights)
+            weighted = weighted_load_objective(
+                model,
+                {key: self._load_block.expr(ordinal)
+                 for ordinal, key in enumerate(self._load_keys)},
+                self.load_weights)
             model.add_constraint(load_cost >= weighted,
                                  name="loadcost[weighted]")
         self._emit_link_rows(model)
@@ -176,23 +182,24 @@ class ReplicationProblem(Formulation):
                 self.link_cost_weight * lin_sum(self._link_penalties))
 
     def _add_link_row(self, model: Model, link: Link,
-                      expr: LinExpr) -> None:
+                      ordinal: int) -> None:
         if self.link_cost_weight is None:
-            super()._add_link_row(model, link, expr)
+            super()._add_link_row(model, link, ordinal)
         else:
             from repro.core.extensions import piecewise_link_cost
 
             self._link_penalties.append(piecewise_link_cost(
-                model, expr, name=f"{link[0]}-{link[1]}"))
+                model, self._link_block.expr(ordinal),
+                name=f"{link[0]}-{link[1]}"))
 
     # -- solving --------------------------------------------------------------
 
     def _offload_fractions(self, solution: Solution
                            ) -> Dict[str, Dict[Tuple[str, str], float]]:
+        x = solution.x.tolist()
         offload: Dict[str, Dict[Tuple[str, str], float]] = {}
         for (cls_name, node, mirror), var in self._o.items():
-            offload.setdefault(cls_name, {})[(node, mirror)] = (
-                solution.value(var))
+            offload.setdefault(cls_name, {})[(node, mirror)] = x[var.index]
         return offload
 
     def _unpack(self, model: Model,

@@ -30,6 +30,7 @@ from repro.lpsolve.errors import (
 from repro.lpsolve.expr import LinExpr, lin_sum
 from repro.lpsolve.variable import Variable
 from repro.lpsolve.constraint import Constraint, ConstraintSense
+from repro.lpsolve.block import BlockRow, RowBlock
 from repro.lpsolve.compiled import CompiledLP
 from repro.lpsolve.backends import (
     BackendResult,
@@ -47,6 +48,7 @@ from repro.lpsolve.writer import lp_string, write_lp
 
 __all__ = [
     "BackendResult",
+    "BlockRow",
     "CompiledLP",
     "Constraint",
     "ConstraintSense",
@@ -55,6 +57,7 @@ __all__ = [
     "LinExpr",
     "Model",
     "ModelError",
+    "RowBlock",
     "Solution",
     "SolveStatus",
     "SolverBackend",

@@ -3,27 +3,90 @@
 :class:`CompiledLP` is the sparse ``(c, A_ub, b_ub, A_eq, b_eq,
 bounds)`` structure every :class:`~repro.lpsolve.backends.SolverBackend`
 consumes, plus the bookkeeping that makes incremental re-solves
-possible: a map from each constraint to its compiled row and a
-``(row, column) -> data position`` index into the CSR arrays so
-individual coefficients can be patched in place without recompiling.
-The matrices store every term of every row, explicit zeros included,
-so the index covers each position a patch can name; backends prune
-the zeros from what they hand the solver.
+possible: a map from each constraint to its compiled row, and for each
+:class:`~repro.lpsolve.block.RowBlock` the ``slots`` — the position in
+the CSR ``data`` of every entry of the block — so a whole row family
+is re-written with one indexed store. A single coefficient is found by
+searching its row's (column-sorted) CSR slice. The matrices store
+every term of every row, explicit zeros included, so each position a
+patch can name exists; backends prune the zeros from what they hand
+the solver.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
 
-from repro.lpsolve.constraint import Constraint
+from repro.lpsolve.block import BlockRow, RowBlock
+from repro.lpsolve.constraint import Constraint, ConstraintSense
 from repro.lpsolve.errors import StructureError
 
 
+Rows = Tuple[Optional[sparse.csr_matrix], np.ndarray,
+             Dict[Constraint, Tuple[int, float]],
+             Dict[RowBlock, Tuple[sparse.csr_matrix, np.ndarray]]]
+
+
+def compile_rows(constraints: Sequence[Constraint], width: int) -> Rows:
+    """``(matrix, b, rows, blocks)`` — see :class:`CompiledLP` — with
+    one CSR row per constraint, in order. Symbolic rows contribute COO
+    triplets term by term, blocks their live entries as whole arrays;
+    one sort makes the CSR and tells each block its slots."""
+    if not constraints:
+        return None, np.zeros(0), {}, {}
+    rows, cols, data, b = [], [], [], []
+    owners: Dict[Constraint, Tuple[int, float]] = {}
+    #: block -> (ordinals, matrix rows) of its listed rows
+    listed: Dict[RowBlock, Tuple[List[int], List[int]]] = {}
+    for row, con in enumerate(constraints):
+        # GE rows are negated into <= form.
+        sign = -1.0 if con.sense is ConstraintSense.GE else 1.0
+        owners[con] = (row, sign)
+        b.append(sign * con.rhs)
+        if isinstance(con, BlockRow):
+            ordinals, at = listed.setdefault(con.block, ([], []))
+            ordinals.append(con.ordinal)
+            at.append(row)
+            lead = con.block.lead
+            terms = {} if lead is None else {lead: 1.0}
+        else:
+            terms = con.expr.coeffs
+        rows.extend([row] * len(terms))
+        cols.extend([var.index for var in terms])
+        data.extend([sign * coeff for coeff in terms.values()])
+    starts = [len(rows)]
+    rows, cols, data = ([np.asarray(rows, dtype=np.int64)],
+                        [np.asarray(cols, dtype=np.int64)],
+                        [np.asarray(data, dtype=float)])
+    for block, (ordinals, at) in listed.items():
+        # Either form of a block row (see RowBlock) puts its terms
+        # into the <= matrix as they are.
+        row_at = np.zeros(len(block.constants), dtype=np.int64)
+        row_at[ordinals] = at
+        rows.append(row_at[block.rows[block.live]])
+        cols.append(block.cols[block.live])
+        data.append(block.coeffs[block.live])
+        starts.append(starts[-1] + len(data[-1]))
+    rows, cols, data = (np.concatenate(rows), np.concatenate(cols),
+                        np.concatenate(data))
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(len(b) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=len(b)), out=indptr[1:])
+    matrix = sparse.csr_matrix((data[order], cols[order], indptr),
+                               shape=(len(b), width))
+    slot = np.empty_like(order)
+    slot[order] = np.arange(len(order))
+    blocks = {block: (matrix, slot[lo:hi])
+              for block, lo, hi in zip(listed, starts, starts[1:])}
+    return matrix, np.asarray(b, dtype=float), owners, blocks
+
+
 class CompiledLP:
-    """Sparse matrices plus the patch index for one compiled model.
+    """Sparse matrices plus the patch bookkeeping for one compiled
+    model.
 
     Attributes:
         c: dense objective vector (already sense-normalized so the
@@ -31,36 +94,23 @@ class CompiledLP:
         a_ub / b_ub: ``A_ub x <= b_ub`` rows (GE rows are negated in).
         a_eq / b_eq: ``A_eq x == b_eq`` rows.
         bounds: per-variable ``(lb, ub)`` pairs (``ub`` may be None).
-        ub_rows: constraint -> ``(row, sign)`` for inequality rows,
+        ub_rows / eq_rows: constraint -> ``(row, sign)`` in row order,
            where ``sign`` is -1 for constraints stated as GE.
-        eq_rows: constraint -> row for equality rows.
+        blocks: row block -> ``(matrix, slots)``: its live entries
+           sit at ``matrix.data[slots]``.
     """
 
     __slots__ = ("c", "a_ub", "b_ub", "a_eq", "b_eq", "bounds",
-                 "ub_rows", "eq_rows", "_ub_entries", "_eq_entries",
-                 "ub_row_constraints", "eq_row_constraints")
+                 "ub_rows", "eq_rows", "blocks")
 
     def __init__(self, c: np.ndarray,
-                 a_ub: Optional[sparse.csr_matrix], b_ub: np.ndarray,
-                 a_eq: Optional[sparse.csr_matrix], b_eq: np.ndarray,
                  bounds: List[Tuple[float, Optional[float]]],
-                 ub_row_constraints: List[Tuple[Constraint, float]],
-                 eq_row_constraints: List[Constraint]) -> None:
+                 ub: Rows, eq: Rows) -> None:
         self.c = c
-        self.a_ub = a_ub
-        self.b_ub = b_ub
-        self.a_eq = a_eq
-        self.b_eq = b_eq
         self.bounds = bounds
-        self.ub_row_constraints = ub_row_constraints
-        self.eq_row_constraints = eq_row_constraints
-        self.ub_rows: Dict[Constraint, Tuple[int, float]] = {
-            con: (row, sign)
-            for row, (con, sign) in enumerate(ub_row_constraints)}
-        self.eq_rows: Dict[Constraint, int] = {
-            con: row for row, con in enumerate(eq_row_constraints)}
-        self._ub_entries = _entry_index(a_ub)
-        self._eq_entries = _entry_index(a_eq)
+        self.a_ub, self.b_ub, self.ub_rows, ub_blocks = ub
+        self.a_eq, self.b_eq, self.eq_rows, eq_blocks = eq
+        self.blocks = {**ub_blocks, **eq_blocks}
 
     @property
     def num_variables(self) -> int:
@@ -68,17 +118,21 @@ class CompiledLP:
 
     # -- in-place patching -------------------------------------------------
 
+    def _locate(self, constraint: Constraint
+                ) -> Tuple[sparse.csr_matrix, np.ndarray, int, float]:
+        """``(matrix, b, row, sign)`` of a compiled constraint."""
+        if constraint in self.ub_rows:
+            return (self.a_ub, self.b_ub) + self.ub_rows[constraint]
+        if constraint in self.eq_rows:
+            return (self.a_eq, self.b_eq) + self.eq_rows[constraint]
+        raise StructureError(
+            f"constraint {constraint.name!r} is not part of the "
+            "compiled model")
+
     def patch_rhs(self, constraint: Constraint, rhs: float) -> None:
         """Overwrite one row's right-hand side."""
-        if constraint in self.ub_rows:
-            row, sign = self.ub_rows[constraint]
-            self.b_ub[row] = sign * rhs
-        elif constraint in self.eq_rows:
-            self.b_eq[self.eq_rows[constraint]] = rhs
-        else:
-            raise StructureError(
-                f"constraint {constraint.name!r} is not part of the "
-                "compiled model")
+        _, b, row, sign = self._locate(constraint)
+        b[row] = sign * rhs
 
     def patch_coefficient(self, constraint: Constraint, column: int,
                           coeff: float) -> None:
@@ -90,43 +144,23 @@ class CompiledLP:
         variable is not a term of the row) — the caller must
         recompile.
         """
-        if constraint in self.ub_rows:
-            row, sign = self.ub_rows[constraint]
-            pos = self._ub_entries.get((row, column))
-            if pos is None:
-                raise StructureError(
-                    f"no compiled entry for {constraint.name!r} at "
-                    f"column {column}")
-            self.a_ub.data[pos] = sign * coeff
-        elif constraint in self.eq_rows:
-            pos = self._eq_entries.get((self.eq_rows[constraint],
-                                        column))
-            if pos is None:
-                raise StructureError(
-                    f"no compiled entry for {constraint.name!r} at "
-                    f"column {column}")
-            self.a_eq.data[pos] = coeff
-        else:
+        matrix, _, row, sign = self._locate(constraint)
+        lo, hi = matrix.indptr[row:row + 2]
+        pos = lo + np.searchsorted(matrix.indices[lo:hi], column)
+        if pos == hi or matrix.indices[pos] != column:
             raise StructureError(
-                f"constraint {constraint.name!r} is not part of the "
-                "compiled model")
+                f"no compiled entry for {constraint.name!r} at "
+                f"column {column}")
+        matrix.data[pos] = sign * coeff
+
+    def patch_block(self, block: RowBlock) -> None:
+        """Re-read a block's coefficients."""
+        if block in self.blocks:
+            matrix, slots = self.blocks[block]
+            matrix.data[slots] = block.coeffs[block.live]
 
     def patch_objective(self, column: int, coeff: float,
                         sense: float) -> None:
         """Overwrite one objective coefficient (``c`` is dense, so any
         column can be patched)."""
         self.c[column] = sense * coeff
-
-
-def _entry_index(matrix: Optional[sparse.csr_matrix]
-                 ) -> Dict[Tuple[int, int], int]:
-    """(row, col) -> position in ``matrix.data`` for every stored
-    entry."""
-    if matrix is None:
-        return {}
-    index: Dict[Tuple[int, int], int] = {}
-    indptr, indices = matrix.indptr, matrix.indices
-    for row in range(matrix.shape[0]):
-        for pos in range(indptr[row], indptr[row + 1]):
-            index[(row, int(indices[pos]))] = pos
-    return index

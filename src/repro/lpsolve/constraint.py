@@ -45,6 +45,10 @@ class Constraint:
         """Right-hand side after moving the constant term across."""
         return -self.expr.constant
 
+    @rhs.setter
+    def rhs(self, value: float) -> None:
+        self.expr.constant = -value
+
     def violation(self, values: Mapping["Variable", float]) -> float:
         """Amount by which ``values`` (a var->value mapping) violates
         this constraint; 0.0 when satisfied.

@@ -12,6 +12,12 @@ patch API edits individual entries of the cached matrices in place so
 parameter sweeps and controller refreshes pay only the solver cost.
 Any structural edit (new variable, new constraint, new objective)
 invalidates the cache.
+
+A constraint is either *symbolic* (it owns a ``LinExpr``) or a row of
+a :class:`~repro.lpsolve.block.RowBlock`, which holds a whole row
+family as arrays: listed as views (:meth:`Model.add_block_row`),
+compiled array-to-array, patched a family at a time
+(:meth:`Model.set_block_coefficients`).
 """
 
 from __future__ import annotations
@@ -20,14 +26,14 @@ import time
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
-from scipy import sparse
 
 from repro.lpsolve.backends import (
     BackendResult,
     SolverBackend,
     resolve_backend,
 )
-from repro.lpsolve.compiled import CompiledLP
+from repro.lpsolve.block import BlockRow, RowBlock
+from repro.lpsolve.compiled import CompiledLP, compile_rows
 from repro.lpsolve.constraint import Constraint, ConstraintSense
 from repro.obs import get_registry
 from repro.lpsolve.errors import (
@@ -108,21 +114,24 @@ class Model:
             lb: lower bound (default 0, matching the paper's fractions).
             ub: upper bound, or ``None`` for unbounded above.
         """
-        count = self._names_seen.get(name)
-        if count is not None:
-            self._names_seen[name] = count + 1
-            name = f"{name}#{count + 1}"
-        else:
-            self._names_seen[name] = 0
-        var = Variable(self, len(self._variables), name, lb=lb, ub=ub)
-        self._variables.append(var)
-        self.invalidate()
-        return var
+        return self.add_variables((name,), lb=lb, ub=ub)[0]
 
     def add_variables(self, names: Iterable[str], lb: float = 0.0,
                       ub: Optional[float] = None) -> List[Variable]:
-        """Vector form of :meth:`add_variable`."""
-        return [self.add_variable(n, lb=lb, ub=ub) for n in names]
+        """Vector form of :meth:`add_variable` (one invalidation)."""
+        seen = self._names_seen
+        start = len(self._variables)
+        for name in names:
+            count = seen.get(name)
+            if count is not None:
+                seen[name] = count + 1
+                name = f"{name}#{count + 1}"
+            else:
+                seen[name] = 0
+            self._variables.append(
+                Variable(self, len(self._variables), name, lb=lb, ub=ub))
+        self.invalidate()
+        return self._variables[start:]
 
     def add_constraint(self, constraint: Constraint,
                        name: Optional[str] = None) -> Constraint:
@@ -157,6 +166,26 @@ class Model:
         for i, con in enumerate(constraints):
             added.append(self.add_constraint(con, name=f"{prefix}[{i}]"))
         return added
+
+    def add_block_row(self, block: RowBlock, ordinal: int, rhs: float,
+                      name: str) -> BlockRow:
+        """List row ``ordinal`` of ``block`` as a constraint. Like
+        :meth:`add_constraint`, a row with no variables right now is
+        dropped (or refused as infeasible); the returned view then
+        names a row the model does not have."""
+        block.rhs[ordinal] = rhs
+        row = BlockRow(block, ordinal, name)
+        lo, hi = block.indptr[ordinal:ordinal + 2]
+        if block.lead is None and not block.coeffs[lo:hi].any():
+            if row.violation({}) > 1e-9:
+                raise ModelError(
+                    f"constant constraint {row!r} is trivially "
+                    "infeasible")
+            return row
+        block.live[lo:hi] = True
+        self._constraints.append(row)
+        self.invalidate()
+        return row
 
     def minimize(self, objective: Operand) -> None:
         """Set a minimization objective."""
@@ -194,9 +223,10 @@ class Model:
         """Build the solver-ready sparse structure.
 
         Every term of a constraint gets a stored entry, zero
-        coefficients included: the pattern follows the expressions'
+        coefficients included: the pattern follows the rows'
         structure, not their current values, so any term can later be
-        patched in place.
+        patched in place
+        (:func:`~repro.lpsolve.compiled.compile_rows`).
         """
         n = len(self._variables)
         c = np.zeros(n)
@@ -204,52 +234,23 @@ class Model:
             c[var.index] += coeff
         c *= self._sense
 
-        ub_rows, ub_cols, ub_data, b_ub = [], [], [], []
-        eq_rows, eq_cols, eq_data, b_eq = [], [], [], []
-        ub_row_constraints = []  # (constraint, sign) per row
-        eq_row_constraints = []
-        for con in self._constraints:
-            if con.sense is ConstraintSense.EQ:
-                row = len(b_eq)
-                for var, coeff in con.expr.coeffs.items():
-                    eq_rows.append(row)
-                    eq_cols.append(var.index)
-                    eq_data.append(coeff)
-                b_eq.append(con.rhs)
-                eq_row_constraints.append(con)
-            else:
-                # GE rows are negated into <= form.
-                sign = 1.0 if con.sense is ConstraintSense.LE else -1.0
-                row = len(b_ub)
-                for var, coeff in con.expr.coeffs.items():
-                    ub_rows.append(row)
-                    ub_cols.append(var.index)
-                    ub_data.append(sign * coeff)
-                b_ub.append(sign * con.rhs)
-                ub_row_constraints.append((con, sign))
-
-        a_ub = a_eq = None
-        if b_ub:
-            a_ub = sparse.csr_matrix(
-                (ub_data, (ub_rows, ub_cols)), shape=(len(b_ub), n))
-        if b_eq:
-            a_eq = sparse.csr_matrix(
-                (eq_data, (eq_rows, eq_cols)), shape=(len(b_eq), n))
-        bounds = [(v.lb, v.ub) for v in self._variables]
-        return CompiledLP(c, a_ub, np.asarray(b_ub, dtype=float),
-                          a_eq, np.asarray(b_eq, dtype=float), bounds,
-                          ub_row_constraints, eq_row_constraints)
+        ub = [con for con in self._constraints
+              if con.sense is not ConstraintSense.EQ]
+        eq = [con for con in self._constraints
+              if con.sense is ConstraintSense.EQ]
+        return CompiledLP(c, [(v.lb, v.ub) for v in self._variables],
+                          compile_rows(ub, n), compile_rows(eq, n))
 
     # -- incremental patching ----------------------------------------------
 
     def set_rhs(self, constraint: Constraint, rhs: float) -> None:
         """Re-target a registered constraint's right-hand side.
 
-        Updates the symbolic constraint and, when a compiled structure
-        is cached, the corresponding ``b_ub`` / ``b_eq`` entry in place
-        — no recompilation.
+        Updates the constraint (or, for a block row, its block) and,
+        when a compiled structure is cached, the corresponding
+        ``b_ub`` / ``b_eq`` entry in place — no recompilation.
         """
-        constraint.expr.constant = -float(rhs)
+        constraint.rhs = float(rhs)
         if self._compiled is not None:
             self._compiled.patch_rhs(constraint, float(rhs))
 
@@ -261,9 +262,12 @@ class Model:
         normalized ``expr (<=|>=|==) 0`` form. Raises
         :class:`StructureError` when ``var`` was never a term of the
         constraint (a term whose coefficient is currently zero is
-        fine); callers should :meth:`invalidate` and rebuild.
+        fine) or the constraint is a block row, whose terms only
+        :meth:`set_block_coefficients` writes; callers should
+        :meth:`invalidate` and rebuild.
         """
-        if var not in constraint.expr.coeffs:
+        if (isinstance(constraint, BlockRow)
+                or var not in constraint.expr.coeffs):
             raise StructureError(
                 f"constraint {constraint.name!r} has no term for "
                 f"variable {var.name!r}")
@@ -271,6 +275,21 @@ class Model:
         if self._compiled is not None:
             self._compiled.patch_coefficient(constraint, var.index,
                                              float(coeff))
+
+    def set_block_coefficients(self, block: RowBlock,
+                               term_coeffs: Sequence[float]) -> None:
+        """Overwrite a block's coefficients, one per term of the
+        generator it was built from. Raises :class:`StructureError`
+        when the term count changed or a row the model does not list
+        would become non-zero."""
+        coeffs = block.entry_coeffs(np.asarray(term_coeffs, dtype=float))
+        if coeffs[~block.live].any():
+            raise StructureError(
+                "a non-zero coefficient in a block row the model "
+                "does not list")
+        block.coeffs = coeffs
+        if self._compiled is not None:
+            self._compiled.patch_block(block)
 
     def set_objective_coefficient(self, var: Variable,
                                   coeff: float) -> None:
@@ -296,14 +315,13 @@ class Model:
         """
         duals: Dict[str, float] = {}
         compiled = self._compiled
-        if result.ineq_marginals is not None:
-            for (con, sign), marginal in zip(
-                    compiled.ub_row_constraints, result.ineq_marginals):
-                duals[con.name] = float(marginal) * sign * self._sense
-        if result.eq_marginals is not None:
-            for con, marginal in zip(compiled.eq_row_constraints,
-                                     result.eq_marginals):
-                duals[con.name] = float(marginal) * self._sense
+        for rows, marginals in (
+                (compiled.ub_rows, result.ineq_marginals),
+                (compiled.eq_rows, result.eq_marginals)):
+            if marginals is not None:
+                for con, (row, sign) in rows.items():
+                    duals[con.name] = (float(marginals[row]) * sign
+                                       * self._sense)
         return duals
 
     def solve(self, check: bool = True) -> Solution:
@@ -343,7 +361,9 @@ class Model:
         status = result.status
         duals = {}
         if status is SolveStatus.OPTIMAL:
-            objective = float(result.objective) * self._sense
+            # The backend minimizes ``sense * (objective - constant)``.
+            objective = (float(result.objective) * self._sense
+                         + self._objective.constant)
             values = np.asarray(result.x, dtype=float)
             duals = self._extract_duals(result)
         else:

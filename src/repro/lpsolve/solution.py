@@ -59,6 +59,15 @@ class Solution:
             return float(total)
         return float(item)
 
+    @property
+    def x(self) -> np.ndarray:
+        """Every variable's value, by column index (read-only)."""
+        if self._values is None:
+            raise ModelError("no values available for a failed solve")
+        view = self._values.view()
+        view.flags.writeable = False
+        return view
+
     def dual(self, constraint_name: str) -> float:
         """Shadow price of a named constraint at the optimum.
 

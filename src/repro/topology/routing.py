@@ -27,6 +27,7 @@ class RoutingTable:
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
         self._paths: Dict[Tuple[str, str], Tuple[str, ...]] = {}
+        self._links: Dict[Tuple[str, str], Tuple[Link, ...]] = {}
         nodes = topology.nodes
         for i, source in enumerate(nodes):
             for target in nodes[i + 1:]:
@@ -36,6 +37,9 @@ class RoutingTable:
                     continue  # disconnected pair (e.g., after failure)
                 self._paths[(source, target)] = path
                 self._paths[(target, source)] = tuple(reversed(path))
+                links = tuple(Topology.path_links(path))
+                self._links[(source, target)] = links
+                self._links[(target, source)] = links[::-1]
 
     def path(self, source: str, target: str) -> Tuple[str, ...]:
         """The route from source to target (``(source,)`` if equal).
@@ -47,9 +51,12 @@ class RoutingTable:
             return (source,)
         return self._paths[(source, target)]
 
-    def path_links(self, source: str, target: str) -> List[Link]:
-        """Canonical links on the route between two nodes."""
-        return Topology.path_links(self.path(source, target))
+    def path_links(self, source: str, target: str) -> Tuple[Link, ...]:
+        """Canonical links on the route between two nodes (none if
+        equal; ``KeyError`` for pairs with no route)."""
+        if source == target:
+            return ()
+        return self._links[(source, target)]
 
     def hop_count(self, source: str, target: str) -> int:
         """Number of links on the route between two nodes."""

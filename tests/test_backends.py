@@ -68,6 +68,19 @@ class TestBackendEquivalence:
         sol = m.solve()
         assert sol.objective_value == pytest.approx(12.0, abs=1e-6)
 
+    @pytest.mark.parametrize("sense", ("minimize", "maximize"))
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_objective_value_includes_the_constant_term(self, name,
+                                                        sense):
+        m = Model(backend=name)
+        x = m.add_variable("x", lb=1.0, ub=3.0)
+        getattr(m, sense)(x + 5)
+        sol = m.solve()
+        expected = 6.0 if sense == "minimize" else 8.0
+        assert sol.objective_value == pytest.approx(expected, abs=1e-9)
+        assert sol.objective_value == pytest.approx(
+            sol.value(m.objective), abs=1e-9)
+
     @pytest.mark.parametrize("name", BACKENDS)
     def test_resolve_after_patch_matches_cold_rebuild(
             self, line_state_dc, name):

@@ -2,7 +2,7 @@
 compile-cache metrics, and the structure-change fallback."""
 
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import hypothesis.strategies as st
 import numpy as np
@@ -173,6 +173,40 @@ class TestStructureFallback:
             line_state_dc.with_traffic(heavier)).solve()
         assert warm.load_cost == pytest.approx(cold.load_cost,
                                                abs=1e-9)
+
+    @pytest.mark.parametrize("change", [
+        dict(name="renamed"),
+        dict(source="B", path=("B", "C", "D")),
+        dict(target="C"),
+        dict(path=("A", "B", "D")),
+        dict(session_bytes=123.0),
+        dict(footprints={"cpu": 2.0}),
+        dict(record_bytes=99.0),
+        dict(rev_path=("D", "C", "A")),
+    ], ids=lambda change: "+".join(change))
+    def test_each_structural_field_blocks_the_warm_path(
+            self, line_state_dc, change):
+        problem = _replication(line_state_dc)
+        current = list(line_state_dc.classes)
+        assert set(change) <= {f.name for f in fields(current[0])}
+        flipped = [replace(current[0], **change)] + current[1:]
+        assert not problem._traffic_compatible(flipped)
+        assert not problem._traffic_compatible(current[:-1])
+        # Volumes alone — on the same objects, on copies, or with equal
+        # but distinct field values — stay warm.
+        assert problem._traffic_compatible(current)
+        assert problem._traffic_compatible(
+            [replace(cls, num_sessions=cls.num_sessions * 3.0,
+                     path=tuple(list(cls.path)),
+                     footprints=dict(cls.footprints))
+             for cls in current])
+
+    def test_every_field_but_the_volume_is_structural(self):
+        from repro.core.formulation import _STRUCTURAL_FIELDS
+        from repro.traffic.classes import TrafficClass
+
+        assert set(_STRUCTURAL_FIELDS) == {
+            f.name for f in fields(TrafficClass)} - {"num_sessions"}
 
     def test_formulation_is_shared_base(self, line_state_dc):
         assert isinstance(_replication(line_state_dc), Formulation)

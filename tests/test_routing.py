@@ -32,7 +32,10 @@ class TestRoutingTable:
 
     def test_path_links(self, line_routing):
         assert line_routing.path_links("A", "C") == \
-            [("A", "B"), ("B", "C")]
+            (("A", "B"), ("B", "C"))
+        assert line_routing.path_links("C", "A") == \
+            (("B", "C"), ("A", "B"))
+        assert line_routing.path_links("B", "B") == ()
 
     def test_hop_count(self, line_routing):
         assert line_routing.hop_count("A", "D") == 3
