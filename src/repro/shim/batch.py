@@ -2,10 +2,13 @@
 
 A :class:`~repro.shim.shim.Shim` decides one packet at a time: classify,
 hash, walk the class's rule list. This module lowers a whole network's
-:class:`~repro.shim.config.ShimConfig` set into flat numpy tables —
-per (node, class, direction) sorted range-boundary arrays with parallel
-action/target columns — and resolves process/replicate/ignore for an
-entire observation batch with ``np.searchsorted``.
+:class:`~repro.shim.config.ShimConfig` set into one flat rule table —
+every (node, class, direction)'s sorted, disjoint ranges laid end to
+end in parallel start/end/action/target columns, behind a dense
+(node, class, direction) -> table index — and resolves
+process/replicate/ignore for an entire observation batch with one
+vectorized binary search: the software twin of a TCAM range table,
+one probe of one table per lookup.
 
 The lowering is only valid when rule semantics reduce to range
 membership: within one (node, class, direction) bucket every rule must
@@ -21,8 +24,7 @@ shim, which stays the correctness oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -62,17 +64,6 @@ def _first_match_wins(entries: Sequence[_Entry]) -> List[_Entry]:
     return disjoint
 
 
-@dataclass
-class _RuleTable:
-    """Sorted, disjoint ranges for one (node, class, direction)."""
-
-    mode: HashMode
-    starts: np.ndarray   # float64, ascending
-    ends: np.ndarray     # float64, parallel to starts
-    actions: np.ndarray  # int8 (ACTION_PROCESS / ACTION_REPLICATE)
-    targets: np.ndarray  # int32 mirror-node index, -1 for PROCESS
-
-
 class BatchShimKernel:
     """All shim configs of one network, compiled for batch decisions.
 
@@ -98,18 +89,48 @@ class BatchShimKernel:
         self._node_index = {n: i for i, n in enumerate(self.node_order)}
         self._class_index = {c: i for i, c in enumerate(self.class_names)}
         self._num_classes = len(self.class_names)
-        self._tables: Dict[int, _RuleTable] = {}
         self.modes_used: Set[HashMode] = set()
+        # Table ``t`` is rows ``first[t]:first[t + 1]`` of the flat
+        # columns. The table after the last one is empty: the dense
+        # index points there for a (node, class, direction) with no
+        # rule, and its own last slot — where a class id of -1 is
+        # sent — does too, so all of them resolve to "ignore". One
+        # padding row keeps every probe of the columns in bounds.
+        keys: List[int] = []
+        modes: List[HashMode] = []
+        first = [0]
+        rows: List[_Entry] = []
         for node, config in configs.items():
             if node not in self._node_index:
                 continue
-            self._compile_node(self._node_index[node], config)
+            for key, mode, table in self._compile_node(
+                    self._node_index[node], config):
+                keys.append(key)
+                modes.append(mode)
+                rows.extend(table)
+                first.append(len(rows))
+        self._num_tables = len(keys)
+        self._modes = sorted(self.modes_used, key=lambda m: m.value)
+        self._table_of = np.full(
+            len(self.node_order) * self._num_classes * 2 + 1,
+            self._num_tables, dtype=np.int32)
+        self._table_of[np.array(keys, dtype=np.int64)] = np.arange(
+            self._num_tables, dtype=np.int32)
+        self._first = np.array(first + first[-1:], dtype=np.int64)
+        self._max_rules = int(np.diff(self._first).max())
+        self._mode_of = np.array(
+            [self._modes.index(mode) for mode in modes] + [0],
+            dtype=np.int8)
+        rows.append((np.inf, np.inf, ACTION_IGNORE, -1))
+        self._starts = np.array([r[0] for r in rows], dtype=np.float64)
+        self._ends = np.array([r[1] for r in rows], dtype=np.float64)
+        self._actions = np.array([r[2] for r in rows], dtype=np.int8)
+        self._targets = np.array([r[3] for r in rows], dtype=np.int32)
 
-    def _group_key(self, node_id: int, class_id: int,
-                   dir_id: int) -> int:
-        return (node_id * self._num_classes + class_id) * 2 + dir_id
-
-    def _compile_node(self, node_id: int, config: ShimConfig) -> None:
+    def _compile_node(self, node_id: int, config: ShimConfig
+                      ) -> Iterator[Tuple[int, HashMode, List[_Entry]]]:
+        """``(dense key, hash mode, sorted disjoint rows)`` for every
+        (class, direction) of one node that has a live rule."""
         for class_name, rules in config.rules.items():
             class_id = self._class_index.get(class_name)
             if class_id is None:
@@ -142,20 +163,12 @@ class BatchShimKernel:
                     rows = _first_match_wins(entries)
                 mode = modes.pop()
                 self.modes_used.add(mode)
-                self._tables[self._group_key(node_id, class_id, dir_id)] = \
-                    _RuleTable(mode=mode,
-                               starts=np.array([e[0] for e in rows],
-                                               dtype=np.float64),
-                               ends=np.array([e[1] for e in rows],
-                                             dtype=np.float64),
-                               actions=np.array([e[2] for e in rows],
-                                                dtype=np.int8),
-                               targets=np.array([e[3] for e in rows],
-                                                dtype=np.int32))
+                yield ((node_id * self._num_classes + class_id) * 2
+                       + dir_id, mode, rows)
 
     @property
     def num_tables(self) -> int:
-        return len(self._tables)
+        return self._num_tables
 
     @property
     def max_table_rules(self) -> int:
@@ -163,8 +176,7 @@ class BatchShimKernel:
         the per-table occupancy a TCAM rule budget bounds. Budgeted
         configs (``build_*_configs(budget=B)``) always lower to
         tables of at most ``B`` rows."""
-        return max((len(table.starts)
-                    for table in self._tables.values()), default=0)
+        return self._max_rules
 
     def decide(self, node_ids: np.ndarray, class_ids: np.ndarray,
                directions: np.ndarray,
@@ -184,46 +196,42 @@ class BatchShimKernel:
             ``(actions, targets)`` — int8 action codes and int32 mirror
             node indices (-1 unless replicating), observation-aligned.
 
-        The observations are grouped by (node, class, direction) with a
-        stable argsort; each group present in the batch is resolved in
-        one ``searchsorted`` against its compiled table, using the
-        table's *original* float boundaries so the comparison semantics
-        (``start <= h < end``) are exactly the scalar
-        ``HashRange.contains``.
+        Every observation looks up its table in the dense index and
+        binary-searches that table's slice of the flat start column —
+        all observations at once, in as many halving steps as the
+        largest table needs. The comparisons use the tables' *original*
+        float boundaries, unscaled (``start <= h < end``), so they are
+        exactly the scalar ``HashRange.contains``: folding the table id
+        into the boundary to search one sorted key would round it.
         """
-        count = len(node_ids)
-        actions = np.zeros(count, dtype=np.int8)
-        targets = np.full(count, -1, dtype=np.int32)
-        if count == 0:
-            return actions, targets
         node_ids = np.asarray(node_ids, dtype=np.int64)
         class_ids = np.asarray(class_ids, dtype=np.int64)
-        directions = np.asarray(directions, dtype=np.int64)
-        keys = np.where(
+        table = self._table_of[np.where(
             class_ids >= 0,
-            (node_ids * self._num_classes + class_ids) * 2 + directions,
-            -1)
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        group_keys, firsts = np.unique(sorted_keys, return_index=True)
-        bounds = np.append(firsts, count)
-        for gi, key in enumerate(group_keys):
-            if key < 0:
-                continue
-            table = self._tables.get(int(key))
-            if table is None:
-                continue
-            members = order[firsts[gi]:bounds[gi + 1]]
-            values = hash_columns[table.mode][members]
-            pos = np.searchsorted(table.starts, values,
-                                  side="right") - 1
-            inside = pos >= 0
-            pos_clipped = np.where(inside, pos, 0)
-            inside &= values < table.ends[pos_clipped]
-            hits = members[inside]
-            actions[hits] = table.actions[pos_clipped[inside]]
-            targets[hits] = table.targets[pos_clipped[inside]]
-        return actions, targets
+            (node_ids * self._num_classes + class_ids) * 2
+            + np.asarray(directions, dtype=np.int64), -1)]
+        if len(self._modes) == 1:
+            values = hash_columns[self._modes[0]]
+        else:
+            values = np.zeros(len(table), dtype=np.float64)
+            mode_of = self._mode_of[table]
+            for code, mode in enumerate(self._modes):
+                chosen = mode_of == code
+                values[chosen] = hash_columns[mode][chosen]
+        # Rows of the table with start <= h: [first, low) when done.
+        first = self._first[table]
+        low, high = first, self._first[table + 1]
+        for _ in range(self._max_rules.bit_length()):
+            mid = (low + high) >> 1
+            right = (low < high) & (self._starts[mid] <= values)
+            low = np.where(right, mid + 1, low)
+            high = np.where(right, high, mid)
+        pos = low - 1
+        inside = (pos >= first) & (values < self._ends[pos])
+        actions = np.where(inside, self._actions[pos], ACTION_IGNORE)
+        targets = np.where(inside, self._targets[pos], -1)
+        return (actions.astype(np.int8, copy=False),
+                targets.astype(np.int32, copy=False))
 
 
 def delivery_nodes(actions: np.ndarray, targets: np.ndarray,

@@ -23,7 +23,7 @@ that equivalence.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -180,7 +180,8 @@ def _as_u32(column: "np.ndarray") -> np.ndarray:
     return (arr.astype(np.int64) & _MASK32).astype(np.uint32)
 
 
-def bob_hash_batch(columns: Sequence["np.ndarray"], seed: int = 0,
+def bob_hash_batch(columns: Sequence["np.ndarray"],
+                   seed: Union[int, "np.ndarray"] = 0,
                    size: Optional[int] = None) -> np.ndarray:
     """Vectorized :func:`bob_hash`: element ``i`` of the result equals
     ``bob_hash(columns[0][i], ..., columns[k-1][i], seed=seed)``.
@@ -188,7 +189,11 @@ def bob_hash_batch(columns: Sequence["np.ndarray"], seed: int = 0,
     Args:
         columns: one integer array per hash word, all the same length
             (a struct-of-arrays row set).
-        seed: optional seed for independent hash functions.
+        seed: optional seed for independent hash functions. An integer
+            array of shape ``(r, 1)`` hashes every row under ``r``
+            seeds at once — the seed only enters lookup3's initial
+            word, so it broadcasts — and row ``j`` of the ``(r, n)``
+            result equals the call with ``seed=seed[j, 0]``.
         size: row count, required only when ``columns`` is empty.
 
     Returns:
@@ -199,8 +204,8 @@ def bob_hash_batch(columns: Sequence["np.ndarray"], seed: int = 0,
         if not cols:
             raise ValueError("size is required with no columns")
         size = len(cols[0])
-    init = np.uint32((0xDEADBEEF + (len(cols) << 2) + seed) & _MASK32)
-    a = np.full(size, init, dtype=np.uint32)
+    init = _as_u32((0xDEADBEEF + (len(cols) << 2) + seed) & _MASK32)
+    a = init + np.zeros(size, dtype=np.uint32)
     b = a.copy()
     c = a.copy()
     count = len(cols)

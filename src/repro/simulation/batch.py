@@ -12,14 +12,19 @@ column stores:
   direction, wire size, and all payloads packed into one contiguous
   byte buffer with an offsets column.
 
-Both also precompute the *observation expansion* — the (packet,
-on-path node) pairs the scalar loops enumerate — grouped by path so
-the expansion itself is a handful of ``np.repeat``/``np.tile`` calls
-rather than a per-packet loop.
+Both also provide the *observation expansion*. The shim's decision
+is a function of (session, direction, node) — the hash covers the
+session 5-tuple — so the unit the fast path expands and decides is
+the *session-direction group* ``session * 2 + direction``, not the
+packet: :meth:`PacketBatch.group_sums` reduces per-packet quantities
+(integer-valued, so exact in any grouping) onto the groups, and
+:meth:`PacketBatch.group_observers` pairs every group that has a
+packet with the nodes on its direction's path. The pairing is a ragged
+gather over a CSR path table built once per ``paths`` list.
 
-Distinct-session accounting keys on the five-tuple *value*
-(``np.unique`` over the five columns), matching the scalar engines,
-which dedupe on the ``FiveTuple`` they are handed.
+Distinct-session accounting keys on the five-tuple *value* (a dense
+lexicographic rank over the five columns), matching the scalar
+engines, which dedupe on the ``FiveTuple`` they are handed.
 """
 
 from __future__ import annotations
@@ -36,6 +41,23 @@ DIR_FWD = 0
 DIR_REV = 1
 
 _DIR_CODE = {"fwd": DIR_FWD, "rev": DIR_REV}
+
+PathTable = Tuple[np.ndarray, np.ndarray]  # CSR: indptr, node ids
+
+
+def _dense_rank(*columns: np.ndarray) -> np.ndarray:
+    """Rank of each row among the distinct rows in lexicographic
+    order (first column most significant) — the ``inverse`` of
+    ``np.unique(rows, axis=0, return_inverse=True)`` without its
+    void-dtype row sort."""
+    order = np.lexsort(columns[::-1])
+    differs = np.zeros(len(order), dtype=bool)
+    for column in columns:
+        ordered = column[order]
+        differs[1:] |= ordered[1:] != ordered[:-1]
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.cumsum(differs)
+    return rank
 
 
 class SessionBatch:
@@ -58,7 +80,8 @@ class SessionBatch:
                  paths: List[np.ndarray],
                  node_order: Tuple[str, ...], hash_seed: int = 0,
                  session_key: Optional[np.ndarray] = None,
-                 num_keys: Optional[int] = None) -> None:
+                 num_keys: Optional[int] = None,
+                 path_table: Optional[PathTable] = None) -> None:
         self.proto = proto
         self.src_ip = src_ip
         self.src_port = src_port
@@ -74,14 +97,8 @@ class SessionBatch:
         self.hash_seed = hash_seed
         self.num_sessions = len(proto)
         if session_key is None:
-            tuples = np.stack([proto.astype(np.int64),
-                               src_ip.astype(np.int64),
-                               src_port.astype(np.int64),
-                               dst_ip.astype(np.int64),
-                               dst_port.astype(np.int64)], axis=1)
-            _, session_key = np.unique(tuples, axis=0,
-                                       return_inverse=True)
-            session_key = session_key.reshape(-1)
+            session_key = _dense_rank(proto, src_ip, src_port, dst_ip,
+                                      dst_port)
         # Injected keys (trace-store reopen, chunked sub-batches) may
         # span a larger universe than this batch's rows, so num_keys
         # travels with them — chunked distinct-session accounting
@@ -92,6 +109,9 @@ class SessionBatch:
             num_keys = (int(self.session_key.max()) + 1
                         if len(self.session_key) else 0)
         self.num_keys = num_keys
+        # Sub-batches of one trace share ``paths``; whoever slices
+        # them passes the table along so it is built once per trace.
+        self._path_table = path_table
         self._hash_cache: Dict[HashMode, np.ndarray] = {}
         self._flow_obs: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
@@ -176,35 +196,36 @@ class SessionBatch:
             self._hash_cache[mode] = column
         return column
 
+    def path_table(self) -> PathTable:
+        """``paths`` in CSR form: path ``p`` is
+        ``nodes[indptr[p]:indptr[p + 1]]``. Cached."""
+        if self._path_table is None:
+            indptr = np.zeros(len(self.paths) + 1, dtype=np.int64)
+            np.cumsum(np.array([len(path) for path in self.paths],
+                               dtype=np.int64), out=indptr[1:])
+            nodes = np.concatenate(
+                [np.zeros(0, dtype=np.int64), *self.paths])
+            self._path_table = (indptr, nodes)
+        return self._path_table
+
     def _expand_paths(self, row_ids: np.ndarray, path_ids: np.ndarray
                       ) -> Tuple[np.ndarray, np.ndarray]:
-        """(row, on-path node) expansion, grouped by path id.
+        """(row, on-path node) expansion: row ``i`` is repeated once
+        per node of path ``path_ids[i]``, in row order.
 
-        Returns observation-aligned ``(obs_row, obs_node)`` arrays; the
-        ordering is arbitrary (grouped by path), which is fine — every
-        consumer reduces with order-independent sums and sets.
+        Returns observation-aligned ``(obs_row, obs_node)`` arrays —
+        a ragged gather from the CSR path table. Consumers reduce with
+        order-independent sums and sets.
         """
-        if len(row_ids) == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
-        order = np.argsort(path_ids, kind="stable")
-        sorted_paths = path_ids[order]
-        unique_paths, firsts = np.unique(sorted_paths,
-                                         return_index=True)
-        bounds = np.append(firsts, len(row_ids))
-        obs_rows: List[np.ndarray] = []
-        obs_nodes: List[np.ndarray] = []
-        for gi, pid in enumerate(unique_paths):
-            members = order[firsts[gi]:bounds[gi + 1]]
-            nodes = self.paths[int(pid)]
-            if len(nodes) == 0:
-                continue
-            obs_rows.append(np.repeat(members, len(nodes)))
-            obs_nodes.append(np.tile(nodes, len(members)))
-        if not obs_rows:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
-        return (np.concatenate(obs_rows), np.concatenate(obs_nodes))
+        indptr, nodes = self.path_table()
+        first = indptr[path_ids]
+        lengths = indptr[path_ids + 1] - first
+        obs_rows = np.repeat(row_ids, lengths)
+        # Each run's offset from output position to table position.
+        shift = np.repeat(first - (np.cumsum(lengths) - lengths),
+                          lengths)
+        return obs_rows, nodes[
+            np.arange(len(obs_rows), dtype=np.int64) + shift]
 
     def flow_observers(self) -> Tuple[np.ndarray, np.ndarray]:
         """(session, forward-path node) expansion — what the scan and
@@ -236,7 +257,7 @@ class PacketBatch:
         self.payload_buffer = payload_buffer
         self.payload_offsets = payload_offsets
         self.num_packets = len(session_of_packet)
-        self._packet_obs: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._groups: Optional[np.ndarray] = None
 
     @classmethod
     def from_sessions(cls, sessions: Sequence[Session], classifier,
@@ -271,19 +292,36 @@ class PacketBatch:
         """Per-packet payload size in bytes (int64)."""
         return np.diff(self.payload_offsets)
 
-    def packet_observers(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(packet, on-path node) expansion for every packet, using
-        each packet's direction's path. Cached."""
-        if self._packet_obs is None:
-            sess = self.sessions
-            path_of_packet = np.where(
-                self.direction == DIR_FWD,
-                sess.fwd_path_id[self.session_of_packet],
-                sess.rev_path_id[self.session_of_packet])
-            packets = np.arange(self.num_packets, dtype=np.int64)
-            self._packet_obs = sess._expand_paths(
-                packets, path_of_packet.astype(np.int64))
-        return self._packet_obs
+    def _group_of_packet(self) -> np.ndarray:
+        """Per-packet ``session * 2 + direction``. Cached."""
+        if self._groups is None:
+            self._groups = (
+                np.asarray(self.session_of_packet, dtype=np.int64) * 2
+                + self.direction)
+        return self._groups
+
+    def group_sums(self, per_packet: np.ndarray) -> np.ndarray:
+        """Sum a per-packet column onto the session-direction groups
+        (float64, one entry per ``session * 2 + direction``). Exact
+        for the integer-valued columns the replays reduce — packet
+        counts, payload and wire bytes, signature matches."""
+        return np.bincount(self._group_of_packet(), weights=per_packet,
+                           minlength=2 * self.sessions.num_sessions)
+
+    def group_observers(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(session-direction group, on-path node) expansion of every
+        group that has at least one packet, using each direction's
+        path — one observation where the scalar loop makes one shim
+        call per packet of the group."""
+        sess = self.sessions
+        groups = np.flatnonzero(np.bincount(
+            self._group_of_packet(),
+            minlength=2 * sess.num_sessions))
+        owner = groups >> 1
+        path_of_group = np.where((groups & 1) == DIR_FWD,
+                                 sess.fwd_path_id[owner],
+                                 sess.rev_path_id[owner])
+        return sess._expand_paths(groups, path_of_group)
 
     def payload_match_counts(self, patterns: Sequence[bytes]
                              ) -> np.ndarray:

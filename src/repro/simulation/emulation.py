@@ -371,9 +371,9 @@ class Emulation:
         Work units decompose exactly as the scalar engine charges them:
         1.0 x payload bytes per delivered packet plus 100.0 per
         distinct (node, five-tuple) delivery pair. Alerts multiply each
-        packet's precomputed pattern-occurrence count by its delivery
-        count — the same total the scalar engine accumulates one
-        ``inspect`` at a time.
+        session-direction group's precomputed pattern-occurrence count
+        by its delivery count — the same total the scalar engine
+        accumulates one ``inspect`` at a time.
 
         Per-node byte work, alerts, replicated bytes, and per-link
         bytes are integer-valued float sums, exact in any grouping, so
@@ -399,28 +399,36 @@ class Emulation:
         link_bytes: Dict[Link, float] = {}
         for chunk in chunks:
             sess = chunk.sessions
-            obs_pkt, obs_node = chunk.packet_observers()
-            obs_sess = chunk.session_of_packet[obs_pkt]
+            # One observation per (session, direction, on-path node):
+            # the decision is the same for every packet of the group,
+            # whose bytes and matches are summed up front.
+            obs_group, obs_node = chunk.group_observers()
+            obs_sess = obs_group >> 1
             actions, targets = self._decide_batch(
-                kernel, sess, obs_sess, obs_node,
-                chunk.direction[obs_pkt].astype(np.int64))
+                kernel, sess, obs_sess, obs_node, obs_group & 1)
             deliver = delivery_nodes(actions, targets, obs_node)
             mask = deliver >= 0
 
-            payload_len = chunk.payload_lengths
             byte_work += accumulate_per_node(
-                deliver, payload_len[obs_pkt].astype(np.float64),
+                deliver,
+                chunk.group_sums(chunk.payload_lengths)[obs_group],
                 num_nodes)
-            pair = (deliver[mask] * keys +
-                    sess.session_key[obs_sess[mask]])
-            pair_chunks.append(np.unique(pair))
+            # Distinct pairs of the chunk: sort, keep what differs
+            # from its left neighbour (np.unique's hash path costs 5x
+            # this on a chunk-sized array).
+            pair = np.sort(deliver[mask] * keys +
+                           sess.session_key[obs_sess[mask]])
+            fresh = np.ones(len(pair), dtype=bool)
+            fresh[1:] = pair[1:] != pair[:-1]
+            pair_chunks.append(pair[fresh])
 
-            match_counts = chunk.payload_match_counts(
-                DEFAULT_SIGNATURES)
-            alerts += int(match_counts[obs_pkt[mask]].sum())
+            matches = chunk.group_sums(
+                chunk.payload_match_counts(DEFAULT_SIGNATURES))
+            alerts += int(matches[obs_group[mask]].sum())
 
             repl = actions == ACTION_REPLICATE
-            repl_sizes = chunk.size_bytes[obs_pkt[repl]]
+            repl_sizes = chunk.group_sums(
+                chunk.size_bytes)[obs_group[repl]]
             if repl.any():
                 replicated += float(repl_sizes.sum())
             for link, value in self._links().link_bytes(
@@ -519,16 +527,16 @@ class Emulation:
         sess = batch.sessions
         kernel = self._kernel(sess.class_names)
         start = time.perf_counter()
-        obs_pkt, obs_node = batch.packet_observers()
-        obs_sess = batch.session_of_packet[obs_pkt]
-        directions = batch.direction[obs_pkt].astype(np.int64)
+        obs_group, obs_node = batch.group_observers()
+        obs_sess = obs_group >> 1
+        directions = obs_group & 1
         actions, targets = self._decide_batch(
             kernel, sess, obs_sess, obs_node, directions)
         deliver = delivery_nodes(actions, targets, obs_node)
         mask = deliver >= 0
         num_nodes = len(sess.node_order)
 
-        sizes = batch.size_bytes[obs_pkt]
+        sizes = batch.group_sums(batch.size_bytes)[obs_group]
         byte_sum = accumulate_per_node(deliver, sizes, num_nodes)
         keys = max(sess.num_keys, 1)
         pair = deliver[mask] * keys + sess.session_key[obs_sess[mask]]
@@ -543,8 +551,7 @@ class Emulation:
             pairs_of_triples[dir_counts == 2] % keys)
 
         repl = actions == ACTION_REPLICATE
-        replicated = (float(batch.size_bytes[obs_pkt[repl]].sum())
-                      if repl.any() else 0.0)
+        replicated = float(sizes[repl].sum()) if repl.any() else 0.0
 
         report = StatefulEmulationReport(
             covered_sessions=int(len(covered_keys)),

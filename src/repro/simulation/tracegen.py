@@ -400,14 +400,16 @@ class TraceGenerator:
         # Class-name universe: trace-declared names plus whatever the
         # classifier assigns. The classifier only looks at (src PoP,
         # dst PoP, dst port), so one call per unique (class, port)
-        # pair covers every session.
+        # pair covers every session. Ports are 16-bit, so a pair is
+        # one integer and the pairs sort as (class, port) rows would.
         trace_names = {self.classes[int(ci)].name
                        for ci in np.unique(plan.class_idx)}
         assigned_of_pair: Dict[Tuple[int, int], Optional[str]] = {}
         if n:
-            pairs, inverse = np.unique(
-                np.stack([plan.class_idx, plan.dst_port], axis=1),
-                axis=0, return_inverse=True)
+            packed, inverse = np.unique(
+                plan.class_idx * 65536 + plan.dst_port,
+                return_inverse=True)
+            pairs = np.stack([packed >> 16, packed & 0xFFFF], axis=1)
             for ci, port in pairs:
                 cls = self.classes[int(ci)]
                 probe = FiveTuple(

@@ -28,7 +28,8 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import (Callable, Dict, Iterator, List, Optional, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -61,11 +62,12 @@ def _column_arrays(batch: PacketBatch) -> Dict[str, np.ndarray]:
     return columns
 
 
-def _payload_bytes(batch: PacketBatch) -> bytes:
+def _payload_view(batch: PacketBatch) -> Union[bytes, np.ndarray]:
+    """The payload as one contiguous buffer, without copying it."""
     buffer = batch.payload_buffer
     if isinstance(buffer, bytes):
         return buffer
-    return buffer.tobytes()
+    return np.ascontiguousarray(buffer)
 
 
 def trace_fingerprint(batch: PacketBatch) -> str:
@@ -83,11 +85,29 @@ def trace_fingerprint(batch: PacketBatch) -> str:
         "paths": [[int(n) for n in path] for path in sess.paths],
     }
     digest.update(json.dumps(header, sort_keys=True).encode("ascii"))
+    # hashlib reads the columns (memmaps included) through the buffer
+    # protocol: nothing is copied to be hashed.
     for name, array in _column_arrays(batch).items():
         digest.update(name.encode("ascii"))
-        digest.update(np.ascontiguousarray(array).tobytes())
-    digest.update(_payload_bytes(batch))
+        digest.update(memoryview(np.ascontiguousarray(array)))
+    digest.update(memoryview(_payload_view(batch)))
     return digest.hexdigest()
+
+
+def _map_file(path: Path, data_bytes: int,
+              mapper: Callable[[Path], np.ndarray]) -> np.ndarray:
+    """Map one store file read-only. A file too short for what the
+    manifest records (numpy: "mmap length is greater than file size"),
+    missing or not an array at all is a corrupt store — reported here,
+    at open, before any replay touches it."""
+    try:
+        return mapper(path)
+    except (OSError, ValueError) as exc:
+        actual = path.stat().st_size if path.is_file() else 0
+        raise TraceStoreError(
+            f"{path}: the manifest records {data_bytes} bytes of "
+            f"data, the file holds {actual} bytes in all "
+            f"({exc})") from exc
 
 
 class TraceStore:
@@ -127,8 +147,8 @@ class TraceStore:
                     "dtype": str(array.dtype),
                     "shape": list(array.shape),
                 }
-            payload = _payload_bytes(batch)
-            if payload:
+            payload = _payload_view(batch)
+            if len(payload):
                 (root / PAYLOAD_NAME).write_bytes(payload)
             manifest: Dict[str, object] = {
                 "format": FORMAT_NAME,
@@ -175,9 +195,11 @@ class TraceStore:
             payload_meta = manifest["payload"]
             payload_len = int(payload_meta["bytes"])
             if payload_len:
-                payload: Union[bytes, np.ndarray] = np.memmap(
-                    root / str(payload_meta["file"]), dtype=np.uint8,
-                    mode="r", shape=(payload_len,))
+                payload: Union[bytes, np.ndarray] = _map_file(
+                    root / str(payload_meta["file"]), payload_len,
+                    lambda path: np.memmap(path, dtype=np.uint8,
+                                           mode="r",
+                                           shape=(payload_len,)))
             else:
                 payload = b""
             sessions = SessionBatch(
@@ -210,7 +232,11 @@ class TraceStore:
             if spec is None:
                 raise TraceStoreError(
                     f"{root}: manifest is missing column {name!r}")
-            array = np.load(root / str(spec["file"]), mmap_mode="r")
+            array = _map_file(
+                root / str(spec["file"]),
+                int(np.prod(spec["shape"], dtype=np.int64)) *
+                np.dtype(str(spec["dtype"])).itemsize,
+                lambda path: np.load(path, mmap_mode="r"))
             if str(array.dtype) != spec["dtype"] or \
                     list(array.shape) != list(spec["shape"]):
                 raise TraceStoreError(
@@ -266,7 +292,15 @@ class ChunkedReplay:
     def __init__(self, batch: PacketBatch, chunk_packets: int) -> None:
         if chunk_packets <= 0:
             raise ValueError("chunk_packets must be positive")
-        sop = batch.session_of_packet
+        # Plain-ndarray views of the columns, taken once: slicing an
+        # ``np.memmap`` goes through ``memmap.__getitem__`` and builds
+        # a new memmap object per slice, and a chunk slices them all.
+        self._columns = {name: np.asarray(array) for name, array
+                         in _column_arrays(batch).items()}
+        payload = batch.payload_buffer
+        self._payload = (payload if isinstance(payload, bytes)
+                         else np.asarray(payload))
+        sop = self._columns["session_of_packet"]
         if len(sop) and np.any(np.diff(sop) < 0):
             raise ValueError(
                 "packets are not grouped by session; chunked replay "
@@ -276,7 +310,7 @@ class ChunkedReplay:
         self.bounds = self._chunk_bounds()
 
     def _chunk_bounds(self) -> List[Tuple[int, int]]:
-        sop = self.batch.session_of_packet
+        sop = self._columns["session_of_packet"]
         total = len(sop)
         bounds: List[Tuple[int, int]] = []
         cursor = 0
@@ -294,38 +328,31 @@ class ChunkedReplay:
         return len(self.bounds)
 
     def _sub_batch(self, start: int, end: int) -> PacketBatch:
-        batch = self.batch
-        sess = batch.sessions
-        sop = batch.session_of_packet
+        sess = self.batch.sessions
+        cols = self._columns
+        sop = cols["session_of_packet"]
         lo = int(sop[start])
         hi = int(sop[end - 1]) + 1
         sub_sessions = SessionBatch(
-            np.asarray(sess.proto[lo:hi]),
-            np.asarray(sess.src_ip[lo:hi]),
-            np.asarray(sess.src_port[lo:hi]),
-            np.asarray(sess.dst_ip[lo:hi]),
-            np.asarray(sess.dst_port[lo:hi]),
-            np.asarray(sess.class_id[lo:hi]),
-            np.asarray(sess.trace_class_id[lo:hi]),
-            sess.class_names,
-            np.asarray(sess.fwd_path_id[lo:hi]),
-            np.asarray(sess.rev_path_id[lo:hi]),
+            cols["proto"][lo:hi], cols["src_ip"][lo:hi],
+            cols["src_port"][lo:hi], cols["dst_ip"][lo:hi],
+            cols["dst_port"][lo:hi], cols["class_id"][lo:hi],
+            cols["trace_class_id"][lo:hi], sess.class_names,
+            cols["fwd_path_id"][lo:hi], cols["rev_path_id"][lo:hi],
             sess.paths, sess.node_order, sess.hash_seed,
-            session_key=np.asarray(sess.session_key[lo:hi]),
-            num_keys=sess.num_keys)
-        offsets = batch.payload_offsets
+            session_key=cols["session_key"][lo:hi],
+            num_keys=sess.num_keys, path_table=sess.path_table())
+        offsets = cols["payload_offsets"]
         byte_lo = int(offsets[start])
         byte_hi = int(offsets[end])
-        buffer = batch.payload_buffer[byte_lo:byte_hi]
+        buffer = self._payload[byte_lo:byte_hi]
         if not isinstance(buffer, bytes):
             buffer = buffer.tobytes()
         return PacketBatch(
-            sub_sessions,
-            np.asarray(sop[start:end]) - lo,
-            np.asarray(batch.direction[start:end]),
-            np.asarray(batch.size_bytes[start:end]),
-            buffer,
-            np.asarray(offsets[start:end + 1]) - byte_lo)
+            sub_sessions, sop[start:end] - lo,
+            cols["direction"][start:end],
+            cols["size_bytes"][start:end], buffer,
+            offsets[start:end + 1] - byte_lo)
 
     def __iter__(self) -> Iterator[PacketBatch]:
         for start, end in self.bounds:

@@ -11,8 +11,9 @@ where ``epsilon = e / width`` and ``delta = e ** -depth``.
 
 The row hashes reuse the repo's vectorized Bob Jenkins lookup3
 (:func:`repro.shim.hashing.bob_hash_batch`) with per-row seeds
-``seed + row``, so updates are bit-exact, whole-column numpy
-operations — no per-key Python loop — and a sketch is fully
+``seed + row`` — all rows in one call, the seeds broadcast as a
+column — so updates are bit-exact, whole-column numpy operations with
+no per-key and no per-row Python loop, and a sketch is fully
 determined by ``(width, depth, seed)``. Two sketches built with the
 same shape and seed see the *same* hash functions, which is what
 makes :meth:`merge` lossless: counter tables are elementwise sums,
@@ -72,10 +73,15 @@ class CountMinSketch:
 
     # -- updates -----------------------------------------------------------
 
-    def _row_indices(self, columns: Columns, row: int) -> np.ndarray:
-        """Row ``row``'s bucket index for every key (vectorized)."""
-        words = bob_hash_batch(columns, seed=self.seed + row)
-        return (words % np.uint32(self.width)).astype(np.int64)
+    def _flat_indices(self, columns: Columns) -> np.ndarray:
+        """Every key's counter in every row, as ``(depth, n)`` indices
+        into the flattened table: one hash call with the row seeds as
+        a column, not one call per row."""
+        rows = np.arange(self.depth, dtype=np.int64)[:, None]
+        words = bob_hash_batch(columns,
+                               seed=(self.seed & 0xFFFFFFFF) + rows)
+        return (rows * self.width +
+                (words % np.uint32(self.width)).astype(np.int64))
 
     def update(self, keys: Union[np.ndarray, Columns],
                counts: Union[np.ndarray, None] = None) -> None:
@@ -101,11 +107,13 @@ class CountMinSketch:
             counts = counts.astype(np.int64)
         if size == 0:
             return
-        for row in range(self.depth):
-            idx = self._row_indices(columns, row)
-            # add.at: unbuffered scatter-add (duplicate indices in one
-            # batch must each land).
-            np.add.at(self.table[row], idx, counts)
+        # add.at: unbuffered scatter-add (duplicate indices in one
+        # batch must each land). The table is C-contiguous, so the
+        # reshape is a view. The counts are tiled per row explicitly:
+        # ufunc.at's 1-D fast path does not broadcast its values.
+        np.add.at(self.table.reshape(-1),
+                  self._flat_indices(columns).reshape(-1),
+                  np.tile(counts, self.depth))
         self.total += int(counts.sum())
 
     # -- queries -----------------------------------------------------------
@@ -115,15 +123,10 @@ class CountMinSketch:
         columns = _as_columns(keys)
         if not columns:
             raise ValueError("need at least one key column")
-        size = len(columns[0])
-        if size == 0:
+        if len(columns[0]) == 0:
             return np.zeros(0, dtype=np.int64)
-        best = self.table[0][self._row_indices(columns, 0)]
-        for row in range(1, self.depth):
-            candidate = self.table[row][self._row_indices(columns,
-                                                          row)]
-            best = np.minimum(best, candidate)
-        return best
+        return self.table.reshape(-1)[
+            self._flat_indices(columns)].min(axis=0)
 
     # -- merge (OctoSketch-style worker combination) -----------------------
 

@@ -76,6 +76,10 @@ class ClassVolumeSketch:
         self.sessions = 0
         self.packets = 0
         self.merges = 0
+        # The last batch class-name tuple seen and its universe ids:
+        # every chunk of a replay carries the same tuple object.
+        self._mapped_names: Optional[Tuple[str, ...]] = None
+        self._mapped_ids = np.zeros(0, dtype=np.uint32)
 
     # -- ingestion ---------------------------------------------------------
 
@@ -110,9 +114,11 @@ class ClassVolumeSketch:
                              minlength=len(sess.class_names))
         hot = np.nonzero(counts)[0]
         if len(hot):
-            mapping = self._universe_ids(sess.class_names)
-            self.classes.update(mapping[hot].astype(np.uint32),
-                                counts[hot])
+            if sess.class_names is not self._mapped_names:
+                self._mapped_ids = self._universe_ids(
+                    sess.class_names).astype(np.uint32)
+                self._mapped_names = sess.class_names
+            self.classes.update(self._mapped_ids[hot], counts[hot])
         src, src_counts = np.unique(np.asarray(sess.src_ip),
                                     return_counts=True)
         if len(src):

@@ -49,6 +49,25 @@ class TestBobHashBatch:
                                     seed=3)
                 assert int(batch[i]) == expected
 
+    @given(st.integers(min_value=0, max_value=7),
+           st.integers(min_value=-2 ** 40, max_value=2 ** 40),
+           st.integers(min_value=1, max_value=6))
+    @settings(max_examples=40, deadline=None)
+    def test_seed_column_is_one_call_per_seed(self, words, seed, rows):
+        """A ``(rows, 1)`` seed column hashes every key under every
+        seed at once; row ``r`` is the call with ``seed + r``."""
+        rng = np.random.default_rng([words, rows])
+        columns = [rng.integers(0, 2 ** 32, size=25, dtype=np.uint32)
+                   for _ in range(words)]
+        seed_column = seed + np.arange(rows, dtype=np.int64)[:, None]
+        batch = bob_hash_batch(columns, seed=seed_column, size=25)
+        assert batch.shape == (rows, 25)
+        assert batch.dtype == np.uint32
+        for r in range(rows):
+            assert np.array_equal(
+                batch[r], bob_hash_batch(columns, seed=seed + r,
+                                         size=25))
+
     def test_requires_size_without_columns(self):
         with pytest.raises(ValueError):
             bob_hash_batch([])

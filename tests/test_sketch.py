@@ -1,14 +1,57 @@
 """Unit tests for the count-min sketch and the class-volume layer."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.experiments.common import setup_topology
+from repro.simulation import ChunkedReplay, TraceGenerator
+from repro.simulation.tracegen import TraceSpec
 from repro.sketch import (
     ClassVolumeSketch,
     CountMinSketch,
     SketchMismatchError,
 )
 from repro.traffic.matrix import EstimatedTrafficMatrix
+
+GOLDEN = Path(__file__).parent / "golden" / "dataplane_parent.json"
+
+
+def chunked_sketch_digests():
+    """sha256 of the counter tables after a trace is fed chunk by
+    chunk. The golden copy (``tests/golden/dataplane_parent.json``) was
+    written by this function at the commit before the sketch hashed
+    all its rows in one call and scattered them in one ``add.at``: the
+    tables must stay byte-identical. Covers a seed beyond 32 bits, a
+    width that is not a power of two, and 1-, 3- and 5-word keys (each
+    lookup3 tail length)."""
+    state = setup_topology("internet2").state
+    batch = TraceGenerator(
+        state.topology.nodes, state.classes,
+        spec=TraceSpec(total_sessions=600, scanner_count=2,
+                       scanner_fanout=9), seed=13).generate_batch(
+            tuple(state.nids_nodes), with_payloads=False, direct=True)
+    volumes = ClassVolumeSketch(
+        [cls.name for cls in state.classes], width=48, depth=4,
+        seed=2 ** 33 + 17, source_width=101)
+    words3 = CountMinSketch(37, 5, seed=9)
+    words5 = CountMinSketch(64, 3, seed=2 ** 31 - 1)
+    for chunk in ChunkedReplay(batch, 50):
+        volumes.observe_batch(chunk)
+        sess = chunk.sessions
+        words3.update([sess.src_ip, sess.dst_ip, sess.dst_port])
+        words5.update([sess.proto, sess.src_ip, sess.src_port,
+                       sess.dst_ip, sess.dst_port],
+                      np.arange(sess.num_sessions, dtype=np.int64) % 7)
+    tables = {"classes": volumes.classes, "sources": volumes.sources,
+              "words3": words3, "words5": words5}
+    return {name: {"total": sketch.total,
+                   "table": hashlib.sha256(
+                       sketch.table.tobytes()).hexdigest()}
+            for name, sketch in tables.items()}
 
 
 class TestCountMin:
@@ -112,6 +155,11 @@ class TestCountMin:
                 np.array([3, 4], dtype=np.uint32)]
         sketch.update(cols, np.array([10, 20]))
         assert np.array_equal(sketch.estimate(cols), [10, 20])
+
+
+    def test_chunk_fed_tables_are_the_parents(self):
+        golden = json.loads(GOLDEN.read_text())["sketch_tables"]
+        assert chunked_sketch_digests() == golden
 
 
 class TestClassVolumeSketch:

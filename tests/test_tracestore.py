@@ -9,12 +9,14 @@ canned scenarios' per-epoch trace recipe.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import MirrorPolicy, ReplicationProblem
 from repro.experiments.common import setup_topology
+from repro.ingest import chunk_resident_bytes
 from repro.runtime import CANNED_SCENARIOS
 from repro.shim import build_replication_configs
 from repro.simulation import (
@@ -25,11 +27,19 @@ from repro.simulation import (
     TraceStoreError,
     trace_fingerprint,
 )
+from repro.simulation.batch import _dense_rank
 from repro.simulation.tracegen import TraceSpec
 from repro.simulation.tracestore import (
     _PACKET_COLUMNS,
     _SESSION_COLUMNS,
 )
+from repro.traffic import (
+    DEFAULT_APPLICATION_MIX,
+    TrafficMatrix,
+    classes_with_applications,
+)
+
+GOLDEN = Path(__file__).parent / "golden" / "dataplane_parent.json"
 
 _SESSION_ARRAYS = tuple(c for c in _SESSION_COLUMNS)
 _PACKET_ARRAYS = tuple(c for c in _PACKET_COLUMNS)
@@ -85,6 +95,37 @@ def tinet_emulation(tinet_state):
     return emulation, batch
 
 
+def small_trace_fingerprints(tinet_state, line_topology):
+    """Fingerprints of a few small direct-synthesis traces. The golden
+    copy (``tests/golden/dataplane_parent.json``) was written by this
+    function at the commit before ``session_key`` became a lexsort
+    rank and the classifier probe key one integer: the generate-side
+    shortcuts must not move a single column."""
+    spec = TraceSpec(total_sessions=300, scanner_count=2,
+                     scanner_fanout=9, payload_sigma=0.4)
+    prints = {}
+    for seed in (3, 5, 7):
+        batch = TraceGenerator(
+            tinet_state.topology.nodes, tinet_state.classes,
+            spec=spec, seed=seed).generate_batch(
+                tuple(tinet_state.nids_nodes), direct=True)
+        prints[f"tinet/{seed}"] = trace_fingerprint(batch)
+    # Per-application classes: several classes share a prefix pair,
+    # so the classifier decides on the destination port.
+    classes = classes_with_applications(
+        line_topology,
+        TrafficMatrix({("A", "D"): 1000.0, ("B", "C"): 400.0}))
+    ports = {cls.name: app.port for cls in classes
+             for app in DEFAULT_APPLICATION_MIX
+             if cls.name.endswith("/" + app.name)}
+    batch = TraceGenerator(
+        line_topology.nodes, classes, spec=spec, seed=5,
+        class_ports=ports).generate_batch(
+            tuple(line_topology.nodes), direct=True)
+    prints["line-apps/5"] = trace_fingerprint(batch)
+    return prints
+
+
 class TestDirectSynthesisParity:
     """generate_batch(direct=True) vs the Session-materializing path."""
 
@@ -115,6 +156,29 @@ class TestDirectSynthesisParity:
 
         assert trace_fingerprint(build(True)) == \
             trace_fingerprint(build(False))
+
+    def test_fingerprints_are_the_parents(self, tinet_state,
+                                          line_topology):
+        golden = json.loads(GOLDEN.read_text())["trace_fingerprints"]
+        assert small_trace_fingerprints(tinet_state,
+                                        line_topology) == golden
+
+    def test_dense_rank_is_the_row_unique_inverse(self):
+        """``session_key`` with duplicate 5-tuples: the lexsort rank
+        against ``np.unique`` over stacked rows, kept here as the
+        reference."""
+        rng = np.random.default_rng(17)
+        for rows in (0, 1, 400):
+            columns = [rng.integers(0, high, size=rows,
+                                    dtype=np.int64).astype(np.uint32)
+                       for high in (2, 3, 4, 3, 5)]
+            stacked = np.stack(
+                [c.astype(np.int64) for c in columns], axis=1)
+            _, inverse = np.unique(stacked, axis=0,
+                                   return_inverse=True)
+            rank = _dense_rank(*columns)
+            assert rank.dtype == np.int64
+            assert np.array_equal(rank, inverse.reshape(-1))
 
 
 class TestRoundTrip:
@@ -202,6 +266,25 @@ class TestChunkEdges:
             covered = end
         assert covered == len(sop)
 
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 10**9])
+    def test_memmap_and_in_memory_chunks_are_equal(
+            self, tinet_emulation, tmp_path, chunk):
+        """``ChunkedReplay`` slices plain views of the memmap columns:
+        the slabs, and what they keep resident, are those of the
+        in-memory batch."""
+        _, batch = tinet_emulation
+        store = TraceStore.pack(batch, tmp_path / "trace")
+        mapped = ChunkedReplay(store.batch(), chunk)
+        memory = ChunkedReplay(batch, chunk)
+        assert mapped.bounds == memory.bounds
+        for left, right in zip(mapped, memory):
+            _assert_batches_identical(left, right)
+            assert left.sessions.num_sessions == \
+                right.sessions.num_sessions
+            assert chunk_resident_bytes(left) == \
+                chunk_resident_bytes(right)
+            assert not isinstance(left.size_bytes, np.memmap)
+
     def test_empty_trace(self, tinet_state, tmp_path):
         generator = TraceGenerator(
             tinet_state.topology.nodes, tinet_state.classes,
@@ -263,6 +346,41 @@ class TestStoreErrors:
         truncated = np.asarray(batch.direction)[:-1].copy()
         np.save(tmp_path / "trace" / "direction.npy", truncated)
         with pytest.raises(TraceStoreError, match="direction"):
+            TraceStore.open(tmp_path / "trace")
+
+    @pytest.mark.parametrize("name", ["payload.bin", "size_bytes.npy",
+                                      "session_key.npy"])
+    @pytest.mark.parametrize("keep", [0.5, "all but one byte"])
+    def test_truncated_file_fails_closed(self, tinet_emulation,
+                                         tmp_path, name, keep):
+        """A short column or payload file is a corrupt store, named
+        with both sizes at ``open`` — not numpy's bare ``ValueError:
+        mmap length is greater than file size``."""
+        _, batch = tinet_emulation
+        TraceStore.pack(batch, tmp_path / "trace")
+        target = tmp_path / "trace" / name
+        whole = target.read_bytes()
+        kept = len(whole) // 2 if keep == 0.5 else len(whole) - 1
+        target.write_bytes(whole[:kept])
+        if name == "payload.bin":
+            recorded = len(whole)
+        else:
+            owner = batch if name[:-4] in _PACKET_COLUMNS \
+                else batch.sessions
+            recorded = getattr(owner, name[:-4]).nbytes
+        with pytest.raises(TraceStoreError) as caught:
+            TraceStore.open(tmp_path / "trace")
+        message = str(caught.value)
+        assert name in message
+        assert f"records {recorded} bytes" in message
+        assert f"holds {kept} bytes" in message
+
+    def test_missing_column_file_fails_closed(self, tinet_emulation,
+                                              tmp_path):
+        _, batch = tinet_emulation
+        TraceStore.pack(batch, tmp_path / "trace")
+        (tmp_path / "trace" / "direction.npy").unlink()
+        with pytest.raises(TraceStoreError, match="direction.npy"):
             TraceStore.open(tmp_path / "trace")
 
     def test_verify_catches_tampering(self, tinet_emulation,
