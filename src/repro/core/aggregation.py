@@ -19,15 +19,15 @@ to decide whether to alert, Section 6). Report sizes are small, so no
 :class:`~repro.core.formulation.Formulation`; the Figure 18 beta sweep
 re-solves via ``resolve(beta=...)``, which only rewrites objective
 coefficients on the compiled LP. The load coefficients and CommCost
-are stated once (``_load_terms`` / ``_cost_expression``); the base
-class builds and patches from them.
+are stated once (``_load_term_index`` / ``_cost_expression``); the
+base class builds and patches from them.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterator, Tuple, Union
 
-from repro.core.formulation import (Formulation, LoadKey,
+from repro.core.formulation import (Formulation, LoadKey, TermIndex,
                                     _check_non_negative)
 from repro.core.inputs import NetworkState
 from repro.core.results import AggregationResult
@@ -90,17 +90,18 @@ class AggregationProblem(Formulation):
 
     # -- the coefficient table ----------------------------------------------
 
-    def _load_terms(self) -> Iterator[Tuple[LoadKey, Variable, float]]:
-        state = self.state
-        for cls in state.classes:
-            for node in cls.path:
-                var = self._p[(cls.name, node)]
-                for resource in state.resources:
-                    if cls.footprint(resource) == 0.0:
-                        continue
-                    work = cls.footprint(resource) * cls.num_sessions
-                    yield ((resource, node), var,
-                           work / self._capacity(resource, node))
+    def _load_term_index(self) -> TermIndex:
+        def terms() -> Iterator[Tuple[LoadKey, Variable, int, float]]:
+            state = self.state
+            for index, cls in enumerate(state.classes):
+                for node in cls.path:
+                    var = self._p[(cls.name, node)]
+                    for resource in state.resources:
+                        if cls.footprint(resource) != 0.0:
+                            yield ((resource, node), var, index,
+                                   cls.footprint(resource))
+
+        return TermIndex.from_terms(self._load_keys, terms())
 
     def _cost_expression(self) -> LinExpr:
         # CommCost (Eq (13)): report bytes times hops to the
@@ -142,6 +143,7 @@ class AggregationProblem(Formulation):
             comm_cost=comm_cost,
             beta=self.beta,
             objective=fields["load_cost"] + self.beta * comm_cost,
+            process_fractions=self._process_fractions(solution),
             **fields)
 
     def solve(self) -> AggregationResult:

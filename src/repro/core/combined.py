@@ -32,8 +32,8 @@ so DC counting remains correct and no effort is duplicated.
 ``beta``, ``max_link_load`` and ``volumes`` are named
 :class:`~repro.core.formulation.Formulation` parameters, resolvable in
 place on the compiled LP; the coefficients are stated once
-(``_load_terms`` / ``_link_terms`` / ``_cost_expression``) and the base
-class builds and patches from them.
+(``_load_term_index`` / ``_link_term_index`` / ``_cost_expression``)
+and the base class builds and patches from them.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterator, List, Tuple, Union
 
 from repro.core.aggregation import ingress_aggregation_point
-from repro.core.formulation import (Formulation, LoadKey,
+from repro.core.formulation import (Formulation, LoadKey, TermIndex,
                                     _check_max_link_load,
                                     _check_non_negative)
 from repro.core.inputs import NetworkState
@@ -96,33 +96,35 @@ class CombinedProblem(Formulation):
 
     # -- the coefficient table ----------------------------------------------
 
-    def _load_terms(self) -> Iterator[Tuple[LoadKey, Variable, float]]:
-        state = self.state
-        dc = state.dc_node
-        for cls in state.classes:
-            for node in cls.path:
-                p_var = self._p[(cls.name, node)]
-                o_var = self._o[(cls.name, node)]
-                for resource in state.resources:
-                    if cls.footprint(resource) == 0.0:
-                        continue
-                    work = cls.footprint(resource) * cls.num_sessions
-                    yield ((resource, node), p_var,
-                           work / self._capacity(resource, node))
-                    yield ((resource, dc), o_var,
-                           work / self._capacity(resource, dc))
+    def _load_term_index(self) -> TermIndex:
+        def terms() -> Iterator[Tuple[LoadKey, Variable, int, float]]:
+            state = self.state
+            dc = state.dc_node
+            for index, cls in enumerate(state.classes):
+                for node in cls.path:
+                    p_var = self._p[(cls.name, node)]
+                    o_var = self._o[(cls.name, node)]
+                    for resource in state.resources:
+                        footprint = cls.footprint(resource)
+                        if footprint == 0.0:
+                            continue
+                        yield (resource, node), p_var, index, footprint
+                        yield (resource, dc), o_var, index, footprint
 
-    def _link_terms(self) -> Iterator[Tuple[Link, Variable, float]]:
+        return TermIndex.from_terms(self._load_keys, terms())
+
+    def _link_term_index(self) -> TermIndex:
         # Mirrored traffic slice for the sub-task.
-        state = self.state
-        dc = state.dc_node
-        for cls in state.classes:
-            replicated_bytes = cls.num_sessions * cls.session_bytes
-            for node in cls.path:
-                o_var = self._o[(cls.name, node)]
-                for link in state.routing.path_links(node, dc):
-                    yield (link, o_var,
-                           replicated_bytes / state.link_capacity[link])
+        def terms() -> Iterator[Tuple[Link, Variable, int, float]]:
+            state = self.state
+            dc = state.dc_node
+            for index, cls in enumerate(state.classes):
+                for node in cls.path:
+                    o_var = self._o[(cls.name, node)]
+                    for link in state.routing.path_links(node, dc):
+                        yield link, o_var, index, cls.session_bytes
+
+        return TermIndex.from_terms(self.state.topology.links, terms())
 
     def _cost_expression(self) -> LinExpr:
         # CommCost: a local count reports from its node, a replicated
@@ -164,7 +166,7 @@ class CombinedProblem(Formulation):
     def _unpack(self, model: Model,
                 solution: Solution) -> AggregationResult:
         fields = self._assignment_fields(model, solution)
-        process = fields["process_fractions"]
+        process = self._process_fractions(solution)
         dc = self.state.dc_node
         for (cls_name, node), var in self._o.items():
             value = solution.value(var)
@@ -176,6 +178,7 @@ class CombinedProblem(Formulation):
             comm_cost=comm_cost,
             beta=self.beta,
             objective=fields["load_cost"] + self.beta * comm_cost,
+            process_fractions=process,
             **fields)
 
     def solve(self) -> AggregationResult:

@@ -163,13 +163,19 @@ class NIDSController:
             RuntimeError: if the freshly computed result fails
                 independent validation (never expected; a guard
                 against optimizer/compilation regressions).
+            ValueError: if its fractions cannot be laid out as hash
+                ranges (a non-finite fraction, a class whose sum is
+                off 1), naming the class.
+
+        A refresh that raises leaves the controller as it was: the
+        last good configuration, result and traffic stay current and
+        ``refresh_count`` does not move.
         """
         metrics = get_registry()
         with metrics.span("controller.refresh"):
-            if classes is not None:
-                self._current_classes = list(classes)
-
-            outcome = self.planner.plan(self._current_classes)
+            classes = (self._current_classes if classes is None
+                       else list(classes))
+            outcome = self.planner.plan(classes)
             state, result = outcome.state, outcome.result
             problems = validate_replication(state, result)
             if problems:
@@ -208,6 +214,7 @@ class NIDSController:
                               overlap_rules)
             self._current_configs = configs
             self._current_result = result
+            self._current_classes = classes
             self.refresh_count += 1
         metrics.inc("controller.refreshes")
         return Rollout(result=result, configs=configs,

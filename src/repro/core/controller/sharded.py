@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (Callable, Dict, FrozenSet, List, Mapping, Optional,
                     Sequence, Set, Tuple, Union)
 
@@ -123,13 +123,16 @@ class RegionalReplicationProblem(ReplicationProblem):
                             dict(self._global_background),
                             dc_node=base.dc_node)
 
-    def _apply_volumes(self, volumes: Dict[str, float]) -> None:
-        # The base class rebuilds the state with with_traffic(), which
-        # would recompute background bytes from this region's classes
-        # alone; a regional problem must keep the global background.
-        new_classes = [replace(cls, num_sessions=volumes[cls.name])
+    def _apply_volumes(self, volumes: Dict[str, float],
+                       classes: Optional[Sequence[TrafficClass]] = None
+                       ) -> None:
+        # The base class re-derives the background bytes from this
+        # region's classes alone; a regional problem must keep the
+        # global background.
+        if classes is None:
+            classes = [cls.with_sessions(volumes[cls.name])
                        for cls in self.state.classes]
-        self.state = self._region_state(new_classes)
+        self.state = self._region_state(classes)
         self._params["volumes"] = dict(volumes)
 
     def resolve_traffic(self, classes: Sequence[TrafficClass],

@@ -8,28 +8,32 @@ per ``(resource, node)``) and link rows (Eqs (4)/(5), one per link that
 can carry replicated traffic), plus at most one weighted cost in the
 objective (``beta * CommCost`` or ``gamma * MissRate``).
 
-A subclass says *what the coefficients are* exactly once, as term
-generators over the current ``state`` and parameters:
+A subclass says *what the coefficients are* exactly once, as index
+arrays built once per model (:class:`TermIndex`): term ``t`` of a row
+family puts ``volumes[cls[t]] * weight[t] / capacity[rows[t]]`` on row
+``rows[t]`` through variable ``cols[t]``, where ``weight`` is the
+class's footprint (load rows) or session bytes (link rows), times
+whatever fixed factor the formulation applies —
 
-- ``_load_terms()`` yields ``((resource, node), var, coeff)``;
-- ``_link_terms()`` yields ``(link, var, coeff)``;
+- ``_load_term_index()`` for Eq (3), rows = ``(resource, node)``;
+- ``_link_term_index()`` for Eq (4), rows = links;
 - ``_cost_expression()`` returns the CommCost / MissRate expression.
 
 :class:`Formulation` owns both consumers of that table. The *cold
-build* runs each generator once into ``(row ordinal, var.index,
-coeff)`` arrays and registers them with the model as a
-:class:`~repro.lpsolve.RowBlock` — the one owner of that row family's
-coefficients, a float64 vector in term order; the ``loadcost[...]`` /
-``linkload[...]`` constraints are rows of the two blocks (views, with
-no per-term object behind them). The *warm patch*
-(:meth:`_patch_rows`, :meth:`_patch_link_bounds`, :meth:`_patch_cost`)
-re-runs the very same generators, keeps the coefficients and
-overwrites the block's vector — and with it the compiled matrix — in
-one write per family. The unpacked ``node_loads`` / ``link_loads`` are
-evaluated from the same vector. A coefficient formula therefore cannot
-differ between a rebuilt and a patched LP: warm ≡ cold holds by
-construction, and how rows are stored is this module's and
-``lpsolve``'s business, not any formulation's.
+build* evaluates the one formula over the index arrays and registers
+the result with the model as a :class:`~repro.lpsolve.RowBlock` — the
+one owner of that row family's coefficients, a float64 vector in term
+order; the ``loadcost[...]`` / ``linkload[...]`` constraints are rows
+of the two blocks (views, with no per-term object behind them). The
+*warm patch* (:meth:`_patch_load_rows`, :meth:`_patch_link_rows`,
+:meth:`_patch_link_bounds`, :meth:`_patch_cost`) evaluates the very
+same formula over the very same arrays with the new volumes and
+capacities and overwrites the block's vector — and with it the
+compiled matrix — in one write per family. The unpacked ``node_loads``
+/ ``link_loads`` are evaluated from the same vector. A coefficient
+formula therefore cannot differ between a rebuilt and a patched LP:
+warm ≡ cold holds by construction, and how rows are stored is this
+module's and ``lpsolve``'s business, not any formulation's.
 
 A parameter (``max_link_load``, ``beta``, ``gamma``, the per-class
 ``volumes``, a region's ``capacity_share``) only scales coefficients or
@@ -43,10 +47,9 @@ subclasses may :meth:`_bind` more (the regional ``link_share`` rhs).
 (Figures 11, 15, 18) and the controller's refresh loop change one
 parameter per step, and a resolve re-uses the compiled sparse matrices
 instead of rebuilding the LP from scratch. When a patch would change
-the compiled structure (a generator that yields a different number of
-terms than the block was built from, a row that was dropped as vacuous
-at build time coming alive, or a formulation extension outside the
-incremental path), the formulation falls back to a cold rebuild and
+the compiled structure (a row that was dropped as vacuous at build
+time coming alive, or a formulation extension outside the incremental
+path), the formulation falls back to a cold rebuild and
 counts it (``lp.resolve.fallbacks``), so ``resolve`` is always
 *correct* and merely usually *fast*.
 """
@@ -54,13 +57,13 @@ counts it (``lp.resolve.fallbacks``), so ``resolve`` is always
 from __future__ import annotations
 
 import os
-from dataclasses import fields, replace
 from typing import (Any, Callable, Dict, FrozenSet, Hashable, Iterable,
-                    List, Mapping, Optional, Sequence, Tuple, Union)
+                    List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
-from repro.core.inputs import NetworkState
+from repro.core.inputs import NetworkState, same_structure
 from repro.core.results import LPStats
 from repro.lpsolve import (Constraint, LinExpr, Model, RowBlock,
                            Solution, SolverBackend, StructureError,
@@ -71,9 +74,37 @@ from repro.traffic.classes import TrafficClass
 
 Validator = Callable[[Any], None]
 LoadKey = Tuple[str, str]  # (resource, node)
-#: what a warm patch cannot change: every class field but the volume
-_STRUCTURAL_FIELDS = tuple(f.name for f in fields(TrafficClass)
-                           if f.name != "num_sessions")
+
+
+class TermIndex(NamedTuple):
+    """One row family's terms, in term order, as index arrays: term
+    ``t`` contributes ``volumes[cls[t]] * weight[t] /
+    capacity[rows[t]]`` to row ``rows[t]`` at variable ``cols[t]``.
+    Built once per model; volumes and capacities are the only things a
+    warm patch re-reads."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    cls: np.ndarray
+    weight: np.ndarray
+
+    @classmethod
+    def from_terms(cls, keys: Sequence[Hashable],
+                   terms: Iterable[Tuple[Any, Variable, int, float]]
+                   ) -> "TermIndex":
+        """From ``(row key, var, class index, weight)`` tuples, rows
+        numbered by position in ``keys``."""
+        ordinal = {key: index for index, key in enumerate(keys)}
+        flat = np.fromiter(
+            (x for key, var, owner, weight in terms
+             for x in (ordinal[key], var.index, owner, weight)),
+            dtype=np.float64).reshape(-1, 4)
+        return cls(*(flat[:, column].astype(np.int64)
+                     for column in range(3)), flat[:, 3])
+
+    def coefficients(self, volumes: np.ndarray,
+                     capacity: np.ndarray) -> np.ndarray:
+        return volumes[self.cls] * self.weight / capacity[self.rows]
 
 
 def _check_max_link_load(value: float) -> None:
@@ -93,8 +124,8 @@ class Formulation:
 
     Subclasses implement:
 
-    - the coefficient table — :meth:`_load_terms`, and where the
-      formulation has them :meth:`_link_terms` and
+    - the coefficient table — :meth:`_load_term_index`, and where
+      the formulation has them :meth:`_link_term_index` and
       :meth:`_cost_expression` (with :attr:`_cost_weight` naming the
       parameter that weights it);
     - ``_build(model)`` — add the decision variables and coverage
@@ -115,7 +146,7 @@ class Formulation:
 
     #: label used in the model name, e.g. ``replication[internet2]``.
     kind = "lp"
-    #: parameters :meth:`_load_terms` reads (link and cost terms read
+    #: parameters the load coefficients read (link and cost terms read
     #: ``volumes`` alone); a change to one re-emits the load rows.
     _load_params: Tuple[str, ...] = ("volumes",)
     #: parameter weighting :meth:`_cost_expression` in the objective
@@ -259,12 +290,19 @@ class Formulation:
         Returns:
             The same result type as :meth:`solve`.
         """
+        return self._resolve(params)
+
+    def _resolve(self, params: Dict[str, Any],
+                 classes: Optional[Sequence[TrafficClass]] = None):
+        """:meth:`resolve`; ``classes`` are the current classes at
+        ``params["volumes"]``, when the caller has them."""
         metrics = get_registry()
         with metrics.span("lp.resolve"):
             metrics.inc("lp.resolves")
-            return self._resolve(params)
+            return self._resolve_changed(params, classes)
 
-    def _resolve(self, params: Dict[str, Any]):
+    def _resolve_changed(self, params: Dict[str, Any],
+                         classes: Optional[Sequence[TrafficClass]]):
         unknown = sorted(set(params) - set(self._params))
         if unknown:
             raise ValueError(
@@ -284,7 +322,7 @@ class Formulation:
             return self.solve()
 
         if "volumes" in changed:
-            self._apply_volumes(changed["volumes"])
+            self._apply_volumes(changed["volumes"], classes)
         for name, value in changed.items():
             if name != "volumes":
                 self._params[name] = value
@@ -309,16 +347,20 @@ class Formulation:
             self.invalidate()
         return self.solve()
 
-    def _apply_volumes(self, volumes: Dict[str, float]) -> None:
-        """Swap in new per-class session counts.
+    def _apply_volumes(self, volumes: Dict[str, float],
+                       classes: Optional[Sequence[TrafficClass]] = None
+                       ) -> None:
+        """Swap in new per-class session counts — as ``classes`` when
+        the caller already holds the current classes at those volumes.
 
-        Rebuilds the state via :meth:`NetworkState.with_traffic` so the
-        background link loads track the new traffic exactly as a cold
-        construction would.
+        The state is re-derived via :meth:`NetworkState.with_volumes`,
+        so the background link loads track the new traffic exactly as
+        a cold construction would.
         """
-        new_classes = [replace(cls, num_sessions=volumes[cls.name])
+        if classes is None:
+            classes = [cls.with_sessions(volumes[cls.name])
                        for cls in self.state.classes]
-        self.state = self.state.with_traffic(new_classes)
+        self.state = self.state.with_volumes(classes)
         self._params["volumes"] = dict(volumes)
 
     def resolve_traffic(self, classes: Sequence[TrafficClass],
@@ -335,7 +377,8 @@ class Formulation:
         classes = list(classes)
         volumes = {cls.name: cls.num_sessions for cls in classes}
         if self._traffic_compatible(classes):
-            return self.resolve(volumes=volumes, **params)
+            return self._resolve({"volumes": volumes, **params},
+                                 classes)
         self.state = self.state.with_traffic(classes)
         self._params["volumes"] = volumes
         self.invalidate()
@@ -344,37 +387,24 @@ class Formulation:
     def _traffic_compatible(self,
                             classes: Sequence[TrafficClass]) -> bool:
         """True when ``classes`` matches the current traffic in
-        everything except session counts (same order, names, paths,
-        byte sizes, footprints)."""
-        current = self.state.classes
-        if len(classes) != len(current):
-            return False
-        for new, old in zip(classes, current):
-            if new is old:
-                continue
-            if type(new) is not type(old):
-                return False
-            for name in _STRUCTURAL_FIELDS:
-                ours, theirs = getattr(new, name), getattr(old, name)
-                if ours is not theirs and ours != theirs:
-                    return False
-        return True
+        everything except session counts."""
+        return same_structure(classes, self.state.classes)
 
     # -- the coefficient table (subclass hooks) -----------------------------
 
-    def _load_terms(self) -> Iterable[Tuple[LoadKey, Variable, float]]:
-        """Eq (3): ``((resource, node), var, coeff)`` — the normalized
-        load ``var`` puts on the node, for the current state and
-        parameters. One term wherever the footprint is non-zero,
-        whatever the volume: ``|T_c|`` is a parameter, and a class
-        estimated at zero sessions now must stay patchable when it
-        reappears."""
+    def _load_term_index(self) -> TermIndex:
+        """Eq (3): the terms of the ``(resource, node)`` load rows
+        (numbered as in ``_load_keys``), weighted by footprint. One
+        term wherever the footprint is non-zero, whatever the volume:
+        ``|T_c|`` is a parameter, and a class estimated at zero
+        sessions now must stay patchable when it reappears."""
         raise NotImplementedError
 
-    def _link_terms(self) -> Iterable[Tuple[Link, Variable, float]]:
-        """Eq (4): ``(link, var, coeff)`` — the normalized load
-        ``var`` puts on the link (none by default)."""
-        return ()
+    def _link_term_index(self) -> Optional[TermIndex]:
+        """Eq (4): the terms of the link rows (numbered as in
+        ``topology.links``), weighted by session bytes; None for a
+        formulation without link rows."""
+        return None
 
     def _cost_expression(self) -> Optional[LinExpr]:
         """The CommCost / MissRate expression :attr:`_cost_weight`
@@ -389,20 +419,26 @@ class Formulation:
         """``BG_l`` as the link rows account it."""
         return self.state.bg_load(link)
 
-    # -- cold consumer: terms into row blocks -------------------------------
+    # -- both consumers: one formula over the index arrays ------------------
 
-    @staticmethod
-    def _term_arrays(keys: Sequence[Hashable],
-                     terms: Iterable[Tuple[Any, Variable, float]]
-                     ) -> np.ndarray:
-        """``(key, var, coeff)`` terms, in term order, as the ``(row
-        ordinal, variable index, coefficient)`` arrays of a row block
-        with one row per key."""
-        ordinal = {key: index for index, key in enumerate(keys)}
-        flat = np.fromiter(
-            (x for key, var, coeff in terms
-             for x in (ordinal[key], var.index, coeff)), dtype=float)
-        return flat.reshape(-1, 3).T
+    def _volume_vector(self) -> np.ndarray:
+        return np.array([cls.num_sessions for cls in self.state.classes],
+                        dtype=np.float64)
+
+    def _load_coefficients(self) -> np.ndarray:
+        return self._load_index.coefficients(
+            self._volume_vector(),
+            np.array([self._capacity(resource, node)
+                      for resource, node in self._load_keys],
+                     dtype=np.float64))
+
+    def _link_coefficients(self) -> np.ndarray:
+        state = self.state
+        return self._link_index.coefficients(
+            self._volume_vector(),
+            np.array([state.link_capacity[link]
+                      for link in state.topology.links],
+                     dtype=np.float64))
 
     def _emit_load_rows(self, model: Model,
                         constrain: bool = True) -> Variable:
@@ -414,9 +450,11 @@ class Formulation:
         self._load_keys = [(resource, node)
                            for resource in state.resources
                            for node in state.nids_nodes]
+        index = self._load_index = self._load_term_index()
         block = self._load_block = RowBlock(
-            model, *self._term_arrays(self._load_keys, self._load_terms()),
-            np.zeros(len(self._load_keys)), lead=load_cost)
+            model, index.rows, index.cols, self._load_coefficients(),
+            np.zeros(len(self._load_keys), dtype=np.float64),
+            lead=load_cost)
         if constrain:
             for ordinal, (resource, node) in enumerate(self._load_keys):
                 # ``LoadCost - expr >= -(0 - constant)``: a negative
@@ -431,8 +469,9 @@ class Formulation:
         variable can load keeps its expression (for reporting) but
         gets no row."""
         links = self.state.topology.links
+        index = self._link_index = self._link_term_index()
         block = self._link_block = RowBlock(
-            model, *self._term_arrays(links, self._link_terms()),
+            model, index.rows, index.cols, self._link_coefficients(),
             [self._bg_load(link) for link in links])
         for ordinal, link in enumerate(links):
             if block.indptr[ordinal] < block.indptr[ordinal + 1]:
@@ -447,20 +486,15 @@ class Formulation:
             self._link_block, ordinal, -(bg - bound),
             name=f"linkload[{link[0]},{link[1]}]")
 
-    # -- warm consumer: the same terms, patched in place --------------------
-
-    def _patch_rows(self, block: RowBlock,
-                    terms: Iterable[Tuple[Any, Variable, float]]) -> None:
-        """Overwrite one row family's coefficients with what a cold
-        build would emit now."""
-        self._model.set_block_coefficients(block, np.fromiter(
-            (coeff for _, _, coeff in terms), dtype=float))
+    # -- warm consumer: the same formula, patched in place ------------------
 
     def _patch_load_rows(self) -> None:
-        self._patch_rows(self._load_block, self._load_terms())
+        self._model.set_block_coefficients(self._load_block,
+                                           self._load_coefficients())
 
     def _patch_link_rows(self) -> None:
-        self._patch_rows(self._link_block, self._link_terms())
+        self._model.set_block_coefficients(self._link_block,
+                                           self._link_coefficients())
 
     def _patch_link_bounds(self) -> None:
         """Re-target ``max(MaxLinkLoad, BG_l)`` bounds and background
@@ -490,6 +524,8 @@ class Formulation:
         it with their own variable maps."""
         self._p: Dict[Tuple[str, str], Variable] = {}
         self._load_keys: List[LoadKey] = []
+        self._load_index: Optional[TermIndex] = None
+        self._link_index: Optional[TermIndex] = None
         self._load_block: Optional[RowBlock] = None
         self._link_block: Optional[RowBlock] = None
         self._link_cons: Dict[Link, Constraint] = {}
@@ -504,12 +540,9 @@ class Formulation:
 
     def _assignment_fields(self, model: Model,
                            solution: Solution) -> Dict[str, Any]:
-        """The :class:`~repro.core.results.AssignmentResult` fields,
-        which every formulation reports the same way."""
-        x = solution.x.tolist()
-        process: Dict[str, Dict[str, float]] = {}
-        for (cls_name, node), var in self._p.items():
-            process.setdefault(cls_name, {})[node] = x[var.index]
+        """The :class:`~repro.core.results.AssignmentResult` fields
+        every formulation reports the same way (all but the
+        fractions themselves)."""
         node_loads: Dict[str, Dict[str, float]] = {}
         for (resource, node), load in zip(
                 self._load_keys,
@@ -518,7 +551,6 @@ class Formulation:
         return dict(
             load_cost=solution.value(self._load_cost_var),
             node_loads=node_loads,
-            process_fractions=process,
             dc_node=self.state.dc_node,
             stats=LPStats(
                 num_variables=model.num_variables,
@@ -526,10 +558,20 @@ class Formulation:
                 solve_seconds=solution.solve_seconds,
                 iterations=solution.iterations))
 
+    def _process_fractions(self, solution: Solution
+                           ) -> Dict[str, Dict[str, float]]:
+        """``p_{c,j}`` as the dict a result without a fraction table
+        reports."""
+        x = solution.x.tolist()
+        process: Dict[str, Dict[str, float]] = {}
+        for (cls_name, node), var in self._p.items():
+            process.setdefault(cls_name, {})[node] = x[var.index]
+        return process
+
     def _link_loads(self, solution: Solution) -> Dict[Link, float]:
         """Resulting ``LinkLoad_l`` per link."""
         return dict(zip(self.state.topology.links,
                         self._link_block.values(solution.x).tolist()))
 
 
-__all__ = ["Formulation"]
+__all__ = ["Formulation", "TermIndex"]

@@ -16,7 +16,11 @@ evaluation:
 
 from __future__ import annotations
 
+import copy
+from dataclasses import fields
 from typing import Dict, Iterable, List, Optional, Sequence
+
+import numpy as np
 
 from repro.topology.routing import RoutingTable
 from repro.topology.topology import Link, Topology, canonical_link
@@ -44,6 +48,71 @@ def ingress_requirements(classes: Sequence[TrafficClass],
     return demand
 
 
+#: what a volume change leaves alone: every class field but the
+#: session count
+_STRUCTURAL_FIELDS = tuple(f.name for f in fields(TrafficClass)
+                           if f.name != "num_sessions")
+
+
+def same_structure(classes: Sequence[TrafficClass],
+                   current: Sequence[TrafficClass]) -> bool:
+    """True when ``classes`` matches ``current`` in everything except
+    session counts (same order, names, paths, byte sizes,
+    footprints)."""
+    if len(classes) != len(current):
+        return False
+    for new, old in zip(classes, current):
+        if new is old:
+            continue
+        if type(new) is not type(old):
+            return False
+        for name in _STRUCTURAL_FIELDS:
+            ours, theirs = getattr(new, name), getattr(old, name)
+            if ours is not theirs and ours != theirs:
+                return False
+    return True
+
+
+class LinkIncidence:
+    """Which links each class's sessions cross, as index arrays.
+
+    One ``(link, class, share)`` triple per link of every class's path
+    — symmetric classes place their full session bytes on every link,
+    asymmetric ones half on the forward and half on the reverse path —
+    in walk order, so re-weighting by new volumes is one ``bincount``
+    that accumulates each link's bytes in the order a walk over the
+    classes would. It depends on the paths alone; states that differ
+    only in session counts share one.
+    """
+
+    def __init__(self, classes: Sequence[TrafficClass]) -> None:
+        ordinal: Dict[Link, int] = {}
+        link: List[int] = []
+        owner: List[int] = []
+        share: List[float] = []
+        for index, cls in enumerate(classes):
+            parts = (((cls.path, 1.0),) if cls.is_symmetric else
+                     ((cls.path, 0.5), (cls.rev_nodes, 0.5)))
+            for path, part in parts:
+                for hop in Topology.path_links(path):
+                    link.append(ordinal.setdefault(hop, len(ordinal)))
+                    owner.append(index)
+                    share.append(part)
+        self.links = list(ordinal)
+        self._link = np.array(link, dtype=np.int64)
+        self._class = np.array(owner, dtype=np.int64)
+        self._share = np.array(share, dtype=np.float64)
+
+    def background_bytes(self, classes: Sequence[TrafficClass]
+                         ) -> Dict[Link, float]:
+        """Bytes per link for ``classes`` (same paths, any volumes)."""
+        total = np.array([cls.total_bytes for cls in classes],
+                         dtype=np.float64)
+        return dict(zip(self.links, np.bincount(
+            self._link, weights=self._share * total[self._class],
+            minlength=len(self.links)).tolist()))
+
+
 def link_background_bytes(classes: Sequence[TrafficClass]
                           ) -> Dict[Link, float]:
     """Bytes each link carries before any replication.
@@ -52,17 +121,7 @@ def link_background_bytes(classes: Sequence[TrafficClass]
     their path; asymmetric classes split half to the forward path and
     half to the reverse path.
     """
-    volumes: Dict[Link, float] = {}
-    for cls in classes:
-        if cls.is_symmetric:
-            for link in Topology.path_links(cls.path):
-                volumes[link] = volumes.get(link, 0.0) + cls.total_bytes
-        else:
-            for path, share in ((cls.path, 0.5), (cls.rev_nodes, 0.5)):
-                for link in Topology.path_links(path):
-                    volumes[link] = (volumes.get(link, 0.0) +
-                                     share * cls.total_bytes)
-    return volumes
+    return LinkIncidence(classes).background_bytes(classes)
 
 
 class NetworkState:
@@ -96,6 +155,7 @@ class NetworkState:
         self.link_capacity = dict(link_capacity)
         self.bg_bytes = dict(bg_bytes)
         self.dc_node = dc_node
+        self._incidence: Optional[LinkIncidence] = None
         self._validate()
 
     def _validate(self) -> None:
@@ -225,12 +285,31 @@ class NetworkState:
 
         Used for the variability study (Figure 15): capacities were
         provisioned for the mean matrix and stay fixed; background link
-        bytes are recomputed for the new traffic.
+        bytes are recomputed for the new traffic. When only session
+        counts changed the paths are not walked again
+        (:meth:`with_volumes`).
         """
+        classes = list(classes)
+        if same_structure(classes, self.classes):
+            return self.with_volumes(classes)
         return NetworkState(
             self.topology, self.routing, classes,
             self.node_capacity, self.link_capacity,
             link_background_bytes(classes), dc_node=self.dc_node)
+
+    def with_volumes(self, classes: Sequence[TrafficClass]
+                     ) -> "NetworkState":
+        """:meth:`with_traffic` for classes the caller knows differ
+        from the current ones in ``num_sessions`` alone: nothing a
+        volume cannot invalidate is checked or copied again, and the
+        background bytes re-weight the cached :class:`LinkIncidence`
+        (the bits a walk over the paths would give)."""
+        if self._incidence is None:
+            self._incidence = LinkIncidence(self.classes)
+        state = copy.copy(self)
+        state.classes = list(classes)
+        state.bg_bytes = self._incidence.background_bytes(classes)
+        return state
 
     def with_augmented_capacity(self, extra_factor: float,
                                 resources: Optional[Iterable[str]] = None

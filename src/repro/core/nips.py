@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
+from repro.core.formulation import TermIndex
 from repro.core.inputs import NetworkState
 from repro.core.mirrors import MirrorPolicy
 from repro.core.replication import ReplicationProblem
@@ -63,6 +64,7 @@ class NIPSProblem(ReplicationProblem):
     """
 
     kind = "nips"
+    result_type = NIPSResult
 
     def __init__(self, state: NetworkState,
                  mirror_policy: Optional[MirrorPolicy] = None,
@@ -91,25 +93,25 @@ class NIPSProblem(ReplicationProblem):
 
     # -- the coefficient table ----------------------------------------------
 
-    def _link_terms(self) -> Iterator[Tuple[Link, Variable, float]]:
+    def _link_term_index(self) -> TermIndex:
         # Rerouting at j removes the class's bytes from links
         # downstream of j and adds them on P(j, mirror) +
         # P(mirror, egress).
-        state = self.state
-        by_name = {cls.name: cls for cls in state.classes}
-        for (cls_name, node, mirror), var in self._o.items():
-            cls = by_name[cls_name]
-            class_bytes = cls.num_sessions * cls.session_bytes
-            downstream = Topology.path_links(
-                cls.path[cls.path.index(node):])
-            for link in downstream:
-                yield (link, var,
-                       -class_bytes / state.link_capacity[link])
-            detour_links = (state.routing.path_links(node, mirror) +
-                            state.routing.path_links(mirror,
-                                                     cls.target))
-            for link in detour_links:
-                yield link, var, class_bytes / state.link_capacity[link]
+        def terms() -> Iterator[Tuple[Link, Variable, int, float]]:
+            state = self.state
+            by_name = {cls.name: (index, cls) for index, cls in
+                       enumerate(state.classes)}
+            for (cls_name, node, mirror), var in self._o.items():
+                index, cls = by_name[cls_name]
+                for link in Topology.path_links(
+                        cls.path[cls.path.index(node):]):
+                    yield link, var, index, -cls.session_bytes
+                for link in (state.routing.path_links(node, mirror) +
+                             state.routing.path_links(mirror,
+                                                      cls.target)):
+                    yield link, var, index, cls.session_bytes
+
+        return TermIndex.from_terms(self.state.topology.links, terms())
 
     def _bg_load(self, link: Link) -> float:
         return self._forward_bytes[link] / self.state.link_capacity[link]
@@ -153,10 +155,10 @@ class NIPSProblem(ReplicationProblem):
                              name=f"linkfloor[{link[0]},{link[1]}]")
 
     def _unpack(self, model: Model, solution: Solution) -> NIPSResult:
-        return NIPSResult(
+        return super()._unpack(
+            model, solution,
             extra_hops={name: solution.value(expr)
-                        for name, expr in self._detour_exprs.items()},
-            **vars(super()._unpack(model, solution)))
+                        for name, expr in self._detour_exprs.items()})
 
     def solve(self) -> NIPSResult:
         """Solve and unpack, including per-class expected detours."""

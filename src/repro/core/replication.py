@@ -16,8 +16,12 @@ maximum node-resource load (Eq (1)), optionally with the piecewise
 link-cost extension from the end of Section 4.
 
 The class is a :class:`~repro.core.formulation.Formulation`: it
-states the load and link coefficients once (``_load_terms`` /
-``_link_terms``) and the base class builds and patches from them.
+states the load and link terms once, as index arrays derived from the
+column layout (``_load_term_index`` / ``_link_term_index``), and the
+base class builds and patches from them. The same layout — a
+:class:`~repro.core.results.FractionLayout` — is what a solution is
+unpacked through: the result carries ``x`` gathered into a fraction
+table, not dicts of fractions.
 ``max_link_load`` and the per-class ``volumes`` are named parameters,
 so ``resolve(max_link_load=...)`` (Figure 11) and
 ``resolve_traffic(classes)`` (Figure 15, controller refresh) patch the
@@ -26,15 +30,18 @@ compiled LP in place instead of rebuilding it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Type, Union
 
-from repro.core.formulation import (Formulation, LoadKey,
+import numpy as np
+
+from repro.core.formulation import (Formulation, TermIndex,
                                     _check_max_link_load)
 from repro.core.inputs import NetworkState
 from repro.core.mirrors import MirrorPolicy
-from repro.core.results import ReplicationResult
-from repro.lpsolve import (LinExpr, Model, Solution, SolverBackend,
-                           Variable, lin_sum)
+from repro.core.results import (FractionLayout, FractionTable,
+                                ReplicationResult)
+from repro.lpsolve import (Constraint, ConstraintSense, LinExpr, Model,
+                           Solution, SolverBackend, Variable, lin_sum)
 from repro.topology.topology import Link
 
 OffloadKey = Tuple[str, str, str]  # (class name, from node, to node)
@@ -62,6 +69,8 @@ class ReplicationProblem(Formulation):
     """
 
     kind = "replication"
+    #: what :meth:`_unpack` returns
+    result_type: Type[ReplicationResult] = ReplicationResult
 
     def __init__(self, state: NetworkState,
                  mirror_policy: Optional[MirrorPolicy] = None,
@@ -91,41 +100,49 @@ class ReplicationProblem(Formulation):
         super()._reset()
         self._o: Dict[OffloadKey, Variable] = {}
         self._link_penalties: List[LinExpr] = []
+        self._layout: Optional[FractionLayout] = None
+        self._columns: Optional[np.ndarray] = None
 
     # -- the coefficient table ----------------------------------------------
 
-    def _load_terms(self) -> Iterator[Tuple[LoadKey, Variable, float]]:
-        # Eq (3): on-path processing plus offloaded-in work.
-        state = self.state
-        capacity = self._capacity
-        by_name = {cls.name: cls for cls in state.classes}
-        for cls in state.classes:
-            for resource in state.resources:
-                if cls.footprint(resource) == 0.0:
-                    continue
-                work = cls.footprint(resource) * cls.num_sessions
-                for node in cls.path:
-                    yield ((resource, node), self._p[(cls.name, node)],
-                           work / capacity(resource, node))
-        for (cls_name, _, mirror), var in self._o.items():
-            cls = by_name[cls_name]
-            for resource in state.resources:
-                if cls.footprint(resource) == 0.0:
-                    continue
-                work = cls.footprint(resource) * cls.num_sessions
-                yield ((resource, mirror), var,
-                       work / capacity(resource, mirror))
+    def _load_term_index(self) -> TermIndex:
+        # Eq (3), wherever the footprint is non-zero: on-path
+        # processing (by class, then resource, then path order — which
+        # is column order), then offloaded-in work (by ``o`` column,
+        # then resource).
+        state, layout = self.state, self._layout
+        footprint = np.array(
+            [[cls.footprint(resource) for cls in state.classes]
+             for resource in state.resources], dtype=np.float64)
+        kinds = np.arange(len(footprint), dtype=np.int64)
+        local = np.flatnonzero(layout.mirror < 0)
+        remote = np.flatnonzero(layout.mirror >= 0)
+        at = np.tile(local, len(kinds))
+        res = np.repeat(kinds, len(local))
+        order = np.lexsort((at, res, layout.cls[at]))
+        at = np.concatenate((at[order], np.repeat(remote, len(kinds))))
+        res = np.concatenate((res[order], np.tile(kinds, len(remote))))
+        owner = layout.cls[at]
+        keep = footprint[res, owner] != 0.0
+        at, res, owner = at[keep], res[keep], owner[keep]
+        charged = np.where(layout.mirror[at] < 0, layout.node[at],
+                           layout.mirror[at])
+        return TermIndex(res * len(state.nids_nodes) + charged,
+                         self._columns[at], owner,
+                         footprint[res, owner])
 
-    def _link_terms(self) -> Iterator[Tuple[Link, Variable, float]]:
+    def _link_term_index(self) -> TermIndex:
         # Eq (4): the replication tunnel from node to mirror.
-        state = self.state
-        by_name = {cls.name: cls for cls in state.classes}
-        for (cls_name, node, mirror), var in self._o.items():
-            cls = by_name[cls_name]
-            replicated_bytes = cls.num_sessions * cls.session_bytes
-            for link in state.routing.path_links(node, mirror):
-                yield (link, var,
-                       replicated_bytes / state.link_capacity[link])
+        state, layout = self.state, self._layout
+        at, links = layout.tunnels(state.routing, {
+            link: index
+            for index, link in enumerate(state.topology.links)})
+        owner = layout.cls[at]
+        session_bytes = np.array(
+            [cls.session_bytes for cls in state.classes],
+            dtype=np.float64)
+        return TermIndex(links, self._columns[at], owner,
+                         session_bytes[owner])
 
     # -- model construction -------------------------------------------------
 
@@ -133,14 +150,23 @@ class ReplicationProblem(Formulation):
         """Decision variables (Eqs (6), (7)) and coverage (Eq (2))."""
         state = self.state
         mirror_sets = self.mirror_policy.mirror_sets(state)
+        code = {node: index
+                for index, node in enumerate(state.nids_nodes)}
         # One key and name per column, then one bulk add: a p key is
-        # (class, node), an o key (class, node, mirror).
+        # (class, node), an o key (class, node, mirror). The layout
+        # keeps the same three things per column as integers.
         keys: List[Tuple[str, ...]] = []
         names: List[str] = []
-        for cls in state.classes:
+        owner: List[int] = []
+        at: List[int] = []
+        to: List[int] = []
+        first = [0]
+        for index, cls in enumerate(state.classes):
             for node in cls.path:
                 keys.append((cls.name, node))
                 names.append(f"p[{cls.name},{node}]")
+                at.append(code[node])
+                to.append(-1)
             path_set = set(cls.path)
             for node in cls.path:
                 for mirror in mirror_sets[node]:
@@ -148,15 +174,23 @@ class ReplicationProblem(Formulation):
                         continue  # on-path mirrors need no replication
                     keys.append((cls.name, node, mirror))
                     names.append(f"o[{cls.name},{node},{mirror}]")
-        by_class: Dict[str, List[Variable]] = {
-            cls.name: [] for cls in state.classes}
-        for key, var in zip(keys, model.add_variables(names, lb=0.0,
-                                                      ub=1.0)):
+                    at.append(code[node])
+                    to.append(code[mirror])
+            owner.extend([index] * (len(keys) - len(owner)))
+            first.append(len(keys))
+        variables = model.add_variables(names, lb=0.0, ub=1.0)
+        for key, var in zip(keys, variables):
             (self._p if len(key) == 2 else self._o)[key] = var
-            by_class[key[0]].append(var)
-        for cls in state.classes:
-            model.add_constraint(lin_sum(by_class[cls.name]) == 1.0,
-                                 name=f"cover[{cls.name}]")
+        for cls, lo, hi in zip(state.classes, first, first[1:]):
+            # ``lin_sum(class's columns) == 1.0``, stated directly.
+            model.add_constraint(Constraint(
+                LinExpr(dict.fromkeys(variables[lo:hi], 1.0), -1.0),
+                ConstraintSense.EQ), name=f"cover[{cls.name}]")
+        self._layout = FractionLayout(
+            [cls.name for cls in state.classes], state.nids_nodes,
+            owner, at, to)
+        self._columns = np.array([var.index for var in variables],
+                                 dtype=np.int64)
 
     def _build(self, model: Model) -> None:
         self._add_fraction_variables(model)
@@ -194,21 +228,13 @@ class ReplicationProblem(Formulation):
 
     # -- solving --------------------------------------------------------------
 
-    def _offload_fractions(self, solution: Solution
-                           ) -> Dict[str, Dict[Tuple[str, str], float]]:
-        x = solution.x.tolist()
-        offload: Dict[str, Dict[Tuple[str, str], float]] = {}
-        for (cls_name, node, mirror), var in self._o.items():
-            offload.setdefault(cls_name, {})[(node, mirror)] = x[var.index]
-        return offload
-
-    def _unpack(self, model: Model,
-                solution: Solution) -> ReplicationResult:
-        return ReplicationResult(
-            offload_fractions=self._offload_fractions(solution),
+    def _unpack(self, model: Model, solution: Solution,
+                **extra: Any) -> ReplicationResult:
+        return self.result_type.from_table(
+            FractionTable(self._layout, solution.x[self._columns]),
             link_loads=self._link_loads(solution),
             max_link_load=self.max_link_load,
-            **self._assignment_fields(model, solution))
+            **extra, **self._assignment_fields(model, solution))
 
     def solve(self) -> ReplicationResult:
         """Solve the LP and unpack the solution.

@@ -1,11 +1,163 @@
-"""Result objects returned by the optimization problems."""
+"""Result objects returned by the optimization problems.
+
+A replication-family result holds its decision fractions as arrays — a
+:class:`FractionTable`, the LP's ``x`` gathered through a
+:class:`FractionLayout` built once per model — because that is the
+form the shim compiler, the validator and the budget lowering consume.
+The ``process_fractions`` / ``offload_fractions`` dicts are a view
+derived on first access; a hand-built or merged result is the other
+way round (dicts given, arrays derived from them on demand).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import (Any, Dict, Hashable, Iterable, List, Mapping,
+                    Optional, Sequence, Tuple)
+
+import numpy as np
 
 Link = Tuple[str, str]
+OffloadKey = Tuple[str, str]  # (from node, to node)
+
+
+class FractionLayout:
+    """Which class, node and mirror every fraction of a plan is for.
+
+    Flat, one entry per fraction in the order the dict views list them
+    (per class its ``p`` then its ``o`` fractions): ``cls`` indexes
+    ``class_names``, ``node`` and ``mirror`` index ``node_names``
+    (``mirror`` is -1 for a ``p``), ``key`` indexes ``keys`` — the
+    :class:`~repro.shim.ranges.HashRange` keys ``("process", node)`` /
+    ``("replicate", node, mirror)``. ``slots`` is the same set as a
+    padded ``classes x width`` matrix of positions (-1 = padding) in
+    *emit* order — a class's ``p`` by sorted node, then its ``o`` by
+    sorted ``(node, mirror)`` — which is the order Section 7.1 lays
+    the hash ranges out in.
+    """
+
+    def __init__(self, class_names: Sequence[str],
+                 node_names: Sequence[str], cls: Sequence[int],
+                 node: Sequence[int], mirror: Sequence[int]) -> None:
+        self.class_names = tuple(class_names)
+        self.node_names = tuple(node_names)
+        self.cls = np.asarray(cls, dtype=np.int64)
+        self.node = np.asarray(node, dtype=np.int64)
+        self.mirror = np.asarray(mirror, dtype=np.int64)
+        names = self.node_names
+        pairs, self.key = np.unique(
+            self.node * (len(names) + 1) + self.mirror + 1,
+            return_inverse=True)
+        self.keys: Tuple[Hashable, ...] = tuple(
+            ("process", names[node]) if mirror == 0 else
+            ("replicate", names[node], names[mirror - 1])
+            for node, mirror in (divmod(pair, len(names) + 1)
+                                 for pair in pairs.tolist()))
+        # Emit order: names sort as strings, codes by their rank.
+        rank = np.empty(len(names) + 1, dtype=np.int64)
+        rank[np.argsort(np.array(names + ("",)), kind="stable")] = \
+            np.arange(len(names) + 1, dtype=np.int64)
+        order = np.lexsort((rank[self.mirror], rank[self.node],
+                            self.mirror >= 0, self.cls))
+        counts = np.bincount(self.cls, minlength=len(self.class_names))
+        first = np.cumsum(counts) - counts
+        row = self.cls[order]
+        self.slots = np.full(
+            (len(self.class_names), int(counts.max(initial=0))), -1,
+            dtype=np.int64)
+        self.slots[row, np.arange(len(order), dtype=np.int64)
+                   - first[row]] = order
+
+    def row_keys(self, row: int) -> List[Hashable]:
+        """The range keys of one class's slots, in emit order."""
+        slots = self.slots[row]
+        return [self.keys[key] for key in
+                self.key[slots[slots >= 0]].tolist()]
+
+    def tunnels(self, routing: Any, ordinal: Mapping[Link, int]
+                ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(position of the o fraction, ordinal[link])`` for every
+        link of every replication tunnel ``P_{node,mirror}``, in
+        fraction then path order. Routes are looked up once per
+        distinct (node, mirror)."""
+        nodes = self.node_names
+        remote = np.flatnonzero(self.mirror >= 0)
+        pairs, which = np.unique(
+            self.node[remote] * len(nodes) + self.mirror[remote],
+            return_inverse=True)
+        paths = [[ordinal[link] for link in routing.path_links(
+            nodes[pair // len(nodes)], nodes[pair % len(nodes)])]
+            for pair in pairs.tolist()]
+        lengths = np.array([len(path) for path in paths],
+                           dtype=np.int64)
+        flat = np.array([link for path in paths for link in path],
+                        dtype=np.int64)
+        hops = lengths[which]
+        first = (np.cumsum(lengths) - lengths)[which]
+        within = np.arange(int(hops.sum()), dtype=np.int64) - \
+            np.repeat(np.cumsum(hops) - hops, hops)
+        return (np.repeat(remote, hops),
+                flat[np.repeat(first, hops) + within])
+
+
+class FractionTable:
+    """A plan's fractions: one float per entry of a layout."""
+
+    def __init__(self, layout: FractionLayout,
+                 values: np.ndarray) -> None:
+        self.layout = layout
+        self.values = values
+
+    def matrix(self) -> np.ndarray:
+        """``classes x width`` fractions in emit order, 0.0 padded."""
+        return np.append(self.values, 0.0)[self.layout.slots]
+
+    @classmethod
+    def from_dicts(cls, class_names: Sequence[str],
+                   process: Mapping[str, Mapping[str, float]],
+                   offload: Mapping[str, Mapping[OffloadKey, float]]
+                   ) -> "FractionTable":
+        """The array form of the dict views, rows in ``class_names``
+        order (a class in neither dict gets an empty row)."""
+        codes: Dict[str, int] = {}
+        owner: List[int] = []
+        node: List[int] = []
+        mirror: List[int] = []
+        values: List[float] = []
+        for index, name in enumerate(class_names):
+            for at, fraction in process.get(name, {}).items():
+                owner.append(index)
+                node.append(codes.setdefault(at, len(codes)))
+                mirror.append(-1)
+                values.append(fraction)
+            for (at, to), fraction in offload.get(name, {}).items():
+                owner.append(index)
+                node.append(codes.setdefault(at, len(codes)))
+                mirror.append(codes.setdefault(to, len(codes)))
+                values.append(fraction)
+        return cls(FractionLayout(class_names, tuple(codes), owner,
+                                  node, mirror),
+                   np.array(values, dtype=np.float64))
+
+    def to_dicts(self) -> Tuple[Dict[str, Dict[str, float]],
+                                Dict[str, Dict[OffloadKey, float]]]:
+        """``(process_fractions, offload_fractions)``; every class has
+        a ``process`` entry, only classes with ``o`` fractions an
+        ``offload`` one."""
+        layout = self.layout
+        names, nodes = layout.class_names, layout.node_names
+        process: Dict[str, Dict[str, float]] = {
+            name: {} for name in names}
+        offload: Dict[str, Dict[OffloadKey, float]] = {}
+        for owner, at, to, fraction in zip(
+                layout.cls.tolist(), layout.node.tolist(),
+                layout.mirror.tolist(), self.values.tolist()):
+            if to < 0:
+                process[names[owner]][nodes[at]] = fraction
+            else:
+                offload.setdefault(names[owner], {})[
+                    (nodes[at], nodes[to])] = fraction
+        return process, offload
 
 
 @dataclass
@@ -83,10 +235,48 @@ class ReplicationResult(AssignmentResult):
         max_link_load: the ``MaxLinkLoad`` bound the problem used.
     """
 
-    offload_fractions: Dict[str, Dict[Tuple[str, str], float]] = field(
+    offload_fractions: Dict[str, Dict[OffloadKey, float]] = field(
         default_factory=dict)
     link_loads: Dict[Link, float] = field(default_factory=dict)
     max_link_load: float = 1.0
+
+    @classmethod
+    def from_table(cls, table: FractionTable,
+                   **fields: Any) -> "ReplicationResult":
+        """A result whose fractions are ``table``; the two dict views
+        are derived when first read."""
+        result = cls(process_fractions={}, **fields)
+        del result.process_fractions, result.offload_fractions
+        result.__dict__["_table"] = table
+        return result
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for an attribute the instance lacks: the dict
+        # views of a table-backed result nobody has read yet. They are
+        # mutable, so from here on they — not the table — are the
+        # result's fractions.
+        table = self.__dict__.get("_table")
+        if table is None or name not in ("process_fractions",
+                                         "offload_fractions"):
+            raise AttributeError(name)
+        del self.__dict__["_table"]
+        self.process_fractions, self.offload_fractions = \
+            table.to_dicts()
+        return self.__dict__[name]
+
+    def fraction_table(self, class_names: Iterable[str]
+                       ) -> FractionTable:
+        """The fractions as arrays, one row per name in
+        ``class_names``: the LP's own table when it still stands and
+        lists exactly those classes, else built from the dicts."""
+        class_names = tuple(class_names)
+        table = self.__dict__.get("_table")
+        if table is not None and \
+                table.layout.class_names == class_names:
+            return table
+        return FractionTable.from_dicts(
+            class_names, self.process_fractions,
+            self.offload_fractions)
 
     def replicated_fraction(self, class_name: str) -> float:
         """Total fraction of a class handled off-path via replication."""

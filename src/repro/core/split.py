@@ -18,15 +18,15 @@ Section 4.
 :class:`~repro.core.formulation.Formulation` parameters and can be
 changed with ``resolve`` (the miss-mode extensions opt out of the
 incremental path and rebuild on every resolve). The coefficients are
-stated once (``_load_terms`` / ``_link_terms`` / ``_cost_expression``);
-the base class builds and patches from them.
+stated once (``_load_term_index`` / ``_link_term_index`` /
+``_cost_expression``); the base class builds and patches from them.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, Optional, Tuple, Union
 
-from repro.core.formulation import (Formulation, LoadKey,
+from repro.core.formulation import (Formulation, LoadKey, TermIndex,
                                     _check_max_link_load,
                                     _check_non_negative)
 from repro.core.inputs import NetworkState
@@ -107,42 +107,49 @@ class SplitTrafficProblem(Formulation):
 
     # -- the coefficient table ----------------------------------------------
 
-    def _load_terms(self) -> Iterator[Tuple[LoadKey, Variable, float]]:
+    def _load_term_index(self) -> TermIndex:
         # A common node processing fraction p sees both directions
         # (full footprint); the DC pays half a footprint per offloaded
         # direction-fraction.
-        state = self.state
-        dc = state.dc_node
-        for cls in state.classes:
-            for resource in state.resources:
-                if cls.footprint(resource) == 0.0:
-                    continue
-                work = cls.footprint(resource) * cls.num_sessions
-                for node in cls.common_nodes:
-                    yield ((resource, node), self._p[(cls.name, node)],
-                           work / self._capacity(resource, node))
-                if self.allow_offload:
-                    half = work / 2.0 / self._capacity(resource, dc)
-                    for node in cls.fwd_nodes:
-                        yield ((resource, dc),
-                               self._ofwd[(cls.name, node)], half)
-                    for node in cls.rev_nodes:
-                        yield ((resource, dc),
-                               self._orev[(cls.name, node)], half)
+        def terms() -> Iterator[Tuple[LoadKey, Variable, int, float]]:
+            state = self.state
+            dc = state.dc_node
+            for index, cls in enumerate(state.classes):
+                for resource in state.resources:
+                    footprint = cls.footprint(resource)
+                    if footprint == 0.0:
+                        continue
+                    for node in cls.common_nodes:
+                        yield ((resource, node),
+                               self._p[(cls.name, node)], index,
+                               footprint)
+                    if self.allow_offload:
+                        for node in cls.fwd_nodes:
+                            yield ((resource, dc),
+                                   self._ofwd[(cls.name, node)], index,
+                                   footprint / 2.0)
+                        for node in cls.rev_nodes:
+                            yield ((resource, dc),
+                                   self._orev[(cls.name, node)], index,
+                                   footprint / 2.0)
 
-    def _link_terms(self) -> Iterator[Tuple[Link, Variable, float]]:
-        # The per-direction replication tunnels to the datacenter.
-        state = self.state
-        dc = state.dc_node
-        by_name = {cls.name: cls for cls in state.classes}
-        for offloads in (self._ofwd, self._orev):
-            for (cls_name, node), var in offloads.items():
-                cls = by_name[cls_name]
-                direction_bytes = (cls.num_sessions *
-                                   cls.session_bytes / 2.0)
-                for link in state.routing.path_links(node, dc):
-                    yield (link, var,
-                           direction_bytes / state.link_capacity[link])
+        return TermIndex.from_terms(self._load_keys, terms())
+
+    def _link_term_index(self) -> TermIndex:
+        # The per-direction replication tunnels to the datacenter,
+        # each carrying half the session's bytes.
+        def terms() -> Iterator[Tuple[Link, Variable, int, float]]:
+            state = self.state
+            dc = state.dc_node
+            by_name = {cls.name: (index, cls) for index, cls in
+                       enumerate(state.classes)}
+            for offloads in (self._ofwd, self._orev):
+                for (cls_name, node), var in offloads.items():
+                    index, cls = by_name[cls_name]
+                    for link in state.routing.path_links(node, dc):
+                        yield link, var, index, cls.session_bytes / 2.0
+
+        return TermIndex.from_terms(self.state.topology.links, terms())
 
     def _cost_expression(self) -> LinExpr:
         # MissRate (Eq (11)): the traffic-weighted fraction missed; an
@@ -242,6 +249,7 @@ class SplitTrafficProblem(Formulation):
             miss_rate=solution.value(self._cost_expr),
             link_loads=self._link_loads(solution),
             gamma=self.gamma,
+            process_fractions=self._process_fractions(solution),
             **self._assignment_fields(model, solution))
 
     def solve(self) -> SplitTrafficResult:

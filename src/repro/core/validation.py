@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+import numpy as np
+
 from repro.core.inputs import NetworkState
 from repro.core.results import (
     AggregationResult,
@@ -40,57 +42,65 @@ def validate_replication(state: NetworkState, result: ReplicationResult
         feasible assignment for ``state``.
     """
     problems: List[str] = []
-    _check_fraction_bounds(result.process_fractions, "p", problems)
-    offload_by_class = {
-        name: sum(values.values())
-        for name, values in result.offload_fractions.items()
-    }
+    classes = state.classes
+    table = result.fraction_table(cls.name for cls in classes)
+    layout, values = table.layout, table.values
+    names, nodes = layout.class_names, layout.node_names
+    local = layout.mirror < 0
+    # Every sum below is a ``bincount`` over the fractions in the
+    # order the dict views list them: it accumulates one by one, as a
+    # walk over those dicts would.
+    for at in np.flatnonzero(
+            local & ((values < -_TOL) | (values > 1.0 + _TOL))).tolist():
+        problems.append(
+            f"p[{names[layout.cls[at]]}][{nodes[layout.node[at]]}] = "
+            f"{values[at]} out of [0, 1]")
 
     # Eq (2): full coverage.
-    for cls in state.classes:
-        local = sum(result.process_fractions.get(cls.name, {}).values())
-        total = local + offload_by_class.get(cls.name, 0.0)
-        if abs(total - 1.0) > 1e-5:
-            problems.append(
-                f"class {cls.name!r} coverage {total:.6f} != 1")
+    total = sum(np.bincount(layout.cls, minlength=len(names),
+                            weights=np.where(kind, values, 0.0))
+                for kind in (local, ~local))
+    for index in np.flatnonzero(np.abs(total - 1.0) > 1e-5).tolist():
+        problems.append(
+            f"class {names[index]!r} coverage {total[index]:.6f} != 1")
 
     # Eq (3): recompute node loads from the fractions.
-    loads: Dict[str, Dict[str, float]] = {
-        r: {n: 0.0 for n in state.nids_nodes} for r in state.resources}
-    for cls in state.classes:
-        for resource in state.resources:
-            work = cls.footprint(resource) * cls.num_sessions
-            for node, fraction in result.process_fractions.get(
-                    cls.name, {}).items():
-                loads[resource][node] += (work * fraction /
-                                          state.capacity(resource, node))
-            for (_, mirror), fraction in result.offload_fractions.get(
-                    cls.name, {}).items():
-                loads[resource][mirror] += (
-                    work * fraction / state.capacity(resource, mirror))
+    sessions = np.array([cls.num_sessions for cls in classes],
+                        dtype=np.float64)
+    charged = np.where(local, layout.node, layout.mirror)
     for resource in state.resources:
+        work = sessions * np.array(
+            [cls.footprint(resource) for cls in classes],
+            dtype=np.float64)
+        capacity = np.array([state.capacity(resource, node)
+                             for node in nodes], dtype=np.float64)
+        loads = dict(zip(nodes, np.bincount(
+            charged, weights=work[layout.cls] * values
+            / capacity[charged], minlength=len(nodes)).tolist()))
         for node in state.nids_nodes:
+            load = loads.get(node, 0.0)
             reported = result.node_loads[resource][node]
-            if abs(loads[resource][node] - reported) > 1e-5:
+            if abs(load - reported) > 1e-5:
                 problems.append(
                     f"load[{resource}][{node}] recomputed "
-                    f"{loads[resource][node]:.6f} != reported "
-                    f"{reported:.6f}")
-            if loads[resource][node] > result.load_cost + 1e-5:
+                    f"{load:.6f} != reported {reported:.6f}")
+            if load > result.load_cost + 1e-5:
                 problems.append(
                     f"load[{resource}][{node}] exceeds LoadCost")
 
     # Eqs (4), (5): link loads under the bound.
-    link_bytes: Dict[tuple, float] = {}
-    class_by_name = {cls.name: cls for cls in state.classes}
-    for cls_name, offloads in result.offload_fractions.items():
-        cls = class_by_name[cls_name]
-        for (node, mirror), fraction in offloads.items():
-            for link in state.routing.path_links(node, mirror):
-                link_bytes[link] = (link_bytes.get(link, 0.0) +
-                                    fraction * cls.total_bytes)
-    for link, extra in link_bytes.items():
-        load = state.bg_load(link) + extra / state.link_capacity[link]
+    links = state.topology.links
+    at, hop = layout.tunnels(state.routing, {
+        link: index for index, link in enumerate(links)})
+    total_bytes = sessions * np.array(
+        [cls.session_bytes for cls in classes], dtype=np.float64)
+    extra = np.bincount(hop, weights=(values * total_bytes[layout.cls])[at],
+                        minlength=len(links))
+    touched, first = np.unique(hop, return_index=True)
+    for index in touched[np.argsort(first)].tolist():
+        link = links[index]
+        load = state.bg_load(link) + \
+            extra[index] / state.link_capacity[link]
         bound = max(result.max_link_load, state.bg_load(link))
         if load > bound + 1e-5:
             problems.append(

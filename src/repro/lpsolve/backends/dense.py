@@ -66,12 +66,10 @@ class _DenseSimplex:
         self.A = np.hstack([np.vstack([a_ub, a_eq]), slack_block])
         self.c_struct = np.asarray(compiled.c, dtype=float)
 
-        lb = np.array([bound[0] for bound in compiled.bounds],
-                      dtype=float)
-        ub = np.array([np.inf if bound[1] is None else bound[1]
-                       for bound in compiled.bounds], dtype=float)
-        self.lb = np.concatenate([lb, np.zeros(self.m_ub)])
-        self.ub = np.concatenate([ub, np.full(self.m_ub, np.inf)])
+        self.lb = np.concatenate([compiled.bounds[:, 0],
+                                  np.zeros(self.m_ub)])
+        self.ub = np.concatenate([compiled.bounds[:, 1],
+                                  np.full(self.m_ub, np.inf)])
 
         self.feas_tol = 1e-8 * (1.0 + float(np.abs(self.b).max())
                                 if self.m else 1.0)

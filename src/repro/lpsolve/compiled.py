@@ -93,7 +93,9 @@ class CompiledLP:
            backend always minimizes).
         a_ub / b_ub: ``A_ub x <= b_ub`` rows (GE rows are negated in).
         a_eq / b_eq: ``A_eq x == b_eq`` rows.
-        bounds: per-variable ``(lb, ub)`` pairs (``ub`` may be None).
+        bounds: ``(n, 2)`` float array of per-variable ``lb, ub``
+           (``inf`` = unbounded above) — the form ``linprog`` wants,
+           so a solve does not convert ``n`` tuples again.
         ub_rows / eq_rows: constraint -> ``(row, sign)`` in row order,
            where ``sign`` is -1 for constraints stated as GE.
         blocks: row block -> ``(matrix, slots)``: its live entries
@@ -103,8 +105,7 @@ class CompiledLP:
     __slots__ = ("c", "a_ub", "b_ub", "a_eq", "b_eq", "bounds",
                  "ub_rows", "eq_rows", "blocks")
 
-    def __init__(self, c: np.ndarray,
-                 bounds: List[Tuple[float, Optional[float]]],
+    def __init__(self, c: np.ndarray, bounds: np.ndarray,
                  ub: Rows, eq: Rows) -> None:
         self.c = c
         self.bounds = bounds

@@ -576,10 +576,7 @@ class CoverageTracker:
             config = node_configs.get(node)
             if config is None:
                 continue
-            for rule in config.rules_for(name):
-                if rule.hash_range.width > 0:
-                    intervals.append((rule.hash_range.start,
-                                      rule.hash_range.end))
+            intervals.extend(config.intervals(name))
         union = _union_length(intervals)
         total = sum(end - start for start, end in intervals)
         self._covered[index] = union

@@ -43,6 +43,7 @@ from repro.shim.config import (
     build_split_configs,
 )
 from repro.shim.shim import Shim, ShimDecision
+from repro.shim.table import RuleTable
 
 __all__ = [
     "BatchShimKernel",
@@ -51,6 +52,7 @@ __all__ = [
     "FiveTuple",
     "HashRange",
     "MirrorLinkIndex",
+    "RuleTable",
     "Shim",
     "ShimAction",
     "ShimConfig",

@@ -24,18 +24,17 @@ shim, which stays the correctness oracle.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.shim.config import HashMode, ShimAction, ShimConfig
+from repro.shim.config import HashMode, ShimConfig
+from repro.shim.table import ACTIONS, MODES, RuleTable, ShimAction
 
-# Action codes in the kernel's output column.
+# Action codes in the kernel's output column: the rule table's.
 ACTION_IGNORE = 0
-ACTION_PROCESS = 1
-ACTION_REPLICATE = 2
-
-_DIRECTIONS = ((0, "fwd"), (1, "rev"))
+ACTION_PROCESS = ACTIONS.index(ShimAction.PROCESS)
+ACTION_REPLICATE = ACTIONS.index(ShimAction.REPLICATE)
 
 
 class UnsupportedShimConfig(ValueError):
@@ -89,82 +88,100 @@ class BatchShimKernel:
         self._node_index = {n: i for i, n in enumerate(self.node_order)}
         self._class_index = {c: i for i, c in enumerate(self.class_names)}
         self._num_classes = len(self.class_names)
-        self.modes_used: Set[HashMode] = set()
         # Table ``t`` is rows ``first[t]:first[t + 1]`` of the flat
         # columns. The table after the last one is empty: the dense
         # index points there for a (node, class, direction) with no
         # rule, and its own last slot — where a class id of -1 is
         # sent — does too, so all of them resolve to "ignore". One
         # padding row keeps every probe of the columns in bounds.
-        keys: List[int] = []
-        modes: List[HashMode] = []
-        first = [0]
-        rows: List[_Entry] = []
-        for node, config in configs.items():
-            if node not in self._node_index:
-                continue
-            for key, mode, table in self._compile_node(
-                    self._node_index[node], config):
-                keys.append(key)
-                modes.append(mode)
-                rows.extend(table)
-                first.append(len(rows))
+        key, mode, rows = self._compile(RuleTable.concat(
+            [config.table() for node, config in configs.items()
+             if node in self._node_index]))
+        keys, first = np.unique(key, return_index=True)
         self._num_tables = len(keys)
+        self.modes_used: Set[HashMode] = {
+            MODES[code] for code in np.unique(mode).tolist()}
         self._modes = sorted(self.modes_used, key=lambda m: m.value)
         self._table_of = np.full(
             len(self.node_order) * self._num_classes * 2 + 1,
             self._num_tables, dtype=np.int32)
-        self._table_of[np.array(keys, dtype=np.int64)] = np.arange(
-            self._num_tables, dtype=np.int32)
-        self._first = np.array(first + first[-1:], dtype=np.int64)
+        self._table_of[keys] = np.arange(self._num_tables,
+                                         dtype=np.int32)
+        self._first = np.concatenate(
+            (first, [len(key), len(key)])).astype(np.int64)
         self._max_rules = int(np.diff(self._first).max())
-        self._mode_of = np.array(
-            [self._modes.index(mode) for mode in modes] + [0],
-            dtype=np.int8)
-        rows.append((np.inf, np.inf, ACTION_IGNORE, -1))
-        self._starts = np.array([r[0] for r in rows], dtype=np.float64)
-        self._ends = np.array([r[1] for r in rows], dtype=np.float64)
-        self._actions = np.array([r[2] for r in rows], dtype=np.int8)
-        self._targets = np.array([r[3] for r in rows], dtype=np.int32)
+        code = np.array([self._modes.index(member)
+                         if member in self.modes_used else 0
+                         for member in MODES], dtype=np.int8)
+        self._mode_of = np.append(code[mode[first]], np.int8(0))
+        self._starts = np.append(rows[0], np.inf)
+        self._ends = np.append(rows[1], np.inf)
+        self._actions = np.append(rows[2], ACTION_IGNORE).astype(np.int8)
+        self._targets = np.append(rows[3], -1).astype(np.int32)
 
-    def _compile_node(self, node_id: int, config: ShimConfig
-                      ) -> Iterator[Tuple[int, HashMode, List[_Entry]]]:
-        """``(dense key, hash mode, sorted disjoint rows)`` for every
-        (class, direction) of one node that has a live rule."""
-        for class_name, rules in config.rules.items():
-            class_id = self._class_index.get(class_name)
-            if class_id is None:
-                continue  # no packet in the batch can carry this class
-            for dir_id, dir_name in _DIRECTIONS:
-                entries: List[_Entry] = []
-                modes = set()
-                for rule in rules:
-                    if rule.direction not in ("both", dir_name):
-                        continue
-                    rng = rule.hash_range
-                    if rng.end <= rng.start:
-                        continue  # zero-width: contains() never True
-                    modes.add(rule.hash_mode)
-                    if rule.action is ShimAction.PROCESS:
-                        action, target = ACTION_PROCESS, -1
-                    else:
-                        action = ACTION_REPLICATE
-                        target = self._node_index[rule.target]
-                    entries.append((rng.start, rng.end, action, target))
-                if not entries:
-                    continue
-                if len(modes) > 1:
-                    raise UnsupportedShimConfig(
-                        f"node {config.node!r} class {class_name!r} "
-                        f"mixes hash modes {sorted(m.value for m in modes)}")
-                rows = sorted(entries, key=lambda e: (e[0], e[1]))
-                if any(after[0] < before[1]
-                       for before, after in zip(rows, rows[1:])):
-                    rows = _first_match_wins(entries)
-                mode = modes.pop()
-                self.modes_used.add(mode)
-                yield ((node_id * self._num_classes + class_id) * 2
-                       + dir_id, mode, rows)
+    def _compile(self, table: RuleTable
+                 ) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
+        """``(dense key, hash mode, [start, end, action, target])``
+        per live row of every (node, class, direction) table, tables
+        in key order, each sorted and disjoint."""
+        nodes = np.array([self._node_index.get(name, -1)
+                          for name in table.node_names] + [-1],
+                         dtype=np.int64)
+        classes = np.array([self._class_index.get(name, -1)
+                            for name in table.class_names],
+                           dtype=np.int64)
+        # A zero-width range never contains a hash; a class outside
+        # the batch's list never shows up in it.
+        live = ((table.end > table.start) & (classes[table.cls] >= 0)
+                & (nodes[table.node] >= 0))
+        picked = [np.flatnonzero(live & (table.direction != other))
+                  for other in (2, 1)]  # fwd skips "rev", rev "fwd"
+        at = np.concatenate(picked)
+        key = (nodes[table.node[at]] * self._num_classes
+               + classes[table.cls[at]]) * 2 + np.repeat(
+                   np.arange(2, dtype=np.int64),
+                   [len(rows) for rows in picked])
+        target = nodes[table.target[at]]
+        if (target[table.action[at] == ACTION_REPLICATE] < 0).any():
+            raise KeyError("a rule replicates to a node outside "
+                           "the kernel's node order")
+        # Rule-list order within each table first (what first-match
+        # needs), then by range position.
+        listed = np.argsort(key, kind="stable")
+        key, mode = key[listed], table.mode[at][listed]
+        columns = [column[at][listed] for column in (
+            table.start, table.end, table.action)] + [target[listed]]
+        same = key[1:] == key[:-1]
+        mixed = np.flatnonzero(same & (mode[1:] != mode[:-1]))
+        if len(mixed):
+            bucket = key == key[mixed[0]]
+            node, class_id = divmod(int(key[mixed[0]]) // 2,
+                                    self._num_classes)
+            raise UnsupportedShimConfig(
+                f"node {self.node_order[node]!r} class "
+                f"{self.class_names[class_id]!r} mixes hash modes "
+                f"{sorted(MODES[m].value for m in set(mode[bucket].tolist()))}")
+        order = np.lexsort((columns[1], columns[0], key))
+        ranked = [column[order] for column in columns]
+        overlapping = np.unique(key[1:][
+            same & (ranked[0][1:] < ranked[1][:-1])])
+        if len(overlapping):
+            keep = ~np.isin(key, overlapping)
+            parts = [[column[keep]] for column in (key, mode, *ranked)]
+            bounds = zip(np.searchsorted(key, overlapping, "left"),
+                         np.searchsorted(key, overlapping, "right"))
+            for bucket, (lo, hi) in zip(overlapping.tolist(), bounds):
+                pieces = _first_match_wins(list(zip(*(
+                    column[lo:hi].tolist() for column in columns))))
+                for part, values in zip(parts, (
+                        [bucket] * len(pieces),
+                        [mode[lo]] * len(pieces), *zip(*pieces))):
+                    part.append(np.array(values, dtype=part[0].dtype))
+            key, mode, *ranked = (np.concatenate(part) for part in parts)
+            order = np.argsort(key, kind="stable")
+            key, mode = key[order], mode[order]
+            ranked = [column[order] for column in ranked]
+        return key, mode, ranked
 
     @property
     def num_tables(self) -> int:

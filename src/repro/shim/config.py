@@ -19,73 +19,93 @@ concern it. Three builders cover the three formulations:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import (Any, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
+
+import numpy as np
 
 from repro.core.inputs import NetworkState
 from repro.core.results import (
     AggregationResult,
+    FractionTable,
     ReplicationResult,
     SplitTrafficResult,
 )
 from repro.obs import get_registry
-from repro.shim.budget import BudgetedLowering, budgeted_hash_ranges
+from repro.shim.budget import (BudgetedLowering, LoweredRows,
+                               RowLowering, budgeted_hash_ranges)
 from repro.shim.ranges import HashRange
-
-
-class ShimAction(enum.Enum):
-    """What a shim does with a matching packet."""
-
-    PROCESS = "process"
-    REPLICATE = "replicate"
-
-
-class HashMode(enum.Enum):
-    """Which field the range membership is computed over."""
-
-    SESSION = "session"   # canonical bidirectional 5-tuple hash
-    SOURCE = "source"     # per-source split (aggregation)
-    DESTINATION = "destination"
-
-
-@dataclass(frozen=True)
-class ShimRule:
-    """One hash-range rule installed at one node.
-
-    Attributes:
-        class_name: traffic class the rule applies to.
-        hash_range: the owned slice of hash space.
-        action: process locally or replicate.
-        target: mirror node for replication rules.
-        direction: ``"both"``, ``"fwd"`` or ``"rev"`` — split-traffic
-            rules act on one direction only.
-        hash_mode: field the hash is computed over.
-    """
-
-    class_name: str
-    hash_range: HashRange
-    action: ShimAction
-    target: Optional[str] = None
-    direction: str = "both"
-    hash_mode: HashMode = HashMode.SESSION
-
-    def matches(self, hash_value: float, direction: str) -> bool:
-        """True when a packet with this hash/direction hits the rule."""
-        if self.direction != "both" and direction != self.direction:
-            return False
-        return self.hash_range.contains(hash_value)
+from repro.shim.table import (ACTIONS, MODES, HashMode, RuleTable,
+                              ShimAction, ShimRule)
 
 
 @dataclass
 class ShimConfig:
-    """All rules installed at one node, grouped by class."""
+    """All rules installed at one node, grouped by class.
+
+    A config is either built from rule objects (``ShimConfig(node,
+    rules)``) or, by the builders below, a slice of a
+    :class:`~repro.shim.table.RuleTable` whose rows are grouped by
+    class (:meth:`from_table`). Consumers that size, compare or search
+    rules take :meth:`table`; ``rules`` — read by the scalar shim, the
+    agents and the writers — is made from a slice when first read.
+    The dict is mutable, so from then on it is the config and the
+    slice is dropped: there is never a second copy to go stale.
+    """
 
     node: str
     rules: Dict[str, List[ShimRule]]
 
+    @classmethod
+    def from_table(cls, node: str, table: RuleTable) -> "ShimConfig":
+        config = cls(node=node, rules={})
+        del config.rules
+        config.__dict__["_table"] = table
+        return config
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for the ``rules`` of a table-backed config
+        # nobody has read yet.
+        table = self.__dict__.get("_table")
+        if table is None or name != "rules":
+            raise AttributeError(name)
+        self.__dict__.pop("_intervals", None)
+        del self.__dict__["_table"]
+        self.rules = table.rules()
+        return self.rules
+
+    def table(self) -> RuleTable:
+        """This node's rules as columns: the slice the config was
+        built as, else the rule objects encoded now."""
+        table = self.__dict__.get("_table")
+        return table if table is not None else \
+            RuleTable.from_rules(self.node, self.rules)
+
     def rules_for(self, class_name: str) -> List[ShimRule]:
         return self.rules.get(class_name, [])
+
+    def intervals(self, class_name: str
+                  ) -> Sequence[Tuple[float, float]]:
+        """``(start, end)`` of the class's positive-width rules, in
+        rule order — what coverage accounting needs, without making
+        rule objects of a table-backed config."""
+        index = self.__dict__.get("_intervals")
+        if index is not None:
+            return index.get(class_name, ())
+        table = self.__dict__.get("_table")
+        if table is None:
+            return [(rule.hash_range.start, rule.hash_range.end)
+                    for rule in self.rules.get(class_name, ())
+                    if rule.hash_range.end > rule.hash_range.start]
+        index = self.__dict__["_intervals"] = {}
+        names = table.class_names
+        for cls, start, end in zip(table.cls.tolist(),
+                                   table.start.tolist(),
+                                   table.end.tolist()):
+            if end > start:
+                index.setdefault(names[cls], []).append((start, end))
+        return index.get(class_name, ())
 
     def decide(self, class_name: str, hash_value: float,
                direction: str = "fwd") -> Optional[ShimRule]:
@@ -107,6 +127,9 @@ class ShimConfig:
         makes "compiled within budget" imply "installable within
         budget".
         """
+        table = self.__dict__.get("_table")
+        if table is not None:
+            return int(np.count_nonzero(table.end > table.start))
         return sum(1 for rules in self.rules.values()
                    for rule in rules
                    if rule.hash_range.end > rule.hash_range.start)
@@ -117,9 +140,8 @@ def _empty_configs(state: NetworkState) -> Dict[str, ShimConfig]:
             for node in state.nids_nodes}
 
 
-def _record_budget_metrics(
-        configs: Dict[str, ShimConfig],
-        lowerings: Dict[str, BudgetedLowering]) -> None:
+def _record_budget_metrics(configs: Dict[str, ShimConfig],
+                           errors: Iterable[float]) -> None:
     """Publish the budgeted-compile fidelity metrics.
 
     ``shim.coverage_error`` gets one sample per compiled layout (the
@@ -130,8 +152,8 @@ def _record_budget_metrics(
     metrics = get_registry()
     if not metrics.enabled:
         return
-    for lowering in lowerings.values():
-        metrics.observe("shim.coverage_error", lowering.error_linf)
+    for error in errors:
+        metrics.observe("shim.coverage_error", error)
     for config in configs.values():
         metrics.observe("shim.rules_per_node", config.num_rules)
 
@@ -145,52 +167,92 @@ def build_replication_configs(
 
     For each class, lays out the ``p_{c,j}`` ranges first and the
     ``o_{c,j,j'}`` ranges after them (Section 7.1's two loops), then
-    installs each range at the node that must act on it.
+    installs each range at the node that must act on it. All classes
+    are laid out at once (:class:`~repro.shim.budget.LoweredRows` over
+    the result's fraction table) and expanded into one
+    :class:`~repro.shim.table.RuleTable`, sorted by node, then class,
+    then a class's own ranges before the PROCESS copies a mirror gets
+    for what is replicated to it; every node's config is its slice.
 
     Args:
-        budget: optional per-class rule budget — the layout is lowered
-            through :func:`~repro.shim.budget.budgeted_hash_ranges`,
-            emitting at most ``budget`` ranges per class (so no node
-            installs more than ``budget`` rules for any class) whose
-            widths approximate the LP fractions. ``None`` reproduces
-            the exact, unbounded lowering.
+        budget: optional per-class rule budget — at most ``budget``
+            ranges are emitted per class (so no node installs more
+            than ``budget`` rules for any class), their widths
+            approximating the LP fractions
+            (:mod:`repro.shim.budget`). ``None`` reproduces the
+            exact, unbounded lowering.
         lowerings: when provided, filled with each class's
             :class:`~repro.shim.budget.BudgetedLowering` so callers
             can inspect the quantified coverage error.
+
+    Raises:
+        ValueError: when a class's fractions cannot be laid out (a
+            negative or non-finite fraction, a sum off 1), naming the
+            class.
     """
-    configs = _empty_configs(state)
-    recorded: Dict[str, BudgetedLowering] = {}
-    for cls in state.classes:
-        entries: List[Tuple[tuple, float]] = []
-        process = result.process_fractions.get(cls.name, {})
-        for node in sorted(process):
-            entries.append((("process", node), process[node]))
-        offload = result.offload_fractions.get(cls.name, {})
-        for node, mirror in sorted(offload):
-            entries.append((("replicate", node, mirror),
-                            offload[(node, mirror)]))
-        lowering = budgeted_hash_ranges(entries, budget)
-        recorded[cls.name] = lowering
-        for rng in lowering.ranges:
-            if rng.key[0] == "process":
-                _, node = rng.key
-                rule = ShimRule(cls.name, rng, ShimAction.PROCESS)
-            else:
-                _, node, mirror = rng.key
-                rule = ShimRule(cls.name, rng, ShimAction.REPLICATE,
-                                target=mirror)
-            configs[node].rules.setdefault(cls.name, []).append(rule)
-        # The replication target must also process what it receives:
-        # give mirrors PROCESS rules over the ranges replicated to them.
-        for rng in lowering.ranges:
-            if rng.key[0] == "replicate":
-                _, _, mirror = rng.key
-                configs[mirror].rules.setdefault(cls.name, []).append(
-                    ShimRule(cls.name, rng, ShimAction.PROCESS))
+    return _table_configs(state, result.fraction_table(
+        cls.name for cls in state.classes), budget, lowerings)
+
+
+def _table_configs(state: NetworkState, fractions: FractionTable,
+                   budget: Optional[int],
+                   lowerings: Optional[Dict[str, BudgetedLowering]],
+                   hash_mode: HashMode = HashMode.SESSION
+                   ) -> Dict[str, ShimConfig]:
+    """Lay out every row of ``fractions`` and give each node its slice
+    of the resulting rule table."""
+    layout = fractions.layout
+    classes = layout.class_names
+
+    def describe(row: int, slot: Optional[int]) -> str:
+        return f"class {classes[row]!r}" + (
+            "" if slot is None else
+            f" key {layout.row_keys(row)[slot]!r}")
+
+    lowered = LoweredRows(fractions.matrix(), budget, describe=describe)
+    row, slot = np.nonzero(lowered.keep)
+    at = layout.slots[row, slot]
+    mirror = layout.mirror[at]
+    copies = np.flatnonzero(mirror >= 0)
+    # A class's own ranges, then — for the replicated ones — the
+    # mirror's PROCESS copy: the target must process what it receives.
+    position = {name: index
+                for index, name in enumerate(state.nids_nodes)}
+    place = np.array([position.get(name, -1)
+                      for name in layout.node_names], dtype=np.int64)
+    node = place[np.concatenate((layout.node[at], mirror[copies]))]
+    if (node < 0).any():
+        raise KeyError(layout.node_names[
+            int(np.flatnonzero(place < 0)[0])])
+    at, row, slot = (np.concatenate((column, column[copies]))
+                     for column in (at, row, slot))
+    copy = np.arange(len(at), dtype=np.int64) >= len(at) - len(copies)
+    order = np.lexsort((copy, row, node))
+    at, row, slot, node, copy = (
+        column[order] for column in (at, row, slot, node, copy))
+    replicating = ~copy & (layout.mirror[at] >= 0)
+    both = np.zeros(len(at), dtype=np.int64)
+    table = RuleTable(
+        tuple(state.nids_nodes), classes, layout.keys,
+        node=node, cls=row, start=lowered.starts[row, slot],
+        end=lowered.ends[row, slot],
+        action=np.where(replicating, ACTIONS.index(ShimAction.REPLICATE),
+                        ACTIONS.index(ShimAction.PROCESS)),
+        target=np.where(replicating, place[layout.mirror[at]], -1),
+        direction=both, mode=both + MODES.index(hash_mode),
+        key=layout.key[at])
+    bounds = np.searchsorted(
+        node, np.arange(len(position) + 1, dtype=np.int64))
+    configs = {
+        name: ShimConfig.from_table(
+            name, table.take(slice(bounds[index], bounds[index + 1])))
+        for name, index in position.items()}
     if lowerings is not None:
-        lowerings.update(recorded)
+        lowerings.update(
+            (name, RowLowering(lowered, index, layout.row_keys))
+            for index, name in enumerate(classes))
     if budget is not None:
-        _record_budget_metrics(configs, recorded)
+        _record_budget_metrics(configs, lowered.error_linf.tolist())
     return configs
 
 
@@ -272,7 +334,8 @@ def build_split_configs(
     if lowerings is not None:
         lowerings.update(recorded)
     if budget is not None:
-        _record_budget_metrics(configs, recorded)
+        _record_budget_metrics(configs, (
+            lowering.error_linf for lowering in recorded.values()))
     return configs
 
 
@@ -289,21 +352,8 @@ def build_aggregation_configs(
     :func:`build_replication_configs` (at most ``budget`` counting
     ranges per class, realized widths approximating the fractions).
     """
-    configs = _empty_configs(state)
-    recorded: Dict[str, BudgetedLowering] = {}
-    for cls in state.classes:
-        process = result.process_fractions.get(cls.name, {})
-        entries = [(("process", node), process[node])
-                   for node in sorted(process)]
-        lowering = budgeted_hash_ranges(entries, budget)
-        recorded[cls.name] = lowering
-        for rng in lowering.ranges:
-            _, node = rng.key
-            configs[node].rules.setdefault(cls.name, []).append(
-                ShimRule(cls.name, rng, ShimAction.PROCESS,
-                         hash_mode=hash_mode))
-    if lowerings is not None:
-        lowerings.update(recorded)
-    if budget is not None:
-        _record_budget_metrics(configs, recorded)
-    return configs
+    return _table_configs(
+        state, FractionTable.from_dicts(
+            [cls.name for cls in state.classes],
+            result.process_fractions, {}),
+        budget, lowerings, hash_mode)

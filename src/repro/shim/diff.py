@@ -9,8 +9,11 @@ between two compiled :class:`~repro.shim.config.ShimConfig` sets:
 - :func:`diff_config` / :func:`diff_configs` — the minimum set of
   rules to INSTALL (in new, not in old) and RETIRE (in old, not in
   new), per node. Rules are compared by value (class, exact range
-  bounds, action, target, direction, hash mode), so an unchanged
-  fraction whose range compiled to identical floats ships nothing.
+  bounds and key, action, target, direction, hash mode), so an
+  unchanged fraction whose range compiled to identical floats ships
+  nothing. The comparison runs on the configs' rule tables — one
+  sort of both sides' rows — and rule objects are made only for the
+  rows that differ.
 - :func:`apply_delta` — replays a delta onto the old config; the
   result is bit-identical (after canonical ordering) to the freshly
   compiled new config, which is the property the diff-equivalence
@@ -32,10 +35,13 @@ strictly fewer rules cross the control channel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from repro.obs import get_registry
 from repro.shim.config import ShimConfig, ShimRule
+from repro.shim.table import RuleTable
 
 
 def _rule_sort_key(rule: ShimRule) -> Tuple:
@@ -81,6 +87,51 @@ class ConfigDelta:
         return not self.installs and not self.retires
 
 
+def _changed_rules(old: Sequence[ShimConfig],
+                   new: Sequence[ShimConfig]
+                   ) -> Tuple[Dict[str, List[Tuple[str, ShimRule]]],
+                              Dict[str, List[Tuple[str, ShimRule]]]]:
+    """``(installs, retires)`` per node: the distinct rules of ``new``
+    no config of ``old`` at that node has, and the reverse, each in
+    canonical order.
+
+    Both sides' rows are sorted together on every column (a float
+    boundary by its bit pattern, +0.0 and -0.0 made one first); a run
+    of equal rows seen on one side only is a changed rule.
+    """
+    tables = [config.table() for config in (*old, *new)]
+    table = RuleTable.concat(tables)
+    is_new = np.arange(len(table), dtype=np.int64) >= sum(
+        len(part) for part in tables[:len(old)])
+    columns = [getattr(table, name) for name in (
+        "node", "cls", "action", "target", "direction", "mode", "key")]
+    columns += [(bound + 0.0).view(np.int64)
+                for bound in (table.start, table.end)]
+    order = np.lexsort(columns)
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    for column in columns:
+        column = column[order]
+        first[1:] |= column[1:] != column[:-1]
+    run = np.cumsum(first) - 1
+    seen_new = np.bincount(run, weights=is_new[order]) > 0
+    seen_old = np.bincount(run, weights=~is_new[order]) > 0
+    heads = order[first]
+    changed: List[Dict[str, List[Tuple[str, ShimRule]]]] = []
+    for rows in (heads[seen_new & ~seen_old],
+                 heads[seen_old & ~seen_new]):
+        picked = table.take(rows)
+        per_node: Dict[str, List[Tuple[str, ShimRule]]] = {}
+        for node, rule in zip(picked.node.tolist(), picked.rule_list()):
+            per_node.setdefault(table.node_names[node], []).append(
+                (rule.class_name, rule))
+        for rules in per_node.values():
+            rules.sort(key=lambda item: (item[0],
+                                         _rule_sort_key(item[1])))
+        changed.append(per_node)
+    return changed[0], changed[1]
+
+
 def diff_config(old: ShimConfig, new: ShimConfig) -> ConfigDelta:
     """Minimum INSTALL/RETIRE rule sets turning ``old`` into ``new``.
 
@@ -91,17 +142,10 @@ def diff_config(old: ShimConfig, new: ShimConfig) -> ConfigDelta:
         raise ValueError(
             f"cannot diff configs of different nodes "
             f"({old.node!r} vs {new.node!r})")
-    installs: List[Tuple[str, ShimRule]] = []
-    retires: List[Tuple[str, ShimRule]] = []
-    for cls in sorted(set(old.rules) | set(new.rules)):
-        old_rules = set(old.rules.get(cls, ()))
-        new_rules = set(new.rules.get(cls, ()))
-        for rule in sorted(new_rules - old_rules, key=_rule_sort_key):
-            installs.append((cls, rule))
-        for rule in sorted(old_rules - new_rules, key=_rule_sort_key):
-            retires.append((cls, rule))
-    return ConfigDelta(node=old.node, installs=tuple(installs),
-                       retires=tuple(retires))
+    installs, retires = _changed_rules([old], [new])
+    return ConfigDelta(node=old.node,
+                       installs=tuple(installs.get(old.node, ())),
+                       retires=tuple(retires.get(old.node, ())))
 
 
 def diff_configs(old: Mapping[str, ShimConfig],
@@ -115,11 +159,12 @@ def diff_configs(old: Mapping[str, ShimConfig],
     move) and ``rollout.delta_fraction`` (that count relative to
     re-shipping the new tables whole).
     """
-    deltas: Dict[str, ConfigDelta] = {}
-    for node in sorted(set(old) | set(new)):
-        empty = ShimConfig(node=node, rules={})
-        deltas[node] = diff_config(old.get(node, empty),
-                                   new.get(node, empty))
+    installs, retires = _changed_rules(list(old.values()),
+                                       list(new.values()))
+    deltas = {node: ConfigDelta(node=node,
+                                installs=tuple(installs.get(node, ())),
+                                retires=tuple(retires.get(node, ())))
+              for node in sorted(set(old) | set(new))}
     metrics = get_registry()
     if metrics.enabled:
         delta_rules = sum(d.num_rules for d in deltas.values())

@@ -103,6 +103,17 @@ class TrafficClass:
         """``F_c^r`` for one resource (0.0 if the class is exempt)."""
         return self.footprints.get(resource, 0.0)
 
+    def with_sessions(self, num_sessions: float) -> "TrafficClass":
+        """Copy differing in the session count alone. Every other
+        field was checked when this instance was built, so only the
+        count is checked again."""
+        if num_sessions < 0:
+            raise ValueError(
+                f"class {self.name!r}: negative session count")
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__, num_sessions=num_sessions)
+        return clone
+
     def scaled(self, factor: float) -> "TrafficClass":
         """Copy with the session count multiplied by ``factor``."""
         if factor < 0:

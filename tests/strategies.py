@@ -1,0 +1,102 @@
+"""Shared hypothesis strategies: small network states, fraction rows
+and rule budgets.
+
+The array paths of the control plane (fraction table, row-wise range
+layout, rule table, vector validation) are each compared against the
+one-row / per-object code they replace; those comparisons draw their
+instances here, so "small state" and "awkward fraction row" mean the
+same thing in every test file.
+"""
+
+from __future__ import annotations
+
+from hypothesis import strategies as st
+
+from repro.core.inputs import NetworkState
+from repro.topology.routing import shortest_path_routing
+from repro.topology.topology import Topology
+from repro.traffic.classes import TrafficClass
+
+#: small topologies with unique or tie-broken shortest paths
+TOPOLOGIES = (
+    Topology("line", ["A", "B", "C", "D"],
+             [("A", "B"), ("B", "C"), ("C", "D")]),
+    Topology("diamond", ["A", "B", "C", "D"],
+             [("A", "B"), ("A", "C"), ("B", "D"), ("C", "D"),
+              ("B", "C")]),
+    Topology("ring", ["A", "B", "C", "D", "E"],
+             [("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"),
+              ("E", "A")]),
+)
+
+#: per-class session counts, an idle class (zero) included
+volumes = st.one_of(st.just(0.0),
+                    st.floats(min_value=1.0, max_value=5000.0))
+
+#: per-class rule budgets; ``None`` is the exact lowering
+budgets = st.one_of(st.none(), st.integers(min_value=1, max_value=9))
+
+
+@st.composite
+def small_states(draw, resources=("cpu",)):
+    """A calibrated state with a datacenter: one of
+    :data:`TOPOLOGIES`, 2-6 classes between drawn node pairs, drawn
+    volumes (at least one nonzero), session sizes and footprints."""
+    topology = draw(st.sampled_from(TOPOLOGIES))
+    routing = shortest_path_routing(topology)
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(topology.nodes),
+                  st.sampled_from(topology.nodes)).filter(
+                      lambda pair: pair[0] != pair[1]),
+        min_size=2, max_size=6, unique=True))
+    sessions = draw(st.lists(volumes, min_size=len(pairs),
+                             max_size=len(pairs)).filter(
+                                 lambda drawn: max(drawn) > 0.0))
+    classes = [
+        TrafficClass(
+            f"{source}->{target}", source, target,
+            routing.path(source, target), count,
+            session_bytes=draw(st.floats(min_value=100.0,
+                                         max_value=1e5)),
+            footprints={resource: draw(st.floats(0.5, 4.0))
+                        for resource in resources})
+        for (source, target), count in zip(pairs, sessions)]
+    return NetworkState.calibrated(
+        topology, classes, resources=resources,
+        dc_capacity_factor=draw(st.sampled_from([2.0, 10.0])))
+
+
+#: one layout entry: nothing, float noise below the 1e-9 cut-off, a
+#: value that ties exactly with its neighbours, or anything else
+weights = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-13, max_value=1e-9),
+    st.sampled_from([0.125, 0.25, 0.5]),
+    st.floats(min_value=0.0, max_value=1.0))
+
+
+@st.composite
+def fraction_rows(draw, full=True, max_size=8):
+    """One class's fractions in layout order.
+
+    ``full`` rows sum to 1 within the compiler's tolerance (equal
+    weights stay exactly equal: they go through the same division);
+    otherwise the row sums to a drawn span in (0.05, 1] — the partial
+    coverage a split-traffic class may have.
+    """
+    drawn = draw(st.lists(weights, min_size=1, max_size=max_size).filter(
+        lambda row: sum(row) > 0.01))
+    span = 1.0 if full else draw(st.floats(min_value=0.05,
+                                           max_value=1.0))
+    total = sum(drawn)
+    return [weight / total * span for weight in drawn]
+
+
+@st.composite
+def fraction_matrices(draw, full=True, max_rows=6, max_width=8):
+    """``(rows, matrix)``: 1..``max_rows`` fraction rows of differing
+    lengths and the same rows zero-padded to one width."""
+    rows = draw(st.lists(fraction_rows(full=full, max_size=max_width),
+                         min_size=1, max_size=max_rows))
+    width = max(len(row) for row in rows)
+    return rows, [row + [0.0] * (width - len(row)) for row in rows]

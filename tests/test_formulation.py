@@ -202,7 +202,7 @@ class TestStructureFallback:
              for cls in current])
 
     def test_every_field_but_the_volume_is_structural(self):
-        from repro.core.formulation import _STRUCTURAL_FIELDS
+        from repro.core.inputs import _STRUCTURAL_FIELDS
         from repro.traffic.classes import TrafficClass
 
         assert set(_STRUCTURAL_FIELDS) == {

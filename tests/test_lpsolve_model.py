@@ -178,3 +178,21 @@ class TestSolving:
         m.minimize(-x)
         sol = m.solve()
         assert 0.25 <= sol.value(x) <= 0.75
+
+    def test_compiled_bounds_are_one_float_array(self):
+        """``(n, 2)`` floats with ``inf`` for "unbounded above" — what
+        ``linprog`` takes as is, instead of ``n`` tuples it converts
+        on every solve; both backends read the two columns."""
+        import numpy as np
+
+        m = Model()
+        x = m.add_variable("x", lb=0.25, ub=0.75)
+        y = m.add_variable("y", lb=-1.0)
+        m.add_constraint(x + y <= 3)
+        m.minimize(-2 * x - y)
+        sol = m.solve()
+        bounds = m.compiled.bounds
+        assert bounds.dtype == np.float64
+        assert bounds.tolist() == [[0.25, 0.75], [-1.0, np.inf]]
+        assert sol.value(x) == pytest.approx(0.75)
+        assert sol.value(y) == pytest.approx(2.25)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from repro.core.aggregation import AggregationProblem
 from repro.core.combined import CombinedProblem
 from repro.core.controller.sharded import RegionalReplicationProblem
-from repro.core.formulation import Formulation
+from repro.core.formulation import Formulation, TermIndex
 from repro.core.inputs import NetworkState
 from repro.core.mirrors import MirrorPolicy
 from repro.core.replication import ReplicationProblem
@@ -130,19 +130,16 @@ class _Thrice(Formulation):
 
     kind = "thrice"
     parts = (0.1, 0.2, 0.3)  # (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
-    extra_term = False
 
-    def _load_terms(self):
-        for cls in self.state.classes:
-            for node in cls.path:
-                for part in self.parts:
-                    yield (("cpu", node), self._p[(cls.name, node)],
-                           part * cls.num_sessions
-                           / self._capacity("cpu", node))
-        if self.extra_term:
-            cls = self.state.classes[0]
-            yield (("cpu", cls.path[0]),
-                   self._p[(cls.name, cls.path[-1])], 1.0)
+    def _load_term_index(self):
+        def terms():
+            for index, cls in enumerate(self.state.classes):
+                for node in cls.path:
+                    for part in self.parts:
+                        yield (("cpu", node),
+                               self._p[(cls.name, node)], index, part)
+
+        return TermIndex.from_terms(self._load_keys, terms())
 
     def _build(self, model):
         for cls in self.state.classes:
@@ -254,22 +251,6 @@ class TestStructureStillFailsClosed:
             RowBlock(model, [0], [7], [1.0], [0.0])
         with pytest.raises(ModelError, match="row index"):
             RowBlock(model, [1], [x.index], [1.0], [0.0])
-
-    def test_resolve_falls_back_when_the_generator_grows(
-            self, line_state_dc):
-        halved = {cls.name: cls.num_sessions / 2.0
-                  for cls in line_state_dc.classes}
-        problem = _Thrice(line_state_dc)
-        problem.solve()
-        problem.extra_term = True  # a term the blocks never had
-        with use_registry(MetricsRegistry()) as reg:
-            warm = problem.resolve(volumes=halved)
-        assert reg.counter_value("lp.resolve.fallbacks") == 1
-        assert reg.counter_value("lp.compile_cache.misses") == 1
-        cold = _Thrice(line_state_dc)
-        cold.extra_term = True
-        assert warm["node_loads"] == \
-            cold.resolve(volumes=halved)["node_loads"]
 
     def test_vacuous_block_row_is_dropped_or_refused(self):
         model = Model("vacuous")
