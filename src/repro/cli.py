@@ -374,8 +374,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "JSON to PATH ('-' for stdout)")
     racecheck.add_argument("--static", action="store_true",
                            help="also run the RACE/ORD/DET003 "
-                                "static rules over src/ and embed "
-                                "the findings in the report")
+                                "static rules over src/, embed the "
+                                "findings, fail if there are any")
     racecheck.add_argument("--quiet", action="store_true",
                            help="suppress per-replay progress lines")
     return parser
@@ -647,8 +647,6 @@ def _follow_store(store, args) -> int:
     sketch's view against the store's exact per-class counts — the
     demo/test fixture for the streaming estimation path.
     """
-    import numpy as np
-
     from repro.ingest import IngestDaemon
     from repro.obs import MetricsRegistry, use_registry
     from repro.runtime.events import EventLoop
@@ -656,11 +654,7 @@ def _follow_store(store, args) -> int:
 
     batch = store.batch()
     class_names = list(batch.sessions.class_names)
-    class_id = np.asarray(batch.sessions.class_id)
-    counts = np.bincount(class_id[class_id >= 0],
-                         minlength=len(class_names))
-    exact = {name: float(count)
-             for name, count in zip(class_names, counts)}
+    exact = batch.sessions.class_counts()
 
     replay = ChunkedReplay(batch, args.chunk)
     with use_registry(MetricsRegistry()):
@@ -947,6 +941,10 @@ def _cmd_racecheck(args) -> int:
               "schedule perturbation — a same-timestamp ordering "
               "race is live (cross-check the RACE/ORD lint rules)",
               file=sys.stderr)
+        return 1
+    if report.static_findings:
+        print("error: the static RACE/ORD/DET003 pack has findings "
+              "(`repro lint` lists them)", file=sys.stderr)
         return 1
     return 0
 

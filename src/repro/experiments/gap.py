@@ -68,8 +68,6 @@ from typing import (
     Type,
 )
 
-import numpy as np
-
 from repro.core.controller import GlobalPlanner, PlanOutcome, ShardedPlanner
 from repro.core.inputs import NetworkState
 from repro.core.mirrors import MIRROR_POLICIES
@@ -562,11 +560,7 @@ def _measure_widths(planner: GlobalPlanner, oracle: PlanOutcome,
     batch = generator.generate_batch(state.nids_nodes,
                                      with_payloads=False, direct=True)
     scale = total_volume / sessions
-    class_id = np.asarray(batch.sessions.class_id)
-    counts = np.bincount(class_id[class_id >= 0],
-                         minlength=len(batch.sessions.class_names))
-    exact = {cls_name: float(count) for cls_name, count in
-             zip(batch.sessions.class_names, counts)}
+    exact = batch.sessions.class_counts()
 
     def gap_of(result: ReplicationResult) -> Tuple[float, float]:
         realized = realized_load_cost(state, result)

@@ -229,19 +229,33 @@ class ControllerDaemon:
 
         Returns:
             The :class:`RefreshRecord`, or ``None`` when no trigger
-            fired.
+            fired — or the estimator's window saw no session
+            (``runtime.estimator.empty_windows``) and only drift or
+            the timer could have.
         """
+        metrics = get_registry()
         if self.estimator is not None:
             # Estimator mode: the controller never sees the exact
             # volumes — both the drift trigger and the solve run on
             # the sketch's view of the feed.
-            classes = self.estimator.estimated_classes(
+            estimated = self.estimator.estimated_classes(
                 classes, self.estimator_scale)
+            if any(cls.num_sessions > 0 for cls in estimated):
+                classes = estimated
+            else:
+                # An empty window is a dead tap, not a matrix: the LP
+                # over all zeros would swap a tuned plan for an
+                # arbitrary vertex. Keep the plan, retry next cycle;
+                # pressure that cannot wait uses the feed's volumes.
+                metrics.inc("runtime.estimator.empty_windows")
+                if reason is None and self._bootstrapped and not (
+                        self._structural_pending or
+                        self._failover_pending):
+                    return None
         if reason is None:
             reason = self.refresh_reason(loop.now, classes)
         if reason is None:
             return None
-        metrics = get_registry()
         start = time.perf_counter()
         rollout = self.controller.refresh(classes)
         solve_wall = time.perf_counter() - start

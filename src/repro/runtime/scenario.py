@@ -1,42 +1,49 @@
-"""Scenario specs, the multi-epoch runner, and timeline reports.
+"""Scenario specs, the staged multi-epoch runner, and timeline reports.
 
 A :class:`Scenario` declares everything about a closed-loop run — the
 topology, traffic-drift model, channel characteristics, rollout
-strategy, fault schedule, and epoch horizon — and
-:func:`run_scenario` plays it: every epoch it injects due faults,
-evolves traffic (per-entry factors drawn from the Section 8.2
-variability model), lets the :class:`~repro.runtime.daemon.ControllerDaemon`
-decide whether to re-optimize, drains the event loop (config
-deliveries, acks, retransmissions) while tracking hash-space coverage
-after *every* event, and replays a synthetic epoch trace through the
-fast batch emulation as ground truth against whatever configurations
-the agents are actually running.
+strategy, fault schedule, and epoch horizon — and :func:`run_scenario`
+plays it on a :class:`ScenarioRun`, five stages an epoch: inject the
+due faults; *feed* the epoch's traffic (per-entry factors drawn from
+the Section 8.2 variability model) and its synthetic trace; let the
+:class:`~repro.runtime.daemon.ControllerDaemon` *decide* whether to
+re-optimize; *settle* the event loop (config deliveries, acks,
+retransmissions), tracking hash-space coverage after *every* event;
+and *observe* — replay the trace chunk by chunk as ground truth
+against whatever configurations the agents are actually running.
 
 Everything is derived from ``Scenario.seed``; two runs of the same
 scenario produce bit-identical :class:`ScenarioReport` timelines. The
 only nondeterministic quantity — wall-clock solve latency — is kept in
 a field explicitly excluded from :meth:`ScenarioReport.fingerprint`.
 
-Three canned scenarios (see :data:`CANNED_SCENARIOS`) exercise the
-regimes the paper's Section 9 sketches: steady-state traffic drift,
-a flash-crowd surge, and a cascading node failure with recovery.
+Five canned scenarios (see :data:`CANNED_SCENARIOS`) exercise the
+regimes the paper's Section 9 sketches — steady-state traffic drift,
+a flash-crowd surge, a cascading node failure with recovery — plus a
+regional controller failover under the sharded planner and the closed
+loop on sketch estimates.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 import tempfile
-from dataclasses import dataclass, field, fields
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro.core.controller import ShardedPlanner
+from repro.core.inputs import NetworkState
 from repro.core.mirrors import MIRROR_POLICIES
 from repro.lpsolve.errors import LPError
 from repro.obs import get_registry
-from repro.runtime.agents import NodeAgent, build_agents
+from repro.runtime.agents import build_agents
 from repro.runtime.daemon import ControllerDaemon, RefreshRecord
 from repro.runtime.events import EventLoop
 from repro.runtime.faults import (
@@ -54,6 +61,9 @@ from repro.runtime.rollout import (
     RolloutDriver,
 )
 from repro.shim.config import ShimConfig
+from repro.simulation.emulation import Emulation
+from repro.simulation.tracegen import TraceGenerator, TraceSpec
+from repro.simulation.tracestore import ChunkedReplay, TraceStore
 from repro.traffic.variability import TrafficVariabilityModel
 
 @dataclass
@@ -123,42 +133,11 @@ class Scenario:
         return self.refresh_period_epochs * self.epoch_seconds
 
     def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "topology": self.topology,
-            "seed": self.seed,
-            "epochs": self.epochs,
-            "epoch_seconds": self.epoch_seconds,
-            "mirror": self.mirror,
-            "dc_capacity_factor": self.dc_capacity_factor,
-            "max_link_load": self.max_link_load,
-            "drift_threshold": self.drift_threshold,
-            "refresh_period_epochs": self.refresh_period_epochs,
-            "strategy": self.strategy,
-            "channel": {
-                "base_delay": self.channel.base_delay,
-                "jitter": self.channel.jitter,
-                "loss": self.channel.loss,
-                "retransmit_timeout": self.channel.retransmit_timeout,
-                "max_retries": self.channel.max_retries,
-            },
-            "drift_sigma": self.drift_sigma,
-            "faults": [
-                {"epoch": f.epoch, "kind": f.kind.value,
-                 "target": f.target, "factor": f.factor,
-                 "duration_epochs": f.duration_epochs}
-                for f in self.faults.events
-            ],
-            "sessions_per_epoch": self.sessions_per_epoch,
-            "rule_capacity": self.rule_capacity,
-            "planner": self.planner,
-            "regions": self.regions,
-            "estimator": self.estimator,
-            "sketch_width": self.sketch_width,
-            "sketch_depth": self.sketch_depth,
-            "chunk_packets": self.chunk_packets,
-            "ingest_workers": self.ingest_workers,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["channel"] = asdict(self.channel)
+        out["faults"] = [{**asdict(fault), "kind": fault.kind.value}
+                         for fault in self.faults.events]
+        return out
 
 
 @dataclass
@@ -289,26 +268,287 @@ class ScenarioReport:
         return rows
 
 
-def _effective_configs(state_nodes: Sequence[str],
-                       agents: Dict[str, NodeAgent]
-                       ) -> Dict[str, Optional[ShimConfig]]:
-    return {node: agents[node].effective_config()
-            for node in state_nodes if node in agents}
+@dataclass
+class EpochFeed:
+    """What the feed stage hands the rest of an epoch: the faults that
+    opened it, the faulted, drifted network, its trace chunked for
+    replay and, in estimator mode, the packed store the chunks map."""
+
+    epoch: int
+    fired: List[FaultEvent]
+    state: NetworkState
+    classifier: Callable
+    replay: Optional[ChunkedReplay]
+    store_dir: Optional[Path] = None
+
+    def close(self) -> None:
+        """Drop the trace (and its memmaps), then the store on disk."""
+        self.replay = None
+        if self.store_dir is not None:
+            shutil.rmtree(self.store_dir)
 
 
-def _emulation_configs(state_nodes: Sequence[str],
-                       agents: Dict[str, NodeAgent]
-                       ) -> Dict[str, ShimConfig]:
-    """Installed configs for the replay; nodes with nothing installed
-    (or dead) run an empty shim that ignores everything."""
-    configs = {}
-    for node in state_nodes:
-        config = None
-        if node in agents:
-            config = agents[node].effective_config()
-        configs[node] = config if config is not None else \
-            ShimConfig(node=node, rules={})
-    return configs
+class Decision(NamedTuple):
+    """The decide stage's outcome; ``error`` names a failed solve."""
+
+    refresh: Optional[RefreshRecord]
+    error: Optional[str] = None
+
+
+class ScenarioRun:
+    """One closed-loop run, steppable epoch by epoch and stage by stage.
+
+    The constructor wires the loop; :meth:`step` plays one epoch as
+    five stages — :meth:`inject_faults`, :meth:`feed`, :meth:`decide`,
+    :meth:`settle`, :meth:`observe` — which a test that needs a solver
+    failure or an empty window calls itself, perturbing the run
+    between two of them; :meth:`report` closes the timeline.
+
+    Both modes share one trace path, ``generate_batch(direct=True)`` →
+    ``ChunkedReplay`` → ``Emulation.run_signature_chunked``; estimator
+    mode packs the batch into a store under ``workdir`` first (needed
+    in that mode only) and streams the same chunks through the ingest
+    daemon.
+    """
+
+    def __init__(self, scenario: Scenario,
+                 workdir: Optional[Path] = None,
+                 loop_factory: Optional[Callable[[], EventLoop]] = None
+                 ) -> None:
+        from repro.experiments.common import setup_topology
+
+        self.scenario = scenario
+        self.workdir = None if workdir is None else Path(workdir)
+        mirror_policy = MIRROR_POLICIES[scenario.mirror]
+        self.baseline = setup_topology(
+            scenario.topology,
+            dc_capacity_factor=scenario.dc_capacity_factor
+            if mirror_policy.needs_datacenter else None).state
+        self.loop = (loop_factory or EventLoop)()
+        channel = ConfigChannel(scenario.channel,
+                                seed=scenario.seed * 7919 + 1)
+        planner_factory = None
+        if scenario.planner == "sharded":
+            # jobs=1: deterministic replay stays single-threaded
+            planner_factory = partial(
+                ShardedPlanner, mirror_policy=mirror_policy,
+                max_link_load=scenario.max_link_load,
+                num_regions=scenario.regions, seed=scenario.seed,
+                jobs=1)
+        self.ingest, estimator_scale = None, 1.0
+        if scenario.estimator == "sketch":
+            from repro.ingest import IngestDaemon
+
+            self.workdir.mkdir(parents=True, exist_ok=True)
+            classes = self.baseline.classes
+            # Fixed sampling-rate calibration: the tap sees a bounded
+            # session budget per epoch, so observed counts scale to
+            # |T_c| units by the baseline rate. Relative drift between
+            # classes stays visible to the trigger; a uniform surge
+            # beyond the budget does not (honest fixed-budget sampling).
+            estimator_scale = (sum(cls.num_sessions for cls in classes)
+                               / scenario.sessions_per_epoch)
+            self.ingest = IngestDaemon(
+                [cls.name for cls in classes],
+                width=scenario.sketch_width, depth=scenario.sketch_depth,
+                seed=scenario.seed * 49999 + 3,
+                workers=scenario.ingest_workers)
+        self.daemon = ControllerDaemon(
+            self.baseline, RolloutDriver(channel, scenario.strategy),
+            mirror_policy=mirror_policy,
+            max_link_load=scenario.max_link_load,
+            drift_threshold=scenario.drift_threshold,
+            refresh_period=scenario.refresh_period,
+            planner_factory=planner_factory,
+            estimator=self.ingest,
+            estimator_scale=estimator_scale)
+        self.agents = build_agents(self.baseline.node_capacity,
+                                   rule_capacity=scenario.rule_capacity)
+        self.drift_model = (TrafficVariabilityModel.default(
+            sigma=scenario.drift_sigma) if scenario.drift_sigma > 0
+            else None)
+        self.drift_rng = np.random.default_rng(scenario.seed * 104729 + 2)
+        self.fault_state = NetworkFaultState()
+        self._signature = self.fault_state.structural_signature()
+        self.records: List[EpochRecord] = []
+        self._refreshes: List[Tuple[EpochRecord, RefreshRecord]] = []
+
+    def installed_configs(self, state: NetworkState
+                          ) -> Dict[str, Optional[ShimConfig]]:
+        """What each surviving node's shim enforces right now."""
+        return {node: self.agents[node].effective_config()
+                for node in state.nids_nodes}
+
+    def inject_faults(self, epoch: int) -> List[FaultEvent]:
+        """Stage 1: fold the faults due at this epoch boundary into
+        the fault state and kill or revive the agents they name."""
+        self.fault_state.expire(epoch)
+        fired = self.scenario.faults.at_epoch(epoch)
+        for fault in fired:
+            self.fault_state.apply(fault, self.baseline)
+            get_registry().inc("runtime.faults.injected")
+        for node, agent in self.agents.items():
+            if node in self.fault_state.dead_nodes:
+                if agent.alive:
+                    agent.fail()
+            elif not agent.alive:
+                agent.recover()
+        return fired
+
+    def feed(self, epoch: int, fired: List[FaultEvent]) -> EpochFeed:
+        """Stage 2: this epoch's traffic (variability-model drift x
+        surges, folded over the surviving topology) and its trace."""
+        scenario = self.scenario
+        classes = list(self.baseline.classes)
+        if self.drift_model is not None:
+            classes = [cls.scaled(
+                self.drift_model.sample_factor(self.drift_rng))
+                for cls in classes]
+        state, _impacts = self.fault_state.materialize(
+            self.baseline.with_traffic(
+                self.fault_state.scale_classes(classes)))
+        generator = TraceGenerator(
+            state.topology.nodes, state.classes,
+            spec=TraceSpec(total_sessions=scenario.sessions_per_epoch),
+            seed=scenario.seed * 100003 + epoch)
+        batch = generator.generate_batch(
+            state.nids_nodes, with_payloads=True, direct=True)
+        if self.ingest is None:
+            return EpochFeed(
+                epoch, fired, state, generator.classifier,
+                ChunkedReplay(batch, scenario.chunk_packets))
+        # Estimator mode: only memmap-backed slabs stay resident, and
+        # the ingest daemon sees the same chunks over the first half
+        # of the epoch — the decision then runs on its estimates.
+        store_dir = self.workdir / f"epoch{epoch:03d}"
+        batch = TraceStore.pack(batch, store_dir).batch()
+        replay = ChunkedReplay(batch, scenario.chunk_packets)
+        start = epoch * scenario.epoch_seconds
+        window = scenario.epoch_seconds / 2.0
+        self.ingest.begin_window()
+        self.ingest.stream(self.loop, iter(replay), start=start,
+                           interval=window / max(replay.num_chunks, 1))
+        self.loop.run_until(start + window)
+        return EpochFeed(epoch, fired, state, generator.classifier,
+                         replay, store_dir)
+
+    def decide(self, feed: EpochFeed) -> Decision:
+        """Stage 3: the daemon's control decision. A failed solve is
+        counted (``runtime.solve.failures``), never raised: whatever
+        the agents run stays installed and the next epoch retries."""
+        signature = self.fault_state.structural_signature()
+        structural = signature != self._signature
+        self._signature = signature
+        try:
+            for fault in feed.fired:
+                if fault.kind is FaultKind.CONTROLLER_DOWN:
+                    self.daemon.fail_region(fault.target)
+            if structural:
+                self.daemon.replace_state(feed.state)
+            return Decision(self.daemon.step(
+                self.loop, self.agents, feed.state.classes))
+        except (LPError, RuntimeError, ValueError) as exc:
+            get_registry().inc("runtime.solve.failures")
+            return Decision(None, f"{type(exc).__name__}: {exc}")
+
+    def settle(self, feed: EpochFeed) -> Dict[str, float]:
+        """Stage 4: drain the epoch's events, tracking coverage after
+        each delivery/ack instant (the tracker re-derives only what an
+        event changed); returns the record fields it measured."""
+        epoch_end = (feed.epoch + 1) * self.scenario.epoch_seconds
+        tracker = CoverageTracker(feed.state.classes)
+        cov = tracker.update(self.installed_configs(feed.state))
+        coverage_min, duplication_max = cov.coverage, cov.duplication
+        events_fired = 0
+        while True:
+            next_time = self.loop.queue.peek_time()
+            if next_time is None or next_time > epoch_end + 1e-12:
+                break
+            events_fired += self.loop.run_until(next_time)
+            cov = tracker.update(self.installed_configs(feed.state))
+            coverage_min = min(coverage_min, cov.coverage)
+            duplication_max = max(duplication_max, cov.duplication)
+        self.loop.run_until(epoch_end)
+        metrics = get_registry()
+        metrics.observe("runtime.coverage_gap", 1.0 - coverage_min)
+        metrics.gauge("runtime.coverage", cov.coverage)
+        return dict(coverage_min=coverage_min, coverage_end=cov.coverage,
+                    duplication_max=duplication_max, events_fired=events_fired)
+
+    def _estimator_fields(self, feed: EpochFeed) -> Dict:
+        """Estimate error against this epoch's exact per-class counts,
+        sketch state, and the resident high-water mark (the
+        O(sketch + chunk) evidence); empty when the estimator is off."""
+        if self.ingest is None:
+            return {}
+        exact = feed.replay.batch.sessions.class_counts()
+        snapshot = self.ingest.snapshot()
+        errors = snapshot.estimate_errors(
+            {name: exact.get(name, 0.0)
+             for name in self.ingest.class_names})
+        get_registry().gauge("sketch.estimate.l1_rel", errors["l1_rel"])
+        stats = self.ingest.stats
+        return dict(estimate_l1_rel=errors["l1_rel"],
+                    estimator_state_bytes=snapshot.state_bytes,
+                    ingest_chunks=stats.chunks,
+                    ingest_max_resident_bytes=stats.max_resident_bytes)
+
+    def observe(self, feed: EpochFeed, decision: Decision,
+                settled: Dict[str, float]) -> EpochRecord:
+        """Stage 5: ground truth — the epoch's trace replayed against
+        what the agents actually run (a dead node, or one with nothing
+        installed, runs an empty shim) — and the timeline row. Closes
+        the feed: the epoch's store does not outlive its replay."""
+        state, refresh = feed.state, decision.refresh
+        configs = {
+            node: config if config is not None
+            else ShimConfig(node=node, rules={})
+            for node, config in self.installed_configs(state).items()}
+        replay = Emulation(state, configs, feed.classifier
+                           ).run_signature_chunked(feed.replay)
+        estimator_fields = self._estimator_fields(feed)
+        feed.close()
+        result = self.daemon.controller.current_result
+        record = EpochRecord(
+            epoch=feed.epoch,
+            sim_time=feed.epoch * self.scenario.epoch_seconds,
+            faults=[f.describe() for f in feed.fired],
+            refresh_reason=(refresh.reason if refresh is not None
+                            else None),
+            solve_ok=decision.error is None,
+            solve_error=decision.error,
+            lp_load_cost=(result.load_cost if result is not None and
+                          decision.error is None else None),
+            miss_rate=1.0 - settled["coverage_end"],
+            rollout_latency=None,  # known once the session completes
+            emulated_max_work=replay.max_work(
+                exclude=[state.dc_node] if state.dc_node else []),
+            emulated_alerts=replay.alerts,
+            solve_wall_seconds=(refresh.solve_wall_seconds
+                                if refresh is not None else None),
+            **settled, **estimator_fields)
+        self.records.append(record)
+        if refresh is not None:
+            self._refreshes.append((record, refresh))
+        return record
+
+    def step(self, epoch: int) -> EpochRecord:
+        """Play one epoch: the five stages in order."""
+        get_registry().inc("runtime.epochs")
+        fired = self.inject_faults(epoch)
+        feed = self.feed(epoch, fired)
+        decision = self.decide(feed)
+        settled = self.settle(feed)
+        return self.observe(feed, decision, settled)
+
+    def report(self) -> ScenarioReport:
+        """The timeline so far; rollout latencies and rule counts are
+        filled in here (a slow rollout completes epochs later)."""
+        for record, refresh in self._refreshes:
+            record.rollout_latency = refresh.session.latency
+            record.rules_shipped = refresh.session.rules_shipped
+            record.rules_installed = refresh.session.rules_installed
+        return ScenarioReport(self.scenario, self.records)
 
 
 def run_scenario(scenario: Scenario,
@@ -327,278 +567,20 @@ def run_scenario(scenario: Scenario,
 
     In estimator mode (``scenario.estimator == "sketch"``) each
     epoch's trace is packed into a zero-copy
-    :class:`~repro.simulation.tracestore.TraceStore` under
-    ``workdir`` (a temporary directory by default, cleaned up on
-    return) and streamed through an
-    :class:`~repro.ingest.daemon.IngestDaemon` in bounded slabs, so
-    resident trace/traffic state stays O(sketch + chunk).
+    :class:`~repro.simulation.tracestore.TraceStore` under ``workdir``
+    (a temporary directory by default) and streamed through an
+    :class:`~repro.ingest.daemon.IngestDaemon` in bounded slabs:
+    resident trace/traffic state stays O(sketch + chunk), and disk
+    holds one epoch — a store is removed once it has been replayed.
     """
-    if scenario.estimator is None:
-        return _run_scenario(scenario, None, loop_factory)
-    if workdir is not None:
-        path = Path(workdir)
-        path.mkdir(parents=True, exist_ok=True)
-        return _run_scenario(scenario, path, loop_factory)
-    with tempfile.TemporaryDirectory(
-            prefix="repro-estimator-") as tmp:
-        return _run_scenario(scenario, Path(tmp), loop_factory)
-
-
-def _run_scenario(scenario: Scenario,
-                  trace_dir: Optional[Path],
-                  loop_factory: Optional[Callable[[], EventLoop]] = None
-                  ) -> ScenarioReport:
-    from repro.experiments.common import setup_topology
-    from repro.simulation.emulation import Emulation
-    from repro.simulation.tracegen import TraceGenerator, TraceSpec
-    from repro.simulation.tracestore import ChunkedReplay, TraceStore
-
-    metrics = get_registry()
-    mirror_policy = MIRROR_POLICIES[scenario.mirror]
-    setup = setup_topology(scenario.topology,
-                           dc_capacity_factor=scenario.dc_capacity_factor
-                           if mirror_policy.needs_datacenter else None)
-    baseline_state = setup.state
-    baseline_classes = list(baseline_state.classes)
-
-    loop = EventLoop() if loop_factory is None else loop_factory()
-    channel = ConfigChannel(scenario.channel,
-                            seed=scenario.seed * 7919 + 1)
-    driver = RolloutDriver(channel, scenario.strategy)
-    planner_factory = None
-    if scenario.planner == "sharded":
-        from repro.core.controller import ShardedPlanner
-
-        def planner_factory(state):
-            return ShardedPlanner(
-                state,
-                mirror_policy=mirror_policy,
-                max_link_load=scenario.max_link_load,
-                num_regions=scenario.regions,
-                seed=scenario.seed,
-                jobs=1)  # deterministic replay stays single-threaded
-    ingest = None
-    estimator_scale = 1.0
-    if scenario.estimator == "sketch":
-        from repro.ingest import IngestDaemon
-
-        # Fixed sampling-rate calibration: the tap sees a bounded
-        # session budget per epoch, so observed counts scale to
-        # |T_c| units by the baseline rate. Relative drift between
-        # classes stays visible to the trigger; a uniform surge
-        # beyond the budget does not (honest fixed-budget sampling).
-        baseline_total = sum(cls.num_sessions
-                             for cls in baseline_classes)
-        estimator_scale = (baseline_total /
-                           scenario.sessions_per_epoch)
-        ingest = IngestDaemon(
-            [cls.name for cls in baseline_classes],
-            width=scenario.sketch_width,
-            depth=scenario.sketch_depth,
-            seed=scenario.seed * 49999 + 3,
-            workers=scenario.ingest_workers)
-    daemon = ControllerDaemon(
-        baseline_state, driver,
-        mirror_policy=mirror_policy,
-        max_link_load=scenario.max_link_load,
-        drift_threshold=scenario.drift_threshold,
-        refresh_period=scenario.refresh_period,
-        planner_factory=planner_factory,
-        estimator=ingest,
-        estimator_scale=estimator_scale)
-    agents = build_agents(baseline_state.node_capacity,
-                          rule_capacity=scenario.rule_capacity)
-
-    drift_model = (TrafficVariabilityModel.default(
-        sigma=scenario.drift_sigma) if scenario.drift_sigma > 0
-        else None)
-    drift_rng = np.random.default_rng(scenario.seed * 104729 + 2)
-
-    fault_state = NetworkFaultState()
-    prev_signature = fault_state.structural_signature()
-    records: List[EpochRecord] = []
-    pending_refresh: List[Tuple[int, RefreshRecord]] = []
-
-    for epoch in range(scenario.epochs):
-        epoch_start = epoch * scenario.epoch_seconds
-        epoch_end = epoch_start + scenario.epoch_seconds
-        metrics.inc("runtime.epochs")
-
-        # 1. Faults due at this epoch boundary.
-        fault_state.expire(epoch)
-        fired = scenario.faults.at_epoch(epoch)
-        for fault in fired:
-            fault_state.apply(fault, baseline_state)
-            metrics.inc("runtime.faults.injected")
-        for node, agent in agents.items():
-            if node in fault_state.dead_nodes:
-                if agent.alive:
-                    agent.fail()
-            elif not agent.alive:
-                agent.recover()
-
-        # 2. This epoch's traffic: variability-model drift x surges.
-        if drift_model is not None:
-            drifted = [cls.scaled(drift_model.sample_factor(drift_rng))
-                       for cls in baseline_classes]
-        else:
-            drifted = list(baseline_classes)
-        surged = fault_state.scale_classes(drifted)
-        traffic_state = baseline_state.with_traffic(surged)
-        current_state, _impacts = fault_state.materialize(traffic_state)
-
-        # 2b. Estimator mode: pack this epoch's trace into the store
-        #     and stream it through the ingest daemon in bounded
-        #     slabs during the first half of the epoch — the control
-        #     decision below then runs on the sketch's estimates.
-        generator = TraceGenerator(
-            current_state.topology.nodes, current_state.classes,
-            spec=TraceSpec(
-                total_sessions=scenario.sessions_per_epoch),
-            seed=scenario.seed * 100003 + epoch)
-        epoch_replay = None
-        epoch_exact: Optional[Dict[str, float]] = None
-        if ingest is not None:
-            assert trace_dir is not None
-            batch = generator.generate_batch(
-                current_state.nids_nodes, with_payloads=True,
-                direct=True)
-            store = TraceStore.pack(
-                batch, trace_dir / f"epoch{epoch:03d}")
-            del batch  # only memmap-backed slabs stay resident
-            stored = store.batch()
-            epoch_replay = ChunkedReplay(stored,
-                                         scenario.chunk_packets)
-            class_id = np.asarray(stored.sessions.class_id)
-            counts = np.bincount(
-                class_id[class_id >= 0],
-                minlength=len(stored.sessions.class_names))
-            epoch_exact = {
-                name: float(count) for name, count in
-                zip(stored.sessions.class_names, counts)}
-            ingest.begin_window()
-            window = scenario.epoch_seconds / 2.0
-            interval = window / max(epoch_replay.num_chunks, 1)
-            ingest.stream(loop, iter(epoch_replay),
-                          start=epoch_start, interval=interval)
-            loop.run_until(epoch_start + window)
-
-        # 3. The daemon's control decision.
-        signature = fault_state.structural_signature()
-        structural = signature != prev_signature
-        prev_signature = signature
-        solve_ok, solve_error, refresh = True, None, None
-        try:
-            for fault in fired:
-                if fault.kind is FaultKind.CONTROLLER_DOWN:
-                    daemon.fail_region(fault.target)
-            if structural:
-                daemon.replace_state(current_state)
-            refresh = daemon.step(loop, agents,
-                                  current_state.classes)
-        except (LPError, RuntimeError, ValueError) as exc:
-            solve_ok = False
-            solve_error = f"{type(exc).__name__}: {exc}"
-            metrics.inc("runtime.solve.failures")
-        if refresh is not None:
-            pending_refresh.append((epoch, refresh))
-
-        # 4. Drain the epoch's events, tracking coverage after each
-        #    delivery/ack instant (the transient-window accounting);
-        #    the tracker re-derives only what an event changed.
-        tracker = CoverageTracker(current_state.classes)
-        cov = tracker.update(
-            _effective_configs(current_state.nids_nodes, agents))
-        coverage_min, duplication_max = cov.coverage, cov.duplication
-        fired_events = 0
-        while True:
-            next_time = loop.queue.peek_time()
-            if next_time is None or next_time > epoch_end + 1e-12:
-                break
-            fired_events += loop.run_until(next_time)
-            cov = tracker.update(
-                _effective_configs(current_state.nids_nodes, agents))
-            coverage_min = min(coverage_min, cov.coverage)
-            duplication_max = max(duplication_max, cov.duplication)
-        loop.run_until(epoch_end)
-
-        coverage_end = cov.coverage
-        metrics.observe("runtime.coverage_gap", 1.0 - coverage_min)
-        metrics.gauge("runtime.coverage", coverage_end)
-
-        # 5. Ground truth: replay this epoch's trace against what the
-        #    agents actually run. Estimator mode replays the packed
-        #    store chunk by chunk (bit-identical to the whole-batch
-        #    fast path, O(chunk) memory); the exact path keeps the
-        #    oracle behavior.
-        emulation = Emulation(
-            current_state,
-            _emulation_configs(current_state.nids_nodes, agents),
-            generator.classifier)
-        if epoch_replay is not None:
-            replay = emulation.run_signature_chunked(epoch_replay)
-        else:
-            sessions = generator.generate(with_payloads=True)
-            replay = emulation.run_signature(sessions, fast=True)
-
-        # Estimator bookkeeping: estimate error against this epoch's
-        # exact per-class counts, sketch state, and the resident
-        # high-water mark (the O(sketch + chunk) evidence).
-        estimate_l1_rel = None
-        estimator_state_bytes = None
-        ingest_chunks = None
-        ingest_max_resident_bytes = None
-        if ingest is not None and epoch_exact is not None:
-            snapshot = ingest.snapshot()
-            errors = snapshot.estimate_errors(
-                {name: epoch_exact.get(name, 0.0)
-                 for name in ingest.class_names})
-            estimate_l1_rel = errors["l1_rel"]
-            metrics.gauge("sketch.estimate.l1_rel",
-                          errors["l1_rel"])
-            estimator_state_bytes = snapshot.state_bytes
-            ingest_chunks = ingest.stats.chunks
-            ingest_max_resident_bytes = \
-                ingest.stats.max_resident_bytes
-
-        result = daemon.controller.current_result
-        records.append(EpochRecord(
-            epoch=epoch,
-            sim_time=epoch_start,
-            faults=[f.describe() for f in fired],
-            refresh_reason=(refresh.reason if refresh is not None
-                            else None),
-            solve_ok=solve_ok,
-            solve_error=solve_error,
-            lp_load_cost=(result.load_cost if result is not None and
-                          solve_ok else None),
-            coverage_min=coverage_min,
-            coverage_end=coverage_end,
-            duplication_max=duplication_max,
-            miss_rate=1.0 - coverage_end,
-            rollout_latency=None,  # finalized below
-            emulated_max_work=replay.max_work(
-                exclude=[current_state.dc_node]
-                if current_state.dc_node else []),
-            emulated_alerts=replay.alerts,
-            events_fired=fired_events,
-            solve_wall_seconds=(refresh.solve_wall_seconds
-                                if refresh is not None else None),
-            estimate_l1_rel=estimate_l1_rel,
-            estimator_state_bytes=estimator_state_bytes,
-            ingest_chunks=ingest_chunks,
-            ingest_max_resident_bytes=ingest_max_resident_bytes))
-
-    # Rollout latencies and shipped-rule counts are known only once
-    # sessions complete (a slow rollout can span epochs), so fill them
-    # in after the run.
-    for epoch, refresh in pending_refresh:
-        records[epoch].rollout_latency = refresh.session.latency
-        records[epoch].rules_shipped = refresh.session.rules_shipped
-        records[epoch].rules_installed = \
-            refresh.session.rules_installed
-
-    return ScenarioReport(scenario=scenario, records=records)
+    holder = (tempfile.TemporaryDirectory(prefix="repro-estimator-")
+              if scenario.estimator is not None and workdir is None
+              else nullcontext(workdir))
+    with holder as trace_dir:
+        run = ScenarioRun(scenario, trace_dir, loop_factory)
+        for epoch in range(scenario.epochs):
+            run.step(epoch)
+        return run.report()
 
 
 # -- canned scenarios ------------------------------------------------------

@@ -178,6 +178,15 @@ class SessionBatch:
                    fwd_path_id, rev_path_id, paths,
                    tuple(node_order), hash_seed)
 
+    def class_counts(self) -> Dict[str, float]:
+        """Exact session count per class name, as the classifier
+        assigned them (unmonitored sessions count nowhere)."""
+        class_id = np.asarray(self.class_id)
+        counts = np.bincount(class_id[class_id >= 0],
+                             minlength=len(self.class_names))
+        return {name: float(count)
+                for name, count in zip(self.class_names, counts)}
+
     def hash_column(self, mode: HashMode) -> np.ndarray:
         """Per-session hash values in [0, 1) for one hash mode,
         bit-exact against the scalar functions (cached)."""

@@ -180,3 +180,17 @@ class TestCli:
                      "--quiet", "--static", "--json", "-"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["static_findings"] == []
+
+    def test_racecheck_static_finding_fails_the_run(self, monkeypatch,
+                                                    capsys):
+        finding = {"rule": "RACE001", "path": "src/x.py", "line": 1}
+        monkeypatch.setattr(racecheck_mod, "concurrency_findings",
+                            lambda project_root: [finding])
+        assert main(["racecheck", "steady-drift", "--seeds", "1",
+                     "--epochs", "2", "--topology", "tinet",
+                     "--quiet", "--static", "--json", "-"]) == 1
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["all_invariant"] is True
+        assert payload["static_findings"] == [finding]
+        assert "RACE/ORD/DET003" in captured.err

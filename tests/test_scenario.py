@@ -404,6 +404,59 @@ class TestDaemon:
         with pytest.raises(ValueError):
             daemon.fail_region("A")
 
+    def test_empty_estimator_window_fails_closed(self, line_state_dc):
+        """A window in which the estimator saw no session reads every
+        class at zero: that is a dead tap, not drift. The daemon keeps
+        the plan; pressure that cannot wait refreshes on the feed."""
+        from repro.core.failures import fail_node
+        from repro.ingest import IngestDaemon
+        from repro.obs import MetricsRegistry, use_registry
+        from repro.simulation.tracegen import TraceGenerator, TraceSpec
+        from repro.simulation.tracestore import ChunkedReplay
+
+        state, classes = line_state_dc, line_state_dc.classes
+        batch = TraceGenerator(
+            state.topology.nodes, classes,
+            spec=TraceSpec(total_sessions=200), seed=3).generate_batch(
+                state.nids_nodes, with_payloads=False, direct=True)
+        ingest = IngestDaemon([cls.name for cls in classes],
+                              width=64, depth=2, seed=9)
+        loop = EventLoop()
+        channel = ConfigChannel(ChannelSpec(base_delay=1.0), seed=1)
+        daemon = ControllerDaemon(
+            state, RolloutDriver(channel, "overlap"), estimator=ingest,
+            estimator_scale=sum(c.num_sessions for c in classes) / 200,
+            refresh_period=10.0)
+        agents = build_agents(state.node_capacity)
+        with use_registry(MetricsRegistry()) as metrics:
+            # Nothing seen yet and nothing deployed: bootstrap cannot
+            # wait, so it runs on the feed's own volumes.
+            record = daemon.step(loop, agents, classes)
+            assert record.reason == "bootstrap"
+            assert record.rollout.result.load_cost > 0
+            plan = daemon.controller.current_configs
+            loop.run_until(20.0)  # the timer has expired too
+
+            ingest.begin_window()
+            assert daemon.step(loop, agents, classes) is None
+            assert daemon.controller.current_configs is plan
+            assert metrics.counter_value(
+                "runtime.estimator.empty_windows") == 2
+
+            # The tap is back: the expired timer fires on estimates.
+            for chunk in ChunkedReplay(batch, 64):
+                ingest.consume(chunk)
+            assert daemon.step(loop, agents, classes).reason == \
+                "periodic"
+
+            # Structural pressure does not wait for the tap either.
+            ingest.begin_window()
+            new_state, _ = fail_node(state, "A")
+            daemon.replace_state(new_state)
+            record = daemon.step(loop, agents, new_state.classes)
+            assert record.reason == "structural"
+            assert record.rollout.result.load_cost > 0
+
     def test_bootstrap_counter_fires(self, line_state_dc):
         from repro.obs import MetricsRegistry, use_registry
 

@@ -1,0 +1,74 @@
+"""The canned scenarios, pinned to the commit before ``_run_scenario``
+became :class:`~repro.runtime.scenario.ScenarioRun`.
+
+``tests/golden/scenario_fingerprints.json`` was written by this file's
+``__main__`` at that commit (``PYTHONPATH=<parent>/src python
+tests/test_scenario_golden.py``): per scenario the timeline
+fingerprint, the ``ScenarioReport.to_dict()["scenario"]`` document and
+the run's ``emulation.fast.fallbacks`` count. The exact-matrix mode
+replayed whole batches with a scalar fallback then and replays chunks
+without one now, so a non-zero count there would have been a behaviour
+change; it was 0 for every scenario.
+"""
+
+import dataclasses
+import json
+import pathlib
+
+import pytest
+
+from repro.obs import MetricsRegistry, use_registry
+from repro.runtime.scenario import CANNED_SCENARIOS, run_scenario
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / \
+    "scenario_fingerprints.json"
+EPOCHS = 4
+
+
+def golden_scenarios():
+    """The five canned scenarios at default topology and seed, plus
+    steady-drift under delta rollouts."""
+    scenarios = {name: CANNED_SCENARIOS[name](epochs=EPOCHS)
+                 for name in sorted(CANNED_SCENARIOS)}
+    scenarios["steady-drift+delta"] = dataclasses.replace(
+        scenarios["steady-drift"], strategy="delta")
+    return scenarios
+
+
+def golden_document():
+    document = {}
+    for key, scenario in golden_scenarios().items():
+        with use_registry(MetricsRegistry()) as metrics:
+            report = run_scenario(scenario)
+        document[key] = {
+            "fingerprint": report.fingerprint(),
+            "scenario": report.to_dict()["scenario"],
+            "fast_fallbacks": metrics.counter_value(
+                "emulation.fast.fallbacks"),
+        }
+    return document
+
+
+@pytest.fixture(scope="module")
+def document():
+    # Through JSON, as the golden copy went: tuples become lists.
+    return json.loads(json.dumps(golden_document()))
+
+
+def test_scenarios_match_the_parent_commit(document):
+    golden = json.loads(GOLDEN.read_text())
+    assert set(document) == set(golden)
+    for key, entry in golden.items():
+        assert document[key] == entry, key
+
+
+def test_no_replay_needed_the_scalar_fallback(document):
+    assert {key: entry["fast_fallbacks"]
+            for key, entry in document.items()} == \
+        dict.fromkeys(document, 0)
+
+
+if __name__ == "__main__":  # regenerate the golden file
+    GOLDEN.write_text(json.dumps(golden_document(), indent=2,
+                                 sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")
