@@ -34,6 +34,7 @@ from repro.core.replication import ReplicationProblem
 from repro.core.results import ReplicationResult
 from repro.lpsolve import LinExpr, Model, Solution, Variable, lin_sum
 from repro.topology.topology import Link, Topology
+from repro.traffic.classes import TrafficClass
 
 
 @dataclass
@@ -92,6 +93,10 @@ class NIPSProblem(ReplicationProblem):
                 routing.hop_count(node, egress))
 
     # -- the coefficient table ----------------------------------------------
+
+    def _group_key(self, cls: TrafficClass) -> str:
+        # A reroute's link terms depend on direction and egress.
+        return cls.name
 
     def _link_term_index(self) -> TermIndex:
         # Rerouting at j removes the class's bytes from links

@@ -8,6 +8,30 @@ Decision variables:
   ``j`` to off-path mirror ``j' in M_j \\ P_c`` (Eq (7)); mirrors that
   are already on the path never get an offload variable.
 
+Classes that cross the same nodes share their fraction variables. A
+symmetric class (``rev_path is None``) is keyed by ``(set of path
+nodes, session_bytes, footprints)``; every class of a key after the
+first reuses the first one's ``p`` / ``o`` columns (found by ``(node,
+mirror)``) and its ``cover[...]`` row. Under symmetric routing that is
+``a->b`` with ``b->a``: half the columns. Nothing is lost:
+
+1. two classes of one key put their terms on the same ``loadcost[...]``
+   and ``linkload[...]`` rows (same nodes, same mirrors, same tunnels)
+   with coefficients in the fixed ratio ``|T_a| : |T_b|``;
+2. so the volume-weighted mean of their optimal fractions, given to
+   both, leaves every row activity — and ``LoadCost`` — unchanged;
+3. and a mean of rows that each lie in [0, 1] and sum to 1 does too.
+
+A class with its own ``rev_path``, or whose twin differs in
+``session_bytes`` or ``footprints``, has no such ratio and keeps its
+own columns (its key is its name); :class:`~repro.core.nips.NIPSProblem`
+keys every class by name, because a reroute's link terms depend on
+direction and egress. The key reads structural fields only, so a
+volume refresh never regroups. Everything per class stays per class —
+the layout, the ``volumes`` parameter, the result's fraction rows, the
+compiled rules: members of a group report the same fractions and each
+weighs the shared column by its own ``|T_c|``.
+
 Constraints: full coverage per class (Eq (2)); per-node per-resource
 load accounting including offloaded-in traffic (Eq (3)); link load of
 the replication tunnels plus background bounded by
@@ -30,7 +54,8 @@ compiled LP in place instead of rebuilding it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, Type, Union
+from typing import (Any, Dict, Hashable, List, Optional, Tuple, Type,
+                    Union)
 
 import numpy as np
 
@@ -43,6 +68,7 @@ from repro.core.results import (FractionLayout, FractionTable,
 from repro.lpsolve import (Constraint, ConstraintSense, LinExpr, Model,
                            Solution, SolverBackend, Variable, lin_sum)
 from repro.topology.topology import Link
+from repro.traffic.classes import TrafficClass
 
 OffloadKey = Tuple[str, str, str]  # (class name, from node, to node)
 
@@ -146,25 +172,37 @@ class ReplicationProblem(Formulation):
 
     # -- model construction -------------------------------------------------
 
+    def _group_key(self, cls: TrafficClass) -> Hashable:
+        """Classes with equal keys share one set of fraction
+        variables (module docstring); reads structural fields only."""
+        if cls.rev_path is not None:
+            return cls.name
+        return (frozenset(cls.path), cls.session_bytes,
+                frozenset(cls.footprints.items()))
+
     def _add_fraction_variables(self, model: Model) -> None:
         """Decision variables (Eqs (6), (7)) and coverage (Eq (2))."""
         state = self.state
         mirror_sets = self.mirror_policy.mirror_sets(state)
         code = {node: index
                 for index, node in enumerate(state.nids_nodes)}
-        # One key and name per column, then one bulk add: a p key is
-        # (class, node), an o key (class, node, mirror). The layout
-        # keeps the same three things per column as integers.
+        # One key per fraction of every class — a p key is (class,
+        # node), an o key (class, node, mirror); the layout keeps the
+        # same three things as integers — but one column and name only
+        # per fraction of a group's first class: the others find theirs
+        # by (node, mirror).
         keys: List[Tuple[str, ...]] = []
-        names: List[str] = []
         owner: List[int] = []
         at: List[int] = []
         to: List[int] = []
-        first = [0]
+        column: List[int] = []
+        names: List[str] = []
+        covers: List[Tuple[str, int, int]] = []
+        groups: Dict[Hashable, Dict[Tuple[int, int], int]] = {}
         for index, cls in enumerate(state.classes):
+            start = len(keys)
             for node in cls.path:
                 keys.append((cls.name, node))
-                names.append(f"p[{cls.name},{node}]")
                 at.append(code[node])
                 to.append(-1)
             path_set = set(cls.path)
@@ -173,24 +211,32 @@ class ReplicationProblem(Formulation):
                     if mirror in path_set:
                         continue  # on-path mirrors need no replication
                     keys.append((cls.name, node, mirror))
-                    names.append(f"o[{cls.name},{node},{mirror}]")
                     at.append(code[node])
                     to.append(code[mirror])
-            owner.extend([index] * (len(keys) - len(owner)))
-            first.append(len(keys))
+            owner.extend([index] * (len(keys) - start))
+            where = list(zip(at[start:], to[start:]))
+            shared = groups.setdefault(self._group_key(cls), {})
+            if not shared:  # the group's first class
+                first = len(names)
+                names.extend(
+                    f"{'p' if len(key) == 2 else 'o'}[{','.join(key)}]"
+                    for key in keys[start:])
+                shared.update(zip(where, range(first, len(names))))
+                covers.append((cls.name, first, len(names)))
+            column.extend(shared[pair] for pair in where)
         variables = model.add_variables(names, lb=0.0, ub=1.0)
-        for key, var in zip(keys, variables):
-            (self._p if len(key) == 2 else self._o)[key] = var
-        for cls, lo, hi in zip(state.classes, first, first[1:]):
-            # ``lin_sum(class's columns) == 1.0``, stated directly.
+        for key, col in zip(keys, column):
+            (self._p if len(key) == 2 else self._o)[key] = variables[col]
+        for name, lo, hi in covers:
+            # ``lin_sum(group's columns) == 1.0``, stated directly.
             model.add_constraint(Constraint(
                 LinExpr(dict.fromkeys(variables[lo:hi], 1.0), -1.0),
-                ConstraintSense.EQ), name=f"cover[{cls.name}]")
+                ConstraintSense.EQ), name=f"cover[{name}]")
         self._layout = FractionLayout(
             [cls.name for cls in state.classes], state.nids_nodes,
             owner, at, to)
-        self._columns = np.array([var.index for var in variables],
-                                 dtype=np.int64)
+        self._columns = np.array(
+            [variables[col].index for col in column], dtype=np.int64)
 
     def _build(self, model: Model) -> None:
         self._add_fraction_variables(model)

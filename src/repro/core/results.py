@@ -162,7 +162,12 @@ class FractionTable:
 
 @dataclass
 class LPStats:
-    """Size and runtime of one LP solve (Table 1's measurements)."""
+    """Size and runtime of one LP solve (Table 1's measurements).
+
+    ``num_variables`` / ``num_constraints`` are the LP's columns and
+    rows as handed to the solver: classes of a replication LP that
+    share their fraction variables count once, not once per class.
+    """
 
     num_variables: int
     num_constraints: int

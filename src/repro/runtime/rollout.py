@@ -540,8 +540,10 @@ class CoverageTracker:
     one it ran at the previous update. Configs are values — agents
     replace them, never edit them — so identity is an exact change
     test. The aggregate is re-summed from the cached per-class values
-    in class order on every update, which makes the report
-    bit-identical to one computed from scratch.
+    in class order whenever one changed, which makes the report
+    bit-identical to one computed from scratch; an update that finds
+    every observer running the same object (an ack, a timer) returns
+    the report it already holds.
 
     Args:
         classes: current traffic classes (weights = session counts).
@@ -566,6 +568,7 @@ class CoverageTracker:
         self._running: Dict[str, Optional[ShimConfig]] = {}
         self._covered = [0.0] * len(self._names)
         self._duplicated = [0.0] * len(self._names)
+        self._report: Optional[CoverageReport] = None
 
     def _measure(self, index: int,
                  node_configs: Dict[str, Optional[ShimConfig]]) -> None:
@@ -601,6 +604,8 @@ class CoverageTracker:
         metrics = get_registry()
         metrics.inc("runtime.coverage.checks")
         metrics.inc("runtime.coverage.classes_recomputed", len(stale))
+        if self._report is not None and not stale:
+            return self._report
 
         weighted_cov = 0.0
         weighted_dup = 0.0
@@ -615,11 +620,12 @@ class CoverageTracker:
             duplication = weighted_dup / total_weight
         else:
             coverage, duplication = 1.0, 0.0
-        return CoverageReport(
+        self._report = CoverageReport(
             class_coverage=dict(zip(self._names, self._covered)),
             class_duplication=dict(zip(self._names, self._duplicated)),
             coverage=coverage,
             duplication=duplication)
+        return self._report
 
 
 def coverage_report(classes: Sequence[TrafficClass],

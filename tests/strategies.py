@@ -1,5 +1,5 @@
-"""Shared hypothesis strategies: small network states, fraction rows
-and rule budgets.
+"""Shared hypothesis strategies: small network states (with and
+without reverse-direction pairs), fraction rows and rule budgets.
 
 The array paths of the control plane (fraction table, row-wise range
 layout, rule table, vector validation) are each compared against the
@@ -10,6 +10,7 @@ same thing in every test file.
 
 from __future__ import annotations
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from repro.core.inputs import NetworkState
@@ -64,6 +65,29 @@ def small_states(draw, resources=("cpu",)):
     return NetworkState.calibrated(
         topology, classes, resources=resources,
         dc_capacity_factor=draw(st.sampled_from([2.0, 10.0])))
+
+
+@st.composite
+def paired_states(draw, resources=("cpu",)):
+    """A :func:`small_states` state plus, for a drawn non-empty subset
+    of its classes, the reverse class: same session size and
+    footprints, its own drawn volume (zero included). Where routing is
+    symmetric the two cross the same nodes — the classes
+    ``ReplicationProblem`` lets share fraction variables."""
+    state = draw(small_states(resources))
+    classes = list(state.classes)
+    present = {cls.name for cls in classes}
+    for cls in state.classes:
+        name = f"{cls.target}->{cls.source}"
+        if name not in present and draw(st.booleans()):
+            present.add(name)
+            classes.append(TrafficClass(
+                name, cls.target, cls.source,
+                state.routing.path(cls.target, cls.source),
+                draw(volumes), session_bytes=cls.session_bytes,
+                footprints=dict(cls.footprints)))
+    assume(len(classes) > len(state.classes))
+    return state.with_traffic(classes)
 
 
 #: one layout entry: nothing, float noise below the 1e-9 cut-off, a

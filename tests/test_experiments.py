@@ -74,8 +74,10 @@ class TestFig11:
     def test_monotone_and_diminishing(self):
         series = run_fig11(topologies=SMALL,
                            link_loads=(0.0, 0.1, 0.4, 1.0))[0]
-        assert series.max_loads == sorted(series.max_loads,
-                                          reverse=True)
+        # To 1e-9: once the link bound stops binding, two budgets give
+        # the same LoadCost up to which optimal vertex the solver names.
+        assert all(b <= a + 1e-9 for a, b in zip(
+            series.max_loads, series.max_loads[1:]))
         # Diminishing returns past 0.4 (paper's knee).
         assert series.knee_gain(0.4) < 0.1
         assert "Figure 11" in format_fig11([series])
@@ -185,7 +187,10 @@ class TestAblations:
             topologies=SMALL, capacities=(1.0, 4.0, 8.0, 12.0),
             link_loads=(0.1, 0.4))
         for s in series:
-            assert s.max_loads == sorted(s.max_loads, reverse=True)
+            # To 1e-9: once the DC stops binding, two capacities give
+            # the same LoadCost up to which optimal vertex is returned.
+            assert all(b <= a + 1e-9
+                       for a, b in zip(s.max_loads, s.max_loads[1:]))
         # Lower link budget -> knee at or below the high-budget knee.
         low = next(s for s in series if s.max_link_load == 0.1)
         high = next(s for s in series if s.max_link_load == 0.4)

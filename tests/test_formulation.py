@@ -15,7 +15,8 @@ from repro.core.mirrors import MirrorPolicy
 from repro.core.replication import ReplicationProblem
 from repro.lpsolve import lp_string
 from repro.obs import MetricsRegistry, use_registry
-from tests.test_lp_writer_golden import FORMULATIONS, _small_instance
+from tests.test_lp_writer_golden import (FORMULATIONS, _paired_instance,
+                                          _small_instance)
 
 
 def _replication(state, **kwargs):
@@ -277,6 +278,41 @@ class TestWarmEqualsCold:
         cold = factory(_small_instance())
         rebuilt = cold.resolve(**params)  # never built: a cold build
 
+        warm_text, warm_arrays = _comparable(warm.build_model())
+        cold_text, cold_arrays = _comparable(cold.build_model())
+        assert warm_text == cold_text
+        for ours, theirs in zip(warm_arrays, cold_arrays):
+            assert np.array_equal(ours, theirs)
+        assert patched.load_cost == pytest.approx(rebuilt.load_cost,
+                                                  abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "factory", [_replication, FORMULATIONS["regional_small"]],
+        ids=["replication", "regional"])
+    @settings(max_examples=20, deadline=None)
+    @given(forward=st.floats(0.25, 0.75), reverse=st.floats(1.5, 4.0),
+           silent=st.sampled_from(["A->B", "B->A", "A->C", "C->A"]))
+    def test_members_of_a_pair_drift_apart(self, factory, forward,
+                                           reverse, silent):
+        """Two classes on one set of columns are still two volumes:
+        pairs whose members scale by different factors — one class to
+        zero — are patched exactly as they are built."""
+        warm = factory(_paired_instance())
+        warm.solve()
+        volumes = {
+            name: sessions * (0.0 if name == silent else
+                              forward if name.startswith("A") else
+                              reverse)
+            for name, sessions in warm.volumes.items()}
+        with use_registry(MetricsRegistry()) as reg:
+            patched = warm.resolve(volumes=volumes)
+        assert reg.counter_value("lp.resolve.fallbacks") == 0
+        assert reg.counter_value("lp.compile_cache.misses") == 0
+
+        cold = factory(_paired_instance())
+        rebuilt = cold.resolve(volumes=volumes)  # never built: cold
+
+        assert warm.build_model().num_variables == 1 + 8
         warm_text, warm_arrays = _comparable(warm.build_model())
         cold_text, cold_arrays = _comparable(cold.build_model())
         assert warm_text == cold_text

@@ -25,6 +25,7 @@ from repro.traffic.classes import TrafficClass
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "replication_small.lp"
+GOLDEN_PAIRED = GOLDEN_DIR / "replication_paired_small.lp"
 
 
 def _small_instance() -> NetworkState:
@@ -47,8 +48,22 @@ def _small_instance() -> NetworkState:
                                    dc_capacity_factor=4.0)
 
 
-def _golden_text() -> str:
+def _paired_instance() -> NetworkState:
+    """The triangle with ``B->A`` and ``C->A`` added at a quarter of
+    their forward class's volume: each crosses the same nodes with
+    the same session size and footprint, so it shares its forward
+    class's fraction columns and ``cover`` row."""
     state = _small_instance()
+    return state.with_traffic(state.classes + [
+        TrafficClass(name=f"{cls.target}->{cls.source}",
+                     source=cls.target, target=cls.source,
+                     path=state.routing.path(cls.target, cls.source),
+                     num_sessions=cls.num_sessions / 4,
+                     session_bytes=cls.session_bytes)
+        for cls in state.classes])
+
+
+def _golden_text(state: NetworkState) -> str:
     model = ReplicationProblem(
         state, mirror_policy=MirrorPolicy.datacenter(),
         max_link_load=0.5).build_model()
@@ -88,7 +103,16 @@ def test_replication_lp_text_is_byte_stable():
     assert GOLDEN.exists(), (
         f"golden file missing: {GOLDEN}; regenerate with "
         f"`PYTHONPATH=src python {__file__}`")
-    assert _golden_text() == GOLDEN.read_text(), (
+    assert _golden_text(_small_instance()) == GOLDEN.read_text(), (
+        "LP text drifted from the golden file — if the formulation "
+        "change is intentional, regenerate the golden file")
+
+
+def test_paired_replication_lp_text_is_byte_stable():
+    """Shared columns, one ``cover`` row per group, and coefficients
+    summed over a group's members, pinned."""
+    assert _golden_text(_paired_instance()) == \
+        GOLDEN_PAIRED.read_text(), (
         "LP text drifted from the golden file — if the formulation "
         "change is intentional, regenerate the golden file")
 
@@ -117,7 +141,8 @@ def test_golden_instance_still_solves():
 
 if __name__ == "__main__":  # regenerate the golden files
     GOLDEN_DIR.mkdir(exist_ok=True)
-    texts = {GOLDEN: _golden_text()}
+    texts = {GOLDEN: _golden_text(_small_instance()),
+             GOLDEN_PAIRED: _golden_text(_paired_instance())}
     texts.update({GOLDEN_DIR / f"{stem}.lp": _formulation_text(stem)
                   for stem in FORMULATIONS})
     for path, text in texts.items():

@@ -96,7 +96,7 @@ class TestReplication:
                 line_state_dc, mirror_policy=MirrorPolicy.datacenter(),
                 max_link_load=limit).solve()
             costs.append(result.load_cost)
-        assert costs == sorted(costs, reverse=True)
+        assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
 
     def test_monotone_in_dc_capacity(self, line_topology, line_classes):
         costs = []
@@ -107,7 +107,7 @@ class TestReplication:
                 state, mirror_policy=MirrorPolicy.datacenter(),
                 max_link_load=1.0).solve()
             costs.append(result.load_cost)
-        assert costs[0] >= costs[1] >= costs[2]
+        assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
 
     def test_stats_populated(self, dc_result):
         assert dc_result.stats.num_variables > 0

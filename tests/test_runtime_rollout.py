@@ -421,6 +421,42 @@ class TestCoverageTracker:
             "runtime.coverage.classes_recomputed"] == first + 2
         assert report == coverage_report(TRACKED_CLASSES, running)
 
+    def test_report_is_reused_only_while_every_config_object_is(self):
+        """An instant at which no observer's ``effective_config()``
+        changed (an ack, a timer) gets the report already held — still
+        counted as a check; one node running an equal but new object
+        gets a new, equal report."""
+        everywhere = {cls.name: [(0.0, 1.0)] for cls in TRACKED_CLASSES}
+        agents = {node: NodeAgent(node, {"cpu": 1.0},
+                                  config=_table(node, everywhere))
+                  for node in TRACKED_NODES}
+
+        def running():
+            return {node: agent.effective_config()
+                    for node, agent in agents.items()}
+
+        with use_registry(MetricsRegistry()) as registry:
+            tracker = CoverageTracker(TRACKED_CLASSES)
+            report = tracker.update(running())
+            assert tracker.update(running()) is report
+            recomputed = registry.counters[
+                "runtime.coverage.classes_recomputed"]
+            for version, node in enumerate(TRACKED_NODES, start=1):
+                agents[node].deliver(ConfigMessage(
+                    MessageKind.INSTALL, version, node,
+                    _table(node, everywhere)), 0.0)
+                fresh = tracker.update(running())
+                assert fresh is not report
+                assert fresh == report == coverage_report(
+                    TRACKED_CLASSES, running())
+                assert tracker.update(running()) is fresh
+                report = fresh
+        # two per node by the tracker, one by ``coverage_report``
+        assert registry.counters["runtime.coverage.checks"] == \
+            2 + 3 * len(TRACKED_NODES)
+        assert registry.counters[
+            "runtime.coverage.classes_recomputed"] > recomputed
+
     def test_unchanged_agent_returns_the_same_union_object(
             self, two_configs):
         old, new = two_configs
