@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-full examples results clean
+.PHONY: install test goldens bench bench-full examples results clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || \
@@ -10,6 +10,11 @@ install:
 
 test:
 	$(PYTHON) -m pytest tests/
+
+# Re-pin the goldens that follow the replication LP's vertex (and only
+# those); prints a before -> after line per changed number.
+goldens:
+	PYTHONPATH=src:. $(PYTHON) tests/regen_goldens.py
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -480,11 +480,17 @@ class Formulation:
     def _add_link_row(self, model: Model, link: Link,
                       ordinal: int) -> None:
         """Eq (5): ``LinkLoad_l <= max(MaxLinkLoad, BG_l)``."""
-        bg = self._link_block.constants[ordinal]
+        block = self._link_block
+        bg = block.constants[ordinal]
         bound = max(self._params["max_link_load"], bg)
-        self._link_cons[link] = model.add_block_row(
-            self._link_block, ordinal, -(bg - bound),
+        row = model.add_block_row(
+            block, ordinal, -(bg - bound),
             name=f"linkload[{link[0]},{link[1]}]")
+        # A link only zero-volume classes can load right now got no
+        # row, so there is no rhs to patch; ``set_block_coefficients``
+        # raises when such a row comes alive.
+        if block.live[block.indptr[ordinal]]:
+            self._link_cons[link] = row
 
     # -- warm consumer: the same formula, patched in place ------------------
 

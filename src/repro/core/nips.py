@@ -25,7 +25,8 @@ only the link coefficients, the background and the extra rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.core.formulation import TermIndex
 from repro.core.inputs import NetworkState
@@ -97,6 +98,12 @@ class NIPSProblem(ReplicationProblem):
     def _group_key(self, cls: TrafficClass) -> str:
         # A reroute's link terms depend on direction and egress.
         return cls.name
+
+    def _worth_taking(self, sources: Sequence[str], mirror: str,
+                      tunnel: Callable[[str, str], int]) -> List[str]:
+        # A reroute also takes the class off the links downstream of
+        # its node, so a longer tunnel is not a dominated one.
+        return list(sources)
 
     def _link_term_index(self) -> TermIndex:
         # Rerouting at j removes the class's bytes from links

@@ -8,6 +8,31 @@ Decision variables:
   ``j`` to off-path mirror ``j' in M_j \\ P_c`` (Eq (7)); mirrors that
   are already on the path never get an offload variable.
 
+Only the tunnels worth taking get an ``o``. Of the on-path nodes that
+may copy class ``c`` to mirror ``j'``, ``o[c,j,j']`` exists only for a
+``j`` whose tunnel's link set ``links(P_{j,j'})`` is not a proper
+superset of another such node's (nor equal to that of one earlier on
+the path); a dropped fraction has no key, no layout entry, no column —
+it is not a variable bounded at 0. With a datacenter mirror that is
+most of Figure 7's offloads: a copy made two hops before the anchor
+PoP crosses the anchor anyway. Nothing is lost:
+
+1. a dropped ``o[c,j2,j']`` and the kept ``o[c,j,j']`` it contains both
+   have coefficient 1 in ``cover[c]`` and identical terms in the
+   mirror's ``loadcost[...]`` rows — the copy costs the mirror the same
+   whoever makes it — and no term anywhere else but ``linkload[...]``;
+2. there the kept column's terms are a subset of the dropped one's,
+   with equal coefficients per link (``|T_c| * session_bytes / cap``);
+3. so moving the dropped column's mass onto the kept one keeps every
+   row feasible and ``LoadCost`` — and the link-cost extension, which
+   is monotone in link load — no larger.
+
+The rule reads routes only (:meth:`ReplicationProblem._worth_taking`),
+so a volume refresh never re-prunes, and it is evaluated once per
+group of classes (below). :class:`~repro.core.nips.NIPSProblem` keeps
+every reroute: one also takes the class *off* the links downstream of
+its node, so a longer detour is not a dominated one.
+
 Classes that cross the same nodes share their fraction variables. A
 symmetric class (``rev_path is None``) is keyed by ``(set of path
 nodes, session_bytes, footprints)``; every class of a key after the
@@ -54,8 +79,8 @@ compiled LP in place instead of rebuilding it.
 
 from __future__ import annotations
 
-from typing import (Any, Dict, Hashable, List, Optional, Tuple, Type,
-                    Union)
+from typing import (Any, Callable, Dict, Hashable, List, Optional,
+                    Sequence, Set, Tuple, Type, Union)
 
 import numpy as np
 
@@ -180,17 +205,48 @@ class ReplicationProblem(Formulation):
         return (frozenset(cls.path), cls.session_bytes,
                 frozenset(cls.footprints.items()))
 
+    def _worth_taking(self, sources: Sequence[str], mirror: str,
+                      tunnel: Callable[[str, str], int]) -> List[str]:
+        """The on-path nodes of ``sources`` (path order) that get an
+        ``o`` to off-path ``mirror``: those whose tunnel's links
+        contain no other's (module docstring). ``tunnel(node,
+        mirror)`` is the tunnel's link set as a bitmask; reads routes
+        only."""
+        masks = [tunnel(node, mirror) for node in sources]
+        taken = []
+        for at, mask in enumerate(masks):
+            for rank, other in enumerate(masks):
+                if (other & mask == other and rank != at
+                        and (other != mask or rank < at)):
+                    break  # contains (or repeats) another's tunnel
+            else:
+                taken.append(sources[at])
+        return taken
+
     def _add_fraction_variables(self, model: Model) -> None:
         """Decision variables (Eqs (6), (7)) and coverage (Eq (2))."""
         state = self.state
         mirror_sets = self.mirror_policy.mirror_sets(state)
         code = {node: index
                 for index, node in enumerate(state.nids_nodes)}
+        bit = {link: 1 << index
+               for index, link in enumerate(state.topology.links)}
+        masks: Dict[Tuple[str, str], int] = {}
+
+        def tunnel(node: str, mirror: str) -> int:
+            mask = masks.get((node, mirror))
+            if mask is None:
+                mask = masks[node, mirror] = sum(
+                    bit[link] for link in
+                    state.routing.path_links(node, mirror))
+            return mask
+
         # One key per fraction of every class — a p key is (class,
         # node), an o key (class, node, mirror); the layout keeps the
         # same three things as integers — but one column and name only
-        # per fraction of a group's first class: the others find theirs
-        # by (node, mirror).
+        # per fraction of a group's first class, which also says which
+        # tunnels are worth taking: the others find theirs by (node,
+        # mirror).
         keys: List[Tuple[str, ...]] = []
         owner: List[int] = []
         at: List[int] = []
@@ -198,25 +254,38 @@ class ReplicationProblem(Formulation):
         column: List[int] = []
         names: List[str] = []
         covers: List[Tuple[str, int, int]] = []
-        groups: Dict[Hashable, Dict[Tuple[int, int], int]] = {}
+        groups: Dict[Hashable, Tuple[Set[Tuple[str, str]],
+                                     Dict[Tuple[int, int], int]]] = {}
         for index, cls in enumerate(state.classes):
+            group = self._group_key(cls)
+            first_of_group = group not in groups
+            if first_of_group:
+                path_set = set(cls.path)
+                sources: Dict[str, List[str]] = {}
+                for node in cls.path:
+                    for mirror in mirror_sets[node]:
+                        if mirror not in path_set:
+                            # on-path mirrors need no replication
+                            sources.setdefault(mirror, []).append(node)
+                groups[group] = ({
+                    (node, mirror) for mirror, nodes in sources.items()
+                    for node in self._worth_taking(nodes, mirror,
+                                                   tunnel)}, {})
+            taken, shared = groups[group]
             start = len(keys)
             for node in cls.path:
                 keys.append((cls.name, node))
                 at.append(code[node])
                 to.append(-1)
-            path_set = set(cls.path)
             for node in cls.path:
                 for mirror in mirror_sets[node]:
-                    if mirror in path_set:
-                        continue  # on-path mirrors need no replication
-                    keys.append((cls.name, node, mirror))
-                    at.append(code[node])
-                    to.append(code[mirror])
+                    if (node, mirror) in taken:
+                        keys.append((cls.name, node, mirror))
+                        at.append(code[node])
+                        to.append(code[mirror])
             owner.extend([index] * (len(keys) - start))
             where = list(zip(at[start:], to[start:]))
-            shared = groups.setdefault(self._group_key(cls), {})
-            if not shared:  # the group's first class
+            if first_of_group:
                 first = len(names)
                 names.extend(
                     f"{'p' if len(key) == 2 else 'o'}[{','.join(key)}]"

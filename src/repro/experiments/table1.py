@@ -4,9 +4,10 @@ The paper reports CPLEX solve times for the replication and
 aggregation formulations on eight PoP-level topologies (0.02s-1.59s).
 We report the HiGHS solve time plus the model-build time separately so
 the reproduction's overheads are visible. The replication LP timed here
-is the grouped one (``a->b`` and ``b->a`` on one set of columns, see
-:mod:`repro.core.replication`): half the columns Figure 7 states,
-for the same optimum.
+is the grouped and pruned one (``a->b`` and ``b->a`` on one set of
+columns, no offload whose tunnel contains another's; see
+:mod:`repro.core.replication`): 36 % of the columns Figure 7 states on
+NTT, for the same optimum — and fewer than the aggregation LP's.
 """
 
 from __future__ import annotations

@@ -236,19 +236,30 @@ class BatchShimKernel:
                 chosen = mode_of == code
                 values[chosen] = hash_columns[mode][chosen]
         # Rows of the table with start <= h: [first, low) when done.
+        # One halving step over every observation, the rest only over
+        # those still searching: most tables hold a single range, and
+        # the few deeper ones should not cost every lookup a step.
         first = self._first[table]
-        low, high = first, self._first[table + 1]
-        for _ in range(self._max_rules.bit_length()):
-            mid = (low + high) >> 1
-            right = (low < high) & (self._starts[mid] <= values)
-            low = np.where(right, mid + 1, low)
-            high = np.where(right, high, mid)
+        low, high = self._halve(first, self._first[table + 1], values)
+        open_ = np.flatnonzero(low < high) if self._max_rules > 1 else ()
+        while len(open_):
+            low[open_], high[open_] = self._halve(
+                low[open_], high[open_], values[open_])
+            open_ = open_[low[open_] < high[open_]]
         pos = low - 1
         inside = (pos >= first) & (values < self._ends[pos])
         actions = np.where(inside, self._actions[pos], ACTION_IGNORE)
         targets = np.where(inside, self._targets[pos], -1)
         return (actions.astype(np.int8, copy=False),
                 targets.astype(np.int32, copy=False))
+
+
+    def _halve(self, low: np.ndarray, high: np.ndarray,
+               values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """One binary-search step of ``[low, high)`` per lookup."""
+        mid = (low + high) >> 1
+        right = (low < high) & (self._starts[mid] <= values)
+        return np.where(right, mid + 1, low), np.where(right, high, mid)
 
 
 def delivery_nodes(actions: np.ndarray, targets: np.ndarray,

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import networkx as nx
-
 from repro.topology.topology import Link, Topology
 
 
@@ -30,10 +28,10 @@ class RoutingTable:
         self._links: Dict[Tuple[str, str], Tuple[Link, ...]] = {}
         nodes = topology.nodes
         for i, source in enumerate(nodes):
+            reached = topology.shortest_paths_from(source)
             for target in nodes[i + 1:]:
-                try:
-                    path = topology.shortest_path(source, target)
-                except nx.NetworkXNoPath:
+                path = reached.get(target)
+                if path is None:
                     continue  # disconnected pair (e.g., after failure)
                 self._paths[(source, target)] = path
                 self._paths[(target, source)] = tuple(reversed(path))

@@ -120,6 +120,31 @@ class Topology:
         assert best is not None
         return best
 
+    def shortest_paths_from(self, source: str
+                            ) -> Dict[str, Tuple[str, ...]]:
+        """:meth:`shortest_path` from ``source`` to every node it
+        reaches (itself included), from one breadth-first search.
+
+        Layer by layer: the candidates for a node are its predecessors'
+        paths plus itself, all of one length, so the smallest
+        predecessor path gives the lexicographically smallest one.
+        """
+        adjacency = self._graph.adj
+        best: Dict[str, Tuple[str, ...]] = {source: (source,)}
+        frontier = [source]
+        while frontier:
+            via: Dict[str, Tuple[str, ...]] = {}
+            for node in frontier:
+                path = best[node]
+                for neighbor in adjacency[node]:
+                    if neighbor not in best and (
+                            neighbor not in via or path < via[neighbor]):
+                        via[neighbor] = path
+            for node, path in via.items():
+                best[node] = path + (node,)
+            frontier = list(via)
+        return best
+
     def all_shortest_paths(self, source: str,
                            target: str) -> List[Tuple[str, ...]]:
         """Every hop-count shortest path, sorted deterministically."""

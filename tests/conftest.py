@@ -15,10 +15,14 @@ from repro.traffic.classes import TrafficClass
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
+def is_wall_clock(key: str) -> bool:
+    """A gap document's timing fields: never pinned, never compared."""
+    return key.endswith("_wall_seconds") or key == "speedup"
+
+
 def _same_document(current, golden, where: str) -> None:
     if isinstance(golden, dict):
-        timed = {key for key in current
-                 if key.endswith("_wall_seconds") or key == "speedup"}
+        timed = {key for key in current if is_wall_clock(key)}
         assert set(current) - timed == set(golden), where
         for key, value in golden.items():
             _same_document(current[key], value, f"{where}.{key}")

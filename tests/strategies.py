@@ -1,5 +1,6 @@
-"""Shared hypothesis strategies: small network states (with and
-without reverse-direction pairs), fraction rows and rule budgets.
+"""Shared hypothesis strategies: drawn graphs, small network states
+(with and without reverse-direction pairs), fraction rows and rule
+budgets.
 
 The array paths of the control plane (fraction table, row-wise range
 layout, rule table, vector validation) are each compared against the
@@ -9,6 +10,8 @@ same thing in every test file.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -29,6 +32,18 @@ TOPOLOGIES = (
              [("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"),
               ("E", "A")]),
 )
+
+@st.composite
+def topologies(draw, max_nodes=8):
+    """2 to ``max_nodes`` nodes in a drawn order (so insertion order
+    and name order disagree) with a drawn subset of the possible
+    links: connected or not, tied shortest paths included."""
+    nodes = draw(st.permutations("ABCDEFGH"[:draw(
+        st.integers(min_value=2, max_value=max_nodes))]))
+    pairs = list(itertools.combinations(sorted(nodes), 2))
+    return Topology("drawn", nodes, draw(st.lists(
+        st.sampled_from(pairs), unique=True, max_size=len(pairs))))
+
 
 #: per-class session counts, an idle class (zero) included
 volumes = st.one_of(st.just(0.0),

@@ -217,11 +217,16 @@ class TestBudgetMetrics:
         assert 0.0 < fraction.samples[0] <= 2.0
 
 
+def budget_curve():
+    """The sweep ``tests/golden/budget_curve_tinet.json`` pins
+    (``tests/regen_goldens.py`` rewrites it)."""
+    return run_budget_sweep(["tinet"], budgets=(1, 2, 4, 8, None))
+
+
 class TestBudgetCurveGolden:
     @pytest.fixture(scope="class")
     def sweep(self):
-        return run_budget_sweep(["tinet"],
-                                budgets=(1, 2, 4, 8, None))
+        return budget_curve()
 
     def test_matches_golden_curve(self, sweep):
         """The tinet budget curve is pinned: any drift in the LP, the

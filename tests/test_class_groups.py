@@ -8,8 +8,10 @@ LoadCosts generated at the commit before grouping existed
 (``tests/golden/load_costs.json``), and against the un-grouped LP the
 inputs still reach — scale one member's ``session_bytes`` and
 ``footprints`` by *k* and its ``num_sessions`` by 1/*k*: every
-coefficient is unchanged, the group key differs. Regenerate the golden
-(at a commit whose LoadCosts are trusted) with::
+coefficient is unchanged, the group key differs. (The reference also
+keeps every tunnel — :class:`EveryTunnel` — so it is Figure 7 as
+printed; ``tests/test_tunnel_pruning.py`` pins the pruning by itself.)
+Regenerate the golden (at a commit whose LoadCosts are trusted) with::
 
     PYTHONPATH=src:. python tests/test_class_groups.py
 """
@@ -60,6 +62,20 @@ def builtin_load_costs():
     return costs
 
 
+class EveryTunnel(ReplicationProblem):
+    """The LP with every ``o[c,j,j']`` of Figure 7: no tunnel is
+    dropped for containing another's links (test-only, the way
+    ``NIPSProblem`` opts out)."""
+
+    def _worth_taking(self, sources, mirror, tunnel):
+        return list(sources)
+
+
+def fraction_columns(model):
+    """How many ``p`` / ``o`` columns a model has."""
+    return sum(var.name[:2] in ("p[", "o[") for var in model.variables)
+
+
 def ungrouped(state):
     """The same LP with one variable set per class: the i-th class of
     a group gets ``session_bytes`` and ``footprints`` times ``2**i``
@@ -98,11 +114,17 @@ def test_load_costs_equal_the_parent_generated_ones():
 
 
 def test_ntt_gets_half_the_columns():
+    """...of the tunnels worth taking: Figure 7 states 37 072
+    fractions, one variable set per group 18 536, and 13 370 of those
+    are not dominated."""
     state = setup_topology("ntt", dc_capacity_factor=10.0).state
     model = _replication(state).build_model()
     assert len(state.classes) == 4830
     assert fraction_count(state, MirrorPolicy.datacenter()) == 37072
-    assert model.num_variables == 18537
+    assert EveryTunnel(
+        state, mirror_policy=MirrorPolicy.datacenter()
+    ).build_model().num_variables == 18537
+    assert model.num_variables == 13371
     assert model.num_constraints == 2556
 
 
@@ -118,8 +140,8 @@ class TestGroupedEqualsUngrouped:
             self, state, policy, max_link_load):
         problem = _replication(state, mirror_policy=policy,
                                max_link_load=max_link_load)
-        apart = _replication(ungrouped(state), mirror_policy=policy,
-                             max_link_load=max_link_load)
+        apart = EveryTunnel(ungrouped(state), mirror_policy=policy,
+                            max_link_load=max_link_load)
         # What ``REPRO_VERIFY_MODELS=1`` runs, minus MDL002: a drawn
         # instance may leave two nodes idle, and their load rows are
         # then both ``LoadCost >= 0`` (with or without grouping) — so
@@ -158,20 +180,29 @@ class TestGroupedEqualsUngrouped:
 ], ids=["link_cost_weight", "load_weights"])
 def test_the_section_4_extensions_inherit_the_grouping(extension):
     """Link penalties and weighted loads are linear in the shared
-    columns too: half the fraction columns, the same objective."""
+    columns too, and a longer tunnel only adds to them: the plain LP's
+    fraction columns — half of those worth taking — and the same
+    objective as Figure 7's."""
     state = setup_topology("internet2", dc_capacity_factor=10.0).state
     shared = _replication(state, **extension(state)).build_model()
-    apart = _replication(ungrouped(state),
-                         **extension(state)).build_model()
+    apart = EveryTunnel(ungrouped(state), mirror_policy=MirrorPolicy
+                        .datacenter(), **extension(state)).build_model()
     fractions = fraction_count(state, MirrorPolicy.datacenter())
-    assert apart.num_variables - shared.num_variables == fractions // 2
+    assert fraction_columns(apart) == fractions
+    assert fraction_columns(shared) == fraction_columns(
+        _replication(state).build_model()) < fractions // 2
+    assert fraction_columns(_replication(
+        ungrouped(state), **extension(state)).build_model()) == \
+        2 * fraction_columns(shared)
     assert shared.solve().objective_value == pytest.approx(
         apart.solve().objective_value, abs=1e-9)
 
 
 class TestOptOuts:
     """Whatever breaks the proportionality of two classes' columns
-    keeps them apart: one variable set per class, the parent's count."""
+    keeps them apart: one variable set per class. On the paired
+    triangle (datacenter at ``A``, every class through ``A``) a class
+    has 2 ``p`` and, of Figure 7's 2 ``o``, the one from ``A``."""
 
     POLICY = MirrorPolicy.datacenter()
 
@@ -189,7 +220,8 @@ class TestOptOuts:
     def test_pairs_share(self):
         state = _paired_instance()
         assert fraction_count(state, self.POLICY) == 16
-        assert self._variables(state) == 1 + 8
+        assert self._variables(state, EveryTunnel) == 1 + 8
+        assert self._variables(state) == 1 + 6
 
     @pytest.mark.parametrize("change", [
         lambda cls: dict(rev_path=tuple(reversed(cls.path))),
@@ -197,7 +229,7 @@ class TestOptOuts:
         lambda cls: dict(footprints={"cpu": 2.0}),
     ], ids=["asymmetric", "session_bytes", "footprints"])
     def test_unequal_classes_keep_their_own_variables(self, change):
-        assert self._variables(self._paired(change)) == 1 + 16
+        assert self._variables(self._paired(change)) == 1 + 12
 
     def test_asymmetric_twins_do_not_share_with_each_other(self):
         # Two asymmetric classes over the same nodes: the key is the
@@ -205,12 +237,13 @@ class TestOptOuts:
         state = _paired_instance()
         twins = [replace(cls, rev_path=tuple(reversed(cls.path)))
                  for cls in state.classes]
-        assert self._variables(state.with_traffic(twins)) == 1 + 16
+        assert self._variables(state.with_traffic(twins)) == 1 + 12
 
     def test_nips_never_shares(self):
+        # ...nor drops a tunnel: Figure 7's count.
         state = _paired_instance()
         assert self._variables(state, NIPSProblem) == 1 + 16
-        assert self._variables(state) == 1 + 8
+        assert self._variables(state) == 1 + 6
 
 
 if __name__ == "__main__":

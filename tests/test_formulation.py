@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.aggregation import AggregationProblem
+from repro.core.controller.sharded import RegionalReplicationProblem
 from repro.core.formulation import Formulation
 from repro.core.mirrors import MirrorPolicy
 from repro.core.replication import ReplicationProblem
 from repro.lpsolve import lp_string
 from repro.obs import MetricsRegistry, use_registry
+from repro.traffic.classes import TrafficClass
 from tests.test_lp_writer_golden import (FORMULATIONS, _paired_instance,
                                           _small_instance)
 
@@ -255,6 +257,10 @@ def _comparable(model):
     return text, arrays
 
 
+def _names(problem):
+    return {con.name for con in problem.build_model().constraints}
+
+
 class TestWarmEqualsCold:
     """Build and patch read one coefficient table, so a model patched
     to some parameters *is* the model built from them."""
@@ -312,7 +318,7 @@ class TestWarmEqualsCold:
         cold = factory(_paired_instance())
         rebuilt = cold.resolve(volumes=volumes)  # never built: cold
 
-        assert warm.build_model().num_variables == 1 + 8
+        assert warm.build_model().num_variables == 1 + 6
         warm_text, warm_arrays = _comparable(warm.build_model())
         cold_text, cold_arrays = _comparable(cold.build_model())
         assert warm_text == cold_text
@@ -320,3 +326,38 @@ class TestWarmEqualsCold:
             assert np.array_equal(ours, theirs)
         assert patched.load_cost == pytest.approx(rebuilt.load_cost,
                                                   abs=1e-9)
+
+    @pytest.mark.parametrize("factory", [
+        _replication,
+        lambda state: RegionalReplicationProblem(
+            state, state.bg_bytes,
+            mirror_policy=MirrorPolicy.datacenter(),
+            link_share={("B", "C"): 0.5, ("B", "DC"): 0.7}),
+    ], ids=["replication", "regional"])
+    def test_an_idle_link_stays_warm_until_a_class_loads_it(
+            self, factory, line_state_dc):
+        """``C->D`` alone tunnels over ``B - C``; built at zero
+        sessions, that link has no row, and so no rhs to patch: a
+        refresh that leaves the class idle is a patch, the one that
+        wakes it is the one fallback."""
+        state = line_state_dc.with_traffic(line_state_dc.classes + [
+            TrafficClass("C->D", "C", "D", ("C", "D"), 0.0,
+                         session_bytes=10_000.0)])
+        warm = factory(state)
+        warm.solve()
+        assert "linkload[B,C]" not in _names(warm)
+        volumes = {"A->D": 700.0, "B->C": 900.0, "C->D": 0.0}
+        for woken, fallbacks in ((0.0, 0), (300.0, 1)):
+            volumes["C->D"] = woken
+            with use_registry(MetricsRegistry()) as reg:
+                patched = warm.resolve(volumes=volumes)
+            assert reg.counter_value("lp.resolve.fallbacks") == \
+                fallbacks
+            cold = factory(state)
+            rebuilt = cold.resolve(volumes=volumes)  # never built
+            assert lp_string(warm.build_model()) == \
+                lp_string(cold.build_model())
+            assert patched.load_cost == pytest.approx(
+                rebuilt.load_cost, abs=1e-9)
+        assert "linkload[B,C]" in _names(warm)
+

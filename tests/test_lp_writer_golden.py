@@ -139,12 +139,17 @@ def test_golden_instance_still_solves():
     assert result.load_cost > 0.0
 
 
-if __name__ == "__main__":  # regenerate the golden files
-    GOLDEN_DIR.mkdir(exist_ok=True)
+def golden_texts():
+    """``{golden file: LP text}`` for every file this module pins."""
     texts = {GOLDEN: _golden_text(_small_instance()),
              GOLDEN_PAIRED: _golden_text(_paired_instance())}
     texts.update({GOLDEN_DIR / f"{stem}.lp": _formulation_text(stem)
                   for stem in FORMULATIONS})
-    for path, text in texts.items():
+    return texts
+
+
+if __name__ == "__main__":  # regenerate the golden files
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for path, text in golden_texts().items():
         path.write_text(text)
         print(f"wrote {path}")

@@ -1,8 +1,12 @@
 """Unit tests for the routing table."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
 
 from repro.topology import builtin_topology, shortest_path_routing
+from repro.topology.topology import Topology
+from tests import strategies
 
 
 @pytest.fixture
@@ -62,3 +66,46 @@ class TestRoutingTable:
         for source, target in routing.all_pairs():
             path = routing.path(source, target)
             assert len(set(path)) == len(path)
+
+
+class TestOneSearchPerSource:
+    """The table is built from one breadth-first search per source
+    (``Topology.shortest_paths_from``); ``Topology.shortest_path`` —
+    every shortest path of the pair enumerated, the smallest taken —
+    stays the reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(topology=strategies.topologies())
+    def test_table_is_the_per_pair_reference(self, topology):
+        routing = shortest_path_routing(topology)
+        nodes = topology.nodes
+        for i, source in enumerate(nodes):
+            for target in nodes[i + 1:]:
+                try:
+                    reference = topology.shortest_path(source, target)
+                except nx.NetworkXNoPath:
+                    for pair in ((source, target), (target, source)):
+                        with pytest.raises(KeyError):
+                            routing.path(*pair)
+                        with pytest.raises(KeyError):
+                            routing.path_links(*pair)
+                    continue
+                links = tuple(Topology.path_links(reference))
+                assert routing.path(source, target) == reference
+                assert routing.path(target, source) == reference[::-1]
+                assert routing.path_links(source, target) == links
+                assert routing.path_links(target, source) == links[::-1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(topology=strategies.topologies())
+    def test_one_search_finds_every_reference_path(self, topology):
+        for source in topology.nodes:
+            reached = topology.shortest_paths_from(source)
+            assert reached[source] == (source,)
+            for target in topology.nodes:
+                try:
+                    reference = topology.shortest_path(source, target)
+                except nx.NetworkXNoPath:
+                    assert target not in reached
+                else:
+                    assert reached[target] == reference

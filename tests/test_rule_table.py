@@ -317,32 +317,46 @@ class TestTableBackedConfigs:
         assert ACTIONS[both.action[0]] is ShimAction.REPLICATE
 
 
+def rule_table_digests(topology):
+    """``{"<topology>/<budget>": {"rules": n, "sha256": digest}}`` over
+    every installed rule of the datacenter plan at budgets None, 4 and
+    1 — what ``tests/golden/rule_tables.json`` pins
+    (``tests/regen_goldens.py`` rewrites it)."""
+    state = setup_topology(topology, dc_capacity_factor=10.0).state
+    result = _solve(state)
+    digests = {}
+    for budget in (None, 4, 1):
+        digest = hashlib.sha256()
+        rows = 0
+        for node, config in build_replication_configs(
+                state, result, budget=budget).items():
+            table = config.table()
+            for cls, start, end, action, target in zip(
+                    table.cls.tolist(), table.start.tolist(),
+                    table.end.tolist(), table.action.tolist(),
+                    table.target.tolist()):
+                rows += 1
+                digest.update("|".join((
+                    node, table.class_names[cls], start.hex(),
+                    end.hex(), ACTIONS[action].value,
+                    "" if target < 0 else table.node_names[target]
+                )).encode() + b"\n")
+        digests[f"{topology}/{budget}"] = {
+            "rules": rows, "sha256": digest.hexdigest()}
+    return digests
+
+
+GOLDEN_TOPOLOGIES = ("internet2", "geant", "tinet")
+
+
 class TestRuleTableGolden:
     """sha256 over every installed rule of the evaluation topologies,
     generated at the commit before the builder became a kernel: no
     later change can move a boundary, reorder an install or retarget a
     rule silently."""
 
-    @pytest.mark.parametrize("topology", ["internet2", "geant", "tinet"])
+    @pytest.mark.parametrize("topology", GOLDEN_TOPOLOGIES)
     def test_tables_hash_to_the_parent_generated_digest(self, topology):
         golden = json.loads(GOLDEN.read_text())
-        state = setup_topology(topology, dc_capacity_factor=10.0).state
-        result = _solve(state)
-        for budget in (None, 4, 1):
-            digest = hashlib.sha256()
-            rows = 0
-            for node, config in build_replication_configs(
-                    state, result, budget=budget).items():
-                table = config.table()
-                for cls, start, end, action, target in zip(
-                        table.cls.tolist(), table.start.tolist(),
-                        table.end.tolist(), table.action.tolist(),
-                        table.target.tolist()):
-                    rows += 1
-                    digest.update("|".join((
-                        node, table.class_names[cls], start.hex(),
-                        end.hex(), ACTIONS[action].value,
-                        "" if target < 0 else table.node_names[target]
-                    )).encode() + b"\n")
-            assert {"rules": rows, "sha256": digest.hexdigest()} == \
-                golden[f"{topology}/{budget}"]
+        for key, digest in rule_table_digests(topology).items():
+            assert digest == golden[key]

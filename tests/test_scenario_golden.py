@@ -1,11 +1,12 @@
 """The canned scenarios, pinned to the commit before ``_run_scenario``
 became :class:`~repro.runtime.scenario.ScenarioRun`.
 
-``tests/golden/scenario_fingerprints.json`` was written by this file's
-``__main__`` at that commit (``PYTHONPATH=<parent>/src python
-tests/test_scenario_golden.py``): per scenario the timeline
+``tests/golden/scenario_fingerprints.json`` was written from
+:func:`golden_document` at that commit — per scenario the timeline
 fingerprint, the ``ScenarioReport.to_dict()["scenario"]`` document and
-the run's ``emulation.fast.fallbacks`` count. The exact-matrix mode
+the run's ``emulation.fast.fallbacks`` count — and is re-pinned, when
+a change deliberately moves the plans, by ``PYTHONPATH=src:. python
+tests/regen_goldens.py scenario_fingerprints.json``. The exact-matrix mode
 replayed whole batches with a scalar fallback then and replays chunks
 without one now, so a non-zero count there would have been a behaviour
 change; it was 0 for every scenario.
@@ -67,8 +68,3 @@ def test_no_replay_needed_the_scalar_fallback(document):
             for key, entry in document.items()} == \
         dict.fromkeys(document, 0)
 
-
-if __name__ == "__main__":  # regenerate the golden file
-    GOLDEN.write_text(json.dumps(golden_document(), indent=2,
-                                 sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")

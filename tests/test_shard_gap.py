@@ -19,11 +19,17 @@ from repro.experiments import (
 )
 
 
-@pytest.fixture(scope="module")
-def tinet_series():
+def shard_gap_series():
+    """The run ``tests/golden/shard_gap_tinet.json`` pins
+    (``tests/regen_goldens.py`` rewrites it)."""
     (series,) = run_shard_gap(topologies=["tinet"], regions=(2,),
                               jobs=1)
     return series
+
+
+@pytest.fixture(scope="module")
+def tinet_series():
+    return shard_gap_series()
 
 
 class TestAcceptanceBar:

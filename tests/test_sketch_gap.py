@@ -20,13 +20,19 @@ from repro.experiments import (
 )
 
 
-@pytest.fixture(scope="module")
-def tinet_series():
+def sketch_gap_series():
+    """The run ``tests/golden/sketch_gap_tinet.json`` pins
+    (``tests/regen_goldens.py`` rewrites it)."""
     # Two widths keep the module fast; 4096 is the 4 KB/class budget
     # point (160 B/class of actual sketch state on tinet).
     (series,) = run_sketch_gap(topologies=["tinet"],
                                widths=(1024, 4096), seed=0)
     return series
+
+
+@pytest.fixture(scope="module")
+def tinet_series():
+    return sketch_gap_series()
 
 
 class TestAcceptanceBar:
