@@ -8,11 +8,9 @@ Two complementary layers:
   determinism of the runtime/simulation layers, uint32 discipline on
   the hash path, float-comparison hygiene on solver outputs, metric
   namespace vs the documented table, and general code health. The
-  project-wide substrate (:mod:`~repro.analysis.callgraph` symbol
-  table/call graph and :mod:`~repro.analysis.dataflow` seed taint)
-  lets the concurrency pack reason across modules — which callables
-  run as event-loop actions, and which seeds descend from
-  ``Scenario.seed``;
+  :mod:`~repro.analysis.dataflow` seed-taint layer decides which
+  seeds descend from ``Scenario.seed``. Same-instant event ordering
+  is verified dynamically by ``repro racecheck``, not here;
 - the **model verifier** (:mod:`~repro.analysis.modelcheck`) — checks
   built LPs, solved results and compiled shim range tables against
   the paper's structural invariants (fractions partition a class;
@@ -27,7 +25,6 @@ library pre-solve guard (enabled globally with
 from __future__ import annotations
 
 from repro.analysis.baseline import load_baseline, write_baseline
-from repro.analysis.callgraph import CallGraph
 from repro.analysis.dataflow import SeedTaint, is_seed_name
 from repro.analysis.engine import (
     FileContext,
@@ -49,14 +46,11 @@ from repro.analysis.modelcheck import (
     check_shim_configs,
     precheck,
 )
-from repro.analysis.fix import FixResult, fix_file, fix_unused_imports
 from repro.analysis.rules import default_rules
 
 __all__ = [
-    "CallGraph",
     "FileContext",
     "Finding",
-    "FixResult",
     "LintEngine",
     "SeedTaint",
     "ModelCheckError",
@@ -69,8 +63,6 @@ __all__ = [
     "check_shim_configs",
     "default_rules",
     "filter_baseline",
-    "fix_file",
-    "fix_unused_imports",
     "is_seed_name",
     "iter_python_files",
     "load_baseline",

@@ -3,20 +3,14 @@
 Rules are grouped by the invariant family they protect:
 
 - :mod:`~repro.analysis.rules.determinism` (DET) — bit-reproducible
-  runtime/simulation layers.
+  runtime/simulation/sketch/ingest layers and seed provenance (on
+  the :mod:`~repro.analysis.dataflow` taint layer).
 - :mod:`~repro.analysis.rules.numerics` (NUM) — float and dtype
   discipline on solver and hash paths.
 - :mod:`~repro.analysis.rules.metrics` (MET) — metric namespace vs
   the documented table.
 - :mod:`~repro.analysis.rules.hygiene` (HYG) — general code health
   plus the strict-typing scope gate.
-- :mod:`~repro.analysis.rules.sketches` (SKT) — mergeable,
-  reproducibly-seeded streaming estimators.
-- :mod:`~repro.analysis.rules.concurrency` (RACE/ORD/DET003) —
-  schedule-race and seed-provenance hazards, built on the
-  project-wide :mod:`~repro.analysis.callgraph` and
-  :mod:`~repro.analysis.dataflow` layers; mirrored dynamically by
-  ``repro racecheck``.
 """
 
 from __future__ import annotations
@@ -25,14 +19,8 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.engine import Rule
-from repro.analysis.rules.concurrency import (
-    CONCURRENCY_RULE_IDS,
-    HandlerSharedStateRule,
-    ScheduleCollisionRule,
-    ScheduledClosureRule,
-    SeedProvenanceRule,
-)
 from repro.analysis.rules.determinism import (
+    SeedProvenanceRule,
     UnseededRandomRule,
     WallClockRule,
 )
@@ -51,21 +39,15 @@ from repro.analysis.rules.numerics import (
     HashDtypeRule,
     MemmapDtypeRule,
 )
-from repro.analysis.rules.sketches import SketchSeedRule
 
 __all__ = [
     "BuildModelInLoopRule",
-    "CONCURRENCY_RULE_IDS",
     "FloatEqualityRule",
-    "HandlerSharedStateRule",
     "HashDtypeRule",
     "MemmapDtypeRule",
     "MetricsDocRule",
     "MutableDefaultRule",
-    "ScheduleCollisionRule",
-    "ScheduledClosureRule",
     "SeedProvenanceRule",
-    "SketchSeedRule",
     "StrictAnnotationRule",
     "UnseededRandomRule",
     "UnusedImportRule",
@@ -86,6 +68,7 @@ def default_rules(project_root: Optional[Path] = None) -> List[Rule]:
     return [
         WallClockRule(),
         UnseededRandomRule(),
+        SeedProvenanceRule(),
         FloatEqualityRule(),
         HashDtypeRule(),
         MemmapDtypeRule(),
@@ -93,10 +76,5 @@ def default_rules(project_root: Optional[Path] = None) -> List[Rule]:
         MutableDefaultRule(),
         UnusedImportRule(),
         StrictAnnotationRule(),
-        SketchSeedRule(),
         MetricsDocRule(doc_path),
-        HandlerSharedStateRule(),
-        ScheduledClosureRule(),
-        ScheduleCollisionRule(),
-        SeedProvenanceRule(),
     ]

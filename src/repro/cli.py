@@ -236,8 +236,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="play a closed-loop runtime scenario and print the "
              "per-epoch timeline")
     scenario.add_argument("name", choices=sorted(CANNED_SCENARIOS))
-    scenario.add_argument("--topology", default="internet2",
-                          choices=builtin_topology_names())
+    scenario.add_argument("--topology", default=None,
+                          choices=builtin_topology_names(),
+                          help="override the scenario's topology")
     scenario.add_argument("--epochs", type=int, default=None,
                           help="override the scenario's epoch count")
     scenario.add_argument("--seed", type=int, default=None,
@@ -341,9 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--rules", default=None, metavar="IDS",
                       help="comma-separated rule ids to run "
                            "(default: all)")
-    lint.add_argument("--fix", action="store_true",
-                      help="auto-fix mechanical findings in place "
-                           "(HYG003 unused imports) before scanning")
     lint.add_argument("--check-baseline", action="store_true",
                       help="fail when the baseline contains entries "
                            "that no longer fire, so suppressions "
@@ -352,8 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     racecheck = sub.add_parser(
         "racecheck",
         help="replay canned scenarios under schedule-perturbation "
-             "seeds and assert fingerprint invariance (the dynamic "
-             "side of the RACE/ORD lint rules)")
+             "seeds and assert fingerprint invariance")
     racecheck.add_argument("scenarios", nargs="*", metavar="NAME",
                            help="canned scenario names (default: "
                                 "all)")
@@ -372,10 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
     racecheck.add_argument("--json", default=None, metavar="PATH",
                            help="write the invariance report as "
                                 "JSON to PATH ('-' for stdout)")
-    racecheck.add_argument("--static", action="store_true",
-                           help="also run the RACE/ORD/DET003 "
-                                "static rules over src/, embed the "
-                                "findings, fail if there are any")
     racecheck.add_argument("--quiet", action="store_true",
                            help="suppress per-replay progress lines")
     return parser
@@ -431,7 +424,6 @@ def _cmd_solve(args) -> int:
         extra = [f"beta: {beta:.3g}",
                  f"comm cost: {result.comm_cost:,.0f} byte-hops"]
     else:  # combined
-        problem = CombinedProblem(state)
         beta = args.beta if args.beta is not None else \
             AggregationProblem(state).suggested_beta()
         result = CombinedProblem(
@@ -582,7 +574,9 @@ def _cmd_scenario(args) -> int:
     from repro.obs import write_timeline_jsonl
     from repro.runtime.scenario import CANNED_SCENARIOS, run_scenario
 
-    kwargs = {"topology": args.topology}
+    kwargs = {}
+    if args.topology is not None:
+        kwargs["topology"] = args.topology
     if args.epochs is not None:
         kwargs["epochs"] = args.epochs
     if args.seed is not None:
@@ -838,21 +832,6 @@ def _cmd_lint(args) -> int:
               file=sys.stderr)
         return 2
 
-    if args.fix:
-        from repro.analysis import fix_file, iter_python_files
-
-        fixed_files = 0
-        removed_total = 0
-        for file_path in iter_python_files(paths):
-            result = fix_file(file_path)
-            if result.changed:
-                fixed_files += 1
-                removed_total += len(result.removed)
-                names = ", ".join(result.removed)
-                print(f"fixed {file_path}: removed {names}")
-        print(f"--fix removed {removed_total} unused import(s) "
-              f"across {fixed_files} file(s)")
-
     rule_ids = (None if args.rules is None
                 else [r.strip() for r in args.rules.split(",")])
     engine = LintEngine(project_root=project_root, rule_ids=rule_ids)
@@ -893,12 +872,7 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_racecheck(args) -> int:
-    from pathlib import Path
-
-    from repro.runtime.racecheck import (
-        concurrency_findings,
-        racecheck_canned,
-    )
+    from repro.runtime.racecheck import racecheck_canned
 
     progress = None
     if not args.quiet:
@@ -913,10 +887,6 @@ def _cmd_racecheck(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.static:
-        project_root = Path(__file__).resolve().parents[2]
-        report.static_findings = concurrency_findings(project_root)
 
     if args.json is not None and _write_json(
             report.to_json(), args.json, "racecheck report"):
@@ -933,18 +903,10 @@ def _cmd_racecheck(args) -> int:
             ["Scenario", "Topology", "Epochs", "Fingerprint",
              f"Across {len(report.seeds)} perturbation seeds"],
             rows, title="schedule-perturbation racecheck"))
-        if report.static_findings is not None:
-            print(f"static RACE/ORD/DET003 findings: "
-                  f"{len(report.static_findings)}")
     if not report.all_invariant:
         print("error: scenario fingerprints diverged under "
               "schedule perturbation — a same-timestamp ordering "
-              "race is live (cross-check the RACE/ORD lint rules)",
-              file=sys.stderr)
-        return 1
-    if report.static_findings:
-        print("error: the static RACE/ORD/DET003 pack has findings "
-              "(`repro lint` lists them)", file=sys.stderr)
+              "race is live", file=sys.stderr)
         return 1
     return 0
 

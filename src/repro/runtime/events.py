@@ -23,8 +23,7 @@ reproducible today only because insertion order happens to be stable.
 the seq tie-break with a seeded random one, permuting same-timestamp
 events while leaving the time order untouched. ``repro racecheck``
 replays every canned scenario under several perturbation seeds and
-asserts fingerprint invariance; the static side of the same contract
-is the RACE/ORD rule pack in :mod:`repro.analysis.rules.concurrency`.
+asserts fingerprint invariance.
 """
 
 from __future__ import annotations

@@ -12,13 +12,12 @@ legal order, and asserts every run produces the identical
 :meth:`~repro.runtime.scenario.ScenarioReport.fingerprint`.
 
 A divergence means some event handler communicates through ordering —
-a shared accumulator, a sequence-consumed RNG, a last-writer-wins
-config install — and must correspond to a static finding from the
-concurrency rule pack (:mod:`repro.analysis.rules.concurrency`);
-conversely every RACE/ORD finding that is *not* pragma-justified
-should be reproducible here. The CI ``racecheck-smoke`` job runs all
-canned scenarios under 8 perturbation seeds and publishes the JSON
-report as an artifact.
+two handlers writing the same module state at one instant, two sites
+scheduling at the same timestamp, a sequence-consumed RNG, a
+last-writer-wins config install. This is the repo's only check for
+ordering races; there is no static counterpart. The CI
+``racecheck-smoke`` job runs all canned scenarios under 8
+perturbation seeds and publishes the JSON report as an artifact.
 """
 
 from __future__ import annotations
@@ -92,22 +91,18 @@ class RacecheckReport:
 
     seeds: List[int]
     scenarios: List[ScenarioRacecheck]
-    static_findings: Optional[List[Dict]] = None
 
     @property
     def all_invariant(self) -> bool:
         return all(s.invariant for s in self.scenarios)
 
     def to_dict(self) -> Dict:
-        out: Dict = {
+        return {
             "schema": 1,
             "perturbation_seeds": list(self.seeds),
             "scenarios": [s.to_dict() for s in self.scenarios],
             "all_invariant": self.all_invariant,
         }
-        if self.static_findings is not None:
-            out["static_findings"] = self.static_findings
-        return out
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent,
@@ -192,18 +187,3 @@ def racecheck_canned(names: Optional[Sequence[str]] = None,
         results.append(racecheck_scenario(scenario, seed_list,
                                           progress=progress))
     return RacecheckReport(seeds=seed_list, scenarios=results)
-
-
-def concurrency_findings(project_root) -> List[Dict]:
-    """The static half of the cross-check: RACE/ORD/DET003 findings
-    over ``src/`` as plain dicts (empty on a clean tree)."""
-    from pathlib import Path
-
-    from repro.analysis import LintEngine
-    from repro.analysis.rules.concurrency import CONCURRENCY_RULE_IDS
-
-    root = Path(project_root)
-    engine = LintEngine(project_root=root,
-                        rule_ids=list(CONCURRENCY_RULE_IDS))
-    return [finding.to_json()
-            for finding in engine.run([root / "src"])]

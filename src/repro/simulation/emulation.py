@@ -226,11 +226,10 @@ class Emulation:
                 self.state.routing, tuple(self.state.nids_nodes))
         return self._link_index
 
-    def _note_fallback(self, reason: str) -> None:
+    def _note_fallback(self) -> None:
         metrics = get_registry()
         if metrics.enabled:
             metrics.inc("emulation.fast.fallbacks")
-        self._last_fallback_reason = reason
 
     def _note_fast_run(self) -> None:
         metrics = get_registry()
@@ -303,14 +302,14 @@ class Emulation:
         """
         if fast:
             if engine_factory is not None:
-                self._note_fallback("custom engine factory")
+                self._note_fallback()
             else:
                 batch = self._packet_batch(sessions)
                 try:
                     return self._signature_chunks([batch],
                                                   batch.sessions)
-                except UnsupportedShimConfig as exc:
-                    self._note_fallback(str(exc))
+                except UnsupportedShimConfig:
+                    self._note_fallback()
         sessions = self._require_sessions(sessions, "run_signature")
 
         factory = engine_factory or SignatureEngine
@@ -476,8 +475,8 @@ class Emulation:
             batch = self._packet_batch(sessions)
             try:
                 return self._fast_stateful(batch)
-            except UnsupportedShimConfig as exc:
-                self._note_fallback(str(exc))
+            except UnsupportedShimConfig:
+                self._note_fallback()
         sessions = self._require_sessions(sessions, "run_stateful")
 
         analyzers: Dict[str, StatefulSessionAnalyzer] = {
@@ -618,8 +617,8 @@ class Emulation:
             try:
                 return self._fast_aggregated(kind, batch, threshold,
                                              class_gateway)
-            except UnsupportedShimConfig as exc:
-                self._note_fallback(str(exc))
+            except UnsupportedShimConfig:
+                self._note_fallback()
         sessions = self._require_sessions(sessions, f"run_{kind}")
 
         detector_cls, report_method, flagged_method, _ = _AGG_KINDS[kind]

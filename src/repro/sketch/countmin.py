@@ -21,8 +21,10 @@ so merging per-worker sketches (OctoSketch-style) yields bit-exactly
 the sketch of the concatenated stream.
 
 Seeds are mandatory (keyword-only) by design: an unseeded sketch
-would silently break scenario fingerprint reproducibility. The
-SKT001 lint rule enforces the call-site half of that contract.
+would silently break scenario fingerprint reproducibility, so
+Python itself rejects ``CountMinSketch(width, depth)`` with a
+``TypeError``. The DET001/DET002 lint rules keep wall-clock reads
+and entropy-derived seeds out of the sketch and ingest layers.
 """
 
 from __future__ import annotations

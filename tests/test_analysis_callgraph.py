@@ -1,10 +1,8 @@
-"""The cross-file analysis substrate: call graph + seed taint.
+"""The seed-taint layer (:mod:`repro.analysis.dataflow`) under DET003.
 
-These are the unit-level contracts the concurrency rule pack builds
-on: conservative call resolution (bare names, ``self.`` methods,
-unique project-wide methods), handler-root extraction from schedule
-sites (names, bound methods, lambdas, ``functools.partial``), write
-site classification, and seed-provenance rooting.
+Seed-provenance rooting: which names, attributes and subscripts count
+as seed plumbing, how taint flows through assignment chains and into
+closures, and that every call is visited once.
 """
 
 from __future__ import annotations
@@ -13,159 +11,12 @@ import ast
 
 import pytest
 
-from repro.analysis.callgraph import (
-    CallGraph,
-    module_name_from_path,
-    normalize_expr,
-)
 from repro.analysis.dataflow import (
     SeedTaint,
     is_seed_name,
     iter_scoped_calls,
     scope_env,
 )
-
-
-def graph_of(*files):
-    graph = CallGraph()
-    for path, source in files:
-        graph.add_module(path, ast.parse(source))
-    graph.finalize()
-    return graph
-
-
-class TestModuleNames:
-    @pytest.mark.parametrize("path,expected", [
-        ("src/repro/runtime/events.py", "repro.runtime.events"),
-        ("repro/runtime/__init__.py", "repro.runtime"),
-        ("mod.py", "mod"),
-    ])
-    def test_mapping(self, path, expected):
-        assert module_name_from_path(path) == expected
-
-    def test_normalize_collapses_whitespace(self):
-        node = ast.parse("epoch  *  300.0", mode="eval").body
-        assert normalize_expr(node) == "epoch * 300.0"
-
-
-class TestCallResolution:
-    def test_bare_name_resolves_to_module_function(self):
-        graph = graph_of(("runtime/a.py",
-                          "def helper():\n    pass\n\n"
-                          "def caller():\n    helper()\n"))
-        assert "runtime.a.helper" in graph.edges["runtime.a.caller"]
-
-    def test_self_method_resolves_within_class(self):
-        graph = graph_of(("runtime/a.py",
-                          "class C:\n"
-                          "    def run(self):\n"
-                          "        self.step()\n"
-                          "    def step(self):\n"
-                          "        pass\n"))
-        assert "runtime.a.C.step" in graph.edges["runtime.a.C.run"]
-
-    def test_unique_method_name_resolves_across_modules(self):
-        graph = graph_of(
-            ("runtime/a.py",
-             "class Sink:\n"
-             "    def flush(self):\n"
-             "        pass\n"),
-            ("runtime/b.py",
-             "def drive(sink):\n    sink.flush()\n"))
-        assert "runtime.a.Sink.flush" in graph.edges["runtime.b.drive"]
-
-    def test_ambiguous_method_name_left_unresolved(self):
-        graph = graph_of(
-            ("runtime/a.py",
-             "class A:\n"
-             "    def flush(self):\n        pass\n"),
-            ("runtime/b.py",
-             "class B:\n"
-             "    def flush(self):\n        pass\n"),
-            ("runtime/c.py",
-             "def drive(x):\n    x.flush()\n"))
-        targets = graph.edges.get("runtime.c.drive", set())
-        assert "runtime.a.A.flush" not in targets
-        assert "runtime.b.B.flush" not in targets
-
-
-class TestHandlerRoots:
-    def test_scheduled_self_method_is_handler(self):
-        graph = graph_of(("runtime/a.py",
-                          "class D:\n"
-                          "    def start(self, loop):\n"
-                          "        loop.schedule_at(0.0, self.tick)\n"
-                          "    def tick(self):\n"
-                          "        self.flush()\n"
-                          "    def flush(self):\n"
-                          "        pass\n"))
-        reachable = graph.handler_reachable()
-        assert "runtime.a.D.tick" in reachable
-        assert "runtime.a.D.flush" in reachable  # transitive
-        assert "runtime.a.D.start" not in reachable
-
-    def test_scheduled_lambda_body_is_reachable(self):
-        graph = graph_of(("runtime/a.py",
-                          "def push():\n    pass\n\n"
-                          "def start(loop):\n"
-                          "    loop.schedule_in(1.0, lambda: push())\n"))
-        assert "runtime.a.push" in graph.handler_reachable()
-
-    def test_partial_unwraps_to_inner_action(self):
-        graph = graph_of(("runtime/a.py",
-                          "from functools import partial\n\n"
-                          "def emit(tag):\n    pass\n\n"
-                          "def start(loop):\n"
-                          "    loop.schedule_in(1.0, "
-                          "partial(emit, 'x'))\n"))
-        assert "runtime.a.emit" in graph.handler_reachable()
-
-    def test_schedule_sites_record_time_expr(self):
-        graph = graph_of(("runtime/a.py",
-                          "def start(loop, epoch):\n"
-                          "    loop.schedule_at(epoch * 300.0, start)\n"))
-        [site] = graph.schedule_sites
-        assert site.method == "schedule_at"
-        assert site.time_expr == "epoch * 300.0"
-
-
-class TestWriteSites:
-    def _kinds(self, source):
-        graph = graph_of(("runtime/a.py", source))
-        return {(w.target, w.kind) for w in graph.write_sites}
-
-    def test_global_rebind(self):
-        kinds = self._kinds(
-            "COUNT = 0\n\n"
-            "def bump():\n"
-            "    global COUNT\n"
-            "    COUNT = COUNT + 1\n")
-        assert ("COUNT", "rebind") in kinds
-
-    def test_store_through_module_binding(self):
-        kinds = self._kinds(
-            "REGISTRY = {}\n\n"
-            "def put(k, v):\n"
-            "    REGISTRY[k] = v\n")
-        assert ("REGISTRY", "store") in kinds
-
-    def test_mutating_method_call(self):
-        kinds = self._kinds(
-            "QUEUE = []\n\n"
-            "def push(item):\n"
-            "    QUEUE.append(item)\n")
-        assert ("QUEUE", "mutate") in kinds
-
-    def test_self_attribute_store_is_not_module_state(self):
-        assert self._kinds(
-            "class C:\n"
-            "    def set(self, v):\n"
-            "        self.value = v\n") == set()
-
-    def test_module_level_assignment_is_not_a_write_site(self):
-        # Top-level statements run once at import; only writes from
-        # inside callables can race.
-        assert self._kinds("COUNT = 0\nCOUNT = COUNT + 1\n") == set()
 
 
 class TestSeedTaint:

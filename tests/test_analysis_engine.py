@@ -25,13 +25,8 @@ from repro.analysis import (
 )
 from repro.analysis.docsync import parse_metric_table
 from repro.analysis.rules import default_rules
-from repro.analysis.rules.concurrency import (
-    HandlerSharedStateRule,
-    ScheduleCollisionRule,
-    ScheduledClosureRule,
-    SeedProvenanceRule,
-)
 from repro.analysis.rules.determinism import (
+    SeedProvenanceRule,
     UnseededRandomRule,
     WallClockRule,
 )
@@ -47,18 +42,20 @@ from repro.analysis.rules.numerics import (
     HashDtypeRule,
     MemmapDtypeRule,
 )
-from repro.analysis.rules.sketches import SketchSeedRule
 from repro.cli import main
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-#: (rule factory, rule id, trigger fixture, expected count, clean fixture)
+#: (rule factory, rule id, trigger fixture(s), expected count, clean
+#: fixture(s)); the sketch fixtures put the sketch layer in DET scope
 RULE_CASES = [
-    (WallClockRule, "DET001", "runtime/det001_trigger.py", 2,
-     "runtime/det001_clean.py"),
-    (UnseededRandomRule, "DET002", "runtime/det002_trigger.py", 3,
-     "runtime/det002_clean.py"),
+    (WallClockRule, "DET001",
+     ("runtime/det001_trigger.py", "sketch/det_trigger.py"), 3,
+     ("runtime/det001_clean.py", "sketch/det_clean.py")),
+    (UnseededRandomRule, "DET002",
+     ("runtime/det002_trigger.py", "sketch/det_trigger.py"), 4,
+     ("runtime/det002_clean.py", "sketch/det_clean.py")),
     (FloatEqualityRule, "NUM001", "num001_trigger.py", 2,
      "num001_clean.py"),
     (HashDtypeRule, "NUM002", "shim/num002_trigger.py", 2,
@@ -76,22 +73,20 @@ RULE_CASES = [
      "hyg003_clean.py"),
     (StrictAnnotationRule, "HYG004", "lpsolve/hyg004_trigger.py", 2,
      "lpsolve/hyg004_clean.py"),
-    (SketchSeedRule, "SKT001", "sketch/skt001_trigger.py", 2,
-     "sketch/skt001_clean.py"),
-    (HandlerSharedStateRule, "RACE001", "runtime/race001_trigger.py", 2,
-     "runtime/race001_clean.py"),
-    (ScheduledClosureRule, "RACE002", "runtime/race002_trigger.py", 2,
-     "runtime/race002_clean.py"),
-    (ScheduleCollisionRule, "ORD001", "ord001_trigger", 2,
-     "ord001_clean"),
     (SeedProvenanceRule, "DET003", "runtime/det003_trigger.py", 2,
      "runtime/det003_clean.py"),
 ]
 
 
-def run_rule(rule, path: Path):
+def run_rule(rule, *paths: Path):
     engine = LintEngine(rules=[rule], project_root=FIXTURES)
-    return engine.run([path])
+    return engine.run(list(paths))
+
+
+def fixtures(spec):
+    """Fixture paths for one RULE_CASES entry (a path or a tuple)."""
+    names = (spec,) if isinstance(spec, str) else spec
+    return [FIXTURES / name for name in names]
 
 
 class TestRuleFixtures:
@@ -100,7 +95,7 @@ class TestRuleFixtures:
         ids=[case[1] for case in RULE_CASES])
     def test_trigger_flagged(self, factory, rule_id, trigger, count,
                              clean):
-        findings = run_rule(factory(), FIXTURES / trigger)
+        findings = run_rule(factory(), *fixtures(trigger))
         assert len(findings) == count
         assert all(f.rule_id == rule_id for f in findings)
         assert all(f.line > 0 for f in findings)
@@ -110,7 +105,7 @@ class TestRuleFixtures:
         ids=[case[1] for case in RULE_CASES])
     def test_clean_not_flagged(self, factory, rule_id, trigger, count,
                                clean):
-        assert run_rule(factory(), FIXTURES / clean) == []
+        assert run_rule(factory(), *fixtures(clean)) == []
 
     def test_scoped_rules_ignore_out_of_scope_paths(self, tmp_path):
         # The same wall-clock source outside runtime//simulation/ is
@@ -210,20 +205,6 @@ class TestPragmas:
                             project_root=tmp_path)
         findings = engine.run([target])
         assert [f.line for f in findings] == [5]
-
-    def test_project_rule_honours_pragma(self, tmp_path):
-        # ORD001 findings are emitted from finalize(), after per-file
-        # contexts are gone; allow[] pragmas must still be honoured.
-        for name, pragma in [("alpha", ""),
-                             ("beta", "  # repro-lint: allow[ORD001]")]:
-            (tmp_path / f"{name}.py").write_text(
-                "def start(loop, epoch):\n"
-                f"    loop.schedule_at(epoch * 60.0, start){pragma}\n",
-                encoding="utf-8")
-        engine = LintEngine(rules=[ScheduleCollisionRule()],
-                            project_root=tmp_path)
-        findings = engine.run([tmp_path])
-        assert [f.file for f in findings] == ["alpha.py"]
 
 
 class TestBaseline:
@@ -373,6 +354,11 @@ class TestMetricsDocRule:
 
 
 class TestSelfScan:
+    def test_default_rule_set(self):
+        assert [rule.rule_id for rule in default_rules(REPO_ROOT)] == [
+            "DET001", "DET002", "DET003", "NUM001", "NUM002", "NUM003",
+            "HYG001", "HYG002", "HYG003", "HYG004", "MET001"]
+
     def test_shipped_tree_is_clean(self):
         """The repo's own src/ must pass every rule with no baseline."""
         engine = LintEngine(rules=default_rules(REPO_ROOT),

@@ -1,11 +1,14 @@
 """The schedule-perturbation verifier (``repro racecheck``).
 
 Invariance is checked for real against a small canned scenario; the
-divergence path is exercised with a deliberately order-sensitive
-micro-workload substituted for ``run_scenario``, so the test proves
+divergence path is exercised with deliberately order-sensitive
+micro-workloads substituted for ``run_scenario``, so the test proves
 both halves: a schedule-race-free scenario stays fingerprint-stable
 under perturbation, and a handler that communicates through ordering
-is caught.
+is caught. The workloads include the two hazards the verifier is the
+only check for: two handlers writing the same module-level state at
+one instant, and two sites scheduling at the same timestamp
+expression.
 """
 
 from __future__ import annotations
@@ -75,12 +78,6 @@ class TestReportShapes:
         assert entry["divergent_seeds"] == [2]
         assert entry["perturbed_fingerprints"] == {
             "1": "aaa", "2": "bbb"}
-        assert "static_findings" not in payload
-
-    def test_static_findings_included_when_present(self):
-        report = RacecheckReport(seeds=[1], scenarios=[],
-                                 static_findings=[])
-        assert report.to_dict()["static_findings"] == []
 
 
 class TestInvariance:
@@ -128,10 +125,64 @@ def _order_sensitive_run(scenario, loop_factory=None):
     return _OrderSensitiveReport(fired)
 
 
+#: module-level state that two event handlers write
+_INSTALLED = {}
+
+
+def _install_plan():
+    _INSTALLED["config"] = "plan"
+
+
+def _install_fallback():
+    _INSTALLED["config"] = "fallback"
+
+
+def _shared_state_run(scenario, loop_factory=None):
+    """Two handlers write the same module-level state at one instant;
+    the last writer decides what the next epoch's audit reads."""
+    loop = (loop_factory or EventLoop)()
+    audited = []
+    for epoch in range(1, 7):
+        loop.schedule_at(float(epoch), _install_plan)
+        loop.schedule_at(float(epoch), _install_fallback)
+        loop.schedule_at(epoch + 0.5,
+                         lambda: audited.append(_INSTALLED["config"]))
+    loop.run_all()
+    return _OrderSensitiveReport(audited)
+
+
+def _schedule_drift(loop, epoch, volume):
+    loop.schedule_at(epoch * 300.0, lambda: volume.append(volume[-1] * 2))
+
+
+def _schedule_refresh(loop, epoch, volume, planned):
+    loop.schedule_at(epoch * 300.0,
+                     lambda: planned.append(str(volume[-1])))
+
+
+def _timestamp_collision_run(scenario, loop_factory=None):
+    """Two sites schedule at the same timestamp expression; whether a
+    refresh plans on this epoch's drifted volume is decided by seq
+    order alone."""
+    loop = (loop_factory or EventLoop)()
+    volume = [1.0]
+    planned = []
+    for epoch in range(1, 7):
+        _schedule_drift(loop, epoch, volume)
+        _schedule_refresh(loop, epoch, volume, planned)
+    loop.run_all()
+    return _OrderSensitiveReport(planned)
+
+
 class TestDivergenceDetection:
-    def test_order_sensitive_workload_is_caught(self, monkeypatch):
-        monkeypatch.setattr(racecheck_mod, "run_scenario",
-                            _order_sensitive_run)
+    @pytest.mark.parametrize("workload", [
+        _order_sensitive_run, _shared_state_run,
+        _timestamp_collision_run,
+    ], ids=["same-instant-order", "shared-module-state",
+            "timestamp-collision"])
+    def test_order_sensitive_workload_is_caught(self, monkeypatch,
+                                                workload):
+        monkeypatch.setattr(racecheck_mod, "run_scenario", workload)
         scenario = CANNED_SCENARIOS["steady-drift"](
             topology="tinet", epochs=2)
         result = racecheck_scenario(scenario, perturbation_seeds(6))
@@ -173,24 +224,3 @@ class TestCli:
         assert main(["racecheck", "no-such", "--quiet"]) == 2
         err = capsys.readouterr().err
         assert "no-such" in err
-
-    def test_racecheck_static_report_is_clean(self, tmp_path, capsys):
-        assert main(["racecheck", "steady-drift", "--seeds", "1",
-                     "--epochs", "2", "--topology", "tinet",
-                     "--quiet", "--static", "--json", "-"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["static_findings"] == []
-
-    def test_racecheck_static_finding_fails_the_run(self, monkeypatch,
-                                                    capsys):
-        finding = {"rule": "RACE001", "path": "src/x.py", "line": 1}
-        monkeypatch.setattr(racecheck_mod, "concurrency_findings",
-                            lambda project_root: [finding])
-        assert main(["racecheck", "steady-drift", "--seeds", "1",
-                     "--epochs", "2", "--topology", "tinet",
-                     "--quiet", "--static", "--json", "-"]) == 1
-        captured = capsys.readouterr()
-        payload = json.loads(captured.out)
-        assert payload["all_invariant"] is True
-        assert payload["static_findings"] == [finding]
-        assert "RACE/ORD/DET003" in captured.err

@@ -14,7 +14,10 @@ change; it was 0 for every scenario.
 
 import dataclasses
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -67,4 +70,23 @@ def test_no_replay_needed_the_scalar_fallback(document):
     assert {key: entry["fast_fallbacks"]
             for key, entry in document.items()} == \
         dict.fromkeys(document, 0)
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+@pytest.mark.parametrize("name", ["flash-crowd", "sketch-estimator"])
+def test_cli_reproduces_the_golden_across_hash_seeds(name, hash_seed):
+    """``repro scenario NAME`` in a fresh interpreter, at the
+    scenario's own topology, under two string-hash seeds: iterating a
+    set of node names into a float sum would move the fingerprint."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-m", "repro", "scenario", name,
+         "--epochs", str(EPOCHS), "--json", "-"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    report = json.loads(out[out.index("\n{"):])
+    golden = json.loads(GOLDEN.read_text())
+    assert report["fingerprint"] == golden[name]["fingerprint"]
 
