@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import fields
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -52,6 +53,7 @@ def ingress_requirements(classes: Sequence[TrafficClass],
 #: session count
 _STRUCTURAL_FIELDS = tuple(f.name for f in fields(TrafficClass)
                            if f.name != "num_sessions")
+_structure = attrgetter(*_STRUCTURAL_FIELDS)
 
 
 def same_structure(classes: Sequence[TrafficClass],
@@ -61,16 +63,11 @@ def same_structure(classes: Sequence[TrafficClass],
     footprints)."""
     if len(classes) != len(current):
         return False
-    for new, old in zip(classes, current):
-        if new is old:
-            continue
-        if type(new) is not type(old):
-            return False
-        for name in _STRUCTURAL_FIELDS:
-            ours, theirs = getattr(new, name), getattr(old, name)
-            if ours is not theirs and ours != theirs:
-                return False
-    return True
+    # Tuples compare element by element, identity first: a copy that
+    # shares its fields (``with_sessions``) costs no field ``==``.
+    return all(new is old or (type(new) is type(old) and
+                              _structure(new) == _structure(old))
+               for new, old in zip(classes, current))
 
 
 class LinkIncidence:

@@ -40,8 +40,7 @@ def slack_factor(model: TrafficVariabilityModel,
     """
     if not 0.0 < percentile < 100.0:
         raise ValueError("percentile must be in (0, 100)")
-    rng = np.random.default_rng(seed)
-    draws = [model.sample_factor(rng) for _ in range(samples)]
+    draws = model.draw(np.random.default_rng(seed), samples)
     return float(np.percentile(draws, percentile))
 
 

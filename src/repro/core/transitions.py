@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set
 
 from repro.shim.config import ShimConfig
+from repro.shim.table import RuleTable
 
 
 def union_config(old: ShimConfig, new: ShimConfig) -> ShimConfig:
@@ -34,16 +35,17 @@ def union_config(old: ShimConfig, new: ShimConfig) -> ShimConfig:
     paper: "the NIDS nodes continue to honor both the previous and new
     configurations during the transient period. This may potentially
     duplicate some work, but ensures correctness.")
+
+    The union is the two rule tables end to end, so no rule objects
+    are made; grouped by class, its rows give old's classes then
+    new's, and within a class old's rules then new's.
     """
     if old.node != new.node:
         raise ValueError(
             f"cannot union configs of different nodes "
             f"({old.node!r} vs {new.node!r})")
-    merged: Dict[str, list] = {}
-    for config in (old, new):
-        for class_name, rules in config.rules.items():
-            merged.setdefault(class_name, []).extend(rules)
-    return ShimConfig(node=old.node, rules=merged)
+    return ShimConfig.from_table(
+        old.node, RuleTable.concat([old.table(), new.table()]))
 
 
 class TransitionPhase(enum.Enum):

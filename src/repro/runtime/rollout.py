@@ -41,7 +41,7 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -515,35 +515,41 @@ class CoverageReport:
         return 1.0 - self.coverage
 
 
-def _union_length(intervals: Sequence[Tuple[float, float]]) -> float:
-    if not intervals:
-        return 0.0
-    ordered = sorted(intervals)
-    total = 0.0
-    cur_start, cur_end = ordered[0]
-    for start, end in ordered[1:]:
-        if start > cur_end:
-            total += cur_end - cur_start
-            cur_start, cur_end = start, end
-        else:
-            cur_end = max(cur_end, end)
-    total += cur_end - cur_start
-    return min(total, 1.0)
-
-
 class CoverageTracker:
     """Hash-space ownership of a fixed class list, kept incrementally.
 
-    Per class the tracker caches the covered and the duplicated
-    fraction of hash space; :meth:`update` re-derives them only for
-    classes observed by a node whose config *object* differs from the
-    one it ran at the previous update. Configs are values — agents
-    replace them, never edit them — so identity is an exact change
-    test. The aggregate is re-summed from the cached per-class values
-    in class order whenever one changed, which makes the report
-    bit-identical to one computed from scratch; an update that finds
-    every observer running the same object (an ack, a timer) returns
-    the report it already holds.
+    Per running config the tracker keeps the rows coverage needs as
+    arrays: tracker class, the node's position among the class's
+    observers, and the ``(start, end)`` of every positive-width rule,
+    in rule order, for the classes the node observes (a mirror's
+    PROCESS copy of a replicated range is backed by the on-path
+    REPLICATE rule that feeds it, and rules of classes the tracker
+    does not know count for nothing). :meth:`update` finds the nodes
+    whose config *object* differs from the one they ran at the
+    previous update — configs are values, agents replace them and
+    never edit them, so identity is an exact change test — and
+    re-measures every class one of them observes, all in one pass
+    over those arrays. An update that finds every observer running the
+    same object (an ack, a timer) returns the report it already holds.
+
+    The floats are the ones a scalar reading of the rules gives, bit
+    for bit, because every sum runs in the same order:
+
+    - a class's owned mass ``total`` sums its intervals' widths one
+      after another in (observer position, rule order);
+    - its ``covered`` fraction sweeps its intervals in ``(start,
+      end)`` order, closing a run of overlapping intervals where one
+      starts beyond the furthest end so far, and sums the runs'
+      lengths one after another, capped at 1; ``duplicated`` is
+      ``max(0, total - covered)``;
+    - the aggregate sums ``weight * covered`` (and ``weight *
+      duplicated``) one class after another in class order.
+
+    Each is a ``cumsum``: the per-class sums along the rows of a
+    zero-padded grid (one row per stale class, a padding zero adds
+    nothing), the aggregate over the class vector. ``cumsum`` adds in
+    sequence; ``np.add.reduce`` and ``reduceat`` sum pairwise, so they
+    would not give the same floats.
 
     Args:
         classes: current traffic classes (weights = session counts).
@@ -551,39 +557,107 @@ class CoverageTracker:
 
     def __init__(self, classes: Sequence[TrafficClass]) -> None:
         self._names = [cls.name for cls in classes]
-        self._weights = [cls.num_sessions for cls in classes]
+        self._class_index = {name: index
+                             for index, name in enumerate(self._names)}
+        if len(self._class_index) != len(self._names):
+            raise ValueError("tracked class names must be unique")
+        self._weights = np.array([cls.num_sessions for cls in classes],
+                                 dtype=np.float64)
+        self._total_weight = float(np.cumsum(self._weights)[-1]) \
+            if len(classes) else 0.0
         # Only nodes that actually see the class's packets count
-        # (forward or reverse path); a mirror's PROCESS rule over a
-        # replicated range is backed by the on-path REPLICATE rule
-        # that feeds it. Path order, not set order: the duplication
-        # sum below is a float sum over these nodes' rules.
-        self._observers = [
-            tuple(dict.fromkeys((*cls.path, *cls.rev_nodes)))
-            for cls in classes]
-        self._observed_by: Dict[str, List[int]] = {}
-        for index, observers in enumerate(self._observers):
-            for node in observers:
-                self._observed_by.setdefault(node, []).append(index)
+        # (forward or reverse path), in path order: the owned-mass sum
+        # runs over these nodes' rules in this order. Per node, each
+        # class's observer position, -1 where it does not observe it
+        # (the extra last slot: a class the tracker does not know).
+        observers = [dict.fromkeys((*cls.path, *cls.rev_nodes))
+                     for cls in classes]
+        counts = [len(nodes) for nodes in observers]
+        self._max_observers = max(counts, default=1)
+        flat = [node for nodes in observers for node in nodes]
+        rows = {node: row for row, node in enumerate(dict.fromkeys(flat))}
+        positions = np.full((len(rows), len(classes) + 1), -1,
+                            dtype=np.int64)
+        positions[[rows[node] for node in flat],
+                  np.repeat(np.arange(len(classes)), counts)] = \
+            np.arange(len(flat)) - np.repeat(
+                np.cumsum(counts) - counts, counts)
+        self._positions = {node: positions[row]
+                           for node, row in rows.items()}
+        self._observed_by = {node: np.flatnonzero(positions[row] >= 0)
+                             for node, row in rows.items()}
+        #: config class vocabulary -> tracker class (or the last slot);
+        #: the configs of one compile share their vocabulary
+        self._remaps: Dict[Tuple[str, ...], np.ndarray] = {}
         # No config anywhere: nothing covered, nothing duplicated.
         self._running: Dict[str, Optional[ShimConfig]] = {}
-        self._covered = [0.0] * len(self._names)
-        self._duplicated = [0.0] * len(self._names)
+        self._rows: Dict[str, np.ndarray] = {}
+        self._covered = np.zeros(len(classes))
+        self._duplicated = np.zeros(len(classes))
         self._report: Optional[CoverageReport] = None
 
-    def _measure(self, index: int,
-                 node_configs: Dict[str, Optional[ShimConfig]]) -> None:
-        """Re-derive one class from its observers' installed rules."""
-        name = self._names[index]
-        intervals: List[Tuple[float, float]] = []
-        for node in self._observers[index]:
-            config = node_configs.get(node)
-            if config is None:
-                continue
-            intervals.extend(config.intervals(name))
-        union = _union_length(intervals)
-        total = sum(end - start for start, end in intervals)
-        self._covered[index] = union
-        self._duplicated[index] = max(0.0, total - union)
+    def _node_rows(self, node: str, config: ShimConfig) -> np.ndarray:
+        """The rows of ``config`` that count for coverage at ``node``,
+        in rule order, as columns of ``[key, start, end]`` — ``key``
+        is ``class * max observers + observer position``, exact as a
+        float."""
+        table = config.table()
+        remap = self._remaps.get(table.class_names)
+        if remap is None:
+            unknown = len(self._names)
+            remap = self._remaps[table.class_names] = np.array(
+                [self._class_index.get(name, unknown)
+                 for name in table.class_names], dtype=np.int64)
+        cls = remap[table.cls]
+        position = self._positions[node][cls]
+        keep = np.flatnonzero((position >= 0) & (table.end > table.start))
+        return np.stack((cls[keep] * self._max_observers + position[keep],
+                         table.start[keep], table.end[keep]))
+
+    def _measure(self, stale: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(classes, covered, duplicated)`` of the stale classes,
+        re-derived from their observers' rows."""
+        rows = np.concatenate([np.zeros((3, 0)), *self._rows.values()],
+                              axis=1)
+        keys = rows[0].astype(np.int64)
+        cls = keys // self._max_observers
+        keep = np.flatnonzero(stale[cls])
+        keys, cls, start, end = (keys[keep], cls[keep], rows[1, keep],
+                                 rows[2, keep])
+        # One grid row per stale class, its intervals along it in one
+        # of two orders; both are class-major, so the k-th interval of
+        # either lands in the same cell.
+        classes = np.flatnonzero(stale)
+        counts = np.bincount(cls, minlength=len(stale))[classes]
+        width = max(int(counts.max(initial=0)), 1)
+        cell = (np.repeat(np.arange(len(classes)), counts),
+                np.arange(len(keys)) - np.repeat(np.cumsum(counts)
+                                                 - counts, counts))
+
+        def grid(values: np.ndarray) -> np.ndarray:
+            laid = np.zeros((len(classes), width))
+            laid[cell] = values
+            return laid
+
+        by_observer = np.argsort(keys, kind="stable")
+        total = np.cumsum(grid((end - start)[by_observer]),
+                          axis=1)[:, -1]
+        by_start = np.lexsort((end, start, cls))
+        starts, ends = grid(start[by_start]), grid(end[by_start])
+        present = np.arange(width) < counts[:, None]
+        reach = np.maximum.accumulate(ends, axis=1)
+        opens = present.copy()
+        opens[:, 1:] &= starts[:, 1:] > reach[:, :-1]
+        closes = present.copy()
+        closes[:, :-1] &= opens[:, 1:] | ~present[:, 1:]
+        # Runs open and close in turn along a row: the n-th open and
+        # the n-th close in row-major order bound the same run.
+        runs = np.zeros_like(reach)
+        runs[closes] = reach[closes] - starts[opens]
+        covered = np.minimum(np.cumsum(runs, axis=1)[:, -1], 1.0)
+        excess = total - covered
+        return classes, covered, np.where(excess > 0.0, excess, 0.0)
 
     def update(self, node_configs: Dict[str, Optional[ShimConfig]]
                ) -> CoverageReport:
@@ -593,36 +667,48 @@ class CoverageTracker:
             node_configs: ``NodeAgent.effective_config()`` per node;
                 ``None`` or absent = the node enforces nothing.
         """
-        stale: Set[int] = set()
+        stale = np.zeros(len(self._names), dtype=bool)
         for node, observed in self._observed_by.items():
             config = node_configs.get(node)
             if config is not self._running.get(node):
                 self._running[node] = config
-                stale.update(observed)
-        for index in stale:
-            self._measure(index, node_configs)
+                if config is None:
+                    del self._rows[node]
+                else:
+                    self._rows[node] = self._node_rows(node, config)
+                stale[observed] = True
+        recomputed = int(np.count_nonzero(stale))
         metrics = get_registry()
         metrics.inc("runtime.coverage.checks")
-        metrics.inc("runtime.coverage.classes_recomputed", len(stale))
-        if self._report is not None and not stale:
-            return self._report
+        metrics.inc("runtime.coverage.classes_recomputed", recomputed)
+        report = self._report
+        if report is not None and not recomputed:
+            return report
+        if report is None:
+            class_coverage = dict.fromkeys(self._names, 0.0)
+            class_duplication = dict(class_coverage)
+        else:
+            # Reports already handed out keep their own dicts.
+            class_coverage = dict(report.class_coverage)
+            class_duplication = dict(report.class_duplication)
+        if recomputed:
+            classes, covered, duplicated = self._measure(stale)
+            self._covered[classes] = covered
+            self._duplicated[classes] = duplicated
+            names = [self._names[index] for index in classes.tolist()]
+            class_coverage.update(zip(names, covered.tolist()))
+            class_duplication.update(zip(names, duplicated.tolist()))
 
-        weighted_cov = 0.0
-        weighted_dup = 0.0
-        total_weight = 0.0
-        for weight, union, duplication in zip(
-                self._weights, self._covered, self._duplicated):
-            weighted_cov += weight * union
-            weighted_dup += weight * duplication
-            total_weight += weight
-        if total_weight > 0:
-            coverage = weighted_cov / total_weight
-            duplication = weighted_dup / total_weight
+        if self._total_weight > 0:
+            coverage = float(np.cumsum(
+                self._weights * self._covered)[-1]) / self._total_weight
+            duplication = float(np.cumsum(
+                self._weights * self._duplicated)[-1]) / self._total_weight
         else:
             coverage, duplication = 1.0, 0.0
         self._report = CoverageReport(
-            class_coverage=dict(zip(self._names, self._covered)),
-            class_duplication=dict(zip(self._names, self._duplicated)),
+            class_coverage=class_coverage,
+            class_duplication=class_duplication,
             coverage=coverage,
             duplication=duplication)
         return self._report

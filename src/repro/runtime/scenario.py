@@ -401,9 +401,9 @@ class ScenarioRun:
         scenario = self.scenario
         classes = list(self.baseline.classes)
         if self.drift_model is not None:
-            classes = [cls.scaled(
-                self.drift_model.sample_factor(self.drift_rng))
-                for cls in classes]
+            factors = self.drift_model.draw(self.drift_rng, len(classes))
+            classes = [cls.scaled(factor) for cls, factor in
+                       zip(classes, factors.tolist())]
         state, _impacts = self.fault_state.materialize(
             self.baseline.with_traffic(
                 self.fault_state.scale_classes(classes)))

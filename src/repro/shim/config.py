@@ -20,8 +20,7 @@ concern it. Three builders cover the three formulations:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Any, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -70,7 +69,6 @@ class ShimConfig:
         table = self.__dict__.get("_table")
         if table is None or name != "rules":
             raise AttributeError(name)
-        self.__dict__.pop("_intervals", None)
         del self.__dict__["_table"]
         self.rules = table.rules()
         return self.rules
@@ -84,28 +82,6 @@ class ShimConfig:
 
     def rules_for(self, class_name: str) -> List[ShimRule]:
         return self.rules.get(class_name, [])
-
-    def intervals(self, class_name: str
-                  ) -> Sequence[Tuple[float, float]]:
-        """``(start, end)`` of the class's positive-width rules, in
-        rule order — what coverage accounting needs, without making
-        rule objects of a table-backed config."""
-        index = self.__dict__.get("_intervals")
-        if index is not None:
-            return index.get(class_name, ())
-        table = self.__dict__.get("_table")
-        if table is None:
-            return [(rule.hash_range.start, rule.hash_range.end)
-                    for rule in self.rules.get(class_name, ())
-                    if rule.hash_range.end > rule.hash_range.start]
-        index = self.__dict__["_intervals"] = {}
-        names = table.class_names
-        for cls, start, end in zip(table.cls.tolist(),
-                                   table.start.tolist(),
-                                   table.end.tolist()):
-            if end > start:
-                index.setdefault(names[cls], []).append((start, end))
-        return index.get(class_name, ())
 
     def decide(self, class_name: str, hash_value: float,
                direction: str = "fwd") -> Optional[ShimRule]:

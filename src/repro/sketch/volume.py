@@ -26,7 +26,6 @@ Section 7.2.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -199,8 +198,7 @@ class ClassVolumeSketch:
                 raise ValueError(
                     f"template class {cls.name!r} is not in the "
                     f"registered universe")
-            out.append(replace(
-                cls, num_sessions=float(volumes[index]) * scale))
+            out.append(cls.with_sessions(float(volumes[index]) * scale))
         return out
 
     def estimated_matrix(self, template: Sequence[TrafficClass],

@@ -118,7 +118,7 @@ class TrafficClass:
         """Copy with the session count multiplied by ``factor``."""
         if factor < 0:
             raise ValueError("scale factor must be non-negative")
-        return replace(self, num_sessions=self.num_sessions * factor)
+        return self.with_sessions(self.num_sessions * factor)
 
     def with_paths(self, fwd_path: Tuple[str, ...],
                    rev_path: Optional[Tuple[str, ...]]) -> "TrafficClass":

@@ -48,6 +48,8 @@ class TrafficVariabilityModel:
             raise ValueError("factors cannot be negative")
         self.bucket_edges = edges
         self.bucket_probs = probs / probs.sum()
+        self._cdf = self.bucket_probs.cumsum()
+        self._cdf /= self._cdf[-1]
 
     @classmethod
     def default(cls, sigma: float = 0.45,
@@ -94,17 +96,29 @@ class TrafficVariabilityModel:
             raise ValueError("no samples fell inside the bucket range")
         return cls(edges, counts / counts.sum())
 
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` independent multiplicative variation factors.
+
+        One ``rng.random(2 * size)`` call: each even entry picks a
+        bucket by mass (``searchsorted`` on the normalised CDF, as
+        ``rng.choice(p=...)`` does), the odd entry after it places the
+        factor uniformly within the bucket (``lo + (hi - lo) * u``, as
+        ``rng.uniform(lo, hi)`` does). So the result is, bit for bit,
+        ``size`` successive pick-then-place draws.
+        """
+        uniform = rng.random(2 * size)
+        bucket = self._cdf.searchsorted(uniform[0::2], side="right")
+        lo = self.bucket_edges[bucket]
+        return lo + (self.bucket_edges[bucket + 1] - lo) * uniform[1::2]
+
     def sample_factor(self, rng: np.random.Generator) -> float:
         """Draw one multiplicative variation factor."""
-        bucket = rng.choice(len(self.bucket_probs), p=self.bucket_probs)
-        lo = self.bucket_edges[bucket]
-        hi = self.bucket_edges[bucket + 1]
-        return float(rng.uniform(lo, hi))
+        return float(self.draw(rng, 1)[0])
 
     def sample_factors(self, pairs: Sequence[Pair],
                        rng: np.random.Generator) -> Dict[Pair, float]:
         """Independent factors for a set of matrix entries."""
-        return {pair: self.sample_factor(rng) for pair in pairs}
+        return dict(zip(pairs, self.draw(rng, len(pairs)).tolist()))
 
     def generate_matrices(self, mean_matrix: TrafficMatrix, count: int,
                           rng: np.random.Generator

@@ -3,8 +3,8 @@
 budgets.
 
 The array paths of the control plane (fraction table, row-wise range
-layout, rule table, vector validation) are each compared against the
-one-row / per-object code they replace; those comparisons draw their
+layout, rule table, vector validation, coverage accounting) are each
+compared against the one-row / per-object code they replace; those comparisons draw their
 instances here, so "small state" and "awkward fraction row" mean the
 same thing in every test file.
 """
@@ -139,3 +139,19 @@ def fraction_matrices(draw, full=True, max_rows=6, max_width=8):
                          min_size=1, max_size=max_rows))
     width = max(len(row) for row in rows)
     return rows, [row + [0.0] * (width - len(row)) for row in rows]
+
+
+#: one hash-range bound: a grid point — so drawn intervals touch,
+#: nest, repeat exactly, or have zero width; the non-dyadic ones make
+#: two touching widths round differently from their sum — or anything
+#: in [0, 1]
+bounds = st.one_of(st.sampled_from([0.0, 0.1, 0.25, 1 / 3, 0.5, 0.7,
+                                    0.75, 1.0]),
+                   st.floats(min_value=0.0, max_value=1.0))
+
+
+@st.composite
+def interval_lists(draw, max_size=3):
+    """``(start, end)`` pairs with ``start <= end``, in drawn order."""
+    pairs = draw(st.lists(st.tuples(bounds, bounds), max_size=max_size))
+    return [(min(low, high), max(low, high)) for low, high in pairs]

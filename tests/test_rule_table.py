@@ -297,7 +297,7 @@ class TestTableBackedConfigs:
                               rules[0].action, target=rules[0].target))
         assert config.num_rules == before + 1
         assert len(config.table()) == before + 1
-        assert len(config.intervals(name)) == len(rules)
+        assert config.table().rules()[name] == rules
 
     def test_tables_of_different_vocabularies_concatenate(self):
         from repro.shim.ranges import HashRange

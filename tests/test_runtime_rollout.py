@@ -17,6 +17,7 @@ from repro.runtime.events import EventLoop
 from repro.runtime.rollout import (
     ChannelSpec,
     ConfigChannel,
+    CoverageReport,
     CoverageTracker,
     RolloutDriver,
     RolloutOutcome,
@@ -26,7 +27,9 @@ from repro.shim import build_replication_configs
 from repro.shim.config import ShimAction, ShimConfig, ShimRule
 from repro.shim.diff import ConfigDelta, diff_config
 from repro.shim.ranges import HashRange
+from repro.shim.table import RuleTable
 from repro.traffic.classes import TrafficClass
+from tests.strategies import interval_lists, small_states
 
 
 @pytest.fixture
@@ -468,3 +471,135 @@ class TestCoverageTracker:
         agent.deliver(ConfigMessage(
             MessageKind.OVERLAP_INSTALL, 2, "B", old["B"]), now=1.0)
         assert agent.effective_config() is not union
+
+
+# -- the array tracker against a scalar reading of the rules ----------------
+
+
+def _union_length(intervals):
+    """Length of a union of intervals: a sweep in ``(start, end)``
+    order, capped at 1 (the test oracle)."""
+    if not intervals:
+        return 0.0
+    ordered = sorted(intervals)
+    total = 0.0
+    cur_start, cur_end = ordered[0]
+    for start, end in ordered[1:]:
+        if start > cur_end:
+            total += cur_end - cur_start
+            cur_start, cur_end = start, end
+        else:
+            cur_end = max(cur_end, end)
+    total += cur_end - cur_start
+    return min(total, 1.0)
+
+
+def _scalar_report(classes, node_configs):
+    """Coverage one class and one rule at a time: each class's
+    positive-width intervals at its observers (path order, then rule
+    order), summed one after another."""
+    covered, duplicated = [], []
+    for cls in classes:
+        intervals = []
+        for node in dict.fromkeys((*cls.path, *cls.rev_nodes)):
+            config = node_configs.get(node)
+            if config is None:
+                continue
+            rules = (config.table().rules() if "_table" in vars(config)
+                     else config.rules)
+            intervals.extend(
+                (rule.hash_range.start, rule.hash_range.end)
+                for rule in rules.get(cls.name, ())
+                if rule.hash_range.end > rule.hash_range.start)
+        union = _union_length(intervals)
+        covered.append(union)
+        duplicated.append(max(0.0, sum(end - start
+                                       for start, end in intervals)
+                              - union))
+    weighted_cov = weighted_dup = total_weight = 0.0
+    for cls, union, duplication in zip(classes, covered, duplicated):
+        weighted_cov += cls.num_sessions * union
+        weighted_dup += cls.num_sessions * duplication
+        total_weight += cls.num_sessions
+    names = [cls.name for cls in classes]
+    return CoverageReport(
+        dict(zip(names, covered)), dict(zip(names, duplicated)),
+        weighted_cov / total_weight if total_weight > 0 else 1.0,
+        weighted_dup / total_weight if total_weight > 0 else 0.0)
+
+
+def _bits(report):
+    return ({name: value.hex()
+             for name, value in report.class_coverage.items()},
+            {name: value.hex()
+             for name, value in report.class_duplication.items()},
+            report.coverage.hex(), report.duplication.hex())
+
+
+@st.composite
+def _coverage_runs(draw):
+    """A small state and a sequence of per-node config maps: drawn
+    intervals for its classes and for a class it does not carry, at
+    its nodes, its datacenter (a mirror's PROCESS copies, at a node on
+    no class's path) and a node it does not have; configs built from
+    rule objects, from one node's table, or sliced from one table
+    shared by every node of the step (a compile); nodes that keep
+    their object, run nothing, or drop out of the map."""
+    state = draw(small_states())
+    names = [cls.name for cls in state.classes] + ["ghost->class"]
+    nodes = list(state.topology.nodes) + ["ghost-node"]
+    running, steps = {}, []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        drawn = {}
+        for node in nodes:
+            choice = draw(st.sampled_from(
+                ("keep", "new", "new", "none", "drop")))
+            if choice == "new":
+                drawn[node] = {
+                    name: [ShimRule(name, HashRange((choice, node),
+                                                    start, end),
+                                    draw(st.sampled_from(list(
+                                        ShimAction))), target=node)
+                           for start, end in draw(interval_lists())]
+                    for name in draw(st.lists(st.sampled_from(names),
+                                              unique=True))}
+            elif choice == "none":
+                running[node] = None
+            elif choice == "drop":
+                running.pop(node, None)
+        form = draw(st.sampled_from(("rules", "tables", "compiled")))
+        if form == "rules":
+            running.update({node: ShimConfig(node=node, rules=rules)
+                            for node, rules in drawn.items()})
+        else:
+            tables = [RuleTable.from_rules(node, rules)
+                      for node, rules in drawn.items()]
+            if form == "compiled" and tables:
+                whole, first = RuleTable.concat(tables), 0
+                for index, table in enumerate(tables):
+                    tables[index] = whole.take(
+                        slice(first, first + len(table)))
+                    first += len(table)
+            running.update({node: ShimConfig.from_table(node, table)
+                            for node, table in zip(drawn, tables)})
+        steps.append(dict(running))
+    return state.classes, steps
+
+
+class TestCoverageTrackerAgainstScalar:
+    @settings(max_examples=200, deadline=None)
+    @given(run=_coverage_runs())
+    def test_every_update_is_the_scalar_report_bit_for_bit(self, run):
+        classes, steps = run
+        tracker = CoverageTracker(classes)
+        for node_configs in steps:
+            expected = _scalar_report(classes, node_configs)
+            report = tracker.update(node_configs)
+            assert report == expected
+            assert _bits(report) == _bits(expected)
+            assert _bits(coverage_report(classes, node_configs)) == \
+                _bits(expected)
+
+    def test_class_names_must_be_unique(self):
+        with pytest.raises(ValueError):
+            CoverageTracker([TRACKED_CLASSES[0], TRACKED_CLASSES[0]])

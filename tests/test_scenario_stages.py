@@ -15,6 +15,7 @@ from repro.core.controller import GlobalPlanner
 from repro.lpsolve.errors import LPError
 from repro.obs import MetricsRegistry, use_registry
 from repro.runtime import ChannelSpec, CoverageTracker, Scenario
+from repro.runtime import agents as runtime_agents
 from repro.runtime.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.runtime.scenario import (
     ScenarioRun,
@@ -22,6 +23,7 @@ from repro.runtime.scenario import (
     run_scenario,
     sketch_estimator_scenario,
 )
+from repro.shim.table import RuleTable
 
 #: lossless and fast: every rollout completes well inside its epoch,
 #: so nothing but the stage under test can change an agent's config
@@ -145,3 +147,32 @@ def test_estimator_disk_holds_one_epoch(estimator_scenario, tmp_path):
     whole = run_scenario(estimator_scenario, workdir=tmp_path / "again")
     assert whole.fingerprint() == stepped.fingerprint()
     assert list((tmp_path / "again").iterdir()) == []
+
+
+def test_settle_makes_no_rule_objects(estimator_scenario, tmp_path,
+                                      monkeypatch):
+    """Overlap transients, coverage tracking and the agents read the
+    compiled tables as columns: draining an epoch's events never turns
+    a table into rule objects."""
+    calls = {"rules": 0, "unions": 0}
+    rules, union_config = RuleTable.rules, runtime_agents.union_config
+
+    def counted_rules(table):
+        calls["rules"] += 1
+        return rules(table)
+
+    def counted_union(old, new):
+        calls["unions"] += 1
+        return union_config(old, new)
+
+    run = ScenarioRun(estimator_scenario, tmp_path)
+    for epoch in range(estimator_scenario.epochs):
+        feed = run.feed(epoch, run.inject_faults(epoch))
+        decision = run.decide(feed)
+        with monkeypatch.context() as patch:
+            patch.setattr(RuleTable, "rules", counted_rules)
+            patch.setattr(runtime_agents, "union_config", counted_union)
+            settled = run.settle(feed)
+        run.observe(feed, decision, settled)
+    assert calls["unions"] > 0  # an overlap transient was tracked
+    assert calls["rules"] == 0

@@ -1,5 +1,7 @@
 """Unit tests for traffic classes, matrices, and the gravity model."""
 
+import dataclasses
+
 import pytest
 
 from repro.topology import builtin_topology, shortest_path_routing
@@ -56,6 +58,20 @@ class TestTrafficClass:
         assert cls.scaled(2.5).num_sessions == 25.0
         with pytest.raises(ValueError):
             cls.scaled(-1.0)
+
+    def test_scaled_is_the_validated_copy(self):
+        """The cheap copy equals the dataclass copy it replaces and
+        shares every other field with the original."""
+        cls = TrafficClass("x", "A", "D", ("A", "B", "D"), 7,
+                           session_bytes=300.0, footprints={"cpu": 2.0},
+                           rev_path=("D", "C", "A"))
+        scaled = cls.scaled(0.3)
+        assert scaled == dataclasses.replace(cls, num_sessions=7 * 0.3)
+        assert scaled.footprints is cls.footprints
+        assert scaled.rev_path is cls.rev_path
+        assert cls.scaled(0.0).num_sessions == 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scaled.num_sessions = 1.0
 
     def test_with_paths(self):
         cls = TrafficClass("x", "A", "D", ("A", "B", "D"), 10.0)

@@ -12,7 +12,9 @@ from repro.core import (
     TwoPhaseCommit,
     union_config,
 )
-from repro.shim import Shim, build_replication_configs
+from repro.shim import Shim, ShimConfig, build_replication_configs
+from repro.shim.batch import BatchShimKernel
+from repro.shim.diff import apply_delta, canonical_config, diff_configs
 
 
 @pytest.fixture
@@ -27,6 +29,16 @@ def two_configs(line_state_dc):
             build_replication_configs(line_state_dc, new))
 
 
+def _merged(old, new):
+    """The union as rule objects: per class, ``old``'s rules then
+    ``new``'s, classes in first-seen order (the test oracle)."""
+    rules = {}
+    for config in (old, new):
+        for name, bucket in config.table().rules().items():
+            rules.setdefault(name, []).extend(bucket)
+    return ShimConfig(node=old.node, rules=rules)
+
+
 class TestUnionConfig:
     def test_preserves_both_rule_sets(self, two_configs):
         old, new = two_configs
@@ -38,6 +50,37 @@ class TestUnionConfig:
         old, new = two_configs
         with pytest.raises(ValueError):
             union_config(old["A"], new["B"])
+
+    def test_table_backed_union_is_the_rule_merge(self, two_configs,
+                                                  line_state_dc):
+        """Two compiled configs give a compiled union: no rule objects
+        are made, yet it is the dict merge — old's rules then new's,
+        class by class — to every consumer."""
+        old, new = two_configs
+        unions = {node: union_config(old[node], new[node])
+                  for node in old}
+        merged = {node: _merged(old[node], new[node]) for node in old}
+        for node, union in unions.items():
+            assert "_table" in vars(old[node])
+            assert "_table" in vars(new[node])
+            assert "_table" in vars(union)
+            assert union.num_rules == merged[node].num_rules
+        assert not any(delta.installs or delta.retires for delta in
+                       diff_configs(unions, merged).values())
+        for node, delta in diff_configs(old, unions).items():
+            assert apply_delta(old[node], delta) == \
+                canonical_config(merged[node])
+        kernels = [BatchShimKernel(
+            configs, [cls.name for cls in line_state_dc.classes],
+            line_state_dc.topology.nodes) for configs in (unions, merged)]
+        for column in ("_first", "_table_of", "_starts", "_ends",
+                       "_actions", "_targets", "_mode_of"):
+            assert (getattr(kernels[0], column) ==
+                    getattr(kernels[1], column)).all(), column
+        for node, union in unions.items():
+            # Read last: reading ``rules`` turns the union into them.
+            assert list(union.rules) == list(merged[node].rules)
+            assert union.rules == merged[node].rules
 
 
 class TestOverlapTransition:

@@ -76,6 +76,50 @@ class TestFromSamples:
         assert model.sample_factor(rng) == pytest.approx(1.0, abs=0.02)
 
 
+def _scalar_factor(model, rng):
+    """The pick-then-place draw ``draw`` replaces: one bucket by mass,
+    then a uniform factor within it (the test oracle)."""
+    bucket = rng.choice(len(model.bucket_probs), p=model.bucket_probs)
+    return float(rng.uniform(model.bucket_edges[bucket],
+                             model.bucket_edges[bucket + 1]))
+
+
+class TestDraw:
+    MODELS = {
+        "default": TrafficVariabilityModel.default(),
+        "narrow": TrafficVariabilityModel.default(sigma=0.1,
+                                                  num_buckets=4),
+        "from_samples": TrafficVariabilityModel.from_samples(
+            np.random.default_rng(9).lognormal(0.0, 0.5, 300)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("size", [0, 1, 1000])
+    @pytest.mark.parametrize("seed", [0, 7, 23, 104729])
+    def test_draw_is_the_scalar_loop_bit_for_bit(self, name, size,
+                                                 seed):
+        model = self.MODELS[name]
+        scalar_rng = np.random.default_rng(seed)
+        expected = [_scalar_factor(model, scalar_rng)
+                    for _ in range(size)]
+        rng = np.random.default_rng(seed)
+        drawn = model.draw(rng, size)
+        assert drawn.shape == (size,)
+        assert [value.hex() for value in drawn.tolist()] == \
+            [value.hex() for value in expected]
+        # Both consumed the same stream: the next draw agrees too.
+        assert rng.random() == scalar_rng.random()
+
+    def test_scalar_and_keyed_forms_are_draw(self):
+        model = self.MODELS["default"]
+        pairs = [("A", "B"), ("B", "C"), ("C", "A")]
+        expected = model.draw(np.random.default_rng(3), 4).tolist()
+        rng = np.random.default_rng(3)
+        assert model.sample_factor(rng) == expected[0]
+        assert model.sample_factors(pairs, rng) == dict(
+            zip(pairs, expected[1:]))
+
+
 class TestMatrixGeneration:
     def test_generate_count(self):
         model = TrafficVariabilityModel.default()
