@@ -9,25 +9,48 @@ discusses in Section 9:
 2. fail the most loaded interior PoP — classes through it reroute,
    classes terminating at it are lost;
 3. re-solve on the surviving network;
-4. roll the new configuration out with the paper's overlap transition
-   (old + new rules honored during the transient, so coverage never
-   drops), and contrast with two-phase commit when a node is down.
+4. roll the new configuration out over a delayed, lossy channel with
+   the paper's overlap transition (old + new rules honored until every
+   node acknowledged, so coverage never drops), and contrast with
+   two-phase commit, which one node short of rule memory aborts.
 
 Run:  python examples/failure_recovery.py
 """
 
 from repro import builtin_topology, gravity_traffic, NetworkState
 from repro.core import (
-    CommitOutcome,
     MirrorPolicy,
-    OverlapTransition,
-    Participant,
     ReplicationProblem,
-    TwoPhaseCommit,
     cascade_risk,
     fail_node,
 )
+from repro.runtime.agents import build_agents
+from repro.runtime.events import EventLoop
+from repro.runtime.rollout import (
+    ChannelSpec,
+    ConfigChannel,
+    CoverageTracker,
+    RolloutDriver,
+)
 from repro.shim import build_replication_configs
+
+
+def rollout(strategy, state, old_configs, new_configs, agents):
+    """Push ``new_configs`` with ``strategy`` until the channel is
+    quiet; returns the session and the lowest coverage seen."""
+    loop = EventLoop()
+    channel = ConfigChannel(ChannelSpec(base_delay=1.0, jitter=2.0,
+                                        loss=0.1), seed=1)
+    session = RolloutDriver(channel, strategy).start(
+        loop, agents, new_configs, previous=old_configs)
+    tracker = CoverageTracker(state.classes)
+    lowest = 1.0
+    while loop.queue.peek_time() is not None:
+        loop.run_until(loop.queue.peek_time())
+        report = tracker.update({node: agent.effective_config()
+                                 for node, agent in agents.items()})
+        lowest = min(lowest, report.coverage)
+    return session, lowest
 
 
 def main() -> None:
@@ -70,25 +93,25 @@ def main() -> None:
                    build_replication_configs(state, before).items()
                    if n in new_state.nids_nodes}
     new_configs = build_replication_configs(new_state, after)
-    transition = OverlapTransition(old_configs, new_configs)
-    transition.begin()
-    nodes = sorted(new_configs)
-    for i, node in enumerate(nodes):
-        transition.acknowledge(node)
-        if i in (0, len(nodes) // 2, len(nodes) - 1):
-            active = transition.active_configs()
-            rules = sum(c.num_rules for c in active.values())
-            print(f"  after {i + 1:>2d}/{len(nodes)} acks: "
-                  f"phase={transition.phase.value:<12s} "
-                  f"total installed rules={rules}")
+    agents = build_agents(new_state.node_capacity, old_configs)
+    session, lowest = rollout("overlap", new_state, old_configs,
+                              new_configs, agents)
+    print(f"  {session.outcome.value} after {session.latency:.1f}s "
+          f"simulated; old rules retired at "
+          f"t={session.retired_at:.1f}s")
+    print(f"  lowest coverage after any event: {lowest:.1%}; "
+          f"{session.rules_shipped} rules shipped")
 
     # --- why not two-phase commit? ---------------------------------------
-    print("\ntwo-phase commit with one unreachable shim:")
-    participants = [Participant(n, fails_prepare=(n == nodes[0]))
-                    for n in nodes]
-    outcome = TwoPhaseCommit(participants).execute(new_configs)
-    print(f"  outcome: {outcome.value} — a single laggard blocks the "
-          "whole rollout,")
+    print("\ntwo-phase commit with one shim short of rule memory:")
+    agents = build_agents(new_state.node_capacity, old_configs)
+    short = max(new_configs, key=lambda n: new_configs[n].num_rules)
+    agents[short].rule_capacity = new_configs[short].num_rules - 1
+    session, _ = rollout("two-phase", new_state, old_configs,
+                         new_configs, agents)
+    print(f"  outcome: {session.outcome.value} (refused by "
+          f"{', '.join(sorted(session.refused_nodes))}) — a single "
+          "laggard blocks the whole rollout,")
     print("  which is why the paper prefers the domain-specific "
           "overlap transition.")
 

@@ -55,14 +55,6 @@ from repro.core.extensions import (
     weighted_load_objective,
     weighted_miss_objective,
 )
-from repro.core.transitions import (
-    CommitOutcome,
-    OverlapTransition,
-    Participant,
-    TransitionPhase,
-    TwoPhaseCommit,
-    union_config,
-)
 from repro.core.nips import NIPSProblem, NIPSResult
 from repro.core.robustness import (
     provisioning_shortfall,
@@ -87,22 +79,16 @@ __all__ = [
     "AggregationProblem",
     "AggregationResult",
     "CombinedProblem",
-    "CommitOutcome",
     "FailureImpact",
     "NIDSController",
     "NIPSProblem",
     "NIPSResult",
-    "OverlapTransition",
-    "Participant",
-    "TransitionPhase",
-    "TwoPhaseCommit",
     "cascade_risk",
     "fail_link",
     "fail_node",
     "provisioning_shortfall",
     "slack_factor",
     "Rollout",
-    "union_config",
     "validate_aggregation",
     "validate_replication",
     "validate_split",

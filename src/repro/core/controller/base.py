@@ -9,9 +9,10 @@ every few minutes or on routing/traffic triggers, after which
 
 :class:`NIDSController` is that module. It owns the current
 configuration, re-optimizes on demand (:meth:`refresh`), compiles shim
-configs, validates them, and hands back an
-:class:`~repro.core.transitions.OverlapTransition` so the rollout is
-coverage-safe. Traffic triggers are supported via a configurable
+configs, validates them, and hands them back beside the configuration
+they replace, so the rollout
+(:class:`~repro.runtime.rollout.RolloutDriver`) can be coverage-safe.
+Traffic triggers are supported via a configurable
 drift threshold. The solve step itself is pluggable (see
 :mod:`repro.core.controller.planner`): the default
 :class:`~repro.core.controller.planner.GlobalPlanner` runs one
@@ -30,7 +31,6 @@ from repro.core.inputs import NetworkState
 from repro.obs import get_registry
 from repro.core.mirrors import MirrorPolicy
 from repro.core.results import ReplicationResult
-from repro.core.transitions import OverlapTransition
 from repro.core.validation import validate_replication
 from repro.shim.config import ShimConfig, build_replication_configs
 from repro.traffic.classes import TrafficClass
@@ -43,15 +43,16 @@ class Rollout:
     Attributes:
         result: the LP solution driving the new configuration.
         configs: compiled per-node shim configurations.
-        transition: coverage-safe old->new rollout coordinator
-            (``None`` for the very first configuration — there is
-            nothing to overlap with — and after a change of node
-            universe, where old and new configs are incomparable).
+        previous: the configurations ``configs`` replace, which an
+            overlap or delta rollout transitions from (``None`` for the
+            very first configuration — there is nothing to overlap
+            with — and after a change of node universe, where old and
+            new configs are incomparable).
     """
 
     result: ReplicationResult
     configs: Dict[str, ShimConfig]
-    transition: Optional[OverlapTransition]
+    previous: Optional[Dict[str, ShimConfig]]
 
 
 class NIDSController:
@@ -154,8 +155,8 @@ class NIDSController:
                 for the current traffic (e.g., after a policy change).
 
         Returns:
-            A :class:`Rollout`. The caller drives the transition
-            (``begin`` / ``acknowledge``) as shims confirm; the
+            A :class:`Rollout`, for the caller to push (e.g. with
+            :meth:`~repro.runtime.rollout.RolloutDriver.start`); the
             controller considers the new configs current immediately,
             matching the paper's automated operation.
 
@@ -184,13 +185,11 @@ class NIDSController:
                     + "; ".join(problems[:3]))
             configs = build_replication_configs(state, result)
 
-            transition = None
+            previous = None
             if self._current_configs is not None:
                 old_configs = self._current_configs
                 if set(old_configs) == set(configs):
-                    transition = OverlapTransition(old_configs,
-                                                   configs)
-                    transition.begin()
+                    previous = old_configs
                 # Overlap size: total rules honored during the
                 # transient (old and new unioned at every node).
                 # Nodes present on only one side — a shard adoption
@@ -218,4 +217,4 @@ class NIDSController:
             self.refresh_count += 1
         metrics.inc("controller.refreshes")
         return Rollout(result=result, configs=configs,
-                       transition=transition)
+                       previous=previous)

@@ -6,7 +6,7 @@ This module supplies the operational counterpart: when a node (or the
 datacenter) dies, rebuild the network state — reroute the classes that
 transited it, drop the classes it terminated, keep the surviving
 provisioning — so the controller can re-solve and push fresh configs
-(via :mod:`repro.core.transitions`).
+(via :class:`~repro.runtime.rollout.RolloutDriver`).
 """
 
 from __future__ import annotations

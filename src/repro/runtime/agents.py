@@ -9,7 +9,8 @@ each epoch against :meth:`NodeAgent.effective_config`, so the transient
 windows the paper worries about (Section 9, "Consistent
 configurations") are visible in measured coverage, not just asserted.
 
-Install semantics mirror :mod:`repro.core.transitions`:
+Each message kind is one step of a Section 9 protocol run by
+:class:`~repro.runtime.rollout.RolloutDriver`:
 
 - ``INSTALL`` — switch to the new config immediately (bootstrap and
   structural rollouts, where there is no old config worth honoring).
@@ -38,8 +39,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.transitions import union_config
-from repro.shim.config import ShimConfig
+from repro.shim.config import ShimConfig, union_config
 from repro.shim.diff import ConfigDelta, apply_delta
 
 

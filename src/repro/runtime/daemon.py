@@ -265,7 +265,7 @@ class ControllerDaemon:
             metrics.inc("runtime.estimator.drift_refreshes")
 
         session = self.driver.start(loop, agents, rollout.configs,
-                                    rollout.transition)
+                                    rollout.previous)
         self.last_refresh_time = loop.now
         self._bootstrapped = True
         self._structural_pending = False

@@ -4,12 +4,21 @@ Pushing a new assignment to every shim is not atomic (Section 9). This
 module models the push: a :class:`ConfigChannel` with per-message
 propagation delay, jitter-induced reordering, loss, and
 timeout-retransmission; and a :class:`RolloutDriver` that moves a
-controller refresh through one of three strategies:
+controller refresh through one of four strategies:
 
 - ``overlap`` — the paper's preferred transition: ship
   ``OVERLAP_INSTALL`` (node runs old+new union), and once every node
   acknowledged, ship ``RETIRE``. Coverage never drops; duplicated work
   during the transient is measured, not assumed.
+- ``delta`` — the same protocol on rule-level differences
+  (:mod:`repro.shim.diff`): each node receives only the rules its
+  table gains, installed first (the running table only grows, so
+  coverage never drops), and the rules it loses after every node
+  acknowledged. Nodes whose tables are already exact are skipped
+  outright; a node that cannot patch (e.g. rebooted clean) refuses
+  and takes the ``overlap`` path instead. Strictly fewer rules cross
+  the channel on steady drift, shrinking both rollout traffic and the
+  vulnerable transient window.
 - ``two-phase`` — classic 2PC (``PREPARE``/``COMMIT``): no duplicated
   work, but per-node commit instants differ, so hash ranges that moved
   between nodes are transiently unowned — the coverage gap the paper
@@ -17,15 +26,6 @@ controller refresh through one of three strategies:
 - ``direct`` — fire-and-forget ``INSTALL``, used for bootstrap and
   structural (node-set-changing) rollouts where there is no old
   configuration worth honoring.
-- ``delta`` — the incremental variant of ``overlap``: instead of
-  full tables, each node receives only the rule-level difference
-  from its previous config (:mod:`repro.shim.diff`) — installs
-  first (the running table only grows, so coverage never drops),
-  retires after every node acknowledged. Nodes whose tables are
-  already exact are skipped outright; a node that cannot patch
-  (e.g. rebooted clean) refuses and gets a full install instead.
-  Strictly fewer rules cross the channel on steady drift, shrinking
-  both rollout traffic and the vulnerable transient window.
 
 :class:`CoverageTracker` is the accounting half: given the *actually
 installed* per-node configs at any instant, it computes each class's
@@ -45,7 +45,6 @@ from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.transitions import OverlapTransition, TransitionPhase
 from repro.obs import get_registry
 from repro.runtime.agents import (
     Ack,
@@ -89,6 +88,8 @@ class ChannelSpec:
             raise ValueError("loss must be in [0, 1)")
         if self.retransmit_timeout <= 0:
             raise ValueError("retransmit_timeout must be positive")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be non-negative")
 
 
 #: stable per-kind indices for the keyed message RNG (enum definition
@@ -235,27 +236,41 @@ class RolloutDriver:
 
     def start(self, loop: EventLoop, agents: Dict[str, NodeAgent],
               configs: Dict[str, ShimConfig],
-              transition: Optional[OverlapTransition] = None,
+              previous: Optional[Dict[str, ShimConfig]] = None,
               on_complete: Optional[Callable[[RolloutSession],
                                              None]] = None
               ) -> RolloutSession:
         """Begin distributing ``configs`` to ``agents``.
 
-        ``transition`` (from :meth:`NIDSController.refresh`) selects
-        the overlap protocol when the driver's strategy is ``overlap``
-        and there is an old configuration; bootstrap/structural pushes
-        (``transition is None``) always go direct.
+        ``previous`` (``Rollout.previous``, from
+        :meth:`NIDSController.refresh`) is the configuration the
+        ``overlap`` and ``delta`` strategies transition from;
+        bootstrap/structural pushes (``previous is None``) always go
+        direct.
         """
         self._version += 1
         strategy = self.strategy
-        if transition is None and strategy in ("overlap", "delta"):
+        if previous is None and strategy in ("overlap", "delta"):
             strategy = "direct"
         session = RolloutSession(version=self._version,
                                  strategy=strategy,
                                  started_at=loop.now)
         targets = sorted(set(configs) & set(agents))
 
-        def _finish(outcome: RolloutOutcome) -> None:
+        def send(kind: MessageKind, node: str,
+                 on_ack: Callable[[Ack], None],
+                 config: Optional[ShimConfig] = None,
+                 delta: Optional[ConfigDelta] = None) -> None:
+            rules = (config.num_rules if config is not None
+                     else delta.num_rules if delta is not None else 0)
+            session.rules_shipped += rules
+            # retired rules cross the channel but fill no table
+            if kind is not MessageKind.DELTA_RETIRE:
+                session.rules_installed += rules
+            self.channel.send(loop, agents[node], ConfigMessage(
+                kind, session.version, node, config, delta), on_ack)
+
+        def finish(outcome: RolloutOutcome) -> None:
             session.outcome = outcome
             session.completed_at = loop.now
             metrics = get_registry()
@@ -266,229 +281,158 @@ class RolloutDriver:
                 on_complete(session)
 
         if strategy == "direct":
-            self._run_direct(loop, agents, configs, targets, session,
-                             _finish)
-        elif strategy == "overlap":
-            assert transition is not None
-            self._run_overlap(loop, agents, configs, targets, session,
-                              transition, _finish)
-        elif strategy == "delta":
-            assert transition is not None
-            self._run_delta(loop, agents, configs, targets, session,
-                            transition, _finish)
+            _run_direct(configs, targets, session, send, finish)
+        elif strategy == "two-phase":
+            _run_two_phase(configs, targets, session, send, finish)
         else:
-            self._run_two_phase(loop, agents, configs, targets,
-                                session, _finish)
+            assert previous is not None
+            _run_overlap(loop, configs, previous, targets, session, send,
+                         finish)
         return session
 
-    # -- strategies -------------------------------------------------------
 
-    def _run_direct(self, loop, agents, configs, targets, session,
-                    finish) -> None:
-        pending = set(targets)
+# -- strategies ------------------------------------------------------------
 
-        def on_ack(ack: Ack) -> None:
-            if not ack.ok:
-                session.refused_nodes.add(ack.node)
-            session.acked_nodes.add(ack.node)
-            pending.discard(ack.node)
-            if not pending and session.completed_at is None:
-                finish(RolloutOutcome.COMPLETED)
+#: ``send(kind, node, on_ack, config=None, delta=None)``: ship one
+#: message of the session and book the rules it carries
+_Send = Callable[..., None]
+_Finish = Callable[[RolloutOutcome], None]
 
-        for node in targets:
-            session.rules_shipped += configs[node].num_rules
-            session.rules_installed += configs[node].num_rules
-            self.channel.send(loop, agents[node], ConfigMessage(
-                MessageKind.INSTALL, session.version, node,
-                configs[node]), on_ack)
-        if not targets:
+
+def _run_direct(configs: Dict[str, ShimConfig], targets: Sequence[str],
+                session: RolloutSession, send: _Send,
+                finish: _Finish) -> None:
+    def on_ack(ack: Ack) -> None:
+        if not ack.ok:
+            session.refused_nodes.add(ack.node)
+        session.acked_nodes.add(ack.node)
+        if len(session.acked_nodes) == len(targets) and \
+                session.completed_at is None:
             finish(RolloutOutcome.COMPLETED)
 
-    def _run_overlap(self, loop, agents, configs, targets, session,
-                     transition, finish) -> None:
-        if transition.phase is TransitionPhase.IDLE:
-            transition.begin()
+    for node in targets:
+        send(MessageKind.INSTALL, node, on_ack, config=configs[node])
+    if not targets:
+        finish(RolloutOutcome.COMPLETED)
 
-        def on_retire_ack(ack: Ack) -> None:
-            session.acked_nodes.discard(ack.node)
-            if not session.acked_nodes and session.retired_at is None:
-                session.retired_at = loop.now
 
-        def on_ack(ack: Ack) -> None:
-            if not ack.ok:
-                session.refused_nodes.add(ack.node)
-                return  # refused installs keep the transition open
-            if ack.node in session.acked_nodes:
-                return
-            session.acked_nodes.add(ack.node)
-            if ack.node in transition.pending_nodes:
-                transition.acknowledge(ack.node)
-            if transition.phase is TransitionPhase.COMPLETE and \
-                    session.completed_at is None:
-                finish(RolloutOutcome.COMPLETED)
-                # Every node confirmed the new config; old rules can
-                # now be dropped everywhere.
-                for node in sorted(session.acked_nodes):
-                    self.channel.send(loop, agents[node], ConfigMessage(
-                        MessageKind.RETIRE, session.version, node),
-                        on_retire_ack)
+def _run_overlap(loop: EventLoop, configs: Dict[str, ShimConfig],
+                 previous: Dict[str, ShimConfig], targets: Sequence[str],
+                 session: RolloutSession, send: _Send,
+                 finish: _Finish) -> None:
+    """Install beside the old rules, and retire those only after every
+    node acknowledged, so no hash point loses its owner mid-rollout.
 
-        for node in targets:
-            session.rules_shipped += configs[node].num_rules
-            session.rules_installed += configs[node].num_rules
-            self.channel.send(loop, agents[node], ConfigMessage(
-                MessageKind.OVERLAP_INSTALL, session.version, node,
-                configs[node]), on_ack)
-
-    def _run_delta(self, loop, agents, configs, targets, session,
-                   transition, finish) -> None:
-        """Incremental overlap: ship per-node rule deltas, installs
-        first; retires go out only after every node acknowledged, so
-        no hash point loses its owner mid-rollout."""
-        if transition.phase is TransitionPhase.IDLE:
-            transition.begin()
+    A node on the full path gets its whole table as ``OVERLAP_INSTALL``
+    (it runs old ∪ new) and then a ``RETIRE`` that keeps the new half:
+    every node under ``overlap``. Under ``delta`` a node starts on the
+    patch path instead — ``DELTA_INSTALL`` of the rules its table
+    gains, then ``DELTA_RETIRE`` of those it loses — is skipped when
+    its table is already exact, and moves to the full path when it
+    refuses the patch.
+    """
+    full: Set[str] = set(targets)
+    deltas: Dict[str, ConfigDelta] = {}
+    if session.strategy == "delta":
+        full = set()
         deltas = diff_configs(
-            {node: transition.old_configs[node] for node in targets
-             if node in transition.old_configs},
+            {node: previous[node] for node in targets
+             if node in previous},
             {node: configs[node] for node in targets})
-        session.delta_rules = sum(d.num_rules
-                                  for d in deltas.values())
+        session.delta_rules = sum(d.num_rules for d in deltas.values())
         session.full_rules = sum(configs[node].num_rules
                                  for node in targets)
+    unretired: Set[str] = set()
 
-        def on_retire_ack(ack: Ack) -> None:
-            session.acked_nodes.discard(ack.node)
-            if not session.acked_nodes and session.retired_at is None:
-                session.retired_at = loop.now
+    def on_retire_ack(ack: Ack) -> None:
+        unretired.discard(ack.node)
+        if not unretired and session.retired_at is None:
+            session.retired_at = loop.now
 
-        def _acknowledge(node: str) -> None:
-            if node in session.acked_nodes:
-                return
-            session.acked_nodes.add(node)
-            if node in transition.pending_nodes:
-                transition.acknowledge(node)
-            if transition.phase is TransitionPhase.COMPLETE and \
-                    session.completed_at is None:
-                finish(RolloutOutcome.COMPLETED)
-                # Everyone runs the new rules; old rules can go. A
-                # node that fell back to a full overlap install holds
-                # old+new tables and needs a plain RETIRE promote; the
-                # rest retire their stale rules by delta.
-                for node in sorted(session.acked_nodes):
-                    if node in session.fallback_nodes:
-                        self.channel.send(
-                            loop, agents[node],
-                            ConfigMessage(MessageKind.RETIRE,
-                                          session.version, node),
-                            on_retire_ack)
-                        continue
-                    delta = deltas[node]
-                    if not delta.retires:
-                        on_retire_ack(Ack(node, session.version,
-                                          MessageKind.DELTA_RETIRE,
-                                          True, loop.now))
-                        continue
-                    session.rules_shipped += len(delta.retires)
-                    self.channel.send(
-                        loop, agents[node],
-                        ConfigMessage(
-                            MessageKind.DELTA_RETIRE,
-                            session.version, node,
-                            delta=ConfigDelta(
-                                node=node,
-                                retires=delta.retires)),
-                        on_retire_ack)
-
-        def on_full_ack(ack: Ack) -> None:
-            if not ack.ok:
-                session.refused_nodes.add(ack.node)
-                return
-            _acknowledge(ack.node)
-
-        def on_ack(ack: Ack) -> None:
-            if not ack.ok:
-                # The node could not patch (no base table, or the
-                # grown table overflows capacity): fall back to one
-                # full-table overlap install for this node.
-                if ack.node in session.fallback_nodes:
-                    session.refused_nodes.add(ack.node)
-                    return
-                session.fallback_nodes.add(ack.node)
-                session.rules_shipped += configs[ack.node].num_rules
-                session.rules_installed += configs[ack.node].num_rules
-                self.channel.send(loop, agents[ack.node],
-                                  ConfigMessage(
-                                      MessageKind.OVERLAP_INSTALL,
-                                      session.version, ack.node,
-                                      configs[ack.node]),
-                                  on_full_ack)
-                return
-            _acknowledge(ack.node)
-
-        for node in targets:
-            delta = deltas[node]
-            if delta.is_empty:
-                # The table is already exact — nothing to ship.
-                _acknowledge(node)
-                continue
-            session.rules_shipped += len(delta.installs)
-            session.rules_installed += len(delta.installs)
-            self.channel.send(
-                loop, agents[node],
-                ConfigMessage(MessageKind.DELTA_INSTALL,
-                              session.version, node,
-                              delta=ConfigDelta(
-                                  node=node,
-                                  installs=delta.installs)),
-                on_ack)
-
-    def _run_two_phase(self, loop, agents, configs, targets, session,
-                       finish) -> None:
-        votes: Dict[str, bool] = {}
-        committed: Set[str] = set()
-
-        def on_commit_ack(ack: Ack) -> None:
-            committed.add(ack.node)
-            session.acked_nodes.add(ack.node)
-            if len(committed) == len(targets) and \
-                    session.completed_at is None:
-                finish(RolloutOutcome.COMPLETED)
-
-        def on_abort_ack(ack: Ack) -> None:
-            return None
-
-        def on_vote(ack: Ack) -> None:
-            if ack.node in votes:
-                return
-            votes[ack.node] = ack.ok
-            if not ack.ok:
-                session.refused_nodes.add(ack.node)
-            if len(votes) < len(targets):
-                return
-            if all(votes.values()):
-                for node in targets:
-                    self.channel.send(loop, agents[node],
-                                      ConfigMessage(MessageKind.COMMIT,
-                                                    session.version,
-                                                    node),
-                                      on_commit_ack)
+    def acknowledge(node: str) -> None:
+        if node in session.acked_nodes:
+            return
+        session.acked_nodes.add(node)
+        if len(session.acked_nodes) < len(targets) or \
+                session.completed_at is not None:
+            return
+        finish(RolloutOutcome.COMPLETED)
+        # Every node runs the new rules; the old ones can go.
+        unretired.update(session.acked_nodes)
+        for node in sorted(session.acked_nodes):
+            if node in full:
+                send(MessageKind.RETIRE, node, on_retire_ack)
+            elif deltas[node].retires:
+                send(MessageKind.DELTA_RETIRE, node, on_retire_ack,
+                     delta=ConfigDelta(node=node,
+                                       retires=deltas[node].retires))
             else:
-                for node in targets:
-                    self.channel.send(loop, agents[node],
-                                      ConfigMessage(MessageKind.ABORT,
-                                                    session.version,
-                                                    node),
-                                      on_abort_ack)
-                finish(RolloutOutcome.ABORTED)
+                on_retire_ack(Ack(node, session.version,
+                                  MessageKind.DELTA_RETIRE, True,
+                                  loop.now))
 
-        for node in targets:
-            session.rules_shipped += configs[node].num_rules
-            session.rules_installed += configs[node].num_rules
-            self.channel.send(loop, agents[node], ConfigMessage(
-                MessageKind.PREPARE, session.version, node,
-                configs[node]), on_vote)
-        if not targets:
+    def on_ack(ack: Ack) -> None:
+        if ack.ok:
+            acknowledge(ack.node)
+        elif ack.node in full:
+            # A refused full install keeps the rollout open.
+            session.refused_nodes.add(ack.node)
+        else:
+            # The node could not patch (no base table, or the grown
+            # table overflows capacity): it takes the full path.
+            full.add(ack.node)
+            session.fallback_nodes.add(ack.node)
+            send(MessageKind.OVERLAP_INSTALL, ack.node, on_ack,
+                 config=configs[ack.node])
+
+    for node in targets:
+        if node in full:
+            send(MessageKind.OVERLAP_INSTALL, node, on_ack,
+                 config=configs[node])
+        elif deltas[node].is_empty:
+            acknowledge(node)  # the table is already exact
+        else:
+            send(MessageKind.DELTA_INSTALL, node, on_ack,
+                 delta=ConfigDelta(node=node,
+                                   installs=deltas[node].installs))
+
+
+def _run_two_phase(configs: Dict[str, ShimConfig],
+                   targets: Sequence[str], session: RolloutSession,
+                   send: _Send, finish: _Finish) -> None:
+    votes: Dict[str, bool] = {}
+
+    def on_commit_ack(ack: Ack) -> None:
+        if not ack.ok:
+            # Nothing staged to commit: the node lost its prepared
+            # table (it rebooted between the phases) and runs nothing
+            # new.
+            session.refused_nodes.add(ack.node)
+        session.acked_nodes.add(ack.node)
+        if len(session.acked_nodes) == len(targets) and \
+                session.completed_at is None:
             finish(RolloutOutcome.COMPLETED)
+
+    def on_vote(ack: Ack) -> None:
+        if ack.node in votes:
+            return
+        votes[ack.node] = ack.ok
+        if not ack.ok:
+            session.refused_nodes.add(ack.node)
+        if len(votes) < len(targets):
+            return
+        if all(votes.values()):
+            for node in targets:
+                send(MessageKind.COMMIT, node, on_commit_ack)
+        else:
+            for node in targets:
+                send(MessageKind.ABORT, node, lambda ack: None)
+            finish(RolloutOutcome.ABORTED)
+
+    for node in targets:
+        send(MessageKind.PREPARE, node, on_vote, config=configs[node])
+    if not targets:
+        finish(RolloutOutcome.COMPLETED)
 
 
 # -- coverage accounting ---------------------------------------------------

@@ -41,6 +41,7 @@ from repro.shim.config import (
     build_aggregation_configs,
     build_replication_configs,
     build_split_configs,
+    union_config,
 )
 from repro.shim.shim import Shim, ShimDecision
 from repro.shim.table import RuleTable
@@ -75,4 +76,5 @@ __all__ = [
     "field_hash_batch",
     "session_hash",
     "session_hash_batch",
+    "union_config",
 ]

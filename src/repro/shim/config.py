@@ -111,6 +111,27 @@ class ShimConfig:
                    if rule.hash_range.end > rule.hash_range.start)
 
 
+def union_config(old: ShimConfig, new: ShimConfig) -> ShimConfig:
+    """A transient config honoring both the old and new rule sets.
+
+    Rules are concatenated old-first; the shim's first-match semantics
+    mean a packet owned under either configuration is acted on. (The
+    paper, Section 9: "the NIDS nodes continue to honor both the
+    previous and new configurations during the transient period. This
+    may potentially duplicate some work, but ensures correctness.")
+
+    The union is the two rule tables end to end, so no rule objects
+    are made; grouped by class, its rows give old's classes then
+    new's, and within a class old's rules then new's.
+    """
+    if old.node != new.node:
+        raise ValueError(
+            f"cannot union configs of different nodes "
+            f"({old.node!r} vs {new.node!r})")
+    return ShimConfig.from_table(
+        old.node, RuleTable.concat([old.table(), new.table()]))
+
+
 def _empty_configs(state: NetworkState) -> Dict[str, ShimConfig]:
     return {node: ShimConfig(node=node, rules={})
             for node in state.nids_nodes}

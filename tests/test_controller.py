@@ -7,11 +7,7 @@ import sys
 
 import pytest
 
-from repro.core import (
-    MirrorPolicy,
-    NIDSController,
-    TransitionPhase,
-)
+from repro.core import MirrorPolicy, NIDSController
 
 
 @pytest.fixture
@@ -24,21 +20,18 @@ def controller(line_state_dc):
 class TestLifecycle:
     def test_first_refresh_has_no_transition(self, controller):
         rollout = controller.refresh()
-        assert rollout.transition is None
+        assert rollout.previous is None
         assert controller.current_configs is rollout.configs
         assert controller.refresh_count == 1
 
     def test_second_refresh_produces_overlap_transition(self,
                                                         controller,
                                                         line_classes):
-        controller.refresh()
+        first = controller.refresh()
         shifted = [line_classes[0].scaled(3.0), line_classes[1]]
         rollout = controller.refresh(shifted)
-        assert rollout.transition is not None
-        assert rollout.transition.phase is TransitionPhase.OVERLAPPING
-        for node in sorted(rollout.configs):
-            rollout.transition.acknowledge(node)
-        assert rollout.transition.phase is TransitionPhase.COMPLETE
+        assert rollout.previous is first.configs
+        assert controller.current_configs is rollout.configs
 
     def test_result_adapts_to_traffic(self, controller, line_classes):
         first = controller.refresh()
@@ -138,10 +131,10 @@ class TestNodeUniverseChange:
             line_state_dc,
             planner=_ScriptedPlanner([first, second]))
         with use_registry(MetricsRegistry()) as metrics:
-            assert controller.refresh().transition is None
+            assert controller.refresh().previous is None
             rollout = controller.refresh(shrunken.classes)
             gauges = metrics.snapshot()["gauges"]
-        assert rollout.transition is None
+        assert rollout.previous is None
         assert controller.current_configs is rollout.configs
         # The union-rule gauge counted one-sided nodes once each.
         assert gauges["controller.transition.union_rules"] > 0

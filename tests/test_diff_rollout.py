@@ -12,11 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    MirrorPolicy,
-    OverlapTransition,
-    ReplicationProblem,
-)
+from repro.core import MirrorPolicy, ReplicationProblem
 from repro.core.aggregation import AggregationProblem
 from repro.core.split import SplitTrafficProblem
 from repro.runtime.agents import (
@@ -195,13 +191,13 @@ class TestRandomizedEpochPairs:
         assert diff_config(old, new).is_empty
 
 
-def _drive(strategy, configs, agents, transition=None, spec=None,
+def _drive(strategy, configs, agents, previous=None, spec=None,
            horizon=2000.0):
     loop = EventLoop()
     channel = ConfigChannel(spec or ChannelSpec(base_delay=1.0),
                             seed=5)
     driver = RolloutDriver(channel, strategy)
-    session = driver.start(loop, agents, configs, transition)
+    session = driver.start(loop, agents, configs, previous)
     loop.run_until(horizon)
     return session
 
@@ -232,7 +228,7 @@ class TestDeltaRollout:
         old, new = epoch_pair
         agents = self._seeded_agents(line_state_dc, old)
         session = _drive("delta", new, agents,
-                         transition=OverlapTransition(old, new))
+                         previous=old)
         assert session.outcome is RolloutOutcome.COMPLETED
         assert session.retired_at is not None
         for node in new:
@@ -245,7 +241,7 @@ class TestDeltaRollout:
         agents = self._seeded_agents(line_state_dc, old)
         session = _drive(
             "delta", new, agents,
-            transition=OverlapTransition(old, new),
+            previous=old,
             spec=ChannelSpec(base_delay=1.0, jitter=5.0, loss=0.3,
                              retransmit_timeout=4.0))
         assert session.outcome is RolloutOutcome.COMPLETED
@@ -277,11 +273,11 @@ class TestDeltaRollout:
             dataclasses.replace(result, process_fractions=moved))
         delta_agents = self._seeded_agents(line_state_dc, old)
         delta_session = _drive("delta", new, delta_agents,
-                               transition=OverlapTransition(old, new))
+                               previous=old)
         overlap_agents = self._seeded_agents(line_state_dc, old)
         overlap_session = _drive(
             "overlap", new, overlap_agents,
-            transition=OverlapTransition(old, new))
+            previous=old)
         assert delta_session.outcome is RolloutOutcome.COMPLETED
         assert overlap_session.outcome is RolloutOutcome.COMPLETED
         assert delta_session.rules_installed < \
@@ -296,7 +292,7 @@ class TestDeltaRollout:
         old, _ = epoch_pair
         agents = self._seeded_agents(line_state_dc, old)
         session = _drive("delta", old, agents,
-                         transition=OverlapTransition(old, old))
+                         previous=old)
         assert session.outcome is RolloutOutcome.COMPLETED
         assert session.rules_installed == 0
         assert session.rules_shipped == 0
@@ -314,7 +310,7 @@ class TestDeltaRollout:
         agents[bare] = build_agents(
             line_state_dc.node_capacity)[bare]  # no base config
         session = _drive("delta", new, agents,
-                         transition=OverlapTransition(old, new))
+                         previous=old)
         assert session.outcome is RolloutOutcome.COMPLETED
         assert bare in session.fallback_nodes
         for node in new:
@@ -325,6 +321,6 @@ class TestDeltaRollout:
             self, line_state_dc, epoch_pair):
         old, _ = epoch_pair
         agents = build_agents(line_state_dc.node_capacity)
-        session = _drive("delta", old, agents, transition=None)
+        session = _drive("delta", old, agents, previous=None)
         assert session.strategy == "direct"
         assert session.outcome is RolloutOutcome.COMPLETED

@@ -24,7 +24,6 @@ from repro.core import (
     SplitTrafficProblem,
 )
 from repro.core.inputs import NetworkState
-from repro.core.transitions import union_config
 from repro.experiments.common import setup_topology
 from repro.nids.signature import DEFAULT_SIGNATURES, SignatureEngine
 from repro.obs import MetricsRegistry, use_registry
@@ -43,7 +42,7 @@ from repro.shim.batch import (
     ACTION_REPLICATE,
     BatchShimKernel,
 )
-from repro.shim.config import HashMode, ShimConfig
+from repro.shim.config import HashMode, ShimConfig, union_config
 from repro.shim.hashing import (
     field_hash,
     field_hash_batch,

@@ -108,8 +108,8 @@ class TestControllerInstrumentation:
             controller = NIDSController(line_state_dc)
             first = controller.refresh()
             second = controller.refresh()
-        assert first.transition is None
-        assert second.transition is not None
+        assert first.previous is None
+        assert second.previous is first.configs
         nodes = reg.gauge_value("controller.transition.nodes")
         assert nodes == len(second.configs)
         union_rules = reg.gauge_value("controller.transition.union_rules")

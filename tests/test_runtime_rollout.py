@@ -24,7 +24,7 @@ from repro.runtime.rollout import (
     coverage_report,
 )
 from repro.shim import build_replication_configs
-from repro.shim.config import ShimAction, ShimConfig, ShimRule
+from repro.shim.config import ShimAction, ShimConfig, ShimRule, union_config
 from repro.shim.diff import ConfigDelta, diff_config
 from repro.shim.ranges import HashRange
 from repro.shim.table import RuleTable
@@ -150,6 +150,13 @@ class TestConfigChannel:
         assert channel.lost > 0
         assert channel.retransmits == channel.lost
 
+    @pytest.mark.parametrize("field, value", [
+        ("base_delay", -1.0), ("jitter", -1.0), ("loss", 1.0),
+        ("retransmit_timeout", 0.0), ("max_retries", -1)])
+    def test_spec_rejects_out_of_range_fields(self, field, value):
+        with pytest.raises(ValueError):
+            ChannelSpec(**{field: value})
+
     def test_dead_node_retried_until_recovery(self, two_configs,
                                               agents):
         old, _ = two_configs
@@ -187,13 +194,13 @@ class TestConfigChannel:
         assert run() == run()
 
 
-def _drive(strategy, configs, agents, transition=None, spec=None,
+def _drive(strategy, configs, agents, previous=None, spec=None,
            horizon=500.0):
     loop = EventLoop()
     channel = ConfigChannel(spec or ChannelSpec(base_delay=1.0),
                             seed=5)
     driver = RolloutDriver(channel, strategy)
-    session = driver.start(loop, agents, configs, transition)
+    session = driver.start(loop, agents, configs, previous)
     loop.run_until(horizon)
     return session, loop
 
@@ -210,19 +217,16 @@ class TestRolloutDriver:
     def test_overlap_without_transition_goes_direct(self, two_configs,
                                                     agents):
         old, _ = two_configs
-        session, _ = _drive("overlap", old, agents, transition=None)
+        session, _ = _drive("overlap", old, agents, previous=None)
         assert session.strategy == "direct"
         assert session.outcome is RolloutOutcome.COMPLETED
 
     def test_overlap_retires_old_config(self, two_configs, agents):
-        from repro.core import OverlapTransition
-
         old, new = two_configs
         for node in old:
             agents[node].deliver(ConfigMessage(
                 MessageKind.INSTALL, 1, node, old[node]), now=0.0)
-        session, _ = _drive("overlap", new, agents,
-                            transition=OverlapTransition(old, new))
+        session, _ = _drive("overlap", new, agents, previous=old)
         assert session.outcome is RolloutOutcome.COMPLETED
         assert session.retired_at is not None
         for node in new:
@@ -248,6 +252,29 @@ class TestRolloutDriver:
         for node in new:
             assert agents[node].effective_config() is None
 
+    def test_two_phase_records_a_refused_commit(self, two_configs,
+                                                agents):
+        """B stages its table at t=1, dies at 2.5 (rebooting clean) and
+        is back at 10; its COMMIT, lost to the dead node at 3 and
+        re-sent at 13, finds nothing staged at 14 and is refused,
+        which the session must report."""
+        _, new = two_configs
+        loop = EventLoop()
+        loop.schedule_at(2.5, agents["B"].fail)
+        loop.schedule_at(10.0, agents["B"].recover)
+        driver = RolloutDriver(ConfigChannel(ChannelSpec(base_delay=1.0),
+                                             seed=5), "two-phase")
+        session = driver.start(loop, agents, new)
+        loop.run_until(500.0)
+        commits = [(entry.time, entry.applied)
+                   for entry in agents["B"].mailbox
+                   if entry.message.kind is MessageKind.COMMIT]
+        assert commits == [(14.0, False)]
+        assert session.refused_nodes == {"B"}
+        assert agents["B"].effective_config() is None
+        for node in set(new) - {"B"}:
+            assert agents[node].effective_config() is new[node]
+
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             RolloutDriver(ConfigChannel(ChannelSpec()), "magic")
@@ -272,8 +299,6 @@ class TestCoverageReport:
     def test_union_doubles_duplication_not_coverage(self,
                                                     line_state_dc,
                                                     two_configs):
-        from repro.core import union_config
-
         old, new = two_configs
         union = {node: union_config(old[node], new[node])
                  for node in old}
@@ -293,8 +318,6 @@ class TestCoverageReport:
         """The satellite invariant: at every instant of an overlap
         rollout over a delayed, lossy, jittery channel, every class
         keeps full hash-space coverage."""
-        from repro.core import OverlapTransition
-
         old, new = two_configs
         agents = build_agents(line_state_dc.node_capacity)
         for node in old:
@@ -305,8 +328,7 @@ class TestCoverageReport:
             ChannelSpec(base_delay=1.0, jitter=5.0, loss=0.3,
                         retransmit_timeout=4.0), seed=9)
         driver = RolloutDriver(channel, "overlap")
-        session = driver.start(loop, agents, new,
-                               OverlapTransition(old, new))
+        session = driver.start(loop, agents, new, old)
         while loop.queue.peek_time() is not None:
             loop.run_until(loop.queue.peek_time())
             installed = {node: agents[node].effective_config()

@@ -303,7 +303,7 @@ class TestDaemon:
         record = daemon.step(loop, agents, new_state.classes)
         assert record.reason == "structural"
         # No old configs on the fresh controller -> direct push.
-        assert record.rollout.transition is None
+        assert record.rollout.previous is None
         assert record.session.strategy == "direct"
         # The latch is consumed: the daemon goes quiet again.
         assert daemon.step(loop, agents, new_state.classes) is None
@@ -390,7 +390,7 @@ class TestDaemon:
         assert record.reason == "failover"
         # The node universe is unchanged, so the rollout stays
         # coverage-safe.
-        assert record.rollout.transition is not None
+        assert record.rollout.previous is not None
         assert counters.get("runtime.controller_failovers") == 1
         assert counters.get("runtime.refresh.failover") == 1
 

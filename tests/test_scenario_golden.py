@@ -9,7 +9,9 @@ a change deliberately moves the plans, by ``PYTHONPATH=src:. python
 tests/regen_goldens.py scenario_fingerprints.json``. The exact-matrix mode
 replayed whole batches with a scalar fallback then and replays chunks
 without one now, so a non-zero count there would have been a behaviour
-change; it was 0 for every scenario.
+change; it was 0 for every scenario. The two-phase and capacity-bound
+delta entries were added at the commit before the driver's overlap and
+delta strategies became one body.
 """
 
 import dataclasses
@@ -22,20 +24,32 @@ import sys
 import pytest
 
 from repro.obs import MetricsRegistry, use_registry
-from repro.runtime.scenario import CANNED_SCENARIOS, run_scenario
+from repro.runtime.scenario import (CANNED_SCENARIOS, ScenarioRun,
+                                    run_scenario)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / \
     "scenario_fingerprints.json"
 EPOCHS = 4
+#: the datacenter's grown tables overflow it, so its delta patches and
+#: their full-table fallbacks are refused (bootstrap tables, at most
+#: 72 rules, still fit)
+RULE_CAPACITY = 80
 
 
 def golden_scenarios():
     """The five canned scenarios at default topology and seed, plus
-    steady-drift under delta rollouts."""
+    steady-drift under delta rollouts (once more with a rule capacity
+    that sends a node down the full-table fallback) and under two-phase
+    commit."""
     scenarios = {name: CANNED_SCENARIOS[name](epochs=EPOCHS)
                  for name in sorted(CANNED_SCENARIOS)}
+    steady = scenarios["steady-drift"]
     scenarios["steady-drift+delta"] = dataclasses.replace(
-        scenarios["steady-drift"], strategy="delta")
+        steady, strategy="delta")
+    scenarios["steady-drift+delta+capacity"] = dataclasses.replace(
+        steady, strategy="delta", rule_capacity=RULE_CAPACITY)
+    scenarios["steady-drift+two-phase"] = dataclasses.replace(
+        steady, strategy="two-phase")
     return scenarios
 
 
@@ -64,6 +78,16 @@ def test_scenarios_match_the_parent_commit(document):
     assert set(document) == set(golden)
     for key, entry in golden.items():
         assert document[key] == entry, key
+
+
+def test_capacity_entry_takes_the_full_table_fallback():
+    """What the capacity-bound delta entry pins: some node refuses its
+    grown table and is sent down the full-table path."""
+    run = ScenarioRun(golden_scenarios()["steady-drift+delta+capacity"])
+    for epoch in range(EPOCHS):
+        run.step(epoch)
+    assert any(refresh.session.fallback_nodes
+               for refresh in run.daemon.refresh_records)
 
 
 def test_no_replay_needed_the_scalar_fallback(document):

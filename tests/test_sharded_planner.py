@@ -245,10 +245,10 @@ class TestShardedSmall:
         planner = ShardedPlanner(line_state_dc, num_regions=2, jobs=1)
         controller = NIDSController(line_state_dc, planner=planner)
         rollout = controller.refresh(line_classes)
-        assert rollout.transition is None
+        assert rollout.previous is None
         second = controller.refresh(
             [cls.scaled(3.0) for cls in line_classes])
-        assert second.transition is not None
+        assert second.previous is rollout.configs
 
 
 class TestFailover:

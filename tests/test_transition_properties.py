@@ -1,19 +1,32 @@
 """Property-based tests for consistent reconfiguration (Section 9).
 
-For arbitrary old/new LP-style fraction layouts and arbitrary
-acknowledgement orders, an :class:`OverlapTransition` must leave no
-point of any class's hash space unowned at any step, and the overlap's
-union may only *add* work (duplication), never subtract coverage —
-the paper's correctness requirement for zero-gap reconfiguration.
+For arbitrary old/new LP-style fraction layouts, an overlap or delta
+rollout through the real driver, over a jittery and lossy channel, must
+leave no point of any class's hash space unowned at any instant, and
+the transient may only *add* work (duplication), never subtract
+coverage — the paper's correctness requirement for zero-gap
+reconfiguration.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.transitions import OverlapTransition, union_config
-from repro.runtime.rollout import coverage_report
-from repro.shim.config import ShimAction, ShimConfig, ShimRule
-from repro.shim.diff import ConfigDelta, apply_delta, diff_configs
+from repro.runtime.agents import NodeAgent
+from repro.runtime.events import EventLoop
+from repro.runtime.rollout import (
+    ChannelSpec,
+    ConfigChannel,
+    RolloutDriver,
+    RolloutOutcome,
+    coverage_report,
+)
+from repro.shim.config import ShimAction, ShimConfig, ShimRule, union_config
+from repro.shim.diff import (
+    ConfigDelta,
+    apply_delta,
+    canonical_config,
+    diff_configs,
+)
 from repro.shim.ranges import compile_hash_ranges
 from repro.traffic.classes import TrafficClass
 
@@ -58,34 +71,43 @@ weight_vectors = st.lists(
 
 
 class TestOverlapNeverUncovers:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(old_weights=weight_vectors, new_weights=weight_vectors,
-           order=st.permutations(NODES))
+           strategy=st.sampled_from(("overlap", "delta")),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           jitter=st.floats(min_value=0.0, max_value=5.0),
+           loss=st.floats(min_value=0.0, max_value=0.5))
     def test_no_unowned_point_at_any_step(self, old_weights,
-                                          new_weights, order):
-        """At every transition step — before begin, during overlap
-        after each ack (in any order), and after completion — the
-        class's full hash space stays owned, and ownership never
-        exceeds old+new mass (duplication only adds work)."""
+                                          new_weights, strategy, seed,
+                                          jitter, loss):
+        """After every event instant of an overlap or delta rollout —
+        jitter reordering the messages, loss forcing retransmissions —
+        the class's full hash space stays owned and ownership never
+        exceeds old+new mass (duplication only adds work); at the end
+        every agent runs exactly the new configuration."""
         old = _configs_from_weights(old_weights)
         new = _configs_from_weights(new_weights)
-        transition = OverlapTransition(old, new)
+        agents = {node: NodeAgent(node, {"cpu": 1.0}, config=old[node])
+                  for node in NODES}
+        loop = EventLoop()
+        channel = ConfigChannel(
+            ChannelSpec(base_delay=1.0, jitter=jitter, loss=loss,
+                        retransmit_timeout=4.0), seed=seed)
+        session = RolloutDriver(channel, strategy).start(
+            loop, agents, new, previous=old)
 
-        union, total = _masses(transition.active_configs())
-        assert union >= 1.0 - EPS          # before: old covers all
-        assert total <= 1.0 + EPS          # ... exactly once
-
-        transition.begin()
-        for node in order:
-            union, total = _masses(transition.active_configs())
+        while loop.queue.peek_time() is not None:
+            loop.run_until(loop.queue.peek_time())
+            union, total = _masses({node: agent.effective_config()
+                                    for node, agent in agents.items()})
             assert union >= 1.0 - EPS      # never a gap mid-rollout
             assert total <= 2.0 + EPS      # at most old+new work
-            assert total >= union - EPS
-            transition.acknowledge(node)
 
-        union, total = _masses(transition.active_configs())
-        assert union >= 1.0 - EPS          # after: new covers all
-        assert total <= 1.0 + EPS
+        assert session.outcome is RolloutOutcome.COMPLETED
+        assert session.retired_at is not None
+        for node, agent in agents.items():
+            assert canonical_config(agent.effective_config()) == \
+                canonical_config(new[node])
 
     @settings(max_examples=60, deadline=None)
     @given(old_weights=weight_vectors, new_weights=weight_vectors)

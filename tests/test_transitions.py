@@ -1,19 +1,21 @@
-"""Unit tests for consistent reconfiguration (Section 9)."""
+"""Unit tests for consistent reconfiguration (Section 9): the overlap
+union, and the overlap and two-phase-commit protocols as the rollout
+driver runs them."""
 
 import pytest
 
-from repro.core import (
-    CommitOutcome,
-    MirrorPolicy,
-    OverlapTransition,
-    Participant,
-    ReplicationProblem,
-    TransitionPhase,
-    TwoPhaseCommit,
-    union_config,
+from repro.core import MirrorPolicy, ReplicationProblem
+from repro.runtime.agents import MessageKind, build_agents
+from repro.runtime.events import EventLoop
+from repro.runtime.rollout import (
+    ChannelSpec,
+    ConfigChannel,
+    RolloutDriver,
+    RolloutOutcome,
 )
 from repro.shim import Shim, ShimConfig, build_replication_configs
 from repro.shim.batch import BatchShimKernel
+from repro.shim.config import union_config
 from repro.shim.diff import apply_delta, canonical_config, diff_configs
 
 
@@ -83,32 +85,50 @@ class TestUnionConfig:
             assert union.rules == merged[node].rules
 
 
-class TestOverlapTransition:
-    def test_lifecycle(self, two_configs):
-        old, new = two_configs
-        transition = OverlapTransition(old, new)
-        assert transition.phase is TransitionPhase.IDLE
-        assert transition.active_configs() == old
+def _rollout(strategy, configs, agents, previous=None):
+    """A driver on a 1 s channel and the loop its rollout runs in."""
+    loop = EventLoop()
+    driver = RolloutDriver(ConfigChannel(ChannelSpec(base_delay=1.0),
+                                         seed=5), strategy)
+    return driver.start(loop, agents, configs, previous), loop
 
-        transition.begin()
-        assert transition.phase is TransitionPhase.OVERLAPPING
-        for node in sorted(new):
-            transition.acknowledge(node)
-        assert transition.phase is TransitionPhase.COMPLETE
-        assert transition.active_configs() == new
+
+@pytest.fixture
+def running_old(two_configs, line_state_dc):
+    """Agents that run the old configs."""
+    old, _ = two_configs
+    return build_agents(line_state_dc.node_capacity, old)
+
+
+class TestOverlapTransition:
+    def test_lifecycle(self, two_configs, running_old):
+        """Old before the rollout, old ∪ new once the overlap installs
+        land, exactly new after the retire."""
+        old, new = two_configs
+        session, loop = _rollout("overlap", new, running_old, old)
+        assert {node: agent.effective_config() for node, agent in
+                running_old.items()} == old
+        loop.run_until(1.0)  # installs delivered, acks in flight
+        for node, agent in running_old.items():
+            assert agent.running_rules == \
+                old[node].num_rules + new[node].num_rules
+        loop.run_until(100.0)
+        assert session.outcome is RolloutOutcome.COMPLETED
+        assert session.retired_at is not None
+        assert {node: agent.effective_config() for node, agent in
+                running_old.items()} == new
 
     def test_no_coverage_gap_during_overlap(self, two_configs,
-                                            line_state_dc):
-        """The union configs cover every hash value of every class at
-        every instant of the transition — the paper's correctness
-        requirement."""
+                                            running_old, line_state_dc):
+        """Mid-rollout the running configs cover every hash value of
+        every class — the paper's correctness requirement — checked
+        with the scalar shim's first match per node."""
         old, new = two_configs
-        transition = OverlapTransition(old, new)
-        transition.begin()
-        transition.acknowledge("A")  # partial rollout
-        active = transition.active_configs()
-        shims = {node: Shim(active[node], classifier=None)
-                 for node in active}
+        session, loop = _rollout("overlap", new, running_old, old)
+        loop.run_until(1.0)
+        assert session.outcome is RolloutOutcome.IN_FLIGHT
+        shims = {node: Shim(agent.effective_config(), classifier=None)
+                 for node, agent in running_old.items()}
         for cls in line_state_dc.classes:
             for i in range(100):
                 value = i / 100.0
@@ -120,68 +140,66 @@ class TestOverlapTransition:
                             break  # first-match per node
                 assert owners >= 1, (cls.name, value)
 
-    def test_begin_twice_rejected(self, two_configs):
-        transition = OverlapTransition(*two_configs)
-        transition.begin()
-        with pytest.raises(RuntimeError):
-            transition.begin()
-
-    def test_ack_without_begin_rejected(self, two_configs):
-        transition = OverlapTransition(*two_configs)
-        with pytest.raises(RuntimeError):
-            transition.acknowledge("A")
-
-    def test_unknown_node_ack_rejected(self, two_configs):
-        transition = OverlapTransition(*two_configs)
-        transition.begin()
-        with pytest.raises(KeyError):
-            transition.acknowledge("ZZ")
-
-    def test_node_set_mismatch_rejected(self, two_configs):
+    def test_unknown_node_ack_rejected(self, two_configs, running_old):
+        """A config for a node that has no agent is never shipped and
+        does not hold the rollout open."""
         old, new = two_configs
-        partial = {k: v for k, v in new.items() if k != "A"}
-        with pytest.raises(ValueError):
-            OverlapTransition(old, partial)
+        ghost = ShimConfig(node="ZZ", rules={})
+        session, loop = _rollout("overlap", {**new, "ZZ": ghost},
+                                 running_old, old)
+        loop.run_until(100.0)
+        assert session.outcome is RolloutOutcome.COMPLETED
+        assert session.acked_nodes == set(new)
 
-    def test_pending_nodes(self, two_configs):
-        transition = OverlapTransition(*two_configs)
-        transition.begin()
-        before = set(transition.pending_nodes)
-        transition.acknowledge("B")
-        assert set(transition.pending_nodes) == before - {"B"}
+    def test_node_set_mismatch_rejected(self, two_configs, running_old):
+        """Without the configuration it replaces (the controller hands
+        none across a change of node set) an overlap rollout cannot
+        overlap: it goes direct."""
+        _, new = two_configs
+        session, loop = _rollout("overlap", new, running_old)
+        loop.run_until(100.0)
+        assert session.strategy == "direct"
+        assert all(entry.message.kind is MessageKind.INSTALL
+                   for agent in running_old.values()
+                   for entry in agent.mailbox)
+
+    def test_pending_nodes(self, two_configs, running_old):
+        """The old rules stay until every node acknowledged: a rollout
+        with an ack still missing neither completes nor retires."""
+        old, new = two_configs
+        late = sorted(new)[0]
+        running_old[late].fail()
+        session, loop = _rollout("overlap", new, running_old, old)
+        loop.run_until(5.0)
+        assert session.acked_nodes == set(new) - {late}
+        assert session.outcome is RolloutOutcome.IN_FLIGHT
+        assert not any(entry.message.kind is MessageKind.RETIRE
+                       for agent in running_old.values()
+                       for entry in agent.mailbox)
+        running_old[late].recover(old[late])
+        loop.run_until(100.0)
+        assert session.outcome is RolloutOutcome.COMPLETED
+        assert session.retired_at is not None
 
 
 class TestTwoPhaseCommit:
-    def test_all_yes_commits(self, two_configs):
+    def test_all_yes_commits(self, two_configs, running_old):
         _, new = two_configs
-        participants = [Participant(node) for node in sorted(new)]
-        coordinator = TwoPhaseCommit(participants)
-        outcome = coordinator.execute(new)
-        assert outcome is CommitOutcome.COMMITTED
-        for participant in participants:
-            assert participant.committed is new[participant.node]
-            assert participant.log == ["prepare", "commit"]
+        session, loop = _rollout("two-phase", new, running_old)
+        loop.run_until(100.0)
+        assert session.outcome is RolloutOutcome.COMPLETED
+        for node, agent in running_old.items():
+            assert agent.effective_config() is new[node]
+            assert [entry.message.kind for entry in agent.mailbox] == \
+                [MessageKind.PREPARE, MessageKind.COMMIT]
 
-    def test_one_failure_aborts_everyone(self, two_configs):
-        _, new = two_configs
-        participants = [Participant(node,
-                                    fails_prepare=(node == "C"))
-                        for node in sorted(new)]
-        coordinator = TwoPhaseCommit(participants)
-        outcome = coordinator.execute(new)
-        assert outcome is CommitOutcome.ABORTED
-        for participant in participants:
-            assert participant.committed is None
-            assert participant.log[-1] == "abort"
-
-    def test_missing_config_rejected(self, two_configs):
-        _, new = two_configs
-        participants = [Participant(node) for node in sorted(new)]
-        coordinator = TwoPhaseCommit(participants)
-        partial = {k: v for k, v in new.items() if k != "A"}
-        with pytest.raises(ValueError):
-            coordinator.execute(partial)
-
-    def test_duplicate_participants_rejected(self):
-        with pytest.raises(ValueError):
-            TwoPhaseCommit([Participant("A"), Participant("A")])
+    def test_one_failure_aborts_everyone(self, two_configs, running_old):
+        old, new = two_configs
+        running_old["C"].rule_capacity = new["C"].num_rules - 1
+        session, loop = _rollout("two-phase", new, running_old)
+        loop.run_until(100.0)
+        assert session.outcome is RolloutOutcome.ABORTED
+        assert session.refused_nodes == {"C"}
+        for node, agent in running_old.items():
+            assert agent.effective_config() is old[node]
+            assert agent.mailbox[-1].message.kind is MessageKind.ABORT
