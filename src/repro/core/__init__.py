@@ -64,6 +64,7 @@ from repro.core.robustness import (
 from repro.core.combined import CombinedProblem
 from repro.core.controller import NIDSController, Rollout
 from repro.core.validation import (
+    plan_loads,
     validate_aggregation,
     validate_replication,
     validate_split,
@@ -89,6 +90,7 @@ __all__ = [
     "provisioning_shortfall",
     "slack_factor",
     "Rollout",
+    "plan_loads",
     "validate_aggregation",
     "validate_replication",
     "validate_split",

@@ -45,6 +45,7 @@ from repro.core.inputs import NetworkState
 from repro.core.mirrors import MirrorPolicy
 from repro.core.replication import ReplicationProblem
 from repro.core.results import LPStats, ReplicationResult
+from repro.core.validation import plan_loads
 from repro.lpsolve import SolverBackend
 from repro.obs import get_registry
 from repro.topology.partition import RegionPartition, partition_topology
@@ -567,7 +568,12 @@ class ShardedPlanner:
                 outcomes = list(pool.map(run, tasks))
         for shard, result in outcomes:
             shard.result = result
-            self._account(full_state, shard)
+            # The regional state holds true capacities, not the
+            # share-scaled ones the regional LP priced.
+            state = shard.problem.state
+            shard.node_loads, shard.link_extra = plan_loads(
+                state, result.fraction_table(
+                    cls.name for cls in state.classes))
 
     @staticmethod
     def _warm_solver(problem: RegionalReplicationProblem,
@@ -582,43 +588,6 @@ class ShardedPlanner:
         return solve
 
     # -- merging -----------------------------------------------------------
-
-    def _account(self, full_state: NetworkState,
-                 shard: _Shard) -> None:
-        """Recompute the shard's true loads from its fractions, using
-        exactly the independent-validation accounting (true
-        capacities, not the share-scaled ones its LP priced)."""
-        assert shard.result is not None
-        result = shard.result
-        loads: Dict[str, Dict[str, float]] = {
-            r: {} for r in full_state.resources}
-        link_extra: Dict[Link, float] = {}
-        for cls in shard.classes:
-            for resource in full_state.resources:
-                work = cls.footprint(resource) * cls.num_sessions
-                for node, fraction in result.process_fractions.get(
-                        cls.name, {}).items():
-                    loads[resource][node] = (
-                        loads[resource].get(node, 0.0) +
-                        work * fraction /
-                        full_state.capacity(resource, node))
-                for (_, mirror), fraction in \
-                        result.offload_fractions.get(
-                            cls.name, {}).items():
-                    loads[resource][mirror] = (
-                        loads[resource].get(mirror, 0.0) +
-                        work * fraction /
-                        full_state.capacity(resource, mirror))
-            for (node, mirror), fraction in \
-                    result.offload_fractions.get(cls.name, {}).items():
-                for link in full_state.routing.path_links(node,
-                                                          mirror):
-                    link_extra[link] = (
-                        link_extra.get(link, 0.0) +
-                        fraction * cls.total_bytes /
-                        full_state.link_capacity[link])
-        shard.node_loads = loads
-        shard.link_extra = link_extra
 
     def _node_demands(self, shard: _Shard) -> Dict[str, float]:
         """A shard's demand signal per node: its worst true

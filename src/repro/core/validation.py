@@ -5,17 +5,23 @@ with no reference to the LP machinery — and reports human-readable
 violations. Used by the test suite to check the solver end-to-end and
 available to users as a sanity gate before pushing configurations to
 shims.
+
+:func:`plan_loads` is the one Eq (3)/(4) accountant over a plan's
+fractions: validation, the sharded planner's per-shard loads and the
+gap experiments' realized loads all charge a plan through it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.core.inputs import NetworkState
 from repro.core.results import (
     AggregationResult,
+    FractionTable,
+    Link,
     ReplicationResult,
     SplitTrafficResult,
 )
@@ -33,41 +39,34 @@ def _check_fraction_bounds(fractions: Dict[str, Dict], label: str,
                     f"[0, 1]")
 
 
-def validate_replication(state: NetworkState, result: ReplicationResult
-                         ) -> List[str]:
-    """Check a Section 4 result against Eqs (2)-(7).
+def plan_loads(state: NetworkState, table: FractionTable
+               ) -> Tuple[Dict[str, Dict[str, float]], Dict[Link, float]]:
+    """Eqs (3) and (4) of a plan: ``(node_loads, link_loads)``.
 
-    Returns:
-        A list of violation descriptions; empty when the result is a
-        feasible assignment for ``state``.
+    ``node_loads[resource][node]`` is ``sum F_c^r |T_c| f / Cap_j^r``
+    for every NIDS node of ``state``: a ``p`` fraction charges its
+    node, an ``o`` fraction its mirror. ``link_loads[link]`` is the
+    replicated bytes over ``LinkCap_l`` of every link a replication
+    tunnel crosses, in the order the tunnels first cross them, without
+    ``BG_l``. The table's rows are ``state.classes``, in order; volumes,
+    footprints and capacities come from ``state``, so one plan can be
+    charged with another matrix's volumes.
+
+    Every sum is a ``bincount`` of per-fraction terms ``work f / Cap``
+    and ``f bytes / Cap`` in table order, the order the dict views list
+    the fractions: it accumulates one by one, as a walk over those
+    dicts would.
     """
-    problems: List[str] = []
-    classes = state.classes
-    table = result.fraction_table(cls.name for cls in classes)
     layout, values = table.layout, table.values
-    names, nodes = layout.class_names, layout.node_names
-    local = layout.mirror < 0
-    # Every sum below is a ``bincount`` over the fractions in the
-    # order the dict views list them: it accumulates one by one, as a
-    # walk over those dicts would.
-    for at in np.flatnonzero(
-            local & ((values < -_TOL) | (values > 1.0 + _TOL))).tolist():
-        problems.append(
-            f"p[{names[layout.cls[at]]}][{nodes[layout.node[at]]}] = "
-            f"{values[at]} out of [0, 1]")
-
-    # Eq (2): full coverage.
-    total = sum(np.bincount(layout.cls, minlength=len(names),
-                            weights=np.where(kind, values, 0.0))
-                for kind in (local, ~local))
-    for index in np.flatnonzero(np.abs(total - 1.0) > 1e-5).tolist():
-        problems.append(
-            f"class {names[index]!r} coverage {total[index]:.6f} != 1")
-
-    # Eq (3): recompute node loads from the fractions.
+    nodes = layout.node_names
+    classes = state.classes
+    if len(layout.class_names) != len(classes):
+        raise ValueError(f"a table of {len(layout.class_names)} rows "
+                         f"for {len(classes)} classes")
     sessions = np.array([cls.num_sessions for cls in classes],
                         dtype=np.float64)
-    charged = np.where(local, layout.node, layout.mirror)
+    charged = np.where(layout.mirror < 0, layout.node, layout.mirror)
+    node_loads: Dict[str, Dict[str, float]] = {}
     for resource in state.resources:
         work = sessions * np.array(
             [cls.footprint(resource) for cls in classes],
@@ -77,8 +76,60 @@ def validate_replication(state: NetworkState, result: ReplicationResult
         loads = dict(zip(nodes, np.bincount(
             charged, weights=work[layout.cls] * values
             / capacity[charged], minlength=len(nodes)).tolist()))
-        for node in state.nids_nodes:
-            load = loads.get(node, 0.0)
+        node_loads[resource] = {node: loads.get(node, 0.0)
+                                for node in state.nids_nodes}
+
+    links = state.topology.links
+    at, hop = layout.tunnels(state.routing, {
+        link: index for index, link in enumerate(links)})
+    total_bytes = sessions * np.array(
+        [cls.session_bytes for cls in classes], dtype=np.float64)
+    capacity = np.array([state.link_capacity[link] for link in links],
+                        dtype=np.float64)
+    extra = np.bincount(
+        hop, weights=(values * total_bytes[layout.cls])[at]
+        / capacity[hop], minlength=len(links))
+    touched, first = np.unique(hop, return_index=True)
+    sums = extra.tolist()
+    return node_loads, {links[index]: sums[index] for index in
+                        touched[np.argsort(first)].tolist()}
+
+
+def validate_replication(state: NetworkState, result: ReplicationResult
+                         ) -> List[str]:
+    """Check a Section 4 result against Eqs (2)-(7).
+
+    Returns:
+        A list of violation descriptions; empty when the result is a
+        feasible assignment for ``state``.
+    """
+    problems: List[str] = []
+    table = result.fraction_table(cls.name for cls in state.classes)
+    layout, values = table.layout, table.values
+    names, nodes = layout.class_names, layout.node_names
+    local = layout.mirror < 0
+    # Eqs (6), (7): every p and o fraction in [0, 1].
+    for at in np.flatnonzero(
+            (values < -_TOL) | (values > 1.0 + _TOL)).tolist():
+        node = nodes[layout.node[at]]
+        label, key = ("p", node) if local[at] else \
+            ("o", (node, nodes[layout.mirror[at]]))
+        problems.append(
+            f"{label}[{names[layout.cls[at]]}][{key}] = "
+            f"{values[at]} out of [0, 1]")
+
+    # Eq (2): full coverage, summed in table order.
+    total = sum(np.bincount(layout.cls, minlength=len(names),
+                            weights=np.where(kind, values, 0.0))
+                for kind in (local, ~local))
+    for index in np.flatnonzero(np.abs(total - 1.0) > 1e-5).tolist():
+        problems.append(
+            f"class {names[index]!r} coverage {total[index]:.6f} != 1")
+
+    # Eq (3): node loads recomputed from the fractions.
+    node_loads, link_loads = plan_loads(state, table)
+    for resource, loads in node_loads.items():
+        for node, load in loads.items():
             reported = result.node_loads[resource][node]
             if abs(load - reported) > 1e-5:
                 problems.append(
@@ -89,18 +140,8 @@ def validate_replication(state: NetworkState, result: ReplicationResult
                     f"load[{resource}][{node}] exceeds LoadCost")
 
     # Eqs (4), (5): link loads under the bound.
-    links = state.topology.links
-    at, hop = layout.tunnels(state.routing, {
-        link: index for index, link in enumerate(links)})
-    total_bytes = sessions * np.array(
-        [cls.session_bytes for cls in classes], dtype=np.float64)
-    extra = np.bincount(hop, weights=(values * total_bytes[layout.cls])[at],
-                        minlength=len(links))
-    touched, first = np.unique(hop, return_index=True)
-    for index in touched[np.argsort(first)].tolist():
-        link = links[index]
-        load = state.bg_load(link) + \
-            extra[index] / state.link_capacity[link]
+    for link, extra in link_loads.items():
+        load = state.bg_load(link) + extra
         bound = max(result.max_link_load, state.bg_load(link))
         if load > bound + 1e-5:
             problems.append(

@@ -76,9 +76,6 @@ from repro.experiments.gap import (
     SketchGapSeries,
     format_gap,
     gap_to_json,
-    realized_link_loads,
-    realized_load_cost,
-    realized_node_loads,
     run_budget_sweep,
     run_shard_gap,
     run_sketch_gap,
@@ -116,8 +113,6 @@ __all__ = [
     "gap_to_json",
     "show_knob",
     "CombinedRow",
-    "realized_link_loads",
-    "realized_node_loads",
     "run_budget_sweep",
     "DCCapacitySeries",
     "LinkCostRow",
@@ -131,7 +126,6 @@ __all__ = [
     "run_shard_gap",
     "SketchGapPoint",
     "SketchGapSeries",
-    "realized_load_cost",
     "run_sketch_gap",
     "StrategyRow",
     "format_strategies",

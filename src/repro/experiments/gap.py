@@ -18,10 +18,11 @@ per topology; per budget it compiles that solution under the cap and
 reports the worst per-class coverage error (Linf and L1 deviation of
 the realized range widths from the LP fractions), the rule-count
 footprint, and the *realized* maximum node and replication-link load,
-recomputed from the realized fractions through the LP's own Eq (3)/(4)
-accounting — dropped offload entries shift work back to the on-path
-nodes and take replication traffic off the links. ``budget=None`` is
-the exact compile and anchors the curves at zero error.
+recomputed from the realized fractions by the Eq (3)/(4) accountant
+(:func:`~repro.core.validation.plan_loads`) — dropped offload entries
+shift work back to the on-path nodes and take replication traffic off
+the links. ``budget=None`` is the exact compile and anchors the curves
+at zero error.
 
 ``shard-gap`` — the sharded control plane
 (:mod:`repro.core.controller.sharded`) trades optimality for
@@ -37,8 +38,9 @@ the partition shape. The gap is published on the
 instead of exact traffic matrices. One sampled epoch trace is streamed
 through an :class:`~repro.ingest.daemon.IngestDaemon` at each sketch
 width; the LP is solved on the estimates and that assignment is then
-**charged with the true volumes** (:func:`realized_load_cost`) — the
-LoadCost an operator would actually see. A trace sample is itself an
+**charged with the true volumes**
+(:func:`~repro.core.validation.plan_loads`) — the LoadCost an
+operator would actually see. A trace sample is itself an
 estimator, so the series also carries the ``sampling_gap`` — the gap
 when the LP is solved on the *exact* per-class counts of the same
 sample — which separates irreducible sampling error from sketch
@@ -59,7 +61,6 @@ from typing import (
     Callable,
     ClassVar,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -71,7 +72,8 @@ from typing import (
 from repro.core.controller import GlobalPlanner, PlanOutcome, ShardedPlanner
 from repro.core.inputs import NetworkState
 from repro.core.mirrors import MIRROR_POLICIES
-from repro.core.results import ReplicationResult
+from repro.core.results import FractionTable, ReplicationResult
+from repro.core.validation import plan_loads
 from repro.experiments.common import format_table, setup_topology
 from repro.ingest import IngestDaemon
 from repro.obs import get_registry
@@ -265,23 +267,6 @@ def _relative_gap(cost: float, oracle: float) -> float:
     return (cost - oracle) / oracle if oracle > 0 else 0.0
 
 
-def _node_loads(state: NetworkState, resource: str,
-                charges: Callable[[Any], Iterable[Tuple[str, float]]]
-                ) -> Dict[str, float]:
-    """Eq (3) node loads: ``charges(cls)`` yields the ``(node,
-    fraction)`` pairs of one class — on-path processing charges the
-    node itself, replication charges the mirror."""
-    loads = {node: 0.0 for node in state.nids_nodes}
-    for cls in state.classes:
-        work = cls.footprint(resource) * cls.num_sessions
-        if work == 0.0:
-            continue
-        for node, fraction in charges(cls):
-            loads[node] += fraction * work / state.capacity(
-                resource, node)
-    return loads
-
-
 # -- budget-sweep ------------------------------------------------------------
 
 @dataclass
@@ -312,44 +297,21 @@ class BudgetSweepSeries(GapSeries):
     lp_load_cost: float
 
 
-def realized_node_loads(state: NetworkState,
-                        lowerings: Dict[str, BudgetedLowering],
-                        resource: str = "cpu") -> Dict[str, float]:
-    """Eq (3) node loads under the *realized* (budgeted) fractions —
-    exactly the LP's load accounting, evaluated at the lowering's
-    realized widths. ``("process", j)`` entries charge node ``j``;
-    ``("replicate", j, m)`` entries charge the mirror ``m``."""
-    def charges(cls: Any) -> Iterable[Tuple[str, float]]:
-        lowering = lowerings.get(cls.name)
-        if lowering is not None:
-            for key, fraction in lowering.realized.items():
-                if fraction > 0.0:
-                    yield (key[1] if key[0] == "process"
-                           else key[2]), fraction
-
-    return _node_loads(state, resource, charges)
-
-
-def realized_link_loads(state: NetworkState,
-                        lowerings: Dict[str, BudgetedLowering]
-                        ) -> Dict[Tuple[str, str], float]:
-    """Eq (4) link loads (replication bytes + background) under the
-    realized fractions."""
-    loads = {link: state.bg_load(link)
-             for link in state.topology.links}
-    for cls in state.classes:
-        lowering = lowerings.get(cls.name)
-        if lowering is None:
-            continue
-        replicated_bytes = cls.num_sessions * cls.session_bytes
-        for key, fraction in lowering.realized.items():
-            if key[0] != "replicate" or fraction <= 0.0:
-                continue
-            _, node, mirror = key
-            for link in state.routing.path_links(node, mirror):
-                loads[link] += (fraction * replicated_bytes /
-                                state.link_capacity[link])
-    return loads
+def _realized_table(state: NetworkState,
+                    lowerings: Mapping[str, BudgetedLowering]
+                    ) -> FractionTable:
+    """The lowerings' realized widths as a plan: ``("process", j)``
+    keys are ``p`` fractions, ``("replicate", j, m)`` keys ``o``."""
+    process: Dict[str, Dict[str, float]] = {}
+    offload: Dict[str, Dict[Tuple[str, str], float]] = {}
+    for name, lowering in lowerings.items():
+        for key, width in lowering.realized.items():
+            if key[0] == "process":
+                process.setdefault(name, {})[key[1]] = width
+            else:
+                offload.setdefault(name, {})[key[1:]] = width
+    return FractionTable.from_dicts(
+        [cls.name for cls in state.classes], process, offload)
 
 
 def _measure_budgets(planner: GlobalPlanner, oracle: PlanOutcome,
@@ -364,8 +326,8 @@ def _measure_budgets(planner: GlobalPlanner, oracle: PlanOutcome,
         kernel = BatchShimKernel(
             configs, [cls.name for cls in state.classes],
             state.topology.nodes)
-        node_loads = realized_node_loads(state, lowerings)
-        link_loads = realized_link_loads(state, lowerings)
+        node_loads, link_loads = plan_loads(
+            state, _realized_table(state, lowerings))
         points.append(BudgetPoint(
             budget=budget,
             error_linf=max((low.error_linf
@@ -380,8 +342,10 @@ def _measure_budgets(planner: GlobalPlanner, oracle: PlanOutcome,
                                     for cfg in configs.values()),
                                    default=0),
             max_table_rules=kernel.max_table_rules,
-            max_node_load=max(node_loads.values(), default=0.0),
-            max_link_load=max(link_loads.values(), default=0.0)))
+            max_node_load=max(node_loads["cpu"].values(), default=0.0),
+            max_link_load=max(
+                (state.bg_load(link) + link_loads.get(link, 0.0)
+                 for link in state.topology.links), default=0.0)))
     return {"lp_load_cost": result.load_cost}, points
 
 
@@ -523,25 +487,6 @@ class SketchGapSeries(GapSeries):
         return max(within, key=lambda pt: pt.state_bytes)
 
 
-def realized_load_cost(state: NetworkState,
-                       result: ReplicationResult) -> float:
-    """Eq (3) LoadCost of an assignment under *this* state's volumes.
-
-    The LP may have optimized against estimated volumes; charging its
-    ``p``/``o`` fractions with the true per-class work reveals the
-    load an operator actually experiences.
-    """
-    def charges(cls: Any) -> Iterable[Tuple[str, float]]:
-        yield from result.process_fractions.get(cls.name, {}).items()
-        offloads = result.offload_fractions.get(cls.name, {})
-        for (_, mirror), fraction in offloads.items():
-            yield mirror, fraction
-
-    return max((max(_node_loads(state, resource, charges).values(),
-                    default=0.0)
-                for resource in state.resources), default=0.0)
-
-
 def _measure_widths(planner: GlobalPlanner, oracle: PlanOutcome,
                     seconds: float, widths: Sequence[int],
                     options: Mapping[str, Any]) -> Measured:
@@ -563,7 +508,12 @@ def _measure_widths(planner: GlobalPlanner, oracle: PlanOutcome,
     exact = batch.sessions.class_counts()
 
     def gap_of(result: ReplicationResult) -> Tuple[float, float]:
-        realized = realized_load_cost(state, result)
+        # The assignment charged with the true volumes: the LoadCost
+        # an operator actually sees.
+        node_loads, _ = plan_loads(state, result.fraction_table(
+            class_names))
+        realized = max(max(loads.values(), default=0.0)
+                       for loads in node_loads.values())
         return _relative_gap(realized, oracle_cost), realized
 
     # Sampling floor: the LP on the trace's exact counts (no sketch).

@@ -1,11 +1,17 @@
 """Property-based tests on the system's core invariants."""
 
 import hypothesis.strategies as st
-import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 
-from repro.core import MirrorPolicy, NetworkState, ReplicationProblem
+from repro.core import (
+    AggregationProblem,
+    MirrorPolicy,
+    NetworkState,
+    ReplicationProblem,
+    validate_aggregation,
+    validate_replication,
+)
 from repro.nids import AhoCorasick
 from repro.shim import (
     FiveTuple,
@@ -14,8 +20,7 @@ from repro.shim import (
     session_hash,
 )
 from repro.topology.asymmetry import jaccard_overlap
-from repro.topology.topology import Topology
-from repro.traffic.classes import TrafficClass
+from tests import strategies
 
 ips = st.integers(min_value=0, max_value=2 ** 32 - 1)
 ports = st.integers(min_value=0, max_value=2 ** 16 - 1)
@@ -46,29 +51,20 @@ class TestHashProperties:
 
 
 class TestRangeProperties:
-    @st.composite
-    def fraction_lists(draw):
-        n = draw(st.integers(min_value=1, max_value=8))
-        raw = draw(st.lists(st.floats(min_value=0.0, max_value=1.0),
-                            min_size=n, max_size=n))
-        total = sum(raw)
-        assume(total > 0)
-        return [(f"k{i}", value / total) for i, value in enumerate(raw)]
-
-    @given(fractions=fraction_lists())
-    def test_full_coverage_partition(self, fractions):
+    @given(row=strategies.fraction_rows())
+    def test_full_coverage_partition(self, row):
         """Normalized fractions compile to a partition of [0,1)."""
-        ranges = compile_hash_ranges(fractions)
+        ranges = compile_hash_ranges(list(enumerate(row)))
         for i in range(101):
             value = min(i / 100.0, 0.999999)
             owners = [r.key for r in ranges if r.contains(value)]
             assert len(owners) == 1
 
-    @given(fractions=fraction_lists())
-    def test_widths_match_fractions(self, fractions):
-        ranges = compile_hash_ranges(fractions)
+    @given(row=strategies.fraction_rows())
+    def test_widths_match_fractions(self, row):
+        ranges = compile_hash_ranges(list(enumerate(row)))
         by_key = {r.key: r.width for r in ranges}
-        for key, fraction in fractions:
+        for key, fraction in enumerate(row):
             if fraction > 1e-9:
                 assert by_key[key] == pytest.approx(fraction, abs=1e-6)
 
@@ -103,38 +99,16 @@ class TestAhoCorasickProperties:
 
 
 class TestReplicationLPProperties:
-    @st.composite
-    def random_line_instances(draw):
-        """A 4-node chain with 1-3 random classes."""
-        topo = Topology("line", ["A", "B", "C", "D"],
-                        [("A", "B"), ("B", "C"), ("C", "D")])
-        n = draw(st.integers(1, 3))
-        segments = [("A", "D", ("A", "B", "C", "D")),
-                    ("B", "D", ("B", "C", "D")),
-                    ("A", "C", ("A", "B", "C"))]
-        classes = []
-        for i in range(n):
-            source, target, path = segments[i]
-            volume = draw(st.floats(min_value=10.0, max_value=1e4))
-            classes.append(TrafficClass(
-                f"c{i}", source, target, path, volume,
-                session_bytes=draw(st.floats(min_value=100.0,
-                                             max_value=1e5))))
-        return topo, classes
-
     @settings(max_examples=15, deadline=None)
-    @given(instance=random_line_instances())
-    def test_work_conservation(self, instance):
+    @given(state=strategies.small_states())
+    def test_work_conservation(self, state):
         """Total processed work equals total offered work: fractions
         sum to one per class and loads integrate them exactly."""
-        topo, classes = instance
-        state = NetworkState.calibrated(topo, classes,
-                                        dc_capacity_factor=5.0)
         result = ReplicationProblem(
             state, mirror_policy=MirrorPolicy.datacenter(),
             max_link_load=0.5).solve()
         total_offered = sum(c.footprint("cpu") * c.num_sessions
-                            for c in classes)
+                            for c in state.classes)
         total_processed = sum(
             load * state.capacity("cpu", node)
             for node, load in result.node_loads["cpu"].items())
@@ -142,21 +116,16 @@ class TestReplicationLPProperties:
                                                 rel=1e-6)
 
     @settings(max_examples=15, deadline=None)
-    @given(instance=random_line_instances())
-    def test_never_worse_than_ingress(self, instance):
-        topo, classes = instance
-        state = NetworkState.calibrated(topo, classes)
+    @given(state=strategies.small_states())
+    def test_never_worse_than_ingress(self, state):
         result = ReplicationProblem(
             state, mirror_policy=MirrorPolicy.none()).solve()
         assert result.load_cost <= 1.0 + 1e-6
 
     @settings(max_examples=10, deadline=None)
-    @given(instance=random_line_instances(),
+    @given(state=strategies.small_states(),
            budget=st.sampled_from([0.0, 0.3, 0.7]))
-    def test_link_bounds_hold(self, instance, budget):
-        topo, classes = instance
-        state = NetworkState.calibrated(topo, classes,
-                                        dc_capacity_factor=5.0)
+    def test_link_bounds_hold(self, state, budget):
         result = ReplicationProblem(
             state, mirror_policy=MirrorPolicy.datacenter(),
             max_link_load=budget).solve()
@@ -164,31 +133,20 @@ class TestReplicationLPProperties:
             assert load <= max(budget, state.bg_load(link)) + 1e-6
 
     @settings(max_examples=10, deadline=None)
-    @given(instance=random_line_instances(),
+    @given(state=strategies.small_states(),
            budget=st.sampled_from([0.0, 0.4, 1.0]))
-    def test_results_pass_independent_validation(self, instance,
-                                                 budget):
+    def test_results_pass_independent_validation(self, state, budget):
         """Random instances validate clean through core.validation."""
-        from repro.core import validate_replication
-
-        topo, classes = instance
-        state = NetworkState.calibrated(topo, classes,
-                                        dc_capacity_factor=5.0)
         result = ReplicationProblem(
             state, mirror_policy=MirrorPolicy.datacenter(),
             max_link_load=budget).solve()
         assert validate_replication(state, result) == []
 
     @settings(max_examples=10, deadline=None)
-    @given(instance=random_line_instances())
-    def test_aggregation_validates_on_random_instances(self, instance):
-        from repro.core import AggregationProblem, validate_aggregation
-
-        topo, classes = instance
-        state = NetworkState.calibrated(topo, classes)
-        problem = AggregationProblem(state)
-        result = AggregationProblem(
-            state, beta=problem.suggested_beta()).solve()
+    @given(state=strategies.small_states())
+    def test_aggregation_validates_on_random_instances(self, state):
+        beta = AggregationProblem(state).suggested_beta()
+        result = AggregationProblem(state, beta=beta).solve()
         assert validate_aggregation(state, result) == []
 
     @settings(max_examples=8, deadline=None)

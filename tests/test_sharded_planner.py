@@ -18,7 +18,7 @@ from repro.core.controller import (
     ShardedPlanner,
 )
 from repro.core.replication import ReplicationProblem
-from repro.core.validation import validate_replication
+from repro.core.validation import plan_loads, validate_replication
 from repro.experiments.common import setup_topology
 from repro.shim.config import build_replication_configs
 
@@ -215,6 +215,28 @@ class TestShardedAcceptance:
             for node, total in totals.items():
                 capacity = tinet.state.capacity(resource, node)
                 assert total <= capacity * (1.0 + 1e-6)
+
+    def test_shard_loads_add_up_to_the_merged_loads(self, tinet):
+        """One round, so the merged plan is the shards' current one:
+        its node loads are the shards' accountant loads added up, bit
+        for bit."""
+        planner = ShardedPlanner(
+            tinet.state, mirror_policy=MirrorPolicy.datacenter(),
+            num_regions=2, seed=0, jobs=1,
+            coordinator=ShardCoordinator(max_rounds=1))
+        outcome = planner.plan(tinet.classes)
+        state = outcome.state
+        total = {resource: dict.fromkeys(state.nids_nodes, 0.0)
+                 for resource in state.resources}
+        for shard in planner._shards.values():
+            region = shard.problem.state
+            node_loads, _ = plan_loads(region, shard.result.fraction_table(
+                cls.name for cls in region.classes))
+            for resource, loads in node_loads.items():
+                for node, load in loads.items():
+                    total[resource][node] += load
+        assert len(planner._shards) == 2
+        assert total == outcome.result.node_loads
 
     def test_verify_hook_passes(self, planned, tinet, monkeypatch):
         planner, _, _ = planned

@@ -12,12 +12,8 @@ import json
 
 import pytest
 
-from repro.experiments import (
-    format_gap,
-    gap_to_json,
-    realized_load_cost,
-    run_sketch_gap,
-)
+from repro.core.validation import plan_loads
+from repro.experiments import format_gap, gap_to_json, run_sketch_gap
 
 
 def sketch_gap_series():
@@ -131,6 +127,10 @@ class TestRealizedLoadCost:
                                dc_capacity_factor=1.0)
         planner = GlobalPlanner(setup.state, max_link_load=0.4)
         outcome = planner.plan(list(setup.state.classes))
-        realized = realized_load_cost(outcome.state, outcome.result)
+        node_loads, _ = plan_loads(outcome.state,
+                                   outcome.result.fraction_table(
+                                       cls.name for cls in
+                                       outcome.state.classes))
+        realized = max(node_loads["cpu"].values())
         assert realized == pytest.approx(outcome.result.load_cost,
                                          rel=1e-6)

@@ -1,17 +1,23 @@
-"""Tests for the independent result validators and LP duals."""
+"""Tests for the independent result validators, the Eq (3)/(4)
+accountant and LP duals."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     AggregationProblem,
     MirrorPolicy,
     ReplicationProblem,
     SplitTrafficProblem,
+    plan_loads,
     validate_aggregation,
     validate_replication,
     validate_split,
 )
+from repro.core.results import FractionTable, LPStats, ReplicationResult
 from repro.lpsolve import Model
+from tests import strategies
 
 
 class TestValidators:
@@ -67,6 +73,22 @@ class TestValidators:
         problems = validate_replication(line_state, result)
         assert any("out of [0, 1]" in p for p in problems)
 
+    def test_out_of_bounds_offload_detected(self, line_state_dc):
+        """An ``o`` fraction below zero, offset by another: coverage is
+        1 and every load is consistent, so only Eqs (6)/(7) catch it."""
+        process = {"A->D": {"A": 1.0}, "B->C": {"B": 1.0}}
+        offload = {"A->D": {("A", "DC"): -0.2, ("B", "DC"): 0.2}}
+        node_loads, _ = plan_loads(
+            line_state_dc, FractionTable.from_dicts(
+                ["A->D", "B->C"], process, offload))
+        result = ReplicationResult(
+            load_cost=max(node_loads["cpu"].values()),
+            node_loads=node_loads, process_fractions=process,
+            offload_fractions=offload,
+            stats=LPStats(0, 0, 0.0, 0), dc_node="DC")
+        assert validate_replication(line_state_dc, result) == [
+            "o[A->D][('A', 'DC')] = -0.2 out of [0, 1]"]
+
     def test_inflated_coverage_detected_in_split(self, line_state_dc):
         result = SplitTrafficProblem(line_state_dc,
                                      max_link_load=0.4).solve()
@@ -74,6 +96,31 @@ class TestValidators:
         result.coverage[name] = 2.0
         problems = validate_split(line_state_dc, result)
         assert any("exceeds" in p for p in problems)
+
+
+class TestPlanLoads:
+    @settings(max_examples=40, deadline=None)
+    @given(state=strategies.paired_states(),
+           policy=st.sampled_from([
+               MirrorPolicy.datacenter(), MirrorPolicy.neighbors(1),
+               MirrorPolicy.datacenter_plus_neighbors(),
+               MirrorPolicy.all_nodes()]),
+           bound=st.sampled_from([0.0, 0.4, 1.0]))
+    def test_lp_table_charges_to_the_lp_loads(self, state, policy,
+                                              bound):
+        """Charging the LP's own fraction table reproduces the loads
+        the LP reports: Eq (3) per node, Eq (4) minus ``BG_l``."""
+        result = ReplicationProblem(state, mirror_policy=policy,
+                                    max_link_load=bound).solve()
+        node_loads, link_loads = plan_loads(state, result.fraction_table(
+            cls.name for cls in state.classes))
+        assert node_loads.keys() == result.node_loads.keys()
+        for resource, loads in result.node_loads.items():
+            assert node_loads[resource] == pytest.approx(loads, abs=1e-9)
+        assert set(link_loads) <= set(result.link_loads)
+        for link, load in result.link_loads.items():
+            assert link_loads.get(link, 0.0) == pytest.approx(
+                load - state.bg_load(link), abs=1e-9)
 
 
 class TestDuals:
