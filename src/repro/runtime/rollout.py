@@ -395,6 +395,8 @@ def _run_overlap(loop: EventLoop, configs: Dict[str, ShimConfig],
             send(MessageKind.DELTA_INSTALL, node, on_ack,
                  delta=ConfigDelta(node=node,
                                    installs=deltas[node].installs))
+    if not targets:
+        finish(RolloutOutcome.COMPLETED)
 
 
 def _run_two_phase(configs: Dict[str, ShimConfig],

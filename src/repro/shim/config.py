@@ -19,8 +19,9 @@ concern it. Three builders cover the three formulations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from types import MappingProxyType
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -39,49 +40,49 @@ from repro.shim.table import (ACTIONS, MODES, HashMode, RuleTable,
                               ShimAction, ShimRule)
 
 
-@dataclass
 class ShimConfig:
-    """All rules installed at one node, grouped by class.
+    """All rules installed at one node, stored as one
+    :class:`~repro.shim.table.RuleTable` (:meth:`table`).
 
-    A config is either built from rule objects (``ShimConfig(node,
-    rules)``) or, by the builders below, a slice of a
-    :class:`~repro.shim.table.RuleTable` whose rows are grouped by
-    class (:meth:`from_table`). Consumers that size, compare or search
-    rules take :meth:`table`; ``rules`` — read by the scalar shim, the
-    agents and the writers — is made from a slice when first read.
-    The dict is mutable, so from then on it is the config and the
-    slice is dropped: there is never a second copy to go stale.
+    ``ShimConfig(node, rules)`` encodes rule objects once; the builders
+    below hand each node a slice of theirs (:meth:`from_table`).
+    ``rules``, what the scalar oracle reads, is a read-only view made
+    from the table when first read. Equality is by value.
     """
 
-    node: str
-    rules: Dict[str, List[ShimRule]]
+    def __init__(self, node: str,
+                 rules: Mapping[str, Sequence[ShimRule]]) -> None:
+        self.node = node
+        self._table = RuleTable.from_rules(node, rules)
+        self._rules: Optional[Dict[str, Tuple[ShimRule, ...]]] = None
 
     @classmethod
     def from_table(cls, node: str, table: RuleTable) -> "ShimConfig":
-        config = cls(node=node, rules={})
-        del config.rules
-        config.__dict__["_table"] = table
+        config = cls.__new__(cls)
+        config.node, config._table, config._rules = node, table, None
         return config
 
-    def __getattr__(self, name: str) -> Any:
-        # Reached only for the ``rules`` of a table-backed config
-        # nobody has read yet.
-        table = self.__dict__.get("_table")
-        if table is None or name != "rules":
-            raise AttributeError(name)
-        del self.__dict__["_table"]
-        self.rules = table.rules()
-        return self.rules
+    def __repr__(self) -> str:
+        return f"ShimConfig(node={self.node!r}, rules={dict(self.rules)!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ShimConfig):
+            return NotImplemented
+        return self.node == other.node and self.rules == other.rules
 
     def table(self) -> RuleTable:
-        """This node's rules as columns: the slice the config was
-        built as, else the rule objects encoded now."""
-        table = self.__dict__.get("_table")
-        return table if table is not None else \
-            RuleTable.from_rules(self.node, self.rules)
+        """This node's rules as columns."""
+        return self._table
 
-    def rules_for(self, class_name: str) -> List[ShimRule]:
-        return self.rules.get(class_name, [])
+    @property
+    def rules(self) -> Mapping[str, Tuple[ShimRule, ...]]:
+        """The rules as objects, grouped by class in row order."""
+        if self._rules is None:
+            self._rules = self._table.rules()
+        return MappingProxyType(self._rules)
+
+    def rules_for(self, class_name: str) -> Sequence[ShimRule]:
+        return self.rules.get(class_name, ())
 
     def decide(self, class_name: str, hash_value: float,
                direction: str = "fwd") -> Optional[ShimRule]:
@@ -103,12 +104,7 @@ class ShimConfig:
         makes "compiled within budget" imply "installable within
         budget".
         """
-        table = self.__dict__.get("_table")
-        if table is not None:
-            return int(np.count_nonzero(table.end > table.start))
-        return sum(1 for rules in self.rules.values()
-                   for rule in rules
-                   if rule.hash_range.end > rule.hash_range.start)
+        return int(np.count_nonzero(self._table.end > self._table.start))
 
 
 def union_config(old: ShimConfig, new: ShimConfig) -> ShimConfig:
@@ -120,9 +116,8 @@ def union_config(old: ShimConfig, new: ShimConfig) -> ShimConfig:
     previous and new configurations during the transient period. This
     may potentially duplicate some work, but ensures correctness.")
 
-    The union is the two rule tables end to end, so no rule objects
-    are made; grouped by class, its rows give old's classes then
-    new's, and within a class old's rules then new's.
+    The union is the two rule tables end to end: grouped by class,
+    old's classes then new's, and within a class old's rules first.
     """
     if old.node != new.node:
         raise ValueError(
@@ -130,11 +125,6 @@ def union_config(old: ShimConfig, new: ShimConfig) -> ShimConfig:
             f"({old.node!r} vs {new.node!r})")
     return ShimConfig.from_table(
         old.node, RuleTable.concat([old.table(), new.table()]))
-
-
-def _empty_configs(state: NetworkState) -> Dict[str, ShimConfig]:
-    return {node: ShimConfig(node=node, rules={})
-            for node in state.nids_nodes}
 
 
 def _record_budget_metrics(configs: Dict[str, ShimConfig],
@@ -280,7 +270,8 @@ def build_split_configs(
             direction tails.
     """
     dc = state.dc_node
-    configs = _empty_configs(state)
+    rules: Dict[str, Dict[str, List[ShimRule]]] = {
+        node: {} for node in state.nids_nodes}
     recorded: Dict[str, BudgetedLowering] = {}
     for cls in state.classes:
         process = result.process_fractions.get(cls.name, {})
@@ -295,7 +286,7 @@ def build_split_configs(
 
         for rng in shared_ranges:
             _, node = rng.key
-            configs[node].rules.setdefault(cls.name, []).append(
+            rules[node].setdefault(cls.name, []).append(
                 ShimRule(cls.name, rng, ShimAction.PROCESS,
                          direction="both"))
 
@@ -321,13 +312,14 @@ def build_split_configs(
                                     local_total + offset_rng.end))
                 if rng.end <= rng.start:
                     continue
-                configs[node].rules.setdefault(cls.name, []).append(
+                rules[node].setdefault(cls.name, []).append(
                     ShimRule(cls.name, rng, ShimAction.REPLICATE,
                              target=dc, direction=direction))
                 if dc is not None:
-                    configs[dc].rules.setdefault(cls.name, []).append(
+                    rules[dc].setdefault(cls.name, []).append(
                         ShimRule(cls.name, rng, ShimAction.PROCESS,
                                  direction=direction))
+    configs = {node: ShimConfig(node, found) for node, found in rules.items()}
     if lowerings is not None:
         lowerings.update(recorded)
     if budget is not None:

@@ -11,17 +11,16 @@ between two compiled :class:`~repro.shim.config.ShimConfig` sets:
   new), per node. Rules are compared by value (class, exact range
   bounds and key, action, target, direction, hash mode), so an
   unchanged fraction whose range compiled to identical floats ships
-  nothing. The comparison runs on the configs' rule tables — one
-  sort of both sides' rows — and rule objects are made only for the
-  rows that differ.
-- :func:`apply_delta` — replays a delta onto the old config; the
-  result is bit-identical (after canonical ordering) to the freshly
-  compiled new config, which is the property the diff-equivalence
-  tests pin.
-- :func:`canonical_config` — the canonical rule ordering (sorted
-  per class by range position, then action/target/direction). Within
-  one (node, class, direction) bucket compiled ranges are disjoint,
-  so re-ordering never changes first-match semantics.
+  nothing. The comparison is one sort of both sides' table rows, and
+  a delta is rows too.
+- :func:`apply_delta` — replays a delta onto the old config by the
+  same row comparison; the result is bit-identical (after canonical
+  ordering) to the freshly compiled new config, which is the
+  property the diff-equivalence tests pin.
+- :func:`canonical_config` — the canonical rule ordering (by class,
+  then range position, then action/target/direction/hash mode).
+  Within one (node, class, direction) bucket compiled ranges are
+  disjoint, so re-ordering never changes first-match semantics.
 
 The D-NIDS line of work motivates this: reconfiguration churn is the
 operational cost of network-wide balancing, and the vulnerable
@@ -40,42 +39,57 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from repro.obs import get_registry
-from repro.shim.config import ShimConfig, ShimRule
-from repro.shim.table import RuleTable
+from repro.shim.config import ShimConfig
+from repro.shim.table import ACTIONS, DIRECTIONS, MODES, RuleTable
+
+_NO_ROWS = RuleTable.from_rules("", {})
 
 
-def _rule_sort_key(rule: ShimRule) -> Tuple:
-    return (rule.hash_range.start, rule.hash_range.end,
-            rule.action.value, rule.target or "", rule.direction,
-            rule.hash_mode.value)
+def _canonical_keys(table: RuleTable) -> List[np.ndarray]:
+    """``np.lexsort`` keys for the canonical order: class, start, end,
+    then the action, target (none: ``""``), direction and mode names."""
+    def named(names: Sequence[str], codes: np.ndarray) -> np.ndarray:
+        used, at = np.unique(codes, return_inverse=True)
+        return np.array([names[c] for c in used.tolist()], dtype=str)[at]
+
+    return [named([mode.value for mode in MODES], table.mode),
+            named(DIRECTIONS, table.direction),
+            named([*table.node_names, ""], table.target),
+            named([action.value if action else "" for action in ACTIONS],
+                  table.action),
+            table.end, table.start, named(table.class_names, table.cls)]
 
 
 def canonical_config(config: ShimConfig) -> ShimConfig:
-    """The config with every class's rules in canonical order.
+    """The config with its rules in canonical order.
 
     Compiled rule sets are disjoint within each (class, direction,
     hash-field) bucket, so sorting by range position preserves
     first-match semantics while making configs comparable by ``==``.
     """
-    return ShimConfig(
-        node=config.node,
-        rules={cls: sorted(rules, key=_rule_sort_key)
-               for cls, rules in sorted(config.rules.items())
-               if rules})
+    table = config.table()
+    return ShimConfig.from_table(
+        config.node, table.take(np.lexsort(_canonical_keys(table))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfigDelta:
     """The rule-level difference between two configs of one node.
 
-    ``installs``/``retires`` are (class_name, rule) pairs in
+    ``installs``/``retires`` are that node's rule-table rows in
     canonical order. An empty delta means the node's table is
     already exact — the rollout can skip it entirely.
     """
 
     node: str
-    installs: Tuple[Tuple[str, ShimRule], ...] = field(default=())
-    retires: Tuple[Tuple[str, ShimRule], ...] = field(default=())
+    installs: RuleTable = field(default=_NO_ROWS)
+    retires: RuleTable = field(default=_NO_ROWS)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ConfigDelta):
+            return NotImplemented
+        return (self.node, self.installs.rules(), self.retires.rules()) \
+            == (other.node, other.installs.rules(), other.retires.rules())
 
     @property
     def num_rules(self) -> int:
@@ -87,49 +101,48 @@ class ConfigDelta:
         return not self.installs and not self.retires
 
 
-def _changed_rules(old: Sequence[ShimConfig],
-                   new: Sequence[ShimConfig]
-                   ) -> Tuple[Dict[str, List[Tuple[str, ShimRule]]],
-                              Dict[str, List[Tuple[str, ShimRule]]]]:
-    """``(installs, retires)`` per node: the distinct rules of ``new``
-    no config of ``old`` at that node has, and the reverse, each in
-    canonical order.
+def _same_rows(table: RuleTable, columns: Sequence[str]
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row's run of equal rows (on ``columns`` and both bounds'
+    bit patterns, -0.0 made +0.0), and each run's first row."""
+    keys = np.stack([getattr(table, name) for name in columns] + [
+        (bound + 0.0).view(np.int64) for bound in (table.start, table.end)])
+    order = np.lexsort(keys)
+    ordered = keys[:, order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    run = np.empty(len(order), dtype=np.int64)
+    run[order] = np.cumsum(first) - 1
+    return run, order[first]
 
-    Both sides' rows are sorted together on every column (a float
-    boundary by its bit pattern, +0.0 and -0.0 made one first); a run
-    of equal rows seen on one side only is a changed rule.
-    """
+
+#: what makes a row one rule, beside its node and bounds
+_RULE = ("cls", "action", "target", "direction", "mode", "key")
+
+
+def _deltas(old: Sequence[ShimConfig], new: Sequence[ShimConfig],
+            nodes: Sequence[str]) -> Dict[str, ConfigDelta]:
+    """Each node's delta: the distinct rows of ``new`` no config of
+    ``old`` at that node has (installs), and the reverse (retires)."""
     tables = [config.table() for config in (*old, *new)]
     table = RuleTable.concat(tables)
     is_new = np.arange(len(table), dtype=np.int64) >= sum(
         len(part) for part in tables[:len(old)])
-    columns = [getattr(table, name) for name in (
-        "node", "cls", "action", "target", "direction", "mode", "key")]
-    columns += [(bound + 0.0).view(np.int64)
-                for bound in (table.start, table.end)]
-    order = np.lexsort(columns)
-    first = np.zeros(len(order), dtype=bool)
-    first[:1] = True
-    for column in columns:
-        column = column[order]
-        first[1:] |= column[1:] != column[:-1]
-    run = np.cumsum(first) - 1
-    seen_new = np.bincount(run, weights=is_new[order]) > 0
-    seen_old = np.bincount(run, weights=~is_new[order]) > 0
-    heads = order[first]
-    changed: List[Dict[str, List[Tuple[str, ShimRule]]]] = []
+    run, heads = _same_rows(table, ("node",) + _RULE)
+    seen_new = np.bincount(run, weights=is_new) > 0
+    seen_old = np.bincount(run, weights=~is_new) > 0
+    changed: List[Dict[str, RuleTable]] = []
     for rows in (heads[seen_new & ~seen_old],
                  heads[seen_old & ~seen_new]):
         picked = table.take(rows)
-        per_node: Dict[str, List[Tuple[str, ShimRule]]] = {}
-        for node, rule in zip(picked.node.tolist(), picked.rule_list()):
-            per_node.setdefault(table.node_names[node], []).append(
-                (rule.class_name, rule))
-        for rules in per_node.values():
-            rules.sort(key=lambda item: (item[0],
-                                         _rule_sort_key(item[1])))
-        changed.append(per_node)
-    return changed[0], changed[1]
+        picked = picked.take(np.lexsort(_canonical_keys(picked)))
+        changed.append({
+            table.node_names[node]: picked.take(picked.node == node)
+            for node in np.unique(picked.node).tolist()})
+    installs, retires = changed
+    return {node: ConfigDelta(node, installs.get(node, _NO_ROWS),
+                              retires.get(node, _NO_ROWS))
+            for node in nodes}
 
 
 def diff_config(old: ShimConfig, new: ShimConfig) -> ConfigDelta:
@@ -142,10 +155,7 @@ def diff_config(old: ShimConfig, new: ShimConfig) -> ConfigDelta:
         raise ValueError(
             f"cannot diff configs of different nodes "
             f"({old.node!r} vs {new.node!r})")
-    installs, retires = _changed_rules([old], [new])
-    return ConfigDelta(node=old.node,
-                       installs=tuple(installs.get(old.node, ())),
-                       retires=tuple(retires.get(old.node, ())))
+    return _deltas([old], [new], [old.node])[old.node]
 
 
 def diff_configs(old: Mapping[str, ShimConfig],
@@ -159,12 +169,8 @@ def diff_configs(old: Mapping[str, ShimConfig],
     move) and ``rollout.delta_fraction`` (that count relative to
     re-shipping the new tables whole).
     """
-    installs, retires = _changed_rules(list(old.values()),
-                                       list(new.values()))
-    deltas = {node: ConfigDelta(node=node,
-                                installs=tuple(installs.get(node, ())),
-                                retires=tuple(retires.get(node, ())))
-              for node in sorted(set(old) | set(new))}
+    deltas = _deltas(list(old.values()), list(new.values()),
+                     sorted(set(old) | set(new)))
     metrics = get_registry()
     if metrics.enabled:
         delta_rules = sum(d.num_rules for d in deltas.values())
@@ -190,16 +196,16 @@ def apply_delta(config: ShimConfig, delta: ConfigDelta) -> ShimConfig:
     if config.node != delta.node:
         raise ValueError(
             f"delta for {delta.node!r} applied to {config.node!r}")
-    rules: Dict[str, List[ShimRule]] = {
-        cls: list(existing) for cls, existing in config.rules.items()}
-    for cls, rule in delta.retires:
-        kept = [r for r in rules.get(cls, []) if r != rule]
-        if kept:
-            rules[cls] = kept
-        else:
-            rules.pop(cls, None)
-    for cls, rule in delta.installs:
-        bucket = rules.setdefault(cls, [])
-        if rule not in bucket:
-            bucket.append(rule)
-    return canonical_config(ShimConfig(node=config.node, rules=rules))
+    parts = (config.table(), delta.retires, delta.installs)
+    table = RuleTable.concat(parts)
+    run, _ = _same_rows(table, _RULE)
+    source = np.repeat(np.arange(3, dtype=np.int64),
+                       [len(part) for part in parts])
+    retired = np.bincount(run, weights=source == 1) > 0
+    kept = (source == 0) & ~retired[run]
+    present = np.bincount(run, weights=kept) > 0
+    # Each install once (its first row), unless a kept rule equals it.
+    fresh = np.flatnonzero((source == 2) & ~present[run])
+    kept[fresh[np.unique(run[fresh], return_index=True)[1]]] = True
+    return canonical_config(ShimConfig.from_table(
+        config.node, table.take(kept)))

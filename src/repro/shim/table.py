@@ -16,11 +16,11 @@ and :data:`MODES`. ``start``/``end`` are the float boundaries exactly
 as laid out — never rescaled or folded into another key, so a
 comparison against them is the scalar ``HashRange.contains``.
 
-The config builders emit a table and hand every node a slice of it;
-the differ, the batch kernel and ``num_rules`` read columns.
-:class:`ShimRule` objects are what the scalar shim, the agents and the
-writers read; :meth:`RuleTable.rules` makes them from rows and
-:meth:`RuleTable.from_rules` goes the other way.
+A :class:`~repro.shim.config.ShimConfig` is one such table (a builder
+hands every node a slice of its own); the differ, the deltas, the
+unions, the batch kernel and ``num_rules`` read rows. Only the scalar
+oracle reads :class:`ShimRule` objects, which :meth:`RuleTable.rules`
+makes from rows; :meth:`RuleTable.from_rules` goes the other way.
 """
 
 from __future__ import annotations
@@ -147,57 +147,55 @@ class RuleTable:
                            if name in _INT_COLUMNS else np.float64)
             for name, values in columns.items()})
 
-    def rule_list(self) -> List[ShimRule]:
-        """Every row as a :class:`ShimRule`, in row order."""
+    def rules(self) -> Dict[str, Tuple[ShimRule, ...]]:
+        """The rows as ``ShimConfig.rules``: rule objects grouped by
+        class, classes and rules in row order."""
         classes, nodes, keys = self.class_names, self.node_names, \
             self.keys
-        return [
-            ShimRule(classes[cls], HashRange(keys[key], start, end),
-                     ACTIONS[action],
-                     None if target < 0 else nodes[target],
-                     DIRECTIONS[direction], MODES[mode])
-            for cls, key, start, end, action, target, direction, mode
-            in zip(*(getattr(self, name).tolist() for name in (
-                "cls", "key", "start", "end", "action", "target",
-                "direction", "mode")))]
-
-    def rules(self) -> Dict[str, List[ShimRule]]:
-        """The rows as ``ShimConfig.rules``: grouped by class, classes
-        and rules in row order."""
         grouped: Dict[str, List[ShimRule]] = {}
-        for rule in self.rule_list():
-            grouped.setdefault(rule.class_name, []).append(rule)
-        return grouped
+        for cls, key, start, end, action, target, direction, mode in zip(
+                *(getattr(self, name).tolist() for name in (
+                    "cls", "key", "start", "end", "action", "target",
+                    "direction", "mode"))):
+            grouped.setdefault(classes[cls], []).append(ShimRule(
+                classes[cls], HashRange(keys[key], start, end),
+                ACTIONS[action], None if target < 0 else nodes[target],
+                DIRECTIONS[direction], MODES[mode]))
+        return {name: tuple(bucket) for name, bucket in grouped.items()}
 
     # -- several tables as one ---------------------------------------------
 
     @classmethod
     def concat(cls, tables: Sequence["RuleTable"]) -> "RuleTable":
-        """The tables' rows end to end, coded in one vocabulary (the
-        shared one when they agree, else the union)."""
+        """The tables' rows end to end, coded in one vocabulary: the
+        shared one when they agree, else just the names the rows use."""
         if not tables:
             return cls.from_rules("", {})
         recoded: Dict[str, List[np.ndarray]] = {
             name: [getattr(table, name) for table in tables]
             for name in _COLUMNS}
         vocabularies = []
+        # An empty table has no codes, so its vocabulary cannot clash.
+        live = [table for table in tables if len(table)] or tables
         for attribute, coded in _VOCABULARIES:
-            names = getattr(tables[0], attribute)
+            names = getattr(live[0], attribute)
             if any(getattr(table, attribute) is not names
                    and getattr(table, attribute) != names
-                   for table in tables):
-                names = tuple(dict.fromkeys(
-                    name for table in tables
-                    for name in getattr(table, attribute)))
-                code = {name: index for index, name in enumerate(names)}
+                   for table in live):
+                code: Dict[Hashable, int] = {}
                 for position, table in enumerate(tables):
+                    vocabulary = getattr(table, attribute)
+                    used = np.unique(np.concatenate(
+                        [getattr(table, name) for name in coded]))
+                    used = used[used >= 0]
                     # -1 (no target) maps to -1: it reads the last slot.
-                    remap = np.array(
-                        [code[name] for name in getattr(table, attribute)]
-                        + [-1], dtype=np.int64)
+                    remap = np.full(len(vocabulary) + 1, -1, dtype=np.int64)
+                    remap[used] = [code.setdefault(vocabulary[at], len(code))
+                                   for at in used.tolist()]
                     for name in coded:
                         recoded[name][position] = \
                             remap[recoded[name][position]]
+                names = tuple(code)
             vocabularies.append(names)
         return cls(*vocabularies, **{
             name: np.concatenate(parts)

@@ -63,17 +63,20 @@ class TestModelcheckIntegration:
         assert check_budgeted_configs(configs, budget) == []
 
     def test_missing_owner_is_detected(self, tinet):
-        """Removing a class's only PROCESS rule leaves a hash-space
-        gap that SHIM003 must flag."""
+        """Removing a PROCESS rule from a bucket that keeps others
+        leaves a hash-space gap that SHIM003 must flag."""
         state, result = tinet
         configs = build_replication_configs(state, result, budget=2)
-        for config in configs.values():
-            for rules in config.rules.values():
+        for node, config in configs.items():
+            for cls, rules in config.rules.items():
                 procs = [r for r in rules
                          if r.action is ShimAction.PROCESS
                          and r.hash_range.width > 0]
-                if procs:
-                    rules.remove(procs[0])
+                if procs and len(rules) > 1:
+                    kept = list(rules)
+                    kept.remove(procs[0])
+                    configs[node] = ShimConfig(
+                        node, {**config.rules, cls: kept})
                     findings = check_budgeted_configs(configs, 2)
                     assert any(f.rule_id == "SHIM003"
                                for f in findings)
@@ -83,16 +86,17 @@ class TestModelcheckIntegration:
     def test_over_budget_table_is_detected(self, tinet):
         state, result = tinet
         configs = build_replication_configs(state, result, budget=1)
-        for config in configs.values():
+        for node, config in configs.items():
             for cls, rules in config.rules.items():
                 if rules:
                     half = rules[0].hash_range.start + \
                         rules[0].hash_range.width / 2
-                    rules.append(ShimRule(
-                        cls, HashRange(("extra",),
-                                       rules[0].hash_range.start,
-                                       half),
-                        rules[0].action, target=rules[0].target))
+                    configs[node] = ShimConfig(node, {
+                        **config.rules, cls: [*rules, ShimRule(
+                            cls, HashRange(("extra",),
+                                           rules[0].hash_range.start,
+                                           half),
+                            rules[0].action, target=rules[0].target)]})
                     findings = check_budgeted_configs(configs, 1)
                     assert any(f.rule_id == "SHIM004"
                                for f in findings)
@@ -184,8 +188,8 @@ class TestCapacityAccounting:
         ranges can never match and must not consume table space."""
         budget = 4
         config = self._config("A", [0.1] * budget)
-        config.rules["c"].append(ShimRule(
-            "c", HashRange(("pad",), 0.9, 0.9), ShimAction.PROCESS))
+        config = ShimConfig("A", {"c": [*config.rules["c"], ShimRule(
+            "c", HashRange(("pad",), 0.9, 0.9), ShimAction.PROCESS)]})
         assert config.num_rules == budget
         agent = NodeAgent("A", {"cpu": 1.0}, rule_capacity=budget)
         ack = agent.deliver(ConfigMessage(

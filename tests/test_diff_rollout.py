@@ -28,6 +28,7 @@ from repro.runtime.rollout import (
     RolloutOutcome,
 )
 from repro.shim.config import (
+    ShimAction,
     ShimConfig,
     ShimRule,
     build_aggregation_configs,
@@ -42,6 +43,7 @@ from repro.shim.diff import (
     diff_configs,
 )
 from repro.shim.ranges import compile_hash_ranges
+from tests.strategies import fraction_rows, small_states
 
 
 def _assert_delta_equivalence(old, new):
@@ -74,8 +76,6 @@ class TestDiffConfig:
             apply_delta(a, ConfigDelta(node="B"))
 
     def test_replay_is_idempotent(self):
-        from repro.shim.config import ShimAction
-
         rng_old, rng_new = compile_hash_ranges(
             [("keep", 0.5), ("swap", 0.5)])
         old = ShimConfig(node="A", rules={"c": [
@@ -152,42 +152,29 @@ class TestDiffEquivalenceAcrossProblems:
         _assert_delta_equivalence(old, new)
 
 
-def _configs_from_weights(node, weights):
-    """A single-node, single-class config from raw weights."""
-    total = sum(weights)
-    fractions = [w / total for w in weights]
-    fractions[-1] = 1.0 - sum(fractions[:-1])
-    from repro.shim.config import ShimAction
-
+def _config_from_fractions(node, fractions):
+    """A single-node, single-class config laying out ``fractions``."""
     ranges = compile_hash_ranges(
         [(("process", f"N{i}"), fraction)
          for i, fraction in enumerate(fractions)])
-    rules = [ShimRule("cls", rng, ShimAction.PROCESS)
-             for rng in ranges]
-    return ShimConfig(node=node, rules={"cls": rules} if rules else {})
-
-
-weight_vectors = st.lists(
-    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-    min_size=1, max_size=6,
-).filter(lambda ws: sum(ws) > 0.01)
+    return ShimConfig(node=node, rules={"cls": [
+        ShimRule("cls", rng, ShimAction.PROCESS) for rng in ranges]})
 
 
 class TestRandomizedEpochPairs:
     @settings(max_examples=80, deadline=None)
-    @given(old_weights=weight_vectors, new_weights=weight_vectors)
-    def test_apply_delta_matches_fresh_compile(self, old_weights,
-                                               new_weights):
-        old = _configs_from_weights("A", old_weights)
-        new = _configs_from_weights("A", new_weights)
+    @given(old_row=fraction_rows(), new_row=fraction_rows())
+    def test_apply_delta_matches_fresh_compile(self, old_row, new_row):
+        old = _config_from_fractions("A", old_row)
+        new = _config_from_fractions("A", new_row)
         delta = diff_config(old, new)
         assert apply_delta(old, delta) == canonical_config(new)
 
     @settings(max_examples=80, deadline=None)
-    @given(weights=weight_vectors)
-    def test_same_epoch_ships_nothing(self, weights):
-        old = _configs_from_weights("A", weights)
-        new = _configs_from_weights("A", list(weights))
+    @given(row=fraction_rows())
+    def test_same_epoch_ships_nothing(self, row):
+        old = _config_from_fractions("A", row)
+        new = _config_from_fractions("A", list(row))
         assert diff_config(old, new).is_empty
 
 
@@ -200,6 +187,14 @@ def _drive(strategy, configs, agents, previous=None, spec=None,
     session = driver.start(loop, agents, configs, previous)
     loop.run_until(horizon)
     return session
+
+
+def _seeded_agents(state, configs):
+    agents = build_agents(state.node_capacity)
+    for node, cfg in configs.items():
+        agents[node].deliver(ConfigMessage(
+            MessageKind.INSTALL, 1, node, cfg), now=0.0)
+    return agents
 
 
 class TestDeltaRollout:
@@ -216,17 +211,10 @@ class TestDeltaRollout:
                 max_link_load=0.4).solve())
         return old, new
 
-    def _seeded_agents(self, state, configs):
-        agents = build_agents(state.node_capacity)
-        for node, cfg in configs.items():
-            agents[node].deliver(ConfigMessage(
-                MessageKind.INSTALL, 1, node, cfg), now=0.0)
-        return agents
-
     def test_delta_reaches_fresh_compile_state(self, line_state_dc,
                                                epoch_pair):
         old, new = epoch_pair
-        agents = self._seeded_agents(line_state_dc, old)
+        agents = _seeded_agents(line_state_dc, old)
         session = _drive("delta", new, agents,
                          previous=old)
         assert session.outcome is RolloutOutcome.COMPLETED
@@ -238,7 +226,7 @@ class TestDeltaRollout:
     def test_delta_survives_lossy_channel(self, line_state_dc,
                                           epoch_pair):
         old, new = epoch_pair
-        agents = self._seeded_agents(line_state_dc, old)
+        agents = _seeded_agents(line_state_dc, old)
         session = _drive(
             "delta", new, agents,
             previous=old,
@@ -271,10 +259,10 @@ class TestDeltaRollout:
         new = build_replication_configs(
             line_state_dc,
             dataclasses.replace(result, process_fractions=moved))
-        delta_agents = self._seeded_agents(line_state_dc, old)
+        delta_agents = _seeded_agents(line_state_dc, old)
         delta_session = _drive("delta", new, delta_agents,
                                previous=old)
-        overlap_agents = self._seeded_agents(line_state_dc, old)
+        overlap_agents = _seeded_agents(line_state_dc, old)
         overlap_session = _drive(
             "overlap", new, overlap_agents,
             previous=old)
@@ -290,7 +278,7 @@ class TestDeltaRollout:
                                                    line_state_dc,
                                                    epoch_pair):
         old, _ = epoch_pair
-        agents = self._seeded_agents(line_state_dc, old)
+        agents = _seeded_agents(line_state_dc, old)
         session = _drive("delta", old, agents,
                          previous=old)
         assert session.outcome is RolloutOutcome.COMPLETED
@@ -304,7 +292,7 @@ class TestDeltaRollout:
         back to one full overlap install for it, and the rollout
         still converges on the fresh-compile state everywhere."""
         old, new = epoch_pair
-        agents = self._seeded_agents(line_state_dc, old)
+        agents = _seeded_agents(line_state_dc, old)
         bare = sorted(n for n in new if not diff_config(
             old[n], new[n]).is_empty)[0]
         agents[bare] = build_agents(
@@ -324,3 +312,36 @@ class TestDeltaRollout:
         session = _drive("delta", old, agents, previous=None)
         assert session.strategy == "direct"
         assert session.outcome is RolloutOutcome.COMPLETED
+
+
+class TestDeltaMatchesOverlapOnDrawnTopologies:
+    @settings(max_examples=20, deadline=None)
+    @given(state=small_states(), data=st.data(),
+           jitter=st.floats(min_value=0.0, max_value=5.0),
+           loss=st.floats(min_value=0.0, max_value=0.4))
+    def test_both_strategies_end_on_the_new_plan(self, state, data,
+                                                 jitter, loss):
+        """Delta ≡ overlap on a ``small_states`` state and a volume
+        drift of it: the deltas replay to the new plan, both rollouts
+        end on it through a lossy channel, delta installing no more."""
+        drifted = state.with_traffic([cls.scaled(data.draw(
+            st.floats(min_value=0.25, max_value=4.0)))
+            for cls in state.classes])
+        old, new = (build_replication_configs(s, ReplicationProblem(
+            s, mirror_policy=MirrorPolicy.datacenter(),
+            max_link_load=0.4).solve()) for s in (state, drifted))
+        _assert_delta_equivalence(old, new)
+        spec = ChannelSpec(base_delay=1.0, jitter=jitter, loss=loss,
+                           retransmit_timeout=4.0)
+        sessions = {}
+        for strategy in ("overlap", "delta"):
+            agents = _seeded_agents(state, old)
+            sessions[strategy] = _drive(strategy, new, agents,
+                                        previous=old, spec=spec)
+            assert sessions[strategy].outcome is \
+                RolloutOutcome.COMPLETED
+            for node in new:
+                assert canonical_config(agents[node].effective_config()) \
+                    == canonical_config(new[node])
+        assert sessions["delta"].rules_installed <= \
+            sessions["overlap"].rules_installed

@@ -190,14 +190,14 @@ class TestFastFallbacks:
         state, generator, sessions, configs = line_pieces
         cls = state.classes[0].name
         node = state.nids_nodes[0]
-        configs[node].rules[cls] = [
+        configs[node] = ShimConfig(node, {**configs[node].rules, cls: [
             ShimRule(cls, HashRange(("process", node), 0.0, 0.6),
                      ShimAction.PROCESS),
             ShimRule(cls, HashRange(("offload", node), 0.4, 0.9),
                      ShimAction.REPLICATE, target=state.dc_node),
             ShimRule(cls, HashRange(("process", node), 0.2, 1.0),
                      ShimAction.PROCESS),
-        ]
+        ]})
         emulation = Emulation(state, configs, generator.classifier)
         with use_registry(MetricsRegistry()) as registry:
             fast = emulation.run_signature(sessions, fast=True)
@@ -234,12 +234,12 @@ class TestFastFallbacks:
         state, generator, sessions, configs = line_pieces
         cls = state.classes[0].name
         node = state.nids_nodes[0]
-        configs[node].rules[cls] = [
+        configs[node] = ShimConfig(node, {**configs[node].rules, cls: [
             ShimRule(cls, HashRange(("process", node), 0.0, 0.3),
                      ShimAction.PROCESS),
             ShimRule(cls, HashRange(("process", node), 0.5, 0.8),
                      ShimAction.PROCESS, hash_mode=HashMode.SOURCE),
-        ]
+        ]})
         emulation = Emulation(state, configs, generator.classifier)
         with use_registry(MetricsRegistry()) as registry:
             fast = emulation.run_signature(sessions, fast=True)

@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import pathlib
+import pickle
 
 import numpy as np
 import pytest
@@ -154,11 +155,10 @@ class TestKernelEqualsOneRowRung:
 def _walked_configs(state, result, budget=None,
                     hash_mode=HashMode.SESSION, lowerings=None):
     """``build_replication_configs`` (and, for a result without ``o``
-    fractions, ``build_aggregation_configs``) as a walk over the dict
-    views and the one-row rung, building every rule object — the
-    builders this PR replaced, kept here as the reference."""
-    configs = {node: ShimConfig(node=node, rules={})
-               for node in state.nids_nodes}
+    fractions, ``build_aggregation_configs``) as a walk over the
+    one-row rung, building every rule object — the builders the
+    array path replaced, kept here as the reference."""
+    rules = {node: {} for node in state.nids_nodes}
     for cls in state.classes:
         entries = []
         process = result.process_fractions.get(cls.name, {})
@@ -180,14 +180,13 @@ def _walked_configs(state, result, budget=None,
             else:
                 rule = ShimRule(cls.name, rng, ShimAction.REPLICATE,
                                 target=rng.key[2])
-            configs[rng.key[1]].rules.setdefault(
-                cls.name, []).append(rule)
+            rules[rng.key[1]].setdefault(cls.name, []).append(rule)
         for rng in ranges:
             if rng.key[0] == "replicate":
-                configs[rng.key[2]].rules.setdefault(
-                    cls.name, []).append(
-                        ShimRule(cls.name, rng, ShimAction.PROCESS))
-    return configs
+                rules[rng.key[2]].setdefault(cls.name, []).append(
+                    ShimRule(cls.name, rng, ShimAction.PROCESS))
+    return {node: ShimConfig(node, node_rules)
+            for node, node_rules in rules.items()}
 
 
 def _solve(state):
@@ -261,7 +260,6 @@ class TestTableBackedConfigs:
         class_names = [cls.name for cls in state.classes]
         node_order = list(state.nids_nodes)
         kernel = BatchShimKernel(configs, class_names, node_order)
-        assert "rules" not in vars(configs[node_order[0]])  # no objects
         rng = np.random.default_rng(seed)
         count = 200
         node_ids = rng.integers(0, len(node_order), count)
@@ -282,22 +280,23 @@ class TestTableBackedConfigs:
                 assert actions[index] == ACTION_REPLICATE
                 assert node_order[targets[index]] == rule.target
 
-    def test_reading_rules_makes_the_objects_the_config(
+    def test_rules_is_a_read_only_view_of_the_table(
             self, line_state_dc):
-        """The dict view is mutable, so once read it *is* the config:
-        an edit shows in every consumer, table readers included."""
+        """The table is the config's one storage: reading ``rules``
+        keeps it, an edit through ``rules`` raises, and a config whose
+        ``rules`` was read still pickles (sweeps ship configs to
+        worker processes)."""
         configs = build_replication_configs(line_state_dc,
                                             _solve(line_state_dc))
         config = next(c for c in configs.values() if c.num_rules)
-        before = config.num_rules
-        assert "_table" in vars(config)
+        table = config.table()
         name, rules = next(iter(config.rules.items()))
-        assert "_table" not in vars(config)
-        rules.append(ShimRule(name, rules[0].hash_range,
-                              rules[0].action, target=rules[0].target))
-        assert config.num_rules == before + 1
-        assert len(config.table()) == before + 1
-        assert config.table().rules()[name] == rules
+        assert config.table() is table
+        with pytest.raises(TypeError):
+            config.rules[name] = list(rules)
+        with pytest.raises(AttributeError):
+            rules.append(rules[0])
+        assert pickle.loads(pickle.dumps(config)) == config
 
     def test_tables_of_different_vocabularies_concatenate(self):
         from repro.shim.ranges import HashRange
@@ -313,7 +312,7 @@ class TestTableBackedConfigs:
         assert [both.node_names[n] for n in both.node.tolist()] == \
             ["A", "B"]
         assert both.target.tolist() == [1, -1]
-        assert both.rule_list() == left.rule_list() + right.rule_list()
+        assert both.rules() == {**left.rules(), **right.rules()}
         assert ACTIONS[both.action[0]] is ShimAction.REPLICATE
 
 

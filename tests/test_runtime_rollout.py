@@ -279,6 +279,15 @@ class TestRolloutDriver:
         with pytest.raises(ValueError):
             RolloutDriver(ConfigChannel(ChannelSpec()), "magic")
 
+    @pytest.mark.parametrize("strategy", RolloutDriver.STRATEGIES)
+    def test_no_targets_completes_at_once(self, two_configs, strategy):
+        """A rollout no agent takes part in has nothing to wait for."""
+        old, _ = two_configs
+        session, _ = _drive(strategy, old, {}, previous=old)
+        assert session.strategy == strategy
+        assert session.outcome is RolloutOutcome.COMPLETED
+        assert session.completed_at == 0.0
+
 
 class TestCoverageReport:
     def test_full_assignment_covers_everything(self, line_state_dc,
@@ -527,11 +536,9 @@ def _scalar_report(classes, node_configs):
             config = node_configs.get(node)
             if config is None:
                 continue
-            rules = (config.table().rules() if "_table" in vars(config)
-                     else config.rules)
             intervals.extend(
                 (rule.hash_range.start, rule.hash_range.end)
-                for rule in rules.get(cls.name, ())
+                for rule in config.rules_for(cls.name)
                 if rule.hash_range.end > rule.hash_range.start)
         union = _union_length(intervals)
         covered.append(union)

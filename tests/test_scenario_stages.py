@@ -22,8 +22,9 @@ from repro.runtime.scenario import (
     _safe_failing_nodes,
     run_scenario,
     sketch_estimator_scenario,
+    steady_drift_scenario,
 )
-from repro.shim.table import RuleTable
+from repro.shim.table import RuleTable, ShimRule
 
 #: lossless and fast: every rollout completes well inside its epoch,
 #: so nothing but the stage under test can change an agent's config
@@ -175,4 +176,22 @@ def test_settle_makes_no_rule_objects(estimator_scenario, tmp_path,
             settled = run.settle(feed)
         run.observe(feed, decision, settled)
     assert calls["unions"] > 0  # an overlap transient was tracked
+    assert calls["rules"] == 0
+
+
+def test_delta_rollouts_make_no_rule_objects(monkeypatch):
+    """Deltas are rule-table rows from the diff to the agents' patched
+    tables: a delta-rollout run never makes a rule object."""
+    calls = {"rules": 0}
+    init = ShimRule.__init__
+
+    def counted_init(rule, *args, **kwargs):
+        calls["rules"] += 1
+        init(rule, *args, **kwargs)
+
+    monkeypatch.setattr(ShimRule, "__init__", counted_init)
+    report = run_scenario(dataclasses.replace(
+        steady_drift_scenario(epochs=4), strategy="delta"))
+    assert sum(record.rules_installed or 0
+               for record in report.records) > 0
     assert calls["rules"] == 0

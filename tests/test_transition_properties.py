@@ -29,6 +29,7 @@ from repro.shim.diff import (
 )
 from repro.shim.ranges import compile_hash_ranges
 from repro.traffic.classes import TrafficClass
+from tests.strategies import fraction_rows
 
 NODES = ["N0", "N1", "N2", "N3", "N4"]
 
@@ -40,20 +41,16 @@ EPS = 1e-9
 
 
 def _configs_from_weights(weights) -> dict:
-    """Compile a per-node weight vector into per-node shim configs
-    (the Section 7.1 layout over the class's path)."""
-    total = sum(weights)
-    fractions = [w / total for w in weights]
-    fractions[-1] = 1.0 - sum(fractions[:-1])  # exact unit sum
-    entries = [(("process", node), fraction)
-               for node, fraction in zip(NODES, fractions)]
-    configs = {node: ShimConfig(node=node, rules={})
-               for node in NODES}
+    """Compile a per-node weight vector (fractions summing to 1) into
+    per-node shim configs (the Section 7.1 layout over the path)."""
+    entries = [(("process", node), weight)
+               for node, weight in zip(NODES, weights)]
+    rules = {node: [] for node in NODES}
     for rng in compile_hash_ranges(entries):
-        _, node = rng.key
-        configs[node].rules.setdefault(CLASS.name, []).append(
+        rules[rng.key[1]].append(
             ShimRule(CLASS.name, rng, ShimAction.PROCESS))
-    return configs
+    return {node: ShimConfig(node, {CLASS.name: bucket})
+            for node, bucket in rules.items()}
 
 
 def _masses(configs):
@@ -64,10 +61,7 @@ def _masses(configs):
     return union, total
 
 
-weight_vectors = st.lists(
-    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-    min_size=len(NODES), max_size=len(NODES),
-).filter(lambda ws: sum(ws) > 0.01)
+weight_vectors = fraction_rows(max_size=len(NODES))
 
 
 class TestOverlapNeverUncovers:

@@ -55,17 +55,14 @@ class TestUnionConfig:
 
     def test_table_backed_union_is_the_rule_merge(self, two_configs,
                                                   line_state_dc):
-        """Two compiled configs give a compiled union: no rule objects
-        are made, yet it is the dict merge — old's rules then new's,
-        class by class — to every consumer."""
+        """Two compiled configs give a compiled union: the dict
+        merge — old's rules then new's, class by class — to every
+        consumer."""
         old, new = two_configs
         unions = {node: union_config(old[node], new[node])
                   for node in old}
         merged = {node: _merged(old[node], new[node]) for node in old}
         for node, union in unions.items():
-            assert "_table" in vars(old[node])
-            assert "_table" in vars(new[node])
-            assert "_table" in vars(union)
             assert union.num_rules == merged[node].num_rules
         assert not any(delta.installs or delta.retires for delta in
                        diff_configs(unions, merged).values())
@@ -80,7 +77,6 @@ class TestUnionConfig:
             assert (getattr(kernels[0], column) ==
                     getattr(kernels[1], column)).all(), column
         for node, union in unions.items():
-            # Read last: reading ``rules`` turns the union into them.
             assert list(union.rules) == list(merged[node].rules)
             assert union.rules == merged[node].rules
 
