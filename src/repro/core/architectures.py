@@ -21,10 +21,13 @@ from __future__ import annotations
 import enum
 from typing import Dict, Optional, Sequence
 
+import numpy as np
+
 from repro.core.inputs import NetworkState
 from repro.core.mirrors import MirrorPolicy
 from repro.core.replication import ReplicationProblem
-from repro.core.results import LPStats, ReplicationResult
+from repro.core.results import (FractionLayout, FractionTable, LPStats,
+                                ReplicationResult)
 from repro.topology.topology import Topology
 from repro.traffic.classes import TrafficClass
 
@@ -53,14 +56,16 @@ def ingress_result(state: NetworkState) -> ReplicationResult:
     """
     node_loads = {resource: state.ingress_load(resource)
                   for resource in state.resources}
-    process = {cls.name: {cls.ingress: 1.0} for cls in state.classes}
+    code: Dict[str, int] = {}
+    at = [code.setdefault(cls.ingress, len(code)) for cls in state.classes]
     load_cost = max(max(loads.values(), default=0.0)
                     for loads in node_loads.values())
-    return ReplicationResult(
+    return ReplicationResult.from_table(
+        FractionTable(FractionLayout(
+            [cls.name for cls in state.classes], tuple(code),
+            range(len(at)), at, [-1] * len(at)), np.ones(len(at))),
         load_cost=load_cost,
         node_loads=node_loads,
-        process_fractions=process,
-        offload_fractions={},
         link_loads={link: state.bg_load(link)
                     for link in state.topology.links},
         max_link_load=1.0,

@@ -44,7 +44,7 @@ from repro.core.controller.planner import PlanOutcome
 from repro.core.inputs import NetworkState
 from repro.core.mirrors import MirrorPolicy
 from repro.core.replication import ReplicationProblem
-from repro.core.results import LPStats, ReplicationResult
+from repro.core.results import FractionTable, LPStats, ReplicationResult
 from repro.core.validation import plan_loads
 from repro.lpsolve import SolverBackend
 from repro.obs import get_registry
@@ -603,16 +603,14 @@ class ShardedPlanner:
         node_loads: Dict[str, Dict[str, float]] = {
             resource: {node: 0.0 for node in full_state.nids_nodes}
             for resource in full_state.resources}
-        process: Dict[str, Dict[str, float]] = {}
-        offload: Dict[str, Dict[Tuple[str, str], float]] = {}
         link_extra: Dict[Link, float] = {}
+        tables: List[FractionTable] = []
         num_vars = num_cons = iterations = 0
         solve_seconds = 0.0
         for shard in active:
             assert shard.result is not None
             result = shard.result
-            process.update(result.process_fractions)
-            offload.update(result.offload_fractions)
+            tables.append(result.table)
             for resource, per_node in shard.node_loads.items():
                 for node, load in per_node.items():
                     node_loads[resource][node] += load
@@ -628,11 +626,11 @@ class ShardedPlanner:
         load_cost = max(
             (load for per_node in node_loads.values()
              for load in per_node.values()), default=0.0)
-        return ReplicationResult(
+        return ReplicationResult.from_table(
+            FractionTable.gather(
+                tables, (cls.name for cls in full_state.classes)),
             load_cost=load_cost,
             node_loads=node_loads,
-            process_fractions=process,
-            offload_fractions=offload,
             link_loads=link_loads,
             max_link_load=self.max_link_load,
             dc_node=full_state.dc_node,

@@ -4,16 +4,19 @@ A replication-family result holds its decision fractions as arrays — a
 :class:`FractionTable`, the LP's ``x`` gathered through a
 :class:`FractionLayout` built once per model — because that is the
 form the shim compiler, the validator and the budget lowering consume.
-The ``process_fractions`` / ``offload_fractions`` dicts are a view
-derived on first access; a hand-built or merged result is the other
-way round (dicts given, arrays derived from them on demand).
+The table is the result's one storage, and it is read-only. The
+``process_fractions`` / ``offload_fractions`` dicts are views of it
+(:class:`FractionView`), built on first read; a result constructed
+from dicts encodes them into a table once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Any, Dict, Hashable, Iterable, List, Mapping,
-                    Optional, Sequence, Tuple)
+from functools import cached_property
+from types import MappingProxyType
+from typing import (Any, Dict, Hashable, Iterable, Iterator, List,
+                    Mapping, Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -101,12 +104,14 @@ class FractionLayout:
 
 
 class FractionTable:
-    """A plan's fractions: one float per entry of a layout."""
+    """A plan's fractions: one float per entry of a layout. The values
+    are read-only, so a plan cannot be edited in place."""
 
     def __init__(self, layout: FractionLayout,
                  values: np.ndarray) -> None:
         self.layout = layout
         self.values = values
+        values.flags.writeable = False
 
     def matrix(self) -> np.ndarray:
         """``classes x width`` fractions in emit order, 0.0 padded."""
@@ -139,6 +144,43 @@ class FractionTable:
                                   node, mirror),
                    np.array(values, dtype=np.float64))
 
+    @classmethod
+    def gather(cls, tables: Sequence["FractionTable"],
+               class_names: Iterable[str]) -> "FractionTable":
+        """The rows of ``class_names``, in that order, taken from
+        ``tables`` (a name in none of them gets an empty row, one in
+        several the last one's). A row keeps its fractions' order."""
+        class_names = tuple(class_names)
+        nodes = tuple(dict.fromkeys(
+            name for table in tables for name in table.layout.node_names))
+        code = {name: index for index, name in enumerate(nodes)}
+        where: Dict[str, int] = {}
+        parts = [(np.empty(0, dtype=np.int64),) * 3 + (np.empty(0),)]
+        offset = 0  # of the table's first row among all tables' rows
+        for table in tables:
+            layout = table.layout
+            # The appended -1 keeps a p's mirror at -1.
+            recode = np.array([code[name] for name in layout.node_names]
+                              + [-1], dtype=np.int64)
+            where.update((name, offset + row) for row, name
+                         in enumerate(layout.class_names))
+            parts.append((layout.cls + offset, recode[layout.node],
+                          recode[layout.mirror], table.values))
+            offset += len(layout.class_names)
+        owner, node, mirror, values = (np.concatenate(column)
+                                       for column in zip(*parts))
+        # Every name not found lands on the spare last slot, which no
+        # fraction owns.
+        row = np.full(offset + 1, -1, dtype=np.int64)
+        row[[where.get(name, offset) for name in class_names]] = \
+            np.arange(len(class_names), dtype=np.int64)
+        row = row[owner]
+        taken = np.flatnonzero(row >= 0)
+        taken = taken[np.argsort(row[taken], kind="stable")]
+        return cls(FractionLayout(class_names, nodes, row[taken],
+                                  node[taken], mirror[taken]),
+                   values[taken])
+
     def to_dicts(self) -> Tuple[Dict[str, Dict[str, float]],
                                 Dict[str, Dict[OffloadKey, float]]]:
         """``(process_fractions, offload_fractions)``; every class has
@@ -158,6 +200,34 @@ class FractionTable:
                 offload.setdefault(names[owner], {})[
                     (nodes[at], nodes[to])] = fraction
         return process, offload
+
+    @cached_property
+    def _dicts(self) -> Tuple[Dict[str, Dict[str, float]],
+                              Dict[str, Dict[OffloadKey, float]]]:
+        # What both views of this table read; never handed out.
+        return self.to_dicts()
+
+
+class FractionView(Mapping[str, Mapping[Any, float]]):
+    """A table's ``p`` fractions, or its ``o`` fractions when
+    ``offload``, keyed by class name: read-only, built on first read
+    and cached by the table."""
+
+    def __init__(self, table: FractionTable, offload: bool) -> None:
+        self.table = table
+        self.offload = offload
+
+    def __getitem__(self, name: str) -> Mapping[Any, float]:
+        return MappingProxyType(self.table._dicts[self.offload][name])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.table._dicts[self.offload])
+
+    def __len__(self) -> int:
+        return len(self.table._dicts[self.offload])
+
+    def __repr__(self) -> str:
+        return repr(self.table._dicts[self.offload])
 
 
 @dataclass
@@ -189,7 +259,7 @@ class AssignmentResult:
 
     load_cost: float
     node_loads: Dict[str, Dict[str, float]]
-    process_fractions: Dict[str, Dict[str, float]]
+    process_fractions: Mapping[str, Mapping[str, float]]
     stats: LPStats
     dc_node: Optional[str] = None
 
@@ -238,50 +308,45 @@ class ReplicationResult(AssignmentResult):
         link_loads: resulting ``LinkLoad_l`` per link (background plus
             replication).
         max_link_load: the ``MaxLinkLoad`` bound the problem used.
+        table: the fractions' one storage; ``process_fractions`` and
+            ``offload_fractions`` are its views. Given as dicts, they
+            are encoded into a table at construction.
     """
 
-    offload_fractions: Dict[str, Dict[OffloadKey, float]] = field(
+    offload_fractions: Mapping[str, Mapping[OffloadKey, float]] = field(
         default_factory=dict)
     link_loads: Dict[Link, float] = field(default_factory=dict)
     max_link_load: float = 1.0
+    table: FractionTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        process, offload = self.process_fractions, self.offload_fractions
+        if isinstance(process, FractionView) and \
+                isinstance(offload, FractionView) and \
+                process.table is offload.table:
+            self.table = process.table
+            return
+        self.table = FractionTable.from_dicts(
+            list(dict.fromkeys([*process, *offload])), process, offload)
+        self.process_fractions = FractionView(self.table, False)
+        self.offload_fractions = FractionView(self.table, True)
 
     @classmethod
     def from_table(cls, table: FractionTable,
                    **fields: Any) -> "ReplicationResult":
-        """A result whose fractions are ``table``; the two dict views
-        are derived when first read."""
-        result = cls(process_fractions={}, **fields)
-        del result.process_fractions, result.offload_fractions
-        result.__dict__["_table"] = table
-        return result
-
-    def __getattr__(self, name: str) -> Any:
-        # Reached only for an attribute the instance lacks: the dict
-        # views of a table-backed result nobody has read yet. They are
-        # mutable, so from here on they — not the table — are the
-        # result's fractions.
-        table = self.__dict__.get("_table")
-        if table is None or name not in ("process_fractions",
-                                         "offload_fractions"):
-            raise AttributeError(name)
-        del self.__dict__["_table"]
-        self.process_fractions, self.offload_fractions = \
-            table.to_dicts()
-        return self.__dict__[name]
+        """A result whose fractions are ``table``."""
+        return cls(process_fractions=FractionView(table, False),
+                   offload_fractions=FractionView(table, True), **fields)
 
     def fraction_table(self, class_names: Iterable[str]
                        ) -> FractionTable:
         """The fractions as arrays, one row per name in
-        ``class_names``: the LP's own table when it still stands and
-        lists exactly those classes, else built from the dicts."""
+        ``class_names``: the stored table when it lists exactly those
+        classes, else a row gather of it."""
         class_names = tuple(class_names)
-        table = self.__dict__.get("_table")
-        if table is not None and \
-                table.layout.class_names == class_names:
-            return table
-        return FractionTable.from_dicts(
-            class_names, self.process_fractions,
-            self.offload_fractions)
+        if self.table.layout.class_names == class_names:
+            return self.table
+        return FractionTable.gather([self.table], class_names)
 
     def replicated_fraction(self, class_name: str) -> float:
         """Total fraction of a class handled off-path via replication."""

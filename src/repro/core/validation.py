@@ -60,9 +60,8 @@ def plan_loads(state: NetworkState, table: FractionTable
     layout, values = table.layout, table.values
     nodes = layout.node_names
     classes = state.classes
-    if len(layout.class_names) != len(classes):
-        raise ValueError(f"a table of {len(layout.class_names)} rows "
-                         f"for {len(classes)} classes")
+    if layout.class_names != tuple(cls.name for cls in classes):
+        raise ValueError("the table's rows are not the state's classes")
     sessions = np.array([cls.num_sessions for cls in classes],
                         dtype=np.float64)
     charged = np.where(layout.mirror < 0, layout.node, layout.mirror)

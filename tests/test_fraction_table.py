@@ -1,14 +1,15 @@
 """A plan's fractions as arrays: the result's table and dict views,
 the vector validator, and a controller that fails closed.
 
-The LP unpacks ``x`` into a :class:`~repro.core.results.FractionTable`;
-``process_fractions`` / ``offload_fractions`` are derived from it on
-first access, and hand-built or merged results go the other way. The
-references here are the walks this PR replaced, kept in the test.
+The LP unpacks ``x`` into a :class:`~repro.core.results.FractionTable`,
+the result's one storage; ``process_fractions`` / ``offload_fractions``
+are read-only views of it, and hand-built or merged results are tables
+too. The references here are the dict walks the arrays replaced.
 """
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -61,25 +62,20 @@ class TestDictViews:
         x = problem.build_model().solve().x.tolist()
         names = [cls.name for cls in state.classes]
         table = result.fraction_table(names)
-        assert table is vars(result)["_table"]
+        assert table is result.table
         walked = _walked_views(problem, x)
         assert _ordered(table.to_dicts()) == _ordered(walked)
-        # Reading a view drops the table; the dicts round-trip.
         assert _ordered((result.process_fractions,
                          result.offload_fractions)) == _ordered(walked)
-        assert "_table" not in vars(result)
-        rebuilt = result.fraction_table(names)
-        assert rebuilt is not table
-        assert _ordered(rebuilt.to_dicts()) == _ordered(walked)
-        assert np.array_equal(rebuilt.matrix(), table.matrix())
-        assert [[rebuilt.layout.keys[k] for k in row[row >= 0]]
-                for row in np.where(rebuilt.layout.slots >= 0,
-                                    rebuilt.layout.key[
-                                        rebuilt.layout.slots], -1)] == \
-            [[table.layout.keys[k] for k in row[row >= 0]]
-             for row in np.where(table.layout.slots >= 0,
-                                 table.layout.key[table.layout.slots],
-                                 -1)]
+        # A gather in another order holds the same rows; a class the
+        # result does not know gets an empty one.
+        gathered = result.fraction_table([*reversed(names), "nobody"])
+        assert _ordered(gathered.to_dicts()) == _ordered(
+            ({name: walked[0].get(name, {})
+              for name in [*reversed(names), "nobody"]},
+             {name: walked[1][name] for name in reversed(names)
+              if name in walked[1]}))
+        assert np.array_equal(gathered.matrix()[-2::-1], table.matrix())
 
     def test_emit_order_is_sorted_p_then_sorted_pairs(self):
         table = FractionTable.from_dicts(
@@ -97,34 +93,49 @@ class TestDictViews:
             [0.3, 0.2, 0.25, 0.15, 0.1], [0.0] * 5]
         assert (layout.slots[1] == -1).all()
 
-    def test_a_replaced_or_edited_view_is_what_consumers_see(
-            self, line_state_dc):
+    def test_the_table_is_the_one_storage(self, line_state_dc):
+        result = _problem(line_state_dc).solve()
+        names = [cls.name for cls in line_state_dc.classes]
+        table = result.fraction_table(names)
+        for use in (lambda: result.process_fractions["A->D"],
+                    lambda: result == _problem(line_state_dc).solve(),
+                    lambda: repr(result),
+                    lambda: dataclasses.replace(result, load_cost=0.0)):
+            use()
+            assert result.fraction_table(names) is table
+        with pytest.raises(TypeError):
+            result.process_fractions["A->D"]["A"] = 0.5
+        with pytest.raises(TypeError):
+            result.offload_fractions["A->D"] = {}
+        with pytest.raises(ValueError):
+            table.values[0] = 0.5
+        assert pickle.loads(pickle.dumps(result)) == result
+
+    def test_a_replaced_view_is_encoded_once(self, line_state_dc):
         result = _problem(line_state_dc).solve()
         moved = {name: dict(per_node) for name, per_node in
                  result.process_fractions.items()}
-        replaced = dataclasses.replace(result, process_fractions=moved)
-        assert "_table" not in vars(replaced)
-        assert validate_replication(line_state_dc, replaced) == []
         first = next(iter(moved))
         moved[first][next(iter(moved[first]))] += 0.5
-        assert any("coverage" in problem for problem in
-                   validate_replication(line_state_dc, replaced))
+        replaced = dataclasses.replace(result, process_fractions=moved)
+        moved[first].clear()  # the result keeps what it was given
+        assert replaced.offload_fractions == result.offload_fractions
+        assert [problem for problem in validate_replication(
+            line_state_dc, replaced) if "coverage" in problem] == [
+            f"class {first!r} coverage 1.500000 != 1"]
 
-    def test_sharded_merge_and_hand_built_results_go_dicts_to_arrays(
+    def test_sharded_merge_and_ingress_results_are_tables(
             self, line_state_dc):
-        names = [cls.name for cls in line_state_dc.classes]
+        names = tuple(cls.name for cls in line_state_dc.classes)
         merged = ShardedPlanner(
             line_state_dc, mirror_policy=MirrorPolicy.datacenter(),
             max_link_load=0.4, num_regions=2, seed=0,
             jobs=1).plan(line_state_dc.classes).result
         ingress = ingress_result(line_state_dc)
         for result in (merged, ingress):
-            assert "_table" not in vars(result)
-            process, offload = \
-                result.fraction_table(names).to_dicts()
-            assert _ordered((process, offload)) == _ordered(
-                ({name: result.process_fractions.get(name, {})
-                  for name in names}, result.offload_fractions))
+            assert result.table.layout.class_names == names
+            assert _ordered(result.table.to_dicts()) == _ordered(
+                (result.process_fractions, result.offload_fractions))
             assert validate_replication(line_state_dc, result) == []
 
 
@@ -331,9 +342,13 @@ class _BrokenPlanner:
     def plan(self, classes):
         result = self.problem.resolve_traffic(classes)
         if self.spoil is not None:
-            table = vars(result)["_table"]
-            table.values[np.flatnonzero(table.layout.cls == 1)[0]] = \
-                self.spoil
+            layout = result.table.layout
+            values = result.table.values.copy()
+            values[np.flatnonzero(layout.cls == 1)[0]] = self.spoil
+            process, offload = FractionTable(layout, values).to_dicts()
+            result = dataclasses.replace(
+                result, process_fractions=process,
+                offload_fractions=offload)
         return PlanOutcome(state=self.problem.state, result=result)
 
 

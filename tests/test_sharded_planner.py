@@ -9,6 +9,8 @@ fixtures keep the LP count down).
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import MirrorPolicy, NIDSController
 from repro.core.controller import (
@@ -21,6 +23,7 @@ from repro.core.replication import ReplicationProblem
 from repro.core.validation import plan_loads, validate_replication
 from repro.experiments.common import setup_topology
 from repro.shim.config import build_replication_configs
+from tests import strategies
 
 
 @pytest.fixture(scope="module")
@@ -253,14 +256,20 @@ class TestShardedSmall:
         with pytest.raises(ValueError):
             ShardedPlanner(line_state_dc, jobs=0)
 
-    def test_single_region_close_to_global(self, line_state_dc,
-                                           line_classes):
-        sharded = ShardedPlanner(line_state_dc, num_regions=1,
-                                 jobs=1).plan(line_classes)
-        global_cost = GlobalPlanner(line_state_dc).plan(
-            line_classes).result.load_cost
-        assert sharded.result.load_cost == pytest.approx(
-            global_cost, rel=1e-4)
+    @settings(max_examples=50, deadline=None)
+    @given(state=strategies.paired_states(),
+           policy=st.sampled_from([MirrorPolicy.datacenter(),
+                                   MirrorPolicy.neighbors(1)]))
+    def test_single_region_equals_global(self, state, policy):
+        sharded = ShardedPlanner(state, mirror_policy=policy,
+                                 num_regions=1, jobs=1).plan(
+            state.classes).result
+        global_cost = GlobalPlanner(state, mirror_policy=policy).plan(
+            state.classes).result.load_cost
+        assert sharded.load_cost == pytest.approx(global_cost, rel=1e-9)
+        assert validate_replication(state, sharded) == []
+        assert sharded.table.layout.class_names == tuple(
+            cls.name for cls in state.classes)
 
     def test_controller_runs_with_sharded_planner(self, line_state_dc,
                                                   line_classes):

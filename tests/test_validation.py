@@ -1,6 +1,8 @@
 """Tests for the independent result validators, the Eq (3)/(4)
 accountant and LP duals."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,14 @@ from repro.core import (
 from repro.core.results import FractionTable, LPStats, ReplicationResult
 from repro.lpsolve import Model
 from tests import strategies
+
+
+def _first_p_moved(result, delta):
+    process = {name: dict(per_node) for name, per_node in
+               result.process_fractions.items()}
+    first = next(iter(process))
+    process[first][next(iter(process[first]))] += delta
+    return dataclasses.replace(result, process_fractions=process)
 
 
 class TestValidators:
@@ -44,10 +54,8 @@ class TestValidators:
     def test_tampered_coverage_detected(self, line_state):
         result = ReplicationProblem(
             line_state, mirror_policy=MirrorPolicy.none()).solve()
-        first = next(iter(result.process_fractions))
-        node = next(iter(result.process_fractions[first]))
-        result.process_fractions[first][node] += 0.5
-        problems = validate_replication(line_state, result)
+        problems = validate_replication(
+            line_state, _first_p_moved(result, 0.5))
         assert any("coverage" in p for p in problems)
 
     def test_tampered_load_detected(self, line_state):
@@ -67,10 +75,8 @@ class TestValidators:
     def test_out_of_bounds_fraction_detected(self, line_state):
         result = ReplicationProblem(
             line_state, mirror_policy=MirrorPolicy.none()).solve()
-        first = next(iter(result.process_fractions))
-        node = next(iter(result.process_fractions[first]))
-        result.process_fractions[first][node] = 1.7
-        problems = validate_replication(line_state, result)
+        problems = validate_replication(
+            line_state, _first_p_moved(result, 1.5))
         assert any("out of [0, 1]" in p for p in problems)
 
     def test_out_of_bounds_offload_detected(self, line_state_dc):
@@ -121,6 +127,13 @@ class TestPlanLoads:
         for link, load in result.link_loads.items():
             assert link_loads.get(link, 0.0) == pytest.approx(
                 load - state.bg_load(link), abs=1e-9)
+
+    def test_rows_in_another_order_are_refused(self, line_state_dc):
+        result = ReplicationProblem(line_state_dc).solve()
+        names = [cls.name for cls in line_state_dc.classes]
+        with pytest.raises(ValueError, match="not the state's"):
+            plan_loads(line_state_dc,
+                       result.fraction_table(reversed(names)))
 
 
 class TestDuals:
