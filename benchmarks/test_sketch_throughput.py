@@ -109,7 +109,7 @@ def test_raw_update_rate(bench):
 
 def test_sketch_state_is_small(bench):
     """The sketch must summarize the trace in <= 1/10 of its bytes
-    (it is ~27x on tinet at width 2048) while resident state stays
+    (it is ~55x on tinet at width 2048) while resident state stays
     bounded by sketches + one chunk."""
     assert bench["compression_ratio"] >= 10.0
     assert bench["max_resident_bytes"] < bench["trace_bytes"]

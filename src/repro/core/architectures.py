@@ -159,12 +159,6 @@ class ArchitectureEvaluator:
         target = classes if classes is not None else state.classes
         return problem.resolve_traffic(target)
 
-    def evaluate_all(self, kinds: Sequence[ArchitectureKind],
-                     classes: Optional[Sequence[TrafficClass]] = None
-                     ) -> Dict[ArchitectureKind, ReplicationResult]:
-        """Evaluate several architectures on the same traffic."""
-        return {kind: self.evaluate(kind, classes) for kind in kinds}
-
 
 def evaluate_architecture(kind: ArchitectureKind, topology: Topology,
                           classes: Sequence[TrafficClass],

@@ -8,11 +8,9 @@ trace store, or any generator of slabs — over the discrete-event
 :class:`~repro.runtime.events.EventLoop`, folds each slab into
 per-worker :class:`~repro.sketch.volume.ClassVolumeSketch` instances
 (round-robin, the multi-queue shape of the DPDK+OctoSketch design),
-and on demand merges the workers losslessly into one aggregate from
-which it emits an
-:class:`~repro.traffic.matrix.EstimatedTrafficMatrix` or
-estimate-carrying traffic classes for the controller's
-``resolve_traffic()``.
+and on demand merges the workers losslessly into one aggregate whose
+estimates re-volume the template traffic classes for the controller's
+``resolve_traffic()`` (:meth:`IngestDaemon.estimated_classes`).
 
 Memory is the contract here: the daemon never holds more than the
 worker sketches plus the single in-flight slab, so peak resident
@@ -26,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Iterable,
     Iterator,
     List,
@@ -40,7 +37,6 @@ from repro.obs import get_registry
 from repro.runtime.events import EventLoop
 from repro.sketch import ClassVolumeSketch
 from repro.traffic.classes import TrafficClass
-from repro.traffic.matrix import EstimatedTrafficMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulation.batch import PacketBatch
@@ -76,18 +72,25 @@ class IngestStats:
     chunks: int = 0
     packets: int = 0
     sessions: int = 0
-    emits: int = 0
     merges: int = 0
     max_resident_bytes: int = 0
     window_start: Optional[float] = None
     window_end: Optional[float] = None
+    #: ``packets`` once the chunk at ``window_start`` was consumed.
+    window_start_packets: int = 0
 
     def packets_per_second(self) -> Optional[float]:
-        """Simulated-time throughput of the current window."""
+        """Simulated-time throughput of the current window.
+
+        The packets consumed at ``window_start`` arrived before the
+        window opened, so only the ones after it count: n equal
+        chunks of P packets, Δ apart, read P / Δ.
+        """
         if (self.window_start is None or self.window_end is None or
                 self.window_end <= self.window_start):
             return None
-        return self.packets / (self.window_end - self.window_start)
+        return ((self.packets - self.window_start_packets) /
+                (self.window_end - self.window_start))
 
 
 class IngestDaemon:
@@ -95,33 +98,22 @@ class IngestDaemon:
 
     Args:
         class_names: the registered traffic-class universe.
-        width / depth / source_width: count-min shape, forwarded to
-            every worker sketch.
+        width / depth: count-min shape, forwarded to every worker
+            sketch.
         seed: hash-family seed (keyword-only, mandatory); all workers
             share it — that is what makes their merge lossless.
         workers: per-worker sketch count (round-robin assignment).
-        scale: default sampling-rate calibration from observed
-            sessions to ``|T_c|`` units for emitted estimates.
-        on_estimate: called with each emitted
-            :class:`EstimatedTrafficMatrix`.
     """
 
     def __init__(self, class_names: Sequence[str], *,
                  width: int = 512, depth: int = 4, seed: int,
-                 source_width: Optional[int] = None,
-                 workers: int = 2, scale: float = 1.0,
-                 on_estimate: Optional[
-                     Callable[[EstimatedTrafficMatrix], None]] = None
-                 ) -> None:
+                 workers: int = 2) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.class_names = tuple(class_names)
         self.width = width
         self.depth = depth
-        self.source_width = source_width
         self.seed = seed
-        self.scale = scale
-        self.on_estimate = on_estimate
         self.workers: List[ClassVolumeSketch] = [
             self._make_sketch() for _ in range(workers)]
         self._next_worker = 0
@@ -130,7 +122,7 @@ class IngestDaemon:
     def _make_sketch(self) -> ClassVolumeSketch:
         return ClassVolumeSketch(
             self.class_names, width=self.width, depth=self.depth,
-            seed=self.seed, source_width=self.source_width)
+            seed=self.seed)
 
     # -- consumption -------------------------------------------------------
 
@@ -159,6 +151,7 @@ class IngestDaemon:
         if now is not None:
             if self.stats.window_start is None:
                 self.stats.window_start = now
+                self.stats.window_start_packets = self.stats.packets
             self.stats.window_end = now
             rate = self.stats.packets_per_second()
             if rate is not None:
@@ -208,22 +201,9 @@ class IngestDaemon:
         return merged
 
     def estimated_classes(self, template: Sequence[TrafficClass],
-                          scale: Optional[float] = None
-                          ) -> List[TrafficClass]:
+                          scale: float = 1.0) -> List[TrafficClass]:
         """Template classes carrying the aggregate's estimates."""
-        return self.snapshot().estimated_classes(
-            template, self.scale if scale is None else scale)
-
-    def emit(self, template: Sequence[TrafficClass],
-             scale: Optional[float] = None) -> EstimatedTrafficMatrix:
-        """Emit the current estimate as a traffic matrix."""
-        matrix = self.snapshot().estimated_matrix(
-            template, self.scale if scale is None else scale)
-        self.stats.emits += 1
-        get_registry().inc("ingest.emits")
-        if self.on_estimate is not None:
-            self.on_estimate(matrix)
-        return matrix
+        return self.snapshot().estimated_classes(template, scale)
 
     def begin_window(self) -> None:
         """Reset for a new estimation window (epoch boundary).

@@ -159,14 +159,6 @@ class Model:
         self.invalidate()
         return constraint
 
-    def add_constraints(self, constraints: Iterable[Constraint],
-                        prefix: str = "c") -> List[Constraint]:
-        """Register several constraints, naming them ``prefix[i]``."""
-        added = []
-        for i, con in enumerate(constraints):
-            added.append(self.add_constraint(con, name=f"{prefix}[{i}]"))
-        return added
-
     def add_block_row(self, block: RowBlock, ordinal: int, rhs: float,
                       name: str) -> BlockRow:
         """List row ``ordinal`` of ``block`` as a constraint. Like

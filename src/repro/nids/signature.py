@@ -73,10 +73,6 @@ class AhoCorasick:
                 self._output[nxt] = (self._output[nxt] +
                                      self._output[self._fail[nxt]])
 
-    @property
-    def num_states(self) -> int:
-        return len(self._goto)
-
     def search(self, payload: bytes) -> List[SignatureMatch]:
         """All pattern occurrences in ``payload``."""
         matches: List[SignatureMatch] = []

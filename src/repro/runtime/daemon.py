@@ -56,8 +56,7 @@ class TrafficEstimator(Protocol):
     :class:`~repro.ingest.daemon.IngestDaemon` satisfies this)."""
 
     def estimated_classes(self, template: Sequence[TrafficClass],
-                          scale: Optional[float] = None
-                          ) -> List[TrafficClass]:
+                          scale: float = 1.0) -> List[TrafficClass]:
         ...
 
 

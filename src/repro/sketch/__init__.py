@@ -2,9 +2,9 @@
 
 Count-min sketches over the repo's lookup3 hash family, plus the
 :class:`ClassVolumeSketch` estimation layer that turns a packet
-stream into per-class / per-source volume estimates the controller
-can optimize against. See ``docs/ARCHITECTURE.md`` §13 for the
-slab -> sketch -> estimated matrix -> drift trigger dataflow.
+stream into per-class volume estimates the controller can optimize
+against. See ``docs/ARCHITECTURE.md`` §13 for the
+slab -> sketch -> estimated classes -> drift trigger dataflow.
 """
 
 from repro.sketch.countmin import CountMinSketch, SketchMismatchError

@@ -1,16 +1,16 @@
-"""Per-traffic-class and per-source volume estimation on sketches.
+"""Per-traffic-class volume estimation on a sketch.
 
 :class:`ClassVolumeSketch` is the estimation layer between the packet
 stream and the controller: it watches session-aligned
 :class:`~repro.simulation.batch.PacketBatch` slabs, folds per-class
-and per-source session counts into two seeded
-:class:`~repro.sketch.countmin.CountMinSketch` tables, and can at any
-instant render an :class:`~repro.traffic.matrix.EstimatedTrafficMatrix`
-or a list of estimate-carrying
-:class:`~repro.traffic.classes.TrafficClass` rows for
-``resolve_traffic()``. Memory is O(sketch) regardless of how many
-sessions stream past — the whole point of the subsystem (ROADMAP
-item 1: "millions of users").
+session counts into one seeded
+:class:`~repro.sketch.countmin.CountMinSketch` table, and can at any
+instant render the template
+:class:`~repro.traffic.classes.TrafficClass` rows re-volumed with its
+estimates for ``resolve_traffic()`` — the ``|T_c|`` behind the LPs'
+Eqs (3)-(5). Memory is O(sketch) regardless of how many sessions
+stream past — the whole point of the subsystem (ROADMAP item 1:
+"millions of users").
 
 Per-worker instances (one per ingest worker) merge losslessly into an
 aggregate, OctoSketch-style: :meth:`merge` adds counter tables built
@@ -19,9 +19,7 @@ sketch is bit-exactly the single-worker sketch of the full stream.
 
 The class key space is a *registered universe* — the controller knows
 its traffic classes (ingress-egress pairs are observable at the tap);
-what the sketch estimates is their **volumes**. Per-source estimates
-key on raw source addresses, the aggregation-mode split field of
-Section 7.2.
+what the sketch estimates is their **volumes**.
 """
 
 from __future__ import annotations
@@ -40,38 +38,29 @@ import numpy as np
 
 from repro.sketch.countmin import CountMinSketch, SketchMismatchError
 from repro.traffic.classes import TrafficClass
-from repro.traffic.matrix import EstimatedTrafficMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulation.batch import PacketBatch
 
 
 class ClassVolumeSketch:
-    """Sketched per-class / per-source session volumes.
+    """Sketched per-class session volumes.
 
     Args:
         class_names: the registered traffic-class universe; estimates
             are reported per name, in this order.
-        width / depth: count-min shape shared by both tables.
-        seed: hash-family seed (keyword-only, mandatory); the source
-            table uses ``seed + depth`` so its rows are independent
-            of the class table's.
-        source_width: per-source table width; defaults to ``width``.
-            Sources are an open key space (addresses), so this is the
-            knob that actually trades memory for error.
+        width / depth: count-min shape of the class table.
+        seed: hash-family seed (keyword-only, mandatory).
     """
 
     def __init__(self, class_names: Sequence[str], *,
-                 width: int = 512, depth: int = 4, seed: int,
-                 source_width: Optional[int] = None) -> None:
+                 width: int = 512, depth: int = 4, seed: int) -> None:
         self.class_names: Tuple[str, ...] = tuple(class_names)
         if len(set(self.class_names)) != len(self.class_names):
             raise ValueError("class universe has duplicate names")
         self._index: Dict[str, int] = {
             name: i for i, name in enumerate(self.class_names)}
         self.classes = CountMinSketch(width, depth, seed=seed)
-        self.sources = CountMinSketch(source_width or width, depth,
-                                      seed=seed + depth)
         self.sessions = 0
         self.packets = 0
         self.merges = 0
@@ -99,9 +88,7 @@ class ClassVolumeSketch:
         Every session row in the slab counts once (chunk boundaries
         never split a session, so streaming a ``ChunkedReplay``
         counts each session exactly once). Sessions the classifier
-        left unmonitored (``class_id == -1``) still count toward the
-        per-source table — the tap sees their bytes — but have no
-        class to charge.
+        left unmonitored (``class_id == -1``) have no class to charge.
 
         Returns:
             The number of session rows observed.
@@ -118,10 +105,6 @@ class ClassVolumeSketch:
                     sess.class_names).astype(np.uint32)
                 self._mapped_names = sess.class_names
             self.classes.update(self._mapped_ids[hot], counts[hot])
-        src, src_counts = np.unique(np.asarray(sess.src_ip),
-                                    return_counts=True)
-        if len(src):
-            self.sources.update(src, src_counts)
         observed = int(sess.num_sessions)
         self.sessions += observed
         self.packets += int(chunk.num_packets)
@@ -138,8 +121,7 @@ class ClassVolumeSketch:
 
     def compatible(self, other: "ClassVolumeSketch") -> bool:
         return (self.class_names == other.class_names and
-                self.classes.compatible(other.classes) and
-                self.sources.compatible(other.sources))
+                self.classes.compatible(other.classes))
 
     def merge(self, other: "ClassVolumeSketch") -> "ClassVolumeSketch":
         """Absorb another worker's sketch in place (lossless)."""
@@ -148,7 +130,6 @@ class ClassVolumeSketch:
                 "per-worker sketches must share the class universe, "
                 "shape, and seed to merge losslessly")
         self.classes.merge(other.classes)
-        self.sources.merge(other.sources)
         self.sessions += other.sessions
         self.packets += other.packets
         self.merges += 1
@@ -157,7 +138,6 @@ class ClassVolumeSketch:
     def reset(self) -> None:
         """Start a new estimation window (epoch boundary)."""
         self.classes.reset()
-        self.sources.reset()
         self.sessions = 0
         self.packets = 0
 
@@ -174,10 +154,6 @@ class ClassVolumeSketch:
         ids = np.array([self._index[name]], dtype=np.uint32)
         return int(self.classes.estimate(ids)[0])
 
-    def source_volume(self, src_ip: int) -> int:
-        keys = np.array([src_ip], dtype=np.uint32)
-        return int(self.sources.estimate(keys)[0])
-
     def estimated_classes(self, template: Sequence[TrafficClass],
                           scale: float = 1.0) -> List[TrafficClass]:
         """The template classes with sketched volumes.
@@ -186,7 +162,7 @@ class ClassVolumeSketch:
         template — the routing feed knows it; only ``num_sessions``
         is replaced, with the sketch estimate times ``scale`` (the
         sampling-rate calibration from observed sessions to the
-        matrix's ``|T_c|`` unit).
+        LP's ``|T_c|`` unit).
         """
         if scale < 0:
             raise ValueError("scale must be non-negative")
@@ -200,22 +176,6 @@ class ClassVolumeSketch:
                     f"registered universe")
             out.append(cls.with_sessions(float(volumes[index]) * scale))
         return out
-
-    def estimated_matrix(self, template: Sequence[TrafficClass],
-                         scale: float = 1.0) -> EstimatedTrafficMatrix:
-        """Render the estimates as a traffic matrix (``|T_c|`` per
-        ingress-egress pair), tagged with the sketch's error bound."""
-        volumes: Dict[Tuple[str, str], float] = {}
-        for cls in self.estimated_classes(template, scale):
-            pair = (cls.source, cls.target)
-            volumes[pair] = volumes.get(pair, 0.0) + cls.num_sessions
-        return EstimatedTrafficMatrix(
-            volumes,
-            epsilon=self.classes.epsilon,
-            delta=self.classes.delta,
-            state_bytes=self.state_bytes,
-            sessions_observed=self.sessions,
-            scale=scale)
 
     def estimate_errors(self, exact: Mapping[str, float]
                         ) -> Dict[str, float]:
@@ -241,8 +201,8 @@ class ClassVolumeSketch:
 
     @property
     def state_bytes(self) -> int:
-        """Resident sketch state across both tables."""
-        return self.classes.state_bytes + self.sources.state_bytes
+        """Resident sketch state: the class table."""
+        return self.classes.state_bytes
 
     def __repr__(self) -> str:
         return (f"ClassVolumeSketch(classes={len(self.class_names)}, "

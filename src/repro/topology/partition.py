@@ -75,9 +75,6 @@ class RegionPartition:
     def region_names(self) -> List[str]:
         return [region.name for region in self.regions]
 
-    def region_of_node(self, node: str) -> str:
-        return self.node_region[node]
-
     def region_of_class(self, class_name: str) -> str:
         return self.class_region[class_name]
 

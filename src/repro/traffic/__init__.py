@@ -8,7 +8,7 @@ model that produces families of time-varying traffic matrices.
 """
 
 from repro.traffic.classes import TrafficClass, DEFAULT_RESOURCES
-from repro.traffic.matrix import EstimatedTrafficMatrix, TrafficMatrix
+from repro.traffic.matrix import TrafficMatrix
 from repro.traffic.gravity import (
     gravity_traffic,
     gravity_traffic_matrix,
@@ -32,7 +32,6 @@ __all__ = [
     "port_classifier_map",
     "validate_mix",
     "TrafficClass",
-    "EstimatedTrafficMatrix",
     "TrafficMatrix",
     "TrafficVariabilityModel",
     "classes_from_matrix",

@@ -69,42 +69,3 @@ class TrafficMatrix:
         return (f"TrafficMatrix(pairs={len(self._volumes)}, "
                 f"total={self.total:.4g})")
 
-
-class EstimatedTrafficMatrix(TrafficMatrix):
-    """A traffic matrix whose entries are sketch *estimates*.
-
-    Behaves exactly like :class:`TrafficMatrix` everywhere one is
-    accepted (the controller, the formulation layer, experiments) but
-    carries the estimator's provenance: the count-min ``(epsilon,
-    delta)`` error bound, resident sketch bytes, how many sessions
-    were observed, and the sampling-rate ``scale`` that converted
-    observed sessions into ``|T_c|`` units. Entries are one-sided
-    overestimates — ``estimate >= truth`` per class with probability
-    ``1 - delta`` within ``epsilon * total``.
-    """
-
-    def __init__(self, volumes: Dict[Pair, float], *,
-                 epsilon: float, delta: float, state_bytes: int,
-                 sessions_observed: int = 0,
-                 scale: float = 1.0) -> None:
-        super().__init__(volumes)
-        if not 0.0 <= delta <= 1.0:
-            raise ValueError("delta must be a probability")
-        if epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
-        self.epsilon = epsilon
-        self.delta = delta
-        self.state_bytes = int(state_bytes)
-        self.sessions_observed = int(sessions_observed)
-        self.scale = scale
-
-    def error_bound(self) -> float:
-        """Additive per-entry error bound in ``|T_c|`` units."""
-        return self.epsilon * self.sessions_observed * self.scale
-
-    def __repr__(self) -> str:
-        return (f"EstimatedTrafficMatrix(pairs={len(self)}, "
-                f"total={self.total:.4g}, "
-                f"epsilon={self.epsilon:.4g}, "
-                f"delta={self.delta:.4g}, "
-                f"state_bytes={self.state_bytes})")

@@ -95,9 +95,8 @@ class TestEstimatorLoop:
     def test_resident_state_is_sketch_plus_chunk(self, outcome,
                                                  scenario):
         report, _ = outcome
-        # Per-worker sketch state: class + source tables, int64.
-        per_sketch = 2 * scenario.sketch_width * \
-            scenario.sketch_depth * 8
+        # Per-worker sketch state: one int64 class table.
+        per_sketch = scenario.sketch_width * scenario.sketch_depth * 8
         # workers + the snapshot aggregate, plus one in-flight slab
         # (generous per-packet allowance covers session alignment
         # and payload bytes).

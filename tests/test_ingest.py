@@ -8,7 +8,6 @@ from repro.obs import MetricsRegistry, use_registry
 from repro.runtime.events import EventLoop
 from repro.simulation.tracegen import TraceGenerator, TraceSpec
 from repro.simulation.tracestore import ChunkedReplay
-from repro.traffic.matrix import EstimatedTrafficMatrix
 
 
 @pytest.fixture
@@ -26,14 +25,6 @@ def daemon(line_state_dc):
     return IngestDaemon(names, width=256, depth=4, seed=5, workers=3)
 
 
-def exact_counts(batch):
-    class_id = np.asarray(batch.sessions.class_id)
-    counts = np.bincount(class_id[class_id >= 0],
-                         minlength=len(batch.sessions.class_names))
-    return {name: float(c) for name, c
-            in zip(batch.sessions.class_names, counts)}
-
-
 class TestConsume:
     def test_chunked_stream_counts_each_session_once(self, daemon,
                                                      batch):
@@ -41,7 +32,7 @@ class TestConsume:
         for chunk in replay:
             daemon.consume(chunk)
         snapshot = daemon.snapshot()
-        errors = snapshot.estimate_errors(exact_counts(batch))
+        errors = snapshot.estimate_errors(batch.sessions.class_counts())
         # 600 sessions in a 256x4 sketch: collisions are unlikely and
         # one-sided; the chunked fold must agree with the exact
         # per-class counts almost everywhere.
@@ -108,24 +99,30 @@ class TestStream:
             10.0 + 2.0 * (replay.num_chunks - 1))
         assert daemon.stats.packets_per_second() is not None
 
+    @pytest.mark.parametrize("num_chunks", [2, 5])
+    def test_rate_is_the_feed_rate(self, daemon, batch, num_chunks):
+        # n equal chunks of P packets, one every 2 s, read P / 2: the
+        # chunk consumed when the window opens arrived before it.
+        chunk = next(iter(ChunkedReplay(batch, 64)))
+        loop = EventLoop()
+        with use_registry(MetricsRegistry()) as metrics:
+            daemon.stream(loop, [chunk] * num_chunks, start=0.0,
+                          interval=2.0)
+            loop.run_all()
+            rate = chunk.num_packets / 2.0
+            assert daemon.stats.packets_per_second() == \
+                pytest.approx(rate)
+            assert metrics.gauge_value("ingest.packets_per_second") == \
+                pytest.approx(rate)
+
     def test_interval_validation(self, daemon):
         with pytest.raises(ValueError):
             daemon.stream(EventLoop(), iter([]), interval=0.0)
 
 
 class TestEmit:
-    def test_emit_returns_estimated_matrix(self, daemon, batch,
-                                           line_state_dc):
-        emitted = []
-        daemon.on_estimate = emitted.append
-        for chunk in ChunkedReplay(batch, 128):
-            daemon.consume(chunk)
-        matrix = daemon.emit(list(line_state_dc.classes), scale=2.0)
-        assert isinstance(matrix, EstimatedTrafficMatrix)
-        assert emitted == [matrix]
-        assert daemon.stats.emits == 1
-        assert matrix.scale == pytest.approx(2.0)
-        assert matrix.sessions_observed == daemon.stats.sessions
+    """What the daemon hands the controller: the template classes
+    re-volumed with the merged estimate."""
 
     def test_estimated_classes_match_template_order(self, daemon,
                                                     batch,
@@ -142,11 +139,10 @@ class TestEmit:
         with use_registry(MetricsRegistry()) as metrics:
             for chunk in ChunkedReplay(batch, 128):
                 daemon.consume(chunk, now=float(daemon.stats.chunks))
-            daemon.emit(list(line_state_dc.classes))
+            daemon.estimated_classes(list(line_state_dc.classes))
             assert metrics.counter_value("ingest.chunks") > 0
             assert metrics.counter_value("ingest.packets") == \
                 batch.num_packets
-            assert metrics.counter_value("ingest.emits") == 1
             assert metrics.counter_value("sketch.merges") == \
                 len(daemon.workers)
             assert metrics.gauge_value("ingest.resident_bytes") > 0

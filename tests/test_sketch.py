@@ -15,7 +15,6 @@ from repro.sketch import (
     CountMinSketch,
     SketchMismatchError,
 )
-from repro.traffic.matrix import EstimatedTrafficMatrix
 
 GOLDEN = Path(__file__).parent / "golden" / "dataplane_parent.json"
 
@@ -36,7 +35,7 @@ def chunked_sketch_digests():
             tuple(state.nids_nodes), with_payloads=False, direct=True)
     volumes = ClassVolumeSketch(
         [cls.name for cls in state.classes], width=48, depth=4,
-        seed=2 ** 33 + 17, source_width=101)
+        seed=2 ** 33 + 17)
     words3 = CountMinSketch(37, 5, seed=9)
     words5 = CountMinSketch(64, 3, seed=2 ** 31 - 1)
     for chunk in ChunkedReplay(batch, 50):
@@ -46,8 +45,8 @@ def chunked_sketch_digests():
         words5.update([sess.proto, sess.src_ip, sess.src_port,
                        sess.dst_ip, sess.dst_port],
                       np.arange(sess.num_sessions, dtype=np.int64) % 7)
-    tables = {"classes": volumes.classes, "sources": volumes.sources,
-              "words3": words3, "words5": words5}
+    tables = {"classes": volumes.classes, "words3": words3,
+              "words5": words5}
     return {name: {"total": sketch.total,
                    "table": hashlib.sha256(
                        sketch.table.tobytes()).hexdigest()}
@@ -215,13 +214,13 @@ class TestClassVolumeSketch:
         assert errors["linf"] == pytest.approx(10.0)
         assert errors["l1_rel"] == pytest.approx(10.0 / 90.0)
 
-    def test_state_bytes_covers_both_tables(self):
-        sketch = self.make(source_width=512)
-        assert sketch.state_bytes == (256 * 4 * 8) + (512 * 4 * 8)
+    def test_state_bytes_is_the_class_table(self):
+        sketch = ClassVolumeSketch(["a->b"], width=101, depth=3, seed=7)
+        assert sketch.state_bytes == 101 * 3 * 8
 
 
-class TestEstimatedMatrix:
-    def test_estimated_classes_and_matrix(self, line_state_dc):
+class TestEstimatedClasses:
+    def test_estimated_classes_keep_structure(self, line_state_dc):
         classes = list(line_state_dc.classes)
         sketch = ClassVolumeSketch([cls.name for cls in classes],
                                    width=256, depth=4, seed=3)
@@ -231,21 +230,3 @@ class TestEstimatedMatrix:
         # Structure is untouched — only volumes are estimated.
         assert estimated[0].source == classes[0].source
         assert estimated[0].target == classes[0].target
-
-        matrix = sketch.estimated_matrix(classes, scale=2.0)
-        assert isinstance(matrix, EstimatedTrafficMatrix)
-        first = classes[0]
-        assert matrix.volume(first.source,
-                             first.target) == pytest.approx(100.0)
-        assert matrix.epsilon == pytest.approx(np.e / 256)
-        assert matrix.state_bytes == sketch.state_bytes
-        assert matrix.error_bound() == pytest.approx(
-            matrix.epsilon * 50 * 2.0)
-
-    def test_matrix_validation(self):
-        with pytest.raises(ValueError):
-            EstimatedTrafficMatrix({}, epsilon=-1.0, delta=0.5,
-                                   state_bytes=0)
-        with pytest.raises(ValueError):
-            EstimatedTrafficMatrix({}, epsilon=0.1, delta=1.5,
-                                   state_bytes=0)

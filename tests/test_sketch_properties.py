@@ -7,14 +7,20 @@ The invariants the estimator mode leans on:
 - estimates are one-sided (``estimate >= truth`` for every key);
 - the classic epsilon-delta bound holds even on adversarial key sets
   (every overestimate is within ``epsilon * total`` with probability
-  ``>= 1 - delta`` per query, checked in aggregate).
+  ``>= 1 - delta`` per query, checked in aggregate);
+- a sketch far wider than the class universe is the exact estimator,
+  however the stream is chunked and spread over ingest workers.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sketch import CountMinSketch
+from repro.ingest import IngestDaemon
+from repro.simulation import ChunkedReplay, TraceGenerator
+from repro.simulation.tracegen import TraceSpec
+from repro.sketch import ClassVolumeSketch, CountMinSketch
+from tests import strategies
 
 
 streams = st.lists(
@@ -102,3 +108,42 @@ def test_epsilon_delta_bound_on_adversarial_keys(seed, key_base):
     # is a guardrail, not a coin flip.
     allowed = max(8.0, 3.0 * sketch.delta * len(keys))
     assert failures <= allowed
+
+
+@settings(max_examples=150, deadline=None)
+@given(state=st.one_of(strategies.small_states(),
+                       strategies.paired_states()),
+       trace_seed=st.integers(min_value=0, max_value=10_000),
+       sessions=st.integers(min_value=1, max_value=400),
+       workers=st.integers(min_value=1, max_value=4),
+       chunk_packets=st.integers(min_value=1, max_value=300),
+       seed=st.integers(min_value=0, max_value=2**33))
+def test_wide_sketch_is_the_exact_estimator(state, trace_seed, sessions,
+                                            workers, chunk_packets,
+                                            seed):
+    # A dozen keys at most never share a counter in all four rows of
+    # 2**16, so the streamed, per-worker, merged estimate is the exact
+    # count: chunking, worker assignment and merging lose nothing.
+    batch = TraceGenerator(
+        state.topology.nodes, state.classes,
+        spec=TraceSpec(total_sessions=sessions),
+        seed=trace_seed).generate_batch(
+            tuple(state.nids_nodes), with_payloads=False, direct=True)
+    names = [cls.name for cls in state.classes]
+    daemon = IngestDaemon(names, width=2**16, depth=4, seed=seed,
+                          workers=workers)
+    for chunk in ChunkedReplay(batch, chunk_packets):
+        daemon.consume(chunk)
+    merged = daemon.snapshot()
+    whole = ClassVolumeSketch(names, width=2**16, depth=4, seed=seed)
+    whole.observe_batch(batch)
+    assert (merged.classes.table.tobytes() ==
+            whole.classes.table.tobytes())
+
+    # The trace names only the classes it drew sessions for; the rest
+    # of the universe counts zero.
+    exact = dict.fromkeys(names, 0.0)
+    exact.update(batch.sessions.class_counts())
+    assert dict(zip(names, merged.class_volumes().tolist())) == exact
+    assert daemon.estimated_classes(state.classes) == [
+        cls.with_sessions(exact[cls.name]) for cls in state.classes]
