@@ -185,24 +185,25 @@ class SplitTrafficProblem(Formulation):
                         f"orev[{cls.name},{node}]", lb=0.0, ub=1.0)
 
         # Coverage (Eqs (8), (9), (10)): cov_c <= each direction, <= 1;
-        # the objective pushes cov_c up to the true minimum.
+        # the objective pushes cov_c up to the true minimum. Without
+        # offload columns both directions are the same sum, so they
+        # share one pair of rows.
         for cls in state.classes:
             local = [self._p[(cls.name, n)] for n in cls.common_nodes]
             fwd_off = [self._ofwd[(cls.name, n)] for n in cls.fwd_nodes
                        if self.allow_offload]
             rev_off = [self._orev[(cls.name, n)] for n in cls.rev_nodes
                        if self.allow_offload]
-            cov_fwd = lin_sum(local + fwd_off)
-            cov_rev = lin_sum(local + rev_off)
-            model.add_constraint(cov_fwd <= 1.0,
-                                 name=f"covfwd_cap[{cls.name}]")
-            model.add_constraint(cov_rev <= 1.0,
-                                 name=f"covrev_cap[{cls.name}]")
+            directions = {"fwd": lin_sum(local + fwd_off)}
+            if fwd_off or rev_off:
+                directions["rev"] = lin_sum(local + rev_off)
+            for label, coverage in directions.items():
+                model.add_constraint(coverage <= 1.0,
+                                     name=f"cov{label}_cap[{cls.name}]")
             cov = model.add_variable(f"cov[{cls.name}]", lb=0.0, ub=1.0)
-            model.add_constraint(cov <= cov_fwd,
-                                 name=f"cov_fwd[{cls.name}]")
-            model.add_constraint(cov <= cov_rev,
-                                 name=f"cov_rev[{cls.name}]")
+            for label, coverage in directions.items():
+                model.add_constraint(cov <= coverage,
+                                     name=f"cov_{label}[{cls.name}]")
             self._cov[cls.name] = cov
 
         load_cost = self._emit_load_rows(model)

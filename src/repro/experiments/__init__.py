@@ -38,10 +38,7 @@ from repro.experiments.fig15_variability import (
     format_fig15,
     run_fig15,
 )
-from repro.experiments.parallel import (
-    ParallelSweepRunner,
-    run_scan_epoch_sweep,
-)
+from repro.experiments.parallel import ParallelSweepRunner
 from repro.experiments.fig16_17_asymmetry import (
     AsymmetryPoint,
     format_fig16,
@@ -179,7 +176,6 @@ __all__ = [
     "run_fig18",
     "run_fig19",
     "run_placement_ablation",
-    "run_scan_epoch_sweep",
     "run_table1",
     "setup_topology",
 ]

@@ -48,18 +48,16 @@ class Fig10Result:
         return top_plain / top_repl if top_repl > 0 else float("inf")
 
 
-def _fig10_policy(args: Tuple[str, int, int, float, float, bool,
-                              Optional[str]]
+def _fig10_policy(args: Tuple[str, int, int, float, float, str]
                   ) -> Tuple[str, Dict[str, float], float, int]:
     """One architecture's LP + replay, rebuilt from plain arguments
     (a picklable sweep point for :class:`ParallelSweepRunner`).
 
     ``trace_path`` names the parent's slab-channel trace store; the
-    worker memmaps it instead of re-generating the trace. ``None``
-    (the scalar path) regenerates Session objects locally.
+    worker memmaps it instead of re-generating the trace.
     """
     (label, total_sessions, seed, dc_capacity_factor, max_link_load,
-     fast, trace_path) = args
+     trace_path) = args
     setup = setup_topology("internet2",
                            dc_capacity_factor=dc_capacity_factor)
     state = setup.state
@@ -71,12 +69,8 @@ def _fig10_policy(args: Tuple[str, int, int, float, float, bool,
         max_link_load=max_link_load).solve()
     configs = build_replication_configs(state, result)
     emulation = Emulation(state, configs, generator.classifier)
-    if trace_path is not None:
-        report = emulation.run_signature(
-            SlabChannel.open_batch(trace_path), fast=True)
-    else:
-        report = emulation.run_signature(
-            generator.generate(with_payloads=True), fast=fast)
+    report = emulation.run_signature(
+        SlabChannel.open_batch(trace_path), fast=True)
     return (label, report.work_units,
             result.max_load(exclude_dc=True), report.alerts)
 
@@ -84,41 +78,31 @@ def _fig10_policy(args: Tuple[str, int, int, float, float, bool,
 def run_fig10(total_sessions: int = 4000, seed: int = 7,
               dc_capacity_factor: float = 8.0,
               max_link_load: float = 0.4,
-              jobs: Optional[int] = None,
-              fast: bool = True) -> Fig10Result:
+              jobs: Optional[int] = None) -> Fig10Result:
     """Run the Internet2 emulation for both architectures.
 
-    With ``fast=True`` the trace is synthesized once (vectorized
-    direct build), spilled to a slab channel, and memmapped by both
-    architectures' workers — the trace is neither pickled nor built
-    twice. Reports are bit-identical to the scalar per-worker path.
+    The trace is synthesized once (vectorized direct build), spilled to
+    a slab channel, and memmapped by both architectures' workers — the
+    trace is neither pickled nor built twice. The vectorized replay's
+    reports are bit-identical to the scalar oracle's.
 
     Args:
         jobs: fan the two architectures across processes (``--jobs``
             on the CLI); results are identical to the serial run.
-        fast: replay through the vectorized engine (bit-identical to
-            the scalar oracle; set False to force the scalar path).
     """
     state = setup_topology(
         "internet2", dc_capacity_factor=dc_capacity_factor).state
-    channel: Optional[SlabChannel] = None
-    if fast:
-        generator = TraceGenerator(
-            state.topology.nodes, state.classes,
-            spec=TraceSpec(total_sessions=total_sessions), seed=seed)
-        channel = SlabChannel(
+    generator = TraceGenerator(
+        state.topology.nodes, state.classes,
+        spec=TraceSpec(total_sessions=total_sessions), seed=seed)
+    with SlabChannel(
             generator.generate_batch(tuple(state.nids_nodes),
                                      direct=True),
-            meta={"topology": "internet2", "seed": str(seed)})
-    try:
+            meta={"topology": "internet2", "seed": str(seed)}) as channel:
         points = [(label, total_sessions, seed, dc_capacity_factor,
-                   max_link_load, fast,
-                   channel.path if channel else None)
+                   max_link_load, channel.path)
                   for label in _POLICIES]
         results = ParallelSweepRunner(jobs).map(_fig10_policy, points)
-    finally:
-        if channel is not None:
-            channel.close()
 
     work: Dict[str, Dict[str, float]] = {}
     lp_max: Dict[str, float] = {}

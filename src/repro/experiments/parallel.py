@@ -1,12 +1,12 @@
 """Deterministic parallel execution of experiment sweep points.
 
 The Section 8 experiments are embarrassingly parallel across their
-sweep axes — fig10's two architectures, fig15's topologies, epoch and
-seed batches — and every sweep point is a pure function of its inputs
-(seeded RNGs, deterministic LPs). :class:`ParallelSweepRunner` fans
-such points across worker processes with ``ProcessPoolExecutor`` while
-preserving input order, so ``jobs=N`` produces byte-identical results
-to the serial run, just sooner.
+sweep axes — fig10's two architectures, fig15's topologies — and
+every sweep point is a pure function of its inputs (seeded RNGs,
+deterministic LPs). :class:`ParallelSweepRunner` fans such points
+across worker processes with ``ProcessPoolExecutor`` while preserving
+input order, so ``jobs=N`` produces byte-identical results to the
+serial run, just sooner.
 
 Workers must be module-level (picklable) functions; each rebuilds its
 state from plain arguments rather than receiving live ``Emulation``
@@ -27,22 +27,9 @@ import math
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    TypeVar,
-    Union,
-)
+from typing import Callable, Dict, Iterable, List, Optional, TypeVar, Union
 
-from repro.core.inputs import NetworkState
-from repro.shim.config import ShimConfig
 from repro.simulation.batch import PacketBatch
-from repro.simulation.emulation import Emulation, ScanEmulationReport
-from repro.simulation.packets import Session
 from repro.simulation.tracestore import TraceStore
 
 T = TypeVar("T")
@@ -72,25 +59,19 @@ class ParallelSweepRunner:
             return 1
         return max(1, math.ceil(num_items / (4 * self.jobs)))
 
-    def map(self, fn: Callable[[T], R], items: Iterable[T],
-            chunksize: Optional[int] = None) -> List[R]:
+    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
         """Apply ``fn`` to every item, in order.
 
         With ``jobs > 1``, ``fn`` must be picklable (a module-level
-        function or a ``functools.partial`` over one).
-        ``chunksize`` controls how many items ship per worker
-        round-trip (``pool.map``'s knob; default one pickle per
-        item batch via :meth:`auto_chunksize`).
+        function or a ``functools.partial`` over one), and items ship
+        to workers in :meth:`auto_chunksize` batches.
         """
         items = list(items)
         if self.jobs <= 1 or len(items) <= 1:
             return [fn(item) for item in items]
-        if chunksize is None:
-            chunksize = self.auto_chunksize(len(items))
-        elif chunksize < 1:
-            raise ValueError("chunksize must be >= 1")
         with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-            return list(pool.map(fn, items, chunksize=chunksize))
+            return list(pool.map(
+                fn, items, chunksize=self.auto_chunksize(len(items))))
 
 
 class SlabChannel:
@@ -108,8 +89,14 @@ class SlabChannel:
                  dir: Optional[Union[str, Path]] = None) -> None:
         self._tmpdir = tempfile.TemporaryDirectory(
             prefix="repro-slab-", dir=dir)
-        self.store = TraceStore.pack(
-            batch, Path(self._tmpdir.name) / "trace", meta=meta)
+        try:
+            self.store = TraceStore.pack(
+                batch, Path(self._tmpdir.name) / "trace", meta=meta)
+        except BaseException:
+            # The traceback references this half-built channel, which
+            # would keep the spill directory alive until collected.
+            self._tmpdir.cleanup()
+            raise
         self.path = str(self.store.path)
 
     @staticmethod
@@ -125,67 +112,3 @@ class SlabChannel:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-
-def _scan_epoch_worker(args) -> ScanEmulationReport:
-    """One epoch of the scan sweep, rebuilt from plain arguments.
-
-    The epoch trace arrives either as Session objects (scalar path)
-    or as a slab-channel path to memmap (fast path).
-    """
-    (state, configs, classifier, hash_seed, trace, threshold,
-     class_gateway, fast) = args
-    if isinstance(trace, str):
-        trace = SlabChannel.open_batch(trace)
-    emulation = Emulation(state, configs, classifier,
-                          hash_seed=hash_seed)
-    return emulation.run_scan(trace, threshold, class_gateway,
-                              fast=fast)
-
-
-def run_scan_epoch_sweep(state: NetworkState,
-                         configs: Dict[str, ShimConfig],
-                         classifier,
-                         epochs: Sequence[Sequence[Session]],
-                         threshold: int,
-                         class_gateway: Optional[Dict[str, str]] = None,
-                         hash_seed: int = 0,
-                         jobs: Optional[int] = None,
-                         fast: bool = False,
-                         chunksize: Optional[int] = None
-                         ) -> List[ScanEmulationReport]:
-    """Scan detection over measurement epochs, optionally in parallel.
-
-    Epochs are independent by construction (counters reset between
-    epochs — see :meth:`Emulation.run_scan_epochs`), so each worker
-    replays one epoch against its own ``Emulation`` rebuilt from the
-    same state/configs; reports return in epoch order and equal the
-    sequential :meth:`Emulation.run_scan_epochs` output exactly.
-
-    With ``fast=True`` each epoch is columnarized once here and
-    spilled through a :class:`SlabChannel`, so workers memmap their
-    epoch instead of unpickling Session object graphs. ``chunksize``
-    batches epochs per worker round-trip (default
-    :meth:`ParallelSweepRunner.auto_chunksize`).
-    """
-    runner = ParallelSweepRunner(jobs)
-    node_order = tuple(state.nids_nodes)
-    channels: List[SlabChannel] = []
-    try:
-        points = []
-        for epoch in epochs:
-            trace: Union[List[Session], str]
-            if fast:
-                channel = SlabChannel(PacketBatch.from_sessions(
-                    list(epoch), classifier, node_order, hash_seed))
-                channels.append(channel)
-                trace = channel.path
-            else:
-                trace = list(epoch)
-            points.append((state, configs, classifier, hash_seed,
-                           trace, threshold, class_gateway, fast))
-        return runner.map(_scan_epoch_worker, points,
-                          chunksize=chunksize)
-    finally:
-        for channel in channels:
-            channel.close()

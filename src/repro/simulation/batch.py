@@ -12,13 +12,13 @@ column stores:
   direction, wire size, and all payloads packed into one contiguous
   byte buffer with an offsets column.
 
-Both also provide the *observation expansion*. The shim's decision
-is a function of (session, direction, node) — the hash covers the
-session 5-tuple — so the unit the fast path expands and decides is
-the *session-direction group* ``session * 2 + direction``, not the
-packet: :meth:`PacketBatch.group_sums` reduces per-packet quantities
-(integer-valued, so exact in any grouping) onto the groups, and
-:meth:`PacketBatch.group_observers` pairs every group that has a
+:class:`PacketBatch` also provides the *observation expansion*. The
+shim's decision is a function of (session, direction, node) — the hash
+covers the session 5-tuple — so the unit the fast path expands and
+decides is the *session-direction group* ``session * 2 + direction``,
+not the packet: :meth:`PacketBatch.group_sums` reduces per-packet
+quantities (integer-valued, so exact in any grouping) onto the groups,
+and :meth:`PacketBatch.group_observers` pairs every group that has a
 packet with the nodes on its direction's path. The pairing is a ragged
 gather over a CSR path table built once per ``paths`` list.
 
@@ -113,7 +113,6 @@ class SessionBatch:
         # them passes the table along so it is built once per trace.
         self._path_table = path_table
         self._hash_cache: Dict[HashMode, np.ndarray] = {}
-        self._flow_obs: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @classmethod
     def from_sessions(cls, sessions: Sequence[Session], classifier,
@@ -235,15 +234,6 @@ class SessionBatch:
                           lengths)
         return obs_rows, nodes[
             np.arange(len(obs_rows), dtype=np.int64) + shift]
-
-    def flow_observers(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(session, forward-path node) expansion — what the scan and
-        flood replays enumerate (one shim call per session per
-        forward-path node). Cached."""
-        if self._flow_obs is None:
-            rows = np.arange(self.num_sessions, dtype=np.int64)
-            self._flow_obs = self._expand_paths(rows, self.fwd_path_id)
-        return self._flow_obs
 
 
 class PacketBatch:

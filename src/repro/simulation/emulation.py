@@ -14,14 +14,16 @@ Emulab methodology (Section 8.1) in-process:
   for semantic equivalence against a centralized detector
   (Section 7.3).
 
-Each ``run_*`` has two implementations. The scalar path walks Python
-objects one packet at a time and is the correctness oracle. Passing
-``fast=True`` replays the same trace through the vectorized engine —
-columnar batches (:mod:`repro.simulation.batch`), batch hashing, and
-the compiled decision kernel (:mod:`repro.shim.batch`) — producing a
-report with *identical* contents; when the installed configs cannot be
-compiled (or a custom engine factory is supplied) the call silently
-falls back to the scalar path and counts ``emulation.fast.fallbacks``.
+The scalar ``run_*`` paths walk Python objects one packet at a time;
+they are paper-faithful and the correctness oracle. Signature replay —
+the one the pipeline benchmark, Figure 10 and the scenario loop run at
+scale — also has a vectorized engine: ``run_signature(fast=True)`` and
+:meth:`Emulation.run_signature_chunked` replay columnar batches
+(:mod:`repro.simulation.batch`) through batch hashing and the compiled
+decision kernel (:mod:`repro.shim.batch`), producing a report with
+*identical* contents. When the installed configs cannot be compiled,
+``run_signature(fast=True)`` falls back to the scalar path and counts
+``emulation.fast.fallbacks``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import time
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -51,12 +52,10 @@ from repro.nids.aggregator import (
     report_cost_record_hops,
 )
 from repro.nids.flood import FloodDetector
-from repro.nids.reports import SOURCE_COUNT_RECORD_BYTES
 from repro.nids.scan import ScanDetector
 from repro.nids.signature import DEFAULT_SIGNATURES, SignatureEngine
 from repro.nids.stateful import StatefulSessionAnalyzer
 from repro.shim.batch import (
-    ACTION_PROCESS,
     ACTION_REPLICATE,
     BatchShimKernel,
     MirrorLinkIndex,
@@ -66,7 +65,7 @@ from repro.shim.batch import (
 )
 from repro.shim.config import ShimConfig
 from repro.shim.shim import Classifier, Shim
-from repro.simulation.batch import DIR_FWD, PacketBatch, SessionBatch
+from repro.simulation.batch import PacketBatch, SessionBatch
 from repro.simulation.packets import Session
 from repro.topology.topology import Link
 
@@ -74,7 +73,6 @@ if TYPE_CHECKING:
     from repro.simulation.tracestore import ChunkedReplay
 
 Trace = Union[Sequence[Session], PacketBatch]
-FlowTrace = Union[Sequence[Session], SessionBatch, PacketBatch]
 
 
 @dataclass
@@ -131,17 +129,14 @@ class ScanEmulationReport:
 
 # The two aggregated flow-level replays differ only in which detector
 # runs, which report it ships, and which entity it flags. One spec per
-# kind keeps the replay logic written once (scalar and fast).
+# kind keeps the replay logic written once.
 #
 # Fields: detector factory, report method name, centralized flagged
-# method name, and whether the counted entity is the flow's source
-# ("src" = scan: distinct destinations per source) or destination
-# ("dst" = flood: distinct sources per destination).
+# method name.
 _AGG_KINDS = {
-    "scan": (ScanDetector, "source_count_report", "flagged_sources",
-             "src"),
+    "scan": (ScanDetector, "source_count_report", "flagged_sources"),
     "flood": (FloodDetector, "destination_count_report",
-              "flagged_destinations", "dst"),
+              "flagged_destinations"),
 }
 
 
@@ -247,48 +242,18 @@ class Emulation:
             trace, self.classifier, tuple(self.state.nids_nodes),
             self.hash_seed)
 
-    def _session_batch(self, trace: FlowTrace) -> SessionBatch:
-        if isinstance(trace, PacketBatch):
-            trace = trace.sessions
-        if isinstance(trace, SessionBatch):
-            if tuple(trace.node_order) != \
-                    tuple(self.state.nids_nodes):
-                raise ValueError("batch node order does not match "
-                                 "this network's NIDS nodes")
-            return trace
-        return SessionBatch.from_sessions(
-            trace, self.classifier, tuple(self.state.nids_nodes),
-            self.hash_seed)
-
     @staticmethod
     def _require_sessions(trace, label: str) -> Sequence[Session]:
         if isinstance(trace, (PacketBatch, SessionBatch)):
             raise TypeError(
-                f"{label} fell back to the scalar path, which needs "
-                f"Session objects; pass the original trace instead of "
-                f"a prebuilt batch")
+                f"{label}'s scalar path needs Session objects; pass "
+                f"the original trace instead of a prebuilt batch")
         return trace
-
-    def _decide_batch(self, kernel: BatchShimKernel,
-                      sessions: SessionBatch, obs_sess: np.ndarray,
-                      obs_node: np.ndarray, directions: np.ndarray
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-        """Kernel decisions for an observation expansion: class ids and
-        hash values are session-level columns gathered per
-        observation."""
-        hash_columns = {
-            mode: sessions.hash_column(mode)[obs_sess]
-            for mode in kernel.modes_used}
-        return kernel.decide(
-            obs_node, sessions.class_id[obs_sess].astype(np.int64),
-            directions, hash_columns)
 
     # -- signature / replication -----------------------------------------
 
-    def run_signature(self, sessions: Trace,
-                      engine_factory: Optional[Callable[[],
-                                               SignatureEngine]] = None,
-                      fast: bool = False) -> EmulationReport:
+    def run_signature(self, sessions: Trace, fast: bool = False
+                      ) -> EmulationReport:
         """Replay the trace through Signature engines.
 
         Every packet visits each node on its direction's path; the
@@ -297,24 +262,19 @@ class Emulation:
         charged to every link on the node-to-mirror route.
 
         With ``fast=True`` the vectorized engine replays the batch and
-        returns an identical report; a custom ``engine_factory`` or an
-        uncompilable config set falls back to the scalar oracle.
+        returns an identical report; an uncompilable config set falls
+        back to the scalar oracle.
         """
         if fast:
-            if engine_factory is not None:
+            batch = self._packet_batch(sessions)
+            try:
+                return self._signature_chunks([batch], batch.sessions)
+            except UnsupportedShimConfig:
                 self._note_fallback()
-            else:
-                batch = self._packet_batch(sessions)
-                try:
-                    return self._signature_chunks([batch],
-                                                  batch.sessions)
-                except UnsupportedShimConfig:
-                    self._note_fallback()
         sessions = self._require_sessions(sessions, "run_signature")
 
-        factory = engine_factory or SignatureEngine
         engines: Dict[str, SignatureEngine] = {
-            node: factory() for node in self.state.nids_nodes}
+            node: SignatureEngine() for node in self.state.nids_nodes}
         link_bytes: Dict[Link, float] = {}
         replicated = 0.0
         packets = 0
@@ -403,8 +363,11 @@ class Emulation:
             # whose bytes and matches are summed up front.
             obs_group, obs_node = chunk.group_observers()
             obs_sess = obs_group >> 1
-            actions, targets = self._decide_batch(
-                kernel, sess, obs_sess, obs_node, obs_group & 1)
+            actions, targets = kernel.decide(
+                obs_node, sess.class_id[obs_sess].astype(np.int64),
+                obs_group & 1,
+                {mode: sess.hash_column(mode)[obs_sess]
+                 for mode in kernel.modes_used})
             deliver = delivery_nodes(actions, targets, obs_node)
             mask = deliver >= 0
 
@@ -464,19 +427,13 @@ class Emulation:
 
     # -- stateful / split traffic ------------------------------------------
 
-    def run_stateful(self, sessions: Trace, fast: bool = False
+    def run_stateful(self, sessions: Sequence[Session]
                      ) -> StatefulEmulationReport:
         """Replay an (asymmetric) trace through stateful analyzers.
 
         A session counts as covered when at least one location —
         on-path node or replication target — observed both directions.
         """
-        if fast:
-            batch = self._packet_batch(sessions)
-            try:
-                return self._fast_stateful(batch)
-            except UnsupportedShimConfig:
-                self._note_fallback()
         sessions = self._require_sessions(sessions, "run_stateful")
 
         analyzers: Dict[str, StatefulSessionAnalyzer] = {
@@ -513,62 +470,11 @@ class Emulation:
                                   packets, time.perf_counter() - start)
         return report
 
-    def _fast_stateful(self, batch: PacketBatch
-                       ) -> StatefulEmulationReport:
-        """Vectorized :meth:`run_stateful`.
-
-        Coverage reduces to sets: a (node, session) delivery pair is
-        covered when its distinct (node, session, direction) triples
-        number two; covered sessions are the distinct five-tuples in
-        any covered pair. Work is 0.5 x wire bytes (exact — halving a
-        float is lossless) plus 50 per distinct delivery pair.
-        """
-        sess = batch.sessions
-        kernel = self._kernel(sess.class_names)
-        start = time.perf_counter()
-        obs_group, obs_node = batch.group_observers()
-        obs_sess = obs_group >> 1
-        directions = obs_group & 1
-        actions, targets = self._decide_batch(
-            kernel, sess, obs_sess, obs_node, directions)
-        deliver = delivery_nodes(actions, targets, obs_node)
-        mask = deliver >= 0
-        num_nodes = len(sess.node_order)
-
-        sizes = batch.group_sums(batch.size_bytes)[obs_group]
-        byte_sum = accumulate_per_node(deliver, sizes, num_nodes)
-        keys = max(sess.num_keys, 1)
-        pair = deliver[mask] * keys + sess.session_key[obs_sess[mask]]
-        distinct_pairs_all = np.unique(pair)
-        work = 0.5 * byte_sum + 50.0 * np.bincount(
-            distinct_pairs_all // keys, minlength=num_nodes)
-
-        triples = np.unique(pair * 2 + directions[mask])
-        pairs_of_triples, dir_counts = np.unique(triples // 2,
-                                                 return_counts=True)
-        covered_keys = np.unique(
-            pairs_of_triples[dir_counts == 2] % keys)
-
-        repl = actions == ACTION_REPLICATE
-        replicated = float(sizes[repl].sum()) if repl.any() else 0.0
-
-        report = StatefulEmulationReport(
-            covered_sessions=int(len(covered_keys)),
-            total_sessions=sess.num_sessions,
-            work_units={n: float(work[i])
-                        for i, n in enumerate(sess.node_order)},
-            replicated_bytes=replicated)
-        self._note_fast_run()
-        self._publish_run_metrics("stateful", report.work_units,
-                                  batch.num_packets,
-                                  time.perf_counter() - start)
-        return report
-
     # -- scan & flood / aggregation ---------------------------------------
 
-    def run_scan(self, sessions: FlowTrace, threshold: int,
-                 class_gateway: Optional[Dict[str, str]] = None,
-                 fast: bool = False) -> ScanEmulationReport:
+    def run_scan(self, sessions: Sequence[Session], threshold: int,
+                 class_gateway: Optional[Dict[str, str]] = None
+                 ) -> ScanEmulationReport:
         """Distributed Scan detection with per-source splitting.
 
         Each on-path node counts the sources its hash range assigns it
@@ -582,15 +488,13 @@ class Emulation:
             threshold: the aggregator's alert threshold ``k``.
             class_gateway: class name -> aggregation node; defaults to
                 each class's ingress.
-            fast: replay through the vectorized engine (identical
-                report; falls back to scalar when uncompilable).
         """
         return self._run_aggregated("scan", sessions, threshold,
-                                    class_gateway, fast)
+                                    class_gateway)
 
-    def run_flood(self, sessions: FlowTrace, threshold: int,
-                  class_gateway: Optional[Dict[str, str]] = None,
-                  fast: bool = False) -> ScanEmulationReport:
+    def run_flood(self, sessions: Sequence[Session], threshold: int,
+                  class_gateway: Optional[Dict[str, str]] = None
+                  ) -> ScanEmulationReport:
         """Distributed flood/DoS detection with per-destination
         splitting (the Section 6 extension).
 
@@ -602,26 +506,19 @@ class Emulation:
         the equivalence baseline.
         """
         return self._run_aggregated("flood", sessions, threshold,
-                                    class_gateway, fast)
+                                    class_gateway)
 
-    def _run_aggregated(self, kind: str, sessions: FlowTrace,
+    def _run_aggregated(self, kind: str, sessions: Sequence[Session],
                         threshold: int,
-                        class_gateway: Optional[Dict[str, str]],
-                        fast: bool = False) -> ScanEmulationReport:
+                        class_gateway: Optional[Dict[str, str]]
+                        ) -> ScanEmulationReport:
         """Shared scan/flood replay (parameterized by ``_AGG_KINDS``)."""
         if class_gateway is None:
             class_gateway = {cls.name: cls.ingress
                              for cls in self.state.classes}
-        if fast:
-            batch = self._session_batch(sessions)
-            try:
-                return self._fast_aggregated(kind, batch, threshold,
-                                             class_gateway)
-            except UnsupportedShimConfig:
-                self._note_fallback()
         sessions = self._require_sessions(sessions, f"run_{kind}")
 
-        detector_cls, report_method, flagged_method, _ = _AGG_KINDS[kind]
+        detector_cls, report_method, flagged_method = _AGG_KINDS[kind]
         detectors: Dict[Tuple[str, str], object] = {}
         central: Dict[str, object] = {}
         flows = 0
@@ -678,135 +575,10 @@ class Emulation:
                                   time.perf_counter() - start)
         return report
 
-    def _fast_aggregated(self, kind: str, sess: SessionBatch,
-                         threshold: int,
-                         class_gateway: Dict[str, str]
-                         ) -> ScanEmulationReport:
-        """Vectorized scan/flood replay over a session batch.
-
-        Everything reduces to distinct-row counting: the centralized
-        baseline is per-(gateway, entity) distinct counterpart counts;
-        the distributed side is the same with the processing node as an
-        extra key, then summed across nodes per (gateway, entity) — the
-        source-level aggregation invariant. Work is 10 per distinct
-        (node, gateway, flow) triple; report cost is 16 bytes per
-        report row times the node-gateway hop count.
-        """
-        detector_cls, _, _, entity_field = _AGG_KINDS[kind]
-        kernel = self._kernel(sess.class_names)
-        start = time.perf_counter()
-
-        # Per-session gateway codes via the class-name column.
-        gw_names: List[str] = []
-        gw_index: Dict[str, int] = {}
-        class_gw = np.full(len(sess.class_names), -1, dtype=np.int64)
-        for ci, cname in enumerate(sess.class_names):
-            gateway = class_gateway.get(cname)
-            if gateway is None:
-                continue
-            code = gw_index.get(gateway)
-            if code is None:
-                code = len(gw_names)
-                gw_index[gateway] = code
-                gw_names.append(gateway)
-            class_gw[ci] = code
-        sess_gw = class_gw[sess.trace_class_id]
-
-        if entity_field == "src":
-            entity = sess.src_ip.astype(np.int64)
-            counted = sess.dst_ip.astype(np.int64)
-        else:
-            entity = sess.dst_ip.astype(np.int64)
-            counted = sess.src_ip.astype(np.int64)
-
-        # Centralized baseline: distinct (gw, entity, counterpart)
-        # rows, reduced to per-(gw, entity) counts.
-        valid = sess_gw >= 0
-        flows = int(valid.sum())
-        present = np.unique(sess_gw[valid])
-        centralized: Dict[str, Tuple[int, ...]] = {}
-        central_rows = np.unique(np.stack(
-            [sess_gw[valid], entity[valid], counted[valid]], axis=1),
-            axis=0)
-        if len(central_rows):
-            groups, counts = np.unique(central_rows[:, :2], axis=0,
-                                       return_counts=True)
-            # Only gateways that saw at least one flow exist in the
-            # scalar path's central-detector dict.
-            for code in present:
-                hits = groups[:, 0] == code
-                flagged = groups[hits][counts[hits] > threshold, 1]
-                centralized[gw_names[int(code)]] = tuple(
-                    int(e) for e in flagged)
-
-        # Distributed side: forward-path observers of flows that have
-        # a gateway, kept where the kernel says PROCESS (replication
-        # decisions never feed flow counters, as in the scalar path).
-        obs_sess, obs_node = sess.flow_observers()
-        keep = valid[obs_sess]
-        obs_sess, obs_node = obs_sess[keep], obs_node[keep]
-        actions, _ = self._decide_batch(
-            kernel, sess, obs_sess, obs_node,
-            np.full(len(obs_sess), DIR_FWD, dtype=np.int64))
-        processed = actions == ACTION_PROCESS
-        obs_sess, obs_node = obs_sess[processed], obs_node[processed]
-
-        num_nodes = len(sess.node_order)
-        work_array = np.zeros(num_nodes, dtype=np.float64)
-        record_hops = 0.0
-        distributed: Dict[str, Tuple[int, ...]] = {
-            gw_names[int(code)]: () for code in present}
-        if len(obs_sess):
-            # Work: 10 per distinct (node, gw, flow five-tuple).
-            flow_rows = np.unique(np.stack(
-                [obs_node, sess_gw[obs_sess],
-                 sess.session_key[obs_sess]], axis=1), axis=0)
-            work_array += (detector_cls().per_session_cost *
-                           np.bincount(flow_rows[:, 0],
-                                       minlength=num_nodes))
-            # Counting: distinct (node, gw, entity, counterpart) rows.
-            rows = np.unique(np.stack(
-                [obs_node, sess_gw[obs_sess], entity[obs_sess],
-                 counted[obs_sess]], axis=1), axis=0)
-            node_gw_entity, counts = np.unique(rows[:, :3], axis=0,
-                                               return_counts=True)
-            # Report cost: one 16-byte row per (node, gw, entity),
-            # shipped hop_count(node, gw) hops.
-            report_rows, rows_per = np.unique(node_gw_entity[:, :2],
-                                              axis=0,
-                                              return_counts=True)
-            for (node_id, gw_code), row_count in zip(report_rows,
-                                                     rows_per):
-                record_hops += float(row_count) * \
-                    self.state.routing.hop_count(
-                        sess.node_order[int(node_id)],
-                        gw_names[int(gw_code)])
-            # Aggregation: sum per-node counts per (gw, entity) and
-            # apply the real threshold.
-            gw_entity, totals = _sum_by_group(
-                node_gw_entity[:, 1:], counts)
-            for code in np.unique(gw_entity[:, 0]):
-                hits = gw_entity[:, 0] == code
-                flagged = gw_entity[hits][totals[hits] > threshold, 1]
-                distributed[gw_names[int(code)]] = tuple(
-                    int(e) for e in flagged)
-
-        report = ScanEmulationReport(
-            distributed_alerts=distributed,
-            centralized_alerts=centralized,
-            record_hops=record_hops,
-            byte_hops=SOURCE_COUNT_RECORD_BYTES * record_hops,
-            work_units={n: float(work_array[i])
-                        for i, n in enumerate(sess.node_order)})
-        self._note_fast_run()
-        self._publish_run_metrics(kind, report.work_units, flows,
-                                  time.perf_counter() - start)
-        return report
-
     def run_scan_epochs(self, epochs: Sequence[Sequence[Session]],
                         threshold: int,
-                        class_gateway: Optional[Dict[str, str]] = None,
-                        fast: bool = False) -> List[ScanEmulationReport]:
+                        class_gateway: Optional[Dict[str, str]] = None
+                        ) -> List[ScanEmulationReport]:
         """Scan detection over successive measurement epochs.
 
         The Scan module counts destinations contacted "in the previous
@@ -815,15 +587,5 @@ class Emulation:
         under the per-epoch threshold while a burst is flagged. Each
         epoch produces its own aggregated reports and alerts.
         """
-        return [self.run_scan(batch, threshold, class_gateway,
-                              fast=fast)
-                for batch in epochs]
-
-
-def _sum_by_group(keys: np.ndarray, values: np.ndarray
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sum ``values`` grouped by distinct rows of ``keys`` (2-D)."""
-    groups, inverse = np.unique(keys, axis=0, return_inverse=True)
-    totals = np.bincount(inverse.reshape(-1), weights=values,
-                         minlength=len(groups))
-    return groups, totals
+        return [self.run_scan(epoch, threshold, class_gateway)
+                for epoch in epochs]

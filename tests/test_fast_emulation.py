@@ -1,13 +1,15 @@
-"""Scalar-vs-fast parity for the vectorized replay engine.
+"""Scalar-vs-fast parity for the vectorized Signature replay engine.
 
-The fast path's contract is *bit-identical reports*: every ``run_*``
-kind is replayed both ways on the largest evaluation topology (tinet)
-and the dataclass reports compared with ``==``. The fallback ladder —
-custom engine factories, uncompilable configs, prebuilt batches that
-cannot fall back — is exercised on the small line fixtures. The two
-units the fast path is built from — the session-direction group
-expansion and the flattened decision table — are checked on drawn
-inputs against references kept in this file.
+The fast path's contract is *bit-identical reports*: Signature replay
+runs both ways on the largest evaluation topology (tinet) and the
+dataclass reports are compared with ``==``; the scalar Stateful, Scan
+and Flood replays are checked there against what they must equal (the
+LP's miss rate, the centralized detector, per-epoch runs). The fallback
+ladder — uncompilable configs, prebuilt batches that cannot fall back —
+is exercised on the small line fixtures. The two units the fast path
+is built from — the session-direction group expansion and the
+flattened decision table — are checked on drawn inputs against
+references kept in this file.
 """
 
 import dataclasses
@@ -25,7 +27,7 @@ from repro.core import (
 )
 from repro.core.inputs import NetworkState
 from repro.experiments.common import setup_topology
-from repro.nids.signature import DEFAULT_SIGNATURES, SignatureEngine
+from repro.nids.signature import DEFAULT_SIGNATURES
 from repro.obs import MetricsRegistry, use_registry
 from repro.shim import (
     FiveTuple,
@@ -79,7 +81,8 @@ def tinet_trace(tinet_state):
 
 
 class TestTinetParity:
-    """All run_* kinds, scalar vs fast, on the tinet fixture."""
+    """Every run_* kind on the tinet fixture: Signature scalar vs fast,
+    the others against their reference."""
 
     def _replication_emulation(self, state, generator):
         result = ReplicationProblem(
@@ -107,14 +110,19 @@ class TestTinetParity:
             emulation.run_signature(sessions)
 
     def test_stateful_parity(self, tinet_state, tinet_trace):
+        """The replay measures the miss rate the Section 5 LP
+        predicts, offloads included."""
         generator, sessions = tinet_trace
         result = SplitTrafficProblem(tinet_state,
                                      max_link_load=0.4).solve()
         configs = build_split_configs(tinet_state, result)
         emulation = Emulation(tinet_state, configs,
                               generator.classifier)
-        scalar = emulation.run_stateful(sessions)
-        assert emulation.run_stateful(sessions, fast=True) == scalar
+        report = emulation.run_stateful(sessions)
+        assert report.total_sessions == len(sessions)
+        assert report.miss_rate == pytest.approx(result.miss_rate,
+                                                 abs=1e-9)
+        assert report.replicated_bytes > 0
 
     def test_scan_parity(self, tinet_state, tinet_trace):
         generator, sessions = tinet_trace
@@ -122,11 +130,8 @@ class TestTinetParity:
         configs = build_aggregation_configs(tinet_state, result)
         emulation = Emulation(tinet_state, configs,
                               generator.classifier)
-        scalar = emulation.run_scan(sessions, threshold=10)
-        fast = emulation.run_scan(sessions, threshold=10, fast=True)
-        assert fast == scalar
-        assert scalar.semantically_equivalent
-        assert fast.semantically_equivalent
+        assert emulation.run_scan(sessions,
+                                  threshold=10).semantically_equivalent
 
     def test_flood_parity(self, tinet_state, tinet_trace):
         generator, sessions = tinet_trace
@@ -134,13 +139,12 @@ class TestTinetParity:
         configs = build_aggregation_configs(tinet_state, result)
         emulation = Emulation(tinet_state, configs,
                               generator.classifier)
-        scalar = emulation.run_flood(sessions, threshold=10)
-        fast = emulation.run_flood(sessions, threshold=10, fast=True)
-        assert fast == scalar
-        assert scalar.semantically_equivalent
-        assert fast.semantically_equivalent
+        assert emulation.run_flood(sessions,
+                                   threshold=10).semantically_equivalent
 
     def test_scan_epochs_parity(self, tinet_state, tinet_trace):
+        """Counters reset between epochs: each epoch's report is the
+        report of that epoch replayed alone."""
         generator, sessions = tinet_trace
         result = AggregationProblem(tinet_state, beta=0.0).solve()
         configs = build_aggregation_configs(tinet_state, result)
@@ -148,9 +152,8 @@ class TestTinetParity:
                               generator.classifier)
         half = len(sessions) // 2
         epochs = [sessions[:half], sessions[half:]]
-        assert emulation.run_scan_epochs(epochs, threshold=8,
-                                         fast=True) == \
-            emulation.run_scan_epochs(epochs, threshold=8)
+        assert emulation.run_scan_epochs(epochs, threshold=8) == [
+            emulation.run_scan(epoch, threshold=8) for epoch in epochs]
 
 
 @pytest.fixture
@@ -166,22 +169,20 @@ def line_pieces(line_state_dc):
     return line_state_dc, generator, sessions, configs
 
 
-class TestFastFallbacks:
-    def test_custom_engine_factory_falls_back(self, line_pieces):
-        state, generator, sessions, configs = line_pieces
-        emulation = Emulation(state, configs, generator.classifier)
-        factory = lambda: SignatureEngine()  # noqa: E731
-        scalar = emulation.run_signature(sessions,
-                                         engine_factory=factory)
-        with use_registry(MetricsRegistry()) as registry:
-            fast = emulation.run_signature(sessions,
-                                           engine_factory=factory,
-                                           fast=True)
-            assert registry.counter_value(
-                "emulation.fast.fallbacks") == 1
-            assert registry.counter_value("emulation.fast.runs") == 0
-        assert fast == scalar
+def _mixed_hash_modes(state, configs):
+    """``configs`` with one class's rules on one node split across two
+    hash modes, which the kernel cannot compile."""
+    cls = state.classes[0].name
+    node = state.nids_nodes[0]
+    return {**configs, node: ShimConfig(node, {
+        **configs[node].rules, cls: [
+            ShimRule(cls, HashRange(("process", node), 0.0, 0.3),
+                     ShimAction.PROCESS),
+            ShimRule(cls, HashRange(("process", node), 0.5, 0.8),
+                     ShimAction.PROCESS, hash_mode=HashMode.SOURCE)]})}
 
+
+class TestFastFallbacks:
     def test_overlapping_rules_fall_back(self, line_pieces):
         """Overlapping single-mode ranges no longer fall back (the
         test id is pinned): the kernel resolves first-match-wins ahead
@@ -232,29 +233,28 @@ class TestFastFallbacks:
 
     def test_mixed_hash_modes_fall_back(self, line_pieces):
         state, generator, sessions, configs = line_pieces
-        cls = state.classes[0].name
-        node = state.nids_nodes[0]
-        configs[node] = ShimConfig(node, {**configs[node].rules, cls: [
-            ShimRule(cls, HashRange(("process", node), 0.0, 0.3),
-                     ShimAction.PROCESS),
-            ShimRule(cls, HashRange(("process", node), 0.5, 0.8),
-                     ShimAction.PROCESS, hash_mode=HashMode.SOURCE),
-        ]})
-        emulation = Emulation(state, configs, generator.classifier)
+        emulation = Emulation(state, _mixed_hash_modes(state, configs),
+                              generator.classifier)
         with use_registry(MetricsRegistry()) as registry:
             fast = emulation.run_signature(sessions, fast=True)
             assert registry.counter_value(
                 "emulation.fast.fallbacks") == 1
+            assert registry.counter_value("emulation.fast.runs") == 0
         assert fast == emulation.run_signature(sessions)
 
     def test_prebuilt_batch_cannot_fall_back(self, line_pieces):
         state, generator, sessions, configs = line_pieces
-        emulation = Emulation(state, configs, generator.classifier)
         batch = PacketBatch.from_sessions(
             sessions, generator.classifier, tuple(state.nids_nodes))
+        uncompilable = Emulation(state, _mixed_hash_modes(state, configs),
+                                 generator.classifier)
         with pytest.raises(TypeError):
-            emulation.run_signature(
-                batch, engine_factory=SignatureEngine, fast=True)
+            uncompilable.run_signature(batch, fast=True)
+        emulation = Emulation(state, configs, generator.classifier)
+        with pytest.raises(TypeError):
+            emulation.run_stateful(batch)
+        with pytest.raises(TypeError):
+            emulation.run_scan(batch, threshold=8)
 
     def test_wrong_node_order_batch_rejected(self, line_pieces):
         state, generator, sessions, configs = line_pieces
@@ -400,8 +400,6 @@ class TestSessionDirectionGroups:
         assert emulation.run_signature(sessions, fast=True) == scalar
         assert emulation.run_signature_chunked(
             ChunkedReplay(batch, chunk_packets)) == scalar
-        assert emulation.run_stateful(sessions, fast=True) == \
-            emulation.run_stateful(sessions)
 
 
 @st.composite

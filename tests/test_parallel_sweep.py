@@ -3,17 +3,12 @@ results (single-CPU CI boxes assert determinism, not wall-clock)."""
 
 import pytest
 
-from repro.core import AggregationProblem
-from repro.experiments import ParallelSweepRunner, run_scan_epoch_sweep
+from repro.experiments import ParallelSweepRunner
 from repro.experiments.fig10_emulation import run_fig10
 from repro.experiments.parallel import SlabChannel
-from repro.shim import build_aggregation_configs
-from repro.simulation import (
-    Emulation,
-    TraceGenerator,
-    trace_fingerprint,
-)
+from repro.simulation import TraceGenerator, trace_fingerprint
 from repro.simulation.tracegen import TraceSpec
+from repro.simulation.tracestore import TraceStore
 
 
 def _square(value):
@@ -53,18 +48,6 @@ class TestParallelSweepRunner:
         assert runner.auto_chunksize(9) == 2
         assert runner.auto_chunksize(100) == 13
 
-    def test_explicit_chunksize_preserves_results(self):
-        runner = ParallelSweepRunner(2)
-        items = list(range(25))
-        expected = [i * i for i in items]
-        for chunksize in (1, 5, 100):
-            assert runner.map(_square, items,
-                              chunksize=chunksize) == expected
-
-    def test_invalid_chunksize_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelSweepRunner(2).map(_square, [1, 2, 3], chunksize=0)
-
 
 class TestSlabChannel:
     def test_round_trip_is_bit_identical(self, line_state):
@@ -91,57 +74,24 @@ class TestSlabChannel:
         channel.close()
         assert not spill.exists()
 
-
-class TestScanEpochSweep:
-    def test_matches_sequential_epochs(self, line_state):
-        lp = AggregationProblem(line_state, beta=0.0).solve()
-        configs = build_aggregation_configs(line_state, lp)
+    def test_failed_pack_removes_spill(self, line_state, tmp_path,
+                                       monkeypatch):
         generator = TraceGenerator(
             line_state.topology.nodes, line_state.classes,
-            spec=TraceSpec(total_sessions=200, scanner_count=2,
-                           scanner_fanout=15), seed=29)
-        epochs = [generator.generate(with_payloads=False)
-                  for _ in range(3)]
-        emulation = Emulation(line_state, configs,
-                              generator.classifier)
-        sequential = emulation.run_scan_epochs(epochs, threshold=8)
-        swept = run_scan_epoch_sweep(
-            line_state, configs, generator.classifier, epochs,
-            threshold=8, jobs=2)
-        assert swept == sequential
+            spec=TraceSpec(total_sessions=50), seed=9)
+        batch = generator.generate_batch(
+            tuple(line_state.nids_nodes), direct=True)
 
-    def test_fast_flag_passes_through(self, line_state):
-        lp = AggregationProblem(line_state, beta=0.0).solve()
-        configs = build_aggregation_configs(line_state, lp)
-        generator = TraceGenerator(
-            line_state.topology.nodes, line_state.classes,
-            spec=TraceSpec(total_sessions=200), seed=30)
-        epochs = [generator.generate(with_payloads=False)]
-        sequential = Emulation(
-            line_state, configs,
-            generator.classifier).run_scan_epochs(epochs, threshold=8)
-        swept = run_scan_epoch_sweep(
-            line_state, configs, generator.classifier, epochs,
-            threshold=8, jobs=2, fast=True)
-        assert swept == sequential
+        def failing_pack(*args, **kwargs):
+            raise OSError("disk full")
 
-    def test_chunksize_does_not_change_reports(self, line_state):
-        lp = AggregationProblem(line_state, beta=0.0).solve()
-        configs = build_aggregation_configs(line_state, lp)
-        generator = TraceGenerator(
-            line_state.topology.nodes, line_state.classes,
-            spec=TraceSpec(total_sessions=150, scanner_count=1,
-                           scanner_fanout=12), seed=31)
-        epochs = [generator.generate(with_payloads=False)
-                  for _ in range(4)]
-        sequential = Emulation(
-            line_state, configs,
-            generator.classifier).run_scan_epochs(epochs, threshold=8)
-        for chunksize in (1, 2, 10):
-            swept = run_scan_epoch_sweep(
-                line_state, configs, generator.classifier, epochs,
-                threshold=8, jobs=2, fast=True, chunksize=chunksize)
-            assert swept == sequential
+        monkeypatch.setattr(TraceStore, "pack", failing_pack)
+        with pytest.raises(OSError) as failure:
+            SlabChannel(batch, dir=tmp_path)
+        # ``failure`` keeps the traceback, and with it the half-built
+        # channel, alive: the spill must be gone regardless.
+        assert str(failure.value) == "disk full"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFig10Parallel:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.modelcheck import check_model
 from repro.core import (
     NetworkState,
     SplitTrafficProblem,
@@ -80,6 +81,18 @@ class TestAsymmetricCoverage:
         with_offload = SplitTrafficProblem(offload_only_state,
                                            max_link_load=0.4).solve()
         assert with_offload.miss_rate == pytest.approx(0.0, abs=1e-6)
+
+    def test_no_offload_model_has_no_duplicate_coverage_rows(
+            self, offload_only_state):
+        """Without offload columns both directions' coverage is one
+        sum, so each class gets one pair of coverage rows, not two
+        identical pairs."""
+        model = SplitTrafficProblem(offload_only_state,
+                                    allow_offload=False).build_model()
+        duplicates = [finding for finding in check_model(model)
+                      if finding.rule_id == "MDL002"
+                      and "'cov" in finding.message]
+        assert duplicates == []
 
     def test_coverage_is_min_of_directions(self, offload_only_state):
         result = SplitTrafficProblem(offload_only_state,
