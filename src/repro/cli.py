@@ -140,14 +140,14 @@ def _fmt_strategies():
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    from repro.lpsolve import available_backends
+    from repro.lpsolve import BACKENDS
 
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Network-wide NIDS load balancing (CoNEXT'12 "
                     "reproduction)")
     parser.add_argument(
-        "--solver", default=None, choices=available_backends(),
+        "--solver", default=None, choices=sorted(BACKENDS),
         help="LP solver backend for every formulation (default: the "
              "REPRO_SOLVER env var, falling back to scipy/HiGHS)")
     sub = parser.add_subparsers(dest="command", required=True)

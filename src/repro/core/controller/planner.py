@@ -15,13 +15,12 @@ implementing :class:`SolvePlanner`. Two implementations exist:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Protocol, Sequence, Union
+from typing import Optional, Protocol, Sequence
 
 from repro.core.inputs import NetworkState
 from repro.core.mirrors import MirrorPolicy
 from repro.core.replication import ReplicationProblem
 from repro.core.results import ReplicationResult
-from repro.lpsolve import SolverBackend
 from repro.traffic.classes import TrafficClass
 
 
@@ -58,13 +57,10 @@ class GlobalPlanner:
 
     def __init__(self, state: NetworkState,
                  mirror_policy: Optional[MirrorPolicy] = None,
-                 max_link_load: float = 0.4,
-                 backend: Union[None, str, SolverBackend] = None
-                 ) -> None:
+                 max_link_load: float = 0.4) -> None:
         self.state = state
         self.mirror_policy = mirror_policy or MirrorPolicy.datacenter()
         self.max_link_load = max_link_load
-        self.backend = backend
         # Kept across refreshes so a traffic update is an incremental
         # re-solve of the compiled LP, not a rebuild.
         self._problem: Optional[ReplicationProblem] = None
@@ -74,8 +70,7 @@ class GlobalPlanner:
             self._problem = ReplicationProblem(
                 self.state.with_traffic(classes),
                 mirror_policy=self.mirror_policy,
-                max_link_load=self.max_link_load,
-                backend=self.backend)
+                max_link_load=self.max_link_load)
             result = self._problem.solve()
         else:
             result = self._problem.resolve_traffic(

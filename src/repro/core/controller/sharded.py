@@ -46,7 +46,6 @@ from repro.core.mirrors import MirrorPolicy
 from repro.core.replication import ReplicationProblem
 from repro.core.results import FractionTable, LPStats, ReplicationResult
 from repro.core.validation import plan_loads
-from repro.lpsolve import SolverBackend
 from repro.obs import get_registry
 from repro.topology.partition import RegionPartition, partition_topology
 from repro.topology.topology import Link
@@ -96,13 +95,12 @@ class RegionalReplicationProblem(ReplicationProblem):
                  mirror_policy: Optional[MirrorPolicy] = None,
                  max_link_load: float = 0.4,
                  capacity_share: Optional[Mapping[str, float]] = None,
-                 link_share: Optional[Mapping[Link, float]] = None,
-                 backend: Union[None, str, SolverBackend] = None
+                 link_share: Optional[Mapping[Link, float]] = None
                  ) -> None:
         self._global_background: Dict[Link, float] = dict(
             global_background)
         super().__init__(state, mirror_policy=mirror_policy,
-                         max_link_load=max_link_load, backend=backend)
+                         max_link_load=max_link_load)
         self._declare_param("capacity_share",
                             dict(capacity_share or {}), _check_shares)
         self._declare_param("link_share",
@@ -343,9 +341,7 @@ class ShardedPlanner:
                  max_link_load: float = 0.4,
                  num_regions: int = 2, seed: int = 0,
                  coordinator: Optional[ShardCoordinator] = None,
-                 jobs: Optional[int] = None,
-                 backend: Union[None, str, SolverBackend] = None
-                 ) -> None:
+                 jobs: Optional[int] = None) -> None:
         if num_regions < 1:
             raise ValueError("num_regions must be >= 1")
         if jobs is not None and jobs < 1:
@@ -357,7 +353,6 @@ class ShardedPlanner:
         self.seed = seed
         self.coordinator = coordinator or ShardCoordinator()
         self.jobs = jobs
-        self.backend = backend
         self.partition: Optional[RegionPartition] = None
         self._shards: Dict[str, _Shard] = {}
         self._class_universe: Optional[FrozenSet[str]] = None
@@ -538,8 +533,7 @@ class ShardedPlanner:
                     mirror_policy=self.mirror_policy,
                     max_link_load=self.max_link_load,
                     capacity_share=capacity_share,
-                    link_share=link_share,
-                    backend=self.backend)
+                    link_share=link_share)
                 shard.problem = problem
                 tasks.append((shard, problem.solve))
             else:

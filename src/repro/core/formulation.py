@@ -59,15 +59,14 @@ from __future__ import annotations
 import os
 from typing import (Any, Callable, Dict, FrozenSet, Hashable, Iterable,
                     List, Mapping, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+                    Tuple)
 
 import numpy as np
 
 from repro.core.inputs import NetworkState, same_structure
 from repro.core.results import LPStats
 from repro.lpsolve import (Constraint, LinExpr, Model, RowBlock,
-                           Solution, SolverBackend, StructureError,
-                           Variable)
+                           Solution, StructureError, Variable)
 from repro.obs import get_registry
 from repro.topology.topology import Link
 from repro.traffic.classes import TrafficClass
@@ -139,9 +138,6 @@ class Formulation:
 
     Args:
         state: calibrated network-wide inputs.
-        backend: solver backend forwarded to the underlying
-            :class:`~repro.lpsolve.Model` (name, instance, or None for
-            the process default).
     """
 
     #: label used in the model name, e.g. ``replication[internet2]``.
@@ -153,10 +149,8 @@ class Formulation:
     #: (``beta`` / ``gamma``); None when the objective is LoadCost alone.
     _cost_weight: Optional[str] = None
 
-    def __init__(self, state: NetworkState,
-                 backend: Union[None, str, SolverBackend] = None) -> None:
+    def __init__(self, state: NetworkState) -> None:
         self.state = state
-        self.backend = backend
         self._model: Optional[Model] = None
         self._params: Dict[str, Any] = {}
         self._validators: Dict[str, Validator] = {}
@@ -230,8 +224,7 @@ class Formulation:
             return self._model
         self._bindings = []
         self._reset()
-        model = Model(f"{self.kind}[{self.state.topology.name}]",
-                      backend=self.backend)
+        model = Model(f"{self.kind}[{self.state.topology.name}]")
         self._build(model)
         self._model = model
         # One binding per consumer of the coefficient table, in the

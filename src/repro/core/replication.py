@@ -80,7 +80,7 @@ compiled LP in place instead of rebuilding it.
 from __future__ import annotations
 
 from typing import (Any, Callable, Dict, Hashable, List, Optional,
-                    Sequence, Set, Tuple, Type, Union)
+                    Sequence, Set, Tuple, Type)
 
 import numpy as np
 
@@ -91,7 +91,7 @@ from repro.core.mirrors import MirrorPolicy
 from repro.core.results import (FractionLayout, FractionTable,
                                 ReplicationResult)
 from repro.lpsolve import (Constraint, ConstraintSense, LinExpr, Model,
-                           Solution, SolverBackend, Variable, lin_sum)
+                           Solution, Variable, lin_sum)
 from repro.topology.topology import Link
 from repro.traffic.classes import TrafficClass
 
@@ -115,8 +115,6 @@ class ReplicationProblem(Formulation):
             :mod:`repro.core.extensions`).
         load_weights: when set, the Section 4 extension replacing the
             max-load objective with a weighted sum of node loads.
-        backend: LP solver backend (name, instance, or None for the
-            process default).
     """
 
     kind = "replication"
@@ -128,9 +126,8 @@ class ReplicationProblem(Formulation):
                  max_link_load: float = 0.4,
                  link_cost_weight: Optional[float] = None,
                  load_weights: Optional[Dict[Tuple[str, str],
-                                             float]] = None,
-                 backend: Union[None, str, SolverBackend] = None) -> None:
-        super().__init__(state, backend=backend)
+                                             float]] = None) -> None:
+        super().__init__(state)
         self.mirror_policy = mirror_policy or MirrorPolicy.none()
         self._declare_param("max_link_load", max_link_load,
                             _check_max_link_load)

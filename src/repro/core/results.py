@@ -382,8 +382,11 @@ class AggregationResult(AssignmentResult):
         comm_cost: total report traffic in byte-hops (Eq (13)).
         beta: the communication-cost weight used in the objective.
         objective: optimal ``LoadCost + beta * CommCost``.
+        aggregation_points: per class, the node its reports are
+            shipped to (``D_{c,j}`` is measured to it).
     """
 
     comm_cost: float = 0.0
     beta: float = 0.0
     objective: float = 0.0
+    aggregation_points: Dict[str, str] = field(default_factory=dict)

@@ -24,15 +24,15 @@ stated once (``_load_term_index`` / ``_link_term_index`` /
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.core.formulation import (Formulation, LoadKey, TermIndex,
                                     _check_max_link_load,
                                     _check_non_negative)
 from repro.core.inputs import NetworkState
 from repro.core.results import LPStats, SplitTrafficResult
-from repro.lpsolve import (LinExpr, Model, Solution, SolverBackend,
-                           Variable, lin_sum)
+from repro.lpsolve import (LinExpr, Model, Solution, Variable,
+                           lin_sum)
 from repro.topology.topology import Link
 
 # Weight that makes the solver prioritize coverage over load balance;
@@ -54,8 +54,6 @@ class SplitTrafficProblem(Formulation):
             entirely — this yields the "Path, no replicate" comparison
             architecture of Figures 16/17, where only ``P_common`` nodes
             can provide effective coverage.
-        backend: LP solver backend (name, instance, or None for the
-            process default).
     """
 
     kind = "split"
@@ -65,8 +63,7 @@ class SplitTrafficProblem(Formulation):
                  gamma: float = DEFAULT_GAMMA,
                  allow_offload: bool = True,
                  miss_mode: str = "total",
-                 miss_weights: Optional[Dict[str, float]] = None,
-                 backend: Union[None, str, SolverBackend] = None) -> None:
+                 miss_weights: Optional[Dict[str, float]] = None) -> None:
         if allow_offload and state.dc_node is None:
             raise ValueError(
                 "split-traffic offloading needs a datacenter node; "
@@ -78,7 +75,7 @@ class SplitTrafficProblem(Formulation):
                 "'weighted' (the Section 5 extensions)")
         if miss_mode == "weighted" and not miss_weights:
             raise ValueError("miss_mode='weighted' needs miss_weights")
-        super().__init__(state, backend=backend)
+        super().__init__(state)
         self._declare_param("max_link_load", max_link_load,
                             _check_max_link_load)
         self._declare_param("gamma", gamma,

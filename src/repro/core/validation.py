@@ -153,9 +153,10 @@ def validate_aggregation(state: NetworkState,
                          result: AggregationResult) -> List[str]:
     """Check a Section 6 result: coverage (Eq 14) and CommCost (Eq 13).
 
-    Classes counted at a node outside their path (the combined
-    formulation's DC counting) contribute ``D(node, aggregation
-    point)`` like any other location.
+    Distances are to each class's recorded aggregation point; classes
+    counted at a node outside their path (the combined formulation's
+    DC counting) contribute ``D(node, aggregation point)`` like any
+    other location.
     """
     problems: List[str] = []
     _check_fraction_bounds(result.process_fractions, "p", problems)
@@ -166,9 +167,10 @@ def validate_aggregation(state: NetworkState,
                 f"class {cls.name!r} coverage {total:.6f} != 1")
     comm = 0.0
     for cls in state.classes:
+        point = result.aggregation_points[cls.name]
         for node, fraction in result.process_fractions.get(
                 cls.name, {}).items():
-            distance = state.routing.hop_count(node, cls.ingress)
+            distance = state.routing.hop_count(node, point)
             comm += cls.num_sessions * fraction * cls.record_bytes * \
                 distance
     if abs(comm - result.comm_cost) > max(1e-3, 1e-6 * abs(comm)):

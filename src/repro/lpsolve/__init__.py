@@ -3,8 +3,10 @@
 The paper solves its formulations with an off-the-shelf solver (CPLEX).
 This package provides the equivalent substrate for the reproduction: a
 small modeling layer (variables, linear expressions, constraints, a
-model object) that compiles to sparse matrices and is solved with the
-HiGHS solver shipped inside :func:`scipy.optimize.linprog`.
+model object) that compiles to sparse matrices and is solved by the
+one backend the process picks (:mod:`repro.lpsolve.backends`): the
+HiGHS solver shipped inside :func:`scipy.optimize.linprog` unless the
+CLI's ``--solver`` flag or ``REPRO_SOLVER`` names the dense simplex.
 
 Typical usage::
 
@@ -33,20 +35,19 @@ from repro.lpsolve.constraint import Constraint, ConstraintSense
 from repro.lpsolve.block import BlockRow, RowBlock
 from repro.lpsolve.compiled import CompiledLP
 from repro.lpsolve.backends import (
+    BACKENDS,
     BackendResult,
     SolverBackend,
-    available_backends,
     default_backend_name,
     get_backend,
-    register_backend,
-    resolve_backend,
     set_default_backend,
 )
 from repro.lpsolve.model import Model
 from repro.lpsolve.solution import Solution, SolveStatus
-from repro.lpsolve.writer import lp_string, write_lp
+from repro.lpsolve.writer import lp_string
 
 __all__ = [
+    "BACKENDS",
     "BackendResult",
     "BlockRow",
     "CompiledLP",
@@ -64,13 +65,9 @@ __all__ = [
     "StructureError",
     "UnboundedError",
     "Variable",
-    "available_backends",
     "default_backend_name",
     "get_backend",
     "lin_sum",
     "lp_string",
-    "register_backend",
-    "resolve_backend",
     "set_default_backend",
-    "write_lp",
 ]

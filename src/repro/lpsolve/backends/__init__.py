@@ -1,4 +1,4 @@
-"""Pluggable solver backends for the LP substrate.
+"""The solver backends of the LP substrate.
 
 A backend consumes a :class:`~repro.lpsolve.compiled.CompiledLP` (the
 sense-normalized *minimize* form with ``A_ub x <= b_ub`` rows) and
@@ -11,24 +11,17 @@ reproduction:
   numpy arrays, the fallback for environments where the compiled
   HiGHS library is unavailable (and an independent cross-check).
 
-Selection precedence, most specific first:
-
-1. ``Model(backend=...)`` / ``Formulation(..., backend=...)``
-   (a name or a :class:`SolverBackend` instance);
-2. :func:`set_default_backend` (the CLI's ``--solver`` flag);
-3. the ``REPRO_SOLVER`` environment variable;
-4. ``scipy``.
-
-To add a backend: subclass :class:`SolverBackend`, implement
-:meth:`SolverBackend.solve`, and call :func:`register_backend` — see
-``docs/ARCHITECTURE.md`` for a worked example.
+The process picks one of them for every solve: the one named by
+:func:`set_default_backend` (the CLI's ``--solver`` flag), else the
+``REPRO_SOLVER`` environment variable (blank reads as unset), else
+``scipy``.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -66,7 +59,7 @@ class BackendResult:
 class SolverBackend:
     """Interface every solver backend implements."""
 
-    #: registry key; subclasses must override.
+    #: its key in :data:`BACKENDS`.
     name: str = ""
 
     def solve(self, compiled: CompiledLP) -> BackendResult:
@@ -75,62 +68,6 @@ class SolverBackend:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
-
-
-_FACTORIES: Dict[str, Callable[[], SolverBackend]] = {}
-_INSTANCES: Dict[str, SolverBackend] = {}
-_default_name: Optional[str] = None
-
-
-def register_backend(name: str,
-                     factory: Callable[[], SolverBackend]) -> None:
-    """Register a backend factory under ``name`` (lower-cased)."""
-    _FACTORIES[name.lower()] = factory
-    _INSTANCES.pop(name.lower(), None)
-
-
-def available_backends() -> List[str]:
-    """Registered backend names, sorted."""
-    return sorted(_FACTORIES)
-
-
-def get_backend(name: str) -> SolverBackend:
-    """The (cached) backend instance registered under ``name``."""
-    key = name.lower()
-    if key not in _FACTORIES:
-        raise LPError(
-            f"unknown solver backend {name!r}; available: "
-            f"{', '.join(available_backends())}")
-    if key not in _INSTANCES:
-        _INSTANCES[key] = _FACTORIES[key]()
-    return _INSTANCES[key]
-
-
-def set_default_backend(name: Optional[str]) -> None:
-    """Set (or with ``None`` clear) the process-wide default backend,
-    overriding the ``REPRO_SOLVER`` environment variable."""
-    global _default_name
-    if name is not None:
-        get_backend(name)  # validate eagerly
-    _default_name = name
-
-
-def default_backend_name() -> str:
-    """The name resolve_backend(None) would use right now."""
-    if _default_name is not None:
-        return _default_name
-    return os.environ.get(ENV_VAR, "scipy")
-
-
-def resolve_backend(spec: Union[None, str, SolverBackend]
-                    ) -> SolverBackend:
-    """Resolve a backend spec (instance, name, or None) to an
-    instance, applying the documented precedence."""
-    if isinstance(spec, SolverBackend):
-        return spec
-    if spec is None:
-        return get_backend(default_backend_name())
-    return get_backend(spec)
 
 
 def _make_scipy() -> SolverBackend:
@@ -145,17 +82,49 @@ def _make_dense() -> SolverBackend:
     return DenseSimplexBackend()
 
 
-register_backend("scipy", _make_scipy)
-register_backend("dense", _make_dense)
+#: every backend, by name; each is built on first use and cached.
+BACKENDS: Dict[str, Callable[[], SolverBackend]] = {
+    "scipy": _make_scipy,
+    "dense": _make_dense,
+}
+_INSTANCES: Dict[str, SolverBackend] = {}
+_default_name: Optional[str] = None
+
+
+def get_backend(name: str) -> SolverBackend:
+    """The (cached) backend named ``name``."""
+    key = name.lower()
+    if key not in BACKENDS:
+        raise LPError(
+            f"unknown solver backend {name!r}; available: "
+            f"{', '.join(sorted(BACKENDS))}")
+    if key not in _INSTANCES:
+        _INSTANCES[key] = BACKENDS[key]()
+    return _INSTANCES[key]
+
+
+def set_default_backend(name: Optional[str]) -> None:
+    """Set (or with ``None`` clear) the process-wide backend,
+    overriding the ``REPRO_SOLVER`` environment variable."""
+    global _default_name
+    if name is not None:
+        get_backend(name)  # validate eagerly
+    _default_name = name
+
+
+def default_backend_name() -> str:
+    """The name of the backend the next solve uses."""
+    if _default_name is not None:
+        return _default_name
+    return os.environ.get(ENV_VAR, "").strip() or "scipy"
+
 
 __all__ = [
+    "BACKENDS",
     "BackendResult",
     "ENV_VAR",
     "SolverBackend",
-    "available_backends",
     "default_backend_name",
     "get_backend",
-    "register_backend",
-    "resolve_backend",
     "set_default_backend",
 ]

@@ -6,11 +6,10 @@ consumes, plus the bookkeeping that makes incremental re-solves
 possible: a map from each constraint to its compiled row, and for each
 :class:`~repro.lpsolve.block.RowBlock` the ``slots`` — the position in
 the CSR ``data`` of every entry of the block — so a whole row family
-is re-written with one indexed store. A single coefficient is found by
-searching its row's (column-sorted) CSR slice. The matrices store
-every term of every row, explicit zeros included, so each position a
-patch can name exists; backends prune the zeros from what they hand
-the solver.
+is re-written with one indexed store. The matrices store every term
+of every row, explicit zeros included, so each position a block patch
+can name exists; backends prune the zeros from what they hand the
+solver.
 """
 
 from __future__ import annotations
@@ -134,25 +133,6 @@ class CompiledLP:
         """Overwrite one row's right-hand side."""
         _, b, row, sign = self._locate(constraint)
         b[row] = sign * rhs
-
-    def patch_coefficient(self, constraint: Constraint, column: int,
-                          coeff: float) -> None:
-        """Overwrite one stored entry of the constraint matrix.
-
-        ``coeff`` is the coefficient as it appears in the constraint's
-        normalized ``expr (<=|>=|==) 0`` form. Raises
-        :class:`StructureError` when the entry was never stored (the
-        variable is not a term of the row) — the caller must
-        recompile.
-        """
-        matrix, _, row, sign = self._locate(constraint)
-        lo, hi = matrix.indptr[row:row + 2]
-        pos = lo + np.searchsorted(matrix.indices[lo:hi], column)
-        if pos == hi or matrix.indices[pos] != column:
-            raise StructureError(
-                f"no compiled entry for {constraint.name!r} at "
-                f"column {column}")
-        matrix.data[pos] = sign * coeff
 
     def patch_block(self, block: RowBlock) -> None:
         """Re-read a block's coefficients."""

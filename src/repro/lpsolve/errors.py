@@ -17,11 +17,12 @@ class ModelError(LPError):
 class StructureError(LPError):
     """An incremental patch would change the compiled LP's structure.
 
-    Raised by :meth:`Model.set_coefficient` / :meth:`Model.set_rhs`
-    when the targeted entry does not exist in the compiled sparse
-    matrices (e.g., the coefficient was zero at compile time and was
-    therefore never stored). Callers should invalidate the compiled
-    structure and rebuild from scratch.
+    Raised by :meth:`Model.set_block_coefficients` /
+    :meth:`Model.set_rhs` when the targeted entry does not exist in
+    the compiled model (a block's term count changed, a row the model
+    does not list would become non-zero, or the constraint was never
+    compiled). Callers should invalidate the compiled structure and
+    rebuild from scratch.
     """
 
 

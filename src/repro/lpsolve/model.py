@@ -1,15 +1,16 @@
 """The LP model: variable/constraint registry, compilation, solving.
 
 Compilation builds SciPy sparse matrices (``A_ub``, ``A_eq``) from the
-registered constraints; solving hands the compiled structure to a
-pluggable :mod:`~repro.lpsolve.backends` backend (HiGHS via scipy by
+registered constraints; solving hands the compiled structure to the
+process's :mod:`~repro.lpsolve.backends` backend (HiGHS via scipy by
 default — the reproduction's stand-in for the paper's CPLEX).
 
 The compiled structure is cached between solves: re-solving an
 unchanged model skips compilation entirely, and the
-``set_rhs`` / ``set_coefficient`` / ``set_objective_coefficient``
-patch API edits individual entries of the cached matrices in place so
-parameter sweeps and controller refreshes pay only the solver cost.
+``set_rhs`` / ``set_block_coefficients`` / ``set_objective_coefficient``
+patch API edits the cached matrices in place (a right-hand side, a
+whole row family, an objective entry) so parameter sweeps and
+controller refreshes pay only the solver cost.
 Any structural edit (new variable, new constraint, new objective)
 invalidates the cache.
 
@@ -23,14 +24,14 @@ compiled array-to-array, patched a family at a time
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.lpsolve.backends import (
     BackendResult,
-    SolverBackend,
-    resolve_backend,
+    default_backend_name,
+    get_backend,
 )
 from repro.lpsolve.block import BlockRow, RowBlock
 from repro.lpsolve.compiled import CompiledLP, compile_rows
@@ -61,16 +62,10 @@ class Model:
 
     Args:
         name: human-readable label used in error messages.
-        backend: solver backend — a name (``"scipy"``, ``"dense"``), a
-            :class:`~repro.lpsolve.backends.SolverBackend` instance, or
-            ``None`` for the process default (``--solver`` flag /
-            ``REPRO_SOLVER`` env var / scipy).
     """
 
-    def __init__(self, name: str = "lp",
-                 backend: Union[None, str, SolverBackend] = None) -> None:
+    def __init__(self, name: str = "lp") -> None:
         self.name = name
-        self.backend = backend
         self._variables: List[Variable] = []
         self._constraints: List[Constraint] = []
         self._objective: Optional[LinExpr] = None
@@ -216,8 +211,8 @@ class Model:
 
         Every term of a constraint gets a stored entry, zero
         coefficients included: the pattern follows the rows'
-        structure, not their current values, so any term can later be
-        patched in place
+        structure, not their current values, so a block patch to or
+        from zero is written in place
         (:func:`~repro.lpsolve.compiled.compile_rows`).
         """
         n = len(self._variables)
@@ -250,28 +245,6 @@ class Model:
         constraint.rhs = float(rhs)
         if self._compiled is not None:
             self._compiled.patch_rhs(constraint, float(rhs))
-
-    def set_coefficient(self, constraint: Constraint, var: Variable,
-                        coeff: float) -> None:
-        """Overwrite ``var``'s coefficient in a registered constraint.
-
-        ``coeff`` is the coefficient as it appears in the constraint's
-        normalized ``expr (<=|>=|==) 0`` form. Raises
-        :class:`StructureError` when ``var`` was never a term of the
-        constraint (a term whose coefficient is currently zero is
-        fine) or the constraint is a block row, whose terms only
-        :meth:`set_block_coefficients` writes; callers should
-        :meth:`invalidate` and rebuild.
-        """
-        if (isinstance(constraint, BlockRow)
-                or var not in constraint.expr.coeffs):
-            raise StructureError(
-                f"constraint {constraint.name!r} has no term for "
-                f"variable {var.name!r}")
-        constraint.expr.coeffs[var] = float(coeff)
-        if self._compiled is not None:
-            self._compiled.patch_coefficient(constraint, var.index,
-                                             float(coeff))
 
     def set_block_coefficients(self, block: RowBlock,
                                term_coeffs: Sequence[float]) -> None:
@@ -346,7 +319,7 @@ class Model:
         else:
             metrics.inc("lp.compile_cache.hits")
 
-        backend = resolve_backend(self.backend)
+        backend = get_backend(default_backend_name())
         start = time.perf_counter()
         result = backend.solve(self._compiled)
         elapsed = time.perf_counter() - start

@@ -49,12 +49,13 @@ def _write_expr(out: TextIO, expr: LinExpr) -> None:
         out.write(" 0")
 
 
-def write_lp(model: Model, out: TextIO) -> None:
-    """Serialize ``model`` in LP format to a text stream."""
+def lp_string(model: Model) -> str:
+    """LP-format text of ``model``."""
     objective = getattr(model, "_objective", None)
     if objective is None:
         raise ValueError("model has no objective to write")
     metrics = get_registry()
+    out = io.StringIO()
     with metrics.span("lp.write"):
         sense = "Minimize" if model._sense > 0 else "Maximize"
         out.write(f"\\ {model.name}\n{sense}\n obj:")
@@ -75,10 +76,4 @@ def write_lp(model: Model, out: TextIO) -> None:
                 out.write(f" {var.lb:.12g} <= {name} <= {var.ub:.12g}\n")
         out.write("End\n")
     metrics.inc("lp.writes")
-
-
-def lp_string(model: Model) -> str:
-    """LP-format text of a model (convenience wrapper)."""
-    buffer = io.StringIO()
-    write_lp(model, buffer)
-    return buffer.getvalue()
+    return out.getvalue()

@@ -8,6 +8,7 @@ import pathlib
 import pytest
 
 from repro.core.inputs import NetworkState
+from repro.lpsolve import set_default_backend
 from repro.topology.routing import shortest_path_routing
 from repro.topology.topology import Topology
 from repro.traffic.classes import TrafficClass
@@ -46,6 +47,14 @@ def assert_matches_golden():
         _same_document(json.loads(document),
                        json.loads((GOLDEN / name).read_text()), "$")
     return check
+
+
+@pytest.fixture
+def use_backend():
+    """``set_default_backend`` for one test: every solve in it uses the
+    named backend; the process default is restored afterwards."""
+    yield set_default_backend
+    set_default_backend(None)
 
 
 @pytest.fixture

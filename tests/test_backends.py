@@ -8,6 +8,7 @@ experiments exercise (Figures 11, 15, 18 and the controller loop).
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core.aggregation import AggregationProblem
@@ -15,17 +16,15 @@ from repro.core.controller import NIDSController
 from repro.core.mirrors import MirrorPolicy
 from repro.core.replication import ReplicationProblem
 from repro.lpsolve import (
+    BACKENDS,
     LPError,
     Model,
+    RowBlock,
     SolverBackend,
-    available_backends,
     default_backend_name,
     get_backend,
-    resolve_backend,
     set_default_backend,
 )
-
-BACKENDS = ("scipy", "dense")
 
 
 def _scaled(classes, factor):
@@ -33,33 +32,38 @@ def _scaled(classes, factor):
             for cls in classes]
 
 
-def _replication(state, backend=None, max_link_load=0.4):
+def _replication(state, max_link_load=0.4):
     return ReplicationProblem(
         state, mirror_policy=MirrorPolicy.datacenter(),
-        max_link_load=max_link_load, backend=backend)
+        max_link_load=max_link_load)
 
 
 class TestBackendEquivalence:
     """The dense fallback must match scipy/HiGHS on the golden
     replication instance (same optimum; both primal-feasible)."""
 
-    def test_objectives_agree(self, line_state_dc):
-        objectives = [
-            _replication(line_state_dc, backend=name).solve().load_cost
-            for name in BACKENDS]
+    def test_objectives_agree(self, line_state_dc, use_backend):
+        objectives = []
+        for name in BACKENDS:
+            use_backend(name)
+            objectives.append(
+                _replication(line_state_dc).solve().load_cost)
         assert objectives[0] == pytest.approx(objectives[1], abs=1e-6)
 
     @pytest.mark.parametrize("name", BACKENDS)
-    def test_solution_is_primal_feasible(self, line_state_dc, name):
-        model = _replication(line_state_dc, backend=name).build_model()
+    def test_solution_is_primal_feasible(self, line_state_dc, name,
+                                         use_backend):
+        use_backend(name)
+        model = _replication(line_state_dc).build_model()
         values = model.solve().values()
         for con in model.constraints:
             assert con.violation(values) < 1e-7, con
 
     @pytest.mark.parametrize("name", BACKENDS)
-    def test_small_lp_agrees_with_known_optimum(self, name):
+    def test_small_lp_agrees_with_known_optimum(self, name, use_backend):
         # max 3x + 2y s.t. x + y <= 4, x + 3y <= 6 -> obj 12.
-        m = Model(backend=name)
+        use_backend(name)
+        m = Model()
         x = m.add_variable("x")
         y = m.add_variable("y")
         m.add_constraint(x + y <= 4)
@@ -71,8 +75,10 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("sense", ("minimize", "maximize"))
     @pytest.mark.parametrize("name", BACKENDS)
     def test_objective_value_includes_the_constant_term(self, name,
-                                                        sense):
-        m = Model(backend=name)
+                                                        sense,
+                                                        use_backend):
+        use_backend(name)
+        m = Model()
         x = m.add_variable("x", lb=1.0, ub=3.0)
         getattr(m, sense)(x + 5)
         sol = m.solve()
@@ -83,49 +89,66 @@ class TestBackendEquivalence:
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_resolve_after_patch_matches_cold_rebuild(
-            self, line_state_dc, name):
-        problem = _replication(line_state_dc, backend=name)
+            self, line_state_dc, name, use_backend):
+        use_backend(name)
+        problem = _replication(line_state_dc)
         problem.solve()
         warm = problem.resolve(max_link_load=0.1)
-        cold = _replication(line_state_dc, backend=name,
-                            max_link_load=0.1).solve()
+        cold = _replication(line_state_dc, max_link_load=0.1).solve()
         assert warm.load_cost == pytest.approx(cold.load_cost,
                                                abs=1e-6)
 
 
-def _capped_lp(backend, y_coeff, le_row):
-    """max 3x + 2y on [0, 4]^2 under one row joining x and y, stated
-    as <= (a_ub row), >= (negated a_ub row) or == (a_eq row)."""
-    m = Model(backend=backend)
-    x = m.add_variable("x", ub=4.0)
-    y = m.add_variable("y", ub=4.0)
-    lhs = x + y_coeff * y
-    row = m.add_constraint({"le": lhs <= 4, "ge": -1 * lhs >= -4,
-                            "eq": lhs == 4}[le_row], name="cap")
-    m.maximize(3 * x + 2 * y)
-    return m, row, y
+def _capped_lp(y_coeff, sense):
+    """max 3x + 2y on [0, 4]^2 under one block row joining x and y:
+    ``x + y_coeff*y <= 4`` (``le``), or ``lead - (x + y_coeff*y) >=
+    0`` with ``lead <= 4`` and ``lead`` priced at 0.5 (``ge``)."""
+    m = Model()
+    x, y = m.add_variables(["x", "y"], ub=4.0)
+    objective = 3 * x + 2 * y
+    lead = None
+    if sense == "ge":
+        lead = m.add_variable("lead", ub=4.0)
+        objective = objective - 0.5 * lead
+    block = RowBlock(m, [0, 0], [x.index, y.index], [1.0, y_coeff],
+                     [0.0], lead=lead)
+    row = m.add_block_row(block, 0, 4.0 if lead is None else 0.0,
+                          name="cap")
+    m.maximize(objective)
+    return m, block, row, y
 
 
 class TestStructuralSparsity:
-    """The compiled pattern follows a row's terms, not their values."""
+    """The compiled pattern follows a block's terms, not their
+    values."""
 
-    @pytest.mark.parametrize("sense", ("le", "ge", "eq"))
+    @pytest.mark.parametrize("sense", ("le", "ge"))
     @pytest.mark.parametrize("name", BACKENDS)
     def test_zero_compiled_term_patches_like_a_cold_rebuild(
-            self, name, sense):
-        model, row, y = _capped_lp(name, 0.0, sense)
+            self, name, sense, use_backend):
+        use_backend(name)
+        model, block, row, y = _capped_lp(0.0, sense)
         model.solve()
         compiled = model.compiled
-        model.set_coefficient(
-            row, y, -1.0 if sense == "ge" else 1.0)
+        model.set_block_coefficients(block, [1.0, 1.0])
+        assert row.expr.coefficient(y) == (1.0 if sense == "le"
+                                           else -1.0)
         warm = model.solve()
         assert model.compiled is compiled  # patched, not recompiled
-        cold = _capped_lp(name, 1.0, sense)[0].solve()
+        rebuilt = _capped_lp(1.0, sense)[0]
+        cold = rebuilt.solve()
+        for attr in ("c", "b_ub", "bounds"):
+            assert np.array_equal(getattr(compiled, attr),
+                                  getattr(rebuilt.compiled, attr))
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(compiled.a_ub, attr),
+                                  getattr(rebuilt.compiled.a_ub, attr))
         assert warm.objective_value == cold.objective_value
         assert list(warm.values().values()) == \
             list(cold.values().values())
 
-    def test_linprog_never_sees_an_explicit_zero(self, monkeypatch):
+    def test_linprog_never_sees_an_explicit_zero(self, monkeypatch,
+                                                 use_backend):
         from repro.lpsolve.backends import scipy_highs
 
         handed = []
@@ -136,18 +159,19 @@ class TestStructuralSparsity:
 
         linprog = scipy_highs.linprog
         monkeypatch.setattr(scipy_highs, "linprog", spy)
-        for sense in ("le", "eq"):
-            model, row, y = _capped_lp("scipy", 0.0, sense)
+        use_backend("scipy")
+        for sense in ("le", "ge"):
+            model, block, _, y = _capped_lp(0.0, sense)
             model.solve()
-            model.set_coefficient(row, y, 1.0)
-            model.set_coefficient(row, y, 0.0)
+            model.set_block_coefficients(block, [1.0, 1.0])
+            model.set_block_coefficients(block, [1.0, 0.0])
             model.solve()
-            stored = model.compiled.a_ub if sense == "le" else \
-                model.compiled.a_eq
-            assert stored.nnz == 2  # the slot for y stays
+            # The slot for y stays.
+            assert y.index in model.compiled.a_ub.indices
         assert len(handed) == 4
         for matrix in handed:
-            assert matrix.nnz == matrix.count_nonzero() == 1
+            assert matrix.nnz == matrix.count_nonzero()
+            assert y.index not in matrix.indices
 
 
 class TestResolveMatchesColdRebuild:
@@ -203,15 +227,19 @@ class TestResolveMatchesColdRebuild:
 
 
 class TestBackendRegistry:
+    """One fixed backend table and one process-wide choice."""
+
     @pytest.fixture(autouse=True)
     def _restore_default(self):
         yield
         set_default_backend(None)
 
     def test_builtin_backends_registered(self):
-        names = available_backends()
-        assert "scipy" in names
-        assert "dense" in names
+        assert sorted(BACKENDS) == ["dense", "scipy"]
+        for name in BACKENDS:
+            backend = get_backend(name)
+            assert backend.name == name
+            assert get_backend(name.upper()) is backend  # cached
 
     def test_unknown_backend_raises(self):
         with pytest.raises(LPError, match="unknown solver backend"):
@@ -226,25 +254,32 @@ class TestBackendRegistry:
         set_default_backend(None)
         assert default_backend_name() == "scipy"
 
+    @pytest.mark.parametrize("value", ("", "  "),
+                             ids=("empty", "blank"))
+    def test_blank_env_var_reads_as_unset(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_SOLVER", value)
+        set_default_backend(None)
+        assert default_backend_name() == "scipy"
+
     def test_env_var_overrides_builtin_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_SOLVER", "dense")
         set_default_backend(None)
         assert default_backend_name() == "dense"
-        assert resolve_backend(None) is get_backend("dense")
+        dense = get_backend("dense")
+        solved = []
+        monkeypatch.setattr(
+            dense, "solve",
+            lambda compiled: solved.append(compiled)
+            or type(dense).solve(dense, compiled))
+        model = Model()
+        model.minimize(model.add_variable("x", lb=1.0))
+        assert model.solve().objective_value == pytest.approx(1.0)
+        assert solved == [model.compiled]
 
     def test_set_default_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SOLVER", "dense")
         set_default_backend("scipy")
         assert default_backend_name() == "scipy"
-
-    def test_explicit_spec_beats_everything(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER", "scipy")
-        set_default_backend("scipy")
-        assert resolve_backend("dense") is get_backend("dense")
-
-    def test_instance_spec_passes_through(self):
-        backend = get_backend("dense")
-        assert resolve_backend(backend) is backend
 
     def test_backend_interface_requires_solve(self):
         class Empty(SolverBackend):

@@ -15,20 +15,19 @@ unique and the finite difference is exact for an LP.
 
 import pytest
 
-from repro.lpsolve import Model
+from repro.lpsolve import BACKENDS, Model
 
-BACKENDS = ("scipy", "dense")
 EPS = 1e-3
 
 
-def _build(sense, con_sense, rhs, backend):
+def _build(sense, con_sense, rhs):
     """min/max c.x with one coupling constraint at the given rhs.
 
     Costs are deliberately asymmetric (1.3 vs 2.7) so the optimal
     basis is unique; the bounds are wide enough that the +/-EPS
     perturbations never cross a kink.
     """
-    m = Model(backend=backend)
+    m = Model()
     x = m.add_variable("x", lb=0.0, ub=10.0)
     y = m.add_variable("y", lb=0.0, ub=10.0)
     lhs = x + y
@@ -46,26 +45,29 @@ def _build(sense, con_sense, rhs, backend):
     return m
 
 
-def _optimum(sense, con_sense, rhs, backend):
-    return _build(sense, con_sense, rhs, backend).solve().objective_value
+def _optimum(sense, con_sense, rhs):
+    return _build(sense, con_sense, rhs).solve().objective_value
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("sense", ("min", "max"))
 @pytest.mark.parametrize("con_sense", ("le", "ge", "eq"))
 @pytest.mark.parametrize("rhs", (3.0, 7.5, 12.5))
-def test_dual_is_objective_sensitivity(backend, sense, con_sense, rhs):
-    solution = _build(sense, con_sense, rhs, backend).solve()
+def test_dual_is_objective_sensitivity(backend, sense, con_sense, rhs,
+                                       use_backend):
+    use_backend(backend)
+    solution = _build(sense, con_sense, rhs).solve()
     reported = solution.dual("coupling")
-    plus = _optimum(sense, con_sense, rhs + EPS, backend)
-    minus = _optimum(sense, con_sense, rhs - EPS, backend)
+    plus = _optimum(sense, con_sense, rhs + EPS)
+    minus = _optimum(sense, con_sense, rhs - EPS)
     finite_difference = (plus - minus) / (2 * EPS)
     assert reported == pytest.approx(finite_difference, abs=1e-6)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_nonbinding_constraint_has_zero_dual(backend):
-    m = Model(backend=backend)
+def test_nonbinding_constraint_has_zero_dual(backend, use_backend):
+    use_backend(backend)
+    m = Model()
     x = m.add_variable("x", lb=0.0, ub=10.0)
     m.add_constraint(x <= 100.0, name="slack_room")
     m.minimize(x)
@@ -75,8 +77,9 @@ def test_nonbinding_constraint_has_zero_dual(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_binding_constraints_listed(backend):
-    m = Model(backend=backend)
+def test_binding_constraints_listed(backend, use_backend):
+    use_backend(backend)
+    m = Model()
     x = m.add_variable("x", lb=0.0, ub=10.0)
     y = m.add_variable("y", lb=0.0, ub=10.0)
     m.add_constraint(x + y >= 4.0, name="demand")

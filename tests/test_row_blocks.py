@@ -200,36 +200,6 @@ class TestDuplicateTerms:
 
 
 class TestStructureStillFailsClosed:
-    @pytest.mark.parametrize("compiled", (False, True))
-    def test_never_a_term_raises_and_block_rows_refuse_single_terms(
-            self, compiled):
-        model = Model("rows")
-        x, y, z, lead = model.add_variables(["x", "y", "z", "lead"],
-                                            ub=4.0)
-        symbolic = model.add_constraint(x + 0.0 * y <= 3.0, name="sym")
-        block = RowBlock(model, [0, 0], [x.index, y.index], [1.0, 0.0],
-                         [0.0], lead=lead)
-        row = model.add_block_row(block, 0, 0.0, name="blk")
-        model.minimize(lead - x)
-        if compiled:
-            model.solve()
-        with pytest.raises(StructureError):
-            model.set_coefficient(symbolic, z, 1.0)
-        # A term that is currently zero is fine.
-        model.set_coefficient(symbolic, y, 1.0)
-        assert symbolic.expr.coefficient(y) == 1.0
-        # A block row is patched as a family, never term by term.
-        for var in (y, z, lead):
-            with pytest.raises(StructureError):
-                model.set_coefficient(row, var, 2.0)
-        model.set_block_coefficients(block, [1.0, 1.0])
-        assert row.expr.coefficient(y) == -1.0
-        solution = model.solve()
-        # min lead - x  s.t.  x + y <= 3, lead >= x + y, all in [0, 4].
-        assert solution.objective_value == pytest.approx(0.0, abs=1e-9)
-        if compiled:
-            assert model.compiled.a_ub.nnz == 5
-
     def test_block_rejects_a_changed_term_count(self):
         model = Model("count")
         x = model.add_variable("x")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     AggregationProblem,
+    CombinedProblem,
     MirrorPolicy,
     ReplicationProblem,
     SplitTrafficProblem,
@@ -45,6 +46,20 @@ class TestValidators:
     def test_aggregation_result_valid(self, line_state):
         result = AggregationProblem(line_state, beta=1e-9).solve()
         assert validate_aggregation(line_state, result) == []
+
+    def test_custom_aggregation_point_result_valid(self, line_state,
+                                                   line_state_dc):
+        # CommCost is charged to the point the LP used, not the
+        # ingress: with beta this large the plan counts at D.
+        result = AggregationProblem(
+            line_state, beta=1e6,
+            aggregation_point=lambda cls: "D").solve()
+        assert result.aggregation_points == {"A->D": "D", "B->C": "D"}
+        assert validate_aggregation(line_state, result) == []
+        combined = CombinedProblem(
+            line_state_dc, beta=1e6,
+            aggregation_point=lambda cls: "D").solve()
+        assert validate_aggregation(line_state_dc, combined) == []
 
     def test_split_result_valid(self, line_state_dc):
         result = SplitTrafficProblem(line_state_dc,
