@@ -12,7 +12,7 @@ provisioning — so the controller can re-solve and push fresh configs
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.inputs import NetworkState, link_background_bytes
 from repro.topology.routing import RoutingTable
@@ -28,6 +28,9 @@ class FailureImpact:
     dropped_classes: List[str]
     surviving_sessions: float
     lost_sessions: float
+    #: the datacenter the failure cut off from every other node, and
+    #: so dropped with it (a mirror nothing can reach is no mirror)
+    dropped_datacenter: Optional[str] = None
 
     @property
     def lost_fraction(self) -> float:
@@ -43,7 +46,9 @@ def fail_node(state: NetworkState, failed_node: str
     has nowhere to go); classes merely transiting it are rerouted over
     the surviving topology. Asymmetric reverse paths through the failed
     node are likewise recomputed (symmetrically, since the synthetic
-    reverse route is gone with its nodes).
+    reverse route is gone with its nodes). A datacenter the failure
+    cuts off is dropped too (``dc_node=None``), and the impact names
+    it.
 
     Returns:
         ``(new_state, impact)``. Raises ``ValueError`` if removing the
@@ -53,6 +58,13 @@ def fail_node(state: NetworkState, failed_node: str
         raise ValueError(f"node {failed_node!r} not in topology")
 
     topology = state.topology.subgraph_without(failed_node)
+    dc_node = state.dc_node if state.dc_node != failed_node else None
+    cut_off = None
+    if dc_node is not None and len(
+            topology.shortest_paths_from(dc_node)) < topology.num_nodes:
+        topology = topology.subgraph_without(dc_node)
+        cut_off, dc_node = dc_node, None
+    gone = {failed_node, cut_off}
     routing = RoutingTable(topology)
 
     rerouted: List[str] = []
@@ -81,15 +93,12 @@ def fail_node(state: NetworkState, failed_node: str
 
     node_capacity = {
         resource: {node: cap for node, cap in caps.items()
-                   if node != failed_node}
+                   if node not in gone}
         for resource, caps in state.node_capacity.items()
     }
     link_capacity = {link: cap for link, cap in
                      state.link_capacity.items()
-                     if failed_node not in link}
-    dc_node = state.dc_node if state.dc_node != failed_node else None
-    if dc_node is not None and dc_node not in topology.nodes:
-        dc_node = None
+                     if gone.isdisjoint(link)}
 
     new_state = NetworkState(
         topology, routing, survivors, node_capacity, link_capacity,
@@ -99,7 +108,8 @@ def fail_node(state: NetworkState, failed_node: str
         rerouted_classes=sorted(rerouted),
         dropped_classes=sorted(dropped),
         surviving_sessions=sum(c.num_sessions for c in survivors),
-        lost_sessions=lost_sessions)
+        lost_sessions=lost_sessions,
+        dropped_datacenter=cut_off)
     return new_state, impact
 
 

@@ -233,9 +233,14 @@ class ReplicationProblem(Formulation):
         def tunnel(node: str, mirror: str) -> int:
             mask = masks.get((node, mirror))
             if mask is None:
+                try:
+                    links = state.routing.path_links(node, mirror)
+                except KeyError:
+                    raise ValueError(
+                        f"mirror {mirror!r} has no route from on-path "
+                        f"node {node!r}") from None
                 mask = masks[node, mirror] = sum(
-                    bit[link] for link in
-                    state.routing.path_links(node, mirror))
+                    bit[link] for link in links)
             return mask
 
         # One key per fraction of every class — a p key is (class,

@@ -204,7 +204,7 @@ def format_nips(rows: Sequence[NIPSRow]) -> str:
 
 @dataclass
 class FailureRow:
-    """Impact of failing the most loaded interior node."""
+    """Impact of failing the node the most traffic transits."""
 
     topology: str
     failed_node: str
@@ -213,38 +213,45 @@ class FailureRow:
     lost_fraction: float
     rerouted_classes: int
     solve_seconds: float
+    mirrors_after: str = "datacenter"  # "none" once the DC is cut off
 
 
 def run_failure_ablation(topologies: Optional[Sequence[str]] = None,
                          max_link_load: float = 0.4,
                          dc_capacity_factor: float = 10.0
                          ) -> List[FailureRow]:
-    """Fail each topology's busiest interior NIDS node and re-solve.
+    """Fail each topology's busiest NIDS node and re-solve.
 
     Measures the operational story behind the min-max objective: how
     much headroom the replication architecture retains after losing
-    its hottest node, and how quickly the controller can recompute.
+    its busiest node — the one most sessions transit, ties broken by
+    name, so not whichever optimal vertex the LP returns — and how
+    quickly the controller can recompute (with no mirror, if the loss
+    cut the datacenter off).
     """
     from repro.core.failures import fail_node
 
     rows = []
     for name in topologies or evaluation_topologies(quick_count=2):
-        setup = setup_topology(name,
-                               dc_capacity_factor=dc_capacity_factor)
+        state = setup_topology(
+            name, dc_capacity_factor=dc_capacity_factor).state
         before = ReplicationProblem(
-            setup.state, mirror_policy=MirrorPolicy.datacenter(),
+            state, mirror_policy=MirrorPolicy.datacenter(),
             max_link_load=max_link_load).solve()
-        interior = {node: load for node, load in
-                    before.node_loads["cpu"].items()
-                    if node != setup.state.dc_node}
-        victim = max(interior, key=interior.get)
+        transit = {node: sum(cls.num_sessions for cls in state.classes
+                             if node in cls.path[1:-1])
+                   for node in state.nids_nodes
+                   if node != state.dc_node}
+        victim = min(transit, key=lambda node: (-transit[node], node))
         try:
-            state, impact = fail_node(setup.state, victim)
+            state, impact = fail_node(state, victim)
         except ValueError:
             # The busiest node is a cut vertex; skip rather than guess.
             continue
+        mirrors = (MirrorPolicy.datacenter() if state.dc_node
+                   else MirrorPolicy.none())
         after = ReplicationProblem(
-            state, mirror_policy=MirrorPolicy.datacenter(),
+            state, mirror_policy=mirrors,
             max_link_load=max_link_load).solve()
         rows.append(FailureRow(
             topology=name, failed_node=victim,
@@ -252,18 +259,20 @@ def run_failure_ablation(topologies: Optional[Sequence[str]] = None,
             load_after=after.load_cost,
             lost_fraction=impact.lost_fraction,
             rerouted_classes=len(impact.rerouted_classes),
-            solve_seconds=after.stats.solve_seconds))
+            solve_seconds=after.stats.solve_seconds,
+            mirrors_after=mirrors.describe()))
     return rows
 
 
 def format_failures(rows: Sequence[FailureRow]) -> str:
     body = [[r.topology, r.failed_node, f"{r.load_before:.3f}",
              f"{r.load_after:.3f}", f"{r.lost_fraction:.1%}",
-             r.rerouted_classes, f"{r.solve_seconds:.3f}"]
+             r.rerouted_classes, r.mirrors_after,
+             f"{r.solve_seconds:.3f}"]
             for r in rows]
     return format_table(
         ["Topology", "Failed", "Load before", "Load after",
-         "Traffic lost", "Rerouted", "Re-solve (s)"],
+         "Traffic lost", "Rerouted", "Mirrors after", "Re-solve (s)"],
         body, title="Ablation: busiest-node failure and recovery")
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Iterable,
     Iterator,
     List,
@@ -31,38 +30,19 @@ from typing import (
     Sequence,
 )
 
-import numpy as np
-
 from repro.obs import get_registry
 from repro.runtime.events import EventLoop
+from repro.simulation.batch import PacketBatch
+from repro.simulation.tracestore import column_arrays
 from repro.sketch import ClassVolumeSketch
 from repro.traffic.classes import TrafficClass
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.simulation.batch import PacketBatch
 
-_SESSION_COLUMNS = ("proto", "src_ip", "src_port", "dst_ip",
-                    "dst_port", "class_id", "trace_class_id",
-                    "fwd_path_id", "rev_path_id", "session_key")
-_PACKET_COLUMNS = ("session_of_packet", "direction", "size_bytes",
-                   "payload_offsets")
-
-
-def chunk_resident_bytes(chunk: "PacketBatch") -> int:
+def chunk_resident_bytes(chunk: PacketBatch) -> int:
     """Bytes a slab keeps resident while it is being consumed."""
-    total = 0
-    for name in _SESSION_COLUMNS:
-        column = getattr(chunk.sessions, name, None)
-        if isinstance(column, np.ndarray):
-            total += int(column.nbytes)
-    for name in _PACKET_COLUMNS:
-        column = getattr(chunk, name, None)
-        if isinstance(column, np.ndarray):
-            total += int(column.nbytes)
-    buffer = chunk.payload_buffer
-    total += (int(buffer.nbytes) if isinstance(buffer, np.ndarray)
-              else len(buffer))
-    return total
+    return (sum(int(column.nbytes)
+                for column in column_arrays(chunk).values())
+            + int(chunk.payload_buffer.nbytes))
 
 
 @dataclass
@@ -131,7 +111,7 @@ class IngestDaemon:
         """Resident bytes across the worker sketches."""
         return sum(worker.state_bytes for worker in self.workers)
 
-    def consume(self, chunk: "PacketBatch",
+    def consume(self, chunk: PacketBatch,
                 now: Optional[float] = None) -> None:
         """Fold one slab into the next worker's sketch."""
         worker = self.workers[self._next_worker]
@@ -158,7 +138,7 @@ class IngestDaemon:
                 metrics.gauge("ingest.packets_per_second", rate)
 
     def stream(self, loop: EventLoop,
-               chunks: Iterable["PacketBatch"], *,
+               chunks: Iterable[PacketBatch], *,
                start: Optional[float] = None,
                interval: float = 1.0) -> None:
         """Schedule a chunk stream onto the event loop.
@@ -170,7 +150,7 @@ class IngestDaemon:
         """
         if interval <= 0:
             raise ValueError("interval must be positive")
-        iterator: Iterator["PacketBatch"] = iter(chunks)
+        iterator: Iterator[PacketBatch] = iter(chunks)
 
         def pump() -> None:
             try:

@@ -603,12 +603,9 @@ def _safe_failing_nodes(topology_name: str, count: int,
                         ) -> List[str]:
     """``count`` nodes whose sequential failure keeps every surviving
     class routable — and the datacenter reachable — chosen
-    deterministically, busiest-first.
-
-    The check runs on the same DC-attached state the scenario solves
-    over: killing the DC's anchor PoP disconnects every mirror path
-    even though no *class* is disconnected, so that candidate must be
-    rejected too.
+    deterministically, busiest-first, on the DC-attached state the
+    scenario solves over (killing the DC's anchor PoP strands the
+    mirror though no *class* is disconnected).
     """
     from repro.core.failures import fail_node
     from repro.experiments.common import setup_topology
@@ -626,16 +623,11 @@ def _safe_failing_nodes(topology_name: str, count: int,
         if len(chosen) == count:
             break
         try:
-            candidate_state, _ = fail_node(state, node)
+            candidate_state, impact = fail_node(state, node)
         except ValueError:
             continue
-        dc = candidate_state.dc_node
-        if dc is not None:
-            try:
-                for survivor in candidate_state.topology.nodes:
-                    candidate_state.routing.path(survivor, dc)
-            except KeyError:
-                continue  # failure strands the mirror target
+        if impact.dropped_datacenter is not None:
+            continue  # failure strands the mirror target
         chosen.append(node)
         state = candidate_state
     if len(chosen) < count:

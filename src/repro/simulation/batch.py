@@ -10,7 +10,7 @@ column stores:
   hash columns computed with the bit-exact ``*_batch`` hash functions.
 - :class:`PacketBatch` — one row per packet: owning session index,
   direction, wire size, and all payloads packed into one contiguous
-  byte buffer with an offsets column.
+  read-only uint8 array with an offsets column.
 
 :class:`PacketBatch` also provides the *observation expansion*. The
 shim's decision is a function of (session, direction, node) — the hash
@@ -29,7 +29,7 @@ engines, which dedupe on the ``FiveTuple`` they are handed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -239,15 +239,15 @@ class SessionBatch:
 class PacketBatch:
     """Struct-of-arrays view of a packet trace (plus its sessions).
 
-    ``payload_buffer`` is normally ``bytes``; a trace-store reopen
-    supplies a read-only uint8 ``np.memmap`` instead (zero-copy —
-    payload bytes are only paged in when a consumer scans them).
+    ``payload_buffer`` is one read-only uint8 array: the synthesis
+    plan's own buffer, the joined bytes of :meth:`from_sessions`, a
+    trace-store ``np.memmap`` (payload bytes are only paged in when a
+    consumer scans them), or a zero-copy slice of any of these.
     """
 
     def __init__(self, sessions: SessionBatch,
                  session_of_packet: np.ndarray, direction: np.ndarray,
-                 size_bytes: np.ndarray,
-                 payload_buffer: Union[bytes, np.ndarray],
+                 size_bytes: np.ndarray, payload_buffer: np.ndarray,
                  payload_offsets: np.ndarray) -> None:
         self.sessions = sessions
         self.session_of_packet = session_of_packet
@@ -283,7 +283,7 @@ class PacketBatch:
                    np.array(session_of_packet, dtype=np.int64),
                    np.array(direction, dtype=np.uint8),
                    np.array(size_bytes, dtype=np.float64),
-                   b"".join(chunks),
+                   np.frombuffer(b"".join(chunks), dtype=np.uint8),
                    np.array(offsets, dtype=np.int64))
 
     @property
@@ -332,11 +332,12 @@ class PacketBatch:
         Scans the packed buffer with ``bytes.find`` per pattern (a C
         loop), attributing each hit to the packet whose payload region
         contains it and rejecting hits that straddle a packet boundary.
+        ``bytes.find`` needs ``bytes``, so this is the one place the
+        payload is copied — once per call, and replay calls it per
+        chunk.
         """
         counts = np.zeros(self.num_packets, dtype=np.int64)
-        buffer = self.payload_buffer
-        if not isinstance(buffer, bytes):
-            buffer = buffer.tobytes()
+        buffer = self.payload_buffer.tobytes()
         offsets = self.payload_offsets
         for pattern in patterns:
             width = len(pattern)

@@ -31,7 +31,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Dict,
     Iterable,
     List,
@@ -67,12 +66,14 @@ from repro.shim.config import ShimConfig
 from repro.shim.shim import Classifier, Shim
 from repro.simulation.batch import PacketBatch, SessionBatch
 from repro.simulation.packets import Session
+from repro.simulation.tracestore import ChunkedReplay
 from repro.topology.topology import Link
 
-if TYPE_CHECKING:
-    from repro.simulation.tracestore import ChunkedReplay
-
 Trace = Union[Sequence[Session], PacketBatch]
+
+#: packets per chunk when ``run_signature(fast=True)`` streams a
+#: whole batch through the kernel (the report does not depend on it)
+REPLAY_CHUNK_PACKETS = 8192
 
 
 @dataclass
@@ -263,12 +264,19 @@ class Emulation:
 
         With ``fast=True`` the vectorized engine replays the batch and
         returns an identical report; an uncompilable config set falls
-        back to the scalar oracle.
+        back to the scalar oracle. The batch streams through the
+        kernel in O(chunk) memory, one chunk if it is not grouped by
+        session.
         """
         if fast:
             batch = self._packet_batch(sessions)
             try:
-                return self._signature_chunks([batch], batch.sessions)
+                chunks: Iterable[PacketBatch] = ChunkedReplay(
+                    batch, REPLAY_CHUNK_PACKETS)
+            except ValueError:  # not session-contiguous
+                chunks = [batch]
+            try:
+                return self._signature_chunks(chunks, batch.sessions)
             except UnsupportedShimConfig:
                 self._note_fallback()
         sessions = self._require_sessions(sessions, "run_signature")
@@ -310,12 +318,11 @@ class Emulation:
                                   packets, time.perf_counter() - start)
         return report
 
-    def run_signature_chunked(self, replay: "ChunkedReplay"
+    def run_signature_chunked(self, replay: ChunkedReplay
                               ) -> EmulationReport:
-        """Signature replay over a chunk stream — bit-identical to
-        :meth:`run_signature` with ``fast=True`` on the whole batch
-        (the same kernel over one chunk), at O(chunk) instead of
-        O(trace) memory.
+        """Signature replay over a chunk stream of any chunk size —
+        bit-identical to :meth:`run_signature` with ``fast=True`` on
+        the whole batch (the same kernel over other chunk bounds).
         """
         # _packet_batch checks the node order against this network.
         return self._signature_chunks(

@@ -379,7 +379,7 @@ class TraceGenerator:
                                  with_payloads)
 
     def _direct_batch(self, plan: _TracePlan,
-                      node_order: Sequence[str], with_payloads: bool,
+                      node_order: Sequence[str],
                       hash_seed: int) -> "PacketBatch":
         """Assemble the columnar batch straight from the plan —
         no per-packet Python objects. Must stay bit-identical to
@@ -490,10 +490,11 @@ class TraceGenerator:
                      dtype=np.uint8), n)
         size_bytes = np.repeat(
             (plan.payload_size + 40).astype(np.float64), ppcount)
-        payload_buffer = (plan.payload.tobytes()
-                          if with_payloads else b"")
+        # The batch takes the plan's buffer itself (signatures are
+        # already embedded), read-only from here on: no second copy.
+        plan.payload.flags.writeable = False
         return PacketBatch(sessions, session_of_packet, direction,
-                           size_bytes, payload_buffer,
+                           size_bytes, plan.payload,
                            plan.payload_offsets)
 
     def generate_batch(self, node_order: Sequence[str],
@@ -524,8 +525,7 @@ class TraceGenerator:
         with get_registry().span("emulation.batch_build"):
             plan = self._draw_plan(with_payloads)
             if direct:
-                return self._direct_batch(plan, node_order,
-                                          with_payloads, hash_seed)
+                return self._direct_batch(plan, node_order, hash_seed)
             return PacketBatch.from_sessions(
                 self._materialize(plan, with_payloads),
                 self.classifier, node_order, hash_seed)

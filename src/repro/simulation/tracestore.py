@@ -18,9 +18,9 @@ session-aligned sub-batches of bounded packet count. Sub-batches carry
 the *global* ``session_key`` universe, so the emulation's one
 vectorized signature kernel (``Emulation._signature_chunks``, behind
 both ``run_signature_chunked`` and ``run_signature(fast=True)``) can
-merge per-chunk distinct (node, five-tuple) sets exactly — the chunked
-report is bit-identical to the whole-batch one, at O(chunk) instead of
-O(trace) memory.
+merge per-chunk distinct (node, five-tuple) sets exactly — the report
+is bit-identical at any chunk size, and replay memory is O(chunk), not
+O(trace).
 """
 
 from __future__ import annotations
@@ -54,20 +54,13 @@ class TraceStoreError(ValueError):
     """Raised for missing, corrupt, or version-mismatched stores."""
 
 
-def _column_arrays(batch: PacketBatch) -> Dict[str, np.ndarray]:
+def column_arrays(batch: PacketBatch) -> Dict[str, np.ndarray]:
+    """Every numeric column of ``batch`` by name, in store order."""
     sess = batch.sessions
     columns = {name: getattr(sess, name) for name in _SESSION_COLUMNS}
     columns.update({name: getattr(batch, name)
                     for name in _PACKET_COLUMNS})
     return columns
-
-
-def _payload_view(batch: PacketBatch) -> Union[bytes, np.ndarray]:
-    """The payload as one contiguous buffer, without copying it."""
-    buffer = batch.payload_buffer
-    if isinstance(buffer, bytes):
-        return buffer
-    return np.ascontiguousarray(buffer)
 
 
 def trace_fingerprint(batch: PacketBatch) -> str:
@@ -87,10 +80,10 @@ def trace_fingerprint(batch: PacketBatch) -> str:
     digest.update(json.dumps(header, sort_keys=True).encode("ascii"))
     # hashlib reads the columns (memmaps included) through the buffer
     # protocol: nothing is copied to be hashed.
-    for name, array in _column_arrays(batch).items():
+    for name, array in column_arrays(batch).items():
         digest.update(name.encode("ascii"))
         digest.update(memoryview(np.ascontiguousarray(array)))
-    digest.update(memoryview(_payload_view(batch)))
+    digest.update(memoryview(np.ascontiguousarray(batch.payload_buffer)))
     return digest.hexdigest()
 
 
@@ -138,7 +131,7 @@ class TraceStore:
             root.mkdir(parents=True, exist_ok=True)
             sess = batch.sessions
             columns_meta: Dict[str, Dict[str, object]] = {}
-            for name, array in _column_arrays(batch).items():
+            for name, array in column_arrays(batch).items():
                 filename = f"{name}.npy"
                 np.save(root / filename,
                         np.ascontiguousarray(array))
@@ -147,7 +140,7 @@ class TraceStore:
                     "dtype": str(array.dtype),
                     "shape": list(array.shape),
                 }
-            payload = _payload_view(batch)
+            payload = np.ascontiguousarray(batch.payload_buffer)
             if len(payload):
                 (root / PAYLOAD_NAME).write_bytes(payload)
             manifest: Dict[str, object] = {
@@ -194,14 +187,14 @@ class TraceStore:
             columns = cls._open_columns(root, manifest)
             payload_meta = manifest["payload"]
             payload_len = int(payload_meta["bytes"])
+            payload = np.zeros(0, dtype=np.uint8)
             if payload_len:
-                payload: Union[bytes, np.ndarray] = _map_file(
+                payload = _map_file(
                     root / str(payload_meta["file"]), payload_len,
                     lambda path: np.memmap(path, dtype=np.uint8,
                                            mode="r",
                                            shape=(payload_len,)))
-            else:
-                payload = b""
+            payload.flags.writeable = False
             sessions = SessionBatch(
                 columns["proto"], columns["src_ip"],
                 columns["src_port"], columns["dst_ip"],
@@ -281,7 +274,8 @@ class ChunkedReplay:
     Chunk boundaries never split a session's packets (packets are
     session-contiguous in generated traces; enforced here), and every
     sub-batch carries the global ``session_key`` space, which is what
-    makes chunked distinct-session accounting exact.
+    makes chunked distinct-session accounting exact. A chunk's columns
+    and payload are views of the source's: slicing copies nothing.
 
     Args:
         batch: the source batch (in-memory or trace-store memmap).
@@ -296,10 +290,8 @@ class ChunkedReplay:
         # ``np.memmap`` goes through ``memmap.__getitem__`` and builds
         # a new memmap object per slice, and a chunk slices them all.
         self._columns = {name: np.asarray(array) for name, array
-                         in _column_arrays(batch).items()}
-        payload = batch.payload_buffer
-        self._payload = (payload if isinstance(payload, bytes)
-                         else np.asarray(payload))
+                         in column_arrays(batch).items()}
+        self._payload = np.asarray(batch.payload_buffer)
         sop = self._columns["session_of_packet"]
         if len(sop) and np.any(np.diff(sop) < 0):
             raise ValueError(
@@ -345,13 +337,11 @@ class ChunkedReplay:
         offsets = cols["payload_offsets"]
         byte_lo = int(offsets[start])
         byte_hi = int(offsets[end])
-        buffer = self._payload[byte_lo:byte_hi]
-        if not isinstance(buffer, bytes):
-            buffer = buffer.tobytes()
         return PacketBatch(
             sub_sessions, sop[start:end] - lo,
             cols["direction"][start:end],
-            cols["size_bytes"][start:end], buffer,
+            cols["size_bytes"][start:end],
+            self._payload[byte_lo:byte_hi],
             offsets[start:end + 1] - byte_lo)
 
     def __iter__(self) -> Iterator[PacketBatch]:

@@ -12,6 +12,7 @@ provided so real measurements can be dropped in.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -66,9 +67,11 @@ class TrafficVariabilityModel:
         lo = float(np.exp(mu - 3.1 * sigma))
         hi = float(np.exp(mu + 3.1 * sigma))
         edges = np.linspace(lo, hi, num_buckets + 1)
-        from scipy import stats
-
-        cdf = stats.lognorm.cdf(edges, s=sigma, scale=np.exp(mu))
+        # The lognormal CDF in closed form: Phi(ln(x / e^mu) / sigma).
+        scale = math.exp(mu)
+        cdf = np.array([
+            0.5 * math.erfc(-math.log(x / scale) / (sigma * math.sqrt(2)))
+            for x in edges])
         probs = np.diff(cdf)
         probs = probs / probs.sum()
         return cls(edges, probs)

@@ -349,7 +349,7 @@ def _shuffled(batch, order):
     return PacketBatch(
         batch.sessions, batch.session_of_packet[order],
         batch.direction[order], batch.size_bytes[order],
-        b"".join(bodies),
+        np.concatenate([np.zeros(0, dtype=np.uint8), *bodies]),
         np.concatenate([[0], np.cumsum([len(b) for b in bodies])]
                        ).astype(np.int64))
 
@@ -378,8 +378,8 @@ class TestSessionDirectionGroups:
 
         order = list(range(batch.num_packets))
         rng.shuffle(order)
-        for view in (batch, _shuffled(batch, np.array(order,
-                                                      dtype=np.int64))):
+        shuffled = _shuffled(batch, np.array(order, dtype=np.int64))
+        for view in (batch, shuffled):
             obs_group, obs_node = view.group_observers()
             columns = [view.group_sums(column)[obs_group] for column in (
                 np.ones(view.num_packets), view.payload_lengths,
@@ -398,6 +398,8 @@ class TestSessionDirectionGroups:
         emulation = Emulation(state, configs, classifier)
         scalar = emulation.run_signature(sessions)
         assert emulation.run_signature(sessions, fast=True) == scalar
+        # Not session-contiguous: replayed as one chunk.
+        assert emulation.run_signature(shuffled, fast=True) == scalar
         assert emulation.run_signature_chunked(
             ChunkedReplay(batch, chunk_packets)) == scalar
 

@@ -13,6 +13,8 @@ from repro.core import (
     slack_factor,
     with_slack,
 )
+from repro.core.inputs import link_background_bytes
+from repro.topology.routing import RoutingTable
 from repro.topology.topology import Topology
 from repro.traffic import TrafficVariabilityModel
 
@@ -154,6 +156,64 @@ class TestFailures:
         cls = TrafficClass("A->D", "A", "D", ("A", "B", "D"), 10.0)
         state = NetworkState.calibrated(diamond_topology, [cls])
         assert cascade_risk(state) == []
+
+
+class TestIsolatedMirror:
+    """Losing the datacenter's only attachment drops the datacenter
+    instead of keeping a mirror nothing can reach."""
+
+    @pytest.fixture(scope="class")
+    def internet2(self):
+        from repro.experiments.common import setup_topology
+
+        return setup_topology("internet2", dc_capacity_factor=10.0).state
+
+    def test_failing_the_anchor_drops_the_datacenter(self, internet2):
+        assert internet2.topology.neighbors("DC") == ["ATLA"]
+        new_state, impact = fail_node(internet2, "ATLA")
+        assert impact.dropped_datacenter == "DC"
+        assert new_state.dc_node is None
+        assert "DC" not in new_state.nids_nodes
+        assert all("DC" not in caps
+                   for caps in new_state.node_capacity.values())
+        with pytest.raises(ValueError, match="needs a datacenter"):
+            ReplicationProblem(
+                new_state, mirror_policy=MirrorPolicy.datacenter()
+            ).solve()
+        result = ReplicationProblem(
+            new_state, mirror_policy=MirrorPolicy.none(),
+            max_link_load=0.4).solve()
+        assert result.load_cost <= 1.0
+
+    def test_other_failures_keep_the_datacenter(self, internet2):
+        new_state, impact = fail_node(internet2, "STTL")
+        assert impact.dropped_datacenter is None
+        assert new_state.dc_node == "DC"
+
+    def test_unreachable_mirror_is_named(self, internet2):
+        # The state fail_node used to build: DC kept, with no links.
+        topology = internet2.topology.subgraph_without("ATLA")
+        survivors = [cls for cls in internet2.classes
+                     if "ATLA" not in cls.path]
+        stale = NetworkState(
+            topology, RoutingTable(topology), survivors,
+            {resource: {node: cap for node, cap in caps.items()
+                        if node != "ATLA"}
+             for resource, caps in internet2.node_capacity.items()},
+            {link: cap for link, cap in internet2.link_capacity.items()
+             if "ATLA" not in link},
+            link_background_bytes(survivors), dc_node="DC")
+        with pytest.raises(ValueError, match="mirror 'DC' has no route"):
+            ReplicationProblem(
+                stale, mirror_policy=MirrorPolicy.datacenter()).solve()
+
+    def test_ablation_fails_the_busiest_transit_node(self):
+        from repro.experiments import run_failure_ablation
+
+        (row,) = run_failure_ablation(["internet2"])
+        assert row.failed_node == "ATLA"
+        assert row.mirrors_after == "none"
+        assert row.load_after <= 1.0
 
 
 class TestLinkFailures:

@@ -57,13 +57,8 @@ def _assert_batches_identical(left, right):
         b = getattr(right, name)
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b), name
-    left_payload = left.payload_buffer
-    right_payload = right.payload_buffer
-    if not isinstance(left_payload, bytes):
-        left_payload = left_payload.tobytes()
-    if not isinstance(right_payload, bytes):
-        right_payload = right_payload.tobytes()
-    assert left_payload == right_payload
+    assert left.payload_buffer.tobytes() == \
+        right.payload_buffer.tobytes()
     assert left.sessions.num_keys == right.sessions.num_keys
     assert left.sessions.class_names == right.sessions.class_names
     assert left.sessions.node_order == right.sessions.node_order
@@ -312,7 +307,8 @@ class TestChunkEdges:
             np.asarray(batch.session_of_packet)[::-1].copy(),
             np.asarray(batch.direction).copy(),
             np.asarray(batch.size_bytes).copy(),
-            b"", np.zeros(batch.num_packets + 1, dtype=np.int64))
+            np.zeros(0, dtype=np.uint8),
+            np.zeros(batch.num_packets + 1, dtype=np.int64))
         with pytest.raises(ValueError):
             ChunkedReplay(shuffled, chunk_packets=10)
 

@@ -25,6 +25,20 @@ class TestConstruction:
 
 
 class TestDefaultModel:
+    @pytest.mark.parametrize("sigma", [0.1, 0.45, 0.8, 1.5])
+    def test_closed_form_cdf_matches_scipy(self, sigma):
+        # The default model evaluates the lognormal CDF with
+        # math.erfc; scipy's lognorm agrees within one ulp of 1.0.
+        from scipy import stats
+
+        model = TrafficVariabilityModel.default(sigma=sigma)
+        mu = -sigma * sigma / 2.0
+        reference = np.diff(stats.lognorm.cdf(
+            model.bucket_edges, s=sigma, scale=np.exp(mu)))
+        reference /= reference.sum()
+        assert np.abs(model.bucket_probs - reference).max() <= \
+            np.spacing(1.0)
+
     def test_mean_factor_near_one(self):
         model = TrafficVariabilityModel.default()
         assert model.mean_factor == pytest.approx(1.0, abs=0.1)
