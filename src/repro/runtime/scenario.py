@@ -307,8 +307,8 @@ class ScenarioRun:
     Both modes share one trace path, ``generate_batch(direct=True)`` →
     ``ChunkedReplay`` → ``Emulation.run_signature_chunked``; estimator
     mode packs the batch into a store under ``workdir`` first (needed
-    in that mode only) and streams the same chunks through the ingest
-    daemon.
+    in that mode only, and a ``ValueError`` without it) and streams
+    the same chunks through the ingest daemon.
     """
 
     def __init__(self, scenario: Scenario,
@@ -317,6 +317,10 @@ class ScenarioRun:
                  ) -> None:
         from repro.experiments.common import setup_topology
 
+        if scenario.estimator is not None and workdir is None:
+            raise ValueError(
+                f"estimator mode packs each epoch's trace into a store: "
+                f"scenario {scenario.name!r} needs a workdir")
         self.scenario = scenario
         self.workdir = None if workdir is None else Path(workdir)
         mirror_policy = MIRROR_POLICIES[scenario.mirror]

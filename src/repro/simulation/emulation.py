@@ -24,10 +24,21 @@ decision kernel (:mod:`repro.shim.batch`), producing a report with
 *identical* contents. When the installed configs cannot be compiled,
 ``run_signature(fast=True)`` falls back to the scalar path and counts
 ``emulation.fast.fallbacks``.
+
+A vectorized replay of ``2 * MIN_PACKETS_PER_WORKER`` packets or more
+uses the CPUs this process may run on: its chunks are cut into
+session-aligned packet ranges (:meth:`ChunkedReplay.partition`),
+forked children tally all but the first, and the partials merge in
+range order. Every partial is an integer-valued sum or a set of
+distinct (node, five-tuple) pairs, so the report is the one-process
+report exactly. A worker process (a sweep's) and a batch not grouped
+by session replay in-process.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 from typing import (
@@ -74,6 +85,51 @@ Trace = Union[Sequence[Session], PacketBatch]
 #: packets per chunk when ``run_signature(fast=True)`` streams a
 #: whole batch through the kernel (the report does not depend on it)
 REPLAY_CHUNK_PACKETS = 8192
+#: fewest packets a forked replay worker is given: on tinet at
+#: 1024-packet chunks (2 vCPUs) two processes lose to one at 1e5
+#: packets (136 vs 114 ms) and win at 2e5 (131 vs 220 ms)
+MIN_PACKETS_PER_WORKER = 1 << 17
+
+
+@dataclass
+class _Tally:
+    """One packet range's share of a signature replay. Every field is
+    an integer-valued sum or a set, so partials merge exactly."""
+
+    byte_work: np.ndarray  # payload bytes delivered, per node
+    pairs: np.ndarray  # sorted distinct node * num_keys + session_key
+    alerts: int
+    replicated: float
+    link_bytes: Dict[Link, float]
+    bytes_total: float
+    packets: int
+
+
+def _distinct(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The sorted distinct values of the int64 ``arrays``: a sort and
+    a compare with the left neighbour (np.unique's hash path costs
+    5-40x this on 1e2-1e5 values)."""
+    values = np.sort(np.concatenate([np.zeros(0, dtype=np.int64),
+                                     *arrays]))
+    fresh = np.ones(len(values), dtype=bool)
+    fresh[1:] = values[1:] != values[:-1]
+    return values[fresh]
+
+
+def _replay_workers(replay: ChunkedReplay) -> int:
+    """Processes to replay ``replay`` with: one per CPU this process
+    may run on, while each gets ``MIN_PACKETS_PER_WORKER`` packets and
+    a chunk. Where ``fork`` is unavailable, or this process is itself
+    a worker (a sweep's, or a replay's), the replay stays here."""
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.parent_process() is not None):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, replay.num_packets // MIN_PACKETS_PER_WORKER,
+                      replay.num_chunks))
 
 
 @dataclass
@@ -271,12 +327,12 @@ class Emulation:
         if fast:
             batch = self._packet_batch(sessions)
             try:
-                chunks: Iterable[PacketBatch] = ChunkedReplay(
-                    batch, REPLAY_CHUNK_PACKETS)
+                replay: Union[ChunkedReplay, List[PacketBatch]] = \
+                    ChunkedReplay(batch, REPLAY_CHUNK_PACKETS)
             except ValueError:  # not session-contiguous
-                chunks = [batch]
+                replay = [batch]
             try:
-                return self._signature_chunks(chunks, batch.sessions)
+                return self._replay(replay, batch.sessions)
             except UnsupportedShimConfig:
                 self._note_fallback()
         sessions = self._require_sessions(sessions, "run_signature")
@@ -325,36 +381,106 @@ class Emulation:
         the whole batch (the same kernel over other chunk bounds).
         """
         # _packet_batch checks the node order against this network.
-        return self._signature_chunks(
+        return self._replay(
             replay, self._packet_batch(replay.batch).sessions)
 
-    def _signature_chunks(self, chunks: Iterable[PacketBatch],
-                          universe: SessionBatch) -> EmulationReport:
-        """The vectorized signature kernel: accumulate chunk by chunk.
-        ``universe`` names the classes, nodes and ``session_key`` space
-        every chunk shares.
-
-        Work units decompose exactly as the scalar engine charges them:
-        1.0 x payload bytes per delivered packet plus 100.0 per
-        distinct (node, five-tuple) delivery pair. Alerts multiply each
-        session-direction group's precomputed pattern-occurrence count
-        by its delivery count — the same total the scalar engine
-        accumulates one ``inspect`` at a time.
-
-        Per-node byte work, alerts, replicated bytes, and per-link
-        bytes are integer-valued float sums, exact in any grouping, so
-        they accumulate across chunks directly. Distinct (node,
-        five-tuple) delivery pairs are **not** additive — the same
-        session's packets may recur in later chunks on another node's
-        range, and duplicate five-tuples can span chunks — so each
-        chunk contributes its distinct pairs over the shared
-        ``num_keys`` universe and the union is deduplicated once at
-        the end.
-        """
+    def _replay(self, replay: Union[ChunkedReplay, List[PacketBatch]],
+                universe: SessionBatch) -> EmulationReport:
+        """The vectorized signature replay (see the module docstring
+        for how it splits). ``universe`` names the classes, nodes and
+        ``session_key`` space every chunk shares. Work units decompose
+        exactly as the scalar engine charges them: 1.0 x payload bytes
+        per delivered packet plus 100.0 per distinct (node, five-tuple)
+        delivery pair."""
         kernel = self._kernel(universe.class_names)
+        self._links()  # compiled once, before any range forks
         start = time.perf_counter()
+        ranges: Sequence[Iterable[PacketBatch]] = [replay]
+        if isinstance(replay, ChunkedReplay):
+            ranges = replay.partition(_replay_workers(replay))
+        partials = self._tally_ranges(kernel, ranges, universe)
+
         node_order = universe.node_order
-        num_nodes = len(node_order)
+        keys = max(universe.num_keys, 1)
+        byte_work = sum(part.byte_work for part in partials)
+        link_bytes: Dict[Link, float] = {}
+        for part in partials:
+            for link, value in part.link_bytes.items():
+                link_bytes[link] = link_bytes.get(link, 0.0) + value
+        session_counts = np.bincount(
+            _distinct([part.pairs for part in partials]) // keys,
+            minlength=len(node_order))
+        work = byte_work + 100.0 * session_counts
+        packets = sum(part.packets for part in partials)
+        report = EmulationReport(
+            work_units={n: float(work[i])
+                        for i, n in enumerate(node_order)},
+            sessions_processed={n: int(session_counts[i])
+                                for i, n in enumerate(node_order)},
+            alerts=sum(part.alerts for part in partials),
+            replicated_bytes=sum(part.replicated for part in partials),
+            link_replicated_bytes=link_bytes,
+            packets_total=packets)
+        self._note_fast_run()
+        self._publish_run_metrics(
+            "signature", report.work_units, packets,
+            time.perf_counter() - start,
+            bytes_total=sum(part.bytes_total for part in partials))
+        return report
+
+    def _tally_ranges(self, kernel: BatchShimKernel,
+                      ranges: Sequence[Iterable[PacketBatch]],
+                      universe: SessionBatch) -> List[_Tally]:
+        """Each range's :meth:`_tally`, in range order: ranges 1.. in
+        forked children, each sending its partial over a one-way pipe,
+        and range 0 here. A child that exits without sending raises
+        ``RuntimeError``; every child is gone when this returns or
+        raises."""
+        children = []
+        try:
+            for chunks in ranges[1:]:
+                context = multiprocessing.get_context("fork")
+                receiver, sender = context.Pipe(duplex=False)
+                child = context.Process(
+                    target=lambda out, part: out.send(
+                        self._tally(kernel, part, universe)),
+                    args=(sender, chunks), daemon=True)
+                child.start()
+                sender.close()  # the child's end: EOF once it exits
+                children.append((child, receiver))
+            partials = [self._tally(kernel, ranges[0], universe)]
+            for child, receiver in children:
+                try:
+                    partials.append(receiver.recv())
+                except EOFError:
+                    child.join()
+                    raise RuntimeError(
+                        f"replay worker {child.pid} exited with code "
+                        f"{child.exitcode} before sending its "
+                        f"tally") from None
+            return partials
+        finally:
+            for child, receiver in children:
+                receiver.close()
+                child.terminate()
+                child.join()
+
+    def _tally(self, kernel: BatchShimKernel,
+               chunks: Iterable[PacketBatch],
+               universe: SessionBatch) -> _Tally:
+        """One packet range's partial of the signature replay, chunk
+        by chunk.
+
+        Alerts multiply each session-direction group's precomputed
+        pattern-occurrence count by its delivery count — the same
+        total the scalar engine accumulates one ``inspect`` at a time.
+        Distinct (node, five-tuple) delivery pairs are **not**
+        additive — the same session's packets may recur in later
+        chunks on another node's range, and duplicate five-tuples can
+        span chunks — so each chunk contributes its distinct pairs over
+        the shared ``num_keys`` universe and the union is taken once.
+        """
+        num_nodes = len(universe.node_order)
         keys = max(universe.num_keys, 1)
         byte_work = np.zeros(num_nodes, dtype=np.float64)
         pair_chunks: List[np.ndarray] = []
@@ -382,14 +508,8 @@ class Emulation:
                 deliver,
                 chunk.group_sums(chunk.payload_lengths)[obs_group],
                 num_nodes)
-            # Distinct pairs of the chunk: sort, keep what differs
-            # from its left neighbour (np.unique's hash path costs 5x
-            # this on a chunk-sized array).
-            pair = np.sort(deliver[mask] * keys +
-                           sess.session_key[obs_sess[mask]])
-            fresh = np.ones(len(pair), dtype=bool)
-            fresh[1:] = pair[1:] != pair[:-1]
-            pair_chunks.append(pair[fresh])
+            pair_chunks.append(_distinct(
+                [deliver[mask] * keys + sess.session_key[obs_sess[mask]]]))
 
             matches = chunk.group_sums(
                 chunk.payload_match_counts(DEFAULT_SIGNATURES))
@@ -406,31 +526,8 @@ class Emulation:
                 link_bytes[link] = link_bytes.get(link, 0.0) + value
             bytes_total += float(chunk.size_bytes.sum())
             packets += chunk.num_packets
-
-        if len(pair_chunks) == 1:
-            distinct_pairs = pair_chunks[0]
-        elif pair_chunks:
-            distinct_pairs = np.unique(np.concatenate(pair_chunks))
-        else:
-            distinct_pairs = np.zeros(0, dtype=np.int64)
-        session_counts = np.bincount(distinct_pairs // keys,
-                                     minlength=num_nodes)
-        work = byte_work + 100.0 * session_counts
-
-        report = EmulationReport(
-            work_units={n: float(work[i])
-                        for i, n in enumerate(node_order)},
-            sessions_processed={n: int(session_counts[i])
-                                for i, n in enumerate(node_order)},
-            alerts=alerts,
-            replicated_bytes=replicated,
-            link_replicated_bytes=link_bytes,
-            packets_total=packets)
-        self._note_fast_run()
-        self._publish_run_metrics("signature", report.work_units,
-                                  packets, time.perf_counter() - start,
-                                  bytes_total=bytes_total)
-        return report
+        return _Tally(byte_work, _distinct(pair_chunks), alerts,
+                      replicated, link_bytes, bytes_total, packets)
 
     # -- stateful / split traffic ------------------------------------------
 

@@ -16,15 +16,18 @@ of pickling traces across the fork boundary.
 :class:`ChunkedReplay` streams a batch (memmapped or in-memory) as
 session-aligned sub-batches of bounded packet count. Sub-batches carry
 the *global* ``session_key`` universe, so the emulation's one
-vectorized signature kernel (``Emulation._signature_chunks``, behind
-both ``run_signature_chunked`` and ``run_signature(fast=True)``) can
-merge per-chunk distinct (node, five-tuple) sets exactly — the report
-is bit-identical at any chunk size, and replay memory is O(chunk), not
-O(trace).
+vectorized signature replay (``Emulation._replay``, behind both
+``run_signature_chunked`` and ``run_signature(fast=True)``) can merge
+per-chunk distinct (node, five-tuple) sets exactly — the report is
+bit-identical at any chunk size, and replay memory is O(chunk), not
+O(trace). :meth:`ChunkedReplay.partition` cuts the chunk list into
+contiguous runs balanced by packet count, views that share the
+columns, which that replay hands to forked worker processes.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from pathlib import Path
@@ -318,6 +321,33 @@ class ChunkedReplay:
     @property
     def num_chunks(self) -> int:
         return len(self.bounds)
+
+    @property
+    def num_packets(self) -> int:
+        """Packets this replay streams (its bounds are contiguous)."""
+        return self.bounds[-1][1] - self.bounds[0][0] if self.bounds \
+            else 0
+
+    def partition(self, parts: int) -> List["ChunkedReplay"]:
+        """``parts`` replays over contiguous runs of :attr:`bounds`,
+        balanced by packet count: run ``i`` ends at the first chunk
+        boundary at or past ``i/parts`` of the packets. Together they
+        stream every chunk once, in order; each shares this replay's
+        columns (a view, not a copy). A run is empty where one chunk
+        holds more than a share."""
+        if parts <= 0:
+            raise ValueError("parts must be positive")
+        start = self.bounds[0][0] if self.bounds else 0
+        ends = np.array([end for _, end in self.bounds], dtype=np.int64)
+        inner = np.searchsorted(
+            ends, start + self.num_packets * np.arange(1, parts) / parts)
+        cuts = [0, *np.minimum(inner + 1, len(ends)).tolist(), len(ends)]
+        views = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            view = copy.copy(self)
+            view.bounds = self.bounds[lo:hi]
+            views.append(view)
+        return views
 
     def _sub_batch(self, start: int, end: int) -> PacketBatch:
         sess = self.batch.sessions

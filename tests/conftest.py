@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
 from repro.core.inputs import NetworkState
 from repro.lpsolve import set_default_backend
+from repro.simulation import emulation
 from repro.topology.routing import shortest_path_routing
 from repro.topology.topology import Topology
 from repro.traffic.classes import TrafficClass
@@ -55,6 +59,24 @@ def use_backend():
     named backend; the process default is restored afterwards."""
     yield set_default_backend
     set_default_backend(None)
+
+
+@pytest.fixture(scope="session")
+def replay_workers():
+    """``with replay_workers(n, chunk_packets):`` a signature replay of
+    any size sees ``n`` CPUs and forks into up to ``n`` processes, and
+    ``run_signature(fast=True)`` streams ``chunk_packets``-packet
+    chunks. Session-scoped (it patches only inside the block), so
+    hypothesis properties can use it."""
+    @contextmanager
+    def force(workers: int, chunk_packets: int = 8):
+        with mock.patch.object(emulation, "MIN_PACKETS_PER_WORKER", 1), \
+                mock.patch.object(emulation, "REPLAY_CHUNK_PACKETS",
+                                  chunk_packets), \
+                mock.patch.object(os, "sched_getaffinity",
+                                  lambda pid: set(range(workers))):
+            yield
+    return force
 
 
 @pytest.fixture

@@ -359,7 +359,8 @@ class TestSessionDirectionGroups:
            st.integers(1, 9))
     @settings(max_examples=120, deadline=None)
     def test_group_expansion_equals_the_packet_walk(
-            self, line_world, sessions, rng, chunk_packets):
+            self, line_world, replay_workers, sessions, rng,
+            chunk_packets):
         state, classifier, configs = line_world
         nodes = tuple(state.nids_nodes)
         batch = PacketBatch.from_sessions(sessions, classifier, nodes)
@@ -397,11 +398,23 @@ class TestSessionDirectionGroups:
 
         emulation = Emulation(state, configs, classifier)
         scalar = emulation.run_signature(sessions)
-        assert emulation.run_signature(sessions, fast=True) == scalar
-        # Not session-contiguous: replayed as one chunk.
-        assert emulation.run_signature(shuffled, fast=True) == scalar
-        assert emulation.run_signature_chunked(
-            ChunkedReplay(batch, chunk_packets)) == scalar
+        replays = (
+            lambda: emulation.run_signature(sessions, fast=True),
+            # Not session-contiguous: replayed as one chunk.
+            lambda: emulation.run_signature(shuffled, fast=True),
+            lambda: emulation.run_signature_chunked(
+                ChunkedReplay(batch, chunk_packets)))
+        # One process, then forked into 2 and 3 session-aligned packet
+        # ranges: the same reports, down to the order of the links.
+        for workers in (1, 2, 3):
+            with replay_workers(workers, chunk_packets):
+                reports = [replay() for replay in replays]
+            assert all(report == scalar for report in reports)
+            links = [list(report.link_replicated_bytes)
+                     for report in reports]
+            if workers == 1:
+                serial_links = links
+            assert links == serial_links
 
 
 @st.composite

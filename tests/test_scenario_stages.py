@@ -132,6 +132,13 @@ def test_empty_window_between_feed_and_decide(estimator_scenario,
             "runtime.estimator.empty_windows") == 1
 
 
+def test_estimator_mode_needs_a_workdir(estimator_scenario):
+    with pytest.raises(ValueError, match="needs a workdir"):
+        ScenarioRun(estimator_scenario)
+    # Exact mode replays in memory and needs none.
+    ScenarioRun(dataclasses.replace(estimator_scenario, estimator=None))
+
+
 def test_estimator_disk_holds_one_epoch(estimator_scenario, tmp_path):
     run = ScenarioRun(estimator_scenario, tmp_path / "stores")
     for epoch in range(estimator_scenario.epochs):

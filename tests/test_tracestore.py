@@ -9,6 +9,9 @@ canned scenarios' per-epoch trace recipe.
 """
 
 import json
+import multiprocessing
+import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ import pytest
 
 from repro.core import MirrorPolicy, ReplicationProblem
 from repro.experiments.common import setup_topology
+from repro.experiments.parallel import ParallelSweepRunner
 from repro.ingest import chunk_resident_bytes
 from repro.runtime import CANNED_SCENARIOS
 from repro.shim import build_replication_configs
@@ -27,7 +31,9 @@ from repro.simulation import (
     TraceStoreError,
     trace_fingerprint,
 )
-from repro.simulation.batch import _dense_rank
+from repro.simulation import emulation as emulation_module
+from repro.simulation.batch import PacketBatch, _dense_rank
+from repro.simulation.emulation import _replay_workers
 from repro.simulation.tracegen import TraceSpec
 from repro.simulation.tracestore import (
     _PACKET_COLUMNS,
@@ -239,12 +245,26 @@ class TestChunkEdges:
     @pytest.mark.parametrize("chunk", [1, 13, 10**9],
                              ids=["one", "small", "whole-trace"])
     def test_chunk_sizes_are_equivalent(self, tinet_emulation,
-                                        tmp_path, chunk):
+                                        tmp_path, chunk, replay_workers):
         emulation, batch = tinet_emulation
         store = TraceStore.pack(batch, tmp_path / "trace")
         chunked, expected = self._reports(emulation, batch, store,
                                           chunk)
         assert chunked == expected
+        # Forked into 2 and 3 packet ranges, in memory and from the
+        # store: the serial report, down to the order of the links.
+        for workers in (1, 2, 3):
+            with replay_workers(workers, chunk):
+                reports = [emulation.run_signature(batch, fast=True)] + [
+                    emulation.run_signature_chunked(
+                        ChunkedReplay(source, chunk))
+                    for source in (batch, store.batch())]
+            assert all(report == expected for report in reports)
+            links = [list(report.link_replicated_bytes)
+                     for report in reports]
+            if workers == 1:
+                serial_links = links
+            assert links == serial_links
 
     def test_chunks_are_session_aligned(self, tinet_emulation,
                                         tmp_path):
@@ -301,7 +321,6 @@ class TestChunkEdges:
 
     def test_unsorted_batch_rejected(self, tinet_emulation):
         _, batch = tinet_emulation
-        from repro.simulation.batch import PacketBatch
         shuffled = PacketBatch(
             batch.sessions,
             np.asarray(batch.session_of_packet)[::-1].copy(),
@@ -311,6 +330,105 @@ class TestChunkEdges:
             np.zeros(batch.num_packets + 1, dtype=np.int64))
         with pytest.raises(ValueError):
             ChunkedReplay(shuffled, chunk_packets=10)
+
+
+class TestForkedReplay:
+    """A replay split across processes: how the ranges are cut, when
+    it stays in this process, and how a failed range fails closed."""
+
+    @pytest.mark.parametrize("chunk", [1, 13, 10**9])
+    @pytest.mark.parametrize("parts", [1, 2, 3, 7])
+    def test_partition_covers_every_chunk_once_in_order(
+            self, tinet_emulation, chunk, parts):
+        _, batch = tinet_emulation
+        replay = ChunkedReplay(batch, chunk)
+        views = replay.partition(parts)
+        assert len(views) == parts
+        assert [b for view in views for b in view.bounds] == \
+            replay.bounds
+        assert sum(view.num_packets for view in views) == \
+            batch.num_packets
+        for view in views:
+            assert [chunk.num_packets for chunk in view] == \
+                [end - start for start, end in view.bounds]
+        # Range i ends at the first chunk boundary at or past i/parts
+        # of the packets.
+        ends = [end for _, end in replay.bounds]
+        for i in range(1, parts):
+            cut = sum(len(view.bounds) for view in views[:i])
+            share = batch.num_packets * i / parts
+            assert ends[cut - 1] >= share
+            assert cut == 1 or ends[cut - 2] < share
+        if replay.num_chunks >= 100 * parts:  # so balanced to 5 %
+            share = batch.num_packets / parts
+            assert all(abs(view.num_packets - share) <= 0.05 * share
+                       for view in views)
+
+    def test_small_or_shuffled_replays_stay_in_process(
+            self, tinet_emulation, replay_workers, monkeypatch):
+        emulation, batch = tinet_emulation
+        order = np.random.default_rng(3).permutation(batch.num_packets)
+        shuffled = PacketBatch(
+            batch.sessions, np.asarray(batch.session_of_packet)[order],
+            np.asarray(batch.direction)[order],
+            np.asarray(batch.size_bytes)[order],
+            np.zeros(0, dtype=np.uint8),
+            np.zeros(batch.num_packets + 1, dtype=np.int64))
+        expected = emulation.run_signature(shuffled, fast=True)
+        with replay_workers(2, 13):
+            assert _replay_workers(ChunkedReplay(batch, 13)) == 2
+            monkeypatch.setattr(emulation_module.multiprocessing,
+                                "get_context", _no_fork)
+            assert emulation.run_signature(shuffled, fast=True) == \
+                expected
+        # At the real minimum, a 400-session trace stays here too.
+        emulation.run_signature(batch, fast=True)
+
+    def test_sweep_workers_replay_in_process(self, tinet_emulation,
+                                             replay_workers):
+        _, batch = tinet_emulation
+        replay = ChunkedReplay(batch, 13)
+        with replay_workers(2, 13):
+            assert _replay_workers(replay) == 2
+            assert ParallelSweepRunner(jobs=2).map(
+                _replay_workers, [replay, replay]) == [1, 1]
+
+    def test_a_dead_worker_raises_with_its_exit_code(
+            self, tinet_emulation, replay_workers, monkeypatch):
+        emulation, batch = tinet_emulation
+        tally = Emulation._tally
+
+        def dying(self, *args):
+            if multiprocessing.parent_process() is not None:
+                os._exit(3)
+            return tally(self, *args)
+
+        monkeypatch.setattr(Emulation, "_tally", dying)
+        with replay_workers(3, 13), \
+                pytest.raises(RuntimeError, match="exited with code 3"):
+            emulation.run_signature(batch, fast=True)
+        assert multiprocessing.active_children() == []
+
+    def test_a_failing_parent_range_stops_the_workers(
+            self, tinet_emulation, replay_workers, monkeypatch):
+        emulation, batch = tinet_emulation
+
+        def failing(self, *args):
+            if multiprocessing.parent_process() is not None:
+                time.sleep(60)  # would outlive the parent's failure
+            raise ArithmeticError("injected")
+
+        monkeypatch.setattr(Emulation, "_tally", failing)
+        start = time.monotonic()
+        with replay_workers(3, 13), \
+                pytest.raises(ArithmeticError, match="injected"):
+            emulation.run_signature(batch, fast=True)
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+
+
+def _no_fork(method=None):
+    raise AssertionError("this replay must not fork")
 
 
 class TestStoreErrors:
