@@ -46,97 +46,14 @@ from repro.core import (
 from repro.core.mirrors import MIRROR_POLICIES
 from repro.experiments import (
     GAP_SPECS,
-    format_dc_capacity,
-    format_fig10,
-    format_fig11,
-    format_fig12,
-    format_fig13,
-    format_fig14,
-    format_fig15,
-    format_fig16,
-    format_fig17,
-    format_fig18,
-    format_fig19,
     format_gap,
-    format_placement,
     format_table,
-    format_table1,
     gap_to_json,
-    run_dc_capacity_ablation,
-    run_fig10,
-    run_fig11,
-    run_fig12,
-    run_fig13,
-    run_fig14,
-    run_fig15,
-    run_fig16_17,
-    run_fig18,
-    run_fig19,
-    run_placement_ablation,
-    run_table1,
     setup_topology,
     show_knob,
 )
+from repro.experiments.registry import EXPERIMENTS, ExperimentRuns
 from repro.topology import builtin_topology, builtin_topology_names
-
-# Every runner takes the --jobs value; only the sweep-style
-# experiments (fig10's architectures, fig15's topologies) fan out —
-# the rest ignore it.
-_EXPERIMENTS = {
-    "table1": lambda jobs: format_table1(run_table1()),
-    "fig10": lambda jobs: format_fig10(run_fig10(jobs=jobs)),
-    "fig11": lambda jobs: format_fig11(run_fig11()),
-    "fig12": lambda jobs: format_fig12(run_fig12()),
-    "fig13": lambda jobs: format_fig13(run_fig13()),
-    "fig14": lambda jobs: format_fig14(run_fig14()),
-    "fig15": lambda jobs: format_fig15(run_fig15(jobs=jobs)),
-    "fig16": lambda jobs: format_fig16(run_fig16_17()),
-    "fig17": lambda jobs: format_fig17(run_fig16_17()),
-    "fig18": lambda jobs: format_fig18(run_fig18()),
-    "fig19": lambda jobs: format_fig19(run_fig19()),
-    "placement": lambda jobs: format_placement(
-        run_placement_ablation()),
-    "dc-capacity": lambda jobs: format_dc_capacity(
-        run_dc_capacity_ablation()),
-    "slack": lambda jobs: _fmt_slack(),
-    "link-cost": lambda jobs: _fmt_link_cost(),
-    "nips": lambda jobs: _fmt_nips(),
-    "combined": lambda jobs: _fmt_combined(),
-    "strategies": lambda jobs: _fmt_strategies(),
-}
-
-
-def _fmt_slack():
-    from repro.experiments import format_slack, run_slack_ablation
-
-    return format_slack(run_slack_ablation())
-
-
-def _fmt_link_cost():
-    from repro.experiments import (format_link_cost,
-                                   run_link_cost_ablation)
-
-    return format_link_cost(run_link_cost_ablation())
-
-
-def _fmt_nips():
-    from repro.experiments import format_nips, run_nips_ablation
-
-    return format_nips(run_nips_ablation())
-
-
-def _fmt_combined():
-    from repro.experiments import (format_combined,
-                                   run_combined_ablation)
-
-    return format_combined(run_combined_ablation())
-
-
-def _fmt_strategies():
-    from repro.experiments import (format_strategies,
-                                   run_strategy_ablation)
-
-    return format_strategies(run_strategy_ablation())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -179,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser(
         "experiment", help="regenerate a paper table/figure")
     experiment.add_argument("name",
-                            choices=sorted(_EXPERIMENTS) + ["all"])
+                            choices=sorted(EXPERIMENTS) + ["all"])
     experiment.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes for sweep-style experiments "
@@ -912,13 +829,15 @@ def _cmd_racecheck(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if args.name == "all":
-        for name in sorted(_EXPERIMENTS):
-            print(f"==== {name} ====")
-            print(_EXPERIMENTS[name](args.jobs))
-            print()
-        return 0
-    print(_EXPERIMENTS[args.name](args.jobs))
+    runs = ExperimentRuns(args.jobs)
+    names = sorted(EXPERIMENTS) if args.name == "all" else [args.name]
+    for name in names:
+        experiment = EXPERIMENTS[name]
+        table = experiment.format(runs[experiment.run])
+        if args.name == "all":
+            print(f"==== {name} ====\n{table}\n")
+        else:
+            print(table)
     return 0
 
 

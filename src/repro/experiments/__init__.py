@@ -1,8 +1,9 @@
 """Experiment runners — one per table/figure of the paper's evaluation.
 
 Each ``run_*`` function returns structured rows; each ``format_*``
-renders them as an aligned text table for the benchmark harness to
-print. See DESIGN.md's experiment index and EXPERIMENTS.md for
+renders them as an aligned text table. :mod:`repro.experiments.registry`
+names every table with its runner, renderer, results file and paper
+claims. See DESIGN.md's experiment index and EXPERIMENTS.md for
 paper-vs-measured comparisons.
 """
 
@@ -78,27 +79,14 @@ from repro.experiments.gap import (
     run_sketch_gap,
     show_knob,
 )
-from repro.experiments.strategy_ablation import (
-    StrategyRow,
-    format_strategies,
-    run_strategy_ablation,
-)
+from repro.experiments.strategy_ablation import StrategyRow
 from repro.experiments.extensions_ablations import (
     CombinedRow,
     FailureRow,
-    format_failures,
     run_failure_ablation,
     LinkCostRow,
     NIPSRow,
     SlackRow,
-    format_combined,
-    format_link_cost,
-    format_nips,
-    format_slack,
-    run_combined_ablation,
-    run_link_cost_ablation,
-    run_nips_ablation,
-    run_slack_ablation,
 )
 
 __all__ = [
@@ -116,7 +104,6 @@ __all__ = [
     "FailureRow",
     "NIPSRow",
     "SlackRow",
-    "format_failures",
     "run_failure_ablation",
     "ShardGapPoint",
     "ShardGapSeries",
@@ -125,16 +112,6 @@ __all__ = [
     "SketchGapSeries",
     "run_sketch_gap",
     "StrategyRow",
-    "format_strategies",
-    "run_strategy_ablation",
-    "format_combined",
-    "format_link_cost",
-    "format_nips",
-    "format_slack",
-    "run_combined_ablation",
-    "run_link_cost_ablation",
-    "run_nips_ablation",
-    "run_slack_ablation",
     "Fig10Result",
     "Fig11Series",
     "Fig12Row",

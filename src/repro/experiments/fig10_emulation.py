@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.mirrors import MirrorPolicy
 from repro.core.replication import ReplicationProblem
-from repro.experiments.common import format_table, setup_topology
+from repro.experiments.common import format_table, full_scale, setup_topology
 from repro.experiments.parallel import ParallelSweepRunner, SlabChannel
 from repro.shim.config import build_replication_configs
 from repro.simulation.emulation import Emulation
@@ -75,7 +75,7 @@ def _fig10_policy(args: Tuple[str, int, int, float, float, str]
             result.max_load(exclude_dc=True), report.alerts)
 
 
-def run_fig10(total_sessions: int = 4000, seed: int = 7,
+def run_fig10(total_sessions: Optional[int] = None, seed: int = 7,
               dc_capacity_factor: float = 8.0,
               max_link_load: float = 0.4,
               jobs: Optional[int] = None) -> Fig10Result:
@@ -87,9 +87,13 @@ def run_fig10(total_sessions: int = 4000, seed: int = 7,
     reports are bit-identical to the scalar oracle's.
 
     Args:
+        total_sessions: trace size; 4,000 sessions at quick scale,
+            20,000 at full scale.
         jobs: fan the two architectures across processes (``--jobs``
             on the CLI); results are identical to the serial run.
     """
+    if total_sessions is None:
+        total_sessions = 20_000 if full_scale() else 4_000
     state = setup_topology(
         "internet2", dc_capacity_factor=dc_capacity_factor).state
     generator = TraceGenerator(

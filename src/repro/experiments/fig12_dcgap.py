@@ -54,7 +54,10 @@ def format_fig12(rows: Sequence[Fig12Row]) -> str:
     configs = sorted(rows[0].gaps)
     headers = ["Topology"] + [f"MLL={c[0]:.1f},DC={c[1]:.0f}x"
                               for c in configs]
-    body = [[r.topology] + [f"{r.gaps[c]:+.3f}" for c in configs]
+    # Rounded first, and + 0.0 turns -0.0 into 0.0: LP noise of
+    # either sign around a zero gap prints as +0.000.
+    body = [[r.topology] + [f"{round(r.gaps[c], 3) + 0.0:+.3f}"
+                            for c in configs]
             for r in rows]
     return format_table(
         headers, body,

@@ -2,12 +2,13 @@
 
 100 time-varying traffic matrices (empirical-CDF perturbations of the
 gravity mean) are evaluated against provisioning calibrated on the
-*mean* matrix, for four architectures: Ingress, Path-No-Replicate,
-DC-Only (Path-Replicate), and DC + one-hop. The paper's shape: the
-replication architectures dominate; the no-replication worst cases
-blow well past load 1, while replication keeps even the maximum tamed
-(order-of-magnitude reduction). The paper also notes Path-Augmented's
-worst case is ~4x worse than the replication architectures.
+*mean* matrix, for five architectures: Ingress, Path-No-Replicate,
+DC-Only (Path-Replicate), DC + one-hop, and Path-Augmented (for the
+paper's aside that its worst case is ~4x worse than the replication
+architectures'). The paper's shape: the replication
+architectures dominate; the no-replication worst cases blow well past
+load 1, while replication keeps even the maximum tamed
+(order-of-magnitude reduction).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ FIG15_ARCHITECTURES = (
     ArchitectureKind.PATH_NO_REPLICATE,
     ArchitectureKind.PATH_REPLICATE,      # "DC Only"
     ArchitectureKind.DC_PLUS_ONE_HOP,
+    ArchitectureKind.PATH_AUGMENTED,
 )
 
 
@@ -51,8 +53,7 @@ def _fig15_topology(args) -> List[Fig15Row]:
     The matrix RNG is seeded per topology, so evaluating topologies in
     parallel produces exactly the rows the sequential loop does.
     """
-    (name, kinds, num_matrices, dc_capacity_factor, max_link_load,
-     seed) = args
+    name, num_matrices, dc_capacity_factor, max_link_load, seed = args
     setup = setup_topology(name)
     evaluator = ArchitectureEvaluator(
         setup.topology, setup.classes,
@@ -62,20 +63,19 @@ def _fig15_topology(args) -> List[Fig15Row]:
     rng = np.random.default_rng(seed)
     matrices = model.generate_matrices(setup.matrix, num_matrices, rng)
     peaks: Dict[ArchitectureKind, List[float]] = {
-        kind: [] for kind in kinds}
+        kind: [] for kind in FIG15_ARCHITECTURES}
     for matrix in matrices:
         classes = classes_from_matrix(setup.topology, matrix,
                                       setup.routing)
-        for kind in kinds:
+        for kind in FIG15_ARCHITECTURES:
             result = evaluator.evaluate(kind, classes=classes)
             peaks[kind].append(result.load_cost)
     return [Fig15Row(name, kind, quartiles(peaks[kind]))
-            for kind in kinds]
+            for kind in FIG15_ARCHITECTURES]
 
 
 def run_fig15(topologies: Optional[Sequence[str]] = None,
               num_matrices: Optional[int] = None,
-              include_augmented: bool = False,
               dc_capacity_factor: float = 10.0,
               max_link_load: float = 0.4,
               seed: int = 15,
@@ -85,8 +85,6 @@ def run_fig15(topologies: Optional[Sequence[str]] = None,
     Args:
         num_matrices: how many varying matrices (paper: 100); the quick
             default is 12, full scale uses 100.
-        include_augmented: also evaluate PATH_AUGMENTED (the paper's
-            "4x worse worst-case" aside).
         jobs: fan topologies across worker processes (``--jobs`` on
             the CLI); row order and contents match the serial run.
     """
@@ -99,14 +97,10 @@ def run_fig15(topologies: Optional[Sequence[str]] = None,
         # explicitly.
         topologies = (evaluation_topologies()[:4] if full_scale()
                       else evaluation_topologies(quick_count=2))
-    kinds = list(FIG15_ARCHITECTURES)
-    if include_augmented:
-        kinds.append(ArchitectureKind.PATH_AUGMENTED)
-
     from repro.experiments.parallel import ParallelSweepRunner
 
-    points = [(name, kinds, num_matrices, dc_capacity_factor,
-               max_link_load, seed) for name in topologies]
+    points = [(name, num_matrices, dc_capacity_factor, max_link_load,
+               seed) for name in topologies]
     per_topology = ParallelSweepRunner(jobs).map(_fig15_topology,
                                                  points)
     return [row for rows in per_topology for row in rows]

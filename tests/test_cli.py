@@ -88,12 +88,14 @@ class TestExperiment:
         assert "Figure 13" in out
 
     def test_all_runs_every_experiment(self, capsys, monkeypatch):
-        import repro.cli as cli
+        from repro.experiments.registry import EXPERIMENTS, Experiment
 
-        monkeypatch.setattr(cli, "_EXPERIMENTS", {
-            "alpha": lambda jobs: "ALPHA TABLE",
-            "beta": lambda jobs: "BETA TABLE",
-        })
+        for name in list(EXPERIMENTS):
+            monkeypatch.delitem(EXPERIMENTS, name)
+        for name in ("alpha", "beta"):
+            monkeypatch.setitem(EXPERIMENTS, name, Experiment(
+                lambda jobs, name=name: name.upper(),
+                lambda rows: f"{rows} TABLE", f"{name}.txt", ()))
         assert main(["experiment", "all"]) == 0
         out = capsys.readouterr().out
         assert "==== alpha ====" in out

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core import ArchitectureKind
 from repro.experiments import (
+    Fig12Row,
     format_dc_capacity,
     format_fig10,
     format_fig11,
@@ -92,6 +93,12 @@ class TestFig12:
         # All gaps are <= 0 + tolerance (DC never exceeds max-NIDS in
         # these calibrated scenarios by more than noise).
         assert "Figure 12" in format_fig12(rows)
+
+    def test_zero_gap_prints_one_sign(self):
+        configs = ((0.1, 2.0), (0.4, 2.0), (0.4, 10.0))
+        table = format_fig12([Fig12Row("internet2", dict(
+            zip(configs, (-1e-12, 1e-12, -0.0004))))])
+        assert table.splitlines()[-1].split()[1:] == ["+0.000"] * 3
 
 
 class TestFig13:
