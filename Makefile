@@ -11,10 +11,12 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# Re-pin the goldens that follow the replication LP's vertex (and only
-# those); prints a before -> after line per changed number.
-goldens:
-	PYTHONPATH=src:. $(PYTHON) tests/regen_goldens.py
+# Regenerate every paper table under benchmarks/results/ and every
+# golden that follows the replication LP's vertex (and only those);
+# prints a before -> after line per changed value (timing columns left
+# out). One script, two names.
+goldens results:
+	PYTHONPATH=src:. $(PYTHON) tests/regen.py
 
 # The paper-claim checks and the timing benches; the pipeline
 # benchmark (benchmarks/pipeline) has its own runner.
@@ -30,11 +32,6 @@ examples:
 		echo "==== $$script ===="; \
 		$(PYTHON) $$script || exit 1; \
 	done
-
-# Regenerate every paper table under benchmarks/results/; prints a
-# before -> after line per changed cell (timing columns left out).
-results:
-	PYTHONPATH=src:. $(PYTHON) tests/regen_results.py
 
 clean:
 	rm -rf build *.egg-info src/*.egg-info .pytest_cache .benchmarks

@@ -10,10 +10,6 @@ Commands:
 - ``experiment`` — regenerate one of the paper's tables/figures.
 - ``stats`` — run one instrumented controller cycle plus a trace
   replay and report the collected metrics (optionally as JSONL).
-- ``budget-sweep``, ``shard-gap``, ``sketch-gap`` — the gap
-  experiments (:mod:`repro.experiments.gap`): sweep the TCAM rule
-  budget, the controller's region count or the count-min sketch width
-  and report the distance to the LP oracle (optionally as JSON).
 - ``scenario`` — play a canned closed-loop scenario through the
   discrete-event runtime and print the epoch timeline (optionally
   writing the full report and a per-epoch timeline as JSON/JSONL).
@@ -31,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from typing import List, Optional
 
@@ -44,14 +41,7 @@ from repro.core import (
     SplitTrafficProblem,
 )
 from repro.core.mirrors import MIRROR_POLICIES
-from repro.experiments import (
-    GAP_SPECS,
-    format_gap,
-    format_table,
-    gap_to_json,
-    setup_topology,
-    show_knob,
-)
+from repro.experiments import format_table, setup_topology
 from repro.experiments.registry import EXPERIMENTS, ExperimentRuns
 from repro.topology import builtin_topology, builtin_topology_names
 
@@ -118,33 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--jsonl", default=None, metavar="PATH",
                        help="also write the metrics snapshot as "
                             "JSON lines to PATH")
-
-    for spec in GAP_SPECS.values():
-        gap = sub.add_parser(spec.verb, help=spec.help)
-        gap.add_argument("--topology", action="append", default=None,
-                         choices=builtin_topology_names(),
-                         metavar="NAME", dest="topologies",
-                         help="topology to run on (repeatable; "
-                              f"default: {', '.join(spec.topologies)})")
-        shown = ",".join(show_knob(value) for value in spec.defaults)
-        gap.add_argument(f"--{spec.values}", default=None,
-                         metavar="LIST", dest="values",
-                         help=f"comma-separated {spec.values}"
-                              + ("; 'inf' means unbounded"
-                                 if spec.unbounded else "")
-                              + f" (default: {shown})")
-        gap.add_argument("--mirror", default=spec.mirror,
-                         choices=sorted(MIRROR_POLICIES))
-        gap.add_argument("--max-link-load", type=float, default=0.4)
-        gap.add_argument("--dc-capacity", type=float,
-                         default=spec.dc_capacity_factor)
-        for param in spec.params:
-            gap.add_argument(param.flag, dest=param.name, type=int,
-                             metavar=param.flag[2:].upper(),
-                             default=param.default, help=param.help)
-        gap.add_argument("--json", default=None, metavar="PATH",
-                         help="write the series as JSON "
-                              "('-' for stdout)")
 
     from repro.runtime.scenario import CANNED_SCENARIOS
 
@@ -464,26 +427,6 @@ def _write_json(payload: str, target: str, what: str) -> int:
         print(f"error: cannot write {target}: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {what} to {target}")
-    return 0
-
-
-def _cmd_gap(spec, args) -> int:
-    options = {param.name: getattr(args, param.name)
-               for param in spec.params}
-    try:
-        if args.values is not None:
-            options[spec.values] = spec.parse_values(args.values)
-        series = spec.run(args.topologies, mirror=args.mirror,
-                          max_link_load=args.max_link_load,
-                          dc_capacity_factor=args.dc_capacity,
-                          **options)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(format_gap(series))
-    if args.json:
-        return _write_json(gap_to_json(series), args.json,
-                           f"{spec.verb} series")
     return 0
 
 
@@ -848,6 +791,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.lpsolve import set_default_backend
 
         set_default_backend(args.solver)
+    try:
+        code = _dispatch(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``repro experiment fig12 | head -1``):
+        # point stdout at devnull so that the interpreter's exit flush
+        # cannot raise again, and exit as Python does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "topologies":
         return _cmd_topologies()
     if args.command == "solve":
@@ -856,8 +812,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_compare(args)
     if args.command == "stats":
         return _cmd_stats(args)
-    if args.command in GAP_SPECS:
-        return _cmd_gap(GAP_SPECS[args.command], args)
     if args.command == "scenario":
         return _cmd_scenario(args)
     if args.command == "trace":

@@ -65,19 +65,18 @@ from repro.experiments.ablations import (
     run_placement_ablation,
 )
 from repro.experiments.gap import (
-    GAP_SPECS,
     BudgetPoint,
     BudgetSweepSeries,
     ShardGapPoint,
     ShardGapSeries,
     SketchGapPoint,
     SketchGapSeries,
-    format_gap,
-    gap_to_json,
+    format_budget_sweep,
+    format_shard_gap,
+    format_sketch_gap,
     run_budget_sweep,
     run_shard_gap,
     run_sketch_gap,
-    show_knob,
 )
 from repro.experiments.strategy_ablation import StrategyRow
 from repro.experiments.extensions_ablations import (
@@ -93,10 +92,6 @@ __all__ = [
     "AsymmetryPoint",
     "BudgetPoint",
     "BudgetSweepSeries",
-    "GAP_SPECS",
-    "format_gap",
-    "gap_to_json",
-    "show_knob",
     "CombinedRow",
     "run_budget_sweep",
     "DCCapacitySeries",
@@ -126,6 +121,7 @@ __all__ = [
     "TopologySetup",
     "asymmetric_classes",
     "evaluation_topologies",
+    "format_budget_sweep",
     "format_dc_capacity",
     "format_fig10",
     "format_fig11",
@@ -138,6 +134,8 @@ __all__ = [
     "format_fig18",
     "format_fig19",
     "format_placement",
+    "format_shard_gap",
+    "format_sketch_gap",
     "format_table",
     "format_table1",
     "full_scale",

@@ -3,34 +3,32 @@
 The paper justifies each mechanism by sweeping a knob and plotting the
 distance to the LP optimum (Fig. 11's MaxLinkLoad sweep, Fig. 12's DC
 gap). The three experiments here do the same for the knobs this
-reproduction added. Each is a :class:`GapSpec` — the verb, the swept
-knob, its extra parameters and a ``measure`` function holding the only
-code that differs — plus a :class:`GapSeries` subclass declaring the
-JSON fields and table columns, over one runner, :meth:`GapSpec.run`,
-which validates every input before the first solve, builds each
-topology, solves the oracle LP and collects one series per topology.
+reproduction added. Each solves the oracle — the global replication LP
+on the topology's exact matrix — and measures one series against it.
+The defaults are the parameterisation the experiment table runs
+(:mod:`repro.experiments.registry`); other knob values are a Python
+call.
 
 ``budget-sweep`` — lowering fidelity vs. TCAM table size. Real shim
 rule tables are bounded, so the compiler's budgeted mode
 (:func:`~repro.shim.budget.budgeted_hash_ranges`) approximates each
-class's LP fractions with at most ``budget`` hash ranges. One LP solve
-per topology; per budget it compiles that solution under the cap and
-reports the worst per-class coverage error (Linf and L1 deviation of
-the realized range widths from the LP fractions), the rule-count
-footprint, and the *realized* maximum node and replication-link load,
-recomputed from the realized fractions by the Eq (3)/(4) accountant
+class's LP fractions with at most ``budget`` hash ranges. Per budget it
+compiles the one LP solution under the cap and reports the worst
+per-class coverage error (Linf and L1 deviation of the realized range
+widths from the LP fractions), the rule-count footprint, and the
+*realized* maximum node and replication-link load, recomputed from the
+realized fractions by the Eq (3)/(4) accountant
 (:func:`~repro.core.validation.plan_loads`) — dropped offload entries
 shift work back to the on-path nodes and take replication traffic off
-the links. ``budget=None`` is the exact compile and anchors the curves
+the links. ``budget=None`` is the exact compile and anchors the curve
 at zero error.
 
 ``shard-gap`` — the sharded control plane
 (:mod:`repro.core.controller.sharded`) trades optimality for
 scalability: per-region LPs with a bounded coordination loop instead
 of one global LP. Per region count it reports the relative LoadCost
-gap against the global optimum, the coordination rounds used, the
-wall-clock speedup of the full sharded plan over the global solve, and
-the partition shape. The gap is published on the
+gap against the global optimum, the coordination rounds and solves
+used, and the partition shape. The gap is published on the
 ``controller.shard.gap`` gauge.
 
 ``sketch-gap`` — the streaming estimator (:mod:`repro.ingest` +
@@ -46,28 +44,14 @@ when the LP is solved on the *exact* per-class counts of the same
 sample — which separates irreducible sampling error from sketch
 collision error. The gap is published on the ``sketch.gap`` gauge.
 
-Everything except the ``*_wall_seconds``/``speedup`` fields is
-deterministic for a given seed.
+Every rendered column is deterministic for a given seed.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import time
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    ClassVar,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Type,
-)
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.controller import GlobalPlanner, PlanOutcome, ShardedPlanner
 from repro.core.inputs import NetworkState
@@ -83,188 +67,29 @@ from repro.shim.config import build_replication_configs
 from repro.simulation.tracegen import TraceGenerator, TraceSpec
 from repro.simulation.tracestore import ChunkedReplay
 
-Knob = Optional[int]  # None is the unbounded budget
-Measured = Tuple[Dict[str, Any], List[Any]]  # header fields, points
+
+MAX_LINK_LOAD = 0.4
 
 
-# -- the frame ---------------------------------------------------------------
-
-def col(header: str, cell: Callable[[Any], str] = str) -> Any:
-    """A point field that is also a table column; ``cell`` renders it."""
-    return dataclasses.field(metadata={"header": header, "cell": cell})
-
-
-def show_knob(value: Knob) -> str:
-    return "inf" if value is None else str(value)
-
-
-@dataclass
-class GapSeries:
-    """One topology's curve. Experiments add header fields and set the
-    class attributes; ``row``'s :func:`col` fields are the table."""
-
-    experiment: ClassVar[str]
-    knob: ClassVar[str]  # the ``row`` field holding the swept value
-    row: ClassVar[type]
-    title: ClassVar[str]  # format template over the series, as ``s``
-
-    topology: str
-    mirror: str
-    max_link_load: float
-    points: List[Any]
-
-    def point(self, value: Knob) -> Any:
-        for pt in self.points:
-            if getattr(pt, self.knob) == value:
-                return pt
-        raise KeyError(f"no point for {self.knob} {value!r}")
-
-
-def gap_to_json(series: Sequence[GapSeries],
-                indent: Optional[int] = 2) -> str:
-    """Series of one experiment as a JSON document (the CI artifact
-    format)."""
-    return json.dumps({
-        "schema": 1,
-        "experiment": series[0].experiment,
-        "series": [dataclasses.asdict(entry) for entry in series],
-    }, indent=indent, sort_keys=True)
-
-
-def format_gap(series: Sequence[GapSeries]) -> str:
-    """One aligned text table per series."""
-    columns = [field for field in dataclasses.fields(series[0].row)
-               if "header" in field.metadata]
-
-    return "\n\n".join(
-        format_table(
-            [field.metadata["header"] for field in columns],
-            [[field.metadata["cell"](getattr(pt, field.name))
-              for field in columns] for pt in entry.points],
-            title=entry.title.format(s=entry))
-        for entry in series)
-
-
-@dataclass(frozen=True)
-class Param:
-    """One extra parameter of an experiment: ``name`` is the ``run``
-    keyword, ``flag`` the CLI option."""
-
-    name: str
-    flag: str
-    default: Optional[int]
-    help: Optional[str] = None
-    minimum: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class GapSpec:
-    """Everything that distinguishes one gap experiment.
-
-    The runner solves the oracle — the global replication LP on the
-    topology's exact matrix — and ``measure(planner, oracle, seconds,
-    values, options)`` gets the still-warm planner, its outcome, the
-    wall-clock seconds the solve took, the validated knob values and
-    every :class:`Param` by name; it returns the series' extra header
-    fields and its points.
-    """
-
-    series: Type[GapSeries]
-    help: str
-    values: str  # the knob's keyword and CLI flag, e.g. "budgets"
-    defaults: Tuple[Knob, ...]
-    topologies: Tuple[str, ...]
-    mirror: str
-    dc_capacity_factor: float
-    measure: Callable[[GlobalPlanner, PlanOutcome, float, Sequence[Any],
-                       Mapping[str, Any]], Measured]
-    unbounded: bool = False  # the knob accepts "inf" (None)
-    params: Tuple[Param, ...] = ()
-
-    @property
-    def verb(self) -> str:
-        return self.series.experiment
-
-    def parse_values(self, text: str) -> List[Knob]:
-        """A comma-separated CLI list of knob values."""
-        values: List[Knob] = []
-        for token in text.lower().split(","):
-            token = token.strip()
-            if self.unbounded and token in ("inf", "none", "unbounded"):
-                values.append(None)
-            elif token:
-                values.append(int(token))
-        return values
-
-    def validate(self, mirror: str, values: Sequence[Knob],
-                 options: Mapping[str, Any]) -> None:
-        """Reject bad input before any topology is built or solved."""
-        if mirror not in MIRROR_POLICIES:
-            raise ValueError(f"unknown mirror {mirror!r}; choose from "
-                             f"{sorted(MIRROR_POLICIES)}")
-        if not values:
-            raise ValueError(f"no {self.values} given")
-        for value in values:
-            if value is None and self.unbounded:
-                continue
-            if value is None or value < 1:
-                raise ValueError(f"{self.values}: {value} must be >= 1")
-        for param in self.params:
-            value = options[param.name]
-            if (param.minimum is not None and value is not None
-                    and value < param.minimum):
-                raise ValueError(f"{param.name} must be >= "
-                                 f"{param.minimum}, got {value}")
-
-    def run(self, topologies: Optional[Sequence[str]] = None,
-            **options: Any) -> List[GapSeries]:
-        """Run the experiment: one series per topology.
-
-        ``options`` may carry the knob values under ``self.values``,
-        ``mirror``, ``max_link_load``, ``dc_capacity_factor`` (applied
-        only when the mirror policy needs a datacenter) and any
-        :class:`Param` by name; the rest take the spec's defaults.
-        """
-        values = list(options.pop(self.values, self.defaults))
-        mirror = options.pop("mirror", self.mirror)
-        max_link_load = options.pop("max_link_load", 0.4)
-        dc_capacity_factor = options.pop("dc_capacity_factor",
-                                         self.dc_capacity_factor)
-        defaults = {param.name: param.default for param in self.params}
-        unknown = sorted(set(options) - set(defaults))
-        if unknown:
-            raise TypeError(
-                f"{self.verb} takes no option {unknown[0]!r}")
-        options = {**defaults, **options}
-        self.validate(mirror, values, options)
-
-        policy = MIRROR_POLICIES[mirror]
-        series = []
-        for name in topologies or self.topologies:
-            setup = setup_topology(
-                name, dc_capacity_factor=dc_capacity_factor
-                if policy.needs_datacenter else None)
-            planner = GlobalPlanner(setup.state, mirror_policy=policy,
-                                    max_link_load=max_link_load)
-            oracle, seconds = _timed(planner.plan, setup.classes)
-            header, points = self.measure(planner, oracle, seconds,
-                                          values, options)
-            series.append(self.series(
-                topology=name, mirror=mirror,
-                max_link_load=max_link_load, points=points, **header))
-        return series
-
-
-def _timed(plan: Callable[[Any], Any], classes: Any
-           ) -> Tuple[Any, float]:
-    """``plan(classes)`` and the wall-clock seconds it took."""
-    start = time.perf_counter()
-    outcome = plan(classes)
-    return outcome, time.perf_counter() - start
+def _oracle(topology: str, mirror: str, dc_capacity_factor: float
+            ) -> Tuple[GlobalPlanner, PlanOutcome]:
+    """The still-warm global planner and its plan on the exact
+    matrix."""
+    setup = setup_topology(topology,
+                           dc_capacity_factor=dc_capacity_factor)
+    planner = GlobalPlanner(setup.state,
+                            mirror_policy=MIRROR_POLICIES[mirror],
+                            max_link_load=MAX_LINK_LOAD)
+    return planner, planner.plan(setup.classes)
 
 
 def _relative_gap(cost: float, oracle: float) -> float:
     return (cost - oracle) / oracle if oracle > 0 else 0.0
+
+
+def _percent(value: float) -> str:
+    # Rounded first, and + 0.0 turns -0.0 into 0.0.
+    return f"{round(value, 4) + 0.0:.2%}"
 
 
 # -- budget-sweep ------------------------------------------------------------
@@ -273,28 +98,26 @@ def _relative_gap(cost: float, oracle: float) -> float:
 class BudgetPoint:
     """One budget's row of the sweep curve."""
 
-    budget: Optional[int] = col("Budget", show_knob)
-    error_linf: float = col("Linf err", "{:.4f}".format)
-    error_l1: float = col("L1 err", "{:.4f}".format)
-    total_rules: int = col("Rules")
-    max_rules_per_node: int = col("Node max")
-    max_table_rules: int = col("Table max")
-    max_node_load: float = col("Max load", "{:.4f}".format)
-    max_link_load: float = col("Max link", "{:.4f}".format)
+    budget: Optional[int]  # None is the exact compile
+    error_linf: float
+    error_l1: float
+    total_rules: int
+    max_rules_per_node: int
+    max_table_rules: int
+    max_node_load: float
+    max_link_load: float
 
 
 @dataclass
-class BudgetSweepSeries(GapSeries):
-    """One topology's full budget curve."""
+class BudgetSweepSeries:
+    """One topology's budget curve."""
 
-    experiment = "budget-sweep"
-    knob = "budget"
-    row = BudgetPoint
-    title = ("rule-budget sweep on {s.topology} ({s.mirror}, "
-             "MaxLinkLoad {s.max_link_load:g}, LP LoadCost "
-             "{s.lp_load_cost:.4f})")
-
+    topology: str
     lp_load_cost: float
+    points: List[BudgetPoint]
+
+    def point(self, budget: Optional[int]) -> BudgetPoint:
+        return next(pt for pt in self.points if pt.budget == budget)
 
 
 def _realized_table(state: NetworkState,
@@ -314,11 +137,15 @@ def _realized_table(state: NetworkState,
         [cls.name for cls in state.classes], process, offload)
 
 
-def _measure_budgets(planner: GlobalPlanner, oracle: PlanOutcome,
-                     seconds: float, budgets: Sequence[Knob],
-                     options: Mapping[str, Any]) -> Measured:
+def run_budget_sweep(topology: str = "tinet",
+                     budgets: Sequence[Optional[int]] = (1, 2, 4, 8,
+                                                         None)
+                     ) -> BudgetSweepSeries:
+    """Compile one LP solution (DC + one-hop, DC 10x) under each
+    per-class rule budget."""
+    _, oracle = _oracle(topology, "dc+one-hop", 10.0)
     state, result = oracle.state, oracle.result
-    points: List[Any] = []
+    points = []
     for budget in budgets:
         lowerings: Dict[str, BudgetedLowering] = {}
         configs = build_replication_configs(
@@ -346,18 +173,21 @@ def _measure_budgets(planner: GlobalPlanner, oracle: PlanOutcome,
             max_link_load=max(
                 (state.bg_load(link) + link_loads.get(link, 0.0)
                  for link in state.topology.links), default=0.0)))
-    return {"lp_load_cost": result.load_cost}, points
+    return BudgetSweepSeries(topology, result.load_cost, points)
 
 
-BUDGET_SWEEP = GapSpec(
-    series=BudgetSweepSeries,
-    help="sweep the per-class TCAM rule budget and report coverage "
-         "error and realized load curves",
-    values="budgets", unbounded=True,
-    defaults=(1, 2, 3, 4, 8, 16, None),
-    topologies=("tinet", "sprint"),
-    mirror="dc+one-hop", dc_capacity_factor=10.0,
-    measure=_measure_budgets)
+def format_budget_sweep(series: BudgetSweepSeries) -> str:
+    return format_table(
+        ["Budget", "Linf err", "L1 err", "Rules", "Node max",
+         "Table max", "Max load", "Max link"],
+        [["inf" if pt.budget is None else pt.budget,
+          f"{pt.error_linf:.4f}", f"{pt.error_l1:.4f}", pt.total_rules,
+          pt.max_rules_per_node, pt.max_table_rules,
+          f"{pt.max_node_load:.4f}", f"{pt.max_link_load:.4f}"]
+         for pt in series.points],
+        title=f"rule-budget sweep on {series.topology} (dc+one-hop, "
+              f"MaxLinkLoad {MAX_LINK_LOAD:g}, LP LoadCost "
+              f"{series.lp_load_cost:.4f})")
 
 
 # -- shard-gap ---------------------------------------------------------------
@@ -366,47 +196,42 @@ BUDGET_SWEEP = GapSpec(
 class ShardGapPoint:
     """One region count's row of the gap curve."""
 
-    regions: int = col("Regions")
-    load_cost: float = col("LoadCost", "{:.4f}".format)
-    gap: float = col("Gap", "{:.2%}".format)
-    rounds: int = col("Rounds")
-    lp_solves: int = col("Solves")
-    region_sizes: List[int] = col(
-        "Sizes", lambda sizes: "/".join(str(size) for size in sizes))
-    solve_wall_seconds: float = col("Wall", "{:.2f}s".format)
-    speedup: float = col("Speedup", "{:.2f}x".format)
+    regions: int
+    load_cost: float
+    gap: float
+    rounds: int
+    lp_solves: int
+    region_sizes: List[int]
 
 
 @dataclass
-class ShardGapSeries(GapSeries):
+class ShardGapSeries:
     """One topology's sharded-vs-global comparison."""
 
-    experiment = "shard-gap"
-    knob = "regions"
-    row = ShardGapPoint
-    title = ("sharded control plane on {s.topology} ({s.mirror}, "
-             "MaxLinkLoad {s.max_link_load:g}, global LoadCost "
-             "{s.global_load_cost:.4f} in "
-             "{s.global_wall_seconds:.2f}s)")
-
+    topology: str
     seed: int
     global_load_cost: float
-    global_wall_seconds: float
+    points: List[ShardGapPoint]
+
+    def point(self, regions: int) -> ShardGapPoint:
+        return next(pt for pt in self.points if pt.regions == regions)
 
 
-def _measure_regions(planner: GlobalPlanner, oracle: PlanOutcome,
-                     seconds: float, regions: Sequence[int],
-                     options: Mapping[str, Any]) -> Measured:
+def run_shard_gap(topology: str = "tinet",
+                  regions: Sequence[int] = (2,), seed: int = 0,
+                  jobs: Optional[int] = None) -> ShardGapSeries:
+    """Plan with each region count and compare to the global LP (DC,
+    DC 1x); ``jobs`` bounds the concurrent per-region solves."""
+    planner, oracle = _oracle(topology, "dc", 1.0)
     global_cost = oracle.result.load_cost
     metrics = get_registry()
-    points: List[Any] = []
+    points = []
     for count in regions:
         sharded = ShardedPlanner(
             planner.state, mirror_policy=planner.mirror_policy,
-            max_link_load=planner.max_link_load,
-            num_regions=count, seed=options["seed"],
-            jobs=options["jobs"])
-        outcome, wall = _timed(sharded.plan, planner.state.classes)
+            max_link_load=MAX_LINK_LOAD, num_regions=count, seed=seed,
+            jobs=jobs)
+        outcome = sharded.plan(planner.state.classes)
         gap = _relative_gap(outcome.result.load_cost, global_cost)
         metrics.gauge("controller.shard.gap", gap)
         assert sharded.partition is not None
@@ -417,27 +242,20 @@ def _measure_regions(planner: GlobalPlanner, oracle: PlanOutcome,
             rounds=sharded.last_rounds,
             lp_solves=sharded.solve_count,
             region_sizes=[len(region.nodes)
-                          for region in sharded.partition.regions],
-            solve_wall_seconds=wall,
-            speedup=seconds / wall if wall > 0 else 0.0))
-    return {"seed": options["seed"], "global_load_cost": global_cost,
-            "global_wall_seconds": seconds}, points
+                          for region in sharded.partition.regions]))
+    return ShardGapSeries(topology, seed, global_cost, points)
 
 
-SHARD_GAP = GapSpec(
-    series=ShardGapSeries,
-    help="compare the sharded control plane against the global LP: "
-         "optimality gap, rounds, and speedup",
-    values="regions", defaults=(2, 3, 4),
-    # The three largest topologies, where decomposition matters most.
-    topologies=("sprint", "level3", "ntt"),
-    mirror="dc", dc_capacity_factor=1.0,
-    measure=_measure_regions,
-    params=(
-        Param("seed", "--seed", 0, "region partitioner seed"),
-        Param("jobs", "--jobs", None,
-              "concurrent per-region solves (default: one per region "
-              "up to the CPU count)", minimum=1)))
+def format_shard_gap(series: ShardGapSeries) -> str:
+    return format_table(
+        ["Regions", "LoadCost", "Gap", "Rounds", "Solves", "Sizes"],
+        [[pt.regions, f"{pt.load_cost:.4f}", _percent(pt.gap),
+          pt.rounds, pt.lp_solves,
+          "/".join(str(size) for size in pt.region_sizes)]
+         for pt in series.points],
+        title=f"sharded control plane on {series.topology} (dc, "
+              f"MaxLinkLoad {MAX_LINK_LOAD:g}, global LoadCost "
+              f"{series.global_load_cost:.4f})")
 
 
 # -- sketch-gap --------------------------------------------------------------
@@ -446,55 +264,52 @@ SHARD_GAP = GapSpec(
 class SketchGapPoint:
     """One sketch width's row of the estimator-gap curve."""
 
-    width: int = col("Width")
-    depth: int = col("Depth")
-    state_bytes: int = col("State")
-    bytes_per_class: float = col("B/class", "{:.0f}".format)
-    load_cost: float = col("LP cost", "{:.4f}".format)
-    realized_load_cost: float = col("Realized", "{:.4f}".format)
-    gap: float = col("Gap", "{:.2%}".format)
-    error_l1_rel: float = col("L1 err", "{:.2%}".format)
-    error_linf: float  # in the JSON document only
-    solve_wall_seconds: float = col("Wall", "{:.2f}s".format)
+    width: int
+    depth: int
+    state_bytes: int
+    bytes_per_class: float
+    load_cost: float
+    realized_load_cost: float
+    gap: float
+    error_l1_rel: float
+    error_linf: float
 
 
 @dataclass
-class SketchGapSeries(GapSeries):
+class SketchGapSeries:
     """One topology's sketch-driven vs exact-matrix comparison."""
 
-    experiment = "sketch-gap"
-    knob = "width"
-    row = SketchGapPoint
-    title = ("sketch estimator on {s.topology} ({s.num_classes} "
-             "classes, {s.sessions} sampled sessions, oracle LoadCost "
-             "{s.oracle_load_cost:.4f}, sampling floor "
-             "{s.sampling_gap:.2%})")
-
+    topology: str
     seed: int
     sessions: int
-    chunk_packets: int
     num_classes: int
     oracle_load_cost: float
     sampling_gap: float
+    points: List[SketchGapPoint]
 
     def budget_point(self, bytes_per_class: float) -> SketchGapPoint:
         """The largest sketch that fits a per-class byte budget."""
-        within = [pt for pt in self.points
-                  if pt.bytes_per_class <= bytes_per_class]
-        if not within:
-            raise KeyError(
-                f"no point within {bytes_per_class} B/class")
-        return max(within, key=lambda pt: pt.state_bytes)
+        return max((pt for pt in self.points
+                    if pt.bytes_per_class <= bytes_per_class),
+                   key=lambda pt: pt.state_bytes)
 
 
-def _measure_widths(planner: GlobalPlanner, oracle: PlanOutcome,
-                    seconds: float, widths: Sequence[int],
-                    options: Mapping[str, Any]) -> Measured:
+def run_sketch_gap(topology: str = "tinet",
+                   widths: Sequence[int] = (1024, 4096), seed: int = 0,
+                   depth: int = 4, sessions: int = 6000,
+                   chunk_packets: int = 512, workers: int = 2
+                   ) -> SketchGapSeries:
+    """Plan (DC, DC 1x) on count-min estimates at each sketch width
+    (``depth`` rows, ``workers`` merged sketches) and charge each plan
+    with the true volumes."""
+    # An empty sample would make every estimate a division by zero.
+    if sessions < 1:
+        raise ValueError(f"sessions must be >= 1, got {sessions}")
+    planner, oracle = _oracle(topology, "dc", 1.0)
     state = oracle.state
     classes = list(state.classes)
     class_names = [cls.name for cls in classes]
     total_volume = sum(cls.num_sessions for cls in classes)
-    sessions, seed = options["sessions"], options["seed"]
     oracle_cost = oracle.result.load_cost
 
     # One sampled epoch trace shared by every sweep point.
@@ -524,63 +339,43 @@ def _measure_widths(planner: GlobalPlanner, oracle: PlanOutcome,
     sampling_gap, _ = gap_of(planner.plan(sampled_classes).result)
 
     metrics = get_registry()
-    points: List[Any] = []
+    points = []
     for width in widths:
-        ingest = IngestDaemon(class_names, width=width,
-                              depth=options["depth"],
-                              seed=seed * 613 + 11,
-                              workers=options["workers"])
-        for chunk in ChunkedReplay(batch, options["chunk_packets"]):
+        ingest = IngestDaemon(class_names, width=width, depth=depth,
+                              seed=seed * 613 + 11, workers=workers)
+        for chunk in ChunkedReplay(batch, chunk_packets):
             ingest.consume(chunk)
         snapshot = ingest.snapshot()
         errors = snapshot.estimate_errors(exact)
-        outcome, wall = _timed(
-            planner.plan,
+        outcome = planner.plan(
             snapshot.estimated_classes(classes, scale=scale))
         gap, realized = gap_of(outcome.result)
         metrics.gauge("sketch.gap", gap)
         points.append(SketchGapPoint(
             width=width,
-            depth=options["depth"],
+            depth=depth,
             state_bytes=snapshot.state_bytes,
             bytes_per_class=snapshot.state_bytes / len(classes),
             load_cost=outcome.result.load_cost,
             realized_load_cost=realized,
             gap=gap,
             error_l1_rel=errors["l1_rel"],
-            error_linf=errors["linf"],
-            solve_wall_seconds=wall))
-    return {"seed": seed, "sessions": sessions,
-            "chunk_packets": options["chunk_packets"],
-            "num_classes": len(classes),
-            "oracle_load_cost": oracle_cost,
-            "sampling_gap": sampling_gap}, points
+            error_linf=errors["linf"]))
+    return SketchGapSeries(topology, seed, sessions, len(classes),
+                           oracle_cost, sampling_gap, points)
 
 
-SKETCH_GAP = GapSpec(
-    series=SketchGapSeries,
-    help="sweep count-min sketch widths against the streaming "
-         "estimator's LoadCost gap vs the exact-matrix oracle",
-    # Depth is fixed across the sweep; width is the memory/error knob.
-    values="widths", defaults=(512, 1024, 2048, 4096),
-    # tinet has many classes, so sketch collisions actually bite.
-    topologies=("tinet",),
-    mirror="dc", dc_capacity_factor=1.0,
-    measure=_measure_widths,
-    params=(
-        Param("depth", "--depth", 4, "count-min depth (rows)",
-              minimum=1),
-        Param("sessions", "--sessions", 6000,
-              "sampled sessions in the shared epoch trace", minimum=1),
-        Param("chunk_packets", "--chunk", 512,
-              "packets per streaming ingest slab", minimum=1),
-        Param("workers", "--workers", 2,
-              "per-worker sketches merged on snapshot", minimum=1),
-        Param("seed", "--seed", 0)))
-
-
-GAP_SPECS: Dict[str, GapSpec] = {
-    spec.verb: spec for spec in (BUDGET_SWEEP, SHARD_GAP, SKETCH_GAP)}
-run_budget_sweep = BUDGET_SWEEP.run
-run_shard_gap = SHARD_GAP.run
-run_sketch_gap = SKETCH_GAP.run
+def format_sketch_gap(series: SketchGapSeries) -> str:
+    return format_table(
+        ["Width", "Depth", "State", "B/class", "LP cost", "Realized",
+         "Gap", "L1 err"],
+        [[pt.width, pt.depth, pt.state_bytes,
+          f"{pt.bytes_per_class:.0f}", f"{pt.load_cost:.4f}",
+          f"{pt.realized_load_cost:.4f}", _percent(pt.gap),
+          _percent(pt.error_l1_rel)]
+         for pt in series.points],
+        title=f"sketch estimator on {series.topology} "
+              f"({series.num_classes} classes, {series.sessions} "
+              f"sampled sessions, oracle LoadCost "
+              f"{series.oracle_load_cost:.4f}, sampling floor "
+              f"{_percent(series.sampling_gap)})")

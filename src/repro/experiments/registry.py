@@ -54,6 +54,14 @@ from repro.experiments.fig16_17_asymmetry import (
 )
 from repro.experiments.fig18_beta import format_fig18, run_fig18
 from repro.experiments.fig19_imbalance import format_fig19, run_fig19
+from repro.experiments.gap import (
+    format_budget_sweep,
+    format_shard_gap,
+    format_sketch_gap,
+    run_budget_sweep,
+    run_shard_gap,
+    run_sketch_gap,
+)
 from repro.experiments.strategy_ablation import (
     format_strategies,
     run_strategy_ablation,
@@ -199,6 +207,13 @@ def _by_arch(holds) -> Callable[[Any], bool]:
     """``holds`` on each topology's {architecture: peak-load summary}."""
     return _per_topology(lambda r: r.architecture, lambda group: holds(
         {kind: r.summary for kind, r in group.items()}))
+
+
+def _realized_gap_holds(point, oracle: float) -> bool:
+    # pytest.approx's default tolerance on the gap.
+    gap = (point.realized_load_cost - oracle) / oracle
+    return (point.realized_load_cost >= oracle - 1e-9 and
+            abs(point.gap - gap) <= 1e-6 * abs(gap) + 1e-12)
 
 
 _SOURCE, _FLOW, _DEST = (SplitStrategy.SOURCE_LEVEL,
@@ -425,4 +440,51 @@ EXPERIMENTS: Dict[str, Experiment] = {
                   "timescales (< 30 s)", lambda r: r.solve_seconds < 30.0),
             _each("the failure affects some traffic",
                   lambda r: r.rerouted_classes > 0 or r.lost_fraction > 0))),
+    # Not paper figures: the distance to the LP of the three knobs this
+    # reproduction added (experiments/gap.py), each on tinet.
+    "budget-sweep": Experiment(
+        lambda jobs: run_budget_sweep(), format_budget_sweep,
+        "budget_sweep.txt", (
+            _of("a rule budget of 8 per class keeps the Linf coverage "
+                "error within 5 %",
+                lambda s: s.point(8).error_linf <= 0.05),
+            _of("the Linf error never grows with the budget",
+                lambda s: _monotone([pt.error_linf for pt in s.points],
+                                    lambda a, b: b <= a)),
+            _of("the unbounded budget is the exact compile (Linf 0)",
+                lambda s: s.points[-1].budget is None and
+                abs(s.points[-1].error_linf) <= 1e-6))),
+    "shard-gap": Experiment(
+        lambda jobs: run_shard_gap(jobs=jobs), format_shard_gap,
+        "shard_gap.txt", (
+            _of("2 regions land within 10 % of the global LoadCost",
+                lambda s: s.point(2).gap <= 0.10),
+            _of("no sharded plan beats the global optimum",
+                lambda s: all(pt.load_cost >= s.global_load_cost - 1e-9
+                              for pt in s.points)),
+            _of("2 regions coordinate in 1 to 5 rounds",
+                lambda s: 1 <= s.point(2).rounds <= 5),
+            _of("2 regions split the topology into 2 non-empty regions, "
+                "each solved at least once", lambda s:
+                len(s.point(2).region_sizes) == 2 and
+                min(s.point(2).region_sizes) >= 1 and
+                s.point(2).lp_solves >= 2))),
+    "sketch-gap": Experiment(
+        lambda jobs: run_sketch_gap(), format_sketch_gap,
+        "sketch_gap.txt", (
+            _of("a 4 KB/class sketch realizes within 10 % of the "
+                "exact-matrix oracle",
+                lambda s: s.budget_point(4096.0).gap <= 0.10 and
+                s.budget_point(4096.0).width == 4096),
+            _of("every realized LoadCost is at least the oracle's, and "
+                "the gap is measured against it",
+                lambda s: all(_realized_gap_holds(pt, s.oracle_load_cost)
+                              for pt in s.points)),
+            _of("a wider sketch gives no larger L1 error, for state in "
+                "proportion to its width", lambda s: _monotone(
+                    sorted(s.points, key=lambda pt: pt.width),
+                    lambda a, b: b.error_l1_rel <= a.error_l1_rel and
+                    a.state_bytes * b.width == b.state_bytes * a.width)),
+            _of("the sampling floor is separated and within 10 %",
+                lambda s: 0.0 <= s.sampling_gap <= 0.10))),
 }

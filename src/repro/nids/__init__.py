@@ -43,12 +43,6 @@ from repro.nids.encoding import (
     encoded_size,
 )
 from repro.nids.flood import FloodDetector
-from repro.nids.stepping_stone import (
-    FlowRecord,
-    SteppingStoneDetector,
-    StoneCandidate,
-    merge_detectors,
-)
 from repro.nids.profiling import (
     CostModel,
     apply_cost_model,
@@ -66,19 +60,15 @@ __all__ = [
     "encode_report",
     "encoded_size",
     "fit_cost_model",
-    "merge_detectors",
     "profile_engine",
     "EngineStats",
     "FloodDetector",
-    "FlowRecord",
     "FlowTupleReport",
     "NIDSEngine",
     "ScanAggregator",
     "ScanDetector",
     "SignatureEngine",
     "SignatureMatch",
-    "SteppingStoneDetector",
-    "StoneCandidate",
     "SourceCountReport",
     "SplitStrategy",
     "StatefulSessionAnalyzer",

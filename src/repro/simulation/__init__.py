@@ -27,11 +27,6 @@ from repro.simulation.emulation import (
     ScanEmulationReport,
     StatefulEmulationReport,
 )
-from repro.simulation.supernode import (
-    ScheduledPacket,
-    Supernode,
-    validate_in_session_order,
-)
 from repro.simulation.metrics import (
     peak_to_mean,
     predicted_work_shares,
@@ -48,10 +43,8 @@ __all__ = [
     "PrefixClassifier",
     "ScanEmulationReport",
     "SessionBatch",
-    "ScheduledPacket",
     "Session",
     "StatefulEmulationReport",
-    "Supernode",
     "TraceGenerator",
     "TraceStore",
     "TraceStoreError",
@@ -60,6 +53,5 @@ __all__ = [
     "pop_prefix_ip",
     "predicted_work_shares",
     "share_divergence",
-    "validate_in_session_order",
     "work_shares",
 ]

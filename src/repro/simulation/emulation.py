@@ -678,18 +678,3 @@ class Emulation:
         self._publish_run_metrics(kind, work, flows,
                                   time.perf_counter() - start)
         return report
-
-    def run_scan_epochs(self, epochs: Sequence[Sequence[Session]],
-                        threshold: int,
-                        class_gateway: Optional[Dict[str, str]] = None
-                        ) -> List[ScanEmulationReport]:
-        """Scan detection over successive measurement epochs.
-
-        The Scan module counts destinations contacted "in the previous
-        measurement epoch" (Section 6); counters reset between epochs,
-        so a slow scanner that spreads its probes across epochs stays
-        under the per-epoch threshold while a burst is flagged. Each
-        epoch produces its own aggregated reports and alerts.
-        """
-        return [self.run_scan(epoch, threshold, class_gateway)
-                for epoch in epochs]

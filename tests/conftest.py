@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 from contextlib import contextmanager
 from unittest import mock
 
@@ -16,41 +14,6 @@ from repro.simulation import emulation
 from repro.topology.routing import shortest_path_routing
 from repro.topology.topology import Topology
 from repro.traffic.classes import TrafficClass
-
-GOLDEN = pathlib.Path(__file__).parent / "golden"
-
-
-def is_wall_clock(key: str) -> bool:
-    """A gap document's timing fields: never pinned, never compared."""
-    return key.endswith("_wall_seconds") or key == "speedup"
-
-
-def _same_document(current, golden, where: str) -> None:
-    if isinstance(golden, dict):
-        timed = {key for key in current if is_wall_clock(key)}
-        assert set(current) - timed == set(golden), where
-        for key, value in golden.items():
-            _same_document(current[key], value, f"{where}.{key}")
-    elif isinstance(golden, list):
-        assert len(current) == len(golden), where
-        for index, value in enumerate(golden):
-            _same_document(current[index], value, f"{where}[{index}]")
-    elif isinstance(golden, float):
-        assert current == pytest.approx(golden, abs=1e-6), where
-    else:
-        assert current == golden, where
-
-
-@pytest.fixture(scope="session")
-def assert_matches_golden():
-    """Compare a gap experiment's JSON document to
-    ``tests/golden/<name>`` (generated at the commit before the three
-    gap modules became one): key for key, floats to 1e-6, wall-clock
-    fields (``*_wall_seconds``, ``speedup``) ignored."""
-    def check(document: str, name: str) -> None:
-        _same_document(json.loads(document),
-                       json.loads((GOLDEN / name).read_text()), "$")
-    return check
 
 
 @pytest.fixture

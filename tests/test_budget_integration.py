@@ -1,13 +1,11 @@
 """Integration tests for budgeted compilation: verifier coverage,
-kernel/scalar parity, capacity accounting, metrics, and the pinned
-tinet acceptance curve (with its JSON artifact).
+kernel/scalar parity, capacity accounting and metrics. The tinet
+acceptance curve is the ``budget-sweep`` entry of
+:data:`repro.experiments.registry.EXPERIMENTS`.
 
 The module solves tinet's replication LP once; every test below reads
 that solution — the budget only changes the lowering.
 """
-
-import json
-import pathlib
 
 import numpy as np
 import pytest
@@ -17,7 +15,6 @@ from repro.analysis.modelcheck import (
     check_shim_configs,
 )
 from repro.core import MirrorPolicy, ReplicationProblem
-from repro.experiments import gap_to_json, run_budget_sweep
 from repro.experiments.common import setup_topology
 from repro.obs import MetricsRegistry, use_registry
 from repro.runtime.agents import ConfigMessage, MessageKind, NodeAgent
@@ -35,11 +32,6 @@ from repro.shim.config import (
 )
 from repro.shim.diff import diff_configs
 from repro.shim.ranges import HashRange, compile_hash_ranges
-
-GOLDEN = pathlib.Path(__file__).parent / "golden"
-RESULTS = pathlib.Path(__file__).parent.parent / "benchmarks" / \
-    "results"
-
 
 @pytest.fixture(scope="module")
 def tinet():
@@ -219,58 +211,3 @@ class TestBudgetMetrics:
         assert delta is not None and delta.count == 1
         assert fraction is not None
         assert 0.0 < fraction.samples[0] <= 2.0
-
-
-def budget_curve():
-    """The sweep ``tests/golden/budget_curve_tinet.json`` pins
-    (``tests/regen_goldens.py`` rewrites it)."""
-    return run_budget_sweep(["tinet"], budgets=(1, 2, 4, 8, None))
-
-
-class TestBudgetCurveGolden:
-    @pytest.fixture(scope="class")
-    def sweep(self):
-        return budget_curve()
-
-    def test_matches_golden_curve(self, sweep):
-        """The tinet budget curve is pinned: any drift in the LP, the
-        lowering, or the realized-load accounting shows up here."""
-        golden = json.loads(
-            (GOLDEN / "budget_curve_tinet.json").read_text())
-        current = json.loads(gap_to_json(sweep))
-        assert current["schema"] == golden["schema"]
-        gold_series = golden["series"][0]
-        cur_series = current["series"][0]
-        assert cur_series["topology"] == gold_series["topology"]
-        assert cur_series["lp_load_cost"] == pytest.approx(
-            gold_series["lp_load_cost"], abs=1e-6)
-        for cur_pt, gold_pt in zip(cur_series["points"],
-                                   gold_series["points"],
-                                   strict=True):
-            assert cur_pt["budget"] == gold_pt["budget"]
-            for field in ("error_linf", "error_l1", "max_node_load",
-                          "max_link_load"):
-                assert cur_pt[field] == pytest.approx(
-                    gold_pt[field], abs=1e-6), (cur_pt["budget"],
-                                                field)
-            for field in ("total_rules", "max_rules_per_node",
-                          "max_table_rules"):
-                assert cur_pt[field] == gold_pt[field]
-
-    def test_error_monotone_and_anchored(self, sweep):
-        points = sweep[0].points
-        errors = [pt.error_linf for pt in points]
-        assert errors == sorted(errors, reverse=True)
-        assert points[-1].budget is None
-        assert points[-1].error_linf == pytest.approx(0.0, abs=1e-6)
-
-    def test_acceptance_budget_8_linf_within_5_percent(self, sweep):
-        """The paper-repro acceptance bar: on tinet a rule budget of
-        8 per node/class keeps the Linf coverage error within 5% of
-        the LP fractions. The sweep JSON is written as the artifact
-        backing the claim."""
-        series = sweep[0]
-        assert series.point(8).error_linf <= 0.05
-        RESULTS.mkdir(exist_ok=True)
-        (RESULTS / "budget_acceptance.json").write_text(
-            gap_to_json(sweep) + "\n")

@@ -1,13 +1,15 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import _build_parser, main
-from repro.experiments import GAP_SPECS
 
 ROOT = pathlib.Path(__file__).parent.parent
 
@@ -110,6 +112,22 @@ class TestExperiment:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_closed_pipe_exits_without_traceback(self):
+        """``repro experiment fig12 | head -1``: the reader is gone
+        before the first write (a pipe whose read end is closed)."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "topologies"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+
 
 class TestStats:
     def test_stats_reports_metrics(self, capsys):
@@ -210,158 +228,6 @@ class TestScenario:
         assert "cannot write" in err
 
 
-class TestBudgetSweep:
-    def test_prints_curve_and_writes_json(self, capsys, tmp_path):
-        import json
-
-        out_path = tmp_path / "sweep.json"
-        assert main(["budget-sweep", "--topology", "tinet",
-                     "--budgets", "1,2,inf", "--mirror", "dc",
-                     "--json", str(out_path)]) == 0
-        out = capsys.readouterr().out
-        assert "rule-budget sweep on tinet" in out
-        assert "Linf err" in out
-        payload = json.loads(out_path.read_text())
-        assert payload["schema"] == 1
-        assert payload["experiment"] == "budget-sweep"
-        budgets = [pt["budget"]
-                   for pt in payload["series"][0]["points"]]
-        assert budgets == [1, 2, None]
-
-    def test_bad_budget_rejected(self, capsys):
-        assert main(["budget-sweep", "--topology", "tinet",
-                     "--budgets", "0"]) == 2
-        assert "budget" in capsys.readouterr().err
-
-    def test_unknown_mirror_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["budget-sweep", "--mirror", "teleport"])
-
-
-class TestShardGapCli:
-    def test_prints_table_and_writes_json(self, capsys, tmp_path):
-        import json
-
-        out_path = tmp_path / "shard-gap.json"
-        assert main(["shard-gap", "--topology", "tinet",
-                     "--regions", "2", "--jobs", "1",
-                     "--json", str(out_path)]) == 0
-        out = capsys.readouterr().out
-        assert "sharded control plane on tinet" in out
-        assert "Gap" in out
-        payload = json.loads(out_path.read_text())
-        assert payload["schema"] == 1
-        assert payload["experiment"] == "shard-gap"
-        (entry,) = payload["series"]
-        assert [pt["regions"] for pt in entry["points"]] == [2]
-
-    def test_bad_regions_rejected(self, capsys):
-        assert main(["shard-gap", "--topology", "tinet",
-                     "--regions", "0"]) == 2
-        assert "region" in capsys.readouterr().err
-
-    def test_empty_regions_rejected(self, capsys):
-        assert main(["shard-gap", "--topology", "tinet",
-                     "--regions", " "]) == 2
-        assert "region" in capsys.readouterr().err
-
-    def test_unknown_topology_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["shard-gap", "--topology", "atlantis"])
-
-
-class TestSketchGapCli:
-    def test_prints_table_and_writes_json(self, capsys, tmp_path):
-        import json
-
-        out_path = tmp_path / "sketch-gap.json"
-        assert main(["sketch-gap", "--topology", "internet2",
-                     "--widths", "256,512", "--sessions", "1500",
-                     "--json", str(out_path)]) == 0
-        out = capsys.readouterr().out
-        assert "sketch estimator on internet2" in out
-        assert "sampling floor" in out
-        payload = json.loads(out_path.read_text())
-        assert payload["schema"] == 1
-        assert payload["experiment"] == "sketch-gap"
-        (entry,) = payload["series"]
-        assert [pt["width"] for pt in entry["points"]] == [256, 512]
-
-    def test_bad_widths_rejected(self, capsys):
-        assert main(["sketch-gap", "--topology", "internet2",
-                     "--widths", "0"]) == 2
-        assert "width" in capsys.readouterr().err
-
-    def test_empty_widths_rejected(self, capsys):
-        assert main(["sketch-gap", "--topology", "internet2",
-                     "--widths", " "]) == 2
-        assert "width" in capsys.readouterr().err
-
-    def test_unknown_topology_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["sketch-gap", "--topology", "atlantis"])
-
-
-class TestGapCli:
-    """What every gap verb shares, whichever spec it runs."""
-
-    @pytest.mark.parametrize("verb,flag", [
-        ("budget-sweep", "--budgets"),
-        ("shard-gap", "--regions"),
-        ("shard-gap", "--jobs"),
-        ("sketch-gap", "--widths"),
-        ("sketch-gap", "--depth"),
-        ("sketch-gap", "--chunk"),
-        ("sketch-gap", "--workers"),
-        ("sketch-gap", "--sessions"),
-    ])
-    def test_bad_input_fails_closed_before_any_solve(
-            self, verb, flag, capsys, monkeypatch):
-        import repro.experiments.gap as gap
-
-        def no_setup(*args, **kwargs):
-            raise AssertionError("input must be validated first")
-
-        monkeypatch.setattr(gap, "setup_topology", no_setup)
-        assert main([verb, "--topology", "tinet", flag, "0"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert ">= 1" in err
-
-    @pytest.mark.parametrize("verb", sorted(GAP_SPECS))
-    def test_non_integer_list_rejected(self, verb, capsys):
-        spec = GAP_SPECS[verb]
-        assert main([verb, f"--{spec.values}", "1,x"]) == 2
-        assert "invalid literal for int()" in capsys.readouterr().err
-
-    def test_only_budgets_accept_inf(self, capsys):
-        assert GAP_SPECS["budget-sweep"].parse_values(
-            "1, INF,none") == [1, None, None]
-        assert main(["shard-gap", "--regions", "inf"]) == 2
-        assert "invalid literal for int()" in capsys.readouterr().err
-
-    def test_flags_and_defaults_are_pinned(self):
-        """The three verbs expose exactly these 25 flags."""
-        commands = _subcommands()
-        shared = {"topologies": None, "values": None,
-                  "max_link_load": 0.4, "json": None}
-        expected = {
-            "budget-sweep": {**shared, "mirror": "dc+one-hop",
-                             "dc_capacity": 10.0},
-            "shard-gap": {**shared, "mirror": "dc",
-                          "dc_capacity": 1.0, "seed": 0, "jobs": None},
-            "sketch-gap": {**shared, "mirror": "dc",
-                           "dc_capacity": 1.0, "depth": 4,
-                           "sessions": 6000, "chunk_packets": 512,
-                           "workers": 2, "seed": 0},
-        }
-        for verb, defaults in expected.items():
-            actions = [action for action in commands[verb]._actions
-                       if action.dest != "help"]
-            assert {action.dest: action.default
-                    for action in actions} == defaults, verb
-
-
 class TestWriteJson:
     """Every ``--json PATH`` goes through one emitter."""
 
@@ -369,8 +235,8 @@ class TestWriteJson:
         ["lint", str(ROOT / "src" / "repro" / "core" / "mirrors.py")],
         ["racecheck", "steady-drift", "--seeds", "1", "--epochs", "2",
          "--quiet"],
-        ["budget-sweep", "--topology", "internet2", "--budgets", "1"],
-    ], ids=["lint", "racecheck", "budget-sweep"])
+        ["scenario", "steady-drift", "--epochs", "2"],
+    ], ids=["lint", "racecheck", "scenario"])
     def test_unwritable_path_is_clean_error(self, argv, capsys):
         assert main(argv + ["--json", "/nonexistent-dir/x.json"]) == 1
         err = capsys.readouterr().err

@@ -4,20 +4,15 @@ rules than full-table rollouts on the steady-drift scenario.
 This is the churn claim the diff compiler exists for — after the
 bootstrap epoch (identical by construction: there is no base table to
 patch), every delta refresh ships only the rules the LP re-solve
-actually moved. The paired summaries are written to
-``benchmarks/results/delta_rollout.json`` as the backing artifact.
+actually moved.
 """
 
 import dataclasses
-import json
-import pathlib
 
 import pytest
 
 from repro.runtime.scenario import run_scenario, steady_drift_scenario
 
-RESULTS = pathlib.Path(__file__).parent.parent / "benchmarks" / \
-    "results"
 EPOCHS = 5
 
 
@@ -59,29 +54,3 @@ class TestDeltaVsFullTableRollouts:
         for report in reports.values():
             for record in report.records:
                 assert record.coverage_end == pytest.approx(1.0)
-
-    def test_artifact_written(self, reports):
-        payload = {
-            "schema": 1,
-            "experiment": "delta-rollout",
-            "scenario": "steady-drift",
-            "topology": "internet2",
-            "epochs": EPOCHS,
-            "strategies": {
-                strategy: {
-                    "rules_installed":
-                        report.summary()["rules_installed"],
-                    "rules_shipped":
-                        report.summary()["rules_shipped"],
-                    "per_epoch_installed": [
-                        record.rules_installed
-                        for record in report.records],
-                }
-                for strategy, report in reports.items()
-            },
-        }
-        assert (payload["strategies"]["delta"]["rules_installed"] <
-                payload["strategies"]["overlap"]["rules_installed"])
-        RESULTS.mkdir(exist_ok=True)
-        (RESULTS / "delta_rollout.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n")

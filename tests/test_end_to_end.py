@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    AggregationProblem,
     MirrorPolicy,
     NetworkState,
     ReplicationProblem,
@@ -18,12 +17,8 @@ from repro.core import (
     validate_split,
 )
 from repro.experiments.common import asymmetric_classes, setup_topology
-from repro.shim import (
-    build_aggregation_configs,
-    build_replication_configs,
-    build_split_configs,
-)
-from repro.simulation import Emulation, Supernode, TraceGenerator
+from repro.shim import build_replication_configs, build_split_configs
+from repro.simulation import Emulation, TraceGenerator
 from repro.simulation.tracegen import TraceSpec
 from repro.topology import AsymmetricRoutingModel
 
@@ -68,35 +63,6 @@ class TestReplicationPipeline:
             assert emulated_extra == pytest.approx(lp_fraction,
                                                    abs=0.1)
 
-    def test_supernode_stream_consistency(self, internet2_dc):
-        """Replaying in supernode time-order changes nothing about
-        which node handles each session (decisions are per-hash, not
-        per-arrival-order)."""
-        state = internet2_dc.state
-        result = ReplicationProblem(
-            state, mirror_policy=MirrorPolicy.datacenter(),
-            max_link_load=0.4).solve()
-        configs = build_replication_configs(state, result)
-        generator = TraceGenerator(
-            state.topology.nodes, state.classes,
-            spec=TraceSpec(total_sessions=600), seed=22)
-        sessions = generator.generate(with_payloads=False)
-
-        emulation = Emulation(state, configs, generator.classifier)
-        direct = emulation.run_signature(sessions)
-
-        schedule = Supernode(seed=5).schedule(sessions)
-        ordered_sessions = []
-        seen = set()
-        for sp in schedule:
-            if id(sp.session) not in seen:
-                seen.add(id(sp.session))
-                ordered_sessions.append(sp.session)
-        emulation2 = Emulation(state, configs, generator.classifier)
-        streamed = emulation2.run_signature(ordered_sessions)
-        assert streamed.sessions_processed == direct.sessions_processed
-
-
 class TestSplitPipeline:
     def test_asymmetric_lp_vs_emulation(self, internet2_dc):
         setup = setup_topology("internet2")
@@ -117,29 +83,3 @@ class TestSplitPipeline:
         report = emulation.run_stateful(sessions)
         assert report.miss_rate == pytest.approx(lp.miss_rate,
                                                  abs=0.05)
-
-
-class TestScanPipeline:
-    def test_distributed_scan_over_epochs(self, internet2_dc):
-        setup = setup_topology("internet2")
-        state = setup.state
-        lp = AggregationProblem(state, beta=0.0).solve()
-        configs = build_aggregation_configs(state, lp)
-        spec = TraceSpec(total_sessions=1500, scanner_count=4,
-                         scanner_fanout=45)
-        generator = TraceGenerator(state.topology.nodes, state.classes,
-                                   spec=spec, seed=24)
-        sessions = generator.generate(with_payloads=False)
-        emulation = Emulation(state, configs, generator.classifier)
-
-        supernode = Supernode(duration=60.0, seed=6)
-        epochs = supernode.epochs(sessions, epoch_seconds=20.0)
-        reports = emulation.run_scan_epochs(epochs, threshold=12)
-        assert len(reports) == 3
-        for report in reports:
-            assert report.semantically_equivalent
-        # The burst scanners exceed the threshold in at least one epoch.
-        flagged = {src for report in reports
-                   for alerts in report.distributed_alerts.values()
-                   for src in alerts}
-        assert len(flagged) >= 1

@@ -1,18 +1,32 @@
 """The experiment table that ``repro experiment``, the paper-claim
-benchmark and ``make results`` read — checked without running an
-experiment."""
+benchmark and ``make results`` read, and the regenerator — checked
+without running an experiment."""
 
 import argparse
 import types
 
+import pytest
+
 from repro.cli import _build_parser
 from repro.experiments import format_table
+from repro.experiments.gap import (
+    BudgetPoint,
+    BudgetSweepSeries,
+    SketchGapPoint,
+    SketchGapSeries,
+)
 from repro.experiments.registry import (
     EXPERIMENTS,
     ExperimentRuns,
     recorded_replicate_work,
 )
-from tests.regen_results import RESULTS_DIR, cell_changes
+from tests.regen import (
+    RESULTS_DIR,
+    change_lines,
+    regenerable,
+    regenerate,
+    table_cells,
+)
 
 
 def test_results_files_match_the_tables_one_to_one():
@@ -51,22 +65,88 @@ def _table(load, seconds="0.010", summary="1.70x"):
 
 
 def test_cell_differ_prints_each_changed_cell():
-    assert cell_changes("t.txt", _table("0.222"), _table("0.218")) == [
+    assert change_lines("t.txt", _table("0.222"), _table("0.218")) == [
         "t.txt: internet2/Load: 0.222 -> 0.218"]
-    assert cell_changes("t.txt", _table("0.222"),
+    assert change_lines("t.txt", _table("0.222"),
                         _table("0.222", summary="1.71x")) == [
         "t.txt: max reduction: 1.70x -> 1.71x"]
 
 
 def test_cell_differ_skips_timing_columns():
-    assert cell_changes("t.txt", _table("0.222", "0.010"),
+    assert change_lines("t.txt", _table("0.222", "0.010"),
                         _table("0.222", "0.250")) == []
 
 
 def test_cell_differ_is_silent_on_identical_tables():
     for path in RESULTS_DIR.glob("*.txt"):
-        assert cell_changes(path.name, path.read_text(),
+        assert change_lines(path.name, path.read_text(),
                             path.read_text()) == []
+
+
+@pytest.mark.parametrize("name", ["budget_sweep.txt", "shard_gap.txt",
+                                  "sketch_gap.txt"])
+def test_every_cell_of_a_gap_table_is_compared(name):
+    """No column of the three gap tables is a timing, so every cell
+    but the row name is a compared value, and so is the title."""
+    lines = (RESULTS_DIR / name).read_text().splitlines()
+    rows = lines[3:]
+    assert "(s)" not in lines[1]
+    cells = table_cells("\n".join(lines))
+    assert cells.pop("title") == lines[0]
+    assert len(cells) == len(rows) * (len(lines[2].split()) - 1) > 0
+    assert all(cells.values())
+
+
+def test_every_regenerated_table_is_a_registry_entry():
+    files = regenerable()
+    assert {experiment.results for experiment in EXPERIMENTS.values()} \
+        <= set(files)
+    assert {"rule_tables.json", "scenario_fingerprints.json"} <= set(files)
+
+
+@pytest.mark.parametrize("name", ["load_costs.json",
+                                  "dataplane_parent.json"])
+def test_goldens_pinned_at_a_parent_commit_are_refused(name, capsys):
+    with pytest.raises(SystemExit, match=name):
+        regenerate([name])
+    assert capsys.readouterr().out == ""
+
+
+def _claims(name):
+    return {claim.statement: claim for claim in EXPERIMENTS[name].claims}
+
+
+def _budget_point(budget, error_linf):
+    return BudgetPoint(budget, error_linf, 0.0, 1, 1, 1, 0.1, 0.1)
+
+
+def test_budget_claims_fail_a_lossy_budget_8():
+    series = BudgetSweepSeries("tinet", 0.1, [
+        _budget_point(4, 0.04), _budget_point(8, 0.06),
+        _budget_point(None, 0.0)])
+    assert EXPERIMENTS["budget-sweep"].failed_claims(series, "") == [
+        "a rule budget of 8 per class keeps the Linf coverage error "
+        "within 5 %",
+        "the Linf error never grows with the budget"]
+
+
+def _sketch_point(width, realized, error_l1_rel):
+    return SketchGapPoint(width, 4, 8 * width, 8 * width / 1640, 0.15,
+                          realized, (realized - 0.15) / 0.15,
+                          error_l1_rel, 1.0)
+
+
+def test_sketch_claims_fail_a_wider_sketch_that_estimates_worse():
+    series = SketchGapSeries("tinet", 0, 6000, 1640, 0.15, 0.05, [
+        _sketch_point(1024, 0.16, 0.01),
+        _sketch_point(4096, 0.15, 0.02)])
+    assert EXPERIMENTS["sketch-gap"].failed_claims(series, "") == [
+        "a wider sketch gives no larger L1 error, for state in "
+        "proportion to its width"]
+    series.points[1].realized_load_cost = 0.14
+    assert "every realized LoadCost is at least the oracle's, and the " \
+        "gap is measured against it" in \
+        EXPERIMENTS["sketch-gap"].failed_claims(series, "")
 
 
 def test_fig10_pin_compares_against_the_committed_table():

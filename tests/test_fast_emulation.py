@@ -142,20 +142,6 @@ class TestTinetParity:
         assert emulation.run_flood(sessions,
                                    threshold=10).semantically_equivalent
 
-    def test_scan_epochs_parity(self, tinet_state, tinet_trace):
-        """Counters reset between epochs: each epoch's report is the
-        report of that epoch replayed alone."""
-        generator, sessions = tinet_trace
-        result = AggregationProblem(tinet_state, beta=0.0).solve()
-        configs = build_aggregation_configs(tinet_state, result)
-        emulation = Emulation(tinet_state, configs,
-                              generator.classifier)
-        half = len(sessions) // 2
-        epochs = [sessions[:half], sessions[half:]]
-        assert emulation.run_scan_epochs(epochs, threshold=8) == [
-            emulation.run_scan(epoch, threshold=8) for epoch in epochs]
-
-
 @pytest.fixture
 def line_pieces(line_state_dc):
     generator = TraceGenerator(

@@ -1,15 +1,8 @@
-"""Tests for flood detection and stepping-stone correlation."""
+"""Tests for flood detection."""
 
 import pytest
 
-from repro.nids import (
-    FloodDetector,
-    FlowRecord,
-    ScanAggregator,
-    SplitStrategy,
-    SteppingStoneDetector,
-    merge_detectors,
-)
+from repro.nids import FloodDetector, ScanAggregator, SplitStrategy
 
 
 class TestFloodDetector:
@@ -70,96 +63,3 @@ class TestFloodDetector:
         det.observe_flow(1, 99)
         det.reset()
         assert det.source_count(99) == 0
-
-
-class TestFlowRecord:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FlowRecord(1, 2, start=5.0, end=4.0)
-
-    def test_overlap(self):
-        a = FlowRecord(1, 2, 0.0, 10.0)
-        b = FlowRecord(3, 4, 5.0, 15.0)
-        c = FlowRecord(5, 6, 11.0, 20.0)
-        assert a.overlaps(b)
-        assert not a.overlaps(c)
-
-
-class TestSteppingStone:
-    def relay_pair(self, stone=50):
-        attacker_in = FlowRecord(src_ip=10, dst_ip=stone,
-                                 start=0.0, end=100.0)
-        relay_out = FlowRecord(src_ip=stone, dst_ip=99,
-                               start=1.0, end=98.0)
-        return attacker_in, relay_out
-
-    def test_detects_relay(self):
-        det = SteppingStoneDetector()
-        inbound, outbound = self.relay_pair()
-        det.observe_flow(inbound)
-        det.observe_flow(outbound)
-        assert det.flagged_stones() == [50]
-
-    def test_needs_both_stages(self):
-        """Figure 4's point: a location seeing only one stage cannot
-        correlate."""
-        inbound, outbound = self.relay_pair()
-        only_in = SteppingStoneDetector()
-        only_in.observe_flow(inbound)
-        only_out = SteppingStoneDetector()
-        only_out.observe_flow(outbound)
-        assert only_in.flagged_stones() == []
-        assert only_out.flagged_stones() == []
-
-    def test_replication_restores_detection(self):
-        """Merging both locations' observations (what replication to a
-        common mirror achieves) recovers the detection."""
-        inbound, outbound = self.relay_pair()
-        only_in = SteppingStoneDetector()
-        only_in.observe_flow(inbound)
-        only_out = SteppingStoneDetector()
-        only_out.observe_flow(outbound)
-        merged = merge_detectors([only_in, only_out])
-        assert merged.flagged_stones() == [50]
-
-    def test_reply_not_flagged(self):
-        """An outbound flow straight back to the inbound's source is a
-        reply, not a relay."""
-        det = SteppingStoneDetector()
-        det.observe_flow(FlowRecord(10, 50, 0.0, 100.0))
-        det.observe_flow(FlowRecord(50, 10, 1.0, 99.0))
-        assert det.flagged_stones() == []
-
-    def test_duration_mismatch_not_flagged(self):
-        det = SteppingStoneDetector(duration_tolerance=0.1)
-        det.observe_flow(FlowRecord(10, 50, 0.0, 100.0))
-        det.observe_flow(FlowRecord(50, 99, 1.0, 20.0))  # too short
-        assert det.flagged_stones() == []
-
-    def test_non_overlapping_not_flagged(self):
-        det = SteppingStoneDetector()
-        det.observe_flow(FlowRecord(10, 50, 0.0, 50.0))
-        det.observe_flow(FlowRecord(50, 99, 60.0, 110.0))
-        assert det.flagged_stones() == []
-
-    def test_short_flows_ignored(self):
-        det = SteppingStoneDetector(min_duration=5.0)
-        det.observe_flow(FlowRecord(10, 50, 0.0, 1.0))
-        det.observe_flow(FlowRecord(50, 99, 0.0, 1.0))
-        assert det.flagged_stones() == []
-
-    def test_candidate_details(self):
-        det = SteppingStoneDetector()
-        inbound, outbound = self.relay_pair()
-        det.observe_flow(inbound)
-        det.observe_flow(outbound)
-        (candidate,) = det.candidates()
-        assert candidate.stone_ip == 50
-        assert candidate.inbound == inbound
-        assert candidate.outbound == outbound
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            SteppingStoneDetector(duration_tolerance=2.0)
-        with pytest.raises(ValueError):
-            SteppingStoneDetector(min_duration=-1.0)

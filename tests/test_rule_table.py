@@ -320,7 +320,7 @@ def rule_table_digests(topology):
     """``{"<topology>/<budget>": {"rules": n, "sha256": digest}}`` over
     every installed rule of the datacenter plan at budgets None, 4 and
     1 — what ``tests/golden/rule_tables.json`` pins
-    (``tests/regen_goldens.py`` rewrites it)."""
+    (``tests/regen.py`` rewrites it)."""
     state = setup_topology(topology, dc_capacity_factor=10.0).state
     result = _solve(state)
     digests = {}

@@ -6,7 +6,7 @@ became :class:`~repro.runtime.scenario.ScenarioRun`.
 fingerprint, the ``ScenarioReport.to_dict()["scenario"]`` document and
 the run's ``emulation.fast.fallbacks`` count — and is re-pinned, when
 a change deliberately moves the plans, by ``PYTHONPATH=src:. python
-tests/regen_goldens.py scenario_fingerprints.json``. The exact-matrix mode
+tests/regen.py scenario_fingerprints.json``. The exact-matrix mode
 replayed whole batches with a scalar fallback then and replays chunks
 without one now, so a non-zero count there would have been a behaviour
 change; it was 0 for every scenario. The two-phase and capacity-bound

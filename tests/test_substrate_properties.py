@@ -1,12 +1,9 @@
-"""Property-based tests for topology, traffic, and scheduling
-substrates."""
+"""Property-based tests for the topology and traffic substrates."""
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.shim import FiveTuple
-from repro.simulation import Session, Supernode, validate_in_session_order
 from repro.topology.generators import synthetic_isp_topology
 from repro.topology.routing import shortest_path_routing
 from repro.topology.topology import canonical_link
@@ -68,36 +65,3 @@ class TestLinkCanonicalization:
     def test_idempotent(self, u, v):
         link = canonical_link(u, v)
         assert canonical_link(*link) == link
-
-
-class TestSupernodeProperties:
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 1000),
-           counts=st.lists(st.integers(1, 6), min_size=1, max_size=8))
-    def test_order_preserved_for_any_trace(self, seed, counts):
-        sessions = []
-        for i, packet_count in enumerate(counts):
-            session = Session(FiveTuple(6, i, 1, i + 100, 80), "c",
-                              ("A",))
-            for p in range(packet_count):
-                session.add_packet("fwd" if p % 2 == 0 else "rev", 10)
-            sessions.append(session)
-        schedule = Supernode(seed=seed).schedule(sessions)
-        assert len(schedule) == sum(counts)
-        assert validate_in_session_order(schedule)
-
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 1000),
-           epoch_seconds=st.floats(1.0, 30.0))
-    def test_epochs_partition_sessions(self, seed, epoch_seconds):
-        sessions = []
-        for i in range(25):
-            session = Session(FiveTuple(6, i, 1, i + 100, 80), "c",
-                              ("A",))
-            session.add_packet("fwd", 10)
-            sessions.append(session)
-        node = Supernode(duration=60.0, seed=seed)
-        batches = node.epochs(sessions, epoch_seconds)
-        flattened = [s for batch in batches for s in batch]
-        assert len(flattened) == len(sessions)
-        assert {id(s) for s in flattened} == {id(s) for s in sessions}
