@@ -45,15 +45,51 @@ _DIR_CODE = {"fwd": DIR_FWD, "rev": DIR_REV}
 PathTable = Tuple[np.ndarray, np.ndarray]  # CSR: indptr, node ids
 
 
+def _packed_words(columns: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """Non-negative integer columns packed, most significant first,
+    into as few ``uint64`` words as their value widths allow. Rows
+    compare lexicographically as their words do: a session's five
+    columns become proto·src_ip·src_port and dst_ip·dst_port."""
+    words: List[np.ndarray] = []
+    used = 0
+    for column in columns:
+        values = column.astype(np.uint64)
+        bits = int(values.max()).bit_length() if len(values) else 0
+        if not words or used + bits > 64:
+            words.append(values)
+            used = bits
+        else:
+            words[-1] <<= np.uint64(bits)
+            words[-1] |= values
+            used += bits
+    return words
+
+
 def _dense_rank(*columns: np.ndarray) -> np.ndarray:
     """Rank of each row among the distinct rows in lexicographic
     order (first column most significant) — the ``inverse`` of
     ``np.unique(rows, axis=0, return_inverse=True)`` without its
-    void-dtype row sort."""
-    order = np.lexsort(columns[::-1])
+    void-dtype row sort.
+
+    The columns are packed into words (:func:`_packed_words`) and
+    sorted by one ``argsort`` of the first word; only the rows whose
+    first word ties another's are re-sorted on every word, in the
+    positions they already hold.
+    """
+    words = _packed_words(columns)
+    order = np.argsort(words[0])
+    if len(words) > 1:
+        head = words[0][order]
+        same = head[1:] == head[:-1]
+        tied = np.zeros(len(order), dtype=bool)
+        tied[1:] |= same
+        tied[:-1] |= same
+        rows = order[tied]
+        order[tied] = rows[np.lexsort([word[rows]
+                                       for word in words[::-1]])]
     differs = np.zeros(len(order), dtype=bool)
-    for column in columns:
-        ordered = column[order]
+    for word in words:
+        ordered = word[order]
         differs[1:] |= ordered[1:] != ordered[:-1]
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.cumsum(differs)

@@ -16,9 +16,14 @@ materializes Python ``Session`` objects from it (the scalar oracle),
 while :meth:`TraceGenerator.generate_batch` with ``direct=True``
 assembles the columnar :class:`~repro.simulation.batch.PacketBatch`
 straight from the plan's arrays — bit-identical columns, no per-packet
-Python objects, no per-session RNG calls. The parity suite
-(`tests/test_tracestore.py`) pins the two paths column-for-column,
-the same pattern as fast-vs-scalar replay parity.
+Python objects, no per-session RNG calls. It pays per class and per
+array: :meth:`PrefixClassifier.classify` classifies per class (the
+port decides only on prefix pairs several classes share), signatures
+are pasted with one scatter, and the payload bytes are read eight at
+a time from the raw 64-bit stream, byte-equal to numpy's one-byte
+draw. The parity suite (`tests/test_tracestore.py`) pins the two
+paths column-for-column, the same pattern as fast-vs-scalar replay
+parity.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from repro.simulation.packets import (
     _BASE_IP,
     Session,
     pop_index_of_ip,
-    pop_prefix_ip,
 )
 from repro.traffic.classes import TrafficClass
 
@@ -44,6 +48,73 @@ if TYPE_CHECKING:
 
 #: destination ports drawn for classes without a declared port
 _DEFAULT_DST_PORTS = (80, 443, 22, 25, 6667)
+
+
+#: raw 64-bit draws per block of a payload fill (128 KiB)
+_FILL_WORDS = 1 << 14
+
+#: the signature patterns back to back, and where each one starts
+_SIGNATURE_BYTES = np.frombuffer(b"".join(DEFAULT_SIGNATURES),
+                                 dtype=np.uint8)
+_SIGNATURE_LENGTHS = np.array([len(p) for p in DEFAULT_SIGNATURES],
+                              dtype=np.int64)
+_SIGNATURE_STARTS = np.cumsum(_SIGNATURE_LENGTHS) - _SIGNATURE_LENGTHS
+
+
+def _random_bytes(rng: np.random.Generator, size: int) -> np.ndarray:
+    """``rng.integers(0, 256, size=size, dtype=np.uint8)``, byte for
+    byte and leaving the generator in the same state, drawn eight
+    bytes at a time.
+
+    numpy fills full-range bytes from 32-bit draws, low byte first,
+    dropping what is left of the last one; PCG64 serves a 32-bit draw
+    as the low half of a 64-bit draw and buffers the high half
+    (``has_uint32``/``uinteger``) for the next. So the bytes are the
+    buffered half's, if any, then the raw 64-bit stream's in
+    little-endian order, read here in bounded blocks; an odd number of
+    halves leaves the last high half buffered, as numpy would.
+    """
+    bit_generator = rng.bit_generator
+    entry = bit_generator.state
+    out = np.empty(size, dtype=np.uint8)
+    head = min(size, 4) if entry["has_uint32"] else 0
+    out[:head] = np.array([entry["uinteger"]],
+                          dtype="<u4").view(np.uint8)[:head]
+    halves = -(-(size - head) // 4)  # 32-bit draws past the buffer
+    words = -(-halves // 2)
+    cursor = head
+    for start in range(0, words, _FILL_WORDS):
+        block = bit_generator.random_raw(min(_FILL_WORDS, words - start))
+        data = block.astype("<u8", copy=False).view(
+            np.uint8)[:size - cursor]
+        out[cursor:cursor + len(data)] = data
+        cursor += len(data)
+    if size:
+        state = bit_generator.state
+        state["has_uint32"] = halves % 2
+        if words:
+            state["uinteger"] = int(block[-1]) >> 32
+        bit_generator.state = state
+    return out
+
+
+def _paste_signatures(payload: np.ndarray, bases: np.ndarray,
+                      sizes: np.ndarray, pat_idx: np.ndarray,
+                      pat_frac: np.ndarray) -> None:
+    """Paste pattern ``pat_idx[i]`` into the packet body of ``sizes[i]``
+    bytes at ``payload[bases[i]:]``: at ``pat_frac[i]`` of its slack,
+    or its first ``sizes[i]`` bytes over the whole body when it does
+    not fit. The bodies are disjoint, so one scatter pastes them all.
+    """
+    lengths = _SIGNATURE_LENGTHS[pat_idx]
+    width = np.minimum(lengths, sizes)
+    shift = np.where(lengths < sizes,
+                     (pat_frac * np.maximum(1, sizes - lengths)
+                      ).astype(np.int64), 0)
+    within = (np.arange(int(width.sum()), dtype=np.int64) -
+              np.repeat(np.cumsum(width) - width, width))
+    payload[np.repeat(bases + shift, width) + within] = _SIGNATURE_BYTES[
+        np.repeat(_SIGNATURE_STARTS[pat_idx], width) + within]
 
 
 class PrefixClassifier:
@@ -107,6 +178,59 @@ class PrefixClassifier:
         if by_port is not None:
             return by_port
         return self._class_of_pair.get((src_pop, dst_pop))
+
+    def classify(self, classes: Sequence[TrafficClass],
+                 class_idx: np.ndarray, dst_port: np.ndarray
+                 ) -> Tuple[List[str], np.ndarray]:
+        """:meth:`__call__` over whole columns of sessions.
+
+        Row ``i`` is a session from ``classes[class_idx[i]]``'s source
+        PoP prefix to its target's, on destination port
+        ``dst_port[i]``. Each class maps to its pair's class, and the
+        port overrides that only on pairs shared by several classes,
+        so the cost is per class and per array, not per row.
+
+        Returns:
+            The sorted names assigned to at least one row, and each
+            row's index into them (int64, -1 = unmonitored).
+        """
+        ports_of_pair: Dict[Tuple[str, str], List[Tuple[int, str]]] = {}
+        for (src, dst, port), name in self._class_of_port.items():
+            ports_of_pair.setdefault((src, dst), []).append((port, name))
+        pair_name = [self._class_of_pair.get((cls.source, cls.target))
+                     for cls in classes]
+        # (class index, port) keys of the rows a port reclassifies.
+        override: Dict[int, str] = {
+            ci * 2 ** 32 + port: name
+            for ci, cls in enumerate(classes)
+            for port, name in ports_of_pair.get(
+                (cls.source, cls.target), ())}
+        candidates = sorted({name for name in pair_name
+                             if name is not None} |
+                            set(override.values()))
+        index = {name: i for i, name in enumerate(candidates)}
+        class_idx = np.asarray(class_idx, dtype=np.int64)
+        ids = np.array([-1 if name is None else index[name]
+                        for name in pair_name],
+                       dtype=np.int64)[class_idx]
+        if override:
+            packed, names = zip(*sorted(override.items()))
+            keys = np.array(packed, dtype=np.int64)
+            targets = np.array([index[name] for name in names],
+                               dtype=np.int64)
+            probe = class_idx * 2 ** 32 + np.asarray(dst_port,
+                                                     dtype=np.int64)
+            at = np.minimum(np.searchsorted(keys, probe),
+                            len(keys) - 1)
+            hit = keys[at] == probe
+            ids[hit] = targets[at[hit]]
+        used = np.flatnonzero(np.bincount(ids + 1,
+                                          minlength=len(candidates) + 1
+                                          )[1:])
+        # One spare -1 entry at the end, which ``compact[-1]`` reads.
+        compact = np.full(len(candidates) + 1, -1, dtype=np.int64)
+        compact[used] = np.arange(len(used))
+        return [candidates[i] for i in used], compact[ids]
 
 
 @dataclass
@@ -304,14 +428,12 @@ class TraceGenerator:
         else:
             malicious = np.zeros(n, dtype=bool)
 
+        offsets = np.zeros(n * ppcount + 1, dtype=np.int64)
         if with_payloads and ppcount > 0:
-            offsets = np.zeros(n * ppcount + 1, dtype=np.int64)
             np.cumsum(np.repeat(payload_size, ppcount),
                       out=offsets[1:])
-            payload = rng.integers(0, 256, size=int(offsets[-1]),
-                                   dtype=np.uint8)
+            payload = _random_bytes(rng, int(offsets[-1]))
         else:
-            offsets = np.zeros(n * ppcount + 1, dtype=np.int64)
             payload = np.zeros(0, dtype=np.uint8)
 
         embed_rows = (np.flatnonzero(malicious)
@@ -321,17 +443,9 @@ class TraceGenerator:
             pat_idx = rng.integers(len(DEFAULT_SIGNATURES),
                                    size=len(embed_rows))
             pat_frac = rng.random(len(embed_rows))
-            for row, pi, frac in zip(embed_rows, pat_idx, pat_frac):
-                pattern = DEFAULT_SIGNATURES[int(pi)]
-                size = int(payload_size[row])
-                base = int(offsets[int(row) * ppcount])
-                pat = np.frombuffer(pattern, dtype=np.uint8)
-                if len(pattern) >= size:
-                    payload[base:base + size] = pat[:size]
-                    continue
-                offset = int(frac * max(1, size - len(pattern)))
-                payload[base + offset:
-                        base + offset + len(pattern)] = pat
+            _paste_signatures(payload, offsets[embed_rows * ppcount],
+                              payload_size[embed_rows], pat_idx,
+                              pat_frac)
         return _TracePlan(class_idx, src_ip, dst_ip, src_port,
                           dst_port, malicious, payload_size, payload,
                           offsets)
@@ -399,48 +513,24 @@ class TraceGenerator:
 
         # Class-name universe: trace-declared names plus whatever the
         # classifier assigns. The classifier only looks at (src PoP,
-        # dst PoP, dst port), so one call per unique (class, port)
-        # pair covers every session. Ports are 16-bit, so a pair is
-        # one integer and the pairs sort as (class, port) rows would.
-        trace_names = {self.classes[int(ci)].name
-                       for ci in np.unique(plan.class_idx)}
-        assigned_of_pair: Dict[Tuple[int, int], Optional[str]] = {}
-        if n:
-            packed, inverse = np.unique(
-                plan.class_idx * 65536 + plan.dst_port,
-                return_inverse=True)
-            pairs = np.stack([packed >> 16, packed & 0xFFFF], axis=1)
-            for ci, port in pairs:
-                cls = self.classes[int(ci)]
-                probe = FiveTuple(
-                    proto=6,
-                    src_ip=pop_prefix_ip(
-                        self.classifier.pop_index(cls.source), 1),
-                    src_port=1024,
-                    dst_ip=pop_prefix_ip(
-                        self.classifier.pop_index(cls.target), 1),
-                    dst_port=int(port))
-                assigned_of_pair[(int(ci), int(port))] = \
-                    self.classifier(probe)
-        assigned_names = {name for name in assigned_of_pair.values()
-                          if name is not None}
-        names = sorted(trace_names | assigned_names)
+        # dst PoP, dst port), and a session's PoPs are its class's, so
+        # it classifies per class, with the port deciding only on
+        # shared prefix pairs.
+        present = np.flatnonzero(np.bincount(
+            plan.class_idx, minlength=len(self.classes)))
+        trace_names = {self.classes[ci].name for ci in present}
+        assigned_names, assigned = self.classifier.classify(
+            self.classes, plan.class_idx, plan.dst_port)
+        names = sorted(trace_names.union(assigned_names))
         name_index = {name: i for i, name in enumerate(names)}
-
-        if n:
-            pair_class_id = np.array(
-                [-1 if assigned_of_pair[(int(ci), int(port))] is None
-                 else name_index[assigned_of_pair[(int(ci),
-                                                   int(port))]]
-                 for ci, port in pairs], dtype=np.int32)
-            class_id = pair_class_id[inverse.reshape(-1)]
-        else:
-            class_id = np.full(0, -1, dtype=np.int32)
+        # One spare -1 entry at the end, which unmonitored rows read.
+        class_id = np.array(
+            [name_index[name] for name in assigned_names] + [-1],
+            dtype=np.int32)[assigned]
         cls_trace_id = np.array(
             [name_index.get(cls.name, -1) for cls in self.classes],
             dtype=np.int32)
-        trace_class_id = (cls_trace_id[plan.class_idx]
-                          if n else np.full(0, -1, dtype=np.int32))
+        trace_class_id = cls_trace_id[plan.class_idx]
 
         # Path registry in first-seen session order: every session of
         # a class shares its paths, so walking classes by first

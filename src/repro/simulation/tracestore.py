@@ -66,20 +66,22 @@ def column_arrays(batch: PacketBatch) -> Dict[str, np.ndarray]:
     return columns
 
 
-def trace_fingerprint(batch: PacketBatch) -> str:
-    """sha256 over the batch's metadata and every column's raw bytes,
-    in a fixed order — the store's integrity/equality witness."""
-    sess = batch.sessions
-    digest = hashlib.sha256()
-    header = {
+def _header(sess: SessionBatch) -> Dict[str, object]:
+    """The metadata a fingerprint covers, as the manifest records it
+    (lists of plain ints and strings)."""
+    return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "hash_seed": sess.hash_seed,
         "num_keys": sess.num_keys,
         "class_names": list(sess.class_names),
         "node_order": list(sess.node_order),
-        "paths": [[int(n) for n in path] for path in sess.paths],
+        "paths": [path.tolist() for path in sess.paths],
     }
+
+
+def _fingerprint(batch: PacketBatch, header: Dict[str, object]) -> str:
+    digest = hashlib.sha256()
     digest.update(json.dumps(header, sort_keys=True).encode("ascii"))
     # hashlib reads the columns (memmaps included) through the buffer
     # protocol: nothing is copied to be hashed.
@@ -88,6 +90,12 @@ def trace_fingerprint(batch: PacketBatch) -> str:
         digest.update(memoryview(np.ascontiguousarray(array)))
     digest.update(memoryview(np.ascontiguousarray(batch.payload_buffer)))
     return digest.hexdigest()
+
+
+def trace_fingerprint(batch: PacketBatch) -> str:
+    """sha256 over the batch's metadata and every column's raw bytes,
+    in a fixed order — the store's integrity/equality witness."""
+    return _fingerprint(batch, _header(batch.sessions))
 
 
 def _map_file(path: Path, data_bytes: int,
@@ -146,24 +154,22 @@ class TraceStore:
             payload = np.ascontiguousarray(batch.payload_buffer)
             if len(payload):
                 (root / PAYLOAD_NAME).write_bytes(payload)
+            header = _header(sess)
             manifest: Dict[str, object] = {
-                "format": FORMAT_NAME,
-                "version": FORMAT_VERSION,
-                "fingerprint": trace_fingerprint(batch),
-                "hash_seed": sess.hash_seed,
+                **header,
+                "fingerprint": _fingerprint(batch, header),
                 "num_sessions": sess.num_sessions,
-                "num_keys": sess.num_keys,
                 "num_packets": batch.num_packets,
-                "class_names": list(sess.class_names),
-                "node_order": list(sess.node_order),
-                "paths": [[int(n) for n in p] for p in sess.paths],
                 "payload": {"file": PAYLOAD_NAME,
                             "bytes": len(payload)},
                 "columns": columns_meta,
                 "meta": dict(meta or {}),
             }
+            # Compact JSON goes through the C encoder; ``indent`` would
+            # not.
             (root / MANIFEST_NAME).write_text(
-                json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+                json.dumps(manifest, sort_keys=True,
+                           separators=(",", ":")) + "\n")
         return cls.open(root)
 
     # -- read side -------------------------------------------------------

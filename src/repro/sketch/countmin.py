@@ -109,12 +109,18 @@ class CountMinSketch:
             counts = counts.astype(np.int64)
         if size == 0:
             return
+        self._add(self._flat_indices(columns), counts)
+
+    def _add(self, cells: np.ndarray, counts: np.ndarray) -> None:
+        """Add non-negative int64 ``counts[i]`` to the cells
+        ``cells[:, i]`` (:meth:`_flat_indices` of key ``i``): the one
+        scatter-add of every update, for callers that cache the cells
+        of keys they update over and over."""
         # add.at: unbuffered scatter-add (duplicate indices in one
         # batch must each land). The table is C-contiguous, so the
         # reshape is a view. The counts are tiled per row explicitly:
         # ufunc.at's 1-D fast path does not broadcast its values.
-        np.add.at(self.table.reshape(-1),
-                  self._flat_indices(columns).reshape(-1),
+        np.add.at(self.table.reshape(-1), cells.reshape(-1),
                   np.tile(counts, self.depth))
         self.total += int(counts.sum())
 

@@ -64,10 +64,12 @@ class ClassVolumeSketch:
         self.sessions = 0
         self.packets = 0
         self.merges = 0
-        # The last batch class-name tuple seen and its universe ids:
-        # every chunk of a replay carries the same tuple object.
+        # The last batch class-name tuple seen, and the count-min
+        # cells of its universe ids (depth x classes): every chunk of
+        # a replay carries the same tuple object, so its ids are
+        # hashed once per replay, not once per chunk.
         self._mapped_names: Optional[Tuple[str, ...]] = None
-        self._mapped_ids = np.zeros(0, dtype=np.uint32)
+        self._mapped_cells = np.zeros((depth, 0), dtype=np.int64)
 
     # -- ingestion ---------------------------------------------------------
 
@@ -101,10 +103,11 @@ class ClassVolumeSketch:
         hot = np.nonzero(counts)[0]
         if len(hot):
             if sess.class_names is not self._mapped_names:
-                self._mapped_ids = self._universe_ids(
-                    sess.class_names).astype(np.uint32)
+                self._mapped_cells = self.classes._flat_indices(
+                    [self._universe_ids(sess.class_names
+                                        ).astype(np.uint32)])
                 self._mapped_names = sess.class_names
-            self.classes.update(self._mapped_ids[hot], counts[hot])
+            self.classes._add(self._mapped_cells[:, hot], counts[hot])
         observed = int(sess.num_sessions)
         self.sessions += observed
         self.packets += int(chunk.num_packets)

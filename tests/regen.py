@@ -42,8 +42,6 @@ from tests import (test_lp_writer_golden, test_rule_table,
 ROOT = pathlib.Path(__file__).parents[1]
 RESULTS_DIR = ROOT / "benchmarks" / "results"
 GOLDEN_DIR = ROOT / "tests" / "golden"
-LP_STEMS = ("replication_small", "replication_paired_small",
-            "regional_small")
 
 
 def table_cells(text):
@@ -146,7 +144,7 @@ def regenerable():
     files["scenario_fingerprints.json"] = (
         GOLDEN_DIR / "scenario_fingerprints.json",
         lambda: _json_text(test_scenario_golden.golden_document()))
-    for stem in LP_STEMS:
+    for stem in test_lp_writer_golden.VERTEX_STEMS:
         name = f"{stem}.lp"
         files[name] = (GOLDEN_DIR / name,
                        lambda name=name: _lp_texts()[name])

@@ -8,6 +8,7 @@ the in-memory fast report field-for-field — including across the
 canned scenarios' per-epoch trace recipe.
 """
 
+import itertools
 import json
 import multiprocessing
 import os
@@ -22,6 +23,7 @@ from repro.experiments.common import setup_topology
 from repro.experiments.parallel import ParallelSweepRunner
 from repro.ingest import chunk_resident_bytes
 from repro.runtime import CANNED_SCENARIOS
+from repro.shim.hashing import FiveTuple
 from repro.shim import build_replication_configs
 from repro.simulation import (
     ChunkedReplay,
@@ -34,7 +36,8 @@ from repro.simulation import (
 from repro.simulation import emulation as emulation_module
 from repro.simulation.batch import PacketBatch, _dense_rank
 from repro.simulation.emulation import _replay_workers
-from repro.simulation.tracegen import TraceSpec
+from repro.simulation.packets import pop_prefix_ip
+from repro.simulation.tracegen import TraceSpec, _random_bytes
 from repro.simulation.tracestore import (
     _PACKET_COLUMNS,
     _SESSION_COLUMNS,
@@ -42,6 +45,7 @@ from repro.simulation.tracestore import (
 from repro.traffic import (
     DEFAULT_APPLICATION_MIX,
     TrafficMatrix,
+    TrafficClass,
     classes_with_applications,
 )
 
@@ -111,20 +115,23 @@ def small_trace_fingerprints(tinet_state, line_topology):
             spec=spec, seed=seed).generate_batch(
                 tuple(tinet_state.nids_nodes), direct=True)
         prints[f"tinet/{seed}"] = trace_fingerprint(batch)
-    # Per-application classes: several classes share a prefix pair,
-    # so the classifier decides on the destination port.
+    batch = _line_apps_generator(line_topology, spec, 5).generate_batch(
+        tuple(line_topology.nodes), direct=True)
+    prints["line-apps/5"] = trace_fingerprint(batch)
+    return prints
+
+
+def _line_apps_generator(line_topology, spec, seed):
+    """Per-application classes: several classes share a prefix pair,
+    so the classifier decides on the destination port."""
     classes = classes_with_applications(
         line_topology,
         TrafficMatrix({("A", "D"): 1000.0, ("B", "C"): 400.0}))
     ports = {cls.name: app.port for cls in classes
              for app in DEFAULT_APPLICATION_MIX
              if cls.name.endswith("/" + app.name)}
-    batch = TraceGenerator(
-        line_topology.nodes, classes, spec=spec, seed=5,
-        class_ports=ports).generate_batch(
-            tuple(line_topology.nodes), direct=True)
-    prints["line-apps/5"] = trace_fingerprint(batch)
-    return prints
+    return TraceGenerator(line_topology.nodes, classes, spec=spec,
+                          seed=seed, class_ports=ports)
 
 
 class TestDirectSynthesisParity:
@@ -146,6 +153,50 @@ class TestDirectSynthesisParity:
 
         _assert_batches_identical(build(True), build(False))
 
+    def test_line_apps_bit_identical_columns(self, line_topology):
+        """Shared prefix pairs: the per-class lookup with its port
+        overrides against the per-session classifier calls."""
+        generator = _line_apps_generator(
+            line_topology, TraceSpec(total_sessions=300, scanner_count=2,
+                                     scanner_fanout=9), 11)
+
+        def build(direct):
+            return generator.generate_batch(tuple(line_topology.nodes),
+                                            direct=direct)
+
+        batch = build(True)
+        assert len(set(batch.sessions.class_names)) > 2
+        _assert_batches_identical(batch, build(False))
+
+    def test_classify_is_the_scalar_classifier(self, line_topology):
+        """Every row against ``__call__``, on ports that do and do not
+        pick a class on a shared pair, and on a pair nobody
+        registered."""
+        generator = _line_apps_generator(line_topology, TraceSpec(), 3)
+        classifier = generator.classifier
+        stray = TrafficClass(name="stray", source="D", target="A",
+                             path=("D", "C", "B", "A"), num_sessions=1.0)
+        classes = generator.classes + [stray]
+        ports = sorted(set(generator.class_ports.values())) + [80, 7]
+        rng = np.random.default_rng(5)
+        class_idx = rng.integers(len(classes), size=500)
+        dst_port = rng.choice(np.array(ports), size=500)
+        names, ids = classifier.classify(classes, class_idx, dst_port)
+        assert names == sorted(set(names))
+        expected = [classifier(FiveTuple(
+            proto=6,
+            src_ip=pop_prefix_ip(
+                classifier.pop_index(classes[ci].source), 9),
+            src_port=1024,
+            dst_ip=pop_prefix_ip(
+                classifier.pop_index(classes[ci].target), 9),
+            dst_port=int(port)))
+            for ci, port in zip(class_idx, dst_port)]
+        assert None in expected
+        assert [None if i < 0 else names[i] for i in ids] == expected
+        assert set(names) == {name for name in expected
+                              if name is not None}
+
     def test_fingerprint_matches_oracle(self, tinet_state):
         node_order = tuple(tinet_state.nids_nodes)
 
@@ -165,13 +216,19 @@ class TestDirectSynthesisParity:
                                         line_topology) == golden
 
     def test_dense_rank_is_the_row_unique_inverse(self):
-        """``session_key`` with duplicate 5-tuples: the lexsort rank
-        against ``np.unique`` over stacked rows, kept here as the
-        reference."""
+        """``session_key`` with duplicate 5-tuples: the packed-word
+        rank against ``np.unique`` over stacked rows, kept here as the
+        reference. Narrow columns pack into one word; full-width ones
+        into three, whose first words tie."""
         rng = np.random.default_rng(17)
-        for rows in (0, 1, 400):
+        wide = (0, 7, 2 ** 16 - 1, 2 ** 31 + 5, 2 ** 32 - 1)
+        for rows, values in itertools.product((0, 1, 400),
+                                              (None, wide)):
             columns = [rng.integers(0, high, size=rows,
                                     dtype=np.int64).astype(np.uint32)
+                       if values is None else
+                       rng.choice(np.array(values, dtype=np.uint32),
+                                  size=rows)
                        for high in (2, 3, 4, 3, 5)]
             stacked = np.stack(
                 [c.astype(np.int64) for c in columns], axis=1)
@@ -180,6 +237,34 @@ class TestDirectSynthesisParity:
             rank = _dense_rank(*columns)
             assert rank.dtype == np.int64
             assert np.array_equal(rank, inverse.reshape(-1))
+
+
+class TestPayloadDraw:
+    """The payload's raw-draw fill against the byte draw it replaces:
+    the same bytes and the same generator state after, whether or not
+    a 32-bit half-word is buffered on entry."""
+
+    @pytest.mark.parametrize("buffered", [False, True],
+                             ids=["empty", "half-word"])
+    @pytest.mark.parametrize("size", [*range(18), 1_000_003])
+    def test_fill_is_the_uint8_draw(self, size, buffered):
+        expected_rng = np.random.default_rng(29)
+        fill_rng = np.random.default_rng(29)
+        if buffered:
+            for rng in (expected_rng, fill_rng):
+                rng.integers(0, 2 ** 32, dtype=np.uint32)
+        assert fill_rng.bit_generator.state["has_uint32"] == buffered
+        expected = expected_rng.integers(0, 256, size=size,
+                                         dtype=np.uint8)
+        filled = _random_bytes(fill_rng, size)
+        assert filled.dtype == np.uint8
+        assert np.array_equal(filled, expected)
+        assert fill_rng.bit_generator.state == \
+            expected_rng.bit_generator.state
+        assert fill_rng.random() == expected_rng.random()
+        assert np.array_equal(
+            fill_rng.integers(0, 2 ** 32, size=3, dtype=np.uint32),
+            expected_rng.integers(0, 2 ** 32, size=3, dtype=np.uint32))
 
 
 class TestRoundTrip:
@@ -203,6 +288,31 @@ class TestRoundTrip:
         assert reopened.fingerprint == packed.fingerprint
         assert reopened.manifest == packed.manifest
         _assert_batches_identical(reopened.batch(), batch)
+
+    def test_manifest_is_compact_json(self, tinet_emulation,
+                                      tmp_path):
+        _, batch = tinet_emulation
+        store = TraceStore.pack(batch, tmp_path / "trace")
+        text = (tmp_path / "trace" / "manifest.json").read_text()
+        assert text.count("\n") == 1 and text.endswith("}\n")
+        assert json.loads(text) == store.manifest
+
+    def test_indented_manifest_still_opens(self, tinet_emulation,
+                                           tmp_path):
+        """Stores packed before the manifest went compact carry an
+        ``indent=2`` manifest with the same content."""
+        emulation, batch = tinet_emulation
+        packed = TraceStore.pack(batch, tmp_path / "trace")
+        path = tmp_path / "trace" / "manifest.json"
+        path.write_text(json.dumps(json.loads(path.read_text()),
+                                   indent=2, sort_keys=True) + "\n")
+        store = TraceStore.open(tmp_path / "trace")
+        assert store.manifest == packed.manifest
+        assert store.verify()
+        _assert_batches_identical(store.batch(), batch)
+        assert emulation.run_signature_chunked(
+            ChunkedReplay(store.batch(), chunk_packets=97)) == \
+            emulation.run_signature(batch, fast=True)
 
     def test_chunked_replay_equals_fast_report(self, tinet_emulation,
                                                tmp_path):
