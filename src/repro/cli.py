@@ -29,7 +29,7 @@ import argparse
 import dataclasses
 import os
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional, TypeVar
 
 from repro.core import (
     AggregationProblem,
@@ -44,6 +44,24 @@ from repro.core.mirrors import MIRROR_POLICIES
 from repro.experiments import format_table, setup_topology
 from repro.experiments.registry import EXPERIMENTS, ExperimentRuns
 from repro.topology import builtin_topology, builtin_topology_names
+
+Number = TypeVar("Number", int, float)
+
+
+def _positive(cast: Callable[[str], Number]) -> Callable[[str], Number]:
+    """An argparse type: ``cast(text)``, rejected unless it is > 0, so
+    a zero or negative count is a usage error (exit 2), not a
+    traceback from deep in the run."""
+    def parse(text: str) -> Number:
+        value = cast(text)
+        if not value > 0:  # also rejects nan
+            raise argparse.ArgumentTypeError(
+                f"must be positive, got {text!r}")
+        return value
+
+    # argparse names the type in its "invalid int value" message.
+    parse.__name__ = cast.__name__
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--beta", type=float, default=None,
                        help="aggregation comm-cost weight "
                             "(default: scale-matched)")
-    solve.add_argument("--top", type=int, default=10,
+    solve.add_argument("--top", type=_positive(int), default=10,
                        help="show the N most loaded nodes")
 
     compare = sub.add_parser(
@@ -87,10 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "experiment", help="regenerate a paper table/figure")
     experiment.add_argument("name",
                             choices=sorted(EXPERIMENTS) + ["all"])
-    experiment.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for sweep-style experiments "
-             "(fig10, fig15); results are identical to --jobs 1")
 
     stats = sub.add_parser(
         "stats",
@@ -119,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--topology", default=None,
                           choices=builtin_topology_names(),
                           help="override the scenario's topology")
-    scenario.add_argument("--epochs", type=int, default=None,
+    scenario.add_argument("--epochs", type=_positive(int), default=None,
                           help="override the scenario's epoch count")
     scenario.add_argument("--seed", type=int, default=None,
                           help="override the scenario's seed")
@@ -172,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="stream a stored trace through the signature emulation "
              "in bounded-memory chunks")
     replay.add_argument("path", metavar="DIR")
-    replay.add_argument("--chunk", type=int, default=65536,
+    replay.add_argument("--chunk", type=_positive(int), default=65536,
                         help="target packets per replay slab")
     replay.add_argument("--mirror", default="dc",
                         choices=sorted(MIRROR_POLICIES))
@@ -189,13 +203,14 @@ def _build_parser() -> argparse.ArgumentParser:
                              "daemon's sketch estimator on the event "
                              "loop (a live-feed fixture) instead of "
                              "the signature emulation")
-    replay.add_argument("--width", type=int, default=1024,
+    replay.add_argument("--width", type=_positive(int), default=1024,
                         help="count-min width for --follow")
-    replay.add_argument("--depth", type=int, default=4,
+    replay.add_argument("--depth", type=_positive(int), default=4,
                         help="count-min depth for --follow")
-    replay.add_argument("--workers", type=int, default=2,
+    replay.add_argument("--workers", type=_positive(int), default=2,
                         help="ingest workers for --follow")
-    replay.add_argument("--interval", type=float, default=0.05,
+    replay.add_argument("--interval", type=_positive(float),
+                        default=0.05,
                         help="simulated seconds between chunk "
                              "arrivals for --follow")
     replay.add_argument("--seed", type=int, default=1,
@@ -240,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     racecheck.add_argument("--seed-base", type=int, default=0,
                            help="offset for the derived perturbation "
                                 "seeds")
-    racecheck.add_argument("--epochs", type=int, default=None,
+    racecheck.add_argument("--epochs", type=_positive(int), default=None,
                            help="override every scenario's epoch "
                                 "count (smoke runs)")
     racecheck.add_argument("--topology", default=None,
@@ -772,7 +787,7 @@ def _cmd_racecheck(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    runs = ExperimentRuns(args.jobs)
+    runs = ExperimentRuns()
     names = sorted(EXPERIMENTS) if args.name == "all" else [args.name]
     for name in names:
         experiment = EXPERIMENTS[name]

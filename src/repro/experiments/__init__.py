@@ -39,7 +39,6 @@ from repro.experiments.fig15_variability import (
     format_fig15,
     run_fig15,
 )
-from repro.experiments.parallel import ParallelSweepRunner
 from repro.experiments.fig16_17_asymmetry import (
     AsymmetryPoint,
     format_fig16,
@@ -115,7 +114,6 @@ __all__ = [
     "Fig15Row",
     "Fig18Series",
     "Fig19Row",
-    "ParallelSweepRunner",
     "PlacementRow",
     "Table1Row",
     "TopologySetup",

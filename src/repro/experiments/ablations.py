@@ -22,6 +22,8 @@ from repro.core.mirrors import MirrorPolicy
 from repro.core.placement import PLACEMENT_STRATEGIES, place_datacenter
 from repro.core.replication import ReplicationProblem
 from repro.experiments.common import (
+    DC_CAPACITY_FACTOR,
+    MAX_LINK_LOAD,
     evaluation_topologies,
     format_table,
     setup_topology,
@@ -44,9 +46,7 @@ class PlacementRow:
         return min(self.max_loads, key=lambda s: self.max_loads[s])
 
 
-def run_placement_ablation(topologies: Optional[Sequence[str]] = None,
-                           dc_capacity_factor: float = 10.0,
-                           max_link_load: float = 0.4
+def run_placement_ablation(topologies: Optional[Sequence[str]] = None
                            ) -> List[PlacementRow]:
     """Compare the four placement strategies per topology."""
     rows = []
@@ -60,11 +60,11 @@ def run_placement_ablation(topologies: Optional[Sequence[str]] = None,
             anchors[strategy] = anchor
             state = NetworkState.calibrated(
                 base.topology, base.classes,
-                dc_capacity_factor=dc_capacity_factor,
+                dc_capacity_factor=DC_CAPACITY_FACTOR,
                 dc_anchor=anchor)
             result = ReplicationProblem(
                 state, mirror_policy=MirrorPolicy.datacenter(),
-                max_link_load=max_link_load).solve()
+                max_link_load=MAX_LINK_LOAD).solve()
             loads[strategy] = result.load_cost
         rows.append(PlacementRow(name, loads, anchors))
     return rows

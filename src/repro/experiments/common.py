@@ -30,6 +30,11 @@ from repro.traffic.classes import TrafficClass
 from repro.traffic.gravity import classes_from_matrix, gravity_traffic_matrix
 from repro.traffic.matrix import TrafficMatrix
 
+#: The paper's operating point (Section 8): replication may use 40 % of
+#: a link's capacity, and the datacenter has 10x a NIDS node's.
+MAX_LINK_LOAD = 0.4
+DC_CAPACITY_FACTOR = 10.0
+
 
 def full_scale() -> bool:
     """True when REPRO_SCALE=full — run at the paper's full scale."""

@@ -26,6 +26,8 @@ from repro.core.nips import NIPSProblem
 from repro.core.replication import ReplicationProblem
 from repro.core.robustness import slack_factor, with_slack
 from repro.experiments.common import (
+    DC_CAPACITY_FACTOR,
+    MAX_LINK_LOAD,
     evaluation_topologies,
     format_table,
     full_scale,
@@ -33,6 +35,12 @@ from repro.experiments.common import (
 )
 from repro.traffic.gravity import classes_from_matrix
 from repro.traffic.variability import TrafficVariabilityModel
+
+SLACK_PERCENTILE = 80.0
+SLACK_SEED = 80
+LINK_COST_WEIGHT = 0.02
+#: NIPS rerouting budgets, in extra hops.
+LATENCY_BUDGETS = (0.0, 1.0, 2.0, 4.0)
 
 
 @dataclass
@@ -52,12 +60,7 @@ class SlackRow:
                 self.worst_slack_provisioned)
 
 
-def run_slack_ablation(topologies: Optional[Sequence[str]] = None,
-                       percentile: float = 80.0,
-                       num_matrices: Optional[int] = None,
-                       max_link_load: float = 0.4,
-                       dc_capacity_factor: float = 10.0,
-                       seed: int = 80) -> List[SlackRow]:
+def run_slack_ablation() -> List[SlackRow]:
     """Compare mean- vs percentile-provisioned assignments under
     traffic variability.
 
@@ -65,20 +68,19 @@ def run_slack_ablation(topologies: Optional[Sequence[str]] = None,
     matrices; the slack variant computed its node/link budgets from
     inflated inputs, so bursts overshoot it less.
     """
-    if num_matrices is None:
-        num_matrices = 40 if full_scale() else 8
+    num_matrices = 40 if full_scale() else 8
     model = TrafficVariabilityModel.default()
-    factor = slack_factor(model, percentile)
+    factor = slack_factor(model, SLACK_PERCENTILE)
     rows = []
-    for name in topologies or evaluation_topologies(quick_count=2):
+    for name in evaluation_topologies(quick_count=2):
         setup = setup_topology(name)
         mean_state = NetworkState.calibrated(
             setup.topology, setup.classes,
-            dc_capacity_factor=dc_capacity_factor)
+            dc_capacity_factor=DC_CAPACITY_FACTOR)
         slack_state = NetworkState.calibrated(
             setup.topology, with_slack(setup.classes, factor),
-            dc_capacity_factor=dc_capacity_factor)
-        rng = np.random.default_rng(seed)
+            dc_capacity_factor=DC_CAPACITY_FACTOR)
+        rng = np.random.default_rng(SLACK_SEED)
         matrices = model.generate_matrices(setup.matrix, num_matrices,
                                            rng)
         worst = {"mean": 0.0, "slack": 0.0}
@@ -90,9 +92,9 @@ def run_slack_ablation(topologies: Optional[Sequence[str]] = None,
                 result = ReplicationProblem(
                     state.with_traffic(classes),
                     mirror_policy=MirrorPolicy.datacenter(),
-                    max_link_load=max_link_load).solve()
+                    max_link_load=MAX_LINK_LOAD).solve()
                 worst[label] = max(worst[label], result.load_cost)
-        rows.append(SlackRow(name, percentile, worst["mean"],
+        rows.append(SlackRow(name, SLACK_PERCENTILE, worst["mean"],
                              worst["slack"]))
     return rows
 
@@ -119,23 +121,19 @@ class LinkCostRow:
     soft_worst_link: float
 
 
-def run_link_cost_ablation(topologies: Optional[Sequence[str]] = None,
-                           max_link_load: float = 0.4,
-                           dc_capacity_factor: float = 10.0,
-                           link_cost_weight: float = 0.02
-                           ) -> List[LinkCostRow]:
+def run_link_cost_ablation() -> List[LinkCostRow]:
     """Section 4 extension: replace the hard link bound with the
     Fortz-Thorup penalty and compare load/link outcomes."""
     rows = []
-    for name in topologies or evaluation_topologies(quick_count=2):
+    for name in evaluation_topologies(quick_count=2):
         setup = setup_topology(name,
-                               dc_capacity_factor=dc_capacity_factor)
+                               dc_capacity_factor=DC_CAPACITY_FACTOR)
         hard = ReplicationProblem(
             setup.state, mirror_policy=MirrorPolicy.datacenter(),
-            max_link_load=max_link_load).solve()
+            max_link_load=MAX_LINK_LOAD).solve()
         soft = ReplicationProblem(
             setup.state, mirror_policy=MirrorPolicy.datacenter(),
-            link_cost_weight=link_cost_weight).solve()
+            link_cost_weight=LINK_COST_WEIGHT).solve()
         rows.append(LinkCostRow(
             topology=name,
             hard_load=hard.load_cost,
@@ -165,26 +163,21 @@ class NIPSRow:
     nips_loads: Dict[float, float]  # latency budget -> load
 
 
-def run_nips_ablation(topologies: Optional[Sequence[str]] = None,
-                      latency_budgets: Sequence[float] =
-                      (0.0, 1.0, 2.0, 4.0),
-                      max_link_load: float = 0.4,
-                      dc_capacity_factor: float = 10.0
-                      ) -> List[NIPSRow]:
+def run_nips_ablation() -> List[NIPSRow]:
     """How much of replication's benefit survives when offloading must
     reroute (NIPS) under increasingly strict latency budgets."""
     rows = []
-    for name in topologies or evaluation_topologies(quick_count=2):
+    for name in evaluation_topologies(quick_count=2):
         setup = setup_topology(name,
-                               dc_capacity_factor=dc_capacity_factor)
+                               dc_capacity_factor=DC_CAPACITY_FACTOR)
         nids = ReplicationProblem(
             setup.state, mirror_policy=MirrorPolicy.datacenter(),
-            max_link_load=max_link_load).solve()
+            max_link_load=MAX_LINK_LOAD).solve()
         nips_loads = {}
-        for budget in latency_budgets:
+        for budget in LATENCY_BUDGETS:
             result = NIPSProblem(
                 setup.state, mirror_policy=MirrorPolicy.datacenter(),
-                max_link_load=max_link_load,
+                max_link_load=MAX_LINK_LOAD,
                 max_latency_penalty=budget).solve()
             nips_loads[budget] = result.load_cost
         rows.append(NIPSRow(name, nids.load_cost, nips_loads))
@@ -216,9 +209,7 @@ class FailureRow:
     mirrors_after: str = "datacenter"  # "none" once the DC is cut off
 
 
-def run_failure_ablation(topologies: Optional[Sequence[str]] = None,
-                         max_link_load: float = 0.4,
-                         dc_capacity_factor: float = 10.0
+def run_failure_ablation(topologies: Optional[Sequence[str]] = None
                          ) -> List[FailureRow]:
     """Fail each topology's busiest NIDS node and re-solve.
 
@@ -234,10 +225,10 @@ def run_failure_ablation(topologies: Optional[Sequence[str]] = None,
     rows = []
     for name in topologies or evaluation_topologies(quick_count=2):
         state = setup_topology(
-            name, dc_capacity_factor=dc_capacity_factor).state
+            name, dc_capacity_factor=DC_CAPACITY_FACTOR).state
         before = ReplicationProblem(
             state, mirror_policy=MirrorPolicy.datacenter(),
-            max_link_load=max_link_load).solve()
+            max_link_load=MAX_LINK_LOAD).solve()
         transit = {node: sum(cls.num_sessions for cls in state.classes
                              if node in cls.path[1:-1])
                    for node in state.nids_nodes
@@ -252,7 +243,7 @@ def run_failure_ablation(topologies: Optional[Sequence[str]] = None,
                    else MirrorPolicy.none())
         after = ReplicationProblem(
             state, mirror_policy=mirrors,
-            max_link_load=max_link_load).solve()
+            max_link_load=MAX_LINK_LOAD).solve()
         rows.append(FailureRow(
             topology=name, failed_node=victim,
             load_before=before.load_cost,
@@ -293,19 +284,16 @@ class CombinedRow:
         return self.pure_objective / self.combined_objective
 
 
-def run_combined_ablation(topologies: Optional[Sequence[str]] = None,
-                          max_link_load: float = 0.4,
-                          dc_capacity_factor: float = 10.0
-                          ) -> List[CombinedRow]:
+def run_combined_ablation() -> List[CombinedRow]:
     """The Section 9 future-work formulation vs plain Figure 9."""
     rows = []
-    for name in topologies or evaluation_topologies(quick_count=2):
+    for name in evaluation_topologies(quick_count=2):
         setup = setup_topology(name,
-                               dc_capacity_factor=dc_capacity_factor)
+                               dc_capacity_factor=DC_CAPACITY_FACTOR)
         beta = AggregationProblem(setup.state).suggested_beta()
         pure = AggregationProblem(setup.state, beta=beta).solve()
         combined = CombinedProblem(setup.state, beta=beta,
-                                   max_link_load=max_link_load).solve()
+                                   max_link_load=MAX_LINK_LOAD).solve()
         rows.append(CombinedRow(
             topology=name,
             pure_objective=pure.objective,

@@ -12,20 +12,23 @@ halves the work on the maximally loaded non-DC node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.mirrors import MirrorPolicy
 from repro.core.replication import ReplicationProblem
-from repro.experiments.common import format_table, full_scale, setup_topology
-from repro.experiments.parallel import ParallelSweepRunner, SlabChannel
+from repro.experiments.common import (
+    MAX_LINK_LOAD,
+    format_table,
+    full_scale,
+    setup_topology,
+)
 from repro.shim.config import build_replication_configs
 from repro.simulation.emulation import Emulation
 from repro.simulation.tracegen import TraceGenerator, TraceSpec
 
-_POLICIES = {
-    "no_replicate": MirrorPolicy.none,
-    "replicate": MirrorPolicy.datacenter,
-}
+#: The Emulab run's datacenter: 8x a NIDS node (Section 8.1).
+DC_CAPACITY_FACTOR = 8.0
+SEED = 7
 
 
 @dataclass
@@ -48,73 +51,40 @@ class Fig10Result:
         return top_plain / top_repl if top_repl > 0 else float("inf")
 
 
-def _fig10_policy(args: Tuple[str, int, int, float, float, str]
-                  ) -> Tuple[str, Dict[str, float], float, int]:
-    """One architecture's LP + replay, rebuilt from plain arguments
-    (a picklable sweep point for :class:`ParallelSweepRunner`).
-
-    ``trace_path`` names the parent's slab-channel trace store; the
-    worker memmaps it instead of re-generating the trace.
-    """
-    (label, total_sessions, seed, dc_capacity_factor, max_link_load,
-     trace_path) = args
-    setup = setup_topology("internet2",
-                           dc_capacity_factor=dc_capacity_factor)
-    state = setup.state
-    generator = TraceGenerator(
-        state.topology.nodes, state.classes,
-        spec=TraceSpec(total_sessions=total_sessions), seed=seed)
-    result = ReplicationProblem(
-        state, mirror_policy=_POLICIES[label](),
-        max_link_load=max_link_load).solve()
-    configs = build_replication_configs(state, result)
-    emulation = Emulation(state, configs, generator.classifier)
-    report = emulation.run_signature(
-        SlabChannel.open_batch(trace_path), fast=True)
-    return (label, report.work_units,
-            result.max_load(exclude_dc=True), report.alerts)
-
-
-def run_fig10(total_sessions: Optional[int] = None, seed: int = 7,
-              dc_capacity_factor: float = 8.0,
-              max_link_load: float = 0.4,
-              jobs: Optional[int] = None) -> Fig10Result:
+def run_fig10(total_sessions: Optional[int] = None) -> Fig10Result:
     """Run the Internet2 emulation for both architectures.
 
-    The trace is synthesized once (vectorized direct build), spilled to
-    a slab channel, and memmapped by both architectures' workers — the
-    trace is neither pickled nor built twice. The vectorized replay's
+    The trace is synthesized once (vectorized direct build) and both
+    architectures replay that one batch. The vectorized replay's
     reports are bit-identical to the scalar oracle's.
 
     Args:
         total_sessions: trace size; 4,000 sessions at quick scale,
             20,000 at full scale.
-        jobs: fan the two architectures across processes (``--jobs``
-            on the CLI); results are identical to the serial run.
     """
     if total_sessions is None:
         total_sessions = 20_000 if full_scale() else 4_000
     state = setup_topology(
-        "internet2", dc_capacity_factor=dc_capacity_factor).state
+        "internet2", dc_capacity_factor=DC_CAPACITY_FACTOR).state
     generator = TraceGenerator(
         state.topology.nodes, state.classes,
-        spec=TraceSpec(total_sessions=total_sessions), seed=seed)
-    with SlabChannel(
-            generator.generate_batch(tuple(state.nids_nodes),
-                                     direct=True),
-            meta={"topology": "internet2", "seed": str(seed)}) as channel:
-        points = [(label, total_sessions, seed, dc_capacity_factor,
-                   max_link_load, channel.path)
-                  for label in _POLICIES]
-        results = ParallelSweepRunner(jobs).map(_fig10_policy, points)
-
+        spec=TraceSpec(total_sessions=total_sessions), seed=SEED)
+    batch = generator.generate_batch(tuple(state.nids_nodes),
+                                     direct=True)
     work: Dict[str, Dict[str, float]] = {}
     lp_max: Dict[str, float] = {}
     alerts: Dict[str, int] = {}
-    for label, work_units, max_load, alert_count in results:
-        work[label] = work_units
-        lp_max[label] = max_load
-        alerts[label] = alert_count
+    for label, policy in (("no_replicate", MirrorPolicy.none()),
+                          ("replicate", MirrorPolicy.datacenter())):
+        result = ReplicationProblem(
+            state, mirror_policy=policy,
+            max_link_load=MAX_LINK_LOAD).solve()
+        configs = build_replication_configs(state, result)
+        emulation = Emulation(state, configs, generator.classifier)
+        report = emulation.run_signature(batch, fast=True)
+        work[label] = report.work_units
+        lp_max[label] = result.max_load(exclude_dc=True)
+        alerts[label] = report.alerts
 
     nodes = [n for n in state.nids_nodes if n != state.dc_node]
     return Fig10Result(

@@ -14,6 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.mirrors import MirrorPolicy
 from repro.core.replication import ReplicationProblem
 from repro.experiments.common import (
+    DC_CAPACITY_FACTOR,
     evaluation_topologies,
     format_table,
     setup_topology,
@@ -39,13 +40,13 @@ class Fig11Series:
 
 
 def run_fig11(topologies: Optional[Sequence[str]] = None,
-              link_loads: Sequence[float] = DEFAULT_LINK_LOADS,
-              dc_capacity_factor: float = 10.0) -> List[Fig11Series]:
+              link_loads: Sequence[float] = DEFAULT_LINK_LOADS
+              ) -> List[Fig11Series]:
     """Sweep MaxLinkLoad for each topology."""
     series = []
     for name in topologies or evaluation_topologies():
         setup = setup_topology(name,
-                               dc_capacity_factor=dc_capacity_factor)
+                               dc_capacity_factor=DC_CAPACITY_FACTOR)
         # One formulation per topology; each sweep step patches the
         # link bounds of the compiled LP and re-solves warm.
         problem = ReplicationProblem(

@@ -20,7 +20,8 @@ from repro.experiments.common import (
     setup_topology,
 )
 
-DEFAULT_CONFIGS: Tuple[Tuple[float, float], ...] = (
+#: (MaxLinkLoad, DC capacity factor) pairs.
+CONFIGS: Tuple[Tuple[float, float], ...] = (
     (0.1, 2.0), (0.1, 10.0), (0.4, 2.0), (0.4, 10.0))
 
 
@@ -32,14 +33,13 @@ class Fig12Row:
     gaps: Dict[Tuple[float, float], float]  # (link load, DC cap) -> gap
 
 
-def run_fig12(topologies: Optional[Sequence[str]] = None,
-              configs: Sequence[Tuple[float, float]] = DEFAULT_CONFIGS
+def run_fig12(topologies: Optional[Sequence[str]] = None
               ) -> List[Fig12Row]:
     """Compute DCLoad - MaxNIDSLoad per topology and configuration."""
     rows = []
     for name in topologies or evaluation_topologies():
         gaps: Dict[Tuple[float, float], float] = {}
-        for max_link_load, dc_factor in configs:
+        for max_link_load, dc_factor in CONFIGS:
             setup = setup_topology(name, dc_capacity_factor=dc_factor)
             result = ReplicationProblem(
                 setup.state, mirror_policy=MirrorPolicy.datacenter(),

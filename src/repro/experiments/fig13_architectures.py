@@ -14,6 +14,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.architectures import ArchitectureEvaluator, ArchitectureKind
 from repro.experiments.common import (
+    DC_CAPACITY_FACTOR,
+    MAX_LINK_LOAD,
     evaluation_topologies,
     format_table,
     setup_topology,
@@ -43,17 +45,16 @@ class Fig13Row:
                 self.max_loads[ArchitectureKind.PATH_REPLICATE])
 
 
-def run_fig13(topologies: Optional[Sequence[str]] = None,
-              dc_capacity_factor: float = 10.0,
-              max_link_load: float = 0.4) -> List[Fig13Row]:
+def run_fig13(topologies: Optional[Sequence[str]] = None
+              ) -> List[Fig13Row]:
     """Evaluate the four Figure 13 architectures per topology."""
     rows = []
     for name in topologies or evaluation_topologies():
         setup = setup_topology(name)
         evaluator = ArchitectureEvaluator(
             setup.topology, setup.classes,
-            dc_capacity_factor=dc_capacity_factor,
-            max_link_load=max_link_load)
+            dc_capacity_factor=DC_CAPACITY_FACTOR,
+            max_link_load=MAX_LINK_LOAD)
         loads = {kind: evaluator.evaluate(kind).load_cost
                  for kind in FIG13_ARCHITECTURES}
         rows.append(Fig13Row(name, loads))

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.mirrors import MirrorPolicy
 from repro.core.replication import ReplicationProblem
 from repro.experiments.common import (
+    MAX_LINK_LOAD,
     evaluation_topologies,
     format_table,
     setup_topology,
@@ -42,8 +43,8 @@ class Fig14Row:
         return self.max_loads["one-hop"] / self.max_loads["two-hop"]
 
 
-def run_fig14(topologies: Optional[Sequence[str]] = None,
-              max_link_load: float = 0.4) -> List[Fig14Row]:
+def run_fig14(topologies: Optional[Sequence[str]] = None
+              ) -> List[Fig14Row]:
     """Evaluate local-offload policies per topology (no DC)."""
     rows = []
     for name in topologies or evaluation_topologies():
@@ -52,7 +53,7 @@ def run_fig14(topologies: Optional[Sequence[str]] = None,
         for label, policy in FIG14_POLICIES:
             result = ReplicationProblem(
                 setup.state, mirror_policy=policy,
-                max_link_load=max_link_load).solve()
+                max_link_load=MAX_LINK_LOAD).solve()
             loads[label] = result.load_cost
         rows.append(Fig14Row(name, loads))
     return rows

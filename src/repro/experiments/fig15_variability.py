@@ -20,6 +20,8 @@ import numpy as np
 
 from repro.core.architectures import ArchitectureEvaluator, ArchitectureKind
 from repro.experiments.common import (
+    DC_CAPACITY_FACTOR,
+    MAX_LINK_LOAD,
     evaluation_topologies,
     format_table,
     full_scale,
@@ -47,46 +49,15 @@ class Fig15Row:
     summary: Dict[str, float]  # min/q25/median/q75/max
 
 
-def _fig15_topology(args) -> List[Fig15Row]:
-    """One topology's full matrix sweep (a picklable sweep point).
-
-    The matrix RNG is seeded per topology, so evaluating topologies in
-    parallel produces exactly the rows the sequential loop does.
-    """
-    name, num_matrices, dc_capacity_factor, max_link_load, seed = args
-    setup = setup_topology(name)
-    evaluator = ArchitectureEvaluator(
-        setup.topology, setup.classes,
-        dc_capacity_factor=dc_capacity_factor,
-        max_link_load=max_link_load)
-    model = TrafficVariabilityModel.default()
-    rng = np.random.default_rng(seed)
-    matrices = model.generate_matrices(setup.matrix, num_matrices, rng)
-    peaks: Dict[ArchitectureKind, List[float]] = {
-        kind: [] for kind in FIG15_ARCHITECTURES}
-    for matrix in matrices:
-        classes = classes_from_matrix(setup.topology, matrix,
-                                      setup.routing)
-        for kind in FIG15_ARCHITECTURES:
-            result = evaluator.evaluate(kind, classes=classes)
-            peaks[kind].append(result.load_cost)
-    return [Fig15Row(name, kind, quartiles(peaks[kind]))
-            for kind in FIG15_ARCHITECTURES]
-
-
 def run_fig15(topologies: Optional[Sequence[str]] = None,
               num_matrices: Optional[int] = None,
-              dc_capacity_factor: float = 10.0,
-              max_link_load: float = 0.4,
-              seed: int = 15,
-              jobs: Optional[int] = None) -> List[Fig15Row]:
+              seed: int = 15) -> List[Fig15Row]:
     """Evaluate peak load across time-varying matrices.
 
     Args:
         num_matrices: how many varying matrices (paper: 100); the quick
             default is 12, full scale uses 100.
-        jobs: fan topologies across worker processes (``--jobs`` on
-            the CLI); row order and contents match the serial run.
+        seed: each topology's matrix RNG starts from it.
     """
     if num_matrices is None:
         num_matrices = 100 if full_scale() else 12
@@ -97,13 +68,28 @@ def run_fig15(topologies: Optional[Sequence[str]] = None,
         # explicitly.
         topologies = (evaluation_topologies()[:4] if full_scale()
                       else evaluation_topologies(quick_count=2))
-    from repro.experiments.parallel import ParallelSweepRunner
-
-    points = [(name, num_matrices, dc_capacity_factor, max_link_load,
-               seed) for name in topologies]
-    per_topology = ParallelSweepRunner(jobs).map(_fig15_topology,
-                                                 points)
-    return [row for rows in per_topology for row in rows]
+    model = TrafficVariabilityModel.default()
+    rows = []
+    for name in topologies:
+        setup = setup_topology(name)
+        evaluator = ArchitectureEvaluator(
+            setup.topology, setup.classes,
+            dc_capacity_factor=DC_CAPACITY_FACTOR,
+            max_link_load=MAX_LINK_LOAD)
+        rng = np.random.default_rng(seed)
+        matrices = model.generate_matrices(setup.matrix, num_matrices,
+                                           rng)
+        peaks: Dict[ArchitectureKind, List[float]] = {
+            kind: [] for kind in FIG15_ARCHITECTURES}
+        for matrix in matrices:
+            classes = classes_from_matrix(setup.topology, matrix,
+                                          setup.routing)
+            for kind in FIG15_ARCHITECTURES:
+                result = evaluator.evaluate(kind, classes=classes)
+                peaks[kind].append(result.load_cost)
+        rows.extend(Fig15Row(name, kind, quartiles(peaks[kind]))
+                    for kind in FIG15_ARCHITECTURES)
+    return rows
 
 
 def format_fig15(rows: Sequence[Fig15Row]) -> str:

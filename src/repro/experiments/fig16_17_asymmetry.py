@@ -25,6 +25,8 @@ import numpy as np
 from repro.core.inputs import NetworkState
 from repro.core.split import SplitTrafficProblem, ingress_split_result
 from repro.experiments.common import (
+    DC_CAPACITY_FACTOR,
+    MAX_LINK_LOAD,
     asymmetric_classes,
     format_table,
     full_scale,
@@ -35,6 +37,8 @@ from repro.topology.asymmetry import AsymmetricRoutingModel
 DEFAULT_THETAS: Tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5,
                                      0.6, 0.7, 0.8, 0.9)
 CONFIG_LABELS = ("ingress", "path", "dc-0.4")
+TOPOLOGY = "internet2"
+SEED = 16
 
 
 @dataclass
@@ -47,12 +51,9 @@ class AsymmetryPoint:
     max_load: float
 
 
-def run_fig16_17(topology_name: str = "internet2",
-                 thetas: Sequence[float] = DEFAULT_THETAS,
-                 runs_per_theta: Optional[int] = None,
-                 dc_capacity_factor: float = 10.0,
-                 max_link_load: float = 0.4,
-                 seed: int = 16) -> List[AsymmetryPoint]:
+def run_fig16_17(thetas: Sequence[float] = DEFAULT_THETAS,
+                 runs_per_theta: Optional[int] = None
+                 ) -> List[AsymmetryPoint]:
     """Sweep the expected overlap factor for the three architectures.
 
     Args:
@@ -61,9 +62,9 @@ def run_fig16_17(topology_name: str = "internet2",
     """
     if runs_per_theta is None:
         runs_per_theta = 50 if full_scale() else 8
-    setup = setup_topology(topology_name)
+    setup = setup_topology(TOPOLOGY)
     model = AsymmetricRoutingModel(setup.topology, setup.routing)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
 
     points: List[AsymmetryPoint] = []
     for theta in thetas:
@@ -73,7 +74,7 @@ def run_fig16_17(topology_name: str = "internet2",
             classes = asymmetric_classes(setup, model, theta, rng)
             state = NetworkState.calibrated(
                 setup.topology, classes,
-                dc_capacity_factor=dc_capacity_factor)
+                dc_capacity_factor=DC_CAPACITY_FACTOR)
 
             ingress = ingress_split_result(state)
             metrics["ingress"].append(
@@ -84,7 +85,7 @@ def run_fig16_17(topology_name: str = "internet2",
             metrics["path"].append((path.miss_rate, path.load_cost))
 
             dc = SplitTrafficProblem(
-                state, max_link_load=max_link_load).solve()
+                state, max_link_load=MAX_LINK_LOAD).solve()
             metrics["dc-0.4"].append((dc.miss_rate, dc.load_cost))
         for label in CONFIG_LABELS:
             misses = [m for m, _ in metrics[label]]

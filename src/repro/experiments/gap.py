@@ -58,7 +58,11 @@ from repro.core.inputs import NetworkState
 from repro.core.mirrors import MIRROR_POLICIES
 from repro.core.results import FractionTable, ReplicationResult
 from repro.core.validation import plan_loads
-from repro.experiments.common import format_table, setup_topology
+from repro.experiments.common import (
+    MAX_LINK_LOAD,
+    format_table,
+    setup_topology,
+)
 from repro.ingest import IngestDaemon
 from repro.obs import get_registry
 from repro.shim.batch import BatchShimKernel
@@ -66,9 +70,6 @@ from repro.shim.budget import BudgetedLowering
 from repro.shim.config import build_replication_configs
 from repro.simulation.tracegen import TraceGenerator, TraceSpec
 from repro.simulation.tracestore import ChunkedReplay
-
-
-MAX_LINK_LOAD = 0.4
 
 
 def _oracle(topology: str, mirror: str, dc_capacity_factor: float
@@ -218,10 +219,10 @@ class ShardGapSeries:
 
 
 def run_shard_gap(topology: str = "tinet",
-                  regions: Sequence[int] = (2,), seed: int = 0,
-                  jobs: Optional[int] = None) -> ShardGapSeries:
+                  regions: Sequence[int] = (2,), seed: int = 0
+                  ) -> ShardGapSeries:
     """Plan with each region count and compare to the global LP (DC,
-    DC 1x); ``jobs`` bounds the concurrent per-region solves."""
+    DC 1x)."""
     planner, oracle = _oracle(topology, "dc", 1.0)
     global_cost = oracle.result.load_cost
     metrics = get_registry()
@@ -229,8 +230,7 @@ def run_shard_gap(topology: str = "tinet",
     for count in regions:
         sharded = ShardedPlanner(
             planner.state, mirror_policy=planner.mirror_policy,
-            max_link_load=MAX_LINK_LOAD, num_regions=count, seed=seed,
-            jobs=jobs)
+            max_link_load=MAX_LINK_LOAD, num_regions=count, seed=seed)
         outcome = sharded.plan(planner.state.classes)
         gap = _relative_gap(outcome.result.load_cost, global_cost)
         metrics.gauge("controller.shard.gap", gap)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.core.architectures import ArchitectureKind
 from repro.core.mirrors import MirrorPolicy
@@ -28,7 +28,7 @@ from repro.experiments.ablations import (
     run_dc_capacity_ablation,
     run_placement_ablation,
 )
-from repro.experiments.common import setup_topology
+from repro.experiments.common import MAX_LINK_LOAD, setup_topology
 from repro.experiments.extensions_ablations import (
     format_combined,
     format_failures,
@@ -41,7 +41,11 @@ from repro.experiments.extensions_ablations import (
     run_nips_ablation,
     run_slack_ablation,
 )
-from repro.experiments.fig10_emulation import format_fig10, run_fig10
+from repro.experiments.fig10_emulation import (
+    DC_CAPACITY_FACTOR as FIG10_DC_CAPACITY_FACTOR,
+    format_fig10,
+    run_fig10,
+)
 from repro.experiments.fig11_linkload import format_fig11, run_fig11
 from repro.experiments.fig12_dcgap import format_fig12, run_fig12
 from repro.experiments.fig13_architectures import format_fig13, run_fig13
@@ -73,7 +77,6 @@ from repro.simulation.metrics import (
     share_rms,
     work_shares,
 )
-from repro.topology import builtin_topology_names
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,7 @@ class Claim:
 class Experiment:
     """How one paper table runs, renders, is kept and is checked."""
 
-    run: Callable[[Optional[int]], Any]  # --jobs -> rows
+    run: Callable[[], Any]  # -> rows
     format: Callable[[Any], str]
     results: str  # file name under benchmarks/results/
     claims: Tuple[Claim, ...]
@@ -99,16 +102,12 @@ class Experiment:
                 if not claim.holds(rows, recorded)]
 
 
-class ExperimentRuns(Dict[Callable[[Optional[int]], Any], Any]):
+class ExperimentRuns(Dict[Callable[[], Any], Any]):
     """Rows keyed by an experiment's ``run``, each run on first lookup:
     entries that share a ``run`` share its rows."""
 
-    def __init__(self, jobs: Optional[int] = None) -> None:
-        super().__init__()
-        self.jobs = jobs
-
-    def __missing__(self, run: Callable[[Optional[int]], Any]) -> Any:
-        rows = self[run] = run(self.jobs)
+    def __missing__(self, run: Callable[[], Any]) -> Any:
+        rows = self[run] = run()
         return rows
 
 
@@ -147,9 +146,10 @@ def recorded_replicate_work(recorded: str) -> Dict[str, float]:
 def fig10_share_rms(result, recorded: str) -> Tuple[float, float]:
     """RMS error between emulated and LP-predicted work shares, of
     ``result`` and of the committed table."""
-    state = setup_topology("internet2", dc_capacity_factor=8.0).state
+    state = setup_topology(
+        "internet2", dc_capacity_factor=FIG10_DC_CAPACITY_FACTOR).state
     lp = ReplicationProblem(state, mirror_policy=MirrorPolicy.datacenter(),
-                            max_link_load=0.4).solve()
+                            max_link_load=MAX_LINK_LOAD).solve()
     predicted = predicted_work_shares(state, lp)
     return (share_rms(work_shares(result.work_replicate), predicted),
             share_rms(work_shares(recorded_replicate_work(recorded)),
@@ -178,10 +178,6 @@ def _augmented_penalty(rows) -> float:
     return max(worst[(name, ArchitectureKind.PATH_AUGMENTED)] /
                worst[(name, ArchitectureKind.DC_PLUS_ONE_HOP)]
                for name in {r.topology for r in rows})
-
-
-def _asymmetry_sweep(jobs: Optional[int]):
-    return run_fig16_17()
 
 
 def _at(points, config: str, end: int):
@@ -226,7 +222,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
     # Not claimed: the paper's "aggregation solves faster", which came
     # from Figure 7's redundant columns (EXPERIMENTS.md, Table 1).
     "table1": Experiment(
-        lambda jobs: run_table1(builtin_topology_names()), format_table1,
+        run_table1, format_table1,
         "table1_solve_time.txt", (
             _each("recomputation is well within reconfiguration "
                   "timescales: replication within 10x the paper's NTT "
@@ -240,7 +236,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
                 lambda rows: _largest_is_slowest(
                     rows, "aggregation_solve_s")))),
     "fig10": Experiment(
-        lambda jobs: run_fig10(jobs=jobs), format_fig10,
+        run_fig10, format_fig10,
         "fig10_emulation.txt", (
             _of("replication cuts the busiest non-DC node's work "
                 "(> 1.3x)", lambda r: r.max_work_reduction() > 1.3),
@@ -258,7 +254,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
                   lambda r, recorded:
                   fig10_share_rms(r, recorded)[0] < 0.05))),
     "fig11": Experiment(
-        lambda jobs: run_fig11(), format_fig11,
+        run_fig11, format_fig11,
         "fig11_linkload_sweep.txt", (
             _each("load never increases as the link budget grows",
                   lambda s: _monotone(s.max_loads,
@@ -266,7 +262,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
             _each("diminishing returns past MaxLinkLoad 0.4 (residual "
                   "gain < 0.12)", lambda s: s.knee_gain(0.4) < 0.12))),
     "fig12": Experiment(
-        lambda jobs: run_fig12(), format_fig12, "fig12_dc_gap.txt", (
+        run_fig12, format_fig12, "fig12_dc_gap.txt", (
             _each("the DC never exceeds the interior max beyond noise",
                   lambda r: all(g <= 1e-6 for g in r.gaps.values())),
             _each("underutilization is worst at (MaxLinkLoad 0.1, DC "
@@ -278,7 +274,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
                                  if r.gaps[(0.4, 2.0)] > -0.05)
                 >= len(rows) // 2))),
     "fig13": Experiment(
-        lambda jobs: run_fig13(), format_fig13,
+        run_fig13, format_fig13,
         "fig13_architectures.txt", (
             # pytest.approx(1.0)'s default tolerance.
             _each("Ingress-only is load 1.0 by construction",
@@ -290,7 +286,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
                 lambda rows: max(r.replication_gain_vs_ingress()
                                  for r in rows) > 3.0))),
     "fig14": Experiment(
-        lambda jobs: run_fig14(), format_fig14,
+        run_fig14, format_fig14,
         "fig14_local_offload.txt", (
             _each("one-hop offload never hurts",
                   lambda r: r.one_hop_gain() >= 1.0 - 1e-9),
@@ -299,7 +295,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
             _of("some topology shows a clear one-hop win (> 1.2x)",
                 lambda rows: max(r.one_hop_gain() for r in rows) > 1.2))),
     "fig15": Experiment(
-        lambda jobs: run_fig15(jobs=jobs), format_fig15,
+        run_fig15, format_fig15,
         "fig15_variability.txt", (
             _of("DC-only beats Ingress at the median", _by_arch(
                 lambda s: s[_DC_ONLY]["median"] < s[_INGRESS]["median"])),
@@ -312,7 +308,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
                 "the replication architectures' somewhere (> 1.1x)",
                 lambda rows: _augmented_penalty(rows) > 1.1))),
     "fig16": Experiment(
-        _asymmetry_sweep, format_fig16, "fig16_missrate.txt", (
+        run_fig16_17, format_fig16, "fig16_missrate.txt", (
             _of("DC-0.4 drives the miss rate to ~zero (< 0.02) at every "
                 "overlap", lambda points: all(
                     p.miss_rate < 0.02 for p in points
@@ -324,7 +320,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
                 lambda points: _at(points, "path", 0).miss_rate >=
                 _at(points, "dc-0.4", 0).miss_rate - 1e-9))),
     "fig17": Experiment(
-        _asymmetry_sweep, format_fig17, "fig17_split_load.txt", (
+        run_fig16_17, format_fig17, "fig17_split_load.txt", (
             _of("Path-only pays the concentration penalty at low overlap",
                 lambda points: _at(points, "path", 0).max_load >
                 _at(points, "path", -1).max_load),
@@ -338,7 +334,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
                 lambda points: _at(points, "ingress", 0).max_load <=
                 _at(points, "ingress", -1).max_load + 1e-9))),
     "fig18": Experiment(
-        lambda jobs: run_fig18(), format_fig18,
+        run_fig18, format_fig18,
         "fig18_beta_tradeoff.txt", (
             _each("the curve beats the corners in normalized load",
                   lambda s: s.best_point()[0] < 1.0 + 1e-9),
@@ -358,13 +354,13 @@ EXPERIMENTS: Dict[str, Experiment] = {
                     if s.best_point()[0] < 0.7 and s.best_point()[1] < 0.7)
                 >= len(series) // 2))),
     "fig19": Experiment(
-        lambda jobs: run_fig19(), format_fig19, "fig19_imbalance.txt", (
+        run_fig19, format_fig19, "fig19_imbalance.txt", (
             _each("aggregation never worsens the load imbalance",
                   lambda r: r.improvement >= 1.0 - 1e-9),
             _of("aggregation cuts the imbalance > 1.5x somewhere",
                 lambda rows: max(r.improvement for r in rows) > 1.5))),
     "placement": Experiment(
-        lambda jobs: run_placement_ablation(), format_placement,
+        run_placement_ablation, format_placement,
         "ablation_placement.txt", (
             _each("the gap between placement strategies is very small "
                   "(< 0.3)", lambda r: r.spread() < 0.3),
@@ -372,7 +368,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
                   lambda r: r.max_loads["observed"] <=
                   min(r.max_loads.values()) * 1.10 + 1e-9))),
     "dc-capacity": Experiment(
-        lambda jobs: run_dc_capacity_ablation(), format_dc_capacity,
+        run_dc_capacity_ablation, format_dc_capacity,
         "ablation_dc_capacity.txt", (
             _each("more DC capacity never hurts",
                   lambda s: _monotone(s.max_loads,
@@ -382,19 +378,19 @@ EXPERIMENTS: Dict[str, Experiment] = {
                               pair[0.1].knee_capacity() <=
                               pair[0.4].knee_capacity() + 1e-9)))),
     "slack": Experiment(
-        lambda jobs: run_slack_ablation(), format_slack,
+        run_slack_ablation, format_slack,
         "ablation_slack.txt", (
             _each("slack provisioning never has a worse worst case",
                   lambda r: r.improvement >= 1.0 - 1e-9),)),
     "link-cost": Experiment(
-        lambda jobs: run_link_cost_ablation(), format_link_cost,
+        run_link_cost_ablation, format_link_cost,
         "ablation_link_cost.txt", (
             _each("the soft link cost's load is within 0.15 of the hard "
                   "bound's", lambda r: r.soft_load <= r.hard_load + 0.15),
             _each("the soft link cost keeps links uncongested (< 1)",
                   lambda r: r.soft_worst_link < 1.0))),
     "nips": Experiment(
-        lambda jobs: run_nips_ablation(), format_nips,
+        run_nips_ablation, format_nips,
         "ablation_nips.txt", (
             _each("looser latency budgets never hurt",
                   lambda r: _monotone(_nips_loads(r),
@@ -402,7 +398,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
             _each("NIPS rerouting never beats NIDS replication",
                   lambda r: min(_nips_loads(r)) >= r.nids_load - 1e-6))),
     "combined": Experiment(
-        lambda jobs: run_combined_ablation(), format_combined,
+        run_combined_ablation, format_combined,
         "ablation_combined.txt", (
             _each("the combined formulation's objective is no worse",
                   lambda r:
@@ -410,7 +406,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
             _each("the combined formulation's load is no worse",
                   lambda r: r.combined_load <= r.pure_load + 1e-9))),
     "strategies": Experiment(
-        lambda jobs: run_strategy_ablation(), format_strategies,
+        run_strategy_ablation, format_strategies,
         "ablation_strategies.txt", (
             _of("all three splits flag identical scanners",
                 lambda rows: len({r.alerts for r in rows}) == 1),
@@ -431,7 +427,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
     # Not a paper figure: the operational story behind the min-max
     # objective ("overload is a common cause of appliance failure").
     "failure": Experiment(
-        lambda jobs: run_failure_ablation(), format_failures,
+        run_failure_ablation, format_failures,
         "ablation_failure.txt", (
             _of("some topology's busiest node is not a cut vertex", bool),
             _each("the re-solved survivors stay within provisioning",
@@ -443,7 +439,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
     # Not paper figures: the distance to the LP of the three knobs this
     # reproduction added (experiments/gap.py), each on tinet.
     "budget-sweep": Experiment(
-        lambda jobs: run_budget_sweep(), format_budget_sweep,
+        run_budget_sweep, format_budget_sweep,
         "budget_sweep.txt", (
             _of("a rule budget of 8 per class keeps the Linf coverage "
                 "error within 5 %",
@@ -455,7 +451,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
                 lambda s: s.points[-1].budget is None and
                 abs(s.points[-1].error_linf) <= 1e-6))),
     "shard-gap": Experiment(
-        lambda jobs: run_shard_gap(jobs=jobs), format_shard_gap,
+        run_shard_gap, format_shard_gap,
         "shard_gap.txt", (
             _of("2 regions land within 10 % of the global LoadCost",
                 lambda s: s.point(2).gap <= 0.10),
@@ -470,7 +466,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
                 min(s.point(2).region_sizes) >= 1 and
                 s.point(2).lp_solves >= 2))),
     "sketch-gap": Experiment(
-        lambda jobs: run_sketch_gap(), format_sketch_gap,
+        run_sketch_gap, format_sketch_gap,
         "sketch_gap.txt", (
             _of("a 4 KB/class sketch realizes within 10 % of the "
                 "exact-matrix oracle",

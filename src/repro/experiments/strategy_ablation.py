@@ -21,6 +21,13 @@ from repro.nids.scan import ScanDetector
 from repro.shim.hashing import field_hash, session_hash
 from repro.simulation.tracegen import TraceGenerator, TraceSpec
 
+TOPOLOGY = "internet2"
+TOTAL_SESSIONS = 3000
+SCANNER_COUNT = 4
+#: A source contacting more distinct destinations is a scanner.
+THRESHOLD = 20
+SEED = 8
+
 
 @dataclass
 class StrategyRow:
@@ -43,18 +50,14 @@ def _assign_node(strategy: SplitStrategy, session, path) -> str:
     return path[min(int(value * len(path)), len(path) - 1)]
 
 
-def run_strategy_ablation(topology_name: str = "internet2",
-                          total_sessions: int = 3000,
-                          scanner_count: int = 4,
-                          threshold: int = 20,
-                          seed: int = 8) -> List[StrategyRow]:
+def run_strategy_ablation() -> List[StrategyRow]:
     """Compare the three Figure 8 splits on one synthetic trace."""
-    setup = setup_topology(topology_name)
-    spec = TraceSpec(total_sessions=total_sessions,
-                     scanner_count=scanner_count,
-                     scanner_fanout=3 * threshold)
+    setup = setup_topology(TOPOLOGY)
+    spec = TraceSpec(total_sessions=TOTAL_SESSIONS,
+                     scanner_count=SCANNER_COUNT,
+                     scanner_fanout=3 * THRESHOLD)
     generator = TraceGenerator(setup.topology.nodes, setup.classes,
-                               spec=spec, seed=seed)
+                               spec=spec, seed=SEED)
     sessions = generator.generate(with_payloads=False)
     class_by_name = {cls.name: cls for cls in setup.classes}
 
@@ -93,7 +96,7 @@ def run_strategy_ablation(topology_name: str = "internet2",
                 reports.append(report)
             counts = aggregate_reports(strategy, reports)
             alerts.extend(src for src, count in counts.items()
-                          if count > threshold)
+                          if count > THRESHOLD)
         rows.append(StrategyRow(strategy, record_hops, byte_hops,
                                 tuple(sorted(alerts))))
     return rows

@@ -20,10 +20,12 @@ from repro.core.aggregation import AggregationProblem
 from repro.core.mirrors import MirrorPolicy
 from repro.core.replication import ReplicationProblem
 from repro.experiments.common import (
-    evaluation_topologies,
+    DC_CAPACITY_FACTOR,
+    MAX_LINK_LOAD,
     format_table,
     setup_topology,
 )
+from repro.topology.library import builtin_topology_names
 
 
 @dataclass
@@ -38,17 +40,17 @@ class Table1Row:
     aggregation_build_s: float
 
 
-def run_table1(topologies: Optional[Sequence[str]] = None,
-               dc_capacity_factor: float = 10.0,
-               max_link_load: float = 0.4) -> List[Table1Row]:
-    """Measure LP build+solve time for both formulations per topology."""
+def run_table1(topologies: Optional[Sequence[str]] = None
+               ) -> List[Table1Row]:
+    """Measure LP build+solve time for both formulations per topology
+    (all eight unless ``topologies`` names some)."""
     rows = []
-    for name in topologies or evaluation_topologies():
+    for name in topologies or builtin_topology_names():
         setup = setup_topology(name,
-                               dc_capacity_factor=dc_capacity_factor)
+                               dc_capacity_factor=DC_CAPACITY_FACTOR)
         replication = ReplicationProblem(
             setup.state, mirror_policy=MirrorPolicy.datacenter(),
-            max_link_load=max_link_load)
+            max_link_load=MAX_LINK_LOAD)
         start = time.perf_counter()
         # Table 1 measures the *cold* build per topology; each loop
         # iteration builds a fresh problem.  # repro-lint: allow[HYG001]

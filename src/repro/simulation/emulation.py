@@ -31,8 +31,7 @@ session-aligned packet ranges (:meth:`ChunkedReplay.partition`),
 forked children tally all but the first, and the partials merge in
 range order. Every partial is an integer-valued sum or a set of
 distinct (node, five-tuple) pairs, so the report is the one-process
-report exactly. A worker process (a sweep's) and a batch not grouped
-by session replay in-process.
+report exactly. A batch not grouped by session replays in-process.
 """
 
 from __future__ import annotations
@@ -119,10 +118,8 @@ def _distinct(arrays: Sequence[np.ndarray]) -> np.ndarray:
 def _replay_workers(replay: ChunkedReplay) -> int:
     """Processes to replay ``replay`` with: one per CPU this process
     may run on, while each gets ``MIN_PACKETS_PER_WORKER`` packets and
-    a chunk. Where ``fork`` is unavailable, or this process is itself
-    a worker (a sweep's, or a replay's), the replay stays here."""
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.parent_process() is not None):
+    a chunk. Where ``fork`` is unavailable, the replay stays here."""
+    if "fork" not in multiprocessing.get_all_start_methods():
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))

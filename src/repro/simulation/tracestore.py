@@ -8,10 +8,10 @@ per-column dtype/shape, class/node universes, path tables, and a
 sha256 content fingerprint. Reopening maps each column back as a
 read-only view (``np.load(..., mmap_mode="r")`` / a uint8
 ``np.memmap``), so a 10^8-packet trace costs O(1) memory to open and
-pages in only what a replay touches. Worker processes opening the same
-store share the page cache — the slab channel
-:class:`~repro.experiments.parallel.ParallelSweepRunner` uses instead
-of pickling traces across the fork boundary.
+pages in only what a replay touches. Opening fails closed: a manifest
+whose row counts disagree with its columns, or with each other, is a
+:class:`TraceStoreError` at :meth:`TraceStore.open`, checked from
+shapes and one memmapped element, not from the data.
 
 :class:`ChunkedReplay` streams a batch (memmapped or in-memory) as
 session-aligned sub-batches of bounded packet count. Sub-batches carry
@@ -204,6 +204,7 @@ class TraceStore:
                                            mode="r",
                                            shape=(payload_len,)))
             payload.flags.writeable = False
+            cls._check_counts(root, manifest, columns, payload_len)
             sessions = SessionBatch(
                 columns["proto"], columns["src_ip"],
                 columns["src_port"], columns["dst_ip"],
@@ -247,6 +248,33 @@ class TraceStore:
                     f"{spec['dtype']}{tuple(spec['shape'])}")
             columns[name] = array
         return columns
+
+    @staticmethod
+    def _check_counts(root: Path, manifest: Dict[str, object],
+                      columns: Dict[str, np.ndarray],
+                      payload_len: int) -> None:
+        """Each column's length against the manifest's session and
+        packet counts, and the payload offsets' end against the
+        payload. The fingerprint covers neither count, and a column
+        cut together with its manifest shape passes the shape check,
+        so ``verify`` alone would be the first to notice. Shapes and
+        one memmapped element: O(1)."""
+        num_packets = int(manifest["num_packets"])
+        rows = dict.fromkeys(_SESSION_COLUMNS,
+                             int(manifest["num_sessions"]))
+        rows.update(dict.fromkeys(_PACKET_COLUMNS, num_packets))
+        rows["payload_offsets"] = num_packets + 1
+        for name, expected in rows.items():
+            if columns[name].shape[:1] != (expected,):
+                raise TraceStoreError(
+                    f"{root}: column {name!r} has shape "
+                    f"{columns[name].shape}, the manifest's counts "
+                    f"need {expected} rows")
+        end = int(columns["payload_offsets"][-1])
+        if end != payload_len:
+            raise TraceStoreError(
+                f"{root}: payload offsets end at byte {end}, the "
+                f"manifest records {payload_len} payload bytes")
 
     # -- accessors -------------------------------------------------------
 

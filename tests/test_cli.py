@@ -96,7 +96,7 @@ class TestExperiment:
             monkeypatch.delitem(EXPERIMENTS, name)
         for name in ("alpha", "beta"):
             monkeypatch.setitem(EXPERIMENTS, name, Experiment(
-                lambda jobs, name=name: name.upper(),
+                lambda name=name: name.upper(),
                 lambda rows: f"{rows} TABLE", f"{name}.txt", ()))
         assert main(["experiment", "all"]) == 0
         out = capsys.readouterr().out
@@ -107,6 +107,12 @@ class TestExperiment:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["experiment", "fig99"])
+
+    def test_there_is_no_jobs_flag(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["experiment", "fig13", "--jobs", "2"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -248,6 +254,35 @@ class TestWriteJson:
         out = capsys.readouterr().out
         report = json.loads(out[out.index("\n{"):])
         assert len(report["epochs"]) == 2
+
+
+class TestNumberFlags:
+    """A count or interval that must be positive is a usage error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "internet2", "--top", "-1"],
+        ["scenario", "steady-drift", "--epochs", "0"],
+        ["racecheck", "--epochs", "0"],
+        ["trace", "replay", "store", "--chunk", "0"],
+        ["trace", "replay", "store", "--follow", "--width", "0"],
+        ["trace", "replay", "store", "--follow", "--depth", "0"],
+        ["trace", "replay", "store", "--follow", "--workers", "0"],
+        ["trace", "replay", "store", "--follow", "--interval", "-1"],
+    ], ids=["top", "scenario-epochs", "racecheck-epochs", "chunk",
+            "width", "depth", "workers", "interval"])
+    def test_nonpositive_value_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{argv[-2]}: must be positive, got '{argv[-1]}'" in err
+        assert "Traceback" not in err
+
+    def test_non_number_names_the_type(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["trace", "replay", "store", "--interval", "soon"])
+        assert caught.value.code == 2
+        assert "invalid float value: 'soon'" in capsys.readouterr().err
 
 
 class TestReadme:

@@ -3,6 +3,7 @@ benchmark and ``make results`` read, and the regenerator — checked
 without running an experiment."""
 
 import argparse
+import inspect
 import types
 
 import pytest
@@ -44,17 +45,27 @@ def test_cli_choices_are_the_registry_names_plus_all():
     assert list(name.choices) == sorted(EXPERIMENTS) + ["all"]
 
 
+def test_every_entry_runs_with_no_arguments():
+    """Each entry is one parameterisation: its ``run`` is called bare,
+    so no parameter may lack a default."""
+    assert len(EXPERIMENTS) == 22
+    for name, experiment in EXPERIMENTS.items():
+        parameters = inspect.signature(experiment.run).parameters
+        assert all(p.default is not p.empty
+                   for p in parameters.values()), name
+
+
 def test_figures_16_and_17_share_one_sweep():
     assert EXPERIMENTS["fig16"].run is EXPERIMENTS["fig17"].run
     calls = []
 
-    def sweep(jobs):
-        calls.append(jobs)
+    def sweep():
+        calls.append("sweep")
         return ["point"]
 
-    runs = ExperimentRuns(jobs=3)
+    runs = ExperimentRuns()
     assert runs[sweep] is runs[sweep]
-    assert calls == [3]
+    assert calls == ["sweep"]
 
 
 def _table(load, seconds="0.010", summary="1.70x"):

@@ -22,6 +22,6 @@ class TestValidation:
         from repro.obs import MetricsRegistry, use_registry
 
         with use_registry(MetricsRegistry()) as metrics:
-            run_shard_gap(regions=(2,), jobs=1)
+            run_shard_gap(regions=(2,))
             gauges = metrics.snapshot()["gauges"]
         assert "controller.shard.gap" in gauges

@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core import MirrorPolicy, ReplicationProblem
 from repro.experiments.common import setup_topology
-from repro.experiments.parallel import ParallelSweepRunner
 from repro.ingest import chunk_resident_bytes
 from repro.runtime import CANNED_SCENARIOS
 from repro.shim.hashing import FiveTuple
@@ -494,15 +494,6 @@ class TestForkedReplay:
         # At the real minimum, a 400-session trace stays here too.
         emulation.run_signature(batch, fast=True)
 
-    def test_sweep_workers_replay_in_process(self, tinet_emulation,
-                                             replay_workers):
-        _, batch = tinet_emulation
-        replay = ChunkedReplay(batch, 13)
-        with replay_workers(2, 13):
-            assert _replay_workers(replay) == 2
-            assert ParallelSweepRunner(jobs=2).map(
-                _replay_workers, [replay, replay]) == [1, 1]
-
     def test_a_dead_worker_raises_with_its_exit_code(
             self, tinet_emulation, replay_workers, monkeypatch):
         emulation, batch = tinet_emulation
@@ -606,6 +597,36 @@ class TestStoreErrors:
         (tmp_path / "trace" / "direction.npy").unlink()
         with pytest.raises(TraceStoreError, match="direction.npy"):
             TraceStore.open(tmp_path / "trace")
+
+    @pytest.mark.parametrize("tamper", ["cut-column", "raised-counts",
+                                        "offsets-end"])
+    def test_counts_that_disagree_fail_closed(self, tinet_emulation,
+                                              tmp_path, capsys, tamper):
+        """Row counts the shape check and the fingerprint both miss: a
+        column cut together with its manifest shape, manifest counts
+        raised, a payload that ends before its offsets do. Each fails
+        at ``open``, and ``repro trace info`` says so and exits 2."""
+        _, batch = tinet_emulation
+        root = tmp_path / "trace"
+        TraceStore.pack(batch, root)
+        manifest = json.loads((root / "manifest.json").read_text())
+        if tamper == "cut-column":
+            cut = np.asarray(batch.sessions.src_ip)[:-5].copy()
+            np.save(root / "src_ip.npy", cut)
+            manifest["columns"]["src_ip"]["shape"] = list(cut.shape)
+            match = "column 'src_ip' has shape"
+        elif tamper == "raised-counts":
+            manifest["num_packets"] += 7
+            manifest["num_sessions"] += 3
+            match = "the manifest's counts need"
+        else:
+            manifest["payload"]["bytes"] -= 1
+            match = "payload offsets end"
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(TraceStoreError, match=match):
+            TraceStore.open(root)
+        assert main(["trace", "info", str(root)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {root}: ")
 
     def test_verify_catches_tampering(self, tinet_emulation,
                                       tmp_path):
