@@ -449,12 +449,12 @@ class Formulation:
             np.zeros(len(self._load_keys), dtype=np.float64),
             lead=load_cost)
         if constrain:
-            for ordinal, (resource, node) in enumerate(self._load_keys):
-                # ``LoadCost - expr >= -(0 - constant)``: a negative
-                # zero, which is what the ``.lp`` goldens print.
-                model.add_block_row(
-                    block, ordinal, -(0.0 - block.constants[ordinal]),
-                    name=f"loadcost[{resource},{node}]")
+            # ``LoadCost - expr >= -(0 - constant)``: a negative zero,
+            # which is what the ``.lp`` goldens print.
+            model.add_block_rows(
+                block, -(0.0 - block.constants),
+                [f"loadcost[{resource},{node}]"
+                 for resource, node in self._load_keys])
         return load_cost
 
     def _emit_link_rows(self, model: Model) -> None:

@@ -25,17 +25,17 @@ only the link coefficients, the background and the extra rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.core.formulation import TermIndex
 from repro.core.inputs import NetworkState
 from repro.core.mirrors import MirrorPolicy
-from repro.core.replication import ReplicationProblem
-from repro.core.results import ReplicationResult
-from repro.lpsolve import LinExpr, Model, Solution, Variable, lin_sum
-from repro.topology.topology import Link, Topology
-from repro.traffic.classes import TrafficClass
+from repro.core.replication import ReplicationProblem, flat_paths
+from repro.core.results import ReplicationResult, ragged, route_links
+from repro.lpsolve import Model, RowBlock, Solution
+from repro.topology.topology import Link
 
 
 @dataclass
@@ -67,6 +67,12 @@ class NIPSProblem(ReplicationProblem):
 
     kind = "nips"
     result_type = NIPSResult
+    # A reroute's link terms depend on direction and egress, and it
+    # also takes the class *off* the links downstream of its node, so
+    # a longer detour is not a dominated one: every class keeps its
+    # own columns, and every reroute.
+    _share_columns = False
+    _prune_tunnels = False
 
     def __init__(self, state: NetworkState,
                  mirror_policy: Optional[MirrorPolicy] = None,
@@ -84,46 +90,52 @@ class NIPSProblem(ReplicationProblem):
     def _reset(self) -> None:
         super()._reset()
         self._forward_bytes: Dict[Link, float] = {}
-        self._detour_exprs: Dict[str, LinExpr] = {}
-
-    def _detour_hops(self, node: str, mirror: str, egress: str) -> int:
-        """Extra hops for traffic rerouted at ``node`` via ``mirror``."""
-        routing = self.state.routing
-        return (routing.hop_count(node, mirror) +
-                routing.hop_count(mirror, egress) -
-                routing.hop_count(node, egress))
+        self._class_links: Optional[Tuple[np.ndarray, ...]] = None
+        self._latency_block: Optional[RowBlock] = None
 
     # -- the coefficient table ----------------------------------------------
 
-    def _group_key(self, cls: TrafficClass) -> str:
-        # A reroute's link terms depend on direction and egress.
-        return cls.name
-
-    def _worth_taking(self, sources: Sequence[str], mirror: str,
-                      tunnel: Callable[[str, str], int]) -> List[str]:
-        # A reroute also takes the class off the links downstream of
-        # its node, so a longer tunnel is not a dominated one.
-        return list(sources)
+    def _reroutes(self) -> Tuple[np.ndarray, ...]:
+        """``(position, owner, node, mirror, egress)`` of every ``o``
+        fraction of the layout, as codes."""
+        layout = self._layout
+        remote = np.flatnonzero(layout.mirror >= 0)
+        code = {node: index for index, node in enumerate(layout.node_names)}
+        egress = np.array([code[cls.target] for cls in self.state.classes],
+                          dtype=np.int64)
+        owner = layout.cls[remote]
+        return (remote, owner, layout.node[remote], layout.mirror[remote],
+                egress[owner])
 
     def _link_term_index(self) -> TermIndex:
         # Rerouting at j removes the class's bytes from links
         # downstream of j and adds them on P(j, mirror) +
-        # P(mirror, egress).
-        def terms() -> Iterator[Tuple[Link, Variable, int, float]]:
-            state = self.state
-            by_name = {cls.name: (index, cls) for index, cls in
-                       enumerate(state.classes)}
-            for (cls_name, node, mirror), var in self._o.items():
-                index, cls = by_name[cls_name]
-                for link in Topology.path_links(
-                        cls.path[cls.path.index(node):]):
-                    yield link, var, index, -cls.session_bytes
-                for link in (state.routing.path_links(node, mirror) +
-                             state.routing.path_links(mirror,
-                                                      cls.target)):
-                    yield link, var, index, cls.session_bytes
-
-        return TermIndex.from_terms(self.state.topology.links, terms())
+        # P(mirror, egress): three runs of links per o fraction, taken
+        # from one pool.
+        state = self.state
+        ordinal = {link: index
+                   for index, link in enumerate(state.topology.links)}
+        remote, owner, node, mirror, egress = self._reroutes()
+        path_links, first, position = self._class_links
+        downstream = first[owner] + position[owner, node]
+        tunnel, at_tunnel, to_mirror = route_links(
+            state.routing, state.nids_nodes, node, mirror, ordinal)
+        onward, at_onward, to_egress = route_links(
+            state.routing, state.nids_nodes, mirror, egress, ordinal)
+        pool = np.concatenate((path_links, tunnel, onward))
+        start = np.stack((downstream, at_tunnel + len(path_links),
+                          at_onward + len(path_links) + len(tunnel)),
+                         axis=1).ravel()
+        count = np.stack((first[owner + 1] - downstream, to_mirror,
+                          to_egress), axis=1).ravel()
+        session_bytes = np.array(
+            [cls.session_bytes for cls in state.classes],
+            dtype=np.float64)
+        weight = (np.array([-1.0, 1.0, 1.0])
+                  * session_bytes[owner][:, None]).ravel()
+        at = np.repeat(np.repeat(remote, 3), count)
+        return TermIndex(pool[ragged(start, count)], self._columns[at],
+                         self._layout.cls[at], np.repeat(weight, count))
 
     def _bg_load(self, link: Link) -> float:
         return self._forward_bytes[link] / self.state.link_capacity[link]
@@ -132,32 +144,53 @@ class NIPSProblem(ReplicationProblem):
 
     def _build(self, model: Model) -> None:
         state = self.state
+        # Every class's path links, one after the other; a class's run
+        # ends where the next one's starts.
+        code = {node: index for index, node in enumerate(state.nids_nodes)}
+        path, lengths = flat_paths(state.classes, code)
+        link_at = np.full((len(code), len(code)), -1, dtype=np.int64)
+        for index, (u, v) in enumerate(state.topology.links):
+            link_at[code[u], code[v]] = link_at[code[v], code[u]] = index
+        on = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+        inner = on[:-1] == on[1:]
+        path_links = link_at[path[:-1][inner], path[1:][inner]]
+        first = np.concatenate(([0], np.cumsum(lengths - 1)))
+        position = np.zeros((len(lengths), len(code)), dtype=np.int64)
+        position[on, path] = (np.arange(len(path))
+                              - np.repeat(np.cumsum(lengths) - lengths,
+                                          lengths))
+        self._class_links = (path_links, first, position)
         # BG decomposed per class, so a reroute can subtract it. NIPS
         # rerouting of asymmetric classes is out of scope (the paper's
         # NIPS discussion assumes the forwarding path), so only the
         # forward path is accounted.
-        self._forward_bytes = {link: 0.0 for link in state.topology.links}
-        for cls in state.classes:
-            for link in Topology.path_links(cls.path):
-                self._forward_bytes[link] += (cls.num_sessions *
-                                              cls.session_bytes)
+        forward = np.array([cls.num_sessions * cls.session_bytes
+                            for cls in state.classes], dtype=np.float64)
+        self._forward_bytes = dict(zip(state.topology.links, np.bincount(
+            path_links, weights=forward[on[1:][inner]],
+            minlength=len(state.topology.links)).tolist()))
         super()._build(model)
 
-        # Latency: bound each class's expected detour hops.
-        for cls in state.classes:
-            terms = []
-            for (cls_name, node, mirror), var in self._o.items():
-                if cls_name != cls.name:
-                    continue
-                detour = self._detour_hops(node, mirror, cls.target)
-                if detour:
-                    terms.append(var * float(detour))
-            expr = lin_sum(terms)
-            self._detour_exprs[cls.name] = expr
-            if terms:
-                model.add_constraint(
-                    expr <= self.max_latency_penalty,
-                    name=f"latency[{cls.name}]")
+        # Latency: bound each class's expected detour hops,
+        # ``hops(j,j') + hops(j',egress) - hops(j,egress)`` per reroute.
+        remote, owner, node, mirror, egress = self._reroutes()
+        ordinal = {link: index
+                   for index, link in enumerate(state.topology.links)}
+        routes = (route_links(state.routing, state.nids_nodes, a, b,
+                              ordinal)[2]
+                  for a, b in ((node, mirror), (mirror, egress),
+                               (node, egress)))
+        detour = next(routes) + next(routes) - next(routes)
+        terms = np.flatnonzero(detour)
+        block = self._latency_block = RowBlock(
+            model, owner[terms], self._columns[remote[terms]],
+            detour[terms].astype(np.float64),
+            np.zeros(len(state.classes)))
+        # ``expr <= penalty``, normalized as a symbolic row would be.
+        model.add_block_rows(
+            block, np.full(len(state.classes),
+                           -(0.0 - self.max_latency_penalty)),
+            [f"latency[{cls.name}]" for cls in state.classes])
 
     def _add_link_row(self, model: Model, link: Link,
                       ordinal: int) -> None:
@@ -168,9 +201,9 @@ class NIPSProblem(ReplicationProblem):
 
     def _unpack(self, model: Model, solution: Solution) -> NIPSResult:
         return super()._unpack(
-            model, solution,
-            extra_hops={name: solution.value(expr)
-                        for name, expr in self._detour_exprs.items()})
+            model, solution, extra_hops=dict(zip(
+                self._layout.class_names,
+                self._latency_block.values(solution.x).tolist())))
 
     def solve(self) -> NIPSResult:
         """Solve and unpack, including per-class expected detours."""

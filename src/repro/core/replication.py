@@ -29,9 +29,11 @@ PoP crosses the anchor anyway. Nothing is lost:
 
 The rule reads routes only (:meth:`ReplicationProblem._worth_taking`),
 so a volume refresh never re-prunes, and it is evaluated once per
-group of classes (below). :class:`~repro.core.nips.NIPSProblem` keeps
-every reroute: one also takes the class *off* the links downstream of
-its node, so a longer detour is not a dominated one.
+group of classes (below), on the group's first class: ties between
+equal tunnels go to the node earlier on *that* class's path.
+:class:`~repro.core.nips.NIPSProblem` keeps every reroute: one also
+takes the class *off* the links downstream of its node, so a longer
+detour is not a dominated one.
 
 Classes that cross the same nodes share their fraction variables. A
 symmetric class (``rev_path is None``) is keyed by ``(set of path
@@ -57,6 +59,23 @@ the layout, the ``volumes`` parameter, the result's fraction rows, the
 compiled rules: members of a group report the same fractions and each
 weighs the shared column by its own ``|T_c|``.
 
+The columns are laid out on arrays
+(:meth:`ReplicationProblem._add_fraction_variables`); per class,
+Python only reads the path, the key's fields and the name. The class
+paths are flattened into node codes; each class gets a group id,
+numbered in order of first appearance (the key above, compared as
+bytes: node-set bitmap, session bytes, footprint id, and the class
+itself when it has a ``rev_path``); the candidate ``(class, node,
+mirror)`` offloads are expanded in path then ``M_j`` order, on-path
+mirrors dropped; the worth-taking rule compares every ordered pair of
+one first class's sources to one mirror, tunnels as link bitsets in
+``uint64`` words; each class's ``p`` (path order) and kept ``o`` form
+the :class:`~repro.core.results.FractionLayout`, with columns for a
+group's first class in layout order and every member mapped onto them
+by ``(node, mirror)`` (``_columns``). The columns enter the model as
+one family, the ``cover[...]`` rows as one equality
+:class:`~repro.lpsolve.RowBlock`.
+
 Constraints: full coverage per class (Eq (2)); per-node per-resource
 load accounting including offloaded-in traffic (Eq (3)); link load of
 the replication tunnels plus background bounded by
@@ -79,8 +98,8 @@ compiled LP in place instead of rebuilding it.
 
 from __future__ import annotations
 
-from typing import (Any, Callable, Dict, Hashable, List, Optional,
-                    Sequence, Set, Tuple, Type)
+from typing import (Any, Dict, FrozenSet, List, Mapping, Optional,
+                    Sequence, Tuple, Type)
 
 import numpy as np
 
@@ -89,13 +108,21 @@ from repro.core.formulation import (Formulation, TermIndex,
 from repro.core.inputs import NetworkState
 from repro.core.mirrors import MirrorPolicy
 from repro.core.results import (FractionLayout, FractionTable,
-                                ReplicationResult)
-from repro.lpsolve import (Constraint, ConstraintSense, LinExpr, Model,
-                           Solution, Variable, lin_sum)
+                                ReplicationResult, ragged, route_links)
+from repro.lpsolve import LinExpr, Model, RowBlock, Solution, lin_sum
 from repro.topology.topology import Link
 from repro.traffic.classes import TrafficClass
 
-OffloadKey = Tuple[str, str, str]  # (class name, from node, to node)
+
+def flat_paths(classes: Sequence[TrafficClass],
+               code: Mapping[str, int]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(codes, lengths)``: every class's path as node codes, one
+    after the other in class order, and each path's length."""
+    lengths = np.array([len(cls.path) for cls in classes],
+                       dtype=np.int64)
+    codes = np.array([code[node] for cls in classes for node in cls.path],
+                     dtype=np.int64)
+    return codes, lengths
 
 
 class ReplicationProblem(Formulation):
@@ -120,6 +147,10 @@ class ReplicationProblem(Formulation):
     kind = "replication"
     #: what :meth:`_unpack` returns
     result_type: Type[ReplicationResult] = ReplicationResult
+    #: classes of one key share their columns (module docstring)
+    _share_columns = True
+    #: only the tunnels worth taking get an ``o`` (module docstring)
+    _prune_tunnels = True
 
     def __init__(self, state: NetworkState,
                  mirror_policy: Optional[MirrorPolicy] = None,
@@ -146,7 +177,6 @@ class ReplicationProblem(Formulation):
 
     def _reset(self) -> None:
         super()._reset()
-        self._o: Dict[OffloadKey, Variable] = {}
         self._link_penalties: List[LinExpr] = []
         self._layout: Optional[FractionLayout] = None
         self._columns: Optional[np.ndarray] = None
@@ -194,120 +224,158 @@ class ReplicationProblem(Formulation):
 
     # -- model construction -------------------------------------------------
 
-    def _group_key(self, cls: TrafficClass) -> Hashable:
-        """Classes with equal keys share one set of fraction
-        variables (module docstring); reads structural fields only."""
-        if cls.rev_path is not None:
-            return cls.name
-        return (frozenset(cls.path), cls.session_bytes,
-                frozenset(cls.footprints.items()))
+    def _groups(self, on_path: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(group of each class, first class of each group)``,
+        groups numbered in order of first appearance. The key (module
+        docstring) reads structural fields only: the node set (a row
+        of ``on_path``), the session bytes, the footprints — and, for a
+        class with its own ``rev_path``, the class itself."""
+        classes = self.state.classes
+        if not self._share_columns:
+            alone = np.arange(len(classes), dtype=np.int64)
+            return alone, alone
+        footprints: Dict[FrozenSet[Tuple[str, float]], int] = {}
+        fields = np.empty((len(classes), 3), dtype=np.int64)
+        fields[:, 0] = np.array([cls.session_bytes for cls in classes],
+                                dtype=np.float64).view(np.int64)
+        fields[:, 1] = [footprints.setdefault(
+            frozenset(cls.footprints.items()), len(footprints))
+            for cls in classes]
+        fields[:, 2] = [-1 if cls.rev_path is None else index
+                        for index, cls in enumerate(classes)]
+        keys = np.ascontiguousarray(np.concatenate(
+            (np.packbits(on_path, axis=1),
+             fields.view(np.uint8).reshape(-1, fields.itemsize * 3)),
+            axis=1))
+        _, first, key = np.unique(
+            keys.view(np.dtype((np.void, keys.shape[1]))).ravel(),
+            return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        return rank[key], first[order]
 
-    def _worth_taking(self, sources: Sequence[str], mirror: str,
-                      tunnel: Callable[[str, str], int]) -> List[str]:
-        """The on-path nodes of ``sources`` (path order) that get an
-        ``o`` to off-path ``mirror``: those whose tunnel's links
-        contain no other's (module docstring). ``tunnel(node,
-        mirror)`` is the tunnel's link set as a bitmask; reads routes
-        only."""
-        masks = [tunnel(node, mirror) for node in sources]
-        taken = []
-        for at, mask in enumerate(masks):
-            for rank, other in enumerate(masks):
-                if (other & mask == other and rank != at
-                        and (other != mask or rank < at)):
-                    break  # contains (or repeats) another's tunnel
-            else:
-                taken.append(sources[at])
-        return taken
+    def _worth_taking(self, owner: np.ndarray, node: np.ndarray,
+                      mirror: np.ndarray) -> np.ndarray:
+        """Which candidate offloads ``o[owner, node, mirror]`` — each
+        class's listed in path order — get a column: those whose
+        tunnel's links contain no other's of the same class and mirror
+        (nor equal one earlier on the path). Tunnels are link bitsets
+        in ``uint64`` words; reads routes only."""
+        state = self.state
+        ordinal = {link: index
+                   for index, link in enumerate(state.topology.links)}
+        width = len(state.nids_nodes)
+        pairs, tunnel = np.unique(node * width + mirror,
+                                  return_inverse=True)
+        try:
+            links, start, count = route_links(
+                state.routing, state.nids_nodes, pairs // width,
+                pairs % width, ordinal)
+        except KeyError as missing:
+            source, target = missing.args[0]
+            raise ValueError(
+                f"mirror {target!r} has no route from on-path node "
+                f"{source!r}") from None
+        links = links[ragged(start, count)]
+        masks = np.zeros((len(pairs), len(ordinal) // 64 + 1),
+                         dtype=np.uint64)
+        np.bitwise_or.at(
+            masks, (np.repeat(np.arange(len(pairs)), count), links // 64),
+            np.left_shift(np.uint64(1), (links % 64).astype(np.uint64)))
+        # Every ordered pair (at, other) of one class's candidates to
+        # one mirror, in bounded slices; a stable sort keeps the path
+        # order within.
+        segment = owner * width + mirror
+        order = np.argsort(segment, kind="stable")
+        masks, segment = masks[tunnel[order]], segment[order]
+        first = np.searchsorted(segment, segment)
+        size = np.searchsorted(segment, segment, side="right") - first
+        dropped = np.zeros(len(order), dtype=bool)
+        step = max(1, (1 << 20) // int(size.max(initial=1)))
+        for lo in range(0, len(order), step):
+            sizes = size[lo:lo + step]
+            at = np.repeat(np.arange(lo, lo + len(sizes)), sizes)
+            other = ragged(first[lo:lo + step], sizes)
+            mine, theirs = masks[at], masks[other]
+            inside = ~(theirs & ~mine).any(axis=1)
+            equal = ~(theirs != mine).any(axis=1)
+            dropped[at[inside & (other != at)
+                       & (~equal | (other < at))]] = True
+        keep = np.empty(len(order), dtype=bool)
+        keep[order] = ~dropped
+        return keep
 
     def _add_fraction_variables(self, model: Model) -> None:
-        """Decision variables (Eqs (6), (7)) and coverage (Eq (2))."""
+        """Decision variables (Eqs (6), (7)) and coverage (Eq (2)),
+        laid out on arrays (module docstring)."""
         state = self.state
+        classes, nodes = state.classes, state.nids_nodes
+        width = len(nodes)
+        code = {node: index for index, node in enumerate(nodes)}
+        path, lengths = flat_paths(classes, code)
+        on = np.repeat(np.arange(len(classes), dtype=np.int64), lengths)
+        on_path = np.zeros((len(classes), width), dtype=bool)
+        on_path[on, path] = True
+        group, first = self._groups(on_path)
+
+        # Candidate offloads, per class in path then ``M_j`` order; a
+        # mirror on the path needs no replication.
         mirror_sets = self.mirror_policy.mirror_sets(state)
-        code = {node: index
-                for index, node in enumerate(state.nids_nodes)}
-        bit = {link: 1 << index
-               for index, link in enumerate(state.topology.links)}
-        masks: Dict[Tuple[str, str], int] = {}
+        offered = np.array([len(mirror_sets[node]) for node in nodes],
+                           dtype=np.int64)
+        mirrors = np.array([code[mirror] for node in nodes
+                            for mirror in mirror_sets[node]],
+                           dtype=np.int64)
+        at = np.repeat(np.arange(len(path), dtype=np.int64),
+                       offered[path])
+        to = mirrors[ragged((np.cumsum(offered) - offered)[path],
+                            offered[path])]
+        off = ~on_path[on[at], to]
+        at, to = at[off], to[off]
+        # The group's first class decides which are worth taking; the
+        # other members find theirs by (node, mirror).
+        key = (group[on[at]] * width + path[at]) * width + to
+        decides = first[group[on[at]]] == on[at]
+        if self._prune_tunnels:
+            taken = self._worth_taking(on[at[decides]], path[at[decides]],
+                                       to[decides])
+            sorter = np.argsort(key[decides])
+            keep = taken[sorter[np.searchsorted(key[decides], key,
+                                                sorter=sorter)]]
+            at, to = at[keep], to[keep]
 
-        def tunnel(node: str, mirror: str) -> int:
-            mask = masks.get((node, mirror))
-            if mask is None:
-                try:
-                    links = state.routing.path_links(node, mirror)
-                except KeyError:
-                    raise ValueError(
-                        f"mirror {mirror!r} has no route from on-path "
-                        f"node {node!r}") from None
-                mask = masks[node, mirror] = sum(
-                    bit[link] for link in links)
-            return mask
-
-        # One key per fraction of every class — a p key is (class,
-        # node), an o key (class, node, mirror); the layout keeps the
-        # same three things as integers — but one column and name only
-        # per fraction of a group's first class, which also says which
-        # tunnels are worth taking: the others find theirs by (node,
-        # mirror).
-        keys: List[Tuple[str, ...]] = []
-        owner: List[int] = []
-        at: List[int] = []
-        to: List[int] = []
-        column: List[int] = []
-        names: List[str] = []
-        covers: List[Tuple[str, int, int]] = []
-        groups: Dict[Hashable, Tuple[Set[Tuple[str, str]],
-                                     Dict[Tuple[int, int], int]]] = {}
-        for index, cls in enumerate(state.classes):
-            group = self._group_key(cls)
-            first_of_group = group not in groups
-            if first_of_group:
-                path_set = set(cls.path)
-                sources: Dict[str, List[str]] = {}
-                for node in cls.path:
-                    for mirror in mirror_sets[node]:
-                        if mirror not in path_set:
-                            # on-path mirrors need no replication
-                            sources.setdefault(mirror, []).append(node)
-                groups[group] = ({
-                    (node, mirror) for mirror, nodes in sources.items()
-                    for node in self._worth_taking(nodes, mirror,
-                                                   tunnel)}, {})
-            taken, shared = groups[group]
-            start = len(keys)
-            for node in cls.path:
-                keys.append((cls.name, node))
-                at.append(code[node])
-                to.append(-1)
-            for node in cls.path:
-                for mirror in mirror_sets[node]:
-                    if (node, mirror) in taken:
-                        keys.append((cls.name, node, mirror))
-                        at.append(code[node])
-                        to.append(code[mirror])
-            owner.extend([index] * (len(keys) - start))
-            where = list(zip(at[start:], to[start:]))
-            if first_of_group:
-                first = len(names)
-                names.extend(
-                    f"{'p' if len(key) == 2 else 'o'}[{','.join(key)}]"
-                    for key in keys[start:])
-                shared.update(zip(where, range(first, len(names))))
-                covers.append((cls.name, first, len(names)))
-            column.extend(shared[pair] for pair in where)
-        variables = model.add_variables(names, lb=0.0, ub=1.0)
-        for key, col in zip(keys, column):
-            (self._p if len(key) == 2 else self._o)[key] = variables[col]
-        for name, lo, hi in covers:
-            # ``lin_sum(group's columns) == 1.0``, stated directly.
-            model.add_constraint(Constraint(
-                LinExpr(dict.fromkeys(variables[lo:hi], 1.0), -1.0),
-                ConstraintSense.EQ), name=f"cover[{name}]")
-        self._layout = FractionLayout(
-            [cls.name for cls in state.classes], state.nids_nodes,
-            owner, at, to)
-        self._columns = np.array(
-            [variables[col].index for col in column], dtype=np.int64)
+        # The layout: per class its p fractions in path order, then
+        # its o fractions; columns only for a group's first class.
+        entry = np.concatenate((np.arange(len(path), dtype=np.int64), at))
+        mirror = np.concatenate((np.full(len(path), -1, dtype=np.int64),
+                                 to))
+        order = np.lexsort((mirror >= 0, on[entry]))
+        entry, mirror = entry[order], mirror[order]
+        owner, node = on[entry], path[entry]
+        lead = first[group[owner]] == owner
+        slot = (group[owner] * width + node) * (width + 1) + mirror + 1
+        sorter = np.argsort(slot[lead])
+        column = sorter[np.searchsorted(slot[lead], slot, sorter=sorter)]
+        names = [cls.name for cls in classes]
+        start = model.num_variables
+        model.add_variables(
+            [f"p[{names[c]},{nodes[j]}]" if m < 0 else
+             f"o[{names[c]},{nodes[j]},{nodes[m]}]"
+             for c, j, m in zip(owner[lead].tolist(), node[lead].tolist(),
+                                mirror[lead].tolist())],
+            lb=0.0, ub=1.0)
+        # ``lin_sum(group's columns) == 1.0``, one row per group.
+        columns = np.flatnonzero(lead)
+        cover = RowBlock(model, group[owner[columns]],
+                         start + np.arange(len(columns)),
+                         np.ones(len(columns)), np.zeros(len(first)),
+                         equality=True)
+        model.add_block_rows(cover, np.ones(len(first)),
+                             [f"cover[{names[c]}]" for c in first.tolist()])
+        self._layout = FractionLayout(names, nodes, owner, node, mirror)
+        self._columns = start + column
 
     def _build(self, model: Model) -> None:
         self._add_fraction_variables(model)

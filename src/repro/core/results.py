@@ -83,24 +83,40 @@ class FractionLayout:
         link of every replication tunnel ``P_{node,mirror}``, in
         fraction then path order. Routes are looked up once per
         distinct (node, mirror)."""
-        nodes = self.node_names
         remote = np.flatnonzero(self.mirror >= 0)
-        pairs, which = np.unique(
-            self.node[remote] * len(nodes) + self.mirror[remote],
-            return_inverse=True)
-        paths = [[ordinal[link] for link in routing.path_links(
-            nodes[pair // len(nodes)], nodes[pair % len(nodes)])]
-            for pair in pairs.tolist()]
-        lengths = np.array([len(path) for path in paths],
-                           dtype=np.int64)
-        flat = np.array([link for path in paths for link in path],
-                        dtype=np.int64)
-        hops = lengths[which]
-        first = (np.cumsum(lengths) - lengths)[which]
-        within = np.arange(int(hops.sum()), dtype=np.int64) - \
-            np.repeat(np.cumsum(hops) - hops, hops)
-        return (np.repeat(remote, hops),
-                flat[np.repeat(first, hops) + within])
+        links, start, count = route_links(
+            routing, self.node_names, self.node[remote],
+            self.mirror[remote], ordinal)
+        return np.repeat(remote, count), links[ragged(start, count)]
+
+
+def ragged(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The runs ``start[i], ..., start[i] + count[i] - 1``, one after
+    the other."""
+    ends = np.cumsum(count)
+    return (np.repeat(start - (ends - count), count)
+            + np.arange(ends[-1] if len(ends) else 0, dtype=np.int64))
+
+
+def route_links(routing: Any, node_names: Sequence[str],
+                source: np.ndarray, target: np.ndarray,
+                ordinal: Mapping[Link, int]
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(links, start, count)``: the route from node code
+    ``source[i]`` to ``target[i]`` is ``links[start[i]:start[i] +
+    count[i]]``, as ``ordinal[link]`` in path order. Routes are looked
+    up once per distinct pair; a pair with no route raises the
+    routing's ``KeyError``."""
+    width = len(node_names)
+    pairs, which = np.unique(np.asarray(source) * width + target,
+                             return_inverse=True)
+    paths = [[ordinal[link] for link in routing.path_links(
+        node_names[pair // width], node_names[pair % width])]
+        for pair in pairs.tolist()]
+    count = np.array([len(path) for path in paths], dtype=np.int64)
+    links = np.array([link for path in paths for link in path],
+                     dtype=np.int64)
+    return links, (np.cumsum(count) - count)[which], count[which]
 
 
 class FractionTable:

@@ -1,11 +1,12 @@
 """Row blocks: a row family whose coefficients live in one vector.
 
 A :class:`RowBlock` holds a formulation's big row family (one load row
-per node, one link row per link) as arrays and is the *only* owner of
-its coefficients: the compiler reads them, a warm patch overwrites
-them, a solution is unpacked from them. The :class:`BlockRow`
-constraints the model lists are views, materialised from the arrays on
-every access; editing one changes nothing.
+per node, one link row per link, one cover row per group of classes)
+as arrays and is the *only* owner of its coefficients: the compiler
+reads them, a warm patch overwrites them, a solution is unpacked from
+them. The :class:`BlockRow` constraints the model lists are views,
+materialised from the arrays on every access; editing one changes
+nothing.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ if TYPE_CHECKING:  # pragma: no cover
 class RowBlock:
     """Affine expressions ``constants[r] + sum(coeffs[e] * x[cols[e]])``
     over the entries ``e`` of row ``r``; a row the model lists reads
-    ``(the terms of r) <= rhs[r]`` or, under a ``lead`` variable,
-    ``lead - (the terms of r) >= rhs[r]``.
+    ``(the terms of r) <= rhs[r]`` (``== rhs[r]`` in an ``equality``
+    block) or, under a ``lead`` variable, ``lead - (the terms of r) >=
+    rhs[r]``.
 
     Built from terms ``(rows[t], cols[t], coeffs[t])`` — row ordinal,
     variable index, coefficient — in generator order; lists no row
@@ -39,13 +41,14 @@ class RowBlock:
     entries of rows the model lists.
     """
 
-    __slots__ = ("model", "lead", "rows", "cols", "indptr", "coeffs",
-                 "constants", "rhs", "live", "_entry_of_term")
+    __slots__ = ("model", "lead", "sense", "rows", "cols", "indptr",
+                 "coeffs", "constants", "rhs", "live", "_entry_of_term")
 
     def __init__(self, model: "Model", rows: Sequence[int],
                  cols: Sequence[int], coeffs: Sequence[float],
                  constants: Sequence[float],
-                 lead: Optional[Variable] = None) -> None:
+                 lead: Optional[Variable] = None,
+                 equality: bool = False) -> None:
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         num_rows, width = len(constants), model.num_variables
@@ -57,6 +60,8 @@ class RowBlock:
         if lead is not None and (cols == lead.index).any():
             raise ModelError(
                 f"lead variable {lead.name!r} is also a term of the block")
+        if lead is not None and equality:
+            raise ModelError("an equality block has no lead variable")
         pairs, first, entry = np.unique(rows * width + cols,
                                         return_index=True,
                                         return_inverse=True)
@@ -68,6 +73,9 @@ class RowBlock:
         self.cols = (pairs % width)[order]
         self.indptr = np.searchsorted(self.rows, np.arange(num_rows + 1))
         self.model, self.lead = model, lead
+        self.sense = (ConstraintSense.EQ if equality else
+                      ConstraintSense.LE if lead is None else
+                      ConstraintSense.GE)
         self.constants = np.asarray(constants, dtype=float)
         self.rhs = np.zeros(num_rows)
         self.live = np.zeros(len(self.rows), dtype=bool)
@@ -114,8 +122,7 @@ class BlockRow(Constraint):
     def __init__(self, block: RowBlock, ordinal: int, name: str) -> None:
         self.block = block
         self.ordinal = ordinal
-        self.sense = (ConstraintSense.LE if block.lead is None
-                      else ConstraintSense.GE)
+        self.sense = block.sense
         self.name = name
 
     @property

@@ -32,45 +32,52 @@ Rows = Tuple[Optional[sparse.csr_matrix], np.ndarray,
 def compile_rows(constraints: Sequence[Constraint], width: int) -> Rows:
     """``(matrix, b, rows, blocks)`` — see :class:`CompiledLP` — with
     one CSR row per constraint, in order. Symbolic rows contribute COO
-    triplets term by term, blocks their live entries as whole arrays;
-    one sort makes the CSR and tells each block its slots."""
+    triplets term by term, blocks their leads and live entries as whole
+    arrays; one sort makes the CSR and tells each block its slots."""
     if not constraints:
         return None, np.zeros(0), {}, {}
-    rows, cols, data, b = [], [], [], []
-    owners: Dict[Constraint, Tuple[int, float]] = {}
+    # GE rows are negated into <= form.
+    signs = [-1.0 if con.sense is ConstraintSense.GE else 1.0
+             for con in constraints]
+    owners: Dict[Constraint, Tuple[int, float]] = dict(
+        zip(constraints, zip(range(len(constraints)), signs)))
+    sign = np.array(signs)
+    b = np.empty(len(constraints))
+    rows: List[int] = []
+    cols: List[int] = []
+    data: List[float] = []
     #: block -> (ordinals, matrix rows) of its listed rows
     listed: Dict[RowBlock, Tuple[List[int], List[int]]] = {}
     for row, con in enumerate(constraints):
-        # GE rows are negated into <= form.
-        sign = -1.0 if con.sense is ConstraintSense.GE else 1.0
-        owners[con] = (row, sign)
-        b.append(sign * con.rhs)
         if isinstance(con, BlockRow):
             ordinals, at = listed.setdefault(con.block, ([], []))
             ordinals.append(con.ordinal)
             at.append(row)
-            lead = con.block.lead
-            terms = {} if lead is None else {lead: 1.0}
-        else:
-            terms = con.expr.coeffs
+            continue
+        b[row] = signs[row] * con.rhs
+        terms = con.expr.coeffs
         rows.extend([row] * len(terms))
         cols.extend([var.index for var in terms])
-        data.extend([sign * coeff for coeff in terms.values()])
-    starts = [len(rows)]
-    rows, cols, data = ([np.asarray(rows, dtype=np.int64)],
-                        [np.asarray(cols, dtype=np.int64)],
-                        [np.asarray(data, dtype=float)])
+        data.extend([signs[row] * coeff for coeff in terms.values()])
+    parts = [(np.asarray(rows, dtype=np.int64),
+              np.asarray(cols, dtype=np.int64),
+              np.asarray(data, dtype=float))]
     for block, (ordinals, at) in listed.items():
-        # Either form of a block row (see RowBlock) puts its terms
-        # into the <= matrix as they are.
+        at = np.asarray(at, dtype=np.int64)
+        b[at] = sign[at] * block.rhs[ordinals]
+        if block.lead is not None:
+            parts.append((at, np.full(len(at), block.lead.index),
+                          sign[at]))
+    starts = [sum(len(part[2]) for part in parts)]
+    for block, (ordinals, at) in listed.items():
+        # Every form of a block row (see RowBlock) puts its terms
+        # into its matrix as they are.
         row_at = np.zeros(len(block.constants), dtype=np.int64)
         row_at[ordinals] = at
-        rows.append(row_at[block.rows[block.live]])
-        cols.append(block.cols[block.live])
-        data.append(block.coeffs[block.live])
-        starts.append(starts[-1] + len(data[-1]))
-    rows, cols, data = (np.concatenate(rows), np.concatenate(cols),
-                        np.concatenate(data))
+        parts.append((row_at[block.rows[block.live]],
+                      block.cols[block.live], block.coeffs[block.live]))
+        starts.append(starts[-1] + len(parts[-1][2]))
+    rows, cols, data = (np.concatenate(column) for column in zip(*parts))
     order = np.lexsort((cols, rows))
     indptr = np.zeros(len(b) + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=len(b)), out=indptr[1:])
@@ -80,7 +87,7 @@ def compile_rows(constraints: Sequence[Constraint], width: int) -> Rows:
     slot[order] = np.arange(len(order))
     blocks = {block: (matrix, slot[lo:hi])
               for block, lo, hi in zip(listed, starts, starts[1:])}
-    return matrix, np.asarray(b, dtype=float), owners, blocks
+    return matrix, b, owners, blocks
 
 
 class CompiledLP:

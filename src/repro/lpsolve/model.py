@@ -16,13 +16,15 @@ invalidates the cache.
 
 A constraint is either *symbolic* (it owns a ``LinExpr``) or a row of
 a :class:`~repro.lpsolve.block.RowBlock`, which holds a whole row
-family as arrays: listed as views (:meth:`Model.add_block_row`),
+family as arrays: listed as views (:meth:`Model.add_block_row`, or
+:meth:`Model.add_block_rows` for the whole family),
 compiled array-to-array, patched a family at a time
 (:meth:`Model.set_block_coefficients`).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -47,6 +49,13 @@ from repro.lpsolve.errors import (
 from repro.lpsolve.expr import LinExpr, Operand, _as_expr
 from repro.lpsolve.solution import Solution, SolveStatus
 from repro.lpsolve.variable import Variable
+
+
+def _refuse_if_infeasible(row: Constraint) -> None:
+    """A row dropped for having no variables must hold as it is."""
+    if row.violation({}) > 1e-9:
+        raise ModelError(
+            f"constant constraint {row!r} is trivially infeasible")
 
 
 class Model:
@@ -113,18 +122,34 @@ class Model:
 
     def add_variables(self, names: Iterable[str], lb: float = 0.0,
                       ub: Optional[float] = None) -> List[Variable]:
-        """Vector form of :meth:`add_variable` (one invalidation)."""
+        """Vector form of :meth:`add_variable`: one column family with
+        shared bounds, one invalidation. Names new to the model are
+        registered in bulk; a repeat gets the ``#N`` suffix
+        :meth:`add_variable` would give it."""
+        names = list(names)
+        if names:
+            if ub is not None and ub < lb:
+                raise ModelError(
+                    f"variable {names[0]!r}: upper bound {ub} below "
+                    f"lower bound {lb}")
+            if math.isnan(lb) or (ub is not None and math.isnan(ub)):
+                raise ModelError(f"variable {names[0]!r}: NaN bound")
         seen = self._names_seen
+        fresh = dict.fromkeys(names, 0)
+        if len(fresh) == len(names) and seen.keys().isdisjoint(fresh):
+            seen.update(fresh)
+        else:
+            for at, name in enumerate(names):
+                count = seen.get(name)
+                if count is not None:
+                    seen[name] = count + 1
+                    names[at] = f"{name}#{count + 1}"
+                else:
+                    seen[name] = 0
         start = len(self._variables)
-        for name in names:
-            count = seen.get(name)
-            if count is not None:
-                seen[name] = count + 1
-                name = f"{name}#{count + 1}"
-            else:
-                seen[name] = 0
-            self._variables.append(
-                Variable(self, len(self._variables), name, lb=lb, ub=ub))
+        self._variables.extend(
+            Variable(self, index, name, lb, ub)
+            for index, name in enumerate(names, start))
         self.invalidate()
         return self._variables[start:]
 
@@ -164,15 +189,31 @@ class Model:
         row = BlockRow(block, ordinal, name)
         lo, hi = block.indptr[ordinal:ordinal + 2]
         if block.lead is None and not block.coeffs[lo:hi].any():
-            if row.violation({}) > 1e-9:
-                raise ModelError(
-                    f"constant constraint {row!r} is trivially "
-                    "infeasible")
+            _refuse_if_infeasible(row)
             return row
         block.live[lo:hi] = True
         self._constraints.append(row)
         self.invalidate()
         return row
+
+    def add_block_rows(self, block: RowBlock, rhs: Sequence[float],
+                       names: Sequence[str]) -> List[BlockRow]:
+        """:meth:`add_block_row` for every row of ``block``, in
+        ordinal order, in one pass over its arrays."""
+        block.rhs[:] = rhs
+        rows = [BlockRow(block, ordinal, name)
+                for ordinal, name in enumerate(names)]
+        listed = np.ones(len(rows), dtype=bool)
+        if block.lead is None:
+            listed = np.bincount(block.rows[block.coeffs != 0.0],
+                                 minlength=len(rows)) > 0
+            for at in np.flatnonzero(~listed).tolist():
+                _refuse_if_infeasible(rows[at])
+        block.live |= listed[block.rows]
+        self._constraints.extend(
+            row for row, keep in zip(rows, listed.tolist()) if keep)
+        self.invalidate()
+        return rows
 
     def minimize(self, objective: Operand) -> None:
         """Set a minimization objective."""

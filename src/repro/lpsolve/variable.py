@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import math
 from typing import Optional, TYPE_CHECKING
-
-from repro.lpsolve.errors import ModelError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lpsolve.constraint import Constraint
@@ -26,12 +23,7 @@ class Variable:
 
     def __init__(self, model: "Model", index: int, name: str,
                  lb: float = 0.0, ub: Optional[float] = None) -> None:
-        if ub is not None and ub < lb:
-            raise ModelError(
-                f"variable {name!r}: upper bound {ub} below lower "
-                f"bound {lb}")
-        if math.isnan(lb) or (ub is not None and math.isnan(ub)):
-            raise ModelError(f"variable {name!r}: NaN bound")
+        # The model checks the bounds, once per family of variables.
         self._model = model
         self.index = index
         self.name = name

@@ -184,7 +184,15 @@ class TraceStore:
                 raise TraceStoreError(
                     f"no trace store at {root} (missing "
                     f"{MANIFEST_NAME})")
-            manifest = json.loads(manifest_path.read_text())
+            try:
+                manifest = json.loads(manifest_path.read_text())
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise TraceStoreError(
+                    f"{root}: {MANIFEST_NAME} is not JSON ({exc})"
+                ) from exc
+            if not isinstance(manifest, dict):
+                raise TraceStoreError(
+                    f"{root}: {MANIFEST_NAME} is not a JSON object")
             if manifest.get("format") != FORMAT_NAME:
                 raise TraceStoreError(
                     f"{root}: not a {FORMAT_NAME} manifest")
@@ -193,42 +201,54 @@ class TraceStore:
                     f"{root}: unsupported store version "
                     f"{manifest.get('version')!r} (expected "
                     f"{FORMAT_VERSION})")
-            columns = cls._open_columns(root, manifest)
-            payload_meta = manifest["payload"]
-            payload_len = int(payload_meta["bytes"])
-            payload = np.zeros(0, dtype=np.uint8)
-            if payload_len:
-                payload = _map_file(
-                    root / str(payload_meta["file"]), payload_len,
-                    lambda path: np.memmap(path, dtype=np.uint8,
-                                           mode="r",
-                                           shape=(payload_len,)))
-            payload.flags.writeable = False
-            cls._check_counts(root, manifest, columns, payload_len)
-            sessions = SessionBatch(
-                columns["proto"], columns["src_ip"],
-                columns["src_port"], columns["dst_ip"],
-                columns["dst_port"], columns["class_id"],
-                columns["trace_class_id"],
-                tuple(manifest["class_names"]),
-                columns["fwd_path_id"], columns["rev_path_id"],
-                [np.array(p, dtype=np.int64)
-                 for p in manifest["paths"]],
-                tuple(manifest["node_order"]),
-                hash_seed=int(manifest["hash_seed"]),
-                session_key=columns["session_key"],
-                num_keys=int(manifest["num_keys"]))
-            batch = PacketBatch(
-                sessions, columns["session_of_packet"],
-                columns["direction"], columns["size_bytes"],
-                payload, columns["payload_offsets"])
+            # Past the header, a missing or mistyped manifest entry is
+            # a corrupt store too.
+            try:
+                columns = cls._open_columns(root, manifest)
+                payload_meta = manifest["payload"]
+                payload_len = int(payload_meta["bytes"])
+                payload = np.zeros(0, dtype=np.uint8)
+                if payload_len:
+                    payload = _map_file(
+                        root / str(payload_meta["file"]), payload_len,
+                        lambda path: np.memmap(path, dtype=np.uint8,
+                                               mode="r",
+                                               shape=(payload_len,)))
+                payload.flags.writeable = False
+                cls._check_counts(root, manifest, columns, payload_len)
+                sessions = SessionBatch(
+                    columns["proto"], columns["src_ip"],
+                    columns["src_port"], columns["dst_ip"],
+                    columns["dst_port"], columns["class_id"],
+                    columns["trace_class_id"],
+                    tuple(manifest["class_names"]),
+                    columns["fwd_path_id"], columns["rev_path_id"],
+                    [np.array(p, dtype=np.int64)
+                     for p in manifest["paths"]],
+                    tuple(manifest["node_order"]),
+                    hash_seed=int(manifest["hash_seed"]),
+                    session_key=columns["session_key"],
+                    num_keys=int(manifest["num_keys"]))
+                batch = PacketBatch(
+                    sessions, columns["session_of_packet"],
+                    columns["direction"], columns["size_bytes"],
+                    payload, columns["payload_offsets"])
+            except TraceStoreError:
+                raise
+            except (KeyError, TypeError, ValueError) as exc:
+                raise TraceStoreError(
+                    f"{root}: {MANIFEST_NAME} lacks an entry or holds "
+                    f"a malformed one ({type(exc).__name__}: {exc})"
+                ) from exc
         return cls(root, manifest, batch)
 
     @staticmethod
     def _open_columns(root: Path, manifest: Dict[str, object]
                       ) -> Dict[str, np.ndarray]:
         columns_meta = manifest["columns"]
-        assert isinstance(columns_meta, dict)
+        if not isinstance(columns_meta, dict):
+            raise TraceStoreError(f"{root}: manifest columns are not "
+                                  "a JSON object")
         columns: Dict[str, np.ndarray] = {}
         for name in _SESSION_COLUMNS + _PACKET_COLUMNS:
             spec = columns_meta.get(name)

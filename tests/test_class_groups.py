@@ -67,8 +67,17 @@ class EveryTunnel(ReplicationProblem):
     dropped for containing another's links (test-only, the way
     ``NIPSProblem`` opts out)."""
 
-    def _worth_taking(self, sources, mirror, tunnel):
-        return list(sources)
+    _prune_tunnels = False
+
+
+def group_key(cls):
+    """The key classes share their columns by: the node set, session
+    bytes and footprints of a symmetric class; the class itself for
+    one with its own ``rev_path``."""
+    if cls.rev_path is not None:
+        return cls.name
+    return (frozenset(cls.path), cls.session_bytes,
+            frozenset(cls.footprints.items()))
 
 
 def fraction_columns(model):
@@ -163,7 +172,7 @@ class TestGroupedEqualsUngrouped:
         for cls in state.classes:
             row = (result.process_fractions[cls.name],
                    result.offload_fractions.get(cls.name, {}))
-            assert rows.setdefault(problem._group_key(cls), row) == row
+            assert rows.setdefault(group_key(cls), row) == row
         assert len(rows) == sum(
             1 for con in problem.build_model().constraints
             if con.name.startswith("cover["))
@@ -244,6 +253,17 @@ class TestOptOuts:
         state = _paired_instance()
         assert self._variables(state, NIPSProblem) == 1 + 16
         assert self._variables(state) == 1 + 6
+
+
+@pytest.mark.parametrize("factory", [ReplicationProblem, NIPSProblem])
+def test_a_state_without_classes_builds_the_load_rows_alone(factory):
+    state = _paired_instance().with_traffic([])
+    problem = factory(state, mirror_policy=MirrorPolicy.datacenter())
+    model = problem.build_model()
+    assert [var.name for var in model.variables] == ["LoadCost"]
+    assert {con.name.split("[")[0] for con in model.constraints} == {
+        "loadcost"}
+    assert problem.solve().load_cost == 0.0
 
 
 if __name__ == "__main__":

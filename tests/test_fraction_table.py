@@ -38,13 +38,20 @@ def _problem(state):
 
 
 def _walked_views(problem, x):
-    """The dict views as the parent's ``_unpack`` built them: a walk
-    over the variable maps."""
+    """The dict views as a walk over the problem's layout builds them:
+    each fraction reads its LP column."""
     process, offload = {}, {}
-    for (cls_name, node), var in problem._p.items():
-        process.setdefault(cls_name, {})[node] = x[var.index]
-    for (cls_name, node, mirror), var in problem._o.items():
-        offload.setdefault(cls_name, {})[(node, mirror)] = x[var.index]
+    layout = problem._layout
+    names = layout.node_names
+    for cls, node, mirror, column in zip(
+            layout.cls.tolist(), layout.node.tolist(),
+            layout.mirror.tolist(), problem._columns.tolist()):
+        cls_name = layout.class_names[cls]
+        if mirror < 0:
+            process.setdefault(cls_name, {})[names[node]] = x[column]
+        else:
+            offload.setdefault(cls_name, {})[
+                (names[node], names[mirror])] = x[column]
     return process, offload
 
 

@@ -115,7 +115,7 @@ class TestUnpackEqualsViews:
         rows = [con for con in model.constraints
                 if isinstance(con, BlockRow)]
         assert {con.name.split("[")[0] for con in rows} == {
-            "loadcost", "linkload"}
+            "cover", "loadcost", "linkload"}
         for con in rows:
             assert con.violation(values) < 1e-7
             # A view is a copy: editing it changes nothing.
@@ -235,6 +235,60 @@ class TestStructureStillFailsClosed:
         # Waking a row the model does not list is a structure change.
         with pytest.raises(StructureError):
             model.set_block_coefficients(block, [1.0, 0.0])
+
+
+class TestEqualityBlocks:
+    def test_listed_rows_are_the_symbolic_equalities(self):
+        """``add_block_rows`` on an equality block compiles and writes
+        what one ``add_constraint(lin_sum(...) == 1.0)`` per row
+        would."""
+        def build(bulk):
+            model = Model("cover")
+            xs = model.add_variables(["a", "b", "c"], ub=1.0)
+            if bulk:
+                block = RowBlock(model, [0, 0, 1], [0, 1, 2],
+                                 [1.0, 1.0, 1.0], [0.0, 0.0],
+                                 equality=True)
+                model.add_block_rows(block, [1.0, 1.0],
+                                     ["cover[p]", "cover[q]"])
+            else:
+                model.add_constraint(xs[0] + xs[1] == 1.0,
+                                     name="cover[p]")
+                model.add_constraint(lin_sum(xs[2:]) == 1.0,
+                                     name="cover[q]")
+            model.minimize(xs[0] + 2 * xs[2])
+            return model
+
+        bulk, symbolic = build(True), build(False)
+        assert lp_string(bulk) == lp_string(symbolic)
+        ours, theirs = bulk._compile(), symbolic._compile()
+        assert ours.a_ub is None and theirs.a_ub is None
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(ours.a_eq, name),
+                                  getattr(theirs.a_eq, name))
+        assert np.array_equal(ours.b_eq, theirs.b_eq)
+        assert bulk.solve().x.tolist() == symbolic.solve().x.tolist()
+
+    def test_an_equality_block_has_no_lead(self):
+        model = Model("lead")
+        x, y = model.add_variables(["x", "y"])
+        with pytest.raises(ModelError, match="no lead"):
+            RowBlock(model, [0], [x.index], [1.0], [0.0], lead=y,
+                     equality=True)
+
+    def test_bulk_listing_drops_or_refuses_like_one_row(self):
+        model = Model("vacuous")
+        x = model.add_variable("x")
+        block = RowBlock(model, [0, 1, 2], [x.index] * 3,
+                         [0.0, 1.0, 0.0], [0.0, 0.0, 0.0])
+        rows = model.add_block_rows(block, [1.0, 2.0, 0.0],
+                                    ["fine", "kept", "also fine"])
+        assert [con.name for con in model.constraints] == ["kept"]
+        assert [row.rhs for row in rows] == [1.0, 2.0, 0.0]
+        assert block.live.tolist() == [False, True, False]
+        with pytest.raises(ModelError, match="trivially infeasible"):
+            model.add_block_rows(block, [1.0, 2.0, -1.0],
+                                 ["fine", "kept", "never"])
 
 
 class TestAddVariables:

@@ -628,6 +628,51 @@ class TestStoreErrors:
         assert main(["trace", "info", str(root)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {root}: ")
 
+    @pytest.mark.parametrize("tamper", ["{", "[]", "num_packets",
+                                        "payload"])
+    def test_malformed_manifest_fails_closed(self, tinet_emulation,
+                                             tmp_path, capsys, tamper):
+        """A manifest that is not JSON, not a JSON object, or lacks a
+        key ``open`` reads is a corrupt store: ``TraceStoreError``, and
+        ``repro trace info`` prints ``error: ...`` and exits 2."""
+        _, batch = tinet_emulation
+        root = tmp_path / "trace"
+        TraceStore.pack(batch, root)
+        if tamper in ("{", "[]"):
+            text = tamper
+        else:
+            manifest = json.loads((root / "manifest.json").read_text())
+            del manifest[tamper]
+            text = json.dumps(manifest)
+        (root / "manifest.json").write_text(text)
+        with pytest.raises(TraceStoreError, match=str(root)):
+            TraceStore.open(root)
+        assert main(["trace", "info", str(root)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {root}: ")
+
+    def test_column_dtype_disagreeing_with_manifest(self, tinet_emulation,
+                                                    tmp_path):
+        _, batch = tinet_emulation
+        TraceStore.pack(batch, tmp_path / "trace")
+        sizes = np.asarray(batch.size_bytes)
+        other = np.float32 if sizes.dtype != np.float32 else np.float64
+        np.save(tmp_path / "trace" / "size_bytes.npy", sizes.astype(other))
+        with pytest.raises(TraceStoreError,
+                           match=f"'size_bytes' is {np.dtype(other)}"):
+            TraceStore.open(tmp_path / "trace")
+
+    def test_one_flipped_payload_byte_is_caught(self, tinet_emulation,
+                                                tmp_path):
+        _, batch = tinet_emulation
+        store = TraceStore.pack(batch, tmp_path / "trace")
+        target = tmp_path / "trace" / "payload.bin"
+        payload = bytearray(target.read_bytes())
+        payload[len(payload) // 2] ^= 0x01
+        target.write_bytes(bytes(payload))
+        reopened = TraceStore.open(tmp_path / "trace")
+        assert not reopened.verify()
+        assert trace_fingerprint(reopened.batch()) != store.fingerprint
+
     def test_verify_catches_tampering(self, tinet_emulation,
                                       tmp_path):
         _, batch = tinet_emulation

@@ -40,6 +40,18 @@ def tunnel_links(state, node, mirror):
     return frozenset(state.routing.path_links(node, mirror))
 
 
+def offloads(problem):
+    """``(class, node, mirror)`` of every ``o`` fraction of a built
+    problem's layout, in layout order."""
+    layout = problem._layout
+    names = layout.node_names
+    return [(layout.class_names[cls], names[node], names[mirror])
+            for cls, node, mirror in zip(layout.cls.tolist(),
+                                         layout.node.tolist(),
+                                         layout.mirror.tolist())
+            if mirror >= 0]
+
+
 class TestPrunedEqualsUnpruned:
     @settings(max_examples=60, deadline=None)
     @given(state=strategies.paired_states(),
@@ -66,7 +78,7 @@ class TestPrunedEqualsUnpruned:
                 for mirror in set(mirror_sets[node]) - set(cls.path):
                     offered.setdefault((cls.name, mirror),
                                        []).append(node)
-        for name, node, mirror in problem._o:
+        for name, node, mirror in offloads(problem):
             kept.setdefault((name, mirror), []).append(node)
         # Every class keeps a way to each mirror Figure 7 gives it...
         assert set(kept) == set(offered)
@@ -104,8 +116,8 @@ def test_the_line_keeps_the_tunnel_from_the_anchor(line_state_dc):
     anyway), so the one link a tunnel loads is ``B - DC``."""
     problem = _replication(line_state_dc)
     model = problem.build_model()
-    assert sorted(problem._o) == [("A->D", "B", "DC"),
-                                  ("B->C", "B", "DC")]
+    assert sorted(offloads(problem)) == [("A->D", "B", "DC"),
+                                         ("B->C", "B", "DC")]
     assert [con.name for con in model.constraints
             if con.name.startswith("linkload[")] == ["linkload[B,DC]"]
     result = problem.solve()
@@ -123,10 +135,10 @@ def test_disjoint_tunnels_are_both_kept():
     problem = ReplicationProblem(
         state, mirror_policy=MirrorPolicy.all_nodes())
     problem.build_model()
-    assert {node for _, node, mirror in problem._o
+    assert {node for _, node, mirror in offloads(problem)
             if mirror == "E"} == {"B", "C"}
     # ...while A is reached from B alone (C's tunnel runs through B).
-    assert {node for _, node, mirror in problem._o
+    assert {node for _, node, mirror in offloads(problem)
             if mirror == "A"} == {"B"}
 
 
