@@ -50,10 +50,7 @@ from repro.core.results import (
 )
 from repro.core.extensions import (
     FORTZ_THORUP_SEGMENTS,
-    max_miss_objective,
     piecewise_link_cost,
-    weighted_load_objective,
-    weighted_miss_objective,
 )
 from repro.core.nips import NIPSProblem, NIPSResult
 from repro.core.robustness import (
@@ -117,9 +114,6 @@ __all__ = [
     "ingress_result",
     "ingress_split_result",
     "link_background_bytes",
-    "max_miss_objective",
     "piecewise_link_cost",
     "place_datacenter",
-    "weighted_load_objective",
-    "weighted_miss_objective",
 ]

@@ -1,21 +1,18 @@
-"""Optional formulation extensions called out in the paper.
+"""The Section 4 link-cost extension of the replication LP.
 
 Section 4 ("Extensions"): instead of the hard ``MaxLinkLoad`` bound, a
 piecewise-linear convex cost on each link's utilization — the classic
 traffic-engineering penalty of Fortz-Rexford-Thorup [10] — can be added
-to the objective for a more graceful tradeoff. Similarly, ``LoadCost``
-can be a weighted combination of node loads instead of their maximum.
-
-Section 5 ("Extensions"): the miss-rate term can instead be the *worst
-class's* miss (``max_c (1 - cov_c)``) or a weighted combination giving
-priority traffic more protection.
+to the objective for a more graceful tradeoff
+(``ReplicationProblem(link_cost_weight=)``, run by the ``link-cost``
+experiment).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Tuple
 
-from repro.lpsolve import LinExpr, Model, Variable, lin_sum
+from repro.lpsolve import LinExpr, Model, Variable
 
 # Fortz-Thorup piecewise segments: (slope, breakpoint where it starts).
 # The cost of utilization u is max_i slope_i * u + intercept_i, convex
@@ -31,10 +28,8 @@ FORTZ_THORUP_SEGMENTS: Tuple[Tuple[float, float], ...] = (
 
 
 def piecewise_link_cost(model: Model, link_load: LinExpr,
-                        name: str,
-                        segments: Sequence[Tuple[float, float]] =
-                        FORTZ_THORUP_SEGMENTS) -> Variable:
-    """Add a convex piecewise-linear cost variable for one link.
+                        name: str) -> Variable:
+    """Add a convex Fortz-Thorup cost variable for one link.
 
     Introduces ``phi >= slope_i * (load - start_i) + cost(start_i)``
     for each segment; because the objective minimizes ``phi`` it equals
@@ -48,7 +43,7 @@ def piecewise_link_cost(model: Model, link_load: LinExpr,
     cost_at_start = 0.0
     previous_slope = 0.0
     previous_start = 0.0
-    for slope, start in segments:
+    for slope, start in FORTZ_THORUP_SEGMENTS:
         cost_at_start += previous_slope * (start - previous_start)
         intercept = cost_at_start - slope * start
         model.add_constraint(
@@ -56,52 +51,3 @@ def piecewise_link_cost(model: Model, link_load: LinExpr,
             name=f"phi[{name}]>=seg{slope:g}")
         previous_slope, previous_start = slope, start
     return phi
-
-
-def weighted_load_objective(model: Model,
-                            load_exprs: Dict[Tuple[str, str], LinExpr],
-                            weights: Optional[Dict[Tuple[str, str],
-                                                   float]] = None
-                            ) -> LinExpr:
-    """Section 4 extension: weighted-sum load cost.
-
-    Instead of ``max_{r,j} Load_j^r``, returns
-    ``sum w_{r,j} Load_j^r`` (uniform weights by default) for use as
-    (part of) the objective. The caller still adds any constraints it
-    wants on individual loads.
-    """
-    terms = []
-    for key, expr in load_exprs.items():
-        weight = 1.0 if weights is None else weights.get(key, 0.0)
-        if weight != 0.0:
-            terms.append(expr * weight)
-    return lin_sum(terms)
-
-
-def max_miss_objective(model: Model,
-                       coverage_vars: Dict[str, Variable]) -> Variable:
-    """Section 5 extension: penalize the worst class's miss fraction.
-
-    Adds ``worst >= 1 - cov_c`` for every class and returns ``worst``
-    (i.e., ``MissRate = max_c (1 - cov_c)``).
-    """
-    worst = model.add_variable("WorstMiss", lb=0.0)
-    for name, cov in coverage_vars.items():
-        model.add_constraint(worst >= 1.0 - cov,
-                             name=f"worstmiss[{name}]")
-    return worst
-
-
-def weighted_miss_objective(coverage_vars: Dict[str, Variable],
-                            weights: Dict[str, float]) -> LinExpr:
-    """Section 5 extension: priority-weighted miss combination.
-
-    Returns ``sum_c w_c (1 - cov_c)``; higher-weight classes get
-    stronger protection when this is minimized.
-    """
-    terms = []
-    for name, cov in coverage_vars.items():
-        weight = weights.get(name, 0.0)
-        if weight != 0.0:
-            terms.append((1.0 - cov) * weight)
-    return lin_sum(terms)

@@ -433,10 +433,9 @@ class Formulation:
                       for link in state.topology.links],
                      dtype=np.float64))
 
-    def _emit_load_rows(self, model: Model,
-                        constrain: bool = True) -> Variable:
-        """Add ``LoadCost`` and one load expression per (resource,
-        node); ``constrain`` bounds each by ``LoadCost`` (Eq (1))."""
+    def _emit_load_rows(self, model: Model) -> Variable:
+        """Add ``LoadCost`` and one row per (resource, node) bounding
+        its load by ``LoadCost`` (Eq (1))."""
         load_cost = model.add_variable("LoadCost", lb=0.0)
         self._load_cost_var = load_cost
         state = self.state
@@ -448,13 +447,12 @@ class Formulation:
             model, index.rows, index.cols, self._load_coefficients(),
             np.zeros(len(self._load_keys), dtype=np.float64),
             lead=load_cost)
-        if constrain:
-            # ``LoadCost - expr >= -(0 - constant)``: a negative zero,
-            # which is what the ``.lp`` goldens print.
-            model.add_block_rows(
-                block, -(0.0 - block.constants),
-                [f"loadcost[{resource},{node}]"
-                 for resource, node in self._load_keys])
+        # ``LoadCost - expr >= -(0 - constant)``: a negative zero,
+        # which is what the ``.lp`` goldens print.
+        model.add_block_rows(
+            block, -(0.0 - block.constants),
+            [f"loadcost[{resource},{node}]"
+             for resource, node in self._load_keys])
         return load_cost
 
     def _emit_link_rows(self, model: Model) -> None:

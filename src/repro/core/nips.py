@@ -83,8 +83,8 @@ class NIPSProblem(ReplicationProblem):
         if max_latency_penalty < 0:
             raise ValueError("max_latency_penalty must be non-negative")
         self.max_latency_penalty = max_latency_penalty
-        # The floor and latency rows sit outside the parameter
-        # calculus; a resolve rebuilds.
+        # The latency rows sit outside the parameter calculus; a
+        # resolve rebuilds.
         self._incremental_ok = False
 
     def _reset(self) -> None:
@@ -111,7 +111,11 @@ class NIPSProblem(ReplicationProblem):
         # Rerouting at j removes the class's bytes from links
         # downstream of j and adds them on P(j, mirror) +
         # P(mirror, egress): three runs of links per o fraction, taken
-        # from one pool.
+        # from one pool. No row keeps a link's load non-negative, and
+        # none is needed: a class's cover row is an equality
+        # (sum p + sum o = 1, all >= 0), so its reroutes at or before
+        # any node sum to at most 1, and a link never loses more of a
+        # class's bytes than that class puts into BG_l.
         state = self.state
         ordinal = {link: index
                    for index, link in enumerate(state.topology.links)}
@@ -191,13 +195,6 @@ class NIPSProblem(ReplicationProblem):
             block, np.full(len(state.classes),
                            -(0.0 - self.max_latency_penalty)),
             [f"latency[{cls.name}]" for cls in state.classes])
-
-    def _add_link_row(self, model: Model, link: Link,
-                      ordinal: int) -> None:
-        super()._add_link_row(model, link, ordinal)
-        # Rerouting cannot drive a link's load negative.
-        model.add_constraint(self._link_block.expr(ordinal) >= 0.0,
-                             name=f"linkfloor[{link[0]},{link[1]}]")
 
     def _unpack(self, model: Model, solution: Solution) -> NIPSResult:
         return super()._unpack(

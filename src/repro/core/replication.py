@@ -140,8 +140,6 @@ class ReplicationProblem(Formulation):
             the Section 4 extension — a piecewise-linear link cost term
             added to the objective with this weight (see
             :mod:`repro.core.extensions`).
-        load_weights: when set, the Section 4 extension replacing the
-            max-load objective with a weighted sum of node loads.
     """
 
     kind = "replication"
@@ -155,19 +153,13 @@ class ReplicationProblem(Formulation):
     def __init__(self, state: NetworkState,
                  mirror_policy: Optional[MirrorPolicy] = None,
                  max_link_load: float = 0.4,
-                 link_cost_weight: Optional[float] = None,
-                 load_weights: Optional[Dict[Tuple[str, str],
-                                             float]] = None) -> None:
+                 link_cost_weight: Optional[float] = None) -> None:
         super().__init__(state)
         self.mirror_policy = mirror_policy or MirrorPolicy.none()
         self._declare_param("max_link_load", max_link_load,
                             _check_max_link_load)
         self.link_cost_weight = link_cost_weight
-        # Section 4 extension: when set, LoadCost becomes the weighted
-        # sum of the (resource, node) loads instead of their maximum.
-        self.load_weights = (None if load_weights is None
-                             else dict(load_weights))
-        if link_cost_weight is not None or load_weights is not None:
+        if link_cost_weight is not None:
             self._incremental_ok = False
 
     @property
@@ -379,18 +371,7 @@ class ReplicationProblem(Formulation):
 
     def _build(self, model: Model) -> None:
         self._add_fraction_variables(model)
-        load_cost = self._emit_load_rows(
-            model, constrain=self.load_weights is None)
-        if self.load_weights is not None:
-            from repro.core.extensions import weighted_load_objective
-
-            weighted = weighted_load_objective(
-                model,
-                {key: self._load_block.expr(ordinal)
-                 for ordinal, key in enumerate(self._load_keys)},
-                self.load_weights)
-            model.add_constraint(load_cost >= weighted,
-                                 name="loadcost[weighted]")
+        load_cost = self._emit_load_rows(model)
         self._emit_link_rows(model)
         # Objective (Eq (1)), optionally with the link-cost extension.
         if self.link_cost_weight is None:

@@ -16,15 +16,14 @@ Section 4.
 
 ``max_link_load``, ``gamma`` and the per-class ``volumes`` are named
 :class:`~repro.core.formulation.Formulation` parameters and can be
-changed with ``resolve`` (the miss-mode extensions opt out of the
-incremental path and rebuild on every resolve). The coefficients are
-stated once (``_load_term_index`` / ``_link_term_index`` /
-``_cost_expression``); the base class builds and patches from them.
+changed with ``resolve``. The coefficients are stated once
+(``_load_term_index`` / ``_link_term_index`` / ``_cost_expression``);
+the base class builds and patches from them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 from repro.core.formulation import (Formulation, LoadKey, TermIndex,
                                     _check_max_link_load,
@@ -61,30 +60,18 @@ class SplitTrafficProblem(Formulation):
 
     def __init__(self, state: NetworkState, max_link_load: float = 0.4,
                  gamma: float = DEFAULT_GAMMA,
-                 allow_offload: bool = True,
-                 miss_mode: str = "total",
-                 miss_weights: Optional[Dict[str, float]] = None) -> None:
+                 allow_offload: bool = True) -> None:
         if allow_offload and state.dc_node is None:
             raise ValueError(
                 "split-traffic offloading needs a datacenter node; "
                 "build the state with dc_capacity_factor set or pass "
                 "allow_offload=False")
-        if miss_mode not in ("total", "max", "weighted"):
-            raise ValueError(
-                "miss_mode must be 'total' (Eq 11), 'max' or "
-                "'weighted' (the Section 5 extensions)")
-        if miss_mode == "weighted" and not miss_weights:
-            raise ValueError("miss_mode='weighted' needs miss_weights")
         super().__init__(state)
         self._declare_param("max_link_load", max_link_load,
                             _check_max_link_load)
         self._declare_param("gamma", gamma,
                             _check_non_negative("gamma"))
         self.allow_offload = allow_offload
-        self.miss_mode = miss_mode
-        self.miss_weights = dict(miss_weights or {})
-        if miss_mode != "total":
-            self._incremental_ok = False
 
     @property
     def max_link_load(self) -> float:
@@ -206,28 +193,9 @@ class SplitTrafficProblem(Formulation):
         load_cost = self._emit_load_rows(model)
         self._emit_link_rows(model)
 
-        # The reported MissRate always follows Eq (11) regardless of
-        # the objective mode.
+        # Objective (Eq (11)): LoadCost + gamma * MissRate.
         self._cost_expr = self._cost_expression()
-
-        # Objective: LoadCost + gamma * <miss term> — Eq (11) by
-        # default, or one of the Section 5 extensions.
-        if self.miss_mode == "total":
-            objective_miss = self._cost_expr
-        elif self.miss_mode == "max":
-            from repro.core.extensions import max_miss_objective
-
-            # A small total-miss tiebreaker keeps the objective from
-            # ignoring coverable classes once one class's miss pins
-            # the max (the usual min-max degeneracy).
-            objective_miss = (max_miss_objective(model, self._cov) +
-                              0.01 * self._cost_expr)
-        else:  # weighted
-            from repro.core.extensions import weighted_miss_objective
-
-            objective_miss = weighted_miss_objective(
-                self._cov, self.miss_weights)
-        model.minimize(load_cost + self.gamma * objective_miss)
+        model.minimize(load_cost + self.gamma * self._cost_expr)
 
     # -- solving --------------------------------------------------------------
 

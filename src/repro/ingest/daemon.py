@@ -113,7 +113,13 @@ class IngestDaemon:
 
     def consume(self, chunk: PacketBatch,
                 now: Optional[float] = None) -> None:
-        """Fold one slab into the next worker's sketch."""
+        """Fold one slab into the next worker's sketch.
+
+        Every session row of the slab counts, so the order of the
+        slabs does not change an estimate, and an empty slab adds
+        nothing. A slab is not de-duplicated: one consumed twice is
+        counted twice.
+        """
         worker = self.workers[self._next_worker]
         self._next_worker = (self._next_worker + 1) % \
             len(self.workers)

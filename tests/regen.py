@@ -22,8 +22,9 @@ make:
   row and fraction counts).
 
 It refuses any other golden: ``load_costs.json``,
-``dataplane_parent.json`` and ``lp_digests.json`` are generated *at a
-parent commit* to pin behaviour across a change, and the mirror-free ``.lp`` files have no
+``nips_load_costs.json``, ``dataplane_parent.json`` and
+``lp_digests.json`` are generated *at a parent commit* to pin
+behaviour across a change, and the mirror-free ``.lp`` files have no
 fraction a vertex could move — a diff in one of those is a finding,
 not a re-pin.
 """

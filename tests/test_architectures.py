@@ -8,12 +8,7 @@ from repro.core import (
     evaluate_architecture,
     ingress_result,
 )
-from repro.core.extensions import (
-    FORTZ_THORUP_SEGMENTS,
-    max_miss_objective,
-    piecewise_link_cost,
-    weighted_load_objective,
-)
+from repro.core.extensions import FORTZ_THORUP_SEGMENTS, piecewise_link_cost
 from repro.lpsolve import Model
 
 
@@ -113,24 +108,6 @@ class TestExtensions:
         assert values == sorted(values)
         # Steeply super-linear past utilization 1.
         assert values[-1] > 10 * values[1]
-
-    def test_weighted_load_objective(self):
-        m = Model()
-        x = m.add_variable("x", lb=1, ub=1)
-        exprs = {("cpu", "A"): x + 0.0, ("cpu", "B"): 2 * x}
-        expr = weighted_load_objective(m, exprs,
-                                       weights={("cpu", "A"): 1.0,
-                                                ("cpu", "B"): 0.5})
-        m.minimize(expr)
-        assert m.solve().objective_value == pytest.approx(2.0)
-
-    def test_max_miss_objective(self):
-        m = Model()
-        cov = {"a": m.add_variable("cov_a", lb=0.2, ub=0.2),
-               "b": m.add_variable("cov_b", lb=0.9, ub=0.9)}
-        worst = max_miss_objective(m, cov)
-        m.minimize(worst)
-        assert m.solve().value(worst) == pytest.approx(0.8)
 
     def test_replication_with_piecewise_link_cost(self, line_state_dc):
         from repro.core import MirrorPolicy, ReplicationProblem

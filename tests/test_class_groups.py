@@ -182,26 +182,22 @@ class TestGroupedEqualsUngrouped:
             pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("extension", [
-    lambda state: dict(link_cost_weight=0.05),
-    lambda state: dict(load_weights={
-        ("cpu", node): 1.0 for node in state.nids_nodes}),
-], ids=["link_cost_weight", "load_weights"])
-def test_the_section_4_extensions_inherit_the_grouping(extension):
-    """Link penalties and weighted loads are linear in the shared
-    columns too, and a longer tunnel only adds to them: the plain LP's
-    fraction columns — half of those worth taking — and the same
-    objective as Figure 7's."""
+def test_the_link_cost_extension_inherits_the_grouping():
+    """Link penalties are linear in the shared columns too, and a
+    longer tunnel only adds to them: the plain LP's fraction columns —
+    half of those worth taking — and the same objective as Figure
+    7's."""
     state = setup_topology("internet2", dc_capacity_factor=10.0).state
-    shared = _replication(state, **extension(state)).build_model()
+    shared = _replication(state, link_cost_weight=0.05).build_model()
     apart = EveryTunnel(ungrouped(state), mirror_policy=MirrorPolicy
-                        .datacenter(), **extension(state)).build_model()
+                        .datacenter(),
+                        link_cost_weight=0.05).build_model()
     fractions = fraction_count(state, MirrorPolicy.datacenter())
     assert fraction_columns(apart) == fractions
     assert fraction_columns(shared) == fraction_columns(
         _replication(state).build_model()) < fractions // 2
     assert fraction_columns(_replication(
-        ungrouped(state), **extension(state)).build_model()) == \
+        ungrouped(state), link_cost_weight=0.05).build_model()) == \
         2 * fraction_columns(shared)
     assert shared.solve().objective_value == pytest.approx(
         apart.solve().objective_value, abs=1e-9)

@@ -116,6 +116,7 @@ def test_every_regenerated_table_is_a_registry_entry():
 
 
 @pytest.mark.parametrize("name", ["load_costs.json",
+                                  "nips_load_costs.json",
                                   "dataplane_parent.json",
                                   "lp_digests.json"])
 def test_goldens_pinned_at_a_parent_commit_are_refused(name, capsys):

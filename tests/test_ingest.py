@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.experiments.common import setup_topology
 from repro.ingest import IngestDaemon, chunk_resident_bytes
 from repro.obs import MetricsRegistry, use_registry
 from repro.runtime.events import EventLoop
+from repro.simulation.batch import PacketBatch
 from repro.simulation.tracegen import TraceGenerator, TraceSpec
 from repro.simulation.tracestore import ChunkedReplay
 
@@ -162,3 +164,61 @@ class TestWindows:
         assert all(worker.sessions == 0 for worker in daemon.workers)
         snapshot = daemon.snapshot()
         assert int(snapshot.class_volumes().sum()) == 0
+
+
+class TestChunkEdges:
+    """Slabs out of order, twice, or empty: 300 internet2 sessions in
+    256-packet chunks of 64 sessions, folded by three workers."""
+
+    @pytest.fixture(scope="class")
+    def internet2(self):
+        state = setup_topology("internet2").state
+        batch = TraceGenerator(
+            state.topology.nodes, state.classes,
+            spec=TraceSpec(total_sessions=300), seed=17).generate_batch(
+                tuple(state.nids_nodes), direct=True)
+        return state, batch, list(ChunkedReplay(batch, 256))
+
+    @staticmethod
+    def _fold(state, chunks):
+        daemon = IngestDaemon([cls.name for cls in state.classes],
+                              width=256, depth=4, seed=5, workers=3)
+        for chunk in chunks:
+            daemon.consume(chunk)
+        return daemon
+
+    def test_out_of_order_chunks_give_the_same_volumes(self, internet2):
+        state, _, chunks = internet2
+        in_order = self._fold(state, chunks).snapshot()
+        shuffled = self._fold(state, chunks[::-1]).snapshot()
+        assert np.array_equal(in_order.class_volumes(),
+                              shuffled.class_volumes())
+
+    def test_a_repeated_chunk_is_counted_twice(self, internet2):
+        state, batch, chunks = internet2
+        repeated = chunks[1]
+        assert batch.sessions.num_sessions == 300
+        assert repeated.sessions.num_sessions == 64
+        daemon = self._fold(state, chunks + [repeated])
+        assert daemon.stats.sessions == 364
+        assert daemon.stats.packets == \
+            batch.num_packets + repeated.num_packets
+        alone = self._fold(state, [repeated]).snapshot()
+        assert np.array_equal(
+            daemon.snapshot().class_volumes(),
+            self._fold(state, chunks).snapshot().class_volumes()
+            + alone.class_volumes())
+
+    def test_an_empty_slab_changes_no_estimate(self, internet2):
+        state, batch, chunks = internet2
+        empty = PacketBatch.from_sessions([], lambda five_tuple: None,
+                                          tuple(state.nids_nodes))
+        assert empty.num_packets == empty.sessions.num_sessions == 0
+        plain = self._fold(state, chunks)
+        padded = self._fold(state, chunks[:2] + [empty] + chunks[2:])
+        assert np.array_equal(plain.snapshot().class_volumes(),
+                              padded.snapshot().class_volumes())
+        assert padded.estimated_classes(state.classes) == \
+            plain.estimated_classes(state.classes)
+        assert (padded.stats.sessions, padded.stats.packets) == \
+            (300, batch.num_packets)

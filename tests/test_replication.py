@@ -145,38 +145,6 @@ class TestLocalOffload:
                 assert mirror not in cls.path
 
 
-class TestWeightedLoadObjective:
-    def test_uniform_weights_minimize_total_work_cost(self, line_state):
-        """With uniform weights the objective is the (capacity-
-        normalized) total work, which is constant across feasible
-        assignments on identical nodes — the LP reports that total."""
-        weights = {("cpu", node): 1.0 for node in line_state.nids_nodes}
-        result = ReplicationProblem(
-            line_state, mirror_policy=MirrorPolicy.none(),
-            load_weights=weights).solve()
-        total = sum(result.node_loads["cpu"].values())
-        assert result.load_cost == pytest.approx(total, abs=1e-6)
-
-    def test_single_node_weight_drains_that_node(self, line_state):
-        """Putting all weight on node B makes the LP route every bit
-        of splittable work away from B."""
-        weights = {("cpu", "B"): 1.0}
-        result = ReplicationProblem(
-            line_state, mirror_policy=MirrorPolicy.none(),
-            load_weights=weights).solve()
-        assert result.node_loads["cpu"]["B"] == pytest.approx(0.0,
-                                                              abs=1e-6)
-
-    def test_weighted_objective_reported_as_load_cost(self, line_state):
-        weights = {("cpu", "A"): 2.0, ("cpu", "B"): 1.0}
-        result = ReplicationProblem(
-            line_state, mirror_policy=MirrorPolicy.none(),
-            load_weights=weights).solve()
-        expected = (2.0 * result.node_loads["cpu"]["A"] +
-                    1.0 * result.node_loads["cpu"]["B"])
-        assert result.load_cost == pytest.approx(expected, abs=1e-6)
-
-
 class TestValidation:
     def test_bad_link_load_rejected(self, line_state):
         with pytest.raises(ValueError):

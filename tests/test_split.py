@@ -157,52 +157,6 @@ class TestIngressBaseline:
         assert result.miss_rate == pytest.approx(0.25)
 
 
-class TestMissObjectiveModes:
-    @pytest.fixture
-    def two_class_state(self, disjoint_topology):
-        """A cheap-to-cover class and an expensive-to-cover one."""
-        easy = TrafficClass("easy", "A", "D", ("A", "B", "D"), 900.0,
-                            session_bytes=1000.0,
-                            rev_path=("D", "B", "A"))
-        hard = TrafficClass("hard", "B", "B", ("B",), 100.0,
-                            session_bytes=1000.0, rev_path=("C",))
-        return make_state(disjoint_topology, [easy, hard])
-
-    def test_max_mode_protects_worst_class(self, two_class_state):
-        """Under a choked link budget the total-miss objective happily
-        sacrifices the small 'hard' class; the max-miss objective
-        still reports its coverage as the binding quantity."""
-        result = SplitTrafficProblem(two_class_state,
-                                     max_link_load=0.0,
-                                     miss_mode="max").solve()
-        # Link budget 0 makes 'hard' uncoverable either way...
-        assert result.coverage["hard"] == pytest.approx(0.0, abs=1e-6)
-        # ...but 'easy' must still be fully covered.
-        assert result.coverage["easy"] == pytest.approx(1.0, abs=1e-6)
-
-    def test_weighted_mode_prioritizes(self, two_class_state):
-        result = SplitTrafficProblem(
-            two_class_state, max_link_load=0.4,
-            miss_mode="weighted",
-            miss_weights={"easy": 10.0, "hard": 1.0}).solve()
-        assert result.coverage["easy"] == pytest.approx(1.0, abs=1e-6)
-
-    def test_weighted_zero_weight_ignored(self, two_class_state):
-        """A zero-weight class gets no coverage incentive at all."""
-        result = SplitTrafficProblem(
-            two_class_state, max_link_load=0.4,
-            miss_mode="weighted",
-            miss_weights={"easy": 1.0}).solve()
-        assert result.coverage["easy"] == pytest.approx(1.0, abs=1e-6)
-        assert result.coverage["hard"] == pytest.approx(0.0, abs=1e-6)
-
-    def test_mode_validation(self, line_state_dc):
-        with pytest.raises(ValueError):
-            SplitTrafficProblem(line_state_dc, miss_mode="nope")
-        with pytest.raises(ValueError):
-            SplitTrafficProblem(line_state_dc, miss_mode="weighted")
-
-
 class TestValidation:
     def test_offload_needs_datacenter(self, line_state):
         with pytest.raises(ValueError):
