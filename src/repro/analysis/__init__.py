@@ -12,14 +12,17 @@ Two complementary layers:
   seeds descend from ``Scenario.seed``. Same-instant event ordering
   is verified dynamically by ``repro racecheck``, not here;
 - the **model verifier** (:mod:`~repro.analysis.modelcheck`) — checks
-  built LPs, solved results and compiled shim range tables against
-  the paper's structural invariants (fractions partition a class;
-  hash ranges tile [0, 2^32) without overlap).
+  built LPs, compiled shim range tables and the sharded planner's
+  regional tables against the paper's structural invariants
+  (``cover`` rows partition a class; hash ranges tile [0, 2^32)
+  exactly once, within a rule budget). Solved fractions are checked
+  by ``repro.core.validation``, not here.
 
 Front ends: ``repro lint`` on the command line (what CI runs on the
 repo itself) and :func:`~repro.analysis.modelcheck.precheck` as a
 library pre-solve guard (enabled globally with
-``REPRO_VERIFY_MODELS=1``).
+``REPRO_VERIFY_MODELS=1``, which also runs the sharded checks on
+every ``ShardedPlanner`` plan).
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ from repro.analysis.engine import (
 from repro.analysis.modelcheck import (
     ModelCheckError,
     check_model,
-    check_result,
-    check_budgeted_configs,
+    check_shard_capacity,
+    check_sharded_configs,
     check_shim_configs,
     precheck,
 )
@@ -58,8 +61,8 @@ __all__ = [
     "Rule",
     "Severity",
     "check_model",
-    "check_result",
-    "check_budgeted_configs",
+    "check_shard_capacity",
+    "check_sharded_configs",
     "check_shim_configs",
     "default_rules",
     "filter_baseline",

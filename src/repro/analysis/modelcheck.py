@@ -1,30 +1,23 @@
 """Model-level verification: LP structure and paper invariants.
 
 Where the AST rules guard *source*, this module guards *built
-artifacts*: a :class:`~repro.lpsolve.Model` about to be solved, a
-formulation result, or a compiled set of
-:class:`~repro.shim.config.ShimConfig` tables. The checks mirror the
-properties the paper's architecture depends on (Heorhiadi et al.,
-CoNEXT'12, Sections 4 and 7):
+artifacts*: a :class:`~repro.lpsolve.Model` about to be solved, or a
+compiled set of :class:`~repro.shim.config.ShimConfig` tables. Each
+artifact kind has one check, and each invariant one walk. The checks
+mirror the properties the paper's architecture depends on (Heorhiadi
+et al., CoNEXT'12, Sections 4 and 7):
 
 - **LP structure** (MDL001-MDL005): no dangling variables, no
   duplicate constraint rows, no degenerate (all-zero) rows, no
   contradictory variable bounds, and every per-class ``cover[...]``
   row keeps the unit-coefficient / unit-rhs shape that makes the
   process+replication fractions a partition of the class.
-- **Fraction sanity** (RES001-RES002): solved per-class processing +
-  replication fractions land in [0, 1] and sum to at most 1.
-- **Shim range tables** (SHIM001-SHIM002): per (node, class,
-  direction) the installed hash ranges are non-overlapping, and
-  per class the network-wide PROCESS ranges tile the full hash space
-  ``[0, 2^32)`` — a misconfigured range table fails *silently* at
-  runtime (sessions just go unanalyzed), so this is checked statically
-  at compile/rollout time.
-- **Budgeted tables** (SHIM003-SHIM004): a rule-budgeted compile
-  (``build_*_configs(budget=B)``) must still tile ``[0, 2^32)``
-  *exactly* — the approximation moves range boundaries, never opens
-  gaps — and no (node, class, direction) bucket may hold more than
-  ``B`` rules, the declared TCAM capacity.
+- **Shim range tables** (SHIM001, SHIM002, SHIM004): per (node, class,
+  direction, hash field) the installed ranges are non-overlapping and,
+  under a rule budget, at most ``budget`` of them; per class and
+  direction the network-wide PROCESS ranges tile the full hash space
+  ``[0, 2^32)`` exactly, in integer hash units. A misconfigured range
+  table fails *silently* at runtime (sessions just go unanalyzed).
 - **Sharded control plane** (SHRD001-SHRD002): the per-region config
   sets produced by the sharded planner, *unioned*, must still tile
   every class's hash space exactly (each class is planned by exactly
@@ -33,11 +26,18 @@ CoNEXT'12, Sections 4 and 7):
   allocations at any shared node must not exceed the node's actual
   capacity.
 
+A solved result's fractions are not checked here: the
+``core.validation.validate_*`` functions recompute every paper
+constraint from them, bounds and coverage sums included.
+
 :func:`precheck` is the library pre-solve guard: call it (or export
 ``REPRO_VERIFY_MODELS=1`` to have every
 :meth:`Formulation.solve <repro.core.formulation.Formulation.solve>`
 call it) to fail fast on malformed models instead of shipping bad
-configs.
+configs. Under the same variable, ``ShardedPlanner.plan`` runs
+:func:`check_sharded_configs` and :func:`check_shard_capacity` on
+every plan. Nothing in the library calls :func:`check_shim_configs`;
+the tests run it on compiled config sets.
 
 Note on rollout transients: an *overlap* transition deliberately
 installs the union of old and new rules, which double-covers hash
@@ -49,8 +49,8 @@ tables.
 from __future__ import annotations
 
 import math
-from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
-                    Set, Tuple)
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.analysis.engine import Finding, Severity
 from repro.lpsolve.constraint import Constraint, ConstraintSense
@@ -58,7 +58,6 @@ from repro.lpsolve.model import Model
 from repro.shim.config import ShimAction, ShimConfig, ShimRule
 
 _TOL = 1e-6
-_HASH_SPACE = float(2 ** 32)
 
 
 class ModelCheckError(ValueError):
@@ -196,62 +195,12 @@ def _check_cover_row(con: Constraint, nonzero: Tuple,
                 "exceed the class"))
 
 
-# -- solved-result sanity -------------------------------------------------
-
-def check_result(result: "object") -> List[Finding]:
-    """RES001/RES002 on a formulation result (duck-typed).
-
-    Works for every ``AssignmentResult`` subclass: validates
-    ``process_fractions`` and, when present, ``offload_fractions``
-    (replication) and ``fwd_offloads``/``rev_offloads`` (split).
-    """
-    where = f"<result:{type(result).__name__}>"
-    findings: List[Finding] = []
-    process: Mapping = getattr(result, "process_fractions", {}) or {}
-    offload: Mapping = getattr(result, "offload_fractions", {}) or {}
-    fwd: Mapping = getattr(result, "fwd_offloads", {}) or {}
-    rev: Mapping = getattr(result, "rev_offloads", {}) or {}
-
-    class_names = set(process) | set(offload) | set(fwd) | set(rev)
-    for cls in sorted(class_names):
-        fractions: List[Tuple[str, float]] = []
-        for node, value in (process.get(cls, {}) or {}).items():
-            fractions.append((f"p[{node}]", value))
-        for key, value in (offload.get(cls, {}) or {}).items():
-            fractions.append((f"o[{key}]", value))
-        for name, value in fractions:
-            if value < -_TOL or value > 1.0 + _TOL:
-                findings.append(_finding(
-                    "RES001", where,
-                    f"class {cls!r}: fraction {name} = {value} is "
-                    "outside [0, 1]"))
-        total = sum(value for _, value in fractions)
-        if total > 1.0 + 1e-4:
-            findings.append(_finding(
-                "RES002", where,
-                f"class {cls!r}: processing+replication fractions "
-                f"sum to {total:.6f} > 1 — the class is "
-                "over-assigned, the hash-range layout would "
-                "overflow [0, 2^32)"))
-        # Directional offloads each extend the shared local prefix,
-        # so local + either direction must stay within the class.
-        local = sum((process.get(cls, {}) or {}).values())
-        for label, table in (("fwd", fwd), ("rev", rev)):
-            directional = sum((table.get(cls, {}) or {}).values())
-            if local + directional > 1.0 + 1e-4:
-                findings.append(_finding(
-                    "RES002", where,
-                    f"class {cls!r}: local + {label} offload "
-                    f"fractions sum to {local + directional:.6f} "
-                    "> 1"))
-    return findings
-
-
 # -- shim range tables ----------------------------------------------------
 
-def _hash_units(value: float) -> int:
-    """A [0,1) fraction as an integer point in [0, 2^32)."""
-    return int(round(value * _HASH_SPACE))
+_SPACE = 2 ** 32
+#: ``(start, end, owner)`` in hash units; the owner names who installed
+#: the span, for the finding's message.
+_Span = Tuple[int, int, str]
 
 
 def _directions(rule: ShimRule) -> Tuple[str, ...]:
@@ -260,183 +209,116 @@ def _directions(rule: ShimRule) -> Tuple[str, ...]:
     return (rule.direction,)
 
 
+def _unit_spans(rules: Iterable[ShimRule]
+                ) -> Iterator[Tuple[int, int, ShimRule]]:
+    """Every rule that can match, as ``(start, end, rule)`` in integer
+    hash units; a zero-width rule matches nothing and takes no table
+    slot."""
+    for rule in rules:
+        start = int(round(rule.hash_range.start * _SPACE))
+        end = int(round(rule.hash_range.end * _SPACE))
+        if end > start:
+            yield start, end, rule
+
+
+def _tiling_faults(spans: List[_Span], require_full_coverage: bool
+                   ) -> Iterator[Tuple[str, int, int, str]]:
+    """The one cursor walk of one class's hash space.
+
+    Yields ``("overlap", start, cursor, owner)`` for a span that starts
+    below the coverage reached so far, and, with
+    ``require_full_coverage``, ``("gap", cursor, start, owner)`` for
+    unowned units before a span and ``("tail", cursor, 2^32, "")``
+    when coverage stops short of the end of the space.
+    """
+    cursor = 0
+    for start, end, owner in sorted(spans):
+        if start < cursor:
+            yield "overlap", start, cursor, owner
+        elif start > cursor and require_full_coverage:
+            yield "gap", cursor, start, owner
+        cursor = max(cursor, end)
+    if require_full_coverage and cursor != _SPACE:
+        yield "tail", cursor, _SPACE, ""
+
+
 def check_shim_configs(configs: Mapping[str, ShimConfig],
+                       budget: Optional[int] = None,
                        require_full_coverage: bool = True
                        ) -> List[Finding]:
-    """SHIM001/SHIM002 on a compiled per-node config set.
+    """SHIM001/SHIM002/SHIM004 on a compiled per-node config set.
 
-    SHIM001 — within one (node, class, direction, hash field) bucket
-    the installed ranges must be non-overlapping, otherwise "first
-    match wins" silently shadows the later rule.
+    One walk per (node, class, direction, hash field) bucket:
 
-    SHIM002 — per (class, direction), the union of PROCESS ranges
-    across *all* nodes must tile ``[0, 2^32)`` with neither overlap
-    (a session analyzed twice distorts aggregation counts) nor gap
-    (a session analyzed nowhere — the silent failure mode this check
-    exists for). Gap detection is skipped with
-    ``require_full_coverage=False`` (partial-coverage split classes).
+    - SHIM001 — the bucket's ranges must be non-overlapping, otherwise
+      "first match wins" silently shadows the later rule;
+    - SHIM004 — with a finite ``budget``, the bucket may hold at most
+      ``budget`` positive-width rules, the declared TCAM capacity.
+
+    One cursor walk per (class, direction) that any config names, in
+    exact integer hash units:
+
+    - SHIM002 — the union of PROCESS ranges across *all* nodes must
+      tile ``[0, 2^32)`` with neither overlap (a session analyzed
+      twice distorts aggregation counts) nor gap (a session analyzed
+      nowhere — the silent failure mode this check exists for). A
+      budgeted compile rescales its kept fractions, so it is held to
+      the same exact tiling. ``require_full_coverage=False``
+      (partial-coverage split classes) reports overlaps only.
     """
-    findings: List[Finding] = []
-
-    # SHIM001: per-node bucket overlap.
-    for node in sorted(configs):
-        config = configs[node]
-        for cls_name, rules in sorted(config.rules.items()):
-            buckets: Dict[Tuple[str, str],
-                          List[Tuple[float, float, ShimRule]]] = {}
-            for rule in rules:
-                for direction in _directions(rule):
-                    key = (direction, rule.hash_mode.value)
-                    buckets.setdefault(key, []).append(
-                        (rule.hash_range.start, rule.hash_range.end,
-                         rule))
-            for (direction, mode), spans in sorted(buckets.items()):
-                spans.sort(key=lambda item: (item[0], item[1]))
-                for (s1, e1, r1), (s2, e2, r2) in zip(spans,
-                                                      spans[1:]):
-                    if s2 < e1 - 1e-12:
-                        findings.append(_finding(
-                            "SHIM001", f"<shim:{node}>",
-                            f"class {cls_name!r} ({direction}/"
-                            f"{mode}): ranges "
-                            f"[{_hash_units(s1)}, {_hash_units(e1)})"
-                            f" ({r1.action.value}) and "
-                            f"[{_hash_units(s2)}, {_hash_units(e2)})"
-                            f" ({r2.action.value}) overlap — the "
-                            "second rule is partially shadowed"))
-
-    # SHIM002: network-wide PROCESS tiling per class and direction.
-    per_class: Dict[Tuple[str, str],
-                    List[Tuple[float, float, str]]] = {}
-    for node in sorted(configs):
-        config = configs[node]
-        for cls_name, rules in sorted(config.rules.items()):
-            for rule in rules:
-                if rule.action is not ShimAction.PROCESS:
-                    continue
-                for direction in _directions(rule):
-                    per_class.setdefault(
-                        (cls_name, direction), []).append(
-                        (rule.hash_range.start, rule.hash_range.end,
-                         node))
-
-    for (cls_name, direction), spans in sorted(per_class.items()):
-        spans.sort(key=lambda item: (item[0], item[1]))
-        cursor = 0.0
-        for start, end, node in spans:
-            if start < cursor - 1e-9:
-                findings.append(_finding(
-                    "SHIM002", "<shim:network>",
-                    f"class {cls_name!r} ({direction}): PROCESS "
-                    f"range [{_hash_units(start)}, "
-                    f"{_hash_units(end)}) at node {node!r} "
-                    f"overlaps coverage up to "
-                    f"{_hash_units(cursor)} — sessions in the "
-                    "overlap are analyzed twice"))
-            elif start > cursor + 1e-6 and require_full_coverage:
-                findings.append(_finding(
-                    "SHIM002", "<shim:network>",
-                    f"class {cls_name!r} ({direction}): coverage "
-                    f"gap [{_hash_units(cursor)}, "
-                    f"{_hash_units(start)}) — sessions hashing "
-                    "there are analyzed nowhere (silent miss)"))
-            cursor = max(cursor, end)
-        if require_full_coverage and cursor < 1.0 - 1e-6:
-            findings.append(_finding(
-                "SHIM002", "<shim:network>",
-                f"class {cls_name!r} ({direction}): PROCESS ranges "
-                f"cover only [0, {_hash_units(cursor)}) of "
-                "[0, 2^32) — the tail of the hash space is "
-                "unanalyzed"))
-    return findings
-
-
-def check_budgeted_configs(configs: Mapping[str, ShimConfig],
-                           budget: Optional[int],
-                           require_full_coverage: bool = True
-                           ) -> List[Finding]:
-    """SHIM003/SHIM004 on a rule-budgeted compile.
-
-    SHIM003 — per (class, direction) the network-wide PROCESS ranges,
-    measured in exact integer hash units, must tile ``[0, 2^32)``
-    seamlessly: the budgeted lowering rescales kept fractions so the
-    layout still covers the whole space, and any gap or overlap means
-    the approximation silently lost (or double-counts) sessions.
-    With ``require_full_coverage=False`` (split-traffic classes whose
-    coverage is partial by design) only overlaps are flagged.
-
-    SHIM004 — with a finite ``budget``, no (node, class, direction)
-    bucket may install more than ``budget`` positive-width rules;
-    the compile would not fit the declared TCAM capacity. ``budget=
-    None`` skips SHIM004 (the unbounded compile has no cap to honor).
-    """
-    findings: List[Finding] = []
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-
-    # SHIM003: exact integer-unit tiling of PROCESS ownership. Every
-    # (class, direction) any rule mentions is checked — a class whose
-    # PROCESS owner went missing entirely must still be flagged.
-    spans_by_class: Dict[Tuple[str, str],
-                         List[Tuple[int, int, str]]] = {}
-    seen_classes: Set[Tuple[str, str]] = set()
+    findings: List[Finding] = []
+    process: Dict[Tuple[str, str], List[_Span]] = {}
     for node in sorted(configs):
-        config = configs[node]
-        for cls_name, rules in sorted(config.rules.items()):
-            seen_classes.add((cls_name, "fwd"))
-            seen_classes.add((cls_name, "rev"))
-            counts: Dict[Tuple[str, str], int] = {}
-            for rule in rules:
-                start = _hash_units(rule.hash_range.start)
-                end = _hash_units(rule.hash_range.end)
-                if end <= start:
-                    continue
+        for cls_name, rules in sorted(configs[node].rules.items()):
+            buckets: Dict[Tuple[str, str],
+                          List[Tuple[int, int, ShimRule]]] = {}
+            owned = {direction: process.setdefault(
+                (cls_name, direction), []) for direction in ("fwd", "rev")}
+            for start, end, rule in _unit_spans(rules):
                 for direction in _directions(rule):
-                    counts[(direction, rule.hash_mode.value)] = \
-                        counts.get(
-                            (direction, rule.hash_mode.value), 0) + 1
+                    buckets.setdefault(
+                        (direction, rule.hash_mode.value), []).append(
+                        (start, end, rule))
                     if rule.action is ShimAction.PROCESS:
-                        spans_by_class.setdefault(
-                            (cls_name, direction), []).append(
-                            (start, end, node))
-            if budget is None:
-                continue
-            for (direction, mode), count in sorted(counts.items()):
-                if count > budget:
+                        owned[direction].append(
+                            (start, end, f"node {node!r}"))
+            for (direction, mode), spans in sorted(buckets.items()):
+                where = f"<shim:{node}>"
+                label = f"class {cls_name!r} ({direction}/{mode})"
+                spans.sort(key=lambda s: (s[0], s[1]))
+                for (s1, e1, r1), (s2, e2, r2) in zip(spans, spans[1:]):
+                    if s2 < e1:
+                        findings.append(_finding(
+                            "SHIM001", where,
+                            f"{label}: ranges [{s1}, {e1}) "
+                            f"({r1.action.value}) and [{s2}, {e2}) "
+                            f"({r2.action.value}) overlap — the "
+                            "second rule is partially shadowed"))
+                if budget is not None and len(spans) > budget:
                     findings.append(_finding(
-                        "SHIM004", f"<shim:{node}>",
-                        f"class {cls_name!r} ({direction}/{mode}): "
-                        f"{count} rules exceed the declared budget "
-                        f"of {budget} — the table does not fit the "
-                        "TCAM it was compiled for"))
+                        "SHIM004", where,
+                        f"{label}: {len(spans)} rules exceed the "
+                        f"declared budget of {budget} — the table "
+                        "does not fit the TCAM it was compiled for"))
 
-    space = int(_HASH_SPACE)
-    for (cls_name, direction) in sorted(seen_classes):
-        spans = spans_by_class.get((cls_name, direction), [])
-        spans.sort(key=lambda item: (item[0], item[1]))
-        cursor = 0
-        for start, end, node in spans:
-            if start < cursor:
-                findings.append(_finding(
-                    "SHIM003", "<shim:network>",
-                    f"class {cls_name!r} ({direction}): budgeted "
-                    f"PROCESS range [{start}, {end}) at node "
-                    f"{node!r} overlaps coverage up to {cursor} — "
-                    "the rescaled layout double-covers hash units"))
-            elif start > cursor and require_full_coverage:
-                findings.append(_finding(
-                    "SHIM003", "<shim:network>",
-                    f"class {cls_name!r} ({direction}): budgeted "
-                    f"layout leaves hash units [{cursor}, {start}) "
-                    "unowned — the rescale should have closed this "
-                    "gap"))
-            cursor = max(cursor, end)
-        if require_full_coverage and cursor != space:
+    messages = {
+        "overlap": "PROCESS range at {owner} starts at {lo}, inside "
+                   "coverage up to {hi} — sessions in the overlap are "
+                   "analyzed twice",
+        "gap": "coverage gap [{lo}, {hi}) — sessions hashing there "
+               "are analyzed nowhere (silent miss)",
+        "tail": "PROCESS ranges end at {lo}, not {hi} — the tail of "
+                "the hash space is unanalyzed",
+    }
+    for (cls_name, direction), spans in sorted(process.items()):
+        for kind, lo, hi, owner in _tiling_faults(
+                spans, require_full_coverage):
             findings.append(_finding(
-                "SHIM003", "<shim:network>",
-                f"class {cls_name!r} ({direction}): budgeted "
-                f"PROCESS ranges end at {cursor}, not {space} — "
-                "the tail of the hash space is unowned"))
+                "SHIM002", "<shim:network>",
+                f"class {cls_name!r} ({direction}): "
+                + messages[kind].format(lo=lo, hi=hi, owner=owner)))
     return findings
 
 
@@ -449,37 +331,40 @@ def check_sharded_configs(
 
     The sharded planner assigns each traffic class to exactly one
     region, and that region's configs must own the class's *entire*
-    hash space ``[0, 2^32)``. Measured in exact integer hash units
-    with the SHIM003 cursor walk over the union of all regions'
-    PROCESS ranges: an overlap means two regional controllers both
-    claimed the hash units (sessions analyzed twice), a gap or a
-    missing class means no region claimed them (silent miss). Every
-    name in ``class_names`` must be covered — a class that vanished
-    from every region is exactly the failover bug this rule exists
-    to catch.
+    hash space ``[0, 2^32)``. The SHIM002 cursor walk runs over the
+    union of all regions' PROCESS ranges: an overlap means two
+    regional controllers both claimed the hash units (sessions
+    analyzed twice), a gap or a missing class means no region claimed
+    them (silent miss). Every name in ``class_names`` must be covered
+    — a class that vanished from every region is exactly the failover
+    bug this rule exists to catch.
     """
     findings: List[Finding] = []
-    spans_by_class: Dict[Tuple[str, str],
-                         List[Tuple[int, int, str, str]]] = {}
+    spans_by_class: Dict[Tuple[str, str], List[_Span]] = {}
     owners: Dict[str, Set[str]] = {}
     for region in sorted(regional_configs):
         configs = regional_configs[region]
         for node in sorted(configs):
             for cls_name, rules in sorted(configs[node].rules.items()):
                 owners.setdefault(cls_name, set()).add(region)
-                for rule in rules:
+                for start, end, rule in _unit_spans(rules):
                     if rule.action is not ShimAction.PROCESS:
-                        continue
-                    start = _hash_units(rule.hash_range.start)
-                    end = _hash_units(rule.hash_range.end)
-                    if end <= start:
                         continue
                     for direction in _directions(rule):
                         spans_by_class.setdefault(
                             (cls_name, direction), []).append(
-                            (start, end, region, node))
+                            (start, end,
+                             f"region {region!r} (node {node!r})"))
 
-    space = int(_HASH_SPACE)
+    messages = {
+        "overlap": "PROCESS range from {owner} starts at {lo}, inside "
+                   "coverage up to {hi} — two regional controllers "
+                   "claim the same hash units",
+        "gap": "no region owns hash units [{lo}, {hi}) — sessions "
+               "hashing there are analyzed nowhere",
+        "tail": "the union of regional PROCESS ranges ends at {lo}, "
+                "not {hi} — the tail of the hash space is unowned",
+    }
     for cls_name in sorted(class_names):
         regions = sorted(owners.get(cls_name, ()))
         if len(regions) > 1:
@@ -490,33 +375,12 @@ def check_sharded_configs(
                 "the partition must assign each class to exactly "
                 "one region"))
         for direction in ("fwd", "rev"):
-            spans = spans_by_class.get((cls_name, direction), [])
-            spans.sort(key=lambda item: (item[0], item[1]))
-            cursor = 0
-            for start, end, region, node in spans:
-                if start < cursor:
-                    findings.append(_finding(
-                        "SHRD001", "<shard:union>",
-                        f"class {cls_name!r} ({direction}): PROCESS "
-                        f"range [{start}, {end}) from region "
-                        f"{region!r} (node {node!r}) overlaps "
-                        f"coverage up to {cursor} — two regional "
-                        "controllers claim the same hash units"))
-                elif start > cursor:
-                    findings.append(_finding(
-                        "SHRD001", "<shard:union>",
-                        f"class {cls_name!r} ({direction}): no "
-                        f"region owns hash units [{cursor}, {start})"
-                        " — sessions hashing there are analyzed "
-                        "nowhere"))
-                cursor = max(cursor, end)
-            if cursor != space:
+            for kind, lo, hi, owner in _tiling_faults(
+                    spans_by_class.get((cls_name, direction), []), True):
                 findings.append(_finding(
                     "SHRD001", "<shard:union>",
-                    f"class {cls_name!r} ({direction}): the union "
-                    f"of regional PROCESS ranges ends at {cursor}, "
-                    f"not {space} — the tail of the hash space is "
-                    "unowned"))
+                    f"class {cls_name!r} ({direction}): "
+                    + messages[kind].format(lo=lo, hi=hi, owner=owner)))
     return findings
 
 
@@ -578,3 +442,4 @@ def precheck(model: Model,
     errors = [f for f in findings if f.severity is Severity.ERROR]
     if errors:
         raise ModelCheckError(errors)
+

@@ -196,6 +196,13 @@ def validate_split(state: NetworkState,
             result.fwd_offloads.get(cls.name, {}).values())
         cov_rev = local + sum(
             result.rev_offloads.get(cls.name, {}).values())
+        # Each direction's offloads extend the shared local prefix of
+        # the hash space, so local + either direction fits the class.
+        for label, total in (("fwd", cov_fwd), ("rev", cov_rev)):
+            if total > 1.0 + 1e-5:
+                problems.append(
+                    f"class {cls.name!r} local + {label} offload "
+                    f"fractions sum to {total:.6f} > 1")
         effective = min(cov_fwd, cov_rev, 1.0)
         reported = result.coverage.get(cls.name, 0.0)
         if reported > effective + 1e-5:

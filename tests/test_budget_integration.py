@@ -10,10 +10,7 @@ that solution — the budget only changes the lowering.
 import numpy as np
 import pytest
 
-from repro.analysis.modelcheck import (
-    check_budgeted_configs,
-    check_shim_configs,
-)
+from repro.analysis.modelcheck import check_shim_configs
 from repro.core import MirrorPolicy, ReplicationProblem
 from repro.experiments.common import setup_topology
 from repro.obs import MetricsRegistry, use_registry
@@ -46,17 +43,16 @@ def tinet():
 class TestModelcheckIntegration:
     @pytest.mark.parametrize("budget", [1, 2, 4, None])
     def test_compiled_tables_verify_clean(self, tinet, budget):
-        """SHIM003/SHIM004 pass on every budget the compiler emits:
+        """SHIM002/SHIM004 pass on every budget the compiler emits:
         exact hash-space tiling, within-budget tables."""
         state, result = tinet
         configs = build_replication_configs(state, result,
                                             budget=budget)
-        assert check_shim_configs(configs) == []
-        assert check_budgeted_configs(configs, budget) == []
+        assert check_shim_configs(configs, budget=budget) == []
 
     def test_missing_owner_is_detected(self, tinet):
         """Removing a PROCESS rule from a bucket that keeps others
-        leaves a hash-space gap that SHIM003 must flag."""
+        leaves a hash-space gap that SHIM002 must flag."""
         state, result = tinet
         configs = build_replication_configs(state, result, budget=2)
         for node, config in configs.items():
@@ -69,8 +65,8 @@ class TestModelcheckIntegration:
                     kept.remove(procs[0])
                     configs[node] = ShimConfig(
                         node, {**config.rules, cls: kept})
-                    findings = check_budgeted_configs(configs, 2)
-                    assert any(f.rule_id == "SHIM003"
+                    findings = check_shim_configs(configs, budget=2)
+                    assert any(f.rule_id == "SHIM002"
                                for f in findings)
                     return
         pytest.fail("no PROCESS rule found to mutate")
@@ -89,7 +85,7 @@ class TestModelcheckIntegration:
                                            rules[0].hash_range.start,
                                            half),
                             rules[0].action, target=rules[0].target)]})
-                    findings = check_budgeted_configs(configs, 1)
+                    findings = check_shim_configs(configs, budget=1)
                     assert any(f.rule_id == "SHIM004"
                                for f in findings)
                     return
@@ -97,7 +93,7 @@ class TestModelcheckIntegration:
 
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValueError, match="budget"):
-            check_budgeted_configs({}, 0)
+            check_shim_configs({}, budget=0)
 
 
 class TestKernelScalarParity:

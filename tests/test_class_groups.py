@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.modelcheck import check_model, check_result
+from repro.analysis.modelcheck import check_model
 from repro.core.mirrors import MirrorPolicy
 from repro.core.nips import NIPSProblem
 from repro.core.replication import ReplicationProblem
@@ -158,8 +158,7 @@ class TestGroupedEqualsUngrouped:
         with pytest.MonkeyPatch.context() as patch:
             patch.delenv("REPRO_VERIFY_MODELS", raising=False)
             result, reference = problem.solve(), apart.solve()
-        assert [finding for finding in
-                check_model(problem.build_model()) + check_result(result)
+        assert [finding for finding in check_model(problem.build_model())
                 if finding.rule_id != "MDL002"] == []
         fractions = fraction_count(state, policy)
         assert apart.build_model().num_variables == 1 + fractions

@@ -1,14 +1,19 @@
-"""Model verification: LP structure, result sanity, shim tables.
+"""Model verification: LP structure, shim tables, sharded tables.
 
 The hypothesis section is the acceptance property: every LP the four
 paper problems (Replication / Split / Aggregation / Combined)
 generate on the tinet evaluation topology — cold-built or warm
-re-solved at drawn parameters — must pass ``check_model`` and
-``check_result`` with zero findings. The unit sections construct each
-defect the checker exists for and assert the right rule fires.
+re-solved at drawn parameters — must pass ``check_model`` with zero
+findings, and its solution its ``core.validation`` validator. The
+unit sections construct each defect the checker exists for and assert
+the right rule fires; the last section keeps the rule catalog of
+``docs/static-analysis.md`` equal to the ids the checker emits.
 """
 
 from __future__ import annotations
+
+import ast
+import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +22,6 @@ import hypothesis.strategies as st
 from repro.analysis.modelcheck import (
     ModelCheckError,
     check_model,
-    check_result,
     check_shard_capacity,
     check_sharded_configs,
     check_shim_configs,
@@ -28,6 +32,11 @@ from repro.core.combined import CombinedProblem
 from repro.core.mirrors import MirrorPolicy
 from repro.core.replication import ReplicationProblem
 from repro.core.split import SplitTrafficProblem
+from repro.core.validation import (
+    validate_aggregation,
+    validate_replication,
+    validate_split,
+)
 from repro.experiments.common import setup_topology
 from repro.lpsolve.model import Model
 from repro.shim.config import (
@@ -153,41 +162,6 @@ class TestPrecheck:
         assert result.process_fractions
 
 
-# -- solved-result sanity (RES) -------------------------------------------
-
-class _FakeResult:
-    def __init__(self, process=None, offload=None, fwd=None, rev=None):
-        self.process_fractions = process or {}
-        self.offload_fractions = offload or {}
-        self.fwd_offloads = fwd or {}
-        self.rev_offloads = rev or {}
-
-
-class TestCheckResult:
-    def test_fraction_outside_unit_interval(self):
-        findings = check_result(_FakeResult(
-            process={"web": {"A": 1.2}}))
-        assert "RES001" in rule_ids(findings)
-
-    def test_over_assigned_class(self):
-        findings = check_result(_FakeResult(
-            process={"web": {"A": 0.7, "B": 0.5}}))
-        assert rule_ids(findings) == ["RES002"]
-
-    def test_directional_offload_past_the_class(self):
-        findings = check_result(_FakeResult(
-            process={"web": {"A": 0.5}},
-            fwd={"web": {"B": 0.6}}))
-        assert rule_ids(findings) == ["RES002"]
-        assert "fwd" in findings[0].message
-
-    def test_valid_partition_is_clean(self):
-        findings = check_result(_FakeResult(
-            process={"web": {"A": 0.6}},
-            offload={"web": {("A", "B"): 0.4}}))
-        assert findings == []
-
-
 # -- shim range tables (SHIM) ---------------------------------------------
 
 def _config(node, rules):
@@ -245,6 +219,28 @@ class TestCheckShimConfigs:
         configs = {"A": _config("A", [_process(0.0, 0.8)])}
         assert check_shim_configs(
             configs, require_full_coverage=False) == []
+
+    def test_gap_of_a_few_hash_units_is_caught(self):
+        """The walk is exact: ten unowned units are a gap."""
+        configs = {
+            "A": _config("A", [_process(0.0, 0.5)]),
+            "B": _config("B", [_process(0.5 + 10 / 2 ** 32, 1.0)]),
+        }
+        findings = check_shim_configs(configs)
+        assert rule_ids(findings) == ["SHIM002"]
+        assert all("[2147483648, 2147483658)" in f.message
+                   for f in findings)
+
+    def test_class_without_process_owner_is_caught(self):
+        """A class whose every rule replicates is analyzed on no path
+        node: both directions' whole space is unowned."""
+        configs = {"A": _config("A", [ShimRule(
+            "web", HashRange(("o",), 0.0, 1.0), ShimAction.REPLICATE,
+            target="B")])}
+        findings = check_shim_configs(configs)
+        assert rule_ids(findings) == ["SHIM002"]
+        assert len(findings) == 2
+        assert all("tail" in f.message for f in findings)
 
     def test_directions_are_disjoint_buckets(self):
         # fwd and rev ranges may overlap each other: different packets.
@@ -396,7 +392,11 @@ class TestPaperProblemsOnTinet:
         else:
             result = problem.resolve(beta=knob, max_link_load=knob)
         assert check_model(problem.build_model()) == []
-        assert check_result(result) == []
+        state = problems["plain_state" if kind == "aggregation"
+                         else "dc_state"]
+        validate = {"replication": validate_replication,
+                    "split": validate_split}.get(kind, validate_aggregation)
+        assert validate(state, result) == []
 
     def test_compiled_configs_pass_shim_checks(self):
         problems = _tinet_problems()
@@ -415,3 +415,27 @@ class TestPaperProblemsOnTinet:
         configs = build_split_configs(problems["dc_state"], spl)
         assert check_shim_configs(
             configs, require_full_coverage=False) == []
+
+
+# -- the rule catalog -----------------------------------------------------
+
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_catalog_lists_exactly_the_emitted_rules():
+    """Every id ``modelcheck`` passes to ``_finding`` has a row in the
+    model-check table of docs/static-analysis.md, and every row names
+    an id it still emits."""
+    tree = ast.parse(
+        (_ROOT / "src/repro/analysis/modelcheck.py").read_text())
+    emitted = {
+        node.args[0].value for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "_finding"
+        and isinstance(node.args[0], ast.Constant)}
+    doc = (_ROOT / "docs/static-analysis.md").read_text()
+    table = doc.split("### Model checks", 1)[1].split("\n\n")[1]
+    rows = [line.split("|")[1].strip()
+            for line in table.splitlines()[2:]]
+    assert sorted(emitted) == sorted(rows)

@@ -31,6 +31,17 @@ def _first_p_moved(result, delta):
     return dataclasses.replace(result, process_fractions=process)
 
 
+def _replication_result(state, process, offload):
+    """A replication result whose loads are its fractions' loads."""
+    node_loads, _ = plan_loads(state, FractionTable.from_dicts(
+        [cls.name for cls in state.classes], process, offload))
+    return ReplicationResult(
+        load_cost=max(node_loads["cpu"].values()),
+        node_loads=node_loads, process_fractions=process,
+        offload_fractions=offload, stats=LPStats(0, 0, 0.0, 0),
+        dc_node="DC")
+
+
 class TestValidators:
     def test_replication_result_valid(self, line_state_dc):
         result = ReplicationProblem(
@@ -97,18 +108,32 @@ class TestValidators:
     def test_out_of_bounds_offload_detected(self, line_state_dc):
         """An ``o`` fraction below zero, offset by another: coverage is
         1 and every load is consistent, so only Eqs (6)/(7) catch it."""
-        process = {"A->D": {"A": 1.0}, "B->C": {"B": 1.0}}
-        offload = {"A->D": {("A", "DC"): -0.2, ("B", "DC"): 0.2}}
-        node_loads, _ = plan_loads(
-            line_state_dc, FractionTable.from_dicts(
-                ["A->D", "B->C"], process, offload))
-        result = ReplicationResult(
-            load_cost=max(node_loads["cpu"].values()),
-            node_loads=node_loads, process_fractions=process,
-            offload_fractions=offload,
-            stats=LPStats(0, 0, 0.0, 0), dc_node="DC")
+        result = _replication_result(
+            line_state_dc, {"A->D": {"A": 1.0}, "B->C": {"B": 1.0}},
+            {"A->D": {("A", "DC"): -0.2, ("B", "DC"): 0.2}})
         assert validate_replication(line_state_dc, result) == [
             "o[A->D][('A', 'DC')] = -0.2 out of [0, 1]"]
+
+    def test_out_of_bounds_fraction_detected_in_aggregation(
+            self, line_state):
+        result = AggregationProblem(line_state, beta=1e-9).solve()
+        problems = validate_aggregation(
+            line_state, _first_p_moved(result, 1.2))
+        assert any("out of [0, 1]" in p for p in problems)
+
+    def test_over_assigned_class_detected(self, line_state_dc):
+        """Fractions in [0, 1] that sum past the class: Eq (2)."""
+        result = _replication_result(
+            line_state_dc, {"A->D": {"A": 0.7, "B": 0.5},
+                            "B->C": {"B": 1.0}}, {})
+        assert validate_replication(line_state_dc, result) == [
+            "class 'A->D' coverage 1.200000 != 1"]
+
+    def test_local_plus_offload_partition_is_clean(self, line_state_dc):
+        result = _replication_result(
+            line_state_dc, {"A->D": {"A": 0.6}, "B->C": {"B": 1.0}},
+            {"A->D": {("A", "DC"): 0.4}})
+        assert validate_replication(line_state_dc, result) == []
 
     def test_inflated_coverage_detected_in_split(self, line_state_dc):
         result = SplitTrafficProblem(line_state_dc,
@@ -117,6 +142,20 @@ class TestValidators:
         result.coverage[name] = 2.0
         problems = validate_split(line_state_dc, result)
         assert any("exceeds" in p for p in problems)
+
+    def test_split_offload_past_the_class_detected(self, line_state_dc):
+        """Local 0.6 plus forward offload 0.6 over-assigns the forward
+        direction even though ``min(cov_fwd, cov_rev, 1)`` reads 1."""
+        result = dataclasses.replace(
+            SplitTrafficProblem(line_state_dc,
+                                max_link_load=0.4).solve(),
+            process_fractions={"A->D": {"A": 0.4, "B": 0.2},
+                               "B->C": {"B": 1.0}},
+            fwd_offloads={"A->D": {"A": 0.6}},
+            rev_offloads={"A->D": {"A": 0.4}})
+        assert validate_split(line_state_dc, result) == [
+            "class 'A->D' local + fwd offload fractions sum to "
+            "1.200000 > 1"]
 
 
 class TestPlanLoads:
