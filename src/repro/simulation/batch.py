@@ -29,6 +29,7 @@ engines, which dedupe on the ``FiveTuple`` they are handed.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -362,28 +363,148 @@ class PacketBatch:
                              ) -> np.ndarray:
         """Per-packet count of pattern occurrences, Aho-Corasick
         semantics: every (pattern, end offset) occurrence counts, so
-        overlapping and repeated hits all count, exactly like
-        ``AhoCorasick.search``.
+        overlapping and repeated hits all count — a pattern listed
+        twice counts twice — exactly like ``AhoCorasick.search``.
 
-        Scans the packed buffer with ``bytes.find`` per pattern (a C
-        loop), attributing each hit to the packet whose payload region
-        contains it and rejecting hits that straddle a packet boundary.
-        ``bytes.find`` needs ``bytes``, so this is the one place the
-        payload is copied — once per call, and replay calls it per
-        chunk.
+        One sweep per call finds every candidate start: the payload
+        is read as little-endian ``uint16`` keys at its even offsets
+        (a view, no copy) and each key is looked up in the patterns'
+        65 536-entry key table (:class:`_SignatureTable`, built once
+        per process and pattern list), which finds a pattern at an
+        odd start by its second and third bytes. A 1-byte pattern is
+        a byte compare. Each candidate is placed in the packet whose
+        payload region holds its start (a ``searchsorted`` over the
+        offsets), rejected if the pattern would run past that
+        packet's end, and compared in full to its pattern in bounded
+        blocks of one 2-D gather each; the hits are counted per packet
+        with one ``bincount``. Raises ``ValueError`` on an empty
+        pattern.
         """
-        counts = np.zeros(self.num_packets, dtype=np.int64)
-        buffer = self.payload_buffer.tobytes()
+        table = _signature_table(tuple(patterns))
         offsets = self.payload_offsets
+        payload = np.asarray(self.payload_buffer)[:int(offsets[-1])]
+        starts, ids = table.candidates(payload)
+        # Bytes from each start to the end of the packet holding it.
+        room = offsets[np.searchsorted(offsets, starts, side="right")]
+        room -= starts
+        fits = table.lengths[ids] <= room
+        del room
+        starts = starts[fits]
+        ids = ids[fits]
+        hit = table.matches(payload, starts, ids)
+        starts = starts[hit]
+        ids = ids[hit]
+        return np.bincount(
+            np.searchsorted(offsets, starts, side="right") - 1,
+            weights=table.weights[ids],
+            minlength=self.num_packets).astype(np.int64)
+
+
+#: most payload bytes compared in one verification block, so a chunk
+#: where nearly every start is a candidate verifies in bounded memory
+_VERIFY_CELLS = 1 << 16
+
+
+class _SignatureTable:
+    """A pattern list laid out for :meth:`PacketBatch.payload_match_counts`.
+
+    Patterns are deduplicated into ``weights`` (how often each is
+    listed). A pattern of two bytes or more is found by the 2-byte
+    keys at *even* offsets alone: at an even start ``s`` the key at
+    ``s`` is its first two bytes; at an odd start the key at ``s + 1``
+    is its second and third bytes, or — for a 2-byte pattern — the key
+    at ``s - 1`` is any byte followed by its first. ``marks`` is the
+    65 536-entry table of keys that find a pattern, and row ``k`` of
+    ``entry_pattern`` / ``entry_shift`` lists what ``keys[k]`` finds:
+    the pattern and its start minus the key's offset, padded with the
+    pattern id ``len(weights) - 1``, whose length no packet can hold.
+    The 1-byte patterns are byte compares, ``singles``.
+
+    Row ``p`` of ``padded`` is pattern ``p``, read at the offsets
+    ``reach[p]`` from its start; past the pattern's end both repeat
+    its first byte, so one equality test of a whole row verifies it.
+    """
+
+    def __init__(self, patterns: Tuple[bytes, ...]) -> None:
+        if any(len(pattern) == 0 for pattern in patterns):
+            raise ValueError("empty patterns are not allowed")
+        listed: Dict[bytes, int] = {}
         for pattern in patterns:
-            width = len(pattern)
-            if width == 0:
-                raise ValueError("empty patterns are not allowed")
-            pos = buffer.find(pattern)
-            while pos != -1:
-                packet = int(np.searchsorted(offsets, pos,
-                                             side="right")) - 1
-                if pos + width <= offsets[packet + 1]:
-                    counts[packet] += 1
-                pos = buffer.find(pattern, pos + 1)
-        return counts
+            listed[pattern] = listed.get(pattern, 0) + 1
+        ordered = list(listed)
+        found: Dict[int, List[Tuple[int, int]]] = {}
+        for pid, p in enumerate(ordered):
+            if len(p) > 1:
+                found.setdefault(p[0] | p[1] << 8, []).append((pid, 0))
+            if len(p) > 2:
+                found.setdefault(p[1] | p[2] << 8, []).append((pid, -1))
+            elif len(p) == 2:
+                for byte in range(256):
+                    found.setdefault(byte | p[0] << 8, []).append((pid, 1))
+        self.keys = np.array(sorted(found), dtype=np.int64)
+        self.marks = np.zeros(1 << 16, dtype=bool)
+        self.marks[self.keys] = True
+        fanout = max(map(len, found.values()), default=1)
+        self.entry_pattern = np.full((len(self.keys), fanout),
+                                     len(ordered), dtype=np.int64)
+        self.entry_shift = np.zeros((len(self.keys), fanout),
+                                    dtype=np.int64)
+        for row, key in enumerate(self.keys.tolist()):
+            for col, (pid, shift) in enumerate(found[key]):
+                self.entry_pattern[row, col] = pid
+                self.entry_shift[row, col] = shift
+        self.singles = [(p[0], pid) for pid, p in enumerate(ordered)
+                        if len(p) == 1]
+        self.lengths = np.array([len(p) for p in ordered] + [1 << 62],
+                                dtype=np.int64)
+        self.weights = np.array([listed[p] for p in ordered] + [0],
+                                dtype=np.float64)
+        width = max(map(len, ordered), default=0)
+        self.padded = np.zeros((len(ordered) + 1, width), dtype=np.uint8)
+        self.reach = np.zeros((len(ordered) + 1, width), dtype=np.int64)
+        for row, pattern in enumerate(ordered):
+            self.padded[row] = pattern[0]
+            self.padded[row, :len(pattern)] = np.frombuffer(
+                pattern, dtype=np.uint8)
+            self.reach[row, :len(pattern)] = np.arange(len(pattern))
+
+    def candidates(self, payload: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(start, pattern id)`` of every place in ``payload`` where
+        a pattern may start — padding (and starts of -1) included, to
+        be rejected by length. One table lookup per even offset (a
+        ``uint16`` view, no copy), plus a compare per 1-byte pattern."""
+        keys = payload[:len(payload) & -2].view("<u2")
+        at = np.flatnonzero(self.marks.take(keys, mode="clip"))
+        slot = np.searchsorted(self.keys, keys[at])
+        starts = self.entry_shift[slot]
+        starts += 2 * at[:, None]
+        starts, ids = starts.ravel(), self.entry_pattern[slot].ravel()
+        for byte, pid in self.singles:
+            hits = np.flatnonzero(payload == byte)
+            starts = np.concatenate([starts, hits])
+            ids = np.concatenate(
+                [ids, np.full(len(hits), pid, dtype=np.int64)])
+        return starts, ids
+
+    def matches(self, payload: np.ndarray, starts: np.ndarray,
+                ids: np.ndarray) -> np.ndarray:
+        """Whether pattern ``ids[i]`` occurs at ``starts[i]``; every
+        one must fit inside ``payload``. Verified in blocks of at most
+        ``_VERIFY_CELLS`` compared bytes, one 2-D gather each."""
+        found = np.empty(len(starts), dtype=bool)
+        width = int(self.lengths[ids].max()) if len(ids) else 1
+        rows = max(1, _VERIFY_CELLS // width)
+        for lo in range(0, len(starts), rows):
+            pattern = ids[lo:lo + rows]
+            window = payload.take(starts[lo:lo + rows, None]
+                                  + self.reach[pattern, :width])
+            found[lo:lo + rows] = (
+                window == self.padded[pattern, :width]).all(axis=1)
+        return found
+
+
+@functools.lru_cache(maxsize=32)
+def _signature_table(patterns: Tuple[bytes, ...]) -> _SignatureTable:
+    """The table of ``patterns``, built on first use in a process."""
+    return _SignatureTable(patterns)

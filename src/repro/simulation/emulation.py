@@ -84,9 +84,12 @@ Trace = Union[Sequence[Session], PacketBatch]
 #: packets per chunk when ``run_signature(fast=True)`` streams a
 #: whole batch through the kernel (the report does not depend on it)
 REPLAY_CHUNK_PACKETS = 8192
-#: fewest packets a forked replay worker is given: on tinet at
-#: 1024-packet chunks (2 vCPUs) two processes lose to one at 1e5
-#: packets (136 vs 114 ms) and win at 2e5 (131 vs 220 ms)
+#: fewest packets a forked replay worker is given. On tinet at
+#: 1024-packet chunks (2 vCPUs), three series of 6-11 alternating
+#: runs read one process vs two, median ms: 49/79, 47/64 and 65/54
+#: at 1e5 packets; 110/137, 94/113 and 141/98 at 2e5; 208/248,
+#: 274/202 and 204/182 at 4e5. Forking breaks even between 2e5 and
+#: 4e5, where the first replay it splits (2^18 packets) lies.
 MIN_PACKETS_PER_WORKER = 1 << 17
 
 

@@ -1,6 +1,6 @@
 """Shared hypothesis strategies: drawn graphs, small network states
-(with and without reverse-direction pairs), fraction rows and rule
-budgets.
+(with and without reverse-direction pairs), fraction rows, rule
+budgets and signature-scan cases.
 
 The array paths of the control plane (fraction table, row-wise range
 layout, rule table, vector validation, coverage accounting) are each
@@ -155,3 +155,54 @@ def interval_lists(draw, max_size=3):
     """``(start, end)`` pairs with ``start <= end``, in drawn order."""
     pairs = draw(st.lists(st.tuples(bounds, bounds), max_size=max_size))
     return [(min(low, high), max(low, high)) for low, high in pairs]
+
+
+#: payload letters of the signature-scan draws: those of the
+#: self-overlapping signatures (NOP sled, ``../``) and three others
+SCAN_LETTERS = (0x90, ord("."), ord("/"), ord("A"), 0x00, 0xFF)
+
+#: signatures that overlap themselves, so every offset counts
+SELF_OVERLAPPING = (b"\x90" * 8, b"../../../../")
+
+
+@st.composite
+def scan_cases(draw, max_body=19):
+    """``(patterns, bodies)``: a signature list and packet payloads
+    over one alphabet of 1-4 :data:`SCAN_LETTERS`, so that overlapping
+    and boundary-straddling hits are common.
+
+    The list may repeat a pattern and holds 1-byte patterns, patterns
+    sharing a 2-byte prefix, :data:`SELF_OVERLAPPING` ones and ones
+    longer than any packet (``max_body`` bytes at most). The payloads
+    are one stream of letters and planted patterns — the last piece
+    may be one, a hit at the last possible start — cut at drawn
+    points: zero-length packets, an empty stream and odd lengths come
+    up.
+    """
+    letters = draw(st.lists(st.sampled_from(SCAN_LETTERS), min_size=1,
+                            max_size=4, unique=True))
+
+    def words(low, high):
+        return st.lists(st.sampled_from(letters), min_size=low,
+                        max_size=high).map(bytes)
+
+    patterns = draw(st.lists(st.one_of(
+        words(1, 1), words(2, 6), st.sampled_from(SELF_OVERLAPPING),
+        words(max_body + 1, max_body + 4)), max_size=5))
+    if patterns:
+        patterns += draw(st.lists(st.sampled_from(patterns),
+                                  max_size=2))
+    longer = [pattern for pattern in patterns if len(pattern) > 1]
+    if longer:
+        patterns += [prefix[:2] + draw(words(0, 3)) for prefix in
+                     draw(st.lists(st.sampled_from(longer), max_size=2))]
+    pieces = words(0, 8) if not patterns else st.one_of(
+        words(0, 8), st.sampled_from(patterns))
+    stream = b"".join(draw(st.lists(pieces, max_size=6)))
+    cuts = sorted(draw(st.lists(st.integers(0, len(stream)),
+                                max_size=8)))
+    bodies = []
+    for low, high in zip([0, *cuts], [*cuts, len(stream)]):
+        bodies += [stream[at:min(at + max_body, high)]
+                   for at in range(low, high, max_body)] or [b""]
+    return patterns, bodies

@@ -5,7 +5,9 @@ Peaks are read with ``tracemalloc``, which sees numpy's allocations:
 synthesis peaks near the size of the batch it returns (the plan's
 buffer becomes the batch's), and the whole-batch fast replay streams
 through the chunk kernel, so its transient memory does not grow with
-the trace.
+the trace. Chunks are views of their parent's payload, and the
+signature scan reads them through a ``uint16`` view without copying
+them (its own bound is in ``tests/test_signature_scan.py``).
 """
 
 import tracemalloc
