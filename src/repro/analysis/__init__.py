@@ -27,7 +27,6 @@ every ``ShardedPlanner`` plan).
 
 from __future__ import annotations
 
-from repro.analysis.baseline import load_baseline, write_baseline
 from repro.analysis.dataflow import SeedTaint, is_seed_name
 from repro.analysis.engine import (
     FileContext,
@@ -36,7 +35,6 @@ from repro.analysis.engine import (
     ProjectRule,
     Rule,
     Severity,
-    filter_baseline,
     iter_python_files,
     render_json,
     render_text,
@@ -65,12 +63,9 @@ __all__ = [
     "check_sharded_configs",
     "check_shim_configs",
     "default_rules",
-    "filter_baseline",
     "is_seed_name",
     "iter_python_files",
-    "load_baseline",
     "precheck",
     "render_json",
     "render_text",
-    "write_baseline",
 ]

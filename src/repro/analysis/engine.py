@@ -11,16 +11,15 @@ two flavors:
   metrics rule, which compares every call site against the documented
   metric table).
 
-Findings can be suppressed three ways, from narrowest to broadest:
+Findings can be suppressed two ways:
 
 - an inline pragma on the offending line —
   ``# repro-lint: allow[RULE-ID]`` (or ``allow[*]``);
-- a baseline file (JSON, see :mod:`repro.analysis.baseline`) listing
-  known findings to ignore, so the gate can be adopted incrementally;
-- not registering the rule (``rules=`` filter on :class:`LintEngine`).
+- not registering the rule (``rule_ids=`` filter on
+  :class:`LintEngine`).
 
 `repro lint` (the CLI front-end) exits nonzero when any unsuppressed
-finding remains, which is what the CI job gates on.
+error finding remains, which is what the CI job gates on.
 """
 
 from __future__ import annotations
@@ -68,11 +67,6 @@ class Finding:
     file: str
     line: int
     message: str
-
-    def key(self) -> str:
-        """Stable identity used by baselines (line numbers excluded so
-        baselines survive unrelated edits)."""
-        return f"{self.rule_id}:{self.file}:{self.message}"
 
     def to_json(self) -> Dict[str, object]:
         """Plain-dict form for ``repro lint --json``."""
@@ -245,6 +239,9 @@ class LintEngine:
         project_root: directory findings are reported relative to;
             also where project-level rules look for ``docs/``.
         rule_ids: optional subset filter (keep only these ids).
+
+    Raises:
+        ValueError: ``rule_ids`` names an id none of the rules has.
     """
 
     def __init__(self, rules: Optional[Sequence[Rule]] = None,
@@ -254,8 +251,13 @@ class LintEngine:
             from repro.analysis.rules import default_rules
             rules = default_rules(project_root)
         if rule_ids is not None:
-            wanted = set(rule_ids)
-            rules = [rule for rule in rules if rule.rule_id in wanted]
+            known = [rule.rule_id for rule in rules]
+            unknown = sorted(set(rule_ids).difference(known))
+            if unknown:
+                raise ValueError(
+                    f"unknown rule id(s): {', '.join(unknown)}; "
+                    f"known: {', '.join(known)}")
+            rules = [rule for rule in rules if rule.rule_id in rule_ids]
         self.rules: List[Rule] = list(rules)
         self.project_root = project_root
 
@@ -269,9 +271,7 @@ class LintEngine:
         return str(path)
 
     def run(self, paths: Sequence[Path]) -> List[Finding]:
-        """Scan ``paths`` and return unsuppressed-by-pragma findings
-        (baseline suppression is applied by the caller so the engine
-        output stays complete)."""
+        """Scan ``paths`` and return the findings no pragma allows."""
         metrics = get_registry()
         findings: List[Finding] = []
         files = 0
@@ -299,22 +299,6 @@ class LintEngine:
         metrics.inc("analysis.findings", len(findings))
         return sorted(findings,
                       key=lambda f: (f.file, f.line, f.rule_id))
-
-
-def filter_baseline(findings: Sequence[Finding],
-                    baseline_keys: Iterable[str]
-                    ) -> Tuple[List[Finding], List[str]]:
-    """Split findings into (new, stale-baseline-entries).
-
-    A finding whose :meth:`Finding.key` appears in the baseline is
-    suppressed; baseline entries that no longer match any finding are
-    returned as *stale* so the baseline can be shrunk over time.
-    """
-    keys = set(baseline_keys)
-    fresh = [f for f in findings if f.key() not in keys]
-    matched = {f.key() for f in findings}
-    stale = sorted(keys - matched)
-    return fresh, stale
 
 
 def render_text(findings: Sequence[Finding],

@@ -25,7 +25,7 @@ from repro.analysis.rules.common import ImportMap, path_in_scope
 #: attributes whose values come out of the solver
 _SOLUTION_ATTRS = frozenset({"objective_value", "solve_seconds"})
 #: methods whose return values come out of the solver
-_SOLUTION_METHODS = frozenset({"value", "dual"})
+_SOLUTION_METHODS = frozenset({"value"})
 #: comparison wrappers that make float comparison legitimate
 _TOLERANT_CALLS = frozenset({"approx", "isclose", "allclose"})
 
@@ -85,7 +85,7 @@ class FloatEqualityRule(Rule):
                 yield self.finding(
                     ctx, node.lineno,
                     "exact ==/!= on a solver output (objective_value "
-                    "/ .value() / .dual()); solver floats differ "
+                    "/ .value()); solver floats differ "
                     "across backends in their last bits — compare "
                     "with a tolerance (math.isclose, pytest.approx)")
 

@@ -226,21 +226,9 @@ def _build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--json", default=None, metavar="PATH",
                       help="write findings as JSON to PATH "
                            "('-' for stdout)")
-    lint.add_argument("--baseline", default=None, metavar="PATH",
-                      help="suppress findings recorded in this "
-                           "baseline file (default: "
-                           "lint-baseline.json at the repo root, "
-                           "when present)")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="record the current findings into the "
-                           "baseline file and exit 0")
     lint.add_argument("--rules", default=None, metavar="IDS",
                       help="comma-separated rule ids to run "
                            "(default: all)")
-    lint.add_argument("--check-baseline", action="store_true",
-                      help="fail when the baseline contains entries "
-                           "that no longer fire, so suppressions "
-                           "cannot rot")
 
     racecheck = sub.add_parser(
         "racecheck",
@@ -687,11 +675,8 @@ def _cmd_lint(args) -> int:
     from repro.analysis import (
         LintEngine,
         Severity,
-        filter_baseline,
-        load_baseline,
         render_json,
         render_text,
-        write_baseline,
     )
 
     # The installed package lives at <root>/src/repro; the project
@@ -709,21 +694,13 @@ def _cmd_lint(args) -> int:
 
     rule_ids = (None if args.rules is None
                 else [r.strip() for r in args.rules.split(",")])
-    engine = LintEngine(project_root=project_root, rule_ids=rule_ids)
+    try:
+        engine = LintEngine(project_root=project_root,
+                            rule_ids=rule_ids)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     findings = engine.run(paths)
-
-    baseline_path = (Path(args.baseline) if args.baseline
-                     else project_root / "lint-baseline.json")
-    if args.write_baseline:
-        write_baseline(baseline_path, findings)
-        print(f"recorded {len(findings)} finding(s) into "
-              f"{baseline_path}")
-        return 0
-
-    stale: List[str] = []
-    if baseline_path.exists():
-        findings, stale = filter_baseline(
-            findings, load_baseline(baseline_path))
 
     if args.json is not None and _write_json(
             render_json(findings), args.json,
@@ -732,17 +709,8 @@ def _cmd_lint(args) -> int:
     if args.json != "-":
         hint = ", ".join(str(p) for p in paths)
         print(render_text(findings, files_hint=hint))
-    for key in stale:
-        print(f"note: stale baseline entry (fixed? shrink the "
-              f"baseline): {key}", file=sys.stderr)
     errors = sum(1 for f in findings
                  if f.severity is Severity.ERROR)
-    if args.check_baseline and stale:
-        print(f"error: {len(stale)} stale baseline entr"
-              f"{'y' if len(stale) == 1 else 'ies'} no longer "
-              "fire(s); remove them (repro lint --write-baseline "
-              "regenerates the file)", file=sys.stderr)
-        return 1
     return 1 if errors else 0
 
 

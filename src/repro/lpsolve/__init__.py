@@ -17,8 +17,7 @@ Typical usage::
     y = m.add_variable("y", lb=0.0)
     m.add_constraint(x + 2 * y >= 1, name="cover")
     m.minimize(3 * x + y)
-    sol = m.solve()
-    assert sol.is_optimal
+    sol = m.solve()  # the optimum, or InfeasibleError/UnboundedError
     print(sol.value(x), sol.objective_value)
 """
 

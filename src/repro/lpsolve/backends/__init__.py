@@ -41,9 +41,6 @@ class BackendResult:
         x: primal values (undefined unless ``status`` is OPTIMAL).
         objective: ``c @ x`` of the compiled minimize form.
         iterations: solver iteration count.
-        ineq_marginals: duals ``d(objective)/d(b_ub)`` per inequality
-            row of the compiled form, or None when unavailable.
-        eq_marginals: duals per equality row, or None.
         message: backend-specific diagnostic text.
     """
 
@@ -51,8 +48,6 @@ class BackendResult:
     x: Optional[np.ndarray] = None
     objective: float = float("nan")
     iterations: int = 0
-    ineq_marginals: Optional[np.ndarray] = None
-    eq_marginals: Optional[np.ndarray] = None
     message: str = ""
 
 

@@ -103,8 +103,7 @@ class _DenseSimplex:
                 x[j] = lo if np.isfinite(lo) else min(hi, 0.0)
         return BackendResult(
             status=SolveStatus.OPTIMAL, x=x,
-            objective=float(self.c_struct @ x), iterations=0,
-            ineq_marginals=np.zeros(0), eq_marginals=np.zeros(0))
+            objective=float(self.c_struct @ x), iterations=0)
 
     def _run_two_phase(self) -> BackendResult:
         n_cols = self.A.shape[1]
@@ -162,15 +161,10 @@ class _DenseSimplex:
         total_iters += iters
         if status is not SolveStatus.OPTIMAL:
             return BackendResult(status=status, iterations=total_iters)
-
-        lu = lu_factor(self.A[:, basis])
-        y = lu_solve(lu, cost[basis], trans=1)
         return BackendResult(
             status=SolveStatus.OPTIMAL, x=x[:self.n].copy(),
             objective=float(self.c_struct @ x[:self.n]),
-            iterations=total_iters,
-            ineq_marginals=y[:self.m_ub].copy(),
-            eq_marginals=y[self.m_ub:].copy())
+            iterations=total_iters)
 
     # -- the simplex loop --------------------------------------------------
 

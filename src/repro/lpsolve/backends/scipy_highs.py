@@ -54,25 +54,10 @@ class ScipyHighsBackend(SolverBackend):
             bounds=compiled.bounds, method="highs")
 
         status = _LINPROG_STATUS.get(result.status, SolveStatus.ERROR)
-        x = objective = None
-        ineq_marginals = eq_marginals = None
-        if status is SolveStatus.OPTIMAL:
-            x = np.asarray(result.x, dtype=float)
-            objective = float(result.fun)
-            ineq = getattr(result, "ineqlin", None)
-            if ineq is not None:
-                marginals = getattr(ineq, "marginals", None)
-                if marginals is not None:
-                    ineq_marginals = np.asarray(marginals, dtype=float)
-            eq = getattr(result, "eqlin", None)
-            if eq is not None:
-                marginals = getattr(eq, "marginals", None)
-                if marginals is not None:
-                    eq_marginals = np.asarray(marginals, dtype=float)
+        if status is not SolveStatus.OPTIMAL:
+            return BackendResult(status=status,
+                                 message=str(result.message))
         return BackendResult(
-            status=status, x=x,
-            objective=objective if objective is not None
-            else float("nan"),
-            iterations=int(getattr(result, "nit", 0) or 0),
-            ineq_marginals=ineq_marginals, eq_marginals=eq_marginals,
-            message=str(getattr(result, "message", "")))
+            status=status, x=np.asarray(result.x, dtype=float),
+            objective=float(result.fun), iterations=int(result.nit),
+            message=str(result.message))

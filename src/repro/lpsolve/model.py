@@ -30,11 +30,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.lpsolve.backends import (
-    BackendResult,
-    default_backend_name,
-    get_backend,
-)
+from repro.lpsolve.backends import default_backend_name, get_backend
 from repro.lpsolve.block import BlockRow, RowBlock
 from repro.lpsolve.compiled import CompiledLP, compile_rows
 from repro.lpsolve.constraint import Constraint, ConstraintSense
@@ -316,36 +312,16 @@ class Model:
 
     # -- solving -----------------------------------------------------------
 
-    def _extract_duals(self, result: BackendResult) -> Dict[str, float]:
-        """Shadow prices per named constraint from backend marginals.
-
-        Marginals are reported for the compiled (minimize, <=) form;
-        signs are mapped back to each constraint's original sense and
-        the model's min/max sense so that ``dual`` is always
-        d(objective)/d(rhs).
-        """
-        duals: Dict[str, float] = {}
-        compiled = self._compiled
-        for rows, marginals in (
-                (compiled.ub_rows, result.ineq_marginals),
-                (compiled.eq_rows, result.eq_marginals)):
-            if marginals is not None:
-                for con, (row, sign) in rows.items():
-                    duals[con.name] = (float(marginals[row]) * sign
-                                       * self._sense)
-        return duals
-
-    def solve(self, check: bool = True) -> Solution:
+    def solve(self) -> Solution:
         """Compile (or reuse the cached compilation) and solve.
 
-        Args:
-            check: when True (default), raise :class:`InfeasibleError`
-                or :class:`UnboundedError` instead of returning a
-                failed solution.
-
         Returns:
-            A :class:`Solution`; inspect :attr:`Solution.status` when
-            ``check=False``.
+            The optimum as a :class:`Solution`.
+
+        Raises:
+            InfeasibleError: the constraints admit no point.
+            UnboundedError: the objective has no finite optimum.
+            LPError: the backend failed for any other reason.
         """
         if self._objective is None:
             raise ModelError(f"model {self.name!r} has no objective")
@@ -370,24 +346,7 @@ class Model:
         metrics.gauge("lp.num_constraints", self.num_constraints)
 
         status = result.status
-        duals = {}
-        if status is SolveStatus.OPTIMAL:
-            # The backend minimizes ``sense * (objective - constant)``.
-            objective = (float(result.objective) * self._sense
-                         + self._objective.constant)
-            values = np.asarray(result.x, dtype=float)
-            duals = self._extract_duals(result)
-        else:
-            objective = float("nan")
-            values = np.full(len(self._variables), np.nan)
-
-        solution = Solution(
-            status=status, values=values, objective_value=objective,
-            solve_seconds=elapsed,
-            iterations=result.iterations,
-            variables=self._variables, duals=duals)
-
-        if check and status is not SolveStatus.OPTIMAL:
+        if status is not SolveStatus.OPTIMAL:
             message = result.message
             if status is SolveStatus.INFEASIBLE:
                 raise InfeasibleError(
@@ -396,7 +355,13 @@ class Model:
                 raise UnboundedError(
                     f"model {self.name!r} is unbounded: {message}")
             raise LPError(f"model {self.name!r} failed to solve: {message}")
-        return solution
+        # The backend minimizes ``sense * (objective - constant)``.
+        return Solution(
+            values=np.asarray(result.x, dtype=float),
+            objective_value=(float(result.objective) * self._sense
+                             + self._objective.constant),
+            solve_seconds=elapsed, iterations=result.iterations,
+            variables=self._variables)
 
     def __repr__(self) -> str:
         return (f"Model({self.name!r}, vars={self.num_variables}, "

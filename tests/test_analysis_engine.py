@@ -1,11 +1,11 @@
-"""The repro.analysis lint engine: rules, pragmas, baselines, CLI.
+"""The repro.analysis lint engine: rules, pragmas, CLI.
 
 Each rule is exercised against a trigger fixture (must flag) and a
 clean sibling (must not) from ``tests/analysis_fixtures/``; the
 acceptance-style injection test copies the real ``runtime/scenario.py``
 into a scratch tree, plants a ``time.time()`` call, and asserts DET001
 catches it. The self-scan test is the gate's gate: the shipped source
-tree must lint clean with an empty baseline.
+tree must lint clean.
 """
 
 from __future__ import annotations
@@ -15,14 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    LintEngine,
-    filter_baseline,
-    load_baseline,
-    render_json,
-    render_text,
-    write_baseline,
-)
+from repro.analysis import LintEngine, render_json, render_text
 from repro.analysis.docsync import parse_metric_table
 from repro.analysis.rules import default_rules
 from repro.analysis.rules.determinism import (
@@ -207,30 +200,6 @@ class TestPragmas:
         assert [f.line for f in findings] == [5]
 
 
-class TestBaseline:
-    def test_round_trip_suppresses_and_reports_stale(self, tmp_path):
-        findings = run_rule(MutableDefaultRule(),
-                            FIXTURES / "hyg002_trigger.py")
-        assert len(findings) == 2
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, findings)
-
-        keys = load_baseline(baseline_path)
-        fresh, stale = filter_baseline(findings, keys)
-        assert fresh == [] and stale == []
-
-        # A baselined finding that got fixed shows up as stale.
-        fresh, stale = filter_baseline(findings[:1], keys)
-        assert fresh == []
-        assert stale == [findings[1].key()]
-
-    def test_baseline_keys_ignore_line_numbers(self):
-        findings = run_rule(MutableDefaultRule(),
-                            FIXTURES / "hyg002_trigger.py")
-        for finding in findings:
-            assert f":{finding.line}" not in finding.key()
-
-
 class TestRendering:
     def test_json_schema(self):
         findings = run_rule(MutableDefaultRule(),
@@ -360,16 +329,12 @@ class TestSelfScan:
             "HYG001", "HYG002", "HYG003", "HYG004", "MET001"]
 
     def test_shipped_tree_is_clean(self):
-        """The repo's own src/ must pass every rule with no baseline."""
+        """The repo's own src/ must pass every rule."""
         engine = LintEngine(rules=default_rules(REPO_ROOT),
                             project_root=REPO_ROOT)
         findings = engine.run([REPO_ROOT / "src"])
         assert findings == [], "\n" + "\n".join(
             f.format() for f in findings)
-
-    def test_shipped_baseline_is_empty(self):
-        keys = load_baseline(REPO_ROOT / "lint-baseline.json")
-        assert keys == []
 
 
 class TestCli:
@@ -393,47 +358,19 @@ class TestCli:
         trigger = str(FIXTURES / "hyg002_trigger.py")
         assert main(["lint", trigger, "--rules", "DET001"]) == 0
 
-    def test_lint_write_and_consume_baseline(self, tmp_path, capsys):
-        trigger = str(FIXTURES / "hyg002_trigger.py")
-        baseline = str(tmp_path / "baseline.json")
-        assert main(["lint", trigger, "--rules", "HYG002",
-                     "--write-baseline", "--baseline", baseline]) == 0
-        capsys.readouterr()
-        assert main(["lint", trigger, "--rules", "HYG002",
-                     "--baseline", baseline]) == 0
-
     def test_lint_missing_path_is_usage_error(self, capsys):
         assert main(["lint", "definitely/not/a/path.py"]) == 2
 
-    def test_check_baseline_flags_stale_entries(self, tmp_path, capsys):
-        # Baseline both findings, then "fix" one: the stale entry is
-        # tolerated by default but fatal under --check-baseline.
-        trigger = (FIXTURES / "hyg002_trigger.py").read_text(
-            encoding="utf-8")
-        target = tmp_path / "mod.py"
-        target.write_text(trigger, encoding="utf-8")
-        baseline = str(tmp_path / "baseline.json")
-        assert main(["lint", str(target), "--rules", "HYG002",
-                     "--write-baseline", "--baseline", baseline]) == 0
-        capsys.readouterr()
-
-        fixed = trigger.replace("def tally(key, counts={}):",
-                                "def tally(key, counts=None):")
-        assert fixed != trigger
-        target.write_text(fixed, encoding="utf-8")
-        assert main(["lint", str(target), "--rules", "HYG002",
-                     "--baseline", baseline]) == 0
-        capsys.readouterr()
-        assert main(["lint", str(target), "--rules", "HYG002",
-                     "--baseline", baseline, "--check-baseline"]) == 1
-        err = capsys.readouterr().err
-        assert "stale" in err
-
-    def test_check_baseline_passes_when_in_sync(self, tmp_path, capsys):
-        trigger = str(FIXTURES / "hyg002_trigger.py")
-        baseline = str(tmp_path / "baseline.json")
-        assert main(["lint", trigger, "--rules", "HYG002",
-                     "--write-baseline", "--baseline", baseline]) == 0
-        capsys.readouterr()
-        assert main(["lint", trigger, "--rules", "HYG002",
-                     "--baseline", baseline, "--check-baseline"]) == 0
+    def test_unknown_rule_id_is_usage_error(self, capsys):
+        """A typo in ``--rules`` must not lint with no rules at all."""
+        trigger = str(FIXTURES / "hyg001_trigger.py")
+        assert main(["lint", trigger, "--rules", "HYG01"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: unknown rule id(s): HYG01; known: DET001, ")
+        assert "HYG001" in captured.err
+        # One good id among bad ones is still refused.
+        assert main(["lint", trigger, "--rules", "HYG001,XYZ9"]) == 2
+        assert "unknown rule id(s): XYZ9;" in capsys.readouterr().err
+        assert main(["lint", trigger, "--rules", "HYG001"]) == 1

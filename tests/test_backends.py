@@ -1,20 +1,25 @@
 """Backend equivalence and incremental re-solve regression tests.
 
 Both solver backends must agree (to LP tolerance) on a golden
-replication instance, and ``Formulation.resolve`` after parameter
-patches must reproduce a cold rebuild on every parameter path the
-experiments exercise (Figures 11, 15, 18 and the controller loop).
+replication instance and on drawn ones, and ``Formulation.resolve``
+after parameter patches must reproduce a cold rebuild on every
+parameter path the experiments exercise (Figures 11, 15, 18 and the
+controller loop).
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.modelcheck import check_shim_configs
 from repro.core.aggregation import AggregationProblem
 from repro.core.controller import NIDSController
 from repro.core.mirrors import MirrorPolicy
 from repro.core.replication import ReplicationProblem
+from repro.core.validation import validate_replication
 from repro.lpsolve import (
     BACKENDS,
     LPError,
@@ -25,6 +30,8 @@ from repro.lpsolve import (
     get_backend,
     set_default_backend,
 )
+from repro.shim.config import build_replication_configs
+from tests import strategies
 
 
 def _scaled(classes, factor):
@@ -97,6 +104,39 @@ class TestBackendEquivalence:
         cold = _replication(line_state_dc, max_link_load=0.1).solve()
         assert warm.load_cost == pytest.approx(cold.load_cost,
                                                abs=1e-6)
+
+
+def _solved_under(name, state):
+    """The dc replication plan of ``state`` at MaxLinkLoad 0.4 under
+    backend ``name``, or the class of the error the solve raised."""
+    set_default_backend(name)
+    try:
+        return _replication(state).solve()
+    except LPError as exc:
+        return type(exc)
+    finally:
+        set_default_backend(None)
+
+
+class TestBackendsOnDrawnStates:
+    """scipy ≡ dense on drawn instances: the same LoadCost, and each
+    plan valid and lowered to shim tables that tile the hash space."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(state=st.one_of(strategies.small_states(),
+                           strategies.paired_states()))
+    def test_same_optimum_and_valid_plans(self, state):
+        scipy, dense = (_solved_under(name, state)
+                        for name in ("scipy", "dense"))
+        if isinstance(scipy, type) or isinstance(dense, type):
+            assert scipy is dense
+            return
+        assert dense.load_cost == pytest.approx(scipy.load_cost,
+                                                abs=1e-9)
+        for result in (scipy, dense):
+            assert validate_replication(state, result) == []
+            assert check_shim_configs(
+                build_replication_configs(state, result)) == []
 
 
 def _capped_lp(y_coeff, sense):

@@ -233,6 +233,26 @@ class TestScenario:
         assert "cannot write" in err
 
 
+class TestLintCli:
+    def test_flags_and_defaults_are_pinned(self):
+        """``repro lint`` takes paths, ``--json`` and ``--rules``, and
+        nothing else; without them it scans ``src/`` with every rule
+        and prints text."""
+        lint = _subcommands()["lint"]
+        flags = {option: action.dest for action in lint._actions
+                 for option in action.option_strings}
+        assert flags == {"-h": "help", "--help": "help",
+                         "--json": "json", "--rules": "rules"}
+        dests = {action.dest for action in lint._actions} - {"help"}
+        args = _build_parser().parse_args(["lint"])
+        assert {dest: getattr(args, dest) for dest in dests} == {
+            "paths": [], "json": None, "rules": None}
+        args = _build_parser().parse_args(
+            ["lint", "a.py", "b", "--json", "-", "--rules", "NUM001"])
+        assert (args.paths, args.json, args.rules) == (
+            ["a.py", "b"], "-", "NUM001")
+
+
 class TestWriteJson:
     """Every ``--json PATH`` goes through one emitter."""
 

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.controller import NIDSController
 from repro.experiments.common import setup_topology
 from repro.ingest import IngestDaemon, chunk_resident_bytes
 from repro.obs import MetricsRegistry, use_registry
 from repro.runtime.events import EventLoop
+from repro.runtime.rollout import coverage_report
 from repro.simulation.batch import PacketBatch
 from repro.simulation.tracegen import TraceGenerator, TraceSpec
 from repro.simulation.tracestore import ChunkedReplay
@@ -222,3 +224,44 @@ class TestChunkEdges:
             plain.estimated_classes(state.classes)
         assert (padded.stats.sessions, padded.stats.packets) == \
             (300, batch.num_packets)
+
+
+class TestSingleClassWindows:
+    """A window that saw one class of internet2's 110, or nothing: the
+    estimates never under-count, and a warm refresh on them still
+    hands every class its whole hash space."""
+
+    @pytest.fixture(scope="class")
+    def internet2(self):
+        state = setup_topology("internet2", dc_capacity_factor=10.0).state
+        (only,) = [cls for cls in state.classes
+                   if cls.name == "ATLA->IPLS"]
+        batch = TraceGenerator(
+            state.topology.nodes, [only],
+            spec=TraceSpec(total_sessions=400), seed=17).generate_batch(
+                tuple(state.nids_nodes), with_payloads=False,
+                direct=True)
+        return state, batch
+
+    @pytest.mark.parametrize("consumed", ("one-class", "no-chunk"))
+    def test_estimates_cover_and_refresh_keeps_coverage(self, internet2,
+                                                        consumed):
+        state, batch = internet2
+        daemon = IngestDaemon([cls.name for cls in state.classes],
+                              width=256, depth=4, seed=5)
+        exact = {}
+        if consumed == "one-class":
+            for chunk in ChunkedReplay(batch, 256):
+                daemon.consume(chunk)
+            exact = batch.sessions.class_counts()
+            assert exact == {"ATLA->IPLS": 400}
+        estimated = daemon.estimated_classes(state.classes)
+        for cls in estimated:
+            assert cls.num_sessions >= exact.get(cls.name, 0), cls.name
+
+        controller = NIDSController(state)
+        controller.refresh()
+        rollout = controller.refresh(estimated)
+        assert controller.refresh_count == 2
+        assert coverage_report(estimated,
+                               rollout.configs).coverage == 1.0

@@ -6,7 +6,6 @@ from repro.lpsolve import (
     InfeasibleError,
     Model,
     ModelError,
-    SolveStatus,
     UnboundedError,
     lin_sum,
 )
@@ -67,7 +66,6 @@ class TestSolving:
         x = m.add_variable("x", lb=2.0)
         m.minimize(x)
         sol = m.solve()
-        assert sol.is_optimal
         assert sol.value(x) == pytest.approx(2.0)
 
     def test_maximize(self):
@@ -120,15 +118,6 @@ class TestSolving:
         m.minimize(x)
         with pytest.raises(InfeasibleError):
             m.solve()
-
-    def test_infeasible_without_check(self):
-        m = Model()
-        x = m.add_variable("x", lb=0, ub=1)
-        m.add_constraint(x >= 2)
-        m.minimize(x)
-        sol = m.solve(check=False)
-        assert sol.status is SolveStatus.INFEASIBLE
-        assert not sol.is_optimal
 
     def test_unbounded_raises(self):
         m = Model()

@@ -22,8 +22,7 @@ from repro.core.mirrors import MirrorPolicy
 from repro.core.replication import ReplicationProblem
 from repro.core.split import SplitTrafficProblem
 from repro.lpsolve import (BlockRow, Model, ModelError, RowBlock,
-                           Solution, SolveStatus, StructureError, lin_sum,
-                           lp_string)
+                           StructureError, lin_sum, lp_string)
 from repro.obs import MetricsRegistry, use_registry
 from repro.topology.topology import Topology
 from repro.traffic.classes import TrafficClass
@@ -331,11 +330,3 @@ class TestSolutionVector:
         with pytest.raises(ValueError, match="read-only"):
             solution.x[0] = 7.0
         assert solution.value(x) == 1.0
-
-    def test_x_raises_like_values_when_there_are_none(self):
-        solution = Solution(SolveStatus.ERROR, None, float("nan"), 0.0,
-                            0, ())
-        with pytest.raises(ModelError, match="failed solve"):
-            solution.x
-        with pytest.raises(ModelError, match="failed solve"):
-            solution.values()

@@ -1,5 +1,5 @@
-"""Tests for the independent result validators, the Eq (3)/(4)
-accountant and LP duals."""
+"""Tests for the independent result validators and the Eq (3)/(4)
+accountant."""
 
 import dataclasses
 
@@ -19,7 +19,6 @@ from repro.core import (
     validate_split,
 )
 from repro.core.results import FractionTable, LPStats, ReplicationResult
-from repro.lpsolve import Model
 from tests import strategies
 
 
@@ -188,57 +187,3 @@ class TestPlanLoads:
         with pytest.raises(ValueError, match="not the state's"):
             plan_loads(line_state_dc,
                        result.fraction_table(reversed(names)))
-
-
-class TestDuals:
-    def test_binding_lower_bound(self):
-        m = Model()
-        x = m.add_variable("x")
-        m.add_constraint(x >= 2, name="floor")
-        m.minimize(x)
-        sol = m.solve()
-        assert sol.dual("floor") == pytest.approx(1.0)
-        assert "floor" in sol.binding_constraints()
-
-    def test_nonbinding_constraint_zero_dual(self):
-        m = Model()
-        x = m.add_variable("x", lb=0, ub=1)
-        m.add_constraint(x <= 100, name="loose")
-        m.minimize(x)
-        sol = m.solve()
-        assert sol.dual("loose") == pytest.approx(0.0, abs=1e-12)
-        assert "loose" not in sol.binding_constraints()
-
-    def test_maximization_dual_sign(self):
-        # max 3a + 2b, a+b <= 4 binding with shadow price 3.
-        m = Model()
-        a = m.add_variable("a")
-        b = m.add_variable("b")
-        m.add_constraint(a + b <= 4, name="cap")
-        m.add_constraint(a + 3 * b <= 6, name="slacky")
-        m.maximize(3 * a + 2 * b)
-        sol = m.solve()
-        assert sol.dual("cap") == pytest.approx(3.0)
-
-    def test_equality_dual(self):
-        m = Model()
-        x = m.add_variable("x")
-        y = m.add_variable("y")
-        m.add_constraint(x + y == 3, name="balance")
-        m.minimize(2 * x + y)
-        sol = m.solve()
-        # Relaxing the equality by one unit costs one unit of y.
-        assert sol.dual("balance") == pytest.approx(1.0)
-
-    def test_link_budget_shadow_price(self, line_state_dc):
-        """The MaxLinkLoad constraints that bind carry a negative
-        shadow price (relaxing the cap lowers LoadCost)."""
-        problem = ReplicationProblem(
-            line_state_dc, mirror_policy=MirrorPolicy.datacenter(),
-            max_link_load=0.2)
-        model = problem.build_model()
-        solution = model.solve()
-        link_duals = [solution.dual(con.name)
-                      for con in model.constraints
-                      if con.name.startswith("linkload")]
-        assert any(d < -1e-9 for d in link_duals)
